@@ -24,15 +24,12 @@ from .core import (
     GeometryError,
     Subspace,
     complement_rows,
+    inner,
     lightcone_frame,
     projective_gap,
     wedge_matrix,
 )
-from .legendre import LegendreGrid, curvature_data, is_channel, validate_legendre
-
-
-def _binner(a, b):
-    return np.einsum("...i,...i->...", a, SIGNS * b)
+from .legendre import LegendreGrid, curvature_data, is_channel
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +77,7 @@ class SphereCurve:
     def nullity(self) -> float:
         """Worst |(sigma, sigma)| relative to the Euclidean norm squared."""
         scale = np.einsum("ij,ij->i", self.vectors, self.vectors)
-        return float(np.max(np.abs(_binner(self.vectors, self.vectors)) / scale))
+        return float(np.max(np.abs(inner(self.vectors, self.vectors)) / scale))
 
     def regularity_values(self) -> np.ndarray:
         """Quotient-metric speed (sigma', sigma') of the unit-scaled lift.
@@ -93,7 +90,7 @@ class SphereCurve:
         """
         d1, _ = self.derivatives()
         scale = np.einsum("ij,ij->i", self.vectors, self.vectors)
-        return _binner(d1, d1) / scale
+        return inner(d1, d1) / scale
 
     def check(self, null_tol: float = 1e-10, reg_min: float = 1e-6) -> None:
         if self.nullity() > null_tol:
@@ -209,15 +206,19 @@ def helix_sphere_curve(n: int = 64, ring_radius: float = 2.0,
 # the envelope construction
 # ---------------------------------------------------------------------------
 
+def _signature_21(stacks: np.ndarray) -> np.ndarray:
+    """Per-sample verdict: do the three rows span a (2,1) space?"""
+    gram = stacks @ np.swapaxes(SIGNS * stacks, -1, -2)
+    ev = np.linalg.eigvalsh(gram)
+    tol = 1e-9 * np.maximum(np.max(np.abs(ev), axis=-1), 1e-300)[:, None]
+    return (np.sum(ev > tol, axis=-1) == 2) & (np.sum(ev < -tol, axis=-1) == 1)
+
+
 def osculating_spaces(curve: SphereCurve):
     """Per-sample stacks {sigma, sigma', sigma''} and their (2,1) verdicts."""
     d1, d2 = curve.derivatives()
     stacks = np.stack([curve.vectors, d1, d2], axis=1)
-    gram = stacks @ np.swapaxes(SIGNS * stacks, -1, -2)
-    ev = np.linalg.eigvalsh(gram)
-    tol = 1e-9 * np.maximum(np.max(np.abs(ev), axis=-1), 1e-300)[:, None]
-    ok = ((np.sum(ev > tol, axis=-1) == 2) & (np.sum(ev < -tol, axis=-1) == 1))
-    return stacks, ok
+    return stacks, _signature_21(stacks)
 
 
 def _transport_frame(prev: np.ndarray, fiber: np.ndarray) -> np.ndarray:
@@ -238,8 +239,8 @@ def _transport_frame(prev: np.ndarray, fiber: np.ndarray) -> np.ndarray:
     for k in range(3):
         v = cand[k]
         for m in range(k):
-            v = v - signs[m] * _binner(v, out[m]) * out[m]
-        norm2 = signs[k] * _binner(v, v)
+            v = v - signs[m] * inner(v, out[m]) * out[m]
+        norm2 = signs[k] * inner(v, v)
         if norm2 <= 1e-14:
             raise GeometryError("circle-frame transport degenerated")
         out[k] = v / np.sqrt(norm2)
@@ -268,10 +269,7 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
         stacks = np.asarray(spaces, dtype=float)
         if stacks.shape != (curve.u_values.size, 3, DIM):
             raise GeometryError("space override must have shape (n, 3, 6)")
-        gram = stacks @ np.swapaxes(SIGNS * stacks, -1, -2)
-        ev = np.linalg.eigvalsh(gram)
-        tol = 1e-9 * np.maximum(np.max(np.abs(ev), axis=-1), 1e-300)[:, None]
-        ok = ((np.sum(ev > tol, axis=-1) == 2) & (np.sum(ev < -tol, axis=-1) == 1))
+        ok = _signature_21(stacks)
         # the enveloped sphere must sit inside every supplied space
         for i in (0, stacks.shape[0] // 2, stacks.shape[0] - 1):
             if Subspace.from_vectors(stacks[i]).containment_gap(
@@ -306,11 +304,9 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
               + np.sin(theta)[None, :, None] * frames[:, None, 1]
               + frames[:, None, 2])
     sigma = np.broadcast_to(curve.vectors[:, None, :], circle.shape).copy()
-    grid = LegendreGrid(sigma, circle, curve.u_values, theta,
+    return LegendreGrid(sigma, circle, curve.u_values, theta,
                         periodic_u=periodic_u, periodic_theta=True,
                         metadata=metadata)
-    grid.metadata["validation"] = validate_legendre(grid)
-    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +330,7 @@ def special_lift(curve: SphereCurve, mode: str = "unit",
     if mode == "against_p":
         if p_vec is None:
             raise ValueError("against_p normalisation needs p_vec")
-        ip = _binner(vectors, np.asarray(p_vec, dtype=float))
+        ip = inner(vectors, np.asarray(p_vec, dtype=float))
         bad = np.flatnonzero(np.abs(ip) < tol)
         if bad.size:
             raise GeometryError(
@@ -374,8 +370,7 @@ class Omega0Structure:
         return np.zeros_like(self.eta_u)
 
 
-def omega0_form(grid: LegendreGrid, sigma1: np.ndarray,
-                data=None, channel_report=None) -> Omega0Structure:
+def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
     """Middle one-form eta = sigma1 ^ (star d sigma1) of a channel grid.
 
     sigma1 must be a theta-independent lift of the circular-direction
@@ -388,23 +383,21 @@ def omega0_form(grid: LegendreGrid, sigma1: np.ndarray,
     nu, nt = grid.shape
     if sigma1.shape != (nu, DIM):
         raise GeometryError("sigma1 must be a u-grid of 6-vectors")
-    if data is None:
-        data = curvature_data(grid)
-    if channel_report is None:
-        channel_report = is_channel(grid, data)
-    if not channel_report.circular("dir1"):
+    verdict = is_channel(grid)
+    if not verdict.circular("dir1"):
         raise GeometryError(
             "grid is not a channel along dir1; the middle one-form needs a "
-            f"circular first family (verdict: {channel_report.circular_dir})")
+            f"circular first family (verdict: {verdict.circular_dir})")
+    s1 = curvature_data(grid).s1
     for j in (0, nt // 2):
-        gaps = projective_gap(sigma1, data.s1[:, j])
+        gaps = projective_gap(sigma1, s1[:, j])
         if float(np.max(gaps)) > 1e-6:
             raise GeometryError("sigma1 does not lift the first curvature "
                                 "sphere family of this grid")
 
     dsigma1 = stencils.diff1_5pt(sigma1, grid.du, periodic=grid.periodic_u)
     eta_u = wedge_matrix(sigma1, dsigma1)
-    q_uu = -_binner(dsigma1, dsigma1)
+    q_uu = -inner(dsigma1, dsigma1)
 
     # discrete exterior derivative over grid plaquettes; eta_theta = 0 and
     # eta_u is theta-independent, so this is zero to the last bit -- but
@@ -456,7 +449,7 @@ def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
     level numbers and smooth data O(du^2).
     """
     p_vec = np.asarray(p_vec, dtype=float)
-    defect = float(np.max(np.abs(_binner(omega.sigma1, p_vec) + 1.0)))
+    defect = float(np.max(np.abs(inner(omega.sigma1, p_vec) + 1.0)))
     notes = []
     if defect > 1e-8:
         if strict:

@@ -22,13 +22,13 @@ import numpy as np
 from .channel import SphereCurve, curve_from_profile, envelope
 from .core import (
     DIM,
-    SIGNS,
     GeometryError,
     LiePoint,
     Plane,
     Point,
     Sphere,
     circle_phase,
+    inner,
     lightcone_circle,
     lightcone_frame,
     parallel_transform_matrix,
@@ -37,15 +37,11 @@ from .core import (
     sphere_lift,
     subspace_equal,
 )
-from .legendre import LegendreGrid, validate_legendre
+from .legendre import LegendreGrid
 from .mesh import grid_point_spheres
 from . import stencils
 
 E6 = np.eye(DIM)[5]
-
-
-def _binner(a, b):
-    return np.einsum("...i,...i->...", a, SIGNS * b)
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +61,10 @@ class ConformalCurve:
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=float)
         self.p_vec = np.asarray(self.p_vec, dtype=float).reshape(DIM)
-        if _binner(self.p_vec, self.p_vec) >= 0.0:
+        if inner(self.p_vec, self.p_vec) >= 0.0:
             raise GeometryError("symmetry-breaking direction must be "
                                 "timelike")
-        pair = np.abs(_binner(self.lift.vectors, self.p_vec))
+        pair = np.abs(inner(self.lift.vectors, self.p_vec))
         scale = (np.linalg.norm(self.lift.vectors, axis=-1)
                  * np.linalg.norm(self.p_vec))
         if np.max(pair / scale) > 1e-10:
@@ -117,7 +113,7 @@ def conformal_curve(source, u_values, p_vec: Optional[np.ndarray] = None,
     """
     u_values = np.asarray(u_values, dtype=float)
     p = E6 if p_vec is None else np.asarray(p_vec, dtype=float).reshape(DIM)
-    if _binner(p, p) >= 0.0:
+    if inner(p, p) >= 0.0:
         raise GeometryError("symmetry-breaking direction must be timelike")
 
     if callable(source):
@@ -134,8 +130,8 @@ def conformal_curve(source, u_values, p_vec: Optional[np.ndarray] = None,
     else:
         radii = (np.zeros(u_values.size) if np.allclose(p, E6 * p[5])
                  else _p_radius(gamma, p))
-        vecs = np.stack([sphere_lift(c, r) for c, r in zip(gamma, radii)])
-        lift = SphereCurve(vecs, u_values, periodic_u=periodic_u)
+        lift = SphereCurve(sphere_lift(gamma, radii), u_values,
+                           periodic_u=periodic_u)
     return ConformalCurve(gamma=gamma, u_values=u_values, p_vec=p,
                           lift=lift, periodic_u=periodic_u)
 
@@ -189,8 +185,8 @@ def tube(curve: ConformalCurve, radius: float, n_theta: int = 64) -> LegendreGri
     Moves every frame vector of the curve's contact lift with the radius
     shift; the sphere family of the result is the radius-`radius` sphere
     curve over the same centres.  Loss of immersion (radius at the scale
-    of the curve's curvature radius) is recorded in the validation report
-    rather than silently accepted.
+    of the curve's curvature radius) shows in validate_legendre and in the
+    point-immersion metadata rather than being silently accepted.
     """
     if radius == 0.0:
         raise ValueError("tube radius must be nonzero; the curve lift "
@@ -202,7 +198,6 @@ def tube(curve: ConformalCurve, radius: float, n_theta: int = 64) -> LegendreGri
                         periodic_theta=base.periodic_theta,
                         metadata={"p_vec": curve.p_vec.copy(),
                                   "tube_radius": float(radius)})
-    grid.metadata["validation"] = validate_legendre(grid)
 
     # a tube at the curve's curvature radius is still a perfectly good
     # Legendre map, but its point projection pinches; that is a property

@@ -15,7 +15,7 @@ projective comparison semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -57,13 +57,9 @@ def inner(a: np.ndarray, b: np.ndarray):
     return np.einsum("...i,...i->...", np.asarray(a), SIGNS * np.asarray(b))
 
 
-def euclidean_normalise(v: np.ndarray) -> np.ndarray:
+def unit_rows(rows: np.ndarray) -> np.ndarray:
     """Scale (batches of) vectors to Euclidean norm 1."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(n == 0.0):
-        raise GeometryError("cannot normalise a zero vector")
-    return v / n
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
 def projective_gap(a: np.ndarray, b: np.ndarray):
@@ -78,15 +74,6 @@ def projective_gap(a: np.ndarray, b: np.ndarray):
     dot = np.einsum("...i,...i->...", ua, ub)
     rej = ub - dot[..., None] * ua
     return np.linalg.norm(rej, axis=-1)
-
-
-def align_signs_1d(samples: np.ndarray) -> np.ndarray:
-    """Flip signs along the first axis so consecutive vectors correlate positively."""
-    out = np.array(samples, dtype=float)
-    for i in range(1, out.shape[0]):
-        if np.dot(out[i], out[i - 1]) < 0.0:
-            out[i] = -out[i]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +101,8 @@ class LiePoint:
             )
         self.vec = vec
 
-    @property
-    def unit(self) -> np.ndarray:
-        return self.vec / np.linalg.norm(self.vec)
-
-    def gap_to(self, other: "LiePoint") -> float:
-        return float(projective_gap(self.vec, other.vec))
-
     def same_as(self, other: "LiePoint", tol: float = 1e-8) -> bool:
-        return self.gap_to(other) <= tol
+        return float(projective_gap(self.vec, other.vec)) <= tol
 
     def __repr__(self):
         return f"LiePoint({np.array2string(self.vec, precision=6)})"
@@ -153,32 +133,44 @@ class Infinity:
 EuclideanObject = Union[Sphere, Plane, Point, Infinity]
 
 
-def sphere_lift(center: Sequence[float], radius: float) -> np.ndarray:
+def sphere_lift(center, radius) -> np.ndarray:
     """Null lift of an oriented sphere (radius 0 gives a point sphere).
 
     Components: (c, (1 - |c|^2 + r^2)/2, (1 + |c|^2 - r^2)/2, r); the sum of
     the fourth and fifth components is the homogenising coordinate, fixed
-    to 1 here.
+    to 1 here.  Broadcasts over leading axes: centers (..., 3), radii (...).
     """
-    c = np.asarray(center, dtype=float).reshape(3)
-    r = float(radius)
-    cc = float(np.dot(c, c))
-    return np.array(
-        [c[0], c[1], c[2], (1.0 - cc + r * r) / 2.0, (1.0 + cc - r * r) / 2.0, r]
-    )
+    c = np.asarray(center, dtype=float)
+    r = np.asarray(radius, dtype=float)
+    cc = np.einsum("...i,...i->...", c, c)
+    out = np.empty(np.broadcast_shapes(c.shape[:-1], r.shape) + (DIM,))
+    out[..., :3] = c
+    out[..., 3] = (1.0 - cc + r * r) / 2.0
+    out[..., 4] = (1.0 + cc - r * r) / 2.0
+    out[..., 5] = r
+    return out
 
 
-def point_lift(position: Sequence[float]) -> np.ndarray:
+def point_lift(position) -> np.ndarray:
+    """Null lift of (a batch of) Euclidean points: radius-0 spheres."""
     return sphere_lift(position, 0.0)
 
 
-def plane_lift(normal: Sequence[float], offset: float) -> np.ndarray:
-    """Null lift of the oriented plane {x : x . n = d} with unit normal n."""
-    n = np.asarray(normal, dtype=float).reshape(3)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+def plane_lift(normal, offset) -> np.ndarray:
+    """Null lift of the oriented planes {x : x . n = d} with unit normals n.
+
+    Broadcasts over leading axes: normals (..., 3), offsets (...).
+    """
+    n = np.asarray(normal, dtype=float)
+    if np.any(np.abs(np.linalg.norm(n, axis=-1) - 1.0) > 1e-12):
         raise GeometryError("plane normal must be a unit vector")
-    d = float(offset)
-    return np.array([n[0], n[1], n[2], -d, d, 1.0])
+    d = np.asarray(offset, dtype=float)
+    out = np.empty(np.broadcast_shapes(n.shape[:-1], d.shape) + (DIM,))
+    out[..., :3] = n
+    out[..., 3] = -d
+    out[..., 4] = d
+    out[..., 5] = 1.0
+    return out
 
 
 INFINITY_VEC = np.array([0.0, 0.0, 0.0, -1.0, 1.0, 0.0])
@@ -209,45 +201,8 @@ def project_to_euclidean(p: Union[LiePoint, np.ndarray], tol: float = 1e-10) -> 
 
 
 # ---------------------------------------------------------------------------
-# skew operators: wedges, curly wedge, bracket of forms
+# skew operators
 # ---------------------------------------------------------------------------
-
-class SkewMap:
-    """A metric-skew endomorphism of R^{4,2} ((Av, w) = -(v, Aw))."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, matrix: np.ndarray):
-        self.m = np.asarray(matrix, dtype=float).reshape(DIM, DIM)
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.m @ np.asarray(v, dtype=float)
-
-    def skew_defect(self) -> float:
-        """Max-abs entry of G A + A^T G; zero for exact metric skewness."""
-        ga = METRIC @ self.m
-        return float(np.max(np.abs(ga + ga.T)))
-
-    def commutator(self, other: "SkewMap") -> "SkewMap":
-        return SkewMap(self.m @ other.m - other.m @ self.m)
-
-    def __add__(self, other):
-        return SkewMap(self.m + other.m)
-
-    def __sub__(self, other):
-        return SkewMap(self.m - other.m)
-
-    def __mul__(self, scalar):
-        return SkewMap(self.m * float(scalar))
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.m, 2))
-
-    def __repr__(self):
-        return f"SkewMap(norm={np.linalg.norm(self.m):.3e})"
-
 
 def wedge_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of v -> (a,v) b - (b,v) a; batched over leading axes."""
@@ -256,27 +211,6 @@ def wedge_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ga = SIGNS * a
     gb = SIGNS * b
     return b[..., :, None] * ga[..., None, :] - a[..., :, None] * gb[..., None, :]
-
-
-def wedge(a: np.ndarray, b: np.ndarray) -> SkewMap:
-    """The skew map identified with the 2-vector a ^ b."""
-    return SkewMap(wedge_matrix(a, b))
-
-
-def curly_wedge(w1_u, w1_t, w2_u, w2_t) -> SkewMap:
-    """Symmetric product of two vector-valued 1-forms, evaluated on (du, dtheta).
-
-    Inputs are the two components of each form; the result is the 2-form
-    value  w1(du) ^ w2(dtheta) - w1(dtheta) ^ w2(du)  as a skew map.
-    """
-    return SkewMap(wedge_matrix(w1_u, w2_t) - wedge_matrix(w1_t, w2_u))
-
-
-def form_bracket(a_u, a_t, b_u, b_t) -> SkewMap:
-    """[A ^ B] on (du, dtheta) for skew-map-valued 1-forms A, B."""
-    au, at = np.asarray(a_u), np.asarray(a_t)
-    bu, bt = np.asarray(b_u), np.asarray(b_t)
-    return SkewMap((au @ bt - bt @ au) - (at @ bu - bu @ at))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +273,7 @@ class Subspace:
                 self._signature = (n_plus, self.dim - n_plus - n_zero, n_zero)
         return self._signature
 
-    # -- membership / projection -------------------------------------------
+    # -- membership ----------------------------------------------------------
 
     def containment_gap(self, v: np.ndarray) -> float:
         """Sine of the angle between v and the subspace."""
@@ -347,19 +281,6 @@ class Subspace:
         u = u / np.linalg.norm(u)
         rej = u - self.basis.T @ (self.basis @ u)
         return float(np.linalg.norm(rej))
-
-    def contains(self, v: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.containment_gap(v) <= tol
-
-    def metric_projector(self) -> np.ndarray:
-        """Matrix of the metric-orthogonal projection onto the subspace.
-
-        Requires a nondegenerate restricted metric.
-        """
-        if self.signature[2] != 0:
-            raise SignatureError("metric projector needs a nondegenerate subspace")
-        coeff = np.linalg.solve(self.gram, self.basis * SIGNS)
-        return self.basis.T @ coeff
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, signature={self.signature})"
@@ -384,19 +305,6 @@ def complement_rows(rows: np.ndarray) -> np.ndarray:
     k = rows.shape[-2]
     _, _, vt = np.linalg.svd(rows * SIGNS, full_matrices=True)
     return vt[..., k:, :]
-
-
-def subspace_intersect(s1: Subspace, s2: Subspace, tol: float = 1e-8) -> Subspace:
-    """Intersection, from principal vectors with cosine within tol of 1."""
-    if s1.dim == 0 or s2.dim == 0:
-        return Subspace(np.zeros((0, DIM)))
-    m = s1.basis @ s2.basis.T
-    u, svals, _ = np.linalg.svd(m)
-    keep = svals >= 1.0 - tol
-    if not np.any(keep):
-        return Subspace(np.zeros((0, DIM)))
-    vecs = (u[:, : svals.size][:, keep]).T @ s1.basis
-    return Subspace(euclidean_normalise(vecs))
 
 
 def subspace_equal(s1: Subspace, s2: Subspace, tol: float = 1e-8):
@@ -490,14 +398,6 @@ def parallel_transform_matrix(a: float) -> np.ndarray:
     m[5, 3] = a
     m[5, 4] = a
     return m
-
-
-def parallel_transform(p: Union[LiePoint, np.ndarray], a: float):
-    """Shift the signed radius of a sphere/plane by a (fixes centers/normals)."""
-    m = parallel_transform_matrix(a)
-    if isinstance(p, LiePoint):
-        return LiePoint(m @ p.vec)
-    return m @ np.asarray(p, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -19,55 +19,27 @@ from .core import (
     DIM,
     SIGNS,
     GeometryError,
-    Subspace,
     complement_rows,
+    inner,
+    plane_lift,
+    point_lift,
     projective_gap,
+    unit_rows,
 )
 
-
-def _unit(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
-
-
-def _binner(a, b):
-    return np.einsum("...i,...i->...", a, SIGNS * b)
-
-
-def lift_points(positions: np.ndarray) -> np.ndarray:
-    """Batched null lift of Euclidean points (radius-0 spheres)."""
-    p = np.asarray(positions, dtype=float)
-    pp = np.einsum("...i,...i->...", p, p)
-    out = np.empty(p.shape[:-1] + (DIM,))
-    out[..., :3] = p
-    out[..., 3] = (1.0 - pp) / 2.0
-    out[..., 4] = (1.0 + pp) / 2.0
-    out[..., 5] = 0.0
-    return out
+#: projective gap below which the two curvature spheres count as equal
+UMBILIC_TOL = 1e-6
+#: smallest gram eigenvalue at which a cyclide splitting is still trusted
+SPLIT_COND_TOL = 1e-3
+#: open-grid edge rows skipped by the splitting and by channel detection
+SPLIT_EDGE_MARGIN = 6
+CHANNEL_EDGE_MARGIN = 4
 
 
-def lift_spheres(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Batched null lift of oriented spheres."""
-    c = np.asarray(centers, dtype=float)
-    r = np.asarray(radii, dtype=float)
-    cc = np.einsum("...i,...i->...", c, c)
-    out = np.empty(c.shape[:-1] + (DIM,))
-    out[..., :3] = c
-    out[..., 3] = (1.0 - cc + r * r) / 2.0
-    out[..., 4] = (1.0 + cc - r * r) / 2.0
-    out[..., 5] = r
-    return out
-
-
-def lift_planes(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Batched null lift of oriented planes (unit normals assumed)."""
-    n = np.asarray(normals, dtype=float)
-    d = np.asarray(offsets, dtype=float)
-    out = np.empty(n.shape[:-1] + (DIM,))
-    out[..., :3] = n
-    out[..., 3] = -d
-    out[..., 4] = d
-    out[..., 5] = 1.0
-    return out
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = np.asarray(array, dtype=float).view()
+    view.flags.writeable = False
+    return view
 
 
 def align_signs_grid(fields: np.ndarray) -> np.ndarray:
@@ -128,7 +100,7 @@ def align_labels_grid(*pairs):
     return [x for pair in outs for x in pair]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LegendreGrid:
     """Grid of contact elements, each spanned by the frame pair (sigma, tau).
 
@@ -136,6 +108,10 @@ class LegendreGrid:
     grids built from coherent lift formulas then keep pencil coefficients
     constant along symmetry directions, which makes the downstream
     finite-difference extractions exact instead of O(h^2).
+
+    The grid is immutable and its arrays are read-only views, so data
+    derived from it (curvature spheres, channel verdict, validation
+    measurements) is computed once and kept on the grid.
     """
 
     sigma: np.ndarray
@@ -145,14 +121,13 @@ class LegendreGrid:
     periodic_u: bool = False
     periodic_theta: bool = False
     metadata: dict = field(default_factory=dict)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        self.tau = np.asarray(self.tau, dtype=float)
+        for name in ("sigma", "tau", "u_values", "theta_values"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         if self.sigma.shape != self.tau.shape or self.sigma.shape[-1] != DIM:
             raise GeometryError("frame arrays must both have shape (nu, nt, 6)")
-        self.u_values = np.asarray(self.u_values, dtype=float)
-        self.theta_values = np.asarray(self.theta_values, dtype=float)
 
     @property
     def shape(self):
@@ -168,9 +143,6 @@ class LegendreGrid:
         t = self.theta_values
         return float(t[1] - t[0])
 
-    def element(self, i: int, j: int) -> Subspace:
-        return Subspace.from_vectors([self.sigma[i, j], self.tau[i, j]])
-
     def frame_derivatives(self):
         """First differences of both frame fields along u and theta."""
         du, dt = self.du, self.dtheta
@@ -182,6 +154,13 @@ class LegendreGrid:
         )
 
 
+def _memoised(grid: LegendreGrid, key: str, compute):
+    """The grid's stored value under key, computed on first request."""
+    if key not in grid._derived:
+        grid._derived[key] = compute(grid)
+    return grid._derived[key]
+
+
 def make_legendre_from_surface(points: np.ndarray, normals: np.ndarray,
                                u_values: np.ndarray, theta_values: np.ndarray,
                                periodic_u: bool = False,
@@ -191,8 +170,8 @@ def make_legendre_from_surface(points: np.ndarray, normals: np.ndarray,
     normals = np.asarray(normals, dtype=float)
     offs = np.einsum("...i,...i->...", points, normals)
     return LegendreGrid(
-        sigma=lift_points(points),
-        tau=lift_planes(normals, offs),
+        sigma=point_lift(points),
+        tau=plane_lift(normals, offs),
         u_values=u_values,
         theta_values=theta_values,
         periodic_u=periodic_u,
@@ -222,7 +201,7 @@ def _quotient_frames(grid: LegendreGrid):
     uu, _, _ = np.linalg.svd(overlap)
     w_coords = uu[..., :, 2:]                                   # (nu,nt,4,2)
     w_basis = np.swapaxes(w_coords, -1, -2) @ perp              # (nu,nt,2,6)
-    w_basis = _unit(w_basis)
+    w_basis = unit_rows(w_basis)
     qgram = w_basis @ np.swapaxes(SIGNS * w_basis, -1, -2)      # (nu,nt,2,2)
     return w_basis, qgram
 
@@ -243,26 +222,12 @@ class LegendreReport:
                 f"contact={self.contact:.3e} immersion={self.immersion:.3e}")
 
 
-def validate_legendre(grid: LegendreGrid, tol_isotropy: float = 1e-9,
-                      tol_contact: Optional[float] = None,
-                      immersion_min: float = 1e-4) -> LegendreReport:
-    """Measure the defining conditions of a Legendre map on the grid.
-
-    isotropy: worst inner product among unit frame vectors.
-    contact: worst inner product of a unit-frame derivative against the
-        element (second-order differences, so expect O(h^2) for an exact
-        surface).
-    immersion: smallest singular value over the grid of the solder form as a
-        4x2 matrix (directions to quotient-valued derivatives).
-
-    Measurements use unit-rescaled copies of the frames so the numbers are
-    scale-free; the grid itself is left untouched.
-    """
-    notes = []
-    s, t = _unit(grid.sigma), _unit(grid.tau)
-    iso = max(float(np.max(np.abs(_binner(s, s)))),
-              float(np.max(np.abs(_binner(t, t)))),
-              float(np.max(np.abs(_binner(s, t)))))
+def _legendre_measurements(grid: LegendreGrid):
+    """(isotropy, contact, immersion, quotient_min_eig) of validate_legendre."""
+    s, t = unit_rows(grid.sigma), unit_rows(grid.tau)
+    iso = max(float(np.max(np.abs(inner(s, s)))),
+              float(np.max(np.abs(inner(t, t)))),
+              float(np.max(np.abs(inner(s, t)))))
 
     unit_grid = LegendreGrid(s, t, grid.u_values, grid.theta_values,
                              grid.periodic_u, grid.periodic_theta)
@@ -270,7 +235,7 @@ def validate_legendre(grid: LegendreGrid, tol_isotropy: float = 1e-9,
     contact = 0.0
     for dv in (ds_u, ds_t, dt_u, dt_t):
         for fr in (s, t):
-            contact = max(contact, float(np.max(np.abs(_binner(dv, fr)))))
+            contact = max(contact, float(np.max(np.abs(inner(dv, fr)))))
 
     w_basis, qgram = _quotient_frames(unit_grid)
     qeigs = np.linalg.eigvalsh(qgram)
@@ -284,7 +249,28 @@ def validate_legendre(grid: LegendreGrid, tol_isotropy: float = 1e-9,
         beta[..., 3, col] = np.einsum("...d,...d->...", w_basis[..., 1, :], dtau)
     svals = np.linalg.svd(beta, compute_uv=False)
     immersion = float(np.min(svals[..., -1]))
+    return iso, contact, immersion, qmin
 
+
+def validate_legendre(grid: LegendreGrid, tol_isotropy: float = 1e-9,
+                      tol_contact: Optional[float] = None,
+                      immersion_min: float = 1e-4) -> LegendreReport:
+    """Measure the defining conditions of a Legendre map on the grid.
+
+    isotropy: worst inner product among unit frame vectors.
+    contact: worst inner product of a unit-frame derivative against the
+        element (second-order differences, so expect O(h^2) for an exact
+        surface).
+    immersion: smallest singular value over the grid of the solder form as a
+        4x2 matrix (directions to quotient-valued derivatives).
+
+    Measurements use unit-rescaled copies of the frames so the numbers are
+    scale-free.  They are taken once per grid; the verdict is judged
+    against the tolerances of each call.
+    """
+    iso, contact, immersion, qmin = _memoised(grid, "validation",
+                                             _legendre_measurements)
+    notes = []
     if tol_contact is None:
         tol_contact = max(1e-8, 5.0 * (grid.du ** 2 + grid.dtheta ** 2))
     if qmin <= 0.0:
@@ -304,7 +290,7 @@ def validate_legendre(grid: LegendreGrid, tol_isotropy: float = 1e-9,
 # curvature spheres
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CurvatureData:
     """Pointwise curvature spheres and their directions.
 
@@ -323,12 +309,12 @@ class CurvatureData:
     discriminant: np.ndarray
 
 
-def _solve_direction_quadratic(qa, qb, qc, umbilic_tol):
+def _solve_direction_quadratic(qa, qb, qc):
     """Roots (a:b) of qa*a^2 + qb*a*b + qc*b^2 = 0, batched and stabilised."""
     scale = np.maximum(np.maximum(np.abs(qa), np.abs(qc)), np.abs(qb))
     scale = np.where(scale == 0.0, 1.0, scale)
     disc = qb * qb - 4.0 * qa * qc
-    degenerate = disc < (umbilic_tol * scale) ** 2
+    degenerate = disc < (UMBILIC_TOL * scale) ** 2
     disc_pos = np.maximum(disc, 0.0)
     sgn = np.where(qb >= 0.0, 1.0, -1.0)
     q = -(qb + sgn * np.sqrt(disc_pos)) / 2.0
@@ -346,13 +332,18 @@ def _solve_direction_quadratic(qa, qb, qc, umbilic_tol):
     return r1, r2, disc, degenerate
 
 
-def curvature_data(grid: LegendreGrid, umbilic_tol: float = 1e-6) -> CurvatureData:
+def curvature_data(grid: LegendreGrid) -> CurvatureData:
     """Extract both curvature sphere fields by the pencil-degeneration rule.
 
     At each sample the 2x2 maps M_u, M_t send frame coefficients to quotient
     coordinates of the derivative; a curvature sphere is a pencil member
     killed by some direction, i.e. a root of det(a*M_u + b*M_t) = 0.
+    Extracted once per grid; the stored arrays are read-only.
     """
+    return _memoised(grid, "curvature", _extract_curvature)
+
+
+def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
     w_basis, _ = _quotient_frames(grid)
     ds_u, ds_t, dt_u, dt_t = grid.frame_derivatives()
 
@@ -368,7 +359,7 @@ def curvature_data(grid: LegendreGrid, umbilic_tol: float = 1e-6) -> CurvatureDa
     qa = det2(au_s, au_t)
     qc = det2(at_s, at_t)
     qb = det2(au_s, at_t) + det2(at_s, au_t)
-    r1, r2, disc, degenerate = _solve_direction_quadratic(qa, qb, qc, umbilic_tol)
+    r1, r2, disc, degenerate = _solve_direction_quadratic(qa, qb, qc)
 
     def kernel_sphere(direction):
         m = np.empty(grid.shape + (2, 2))
@@ -380,8 +371,8 @@ def curvature_data(grid: LegendreGrid, umbilic_tol: float = 1e-6) -> CurvatureDa
         coeff = vt[..., -1, :]                                  # (nu,nt,2)
         return coeff[..., 0, None] * grid.sigma + coeff[..., 1, None] * grid.tau
 
-    k1 = _unit(kernel_sphere(r1))
-    k2 = _unit(kernel_sphere(r2))
+    k1 = unit_rows(kernel_sphere(r1))
+    k2 = unit_rows(kernel_sphere(r2))
     # continuous labelling first, then one global swap so that dir1 is the
     # theta-like family whenever the grid has one
     d1, d2, s1, s2 = align_labels_grid((r1, r2), (k1, k2))
@@ -391,11 +382,14 @@ def curvature_data(grid: LegendreGrid, umbilic_tol: float = 1e-6) -> CurvatureDa
     s1 = align_signs_grid(s1)
     s2 = align_signs_grid(s2)
     gap = projective_gap(s1, s2)
-    umbilic = degenerate | (gap < umbilic_tol)
+    umbilic = degenerate | (gap < UMBILIC_TOL)
     d1 = align_signs_grid(d1)
     d2 = align_signs_grid(d2)
-    return CurvatureData(s1=s1, s2=s2, dir1=d1, dir2=d2, kappa_gap=gap,
-                         umbilic=umbilic, discriminant=disc)
+    fields = dict(s1=s1, s2=s2, dir1=d1, dir2=d2, kappa_gap=gap,
+                  umbilic=umbilic, discriminant=disc)
+    for array in fields.values():
+        array.flags.writeable = False
+    return CurvatureData(**fields)
 
 
 def _directional_derivative(field: np.ndarray, direction: np.ndarray,
@@ -489,11 +483,8 @@ def interior_mask(shape, periodic_u: bool, periodic_theta: bool,
     return mask
 
 
-def lie_cyclide_split(grid: LegendreGrid, data: Optional[CurvatureData] = None,
-                      umbilic_tol: float = 1e-6, cond_tol: float = 1e-3,
-                      edge_margin: int = 6) -> LieCyclideSplit:
-    if data is None:
-        data = curvature_data(grid, umbilic_tol=umbilic_tol)
+def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
+    data = curvature_data(grid)
     if bool(np.all(data.umbilic)):
         raise GeometryError("cyclide splitting undefined on a totally umbilic grid")
 
@@ -520,9 +511,9 @@ def lie_cyclide_split(grid: LegendreGrid, data: Optional[CurvatureData] = None,
     # gate the diagnostics on the smaller of the two gram conditionings
     conditioning = np.minimum(np.min(np.abs(ev1), axis=-1),
                               np.min(np.abs(ev2), axis=-1))
-    usable = (sig_ok & ~data.umbilic & (conditioning >= cond_tol)
+    usable = (sig_ok & ~data.umbilic & (conditioning >= SPLIT_COND_TOL)
               & interior_mask(grid.shape, grid.periodic_u,
-                              grid.periodic_theta, edge_margin))
+                              grid.periodic_theta, SPLIT_EDGE_MARGIN))
 
     cross = b1 @ np.swapaxes(SIGNS * b2, -1, -2)
     ortho = float(np.max(np.abs(cross[usable]))) if np.any(usable) else np.inf
@@ -567,7 +558,7 @@ def lie_cyclide_split(grid: LegendreGrid, data: Optional[CurvatureData] = None,
 # channel detection
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelReport:
     circular_dir: str             # 'none' | 'dir1' | 'dir2' | 'both'
     rates: dict                   # projective variation rate per direction
@@ -592,36 +583,35 @@ def _variation_rate(field: np.ndarray, direction: np.ndarray,
     return float(np.max(speed[good])) if np.any(good) else np.inf
 
 
-def is_channel(grid: LegendreGrid, data: Optional[CurvatureData] = None,
-               tol_rate: Optional[float] = None,
-               tol_coupling: Optional[float] = None,
-               umbilic_tol: float = 1e-6,
-               edge_margin: int = 4) -> ChannelReport:
+def is_channel(grid: LegendreGrid) -> ChannelReport:
     """Decide along which curvature directions the curvature spheres freeze.
 
     Primary criterion: the projective variation rate of s_i along its own
     curvature direction.  Cross-check: the corresponding component of the
     splitting tensor N must vanish too.  Disagreement is flagged (not raised)
-    since it indicates the grid is too coarse to classify.
+    since it indicates the grid is too coarse to classify.  Decided once
+    per grid.
     """
-    if data is None:
-        data = curvature_data(grid, umbilic_tol=umbilic_tol)
+    return _memoised(grid, "channel", _classify_channel)
+
+
+def _classify_channel(grid: LegendreGrid) -> ChannelReport:
+    data = curvature_data(grid)
     h2 = grid.du ** 2 + grid.dtheta ** 2
-    if tol_rate is None:
-        tol_rate = max(1e-6, 1.0 * h2)
-    if tol_coupling is None:
-        tol_coupling = max(1e-6, 5.0 * h2)
+    tol_rate = max(1e-6, 1.0 * h2)
+    tol_coupling = max(1e-6, 5.0 * h2)
 
     notes = []
     mask = data.umbilic | ~interior_mask(grid.shape, grid.periodic_u,
-                                         grid.periodic_theta, edge_margin)
+                                         grid.periodic_theta,
+                                         CHANNEL_EDGE_MARGIN)
     rate1 = _variation_rate(data.s1, data.dir1, grid, mask)
     rate2 = _variation_rate(data.s2, data.dir2, grid, mask)
 
     split = None
     coup1 = coup2 = np.nan
     try:
-        split = lie_cyclide_split(grid, data, umbilic_tol=umbilic_tol)
+        split = lie_cyclide_split(grid)
     except GeometryError as exc:
         notes.append(f"splitting unavailable: {exc}")
     if split is not None:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -40,7 +41,7 @@ from .conformal import (
     tube,
     tube_sphere_curve,
 )
-from .core import DIM, SIGNS, GeometryError, lightcone_circle, span
+from .core import DIM, GeometryError, inner, lightcone_circle, span, unit_rows
 from .legendre import (
     curvature_data,
     is_channel,
@@ -245,7 +246,6 @@ _OBJECT_KINDS = {
 class _Context:
     objects: dict
     seed: int
-    cyclides: dict = field(default_factory=dict)
 
 
 def _clean(value):
@@ -264,14 +264,6 @@ def _clean(value):
                 ] if isinstance(value, np.ndarray) else [
                     _clean(v) for v in value]
     raise TypeError(f"cannot report a value of type {type(value).__name__}")
-
-
-def _unit(rows):
-    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
-
-
-def _binner(a, b):
-    return np.einsum("...i,...i->...", a, SIGNS * b)
 
 
 def _op_validate(stage, ctx):
@@ -342,7 +334,7 @@ def _op_darboux(stage, ctx):
     ctx.objects[stage["store"]] = result.hat_f
     ctx.objects[stage["store"] + "_spheres"] = result.hat_s
     out = {"m": float(stage["m"]), "null_drift": result.null_drift,
-           "validation_passed": result.hat_f.metadata["validation"].passed}
+           "validation_passed": validate_legendre(result.hat_f).passed}
     if "holonomy_mismatch" in result.hat_f.metadata:
         out["holonomy_mismatch"] = result.hat_f.metadata["holonomy_mismatch"]
     return out
@@ -358,9 +350,9 @@ def _op_calapso(stage, ctx):
         q_dev = float(np.max(np.abs(
             calapso_quadratic_form(gauge, omega) - omega.q_uu)))
         channel = is_channel(out)
-        pushed = _unit(gauge.push(omega.sigma1))
+        pushed = unit_rows(gauge.push(omega.sigma1))
         data = curvature_data(out)
-        s1 = _unit(data.s1)
+        s1 = unit_rows(data.s1)
         gap = float(np.max(np.minimum(
             np.linalg.norm(s1 - pushed[:, None], axis=-1),
             np.linalg.norm(s1 + pushed[:, None], axis=-1))))
@@ -371,7 +363,7 @@ def _op_calapso(stage, ctx):
             "circular_dir": channel.circular_dir,
             "dir1_circular": channel.circular("dir1"),
             "sphere_map_gap": gap,
-            "validation_passed": out.metadata["validation"].passed,
+            "validation_passed": validate_legendre(out).passed,
         }
         if "store_prefix" in stage:
             ctx.objects[f"{stage['store_prefix']}_{float(lam)}"] = out
@@ -439,12 +431,12 @@ def _op_congruence_contact(stage, ctx):
     for k in range(0, nu, every):
         cyc = dupin_from_subspace(rep.d1_basis[k],
                                   provenance=f"congruence u-index {k}")
-        su = _unit(np.stack([s.vectors[k], s_hat.vectors[k]]))
+        su = unit_rows(np.stack([s.vectors[k], s_hat.vectors[k]]))
         membership = max(membership,
                          float(cyc.d.containment_gap(su[0])),
                          float(cyc.d.containment_gap(su[1])))
-        family_b = _unit(lightcone_circle(cyc.dperp, probes))
-        contact = max(contact, float(np.max(np.abs(_binner(
+        family_b = unit_rows(lightcone_circle(cyc.dperp, probes))
+        contact = max(contact, float(np.max(np.abs(inner(
             family_b[:, None], su[None])))))
         for grid in (f, f_hat):
             lifts, miss = _row_point_lifts(grid, k)
@@ -526,8 +518,12 @@ def _op_circle_congruence(stage, ctx):
             "passed": rep.passed, "notes": list(rep.notes)}
 
 
-def _stores_simple(stage):
-    return [stage["store"]] if "store" in stage else []
+def _nothing(stage):
+    return []
+
+
+def _key_if_set(key):
+    return lambda stage: [stage[key]] if key in stage else []
 
 
 def _stores_darboux(stage):
@@ -541,62 +537,61 @@ def _stores_calapso(stage):
             for lam in stage.get("lambdas", [])]
 
 
+@dataclass(frozen=True)
+class _Op:
+    """A pipeline op: its runner, the config keys it reads, and the object
+    names (or name prefixes) it stores for later stages."""
+
+    run: Callable
+    refs: tuple = ()
+    required: tuple = ()
+    params: frozenset = frozenset()
+    stores: Callable = _nothing
+    prefixes: Callable = _nothing
+
+
 _OPS = {
-    "validate": dict(run=_op_validate, refs=("target",), required=("target",),
-                     params=set(), stores=lambda s: [], prefixes=lambda s: []),
-    "channel": dict(run=_op_channel, refs=("target",), required=("target",),
-                    params=set(), stores=lambda s: [], prefixes=lambda s: []),
-    "lie_cyclide": dict(run=_op_lie_cyclide, refs=("target",),
-                        required=("target",), params=set(),
-                        stores=lambda s: [], prefixes=lambda s: []),
-    "omega0": dict(run=_op_omega0, refs=("grid", "sphere_curve"),
-                   required=("grid", "sphere_curve"),
-                   params={"store", "q_uu_expected"}, stores=_stores_simple,
-                   prefixes=lambda s: []),
-    "flatness": dict(run=_op_flatness, refs=("omega",), required=("omega",),
-                     params={"lambdas"}, stores=lambda s: [],
-                     prefixes=lambda s: []),
-    "conserved": dict(run=_op_conserved, refs=("omega",), required=("omega",),
-                      params={"lambdas", "p"}, stores=lambda s: [],
-                      prefixes=lambda s: []),
-    "darboux": dict(run=_op_darboux, refs=("grid", "omega"),
-                    required=("grid", "omega", "m", "store"),
-                    params={"m", "store", "substeps"}, stores=_stores_darboux,
-                    prefixes=lambda s: []),
-    "calapso": dict(run=_op_calapso, refs=("grid", "omega"),
-                    required=("grid", "omega", "lambdas"),
-                    params={"lambdas", "substeps", "store_prefix"},
-                    stores=_stores_calapso, prefixes=lambda s: []),
-    "verify_pair": dict(run=_op_verify_pair, refs=("a", "b"),
-                        required=("a", "b"), params=set(),
-                        stores=lambda s: [], prefixes=lambda s: []),
-    "cyclides": dict(run=_op_cyclides, refs=("a", "b", "grid_a", "grid_b"),
-                     required=("a", "b"), params=set(), stores=lambda s: [],
-                     prefixes=lambda s: []),
-    "congruence_contact": dict(
-        run=_op_congruence_contact,
+    "validate": _Op(_op_validate, refs=("target",), required=("target",)),
+    "channel": _Op(_op_channel, refs=("target",), required=("target",)),
+    "lie_cyclide": _Op(_op_lie_cyclide, refs=("target",),
+                       required=("target",)),
+    "omega0": _Op(_op_omega0, refs=("grid", "sphere_curve"),
+                  required=("grid", "sphere_curve"),
+                  params=frozenset({"store", "q_uu_expected"}),
+                  stores=_key_if_set("store")),
+    "flatness": _Op(_op_flatness, refs=("omega",), required=("omega",),
+                    params=frozenset({"lambdas"})),
+    "conserved": _Op(_op_conserved, refs=("omega",), required=("omega",),
+                     params=frozenset({"lambdas", "p"})),
+    "darboux": _Op(_op_darboux, refs=("grid", "omega"),
+                   required=("grid", "omega", "m", "store"),
+                   params=frozenset({"m", "store", "substeps"}),
+                   stores=_stores_darboux),
+    "calapso": _Op(_op_calapso, refs=("grid", "omega"),
+                   required=("grid", "omega", "lambdas"),
+                   params=frozenset({"lambdas", "substeps", "store_prefix"}),
+                   stores=_stores_calapso),
+    "verify_pair": _Op(_op_verify_pair, refs=("a", "b"), required=("a", "b")),
+    "cyclides": _Op(_op_cyclides, refs=("a", "b", "grid_a", "grid_b"),
+                    required=("a", "b")),
+    "congruence_contact": _Op(
+        _op_congruence_contact,
         refs=("grid", "hat_grid", "spheres_a", "spheres_b"),
         required=("grid", "hat_grid", "spheres_a", "spheres_b"),
-        params={"sample_every", "n_probe", "store_prefix"},
-        stores=lambda s: [],
-        prefixes=lambda s: ([s["store_prefix"]] if "store_prefix" in s
-                            else [])),
-    "sphericity": dict(run=_op_sphericity, refs=("target",),
-                       required=("target",), params={"axis", "stride"},
-                       stores=lambda s: [], prefixes=lambda s: []),
-    "dupin_fit": dict(run=_op_dupin_fit, refs=("sphere_curve",),
-                      required=("sphere_curve", "indices"),
-                      params={"indices", "store", "torus"},
-                      stores=_stores_simple, prefixes=lambda s: []),
-    "curve_check": dict(run=_op_curve_check, refs=("a", "b"),
-                        required=("a", "b"), params=set(),
-                        stores=lambda s: [], prefixes=lambda s: []),
-    "tube_check": dict(run=_op_tube_check, refs=("a", "b"),
-                       required=("a", "b", "radius"), params={"radius"},
-                       stores=lambda s: [], prefixes=lambda s: []),
-    "circle_congruence": dict(run=_op_circle_congruence, refs=("a", "b"),
-                              required=("a", "b"), params=set(),
-                              stores=lambda s: [], prefixes=lambda s: []),
+        params=frozenset({"sample_every", "n_probe", "store_prefix"}),
+        prefixes=_key_if_set("store_prefix")),
+    "sphericity": _Op(_op_sphericity, refs=("target",), required=("target",),
+                      params=frozenset({"axis", "stride"})),
+    "dupin_fit": _Op(_op_dupin_fit, refs=("sphere_curve",),
+                     required=("sphere_curve", "indices"),
+                     params=frozenset({"indices", "store", "torus"}),
+                     stores=_key_if_set("store")),
+    "curve_check": _Op(_op_curve_check, refs=("a", "b"), required=("a", "b")),
+    "tube_check": _Op(_op_tube_check, refs=("a", "b"),
+                      required=("a", "b", "radius"),
+                      params=frozenset({"radius"})),
+    "circle_congruence": _Op(_op_circle_congruence, refs=("a", "b"),
+                             required=("a", "b")),
 }
 
 
@@ -651,22 +646,22 @@ def validate_scene(config) -> list:
         if op is None:
             errors.append(f"stage '{sid}': unknown op '{stage['op']}'")
             continue
-        allowed = {"id", "op", "assert"} | set(op["refs"]) | op["params"]
+        allowed = {"id", "op", "assert"} | set(op.refs) | op.params
         for key in set(stage) - allowed:
             errors.append(f"stage '{sid}': unknown parameter '{key}'")
-        for req in op["required"]:
+        for req in op.required:
             if req not in stage:
                 errors.append(f"stage '{sid}': missing parameter '{req}'")
-        for ref in op["refs"]:
+        for ref in op.refs:
             if ref in stage and stage[ref] not in defined:
                 errors.append(f"stage '{sid}': reference '{stage[ref]}' is "
                               "not defined before use")
         if stage["op"] == "darboux" and stage.get("m") == 0:
             errors.append(f"stage '{sid}': the transform parameter m must "
                           "be nonzero")
-        if all(req in stage for req in op["required"]):
-            defined.update(op["stores"](stage))
-            prefixes.extend(op["prefixes"](stage))
+        if all(req in stage for req in op.required):
+            defined.update(op.stores(stage))
+            prefixes.extend(op.prefixes(stage))
 
     outputs = config.get("outputs", {})
     for entry in outputs.get("meshes", []):
@@ -686,11 +681,16 @@ def validate_scene(config) -> list:
     return errors
 
 
+def _reject_constant(name):
+    raise SceneError([f"scene is not valid JSON: {name} is not a number"])
+
+
 def load_scene(path):
-    """Parse a scene file; parse errors are reported as SceneError."""
+    """Parse a scene file; parse errors, NaN and Infinity included, are
+    reported as SceneError."""
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise SceneError([f"cannot read scene: {exc}"]) from exc
     except json.JSONDecodeError as exc:
@@ -759,7 +759,7 @@ def run_scene(config: dict, out_dir) -> dict:
     for stage in config["pipeline"]:
         op = _OPS[stage["op"]]
         try:
-            measurements = op["run"](stage, ctx)
+            measurements = op.run(stage, ctx)
         except (GeometryError, ValueError, KeyError,
                 np.linalg.LinAlgError) as exc:
             raise PipelineError(stage["id"], str(exc)) from exc

@@ -27,30 +27,23 @@ from .channel import Omega0Structure, SphereCurve
 from .core import (
     DIM,
     INFINITY_VEC,
-    SIGNS,
+    METRIC,
     GeometryError,
     SignatureError,
     Subspace,
     complement_rows,
     expm,
+    inner,
     lightcone_circle,
     lightcone_frame,
+    orth_complement,
     projective_gap,
     span,
     subspace_equal,
+    unit_rows,
     wedge_matrix,
 )
-from .legendre import LegendreGrid, curvature_data, validate_legendre
-
-METRIC = np.diag(SIGNS)
-
-
-def _binner(a, b):
-    return np.einsum("...i,...i->...", a, SIGNS * b)
-
-
-def _unit_rows(a):
-    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+from .legendre import LegendreGrid, curvature_data
 
 
 def _sphere_gauge(field: np.ndarray) -> np.ndarray:
@@ -59,7 +52,7 @@ def _sphere_gauge(field: np.ndarray) -> np.ndarray:
     Falls back to the input when some member is (close to) a plane, whose
     lift is orthogonal to infinity.
     """
-    pair = -_binner(field, INFINITY_VEC)
+    pair = -inner(field, INFINITY_VEC)
     if np.min(np.abs(pair)) <= 1e-6 * np.max(
             np.linalg.norm(field, axis=-1)):
         return field
@@ -183,10 +176,6 @@ class DarbouxResult:
     null_drift: float
     s0: np.ndarray                 # (nu, nt, 6) common sphere congruence
 
-    @property
-    def phi(self) -> np.ndarray:
-        return self.hat_s.vectors
-
 
 def darboux_initial_condition(space: Subspace, sigma1_0: np.ndarray,
                               seed: int, min_pairing: float = 0.05,
@@ -200,11 +189,10 @@ def darboux_initial_condition(space: Subspace, sigma1_0: np.ndarray,
     redrawn rather than merely warned about.
     """
     rng = np.random.default_rng(seed)
-    frame_sub = space
     scale = np.linalg.norm(sigma1_0)
     for _ in range(max_tries):
-        phi0 = lightcone_circle(frame_sub, float(rng.uniform(0.0, 2.0 * np.pi)))
-        pairing = abs(float(_binner(phi0, sigma1_0)))
+        phi0 = lightcone_circle(space, float(rng.uniform(0.0, 2.0 * np.pi)))
+        pairing = abs(float(inner(phi0, sigma1_0)))
         if pairing >= min_pairing * scale * np.linalg.norm(phi0):
             return phi0
     raise GeometryError("no admissible initial condition found in the "
@@ -225,9 +213,9 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
         raise ValueError("Darboux parameter m must be nonzero")
     phi0 = np.asarray(phi0, dtype=float)
     nrm0 = float(phi0 @ phi0)
-    if abs(float(_binner(phi0, phi0))) > 1e-10 * nrm0:
+    if abs(float(inner(phi0, phi0))) > 1e-10 * nrm0:
         raise GeometryError("initial condition is not null")
-    pairing0 = abs(float(_binner(phi0, omega.sigma1[0])))
+    pairing0 = abs(float(inner(phi0, omega.sigma1[0])))
     if pairing0 < 1e-6 * np.sqrt(nrm0) * np.linalg.norm(omega.sigma1[0]):
         raise GeometryError("initial condition is orthogonal to sigma1; "
                             "the transformed elements would degenerate")
@@ -238,15 +226,15 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
         phi = _rk4_flow(nodes[:-1], phi0, omega.du, -m)
     else:
         phi = _rk4_flow(nodes, phi0, omega.du, -m)
-    drift = float(np.max(np.abs(_binner(phi, phi))
+    drift = float(np.max(np.abs(inner(phi, phi))
                          / np.einsum("ij,ij->i", phi, phi)))
     if drift > null_tol:
         raise GeometryError(
             f"parallel section lost nullity (drift {drift:.3e}); refine the "
             "grid or raise substeps")
 
-    a = _binner(grid.sigma, phi[:, None, :])       # (nu, nt)
-    b = _binner(grid.tau, phi[:, None, :])
+    a = inner(grid.sigma, phi[:, None, :])       # (nu, nt)
+    b = inner(grid.tau, phi[:, None, :])
     scale = (np.linalg.norm(grid.sigma, axis=-1)
              * np.linalg.norm(phi, axis=-1)[:, None])
     degenerate = np.maximum(np.abs(a), np.abs(b)) <= 1e-10 * scale
@@ -270,7 +258,6 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
                          metadata={"source": "darboux", "m": m})
     if seam is not None:
         hat_f.metadata["holonomy_mismatch"] = seam
-    hat_f.metadata["validation"] = validate_legendre(hat_f)
 
     # sample-bound jet: derivatives straight from the connection equation,
     # so downstream span checks see the flow's own tangent data
@@ -302,11 +289,8 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
 class GaugeField:
     lam: float
     Tinv: np.ndarray               # (nu, 6, 6)
+    T: np.ndarray                  # its inverse, the gauge itself
     ortho_defect: float
-
-    @property
-    def T(self) -> np.ndarray:
-        return np.linalg.inv(self.Tinv)
 
     def push(self, vectors: np.ndarray) -> np.ndarray:
         """Apply T(lambda) samplewise; vectors (nu, ..., 6)."""
@@ -333,14 +317,13 @@ def calapso_transform(grid: LegendreGrid, omega: Omega0Structure, lam: float,
         raise GeometryError(
             f"gauge left O(4,2) (defect {defect:.3e}); refine the grid or "
             "raise substeps")
-    gauge = GaugeField(lam=lam, Tinv=tinv, ortho_defect=defect)
+    gauge = GaugeField(lam=lam, Tinv=tinv, T=t, ortho_defect=defect)
     sigma = np.einsum("kab,kjb->kja", t, grid.sigma)
     tau = np.einsum("kab,kjb->kja", t, grid.tau)
     out = LegendreGrid(sigma, tau, grid.u_values, grid.theta_values,
                        periodic_u=False,
                        periodic_theta=grid.periodic_theta,
                        metadata={"source": "calapso", "lambda": lam})
-    out.metadata["validation"] = validate_legendre(out)
     return gauge, out
 
 
@@ -367,7 +350,7 @@ def calapso_quadratic_form(gauge: GaugeField, omega: Omega0Structure):
     v = omega.dsigma1 + gauge.lam * np.einsum(
         "kij,kj->ki", omega.eta_u, omega.sigma1)
     tv = np.einsum("kab,kb->ka", gauge.T, v)
-    return -_binner(tv, tv)
+    return -inner(tv, tv)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +367,7 @@ def verify_ribaucour(s: SphereCurve, s_hat: SphereCurve) -> float:
     """
     if s.vectors.shape != s_hat.vectors.shape:
         raise GeometryError("curves must share their u-grid")
-    pair = _binner(s.vectors, s_hat.vectors)
+    pair = inner(s.vectors, s_hat.vectors)
     scale = (np.linalg.norm(s.vectors, axis=-1)
              * np.linalg.norm(s_hat.vectors, axis=-1))
     if np.min(np.abs(pair) / scale) <= 1e-12:
@@ -438,17 +421,17 @@ def ribaucour_partner_curve(s: SphereCurve, beta, gamma,
         return _hermite(s.vectors[k], d1[k], s.vectors[k + 1], d1[k + 1], h, t)
 
     def rhs(u, sig, dsig, y):
-        pairing = float(_binner(sig, y))
+        pairing = float(inner(sig, y))
         if abs(pairing) <= pair_tol * np.linalg.norm(sig) * np.linalg.norm(y):
             raise GeometryError(
                 f"partner flow degenerated near u = {u:.6f}: the curves "
                 "span a contact element")
         b = beta_fn(u)
-        alpha = -b * float(_binner(dsig, y)) / pairing
+        alpha = -b * float(inner(dsig, y)) / pairing
         return alpha * sig + b * dsig + gamma_fn(u) * y
 
     y = np.asarray(s_hat0, dtype=float)
-    if abs(float(_binner(y, y))) > 1e-10 * float(y @ y):
+    if abs(float(inner(y, y))) > 1e-10 * float(y @ y):
         raise GeometryError("initial partner sphere is not null")
     out = np.empty((n, DIM))
     out[0] = y
@@ -464,7 +447,7 @@ def ribaucour_partner_curve(s: SphereCurve, beta, gamma,
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[k + 1] = y
 
-    drift = float(np.max(np.abs(_binner(out, out))
+    drift = float(np.max(np.abs(inner(out, out))
                          / np.einsum("ij,ij->i", out, out)))
     if drift > null_tol:
         raise GeometryError(f"partner flow lost nullity (drift {drift:.3e})")
@@ -512,8 +495,8 @@ class CyclideCongruenceReport:
 
 def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
                        f: Optional[LegendreGrid] = None,
-                       f_hat: Optional[LegendreGrid] = None,
-                       data=None) -> CyclideCongruenceReport:
+                       f_hat: Optional[LegendreGrid] = None
+                       ) -> CyclideCongruenceReport:
     """Dupin cyclide family D1(u) = span{s1, shat1, d_u s1} of a pair.
 
     The coincidence number measures Prop-level equality with the twin
@@ -526,7 +509,7 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
     """
     if s.vectors.shape != s_hat.vectors.shape:
         raise GeometryError("curves must share their u-grid")
-    pair = _binner(s.vectors, s_hat.vectors)
+    pair = inner(s.vectors, s_hat.vectors)
     scale = (np.linalg.norm(s.vectors, axis=-1)
              * np.linalg.norm(s_hat.vectors, axis=-1))
     if np.min(np.abs(pair) / scale) <= 1e-12:
@@ -562,7 +545,7 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
         coeff = vt[..., -1, :]
         s0 = (coeff[..., 0, None] * cols[..., 0] + coeff[..., 1, None]
               * cols[..., 1])
-        s0 = _unit_rows(s0)
+        s0 = unit_rows(s0)
 
         dt = f.dtheta
         ds0 = stencils.diff1(s0, dt, axis=1, periodic=f.periodic_theta)
@@ -571,8 +554,7 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
         perp = complement_rows(d1_spaces)                  # (nu, 3, 6)
         duality = float(np.max(_batched_rejection(jet, perp[:, None])))
 
-        if data is None:
-            data = curvature_data(f)
+        data = curvature_data(f)
         # the extracted field is unit-normalised, which makes its entries
         # non-smooth functions of u (norm wiggle and sign flips); pinning
         # the pairing with the point at infinity instead gives the smooth
@@ -636,7 +618,7 @@ def dupin_from_spheres(a, b, c) -> DupinCyclide:
     if d.signature != (2, 1, 0):
         raise SignatureError(
             f"sphere triple spans signature {d.signature}, need (2, 1, 0)")
-    return DupinCyclide(d=d, dperp=complement_subspace(d),
+    return DupinCyclide(d=d, dperp=orth_complement(d),
                         provenance="from-three-spheres")
 
 
@@ -645,12 +627,8 @@ def dupin_from_subspace(rows, provenance: str = "from-splitting") -> DupinCyclid
     if d.signature != (2, 1, 0):
         raise SignatureError(
             f"cyclide subspace has signature {d.signature}, need (2, 1, 0)")
-    return DupinCyclide(d=d, dperp=complement_subspace(d),
+    return DupinCyclide(d=d, dperp=orth_complement(d),
                         provenance=provenance)
-
-
-def complement_subspace(s: Subspace) -> Subspace:
-    return Subspace(complement_rows(s.basis))
 
 
 def cyclide_point_residual(cyc: DupinCyclide, lifts: np.ndarray) -> np.ndarray:
@@ -662,13 +640,13 @@ def cyclide_point_residual(cyc: DupinCyclide, lifts: np.ndarray) -> np.ndarray:
     modulus is max(0, |c| - hypot(a, b)).  Returns the worse of the two
     family residuals per lift, scale-free in the lift.
     """
-    lifts = _unit_rows(np.asarray(lifts, dtype=float))
+    lifts = unit_rows(np.asarray(lifts, dtype=float))
     out = np.zeros(lifts.shape[:-1])
     for sub in (cyc.d, cyc.dperp):
         frame = lightcone_frame(sub)
-        pa = _binner(lifts, frame[0])
-        pb = _binner(lifts, frame[1])
-        pc = _binner(lifts, frame[2])
+        pa = inner(lifts, frame[0])
+        pb = inner(lifts, frame[1])
+        pc = inner(lifts, frame[2])
         res = np.maximum(0.0, np.abs(pc) - np.hypot(pa, pb))
         out = np.maximum(out, res)
     return out
@@ -709,14 +687,14 @@ def darboux_pair_structure(s: SphereCurve, s_hat: SphereCurve,
     sig, hat = s.vectors, s_hat.vectors
     d_sig, _ = s.derivatives()
     d_hat, _ = s_hat.derivatives()
-    g = _binner(sig, hat)
+    g = inner(sig, hat)
     scale = (np.linalg.norm(sig, axis=-1) * np.linalg.norm(hat, axis=-1))
     if np.min(np.abs(g) / scale) <= 1e-12:
         raise GeometryError("lift normalisation impossible: the curves are "
                             "orthogonal somewhere")
 
     du = s.du
-    rate_mu = -_binner(d_sig, hat) / g
+    rate_mu = -inner(d_sig, hat) / g
     log_mu = np.concatenate([[0.0], np.cumsum(
         0.5 * (rate_mu[:-1] + rate_mu[1:]) * du)])
     mu = np.exp(log_mu)
@@ -726,13 +704,13 @@ def darboux_pair_structure(s: SphereCurve, s_hat: SphereCurve,
     # product-rule derivatives: the pointwise gauge ODEs hold exactly, so
     # the orthogonality conditions below are identities up to rounding
     dsig1 = (mu * rate_mu)[:, None] * sig + mu[:, None] * d_sig
-    rate_nu = -_binner(sig, d_hat) / g
+    rate_nu = -inner(sig, d_hat) / g
     dhat1 = (nu * rate_nu)[:, None] * hat + nu[:, None] * d_hat
 
     defect = max(
-        float(np.max(np.abs(_binner(sig1, hat1) + 1.0))),
-        float(np.max(np.abs(_binner(dsig1, hat1)))),
-        float(np.max(np.abs(_binner(dhat1, sig1)))),
+        float(np.max(np.abs(inner(sig1, hat1) + 1.0))),
+        float(np.max(np.abs(inner(dsig1, hat1)))),
+        float(np.max(np.abs(inner(dhat1, sig1)))),
     )
 
     # rejection of d hat_sigma1 from span{sigma1, sigma1'}

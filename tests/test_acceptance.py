@@ -198,7 +198,7 @@ def test_criterion_07_darboux_suite():
                                              seed)
             res = darboux_transform(grid, omega, m, phi0)
             drift = max(drift, res.null_drift)
-            validated &= res.hat_f.metadata["validation"].passed
+            validated &= validate_legendre(res.hat_f).passed
             channel &= is_channel(res.hat_f).circular("dir1")
             vr = max(vr, verify_ribaucour(curve, res.hat_s))
             rep = ribaucour_cyclides(curve, res.hat_s, f=grid, f_hat=res.hat_f)

@@ -15,7 +15,7 @@ from liechannel.core import (
     projective_gap,
     sphere_lift,
 )
-from liechannel.legendre import curvature_data, is_channel
+from liechannel.legendre import curvature_data, is_channel, validate_legendre
 from liechannel.mesh import grid_point_spheres
 
 E6 = np.eye(6)[5]
@@ -112,7 +112,7 @@ def test_cylinder_envelope_point_spheres_sit_on_the_cylinder():
 
 def test_cylinder_envelope_validates():
     _, grid = cylinder_envelope()
-    report = grid.metadata["validation"]
+    report = validate_legendre(grid)
     assert report.passed
     assert report.isotropy <= 1e-12
     assert report.contact <= 1e-3          # measured 1.47e-4 at 64x64
@@ -135,7 +135,7 @@ def test_envelope_s1_is_the_enveloped_sphere_and_dir1_circular():
     data = curvature_data(grid)
     gap = projective_gap(data.s1, curve.vectors[:, None, :])
     assert np.max(gap) <= 1e-10            # measured 3.5e-16
-    report = is_channel(grid, data)
+    report = is_channel(grid)
     assert report.circular("dir1")
     assert report.consistent
 
@@ -150,15 +150,15 @@ def test_cylinder_envelope_is_channel_both_ways():
 def test_contact_residual_quarters_when_steps_halve():
     _, coarse = cylinder_envelope(64)
     _, fine = cylinder_envelope(128)
-    ratio = (coarse.metadata["validation"].contact
-             / fine.metadata["validation"].contact)
+    ratio = (validate_legendre(coarse).contact
+             / validate_legendre(fine).contact)
     assert 3.5 <= ratio <= 4.5             # measured 3.873
 
 
 def test_zero_tube_s2_family_is_planes_through_the_axis():
     curve = ch.line_sphere_curve(64, -1.0, 1.0, radius=0.0)
     grid = ch.envelope(curve, 64)
-    assert grid.metadata["validation"].passed
+    assert validate_legendre(grid).passed
     data = curvature_data(grid)
     assert np.max(projective_gap(data.s1, curve.vectors[:, None, :])) <= 1e-10
     s2 = data.s2 / np.linalg.norm(data.s2, axis=-1, keepdims=True)
@@ -173,14 +173,14 @@ def test_torus_envelope_closes_periodically():
     curve, grid = torus_envelope()
     assert grid.periodic_u
     assert grid.metadata["holonomy_mismatch"] <= 1e-10   # measured 1.4e-15
-    assert grid.metadata["validation"].passed
+    assert validate_legendre(grid).passed
     assert is_channel(grid).circular_dir == "both"
 
 
 def test_helix_envelope_is_one_way_channel():
     curve = ch.helix_sphere_curve(64, radius=0.6)
     grid = ch.envelope(curve, 64)
-    assert grid.metadata["validation"].passed
+    assert validate_legendre(grid).passed
     report = is_channel(grid)
     assert report.circular_dir == "dir1"
     assert report.consistent
@@ -191,7 +191,7 @@ def test_envelope_accepts_equivalent_space_override():
     stacks, ok = ch.osculating_spaces(curve)
     assert ok.all()
     grid = ch.envelope(curve, 48, spaces=stacks)
-    assert grid.metadata["validation"].passed
+    assert validate_legendre(grid).passed
 
 
 def test_envelope_rejects_spaces_missing_the_curve():

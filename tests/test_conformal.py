@@ -27,7 +27,7 @@ from liechannel.core import (
     span,
     sphere_lift,
 )
-from liechannel.legendre import curvature_data
+from liechannel.legendre import curvature_data, validate_legendre
 from liechannel.mesh import grid_point_spheres
 from liechannel.transforms import verify_ribaucour
 
@@ -128,7 +128,7 @@ def test_unit_tube_point_spheres_sit_on_the_cylinder():
     assert finite.all()
     dist = np.hypot(positions[..., 0], positions[..., 1])
     assert np.max(np.abs(dist - 1.0)) <= 1e-12  # measured 5.6e-16
-    assert grid.metadata["validation"].passed
+    assert validate_legendre(grid).passed
     assert grid.metadata["point_immersion"] >= 0.99
     assert "regularity_note" not in grid.metadata
 
@@ -173,7 +173,7 @@ def test_pinched_tube_reports_point_degeneracy():
     assert pinched.metadata["point_immersion"] <= 1e-12  # measured 3.2e-16
     assert "point projection degenerates" in pinched.metadata["regularity_note"]
     # the contact lift itself stays immersed; only the Euclidean reading pinches
-    assert pinched.metadata["validation"].passed
+    assert validate_legendre(pinched).passed
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_tilted_direction_builds_genuine_spheres():
 
     ring = cf.circle_curve(n=64, radius=2.0, p_vec=p)
     grid = cf.curve_legendre_lift(ring)
-    assert grid.metadata["validation"].passed
+    assert validate_legendre(grid).passed
     data = curvature_data(grid)
     s1 = data.s1 / np.linalg.norm(data.s1, axis=-1, keepdims=True)
     assert np.max(np.abs(binner(s1, p))) <= 1e-12  # measured 2.8e-16

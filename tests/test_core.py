@@ -26,8 +26,7 @@ from liechannel.core import (
     span,
     sphere_lift,
     subspace_equal,
-    subspace_intersect,
-    wedge,
+    wedge_matrix,
 )
 
 
@@ -120,35 +119,17 @@ def test_tangency_identity_property(c1, c2, r1, r2):
 def test_wedge_identity_property(data):
     a = np.array(data[:6])
     b = np.array(data[6:])
-    w = wedge(a, b)
-    assert w.skew_defect() <= 1e-12 * max(1.0, np.abs(w.m).max())
+    w = wedge_matrix(a, b)
+    gw = core.METRIC @ w                  # metric skew: G W + W^T G = 0
+    assert np.max(np.abs(gw + gw.T)) <= 1e-12 * max(1.0, np.abs(w).max())
     x = np.arange(1.0, 7.0)
-    np.testing.assert_allclose(w(x), inner(a, x) * b - inner(b, x) * a, atol=1e-9)
+    np.testing.assert_allclose(w @ x, inner(a, x) * b - inner(b, x) * a, atol=1e-9)
 
 
 def test_wedge_antisymmetry():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=(2, 6))
-    assert np.max(np.abs(wedge(a, b).m + wedge(b, a).m)) == 0.0
-
-
-def test_curly_wedge_symmetric():
-    rng = np.random.default_rng(4)
-    w1u, w1t, w2u, w2t = rng.normal(size=(4, 6))
-    lhs = core.curly_wedge(w1u, w1t, w2u, w2t).m
-    rhs = core.curly_wedge(w2u, w2t, w1u, w1t).m
-    np.testing.assert_allclose(lhs, rhs, atol=1e-14)
-
-
-def test_form_bracket_matches_commutators():
-    rng = np.random.default_rng(5)
-    au = core.wedge_matrix(*rng.normal(size=(2, 6)))
-    at = core.wedge_matrix(*rng.normal(size=(2, 6)))
-    bu = core.wedge_matrix(*rng.normal(size=(2, 6)))
-    bt = core.wedge_matrix(*rng.normal(size=(2, 6)))
-    out = core.form_bracket(au, at, bu, bt)
-    np.testing.assert_allclose(out.m, (au @ bt - bt @ au) - (at @ bu - bu @ at))
-    assert out.skew_defect() <= 1e-10
+    assert np.max(np.abs(wedge_matrix(a, b) + wedge_matrix(b, a))) == 0.0
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -191,16 +172,6 @@ def test_complement_involution_and_dimensions():
         assert sp.dim == 6 - k
         ok, res = subspace_equal(orth_complement(sp), s)
         assert ok, res
-
-
-def test_subspace_intersection_line():
-    e = np.eye(6)
-    s1 = span([e[0], e[1], e[2]])
-    s2 = span([e[2], e[3]])
-    cut = subspace_intersect(s1, s2)
-    assert cut.dim == 1
-    assert cut.containment_gap(e[2]) <= 1e-12
-    assert subspace_intersect(span([e[0]]), span([e[1]])).dim == 0
 
 
 def test_subspace_equal_tolerances():

@@ -2,6 +2,7 @@
 extraction, channel detection, the cyclide splitting and spherical
 parameter lines."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -13,6 +14,7 @@ from liechannel.core import (
     GeometryError,
     inner,
     plane_lift,
+    point_lift,
     projective_gap,
     span,
     sphere_lift,
@@ -26,9 +28,6 @@ from liechannel.legendre import (
     interior_mask,
     is_channel,
     lie_cyclide_split,
-    lift_planes,
-    lift_points,
-    lift_spheres,
     make_legendre_from_surface,
     spherical_line_residual,
     validate_legendre,
@@ -43,20 +42,8 @@ def preset_grid(name, **kw):
 
 
 @functools.lru_cache(maxsize=None)
-def preset_curvature(name, **kw):
-    return curvature_data(preset_grid(name, **kw))
-
-
-@functools.lru_cache(maxsize=None)
 def preset_split(name, **kw):
-    grid = preset_grid(name, **kw)
-    return lie_cyclide_split(grid, preset_curvature(name, **kw))
-
-
-@functools.lru_cache(maxsize=None)
-def preset_channel(name, **kw):
-    grid = preset_grid(name, **kw)
-    return is_channel(grid, preset_curvature(name, **kw))
+    return lie_cyclide_split(preset_grid(name, **kw))
 
 
 def element_rejection(grid, field, i, j):
@@ -73,15 +60,19 @@ def test_batched_lifts_are_null_and_match_pointwise():
     rng = np.random.default_rng(6021)
     pts = rng.uniform(-3, 3, size=(5, 7, 3))
     radii = rng.uniform(-2, 2, size=(5, 7))
-    for batch in (lift_points(pts), lift_spheres(pts, radii)):
+    for batch in (point_lift(pts), sphere_lift(pts, radii)):
+        assert batch.shape == (5, 7, 6)
         norms = np.einsum("...i,...i->...", batch, np.array([1.0, 1, 1, 1, -1, -1]) * batch)
         assert np.max(np.abs(norms)) <= 1e-12
-    np.testing.assert_allclose(lift_spheres(pts, radii)[2, 3],
+    np.testing.assert_allclose(sphere_lift(pts, radii)[2, 3],
                                sphere_lift(pts[2, 3], radii[2, 3]))
     n = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     offs = rng.uniform(-2, 2, size=(5, 7))
-    np.testing.assert_allclose(lift_planes(n, offs)[1, 4],
+    np.testing.assert_allclose(plane_lift(n, offs)[1, 4],
                                plane_lift(n[1, 4], offs[1, 4]))
+    n[3, 2] *= 1.5                        # one bad normal fails the batch
+    with pytest.raises(GeometryError, match="unit vector"):
+        plane_lift(n, offs)
 
 
 # -- validation ---------------------------------------------------------------
@@ -126,7 +117,7 @@ def test_tilted_normals_break_tangency():
 
 
 def test_constant_grid_fails_immersion():
-    sig = np.broadcast_to(lift_points(np.array([0.3, -0.2, 1.1])), (8, 8, 6)).copy()
+    sig = np.broadcast_to(point_lift(np.array([0.3, -0.2, 1.1])), (8, 8, 6)).copy()
     tau = np.broadcast_to(plane_lift([0, 0, 1.0], 1.1), (8, 8, 6)).copy()
     grid = LegendreGrid(sig, tau, np.linspace(0, 1, 8), np.linspace(0, 1, 8))
     rep = validate_legendre(grid)
@@ -147,6 +138,61 @@ def test_frame_shape_mismatch_rejected():
                      np.linspace(0, 1, 4), np.linspace(0, 1, 4))
 
 
+def test_validation_verdict_follows_the_call_tolerances():
+    # measurements are taken once per grid; each call judges them against
+    # its own tolerances, whichever call came first
+    grid = make_legendre_from_surface(*presets.cylinder_surface(n_u=24, n_theta=24))
+    default = validate_legendre(grid)
+    strict = validate_legendre(grid, tol_contact=1e-12)
+    assert default.passed and not strict.passed
+    assert strict.contact == default.contact
+    assert strict.tolerances["contact"] == 1e-12
+    assert validate_legendre(grid).passed
+
+    pts, nrm, u, th, pu, pt = presets.cylinder_surface(n_u=24, n_theta=24)
+    bad = nrm + 0.05 * np.array([0.0, 0.0, 1.0])
+    bad /= np.linalg.norm(bad, axis=-1, keepdims=True)
+    tilted = make_legendre_from_surface(pts, bad, u, th, pu, pt)
+    assert validate_legendre(tilted, tol_contact=1.0).passed
+    assert not validate_legendre(tilted, tol_contact=1e-3).passed
+
+
+# -- immutability and per-grid data ----------------------------------------------
+
+
+def test_grid_arrays_are_read_only_views():
+    sigma = np.broadcast_to(point_lift(np.array([0.3, -0.2, 1.1])), (8, 8, 6)).copy()
+    tau = np.broadcast_to(plane_lift([0, 0, 1.0], 1.1), (8, 8, 6)).copy()
+    u = np.linspace(0, 1, 8)
+    grid = LegendreGrid(sigma, tau, u, np.linspace(0, 1, 8))
+    for array in (grid.sigma, grid.tau, grid.u_values, grid.theta_values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # the caller's own arrays stay writeable
+    sigma[0, 0, 0] = 5.0
+    u[0] = -1.0
+    assert sigma.flags.writeable and u.flags.writeable
+
+
+def test_grid_attributes_cannot_be_reassigned():
+    grid = preset_grid("cylinder", n_u=48, n_theta=48)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.sigma = np.zeros_like(grid.sigma)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.periodic_u = True
+    grid.metadata["note"] = "metadata stays a plain dict"
+    del grid.metadata["note"]
+
+
+def test_derived_data_is_computed_once_and_read_only():
+    grid = preset_grid("torus", n_u=48, n_theta=48)
+    data = curvature_data(grid)
+    assert curvature_data(grid) is data
+    assert is_channel(grid) is is_channel(grid)
+    for array in (data.s1, data.s2, data.dir1, data.umbilic):
+        assert not array.flags.writeable
+
+
 # -- curvature spheres ----------------------------------------------------------
 
 
@@ -154,7 +200,7 @@ def test_cylinder_curvature_oracles():
     # the circular family's sphere is centred on the axis; in this lift
     # convention its signed radius solves n.c - d - r = 0, i.e. r = -1
     grid = preset_grid("cylinder", n_u=48, n_theta=48)
-    data = preset_curvature("cylinder", n_u=48, n_theta=48)
+    data = curvature_data(grid)
     u, th = grid.u_values, grid.theta_values
     for i in (0, 13, 47):
         for j in (0, 17, 40):
@@ -169,7 +215,7 @@ def test_cylinder_curvature_oracles():
 
 
 def test_torus_curvature_sphere_oracles():
-    data = preset_curvature("torus", n_u=48, n_theta=48)
+    data = curvature_data(preset_grid("torus", n_u=48, n_theta=48))
     # sample (0, 0) is the outer equator point (3, 0, 0); the tube sphere and
     # the equator sphere there are known in closed form
     assert projective_gap(data.s1[0, 0], sphere_lift([2.0, 0, 0], -1.0)) <= 1e-12
@@ -180,7 +226,7 @@ def test_torus_curvature_sphere_oracles():
 def test_curvature_spheres_live_in_their_elements():
     for name, kw in (("torus", {}), ("ellipsoid", {})):
         grid = preset_grid(name, n_u=48, n_theta=48, **kw)
-        data = preset_curvature(name, n_u=48, n_theta=48, **kw)
+        data = curvature_data(grid)
         for i in (0, 11, 30):
             for j in (5, 29):
                 assert element_rejection(grid, data.s1, i, j) <= 1e-10
@@ -206,10 +252,10 @@ def rejection_from_element(grid, data):
 def test_sphere_derivative_membership_converges():
     # the defining property: each curvature sphere's derivative along its own
     # direction stays inside the contact element, to discretisation error
-    r48 = rejection_from_element(preset_grid("ellipsoid", n_u=48, n_theta=48),
-                                 preset_curvature("ellipsoid", n_u=48, n_theta=48))
-    r96 = rejection_from_element(preset_grid("ellipsoid", n_u=96, n_theta=96),
-                                 preset_curvature("ellipsoid", n_u=96, n_theta=96))
+    coarse = preset_grid("ellipsoid", n_u=48, n_theta=48)
+    fine = preset_grid("ellipsoid", n_u=96, n_theta=96)
+    r48 = rejection_from_element(coarse, curvature_data(coarse))
+    r96 = rejection_from_element(fine, curvature_data(fine))
     assert r48 <= 5e-3                # measured 2.7e-3
     assert r48 / r96 >= 2.5           # second order: measured ratio 4.06
 
@@ -218,39 +264,39 @@ def test_sphere_derivative_membership_converges():
 
 
 def test_channel_verdicts_on_presets():
-    assert preset_channel("cylinder", n_u=48, n_theta=48).circular_dir == "both"
-    assert preset_channel("torus", n_u=48, n_theta=48).circular_dir == "both"
-    helix = preset_channel("helix_tube", n_u=64, n_theta=48)
+    assert is_channel(preset_grid("cylinder", n_u=48, n_theta=48)).circular_dir == "both"
+    assert is_channel(preset_grid("torus", n_u=48, n_theta=48)).circular_dir == "both"
+    helix = is_channel(preset_grid("helix_tube", n_u=64, n_theta=48))
     assert helix.circular_dir == "dir1"
     assert helix.circular("dir1") and not helix.circular("dir2")
-    assert preset_channel("ellipsoid", n_u=48, n_theta=48).circular_dir == "none"
+    assert is_channel(preset_grid("ellipsoid", n_u=48, n_theta=48)).circular_dir == "none"
     for name, kw in (("cylinder", {}), ("torus", {}), ("ellipsoid", {})):
-        assert preset_channel(name, n_u=48, n_theta=48, **kw).consistent
+        assert is_channel(preset_grid(name, n_u=48, n_theta=48, **kw)).consistent
     assert helix.consistent
 
 
 def test_channel_rate_separation():
     # channel families are detected at rounding level, non-channel families
     # sit many orders of magnitude above any grid-aware tolerance
-    torus = preset_channel("torus", n_u=48, n_theta=48)
+    torus = is_channel(preset_grid("torus", n_u=48, n_theta=48))
     assert max(torus.rates.values()) <= 1e-10
-    helix = preset_channel("helix_tube", n_u=64, n_theta=48)
+    helix = is_channel(preset_grid("helix_tube", n_u=64, n_theta=48))
     assert helix.rates["dir1"] <= 1e-10
     assert helix.rates["dir2"] >= 0.1
     assert helix.coupling["dir1"] <= 1e-8
     assert helix.coupling["dir2"] >= 0.1
-    ellipsoid = preset_channel("ellipsoid", n_u=48, n_theta=48)
+    ellipsoid = is_channel(preset_grid("ellipsoid", n_u=48, n_theta=48))
     assert min(ellipsoid.rates.values()) >= 0.1
 
 
 def test_totally_umbilic_grid_reports_gracefully():
     grid = preset_grid("sphere", n_u=32, n_theta=48)
-    data = preset_curvature("sphere", n_u=32, n_theta=48)
+    data = curvature_data(grid)
     assert data.umbilic.all()
     assert validate_legendre(grid).passed
     with pytest.raises(GeometryError):
-        lie_cyclide_split(grid, data)
-    report = is_channel(grid, data)
+        lie_cyclide_split(grid)
+    report = is_channel(grid)
     assert report.circular_dir == "none"
     assert any("splitting unavailable" in note for note in report.notes)
 

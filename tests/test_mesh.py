@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from liechannel import presets
-from liechannel.core import INFINITY_VEC, GeometryError, plane_lift, span
-from liechannel.legendre import lift_points, make_legendre_from_surface
+from liechannel.core import INFINITY_VEC, GeometryError, plane_lift, point_lift, span
+from liechannel.legendre import make_legendre_from_surface
 from liechannel.mesh import (
     MeshOutput,
     compact_mesh,
@@ -39,8 +39,8 @@ def test_point_sphere_recovers_surface_point():
 def test_point_sphere_special_cases():
     assert point_sphere_of(INFINITY_VEC, plane_lift([0, 0, 1.0], 0.0)) is None
     with pytest.raises(GeometryError):
-        point_sphere_of(lift_points(np.array([1.0, 0, 0])),
-                        lift_points(np.array([0.0, 1, 0])))
+        point_sphere_of(point_lift(np.array([1.0, 0, 0])),
+                        point_lift(np.array([0.0, 1, 0])))
 
 
 def test_grid_point_spheres_roundtrip():

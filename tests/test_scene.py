@@ -9,11 +9,13 @@ import os
 
 import pytest
 
+from liechannel import legendre
 from liechannel.cli import main
 from liechannel.demos import demo_config, demo_names
 from liechannel.scene import (
     PipelineError,
     SceneError,
+    load_scene,
     run_scene,
     validate_scene,
 )
@@ -171,6 +173,25 @@ def test_demo_suite_is_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_each_grid_is_extracted_and_validated_once(tmp_path, monkeypatch):
+    # cylinder-darboux builds two grids (the cylinder and its transform);
+    # validation, channel detection, the middle form and the cyclide stage
+    # all read the same per-grid data
+    sources = []
+    quotient_frames = legendre._quotient_frames
+
+    def counting(grid):
+        sources.append(grid.metadata.get("source"))
+        return quotient_frames(grid)
+
+    monkeypatch.setattr(legendre, "_quotient_frames", counting)
+    cfg = demo_config("cylinder-darboux")
+    del cfg["outputs"]["meshes"]
+    assert run_scene(cfg, tmp_path)["passed"]
+    # validation measures a unit-rescaled copy, which carries no source
+    assert sorted(map(str, sources)) == ["None", "None", "darboux", "envelope"]
+
+
 def test_demo_overrides():
     cfg = demo_config("helix-channel", grid=32, seed=11)
     assert cfg["seed"] == 11
@@ -203,6 +224,21 @@ def test_cli_rejects_malformed_scene(tmp_path, capsys):
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
     assert "schema" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        cfg = demo_config("helix-channel", grid=32)
+        cfg["objects"]["helix"]["radius"] = float(literal)
+        bad = tmp_path / "helix.json"
+        bad.write_text(json.dumps(cfg))
+        assert literal in bad.read_text()
+        with pytest.raises(SceneError, match="not a number"):
+            load_scene(bad)
+        assert main(["check", str(bad)]) == 2
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert "not a number" in capsys.readouterr().err
 
 
 def test_cli_soft_failure_exits_one(tmp_path, capsys):

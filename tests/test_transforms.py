@@ -30,7 +30,7 @@ from liechannel.core import (
     span,
     sphere_lift,
 )
-from liechannel.legendre import curvature_data, is_channel
+from liechannel.legendre import curvature_data, is_channel, validate_legendre
 from liechannel import transforms as tr
 
 E1, E4, E5 = np.eye(6)[0], np.eye(6)[3], np.eye(6)[4]
@@ -125,8 +125,9 @@ def test_darboux_cylinder_nominal():
     res = tr.darboux_transform(grid, omega, 1.0, phi0)
 
     assert res.null_drift <= 1e-12                    # measured 1.4e-13
-    assert res.hat_f.metadata["validation"].passed
-    assert res.hat_f.metadata["validation"].contact <= 5e-3   # 1.3e-3
+    validation = validate_legendre(res.hat_f)
+    assert validation.passed
+    assert validation.contact <= 5e-3                 # measured 1.3e-3
     assert res.hat_f.metadata["m"] == 1.0
     assert res.s0.shape == grid.sigma.shape
 
@@ -419,7 +420,7 @@ def test_calapso_cylinder_nominal():
     gauge, out = tr.calapso_transform(grid, omega, 1.0)
     assert gauge.ortho_defect <= 1e-10                # measured 8.5e-13
     assert tr.gauge_edge_residual(gauge, omega) <= 1e-4   # 7.7e-6
-    assert out.metadata["validation"].passed
+    assert validate_legendre(out).passed
 
     dq = np.max(np.abs(tr.calapso_quadratic_form(gauge, omega) - omega.q_uu))
     assert dq <= 1e-10                                # measured 5.2e-13
