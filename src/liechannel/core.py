@@ -15,7 +15,7 @@ projective comparison semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -299,12 +299,46 @@ def orth_complement(s: Subspace) -> Subspace:
     return Subspace(vt[s.dim:])
 
 
+def orthonormal_rows(rows: np.ndarray, total: Optional[int] = None) -> np.ndarray:
+    """Batched Gram–Schmidt: rows (..., k, 6) -> (..., total, 6).
+
+    Euclidean-orthonormal rows: the first k span the input rows (each
+    orthogonalised twice against those before it), the rest complete them
+    with the coordinate vector of largest residual.  A dependent input row
+    (zero or repeated) is replaced the same way, so the output is always
+    finite.  total defaults to k.
+    """
+    rows = np.asarray(rows, dtype=float)
+    k = rows.shape[-2]
+    total = k if total is None else total
+    out = np.zeros(rows.shape[:-2] + (total, DIM))
+    eye = np.eye(DIM)
+
+    def reject(v, q):
+        for _ in range(2):
+            v = v - np.einsum("...md,...m->...d", q,
+                              np.einsum("...md,...d->...m", q, v))
+        return v
+
+    for j in range(total):
+        q = out[..., :j, :]
+        if j < k:
+            given = rows[..., j, :]
+            v = reject(given, q)
+        else:
+            given = v = np.zeros(rows.shape[:-2] + (DIM,))
+        weak = np.linalg.norm(v, axis=-1) <= 1e-12 * np.linalg.norm(given, axis=-1)
+        if np.any(weak):
+            best = np.argmin(np.einsum("...md,...md->...d", q, q), axis=-1)
+            v = np.where(weak[..., None], reject(eye[best], q), v)
+        out[..., j, :] = unit_rows(v)
+    return out
+
+
 def complement_rows(rows: np.ndarray) -> np.ndarray:
     """Batched metric complement: rows (..., k, 6) -> (..., 6-k, 6)."""
     rows = np.asarray(rows, dtype=float)
-    k = rows.shape[-2]
-    _, _, vt = np.linalg.svd(rows * SIGNS, full_matrices=True)
-    return vt[..., k:, :]
+    return orthonormal_rows(rows * SIGNS, DIM)[..., rows.shape[-2]:, :]
 
 
 def subspace_equal(s1: Subspace, s2: Subspace, tol: float = 1e-8):

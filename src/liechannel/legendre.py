@@ -21,6 +21,7 @@ from .core import (
     GeometryError,
     complement_rows,
     inner,
+    orthonormal_rows,
     plane_lift,
     point_lift,
     projective_gap,
@@ -37,9 +38,9 @@ CHANNEL_EDGE_MARGIN = 4
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    view = np.asarray(array, dtype=float).view()
-    view.flags.writeable = False
-    return view
+    copy = np.array(array, dtype=float)
+    copy.flags.writeable = False
+    return copy
 
 
 def align_signs_grid(fields: np.ndarray) -> np.ndarray:
@@ -109,9 +110,10 @@ class LegendreGrid:
     constant along symmetry directions, which makes the downstream
     finite-difference extractions exact instead of O(h^2).
 
-    The grid is immutable and its arrays are read-only views, so data
-    derived from it (curvature spheres, channel verdict, validation
-    measurements) is computed once and kept on the grid.
+    The grid is immutable and its arrays are read-only copies of the
+    inputs, so data derived from it (quotient frames, curvature spheres,
+    channel verdict, validation measurements) is computed once and kept on
+    the grid.
     """
 
     sigma: np.ndarray
@@ -190,18 +192,12 @@ def _quotient_frames(grid: LegendreGrid):
     Returns (w_basis, quotient_gram) where w_basis[i, j] has two rows spanning
     a complement of the element inside its orthogonal space, Euclidean-
     orthogonal to the element (so quotient coordinates are plain dot
-    products).
+    products): the Euclidean complement of span{sigma, tau, G sigma, G tau},
+    which depends only on the element.
     """
     frames = np.stack([grid.sigma, grid.tau], axis=-2)          # (nu,nt,2,6)
-    perp = complement_rows(frames)                              # (nu,nt,4,6)
-    # orthonormal basis of the element itself (Euclidean)
-    _, _, vt = np.linalg.svd(frames, full_matrices=False)
-    f_basis = vt                                                # (nu,nt,2,6)
-    overlap = perp @ np.swapaxes(f_basis, -1, -2)               # (nu,nt,4,2)
-    uu, _, _ = np.linalg.svd(overlap)
-    w_coords = uu[..., :, 2:]                                   # (nu,nt,4,2)
-    w_basis = np.swapaxes(w_coords, -1, -2) @ perp              # (nu,nt,2,6)
-    w_basis = unit_rows(w_basis)
+    spanning = np.concatenate([frames, SIGNS * frames], axis=-2)
+    w_basis = orthonormal_rows(spanning, DIM)[..., 4:, :]       # (nu,nt,2,6)
     qgram = w_basis @ np.swapaxes(SIGNS * w_basis, -1, -2)      # (nu,nt,2,2)
     return w_basis, qgram
 
@@ -237,7 +233,7 @@ def _legendre_measurements(grid: LegendreGrid):
         for fr in (s, t):
             contact = max(contact, float(np.max(np.abs(inner(dv, fr)))))
 
-    w_basis, qgram = _quotient_frames(unit_grid)
+    w_basis, qgram = _memoised(grid, "quotient", _quotient_frames)
     qeigs = np.linalg.eigvalsh(qgram)
     qmin = float(np.min(qeigs))
 
@@ -344,7 +340,7 @@ def curvature_data(grid: LegendreGrid) -> CurvatureData:
 
 
 def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
-    w_basis, _ = _quotient_frames(grid)
+    w_basis, _ = _memoised(grid, "quotient", _quotient_frames)
     ds_u, ds_t, dt_u, dt_t = grid.frame_derivatives()
 
     def wcoords(dv):
@@ -362,14 +358,13 @@ def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
     r1, r2, disc, degenerate = _solve_direction_quadratic(qa, qb, qc)
 
     def kernel_sphere(direction):
-        m = np.empty(grid.shape + (2, 2))
-        a = direction[..., 0]
-        b = direction[..., 1]
-        m[..., :, 0] = a[..., None] * au_s + b[..., None] * at_s
-        m[..., :, 1] = a[..., None] * au_t + b[..., None] * at_t
-        _, _, vt = np.linalg.svd(m)
-        coeff = vt[..., -1, :]                                  # (nu,nt,2)
-        return coeff[..., 0, None] * grid.sigma + coeff[..., 1, None] * grid.tau
+        m_s = direction[..., :1] * au_s + direction[..., 1:] * at_s
+        m_t = direction[..., :1] * au_t + direction[..., 1:] * at_t
+        # the null vector of the 2x2 map [m_s m_t] is (-sin phi, cos phi),
+        # phi the major axis of its Gram matrix
+        phi = 0.5 * np.arctan2(2.0 * np.sum(m_s * m_t, axis=-1),
+                               np.sum(m_s * m_s - m_t * m_t, axis=-1))
+        return -np.sin(phi)[..., None] * grid.sigma + np.cos(phi)[..., None] * grid.tau
 
     k1 = unit_rows(kernel_sphere(r1))
     k2 = unit_rows(kernel_sphere(r2))
@@ -483,23 +478,17 @@ def interior_mask(shape, periodic_u: bool, periodic_theta: bool,
     return mask
 
 
-def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
-    data = curvature_data(grid)
+def _split_projector(grid: LegendreGrid, data: CurvatureData):
+    """(b1, b2_jet, sig_ok, conditioning, usable, interior, p1, p1_u, p1_t):
+    the 2-jet bases, the trusted points, those where the projector p1 onto
+    b1 also has finite u/theta differences, and p1 with its differences."""
     if bool(np.all(data.umbilic)):
         raise GeometryError("cyclide splitting undefined on a totally umbilic grid")
 
     d1s1, d2s1 = _second_directional_derivative(data.s1, data.dir2, grid)
     d1s2, d2s2 = _second_directional_derivative(data.s2, data.dir1, grid)
-    s1_stack = np.stack([data.s1, d1s1, d2s1], axis=-2)
-    s2_stack = np.stack([data.s2, d1s2, d2s2], axis=-2)
-
-    def orthobasis(stack):
-        _, svals, vt = np.linalg.svd(stack, full_matrices=False)
-        return vt, svals
-
-    b1, sv1 = orthobasis(s1_stack)
-    b2_jet, sv2 = orthobasis(s2_stack)
-    b2 = complement_rows(b1)
+    b1 = orthonormal_rows(np.stack([data.s1, d1s1, d2s1], axis=-2))
+    b2_jet = orthonormal_rows(np.stack([data.s2, d1s2, d2s2], axis=-2))
 
     gram1 = b1 @ np.swapaxes(SIGNS * b1, -1, -2)
     gram2 = b2_jet @ np.swapaxes(SIGNS * b2_jet, -1, -2)
@@ -515,6 +504,21 @@ def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
               & interior_mask(grid.shape, grid.periodic_u,
                               grid.periodic_theta, SPLIT_EDGE_MARGIN))
 
+    p1 = np.full(grid.shape + (DIM, DIM), np.nan)
+    if np.any(usable):
+        p1[usable] = _metric_projector_batch(b1[usable])
+    p1_u = stencils.diff1(p1, grid.du, axis=0, periodic=grid.periodic_u)
+    p1_t = stencils.diff1(p1, grid.dtheta, axis=1, periodic=grid.periodic_theta)
+    interior = (usable & ~np.isnan(p1_u).any(axis=(-1, -2))
+                & ~np.isnan(p1_t).any(axis=(-1, -2)))
+    return b1, b2_jet, sig_ok, conditioning, usable, interior, p1, p1_u, p1_t
+
+
+def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
+    (b1, b2_jet, sig_ok, conditioning, usable, interior,
+     p1, p1_u, p1_t) = _split_projector(grid, curvature_data(grid))
+    b2 = complement_rows(b1)
+
     cross = b1 @ np.swapaxes(SIGNS * b2, -1, -2)
     ortho = float(np.max(np.abs(cross[usable]))) if np.any(usable) else np.inf
 
@@ -524,19 +528,12 @@ def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
     sines = np.linalg.svd(rej, compute_uv=False)[..., 0]
     agreement = float(np.max(sines[usable])) if np.any(usable) else np.inf
 
-    p1 = np.full(grid.shape + (DIM, DIM), np.nan)
-    if np.any(usable):
-        p1[usable] = _metric_projector_batch(b1[usable])
-    p1_u = stencils.diff1(p1, grid.du, axis=0, periodic=grid.periodic_u)
-    p1_t = stencils.diff1(p1, grid.dtheta, axis=1, periodic=grid.periodic_theta)
     eye = np.eye(DIM)
     n_u = (eye - 2.0 * p1) @ p1_u
     n_theta = (eye - 2.0 * p1) @ p1_t
 
     # defect of the splitting property: N should exchange the two blocks
     block = 0.0
-    interior = (usable & ~np.isnan(n_u).any(axis=(-1, -2))
-                & ~np.isnan(n_theta).any(axis=(-1, -2)))
     if np.any(interior):
         for n in (n_u, n_theta):
             nd = n[interior]
@@ -608,21 +605,21 @@ def _classify_channel(grid: LegendreGrid) -> ChannelReport:
     rate1 = _variation_rate(data.s1, data.dir1, grid, mask)
     rate2 = _variation_rate(data.s2, data.dir2, grid, mask)
 
-    split = None
     coup1 = coup2 = np.nan
     try:
-        split = lie_cyclide_split(grid)
+        *_, good, p1, p1_u, p1_t = _split_projector(grid, data)
     except GeometryError as exc:
         notes.append(f"splitting unavailable: {exc}")
-    if split is not None:
-        good = (~split.excluded
-                & ~np.isnan(split.n_u).any(axis=(-1, -2))
-                & ~np.isnan(split.n_theta).any(axis=(-1, -2)))
+    else:
         if np.any(good):
+            # only the reported components N(dir_i) = (1 - 2 p1) d_dir_i p1
+            flip = np.eye(DIM) - 2.0 * p1[good]
+
             def coupling(direction):
-                n_dir = (direction[..., 0, None, None] * split.n_u
-                         + direction[..., 1, None, None] * split.n_theta)
-                return float(np.max(np.abs(n_dir[good])))
+                a = direction[good][:, 0, None, None]
+                b = direction[good][:, 1, None, None]
+                n_dir = flip @ (a * p1_u[good] + b * p1_t[good])
+                return float(np.max(np.abs(n_dir)))
             coup1 = coupling(data.dir1)
             coup2 = coupling(data.dir2)
 

@@ -37,6 +37,7 @@ from .core import (
     lightcone_circle,
     lightcone_frame,
     orth_complement,
+    orthonormal_rows,
     projective_gap,
     span,
     subspace_equal,
@@ -475,8 +476,7 @@ def _batched_rejection(stacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
     stacks (..., k, 6) raw spanning rows; basis (..., k, 6) orthonormal
     rows of the reference space (broadcastable against stacks).
     """
-    _, _, vt = np.linalg.svd(stacks, full_matrices=False)
-    ortho = vt[..., :stacks.shape[-2], :]
+    ortho = orthonormal_rows(stacks)
     proj = np.einsum("...kd,...md,...me->...ke", ortho, basis, basis)
     rej = ortho - proj
     return np.linalg.svd(rej, compute_uv=False)[..., 0]
@@ -576,9 +576,8 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
         ds2_hat = stencils.diff1(data_hat.s2, dt, axis=1,
                                  periodic=f.periodic_theta)
         b2 = np.stack([data.s2, data_hat.s2, ds2_hat], axis=-2)
-        _, _, vt_b = np.linalg.svd(b2, full_matrices=False)
         d2_coincidence = float(np.max(_batched_rejection(
-            a2, vt_b[..., :3, :])))
+            a2, orthonormal_rows(b2))))
 
     return CyclideCongruenceReport(
         d1_basis=d1_spaces, coincidence=coincidence, duality=duality,
@@ -715,8 +714,7 @@ def darboux_pair_structure(s: SphereCurve, s_hat: SphereCurve,
 
     # rejection of d hat_sigma1 from span{sigma1, sigma1'}
     basis = np.stack([sig1, dsig1], axis=1)
-    _, _, vt = np.linalg.svd(basis, full_matrices=False)
-    ortho = vt[:, :2, :]
+    ortho = orthonormal_rows(basis)
     rej = dhat1 - np.einsum("kmd,kd,kme->ke", ortho, dhat1, ortho)
     span_defect = float(np.max(np.linalg.norm(rej, axis=-1)
                                / np.linalg.norm(dhat1, axis=-1)))

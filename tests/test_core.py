@@ -14,11 +14,14 @@ from liechannel.core import (
     RankDeficiencyError,
     SignatureError,
     Sphere,
+    SIGNS,
     Subspace,
+    complement_rows,
     inner,
     lightcone_circle,
     lightcone_frame,
     orth_complement,
+    orthonormal_rows,
     parallel_transform_matrix,
     plane_lift,
     point_lift,
@@ -172,6 +175,68 @@ def test_complement_involution_and_dimensions():
         assert sp.dim == 6 - k
         ok, res = subspace_equal(orth_complement(sp), s)
         assert ok, res
+
+
+def _largest_sine(a, b):
+    """Sine of the largest principal angle between orthonormal row sets."""
+    rej = a - (a @ np.swapaxes(b, -1, -2)) @ b
+    return np.linalg.svd(rej, compute_uv=False)[..., 0]
+
+
+def _assert_orthonormal(rows, tol=1e-13):
+    gram = rows @ np.swapaxes(rows, -1, -2)
+    assert np.max(np.abs(gram - np.eye(rows.shape[-2]))) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5),
+       shape=st.sampled_from(["generic", "near-dependent", "rescaled"]))
+def test_orthonormal_rows_and_complement_match_the_svd(seed, k, shape):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(40, k, 6))
+    if shape == "near-dependent" and k > 1:
+        # the last row sits 1e-3 off the span of the others
+        rows[:, -1] = (np.einsum("nk,nkd->nd", rng.normal(size=(40, k - 1)),
+                                 rows[:, :-1]) + 1e-3 * rng.normal(size=(40, 6)))
+    if shape == "rescaled":
+        rows *= 10.0 ** rng.uniform(-3, 3, size=(40, k, 1))
+    unit = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+    basis = orthonormal_rows(rows, 6)
+    _assert_orthonormal(basis)
+    _, svals, vt = np.linalg.svd(unit)
+    # the SVD reference is itself only good to about eps * cond, so the
+    # 1e-12 bound widens in proportion once the rows are worse conditioned
+    # than 1e3 (measured: the sine stays below 4e-16 * cond)
+    tol = 1e-12 * np.maximum(1.0, svals[:, 0] / svals[:, -1] / 1e3)
+    assert np.all(_largest_sine(basis[:, :k], vt[:, :k]) <= tol)
+    assert np.all(_largest_sine(basis[:, k:], vt[:, k:]) <= tol)
+
+    comp = complement_rows(rows)
+    assert comp.shape == (40, 6 - k, 6)
+    _assert_orthonormal(comp)
+    assert np.max(np.abs(comp @ np.swapaxes(SIGNS * unit, -1, -2))) <= 1e-12
+    _, _, vt_metric = np.linalg.svd(unit * SIGNS)
+    assert np.all(_largest_sine(comp, vt_metric[:, k:]) <= tol)
+
+
+def test_orthonormal_rows_stay_finite_on_dependent_rows():
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(4, 3, 6))
+    rows[0, 1] = 0.0                  # a zero row
+    rows[1, 2] = rows[1, 0]           # a repeated row
+    rows[2, 0] = 0.0                  # a zero first row
+    rows[3] = 0.0                     # nothing at all
+    basis = orthonormal_rows(rows, 6)
+    assert np.all(np.isfinite(basis))
+    _assert_orthonormal(basis)
+    # the nonzero rows still lie in the span of the leading basis rows
+    for n, row in ((0, 0), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2)):
+        v = rows[n, row] / np.linalg.norm(rows[n, row])
+        assert np.linalg.norm(v - basis[n, :3].T @ (basis[n, :3] @ v)) <= 1e-13
+    comp = complement_rows(rows)
+    assert np.all(np.isfinite(comp))
+    assert np.max(np.abs(comp @ np.swapaxes(SIGNS * rows, -1, -2))) <= 1e-12
 
 
 def test_subspace_equal_tolerances():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from liechannel import presets
 from liechannel.core import (
+    SIGNS,
     GeometryError,
     inner,
     plane_lift,
@@ -32,6 +33,7 @@ from liechannel.legendre import (
     spherical_line_residual,
     validate_legendre,
     _directional_derivative,
+    _quotient_frames,
 )
 
 
@@ -168,10 +170,13 @@ def test_grid_arrays_are_read_only_views():
     for array in (grid.sigma, grid.tau, grid.u_values, grid.theta_values):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    # the caller's own arrays stay writeable
+    # the caller's own arrays stay writeable, and writing into them leaves
+    # the grid (and the data derived from it) untouched
+    before = float(grid.sigma[0, 0, 0])
     sigma[0, 0, 0] = 5.0
     u[0] = -1.0
     assert sigma.flags.writeable and u.flags.writeable
+    assert grid.sigma[0, 0, 0] == before and grid.u_values[0] == 0.0
 
 
 def test_grid_attributes_cannot_be_reassigned():
@@ -191,6 +196,22 @@ def test_derived_data_is_computed_once_and_read_only():
     assert is_channel(grid) is is_channel(grid)
     for array in (data.s1, data.s2, data.dir1, data.umbilic):
         assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("name, kw", [("torus", {"n_u": 48, "n_theta": 48}),
+                                      ("helix_tube", {"n_u": 64, "n_theta": 48})])
+def test_quotient_frame_is_orthogonal_to_the_element(name, kw):
+    grid = preset_grid(name, **kw)
+    w_basis, qgram = _quotient_frames(grid)
+    element = np.stack([grid.sigma, grid.tau], axis=-2)
+    element = element / np.linalg.norm(element, axis=-1, keepdims=True)
+    gram = w_basis @ np.swapaxes(w_basis, -1, -2)
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-13
+    euclidean = w_basis @ np.swapaxes(element, -1, -2)
+    metric = w_basis @ np.swapaxes(SIGNS * element, -1, -2)
+    assert np.max(np.abs(euclidean)) <= 1e-12
+    assert np.max(np.abs(metric)) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(qgram)) > 0.5
 
 
 # -- curvature spheres ----------------------------------------------------------
