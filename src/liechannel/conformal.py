@@ -270,18 +270,19 @@ def ribaucour_curve_check(c1: ConformalCurve, c2: ConformalCurve) -> float:
     return verify_ribaucour(c1.lift, c2.lift)
 
 
-def _congruence_space(c1: ConformalCurve, c2: ConformalCurve, k: int,
+def _congruence_space(c1: ConformalCurve, c2: ConformalCurve, d1, k: int,
                       tol: float):
-    d1, _ = c1.lift.derivatives()
-    d1_hat, _ = c2.lift.derivatives()
-    a = span([c1.lift.vectors[k], d1[k], c2.lift.vectors[k]])
-    b = span([c2.lift.vectors[k], d1_hat[k], c1.lift.vectors[k]])
+    """span{sigma, sigma', sigma_hat} at sample k and its span residual
+    against span{sigma_hat, sigma_hat', sigma}; d1 holds both curves'
+    first derivatives."""
+    a = span([c1.lift.vectors[k], d1[0][k], c2.lift.vectors[k]])
+    b = span([c2.lift.vectors[k], d1[1][k], c1.lift.vectors[k]])
     _, residual = subspace_equal(a, b)
     if residual > tol:
         raise GeometryError(
             f"curves are not a Ribaucour pair at sample {k} "
             f"(span residual {residual:.3e})")
-    return a
+    return a, residual
 
 
 def circle_congruence(c1: ConformalCurve, c2: ConformalCurve, k: int,
@@ -293,7 +294,8 @@ def circle_congruence(c1: ConformalCurve, c2: ConformalCurve, k: int,
     the span is p-orthogonal.
     """
     _pair_guard(c1, c2)
-    sub = _congruence_space(c1, c2, k, tol)
+    d1 = (c1.lift.derivatives()[0], c2.lift.derivatives()[0])
+    sub, _ = _congruence_space(c1, c2, d1, k, tol)
     pts = lightcone_circle(sub, np.asarray(thetas, dtype=float))
     h = pts[..., 3] + pts[..., 4]
     if np.min(np.abs(h)) <= 1e-12 * np.max(np.linalg.norm(pts, axis=-1)):
@@ -324,19 +326,16 @@ def circle_congruence_report(c1: ConformalCurve, c2: ConformalCurve,
     """
     _pair_guard(c1, c2)
     n = c1.n
-    d1 = [c.lift.derivatives()[0] for c in (c1, c2)]
+    d1 = (c1.lift.derivatives()[0], c2.lift.derivatives()[0])
     membership = 0.0
     angles = np.zeros((n, 2))
     residuals = np.zeros(n)
     notes = []
     for k in range(n):
         try:
-            sub = _congruence_space(c1, c2, k, tol)
+            sub, residuals[k] = _congruence_space(c1, c2, d1, k, tol)
         except GeometryError as exc:
             raise GeometryError(f"congruence fails at sample {k}") from exc
-        residuals[k] = subspace_equal(
-            sub, span([c2.lift.vectors[k], d1[1][k],
-                       c1.lift.vectors[k]]))[1]
         frame = lightcone_frame(sub)
         for j, curve in enumerate((c1, c2)):
             membership = max(membership,

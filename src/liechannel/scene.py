@@ -8,17 +8,19 @@ the tolerance it was tested against and the measured value, and a report
 is a pure function of the config: no timestamps, no machine state, floats
 written with full repr precision.
 
-Structural validation is JSON-Schema based; the semantic layer on top
-checks what a schema cannot: that names are defined before use, that
-operations know their parameters, and that output paths stay inside the
-artifact directory.
+Each object kind and each pipeline op has one declaration: what runs it,
+the keys naming earlier objects, and a JSON-schema type per parameter.
+Its validator, the object builder and the names it stores all derive
+from it.  The semantic layer on top checks what a schema cannot: that
+names are defined before use, that ids are unique, and that output paths
+stay inside the artifact directory.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import jsonschema
@@ -157,85 +159,108 @@ class PipelineError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# object constructors
+# declarations: one per object kind and per pipeline op
 # ---------------------------------------------------------------------------
 
-def _build_line_sphere_curve(cfg, objs):
-    return line_sphere_curve(
-        n=int(cfg.get("n", 64)), u_min=cfg.get("u_min", -1.0),
-        u_max=cfg.get("u_max", 1.0), radius=cfg.get("radius", 1.0),
-        direction=cfg.get("direction", (0.0, 0.0, 1.0)),
-        origin=cfg.get("origin", (0.0, 0.0, 0.0)))
+def _nonzero(validator, wanted, value, schema):
+    if wanted and validator.is_type(value, "number") and value == 0:
+        yield jsonschema.ValidationError("must be nonzero")
 
 
-def _build_circle_sphere_curve(cfg, objs):
-    return circle_sphere_curve(n=int(cfg.get("n", 64)),
-                               ring_radius=cfg.get("ring_radius", 2.0),
-                               radius=cfg.get("radius", 1.0))
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, {"nonzero": _nonzero})
+
+_NUMBER = {"type": "number"}
+_COUNT = {"type": "integer", "minimum": 5}
+_STEP = {"type": "integer", "minimum": 1}
+_VEC3 = {"type": "array", "items": _NUMBER, "minItems": 3, "maxItems": 3}
+_VEC6 = {"type": "array", "items": _NUMBER, "minItems": 6, "maxItems": 6}
+_NONZERO = {"type": "number", "nonzero": True}
+_LAMBDAS = {"type": "array", "items": _NUMBER, "minItems": 1}
+_INDICES = {"type": "array", "items": {"type": "integer", "minimum": 0},
+            "minItems": 3, "maxItems": 3}
+_TORUS = {"type": "object", "properties": {"ring": _NUMBER, "radius": _NUMBER},
+          "required": ["ring", "radius"], "additionalProperties": False}
+_NAME = {"type": "string", "pattern": _NAME_PATTERN}
 
 
-def _build_helix_sphere_curve(cfg, objs):
-    return helix_sphere_curve(
-        n=int(cfg.get("n", 64)), ring_radius=cfg.get("ring_radius", 2.0),
-        pitch=cfg.get("pitch", 0.5), radius=cfg.get("radius", 0.6),
-        turns=cfg.get("turns", 1.5))
+def _nothing(cfg):
+    return []
 
 
-def _build_envelope(cfg, objs):
-    return envelope(objs[cfg["sphere_curve"]],
-                    n_theta=int(cfg.get("n_theta", 64)))
+@dataclass(frozen=True)
+class _Decl:
+    """An object kind or a pipeline op: the library constructor or op runner,
+    the config keys naming earlier objects (required `refs`, optional
+    `optional_refs`), one JSON-schema type per parameter, the parameters
+    that must be given, and the object names (or name prefixes) it stores
+    for later stages."""
+
+    run: Callable
+    refs: tuple = ()
+    optional_refs: tuple = ()
+    params: dict = field(default_factory=dict)
+    required: tuple = ()
+    stores: Callable = _nothing
+    prefixes: Callable = _nothing
+
+    def validator(self, fixed):
+        """Validator of one config entry; `fixed` holds the keys every
+        entry carries (checked by SCENE_SCHEMA)."""
+        refs = dict.fromkeys(self.refs + self.optional_refs,
+                             {"type": "string"})
+        return _Validator({
+            "type": "object", "properties": {**fixed, **refs, **self.params},
+            "required": list(self.refs + self.required),
+            "additionalProperties": False})
+
+    def args(self, cfg, objects):
+        """cfg with each reference replaced by the object it names, and
+        integer-typed parameters as Python ints (JSON Schema counts 64.0
+        as an integer, numpy does not)."""
+        args = dict(cfg)
+        for key, value in cfg.items():
+            if key in self.refs + self.optional_refs:
+                args[key] = objects[value]
+            elif self.params.get(key, {}).get("type") == "integer":
+                args[key] = int(value)
+        return args
 
 
-def _build_line_curve(cfg, objs):
-    return line_curve(n=int(cfg.get("n", 64)), u_min=cfg.get("u_min", -1.0),
-                      u_max=cfg.get("u_max", 1.0),
-                      direction=cfg.get("direction", (0.0, 0.0, 1.0)),
-                      origin=cfg.get("origin", (0.0, 0.0, 0.0)))
+def _build(kind, cfg, objects):
+    """Referenced objects go positionally, given parameters as keywords:
+    every default lives in the library signature."""
+    args = kind.args(cfg, objects)
+    return kind.run(*(args[ref] for ref in kind.refs),
+                    **{key: args[key] for key in kind.params if key in args})
 
 
-def _build_circle_curve(cfg, objs):
-    return circle_curve(n=int(cfg.get("n", 64)),
-                        radius=cfg.get("radius", 2.0))
-
-
-def _build_tube(cfg, objs):
-    return tube(objs[cfg["curve"]], cfg["radius"],
-                n_theta=int(cfg.get("n_theta", 64)))
-
-
-def _build_tube_sphere_curve(cfg, objs):
-    return tube_sphere_curve(objs[cfg["curve"]], cfg["radius"])
-
-
-def _build_curve_legendre_lift(cfg, objs):
-    return curve_legendre_lift(objs[cfg["curve"]],
-                               n_theta=int(cfg.get("n_theta", 64)))
-
+_CURVE = dict(n=_COUNT, u_min=_NUMBER, u_max=_NUMBER, direction=_VEC3,
+              origin=_VEC3)
 
 _OBJECT_KINDS = {
-    "line_sphere_curve": dict(
-        build=_build_line_sphere_curve, refs=(),
-        params={"n", "u_min", "u_max", "radius", "direction", "origin"}),
-    "circle_sphere_curve": dict(
-        build=_build_circle_sphere_curve, refs=(),
-        params={"n", "ring_radius", "radius"}),
-    "helix_sphere_curve": dict(
-        build=_build_helix_sphere_curve, refs=(),
-        params={"n", "ring_radius", "pitch", "radius", "turns"}),
-    "envelope": dict(build=_build_envelope, refs=("sphere_curve",),
-                     params={"n_theta"}),
-    "line_curve": dict(
-        build=_build_line_curve, refs=(),
-        params={"n", "u_min", "u_max", "direction", "origin"}),
-    "circle_curve": dict(build=_build_circle_curve, refs=(),
-                         params={"n", "radius"}),
-    "tube": dict(build=_build_tube, refs=("curve",),
-                 params={"radius", "n_theta"}),
-    "tube_sphere_curve": dict(build=_build_tube_sphere_curve,
-                              refs=("curve",), params={"radius"}),
-    "curve_legendre_lift": dict(build=_build_curve_legendre_lift,
-                                refs=("curve",), params={"n_theta"}),
+    "line_sphere_curve": _Decl(line_sphere_curve,
+                               params=dict(_CURVE, radius=_NUMBER)),
+    "circle_sphere_curve": _Decl(circle_sphere_curve, params=dict(
+        n=_COUNT, ring_radius=_NUMBER, radius=_NUMBER)),
+    "helix_sphere_curve": _Decl(helix_sphere_curve, params=dict(
+        n=_COUNT, ring_radius=_NUMBER, pitch=_NUMBER, radius=_NUMBER,
+        turns=_NUMBER)),
+    "envelope": _Decl(envelope, refs=("sphere_curve",),
+                      params=dict(n_theta=_COUNT)),
+    "line_curve": _Decl(line_curve, params=_CURVE),
+    "circle_curve": _Decl(circle_curve, params=dict(n=_COUNT,
+                                                    radius=_NUMBER)),
+    "tube": _Decl(tube, refs=("curve",), required=("radius",),
+                  params=dict(radius=_NUMBER, n_theta=_COUNT)),
+    "tube_sphere_curve": _Decl(tube_sphere_curve, refs=("curve",),
+                               required=("radius",),
+                               params=dict(radius=_NUMBER)),
+    "curve_legendre_lift": _Decl(curve_legendre_lift, refs=("curve",),
+                                 params=dict(n_theta=_COUNT)),
 }
+_KIND_VALIDATORS = {name: kind.validator({"kind": {}})
+                    for name, kind in _OBJECT_KINDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +291,20 @@ def _clean(value):
     raise TypeError(f"cannot report a value of type {type(value).__name__}")
 
 
-def _op_validate(stage, ctx):
-    rep = validate_legendre(ctx.objects[stage["target"]])
+def _given(args, *keys):
+    return {key: args[key] for key in keys if key in args}
+
+
+def _op_validate(args, ctx):
+    rep = validate_legendre(args["target"])
     return {"isotropy": rep.isotropy, "contact": rep.contact,
             "immersion": rep.immersion,
             "quotient_min_eig": rep.quotient_min_eig,
             "passed": rep.passed, "notes": list(rep.notes)}
 
 
-def _op_channel(stage, ctx):
-    rep = is_channel(ctx.objects[stage["target"]])
+def _op_channel(args, ctx):
+    rep = is_channel(args["target"])
     return {"circular_dir": rep.circular_dir,
             "rate_dir1": rep.rates["dir1"], "rate_dir2": rep.rates["dir2"],
             "coupling_dir1": rep.coupling["dir1"],
@@ -283,70 +312,64 @@ def _op_channel(stage, ctx):
             "consistent": rep.consistent, "notes": list(rep.notes)}
 
 
-def _op_lie_cyclide(stage, ctx):
-    split = lie_cyclide_split(ctx.objects[stage["target"]])
+def _op_lie_cyclide(args, ctx):
+    split = lie_cyclide_split(args["target"])
     return {"orthogonality": split.orthogonality,
             "s2_agreement": split.s2_agreement,
             "block_defect": split.block_defect,
             "excluded_fraction": float(np.mean(split.excluded))}
 
 
-def _op_omega0(stage, ctx):
-    grid = ctx.objects[stage["grid"]]
-    curve = ctx.objects[stage["sphere_curve"]]
-    omega = omega0_form(grid, curve.vectors)
-    if "store" in stage:
-        ctx.objects[stage["store"]] = omega
+def _op_omega0(args, ctx):
+    omega = omega0_form(args["grid"], args["sphere_curve"].vectors)
+    if "store" in args:
+        ctx.objects[args["store"]] = omega
     out = {"closedness": omega.closedness, "bracket": omega.bracket,
            "q_uu_min": float(np.min(omega.q_uu)),
            "q_uu_max": float(np.max(omega.q_uu))}
-    if "q_uu_expected" in stage:
+    if "q_uu_expected" in args:
         out["q_uu_deviation"] = float(
-            np.max(np.abs(omega.q_uu - stage["q_uu_expected"])))
+            np.max(np.abs(omega.q_uu - args["q_uu_expected"])))
     return out
 
 
-def _op_flatness(stage, ctx):
-    omega = ctx.objects[stage["omega"]]
-    rep = flatness_check(omega, stage["lambdas"])
+def _op_flatness(args, ctx):
+    rep = flatness_check(args["omega"], args["lambdas"])
     defects = {str(float(k)): v for k, v in rep.defects.items()}
     return {"defects": defects, "defect_max": max(defects.values())}
 
 
-def _op_conserved(stage, ctx):
-    omega = ctx.objects[stage["omega"]]
-    p = np.asarray(stage.get("p", np.eye(DIM)[5].tolist()), dtype=float)
-    rep = conserved_quantity(omega, p, stage["lambdas"])
+def _op_conserved(args, ctx):
+    p = np.asarray(args.get("p", np.eye(DIM)[5].tolist()), dtype=float)
+    rep = conserved_quantity(args["omega"], p, args["lambdas"])
     residuals = {str(float(k)): v for k, v in rep.residuals.items()}
     return {"residuals": residuals, "residual_max": max(residuals.values()),
             "normalisation_defect": rep.normalisation_defect,
             "passed": rep.passed}
 
 
-def _op_darboux(stage, ctx):
-    grid = ctx.objects[stage["grid"]]
-    omega = ctx.objects[stage["omega"]]
+def _op_darboux(args, ctx):
+    grid, omega = args["grid"], args["omega"]
     eye = np.eye(DIM)
     seed_space = span([eye[0], eye[3], eye[4]])
     phi0 = darboux_initial_condition(seed_space, omega.sigma1[0], ctx.seed)
-    result = darboux_transform(grid, omega, stage["m"], phi0,
-                               substeps=int(stage.get("substeps", 4)))
-    ctx.objects[stage["store"]] = result.hat_f
-    ctx.objects[stage["store"] + "_spheres"] = result.hat_s
-    out = {"m": float(stage["m"]), "null_drift": result.null_drift,
+    result = darboux_transform(grid, omega, args["m"], phi0,
+                               **_given(args, "substeps"))
+    ctx.objects[args["store"]] = result.hat_f
+    ctx.objects[args["store"] + "_spheres"] = result.hat_s
+    out = {"m": float(args["m"]), "null_drift": result.null_drift,
            "validation_passed": validate_legendre(result.hat_f).passed}
     if "holonomy_mismatch" in result.hat_f.metadata:
         out["holonomy_mismatch"] = result.hat_f.metadata["holonomy_mismatch"]
     return out
 
 
-def _op_calapso(stage, ctx):
-    grid = ctx.objects[stage["grid"]]
-    omega = ctx.objects[stage["omega"]]
+def _op_calapso(args, ctx):
+    grid, omega = args["grid"], args["omega"]
     per_lambda = {}
-    for lam in stage["lambdas"]:
+    for lam in args["lambdas"]:
         gauge, out = calapso_transform(grid, omega, lam,
-                                       substeps=int(stage.get("substeps", 4)))
+                                       **_given(args, "substeps"))
         q_dev = float(np.max(np.abs(
             calapso_quadratic_form(gauge, omega) - omega.q_uu)))
         channel = is_channel(out)
@@ -365,8 +388,8 @@ def _op_calapso(stage, ctx):
             "sphere_map_gap": gap,
             "validation_passed": validate_legendre(out).passed,
         }
-        if "store_prefix" in stage:
-            ctx.objects[f"{stage['store_prefix']}_{float(lam)}"] = out
+        if "store_prefix" in args:
+            ctx.objects[f"{args['store_prefix']}_{float(lam)}"] = out
     return {
         "per_lambda": per_lambda,
         "ortho_max": max(v["ortho_defect"] for v in per_lambda.values()),
@@ -378,17 +401,13 @@ def _op_calapso(stage, ctx):
     }
 
 
-def _op_verify_pair(stage, ctx):
-    residual = verify_ribaucour(ctx.objects[stage["a"]],
-                                ctx.objects[stage["b"]])
-    return {"residual": residual}
+def _op_verify_pair(args, ctx):
+    return {"residual": verify_ribaucour(args["a"], args["b"])}
 
 
-def _op_cyclides(stage, ctx):
-    f = ctx.objects[stage["grid_a"]] if "grid_a" in stage else None
-    f_hat = ctx.objects[stage["grid_b"]] if "grid_b" in stage else None
-    rep = ribaucour_cyclides(ctx.objects[stage["a"]],
-                             ctx.objects[stage["b"]], f=f, f_hat=f_hat)
+def _op_cyclides(args, ctx):
+    rep = ribaucour_cyclides(args["a"], args["b"], f=args.get("grid_a"),
+                             f_hat=args.get("grid_b"))
     return {"coincidence": rep.coincidence, "duality": rep.duality,
             "theta_constancy": rep.theta_constancy,
             "intersection_rank_ok": rep.intersection_rank_ok,
@@ -406,7 +425,7 @@ def _row_point_lifts(grid, k):
     return np.asarray(lifts), dropped
 
 
-def _op_congruence_contact(stage, ctx):
+def _op_congruence_contact(args, ctx):
     """Contact of the u-family of Dupin cyclides with both surfaces.
 
     For each sampled u the cyclide space is span{sigma, sigma', sigma_hat};
@@ -414,16 +433,14 @@ def _op_congruence_contact(stage, ctx):
     family must touch them, and the fixed-u parameter lines of both grids
     must consist of points of the cyclide.
     """
-    f = ctx.objects[stage["grid"]]
-    f_hat = ctx.objects[stage["hat_grid"]]
-    s = ctx.objects[stage["spheres_a"]]
-    s_hat = ctx.objects[stage["spheres_b"]]
+    f, f_hat = args["grid"], args["hat_grid"]
+    s, s_hat = args["spheres_a"], args["spheres_b"]
     rep = ribaucour_cyclides(s, s_hat)
     nu = f.shape[0]
-    every = int(stage.get("sample_every", max(1, nu // 8)))
-    probes = np.linspace(0.0, 2.0 * np.pi, int(stage.get("n_probe", 16)),
+    every = args.get("sample_every", max(1, nu // 8))
+    probes = np.linspace(0.0, 2.0 * np.pi, args.get("n_probe", 16),
                          endpoint=False)
-    prefix = stage.get("store_prefix")
+    prefix = args.get("store_prefix")
 
     contact = membership = line = 0.0
     dropped = 0
@@ -452,16 +469,16 @@ def _op_congruence_contact(stage, ctx):
             "dropped_points": dropped}
 
 
-def _op_sphericity(stage, ctx):
+def _op_sphericity(args, ctx):
     """Worst sphere-fit residual over a sample of parameter lines.
 
     axis "u" walks the lines of constant u (the theta-circles); axis
     "theta" walks the lines of constant theta.
     """
-    grid = ctx.objects[stage["target"]]
-    axis = stage.get("axis", "u")
+    grid = args["target"]
+    axis = args.get("axis", "u")
     count = grid.shape[0] if axis == "u" else grid.shape[1]
-    stride = int(stage.get("stride", max(1, count // 8)))
+    stride = args.get("stride", max(1, count // 8))
     worst = 0.0
     for index in range(0, count, stride):
         residual, _ = spherical_line_residual(grid, axis, index)
@@ -470,19 +487,21 @@ def _op_sphericity(stage, ctx):
                                                               stride))}
 
 
-def _op_dupin_fit(stage, ctx):
-    curve = ctx.objects[stage["sphere_curve"]]
-    i, j, k = (int(x) for x in stage["indices"])
-    cyc = dupin_from_spheres(curve.vectors[i], curve.vectors[j],
-                             curve.vectors[k])
-    if "store" in stage:
-        ctx.objects[stage["store"]] = cyc
+def _op_dupin_fit(args, ctx):
+    curve = args["sphere_curve"]
+    indices = [int(x) for x in args["indices"]]
+    if max(indices) >= len(curve.vectors):
+        raise GeometryError(f"indices {indices} reach past the curve's "
+                            f"{len(curve.vectors)} samples")
+    cyc = dupin_from_spheres(*curve.vectors[indices])
+    if "store" in args:
+        ctx.objects[args["store"]] = cyc
     out = {"signature_d": list(cyc.d.signature),
            "signature_dperp": list(cyc.dperp.signature)}
-    if "torus" in stage:
+    if "torus" in args:
         from .mesh import cyclide_point_grid
-        ring = float(stage["torus"]["ring"])
-        radius = float(stage["torus"]["radius"])
+        ring = float(args["torus"]["ring"])
+        radius = float(args["torus"]["radius"])
         positions, finite, *_ = cyclide_point_grid(cyc.d, 48, 48)
         good = positions[finite]
         dev = np.abs(np.hypot(np.hypot(good[:, 0], good[:, 1]) - ring,
@@ -492,15 +511,13 @@ def _op_dupin_fit(stage, ctx):
     return out
 
 
-def _op_curve_check(stage, ctx):
-    residual = ribaucour_curve_check(ctx.objects[stage["a"]],
-                                     ctx.objects[stage["b"]])
-    return {"residual": residual}
+def _op_curve_check(args, ctx):
+    return {"residual": ribaucour_curve_check(args["a"], args["b"])}
 
 
-def _op_tube_check(stage, ctx):
-    a, b = ctx.objects[stage["a"]], ctx.objects[stage["b"]]
-    radius = stage["radius"]
+def _op_tube_check(args, ctx):
+    a, b = args["a"], args["b"]
+    radius = args["radius"]
     point_level = ribaucour_curve_check(a, b)
     tube_level = verify_ribaucour(tube_sphere_curve(a, radius),
                                   tube_sphere_curve(b, radius))
@@ -509,17 +526,12 @@ def _op_tube_check(stage, ctx):
             "agreement": abs(tube_level - point_level)}
 
 
-def _op_circle_congruence(stage, ctx):
-    rep = circle_congruence_report(ctx.objects[stage["a"]],
-                                   ctx.objects[stage["b"]])
+def _op_circle_congruence(args, ctx):
+    rep = circle_congruence_report(args["a"], args["b"])
     return {"membership": rep.membership, "tangency1": rep.tangency1,
             "tangency2": rep.tangency2,
             "tangency_max": max(rep.tangency1, rep.tangency2),
             "passed": rep.passed, "notes": list(rep.notes)}
-
-
-def _nothing(stage):
-    return []
 
 
 def _key_if_set(key):
@@ -534,65 +546,54 @@ def _stores_calapso(stage):
     if "store_prefix" not in stage:
         return []
     return [f"{stage['store_prefix']}_{float(lam)}"
-            for lam in stage.get("lambdas", [])]
+            for lam in stage["lambdas"]]
 
 
-@dataclass(frozen=True)
-class _Op:
-    """A pipeline op: its runner, the config keys it reads, and the object
-    names (or name prefixes) it stores for later stages."""
-
-    run: Callable
-    refs: tuple = ()
-    required: tuple = ()
-    params: frozenset = frozenset()
-    stores: Callable = _nothing
-    prefixes: Callable = _nothing
-
+_PAIR = ("a", "b")
 
 _OPS = {
-    "validate": _Op(_op_validate, refs=("target",), required=("target",)),
-    "channel": _Op(_op_channel, refs=("target",), required=("target",)),
-    "lie_cyclide": _Op(_op_lie_cyclide, refs=("target",),
-                       required=("target",)),
-    "omega0": _Op(_op_omega0, refs=("grid", "sphere_curve"),
-                  required=("grid", "sphere_curve"),
-                  params=frozenset({"store", "q_uu_expected"}),
-                  stores=_key_if_set("store")),
-    "flatness": _Op(_op_flatness, refs=("omega",), required=("omega",),
-                    params=frozenset({"lambdas"})),
-    "conserved": _Op(_op_conserved, refs=("omega",), required=("omega",),
-                     params=frozenset({"lambdas", "p"})),
-    "darboux": _Op(_op_darboux, refs=("grid", "omega"),
-                   required=("grid", "omega", "m", "store"),
-                   params=frozenset({"m", "store", "substeps"}),
-                   stores=_stores_darboux),
-    "calapso": _Op(_op_calapso, refs=("grid", "omega"),
-                   required=("grid", "omega", "lambdas"),
-                   params=frozenset({"lambdas", "substeps", "store_prefix"}),
-                   stores=_stores_calapso),
-    "verify_pair": _Op(_op_verify_pair, refs=("a", "b"), required=("a", "b")),
-    "cyclides": _Op(_op_cyclides, refs=("a", "b", "grid_a", "grid_b"),
-                    required=("a", "b")),
-    "congruence_contact": _Op(
+    "validate": _Decl(_op_validate, refs=("target",)),
+    "channel": _Decl(_op_channel, refs=("target",)),
+    "lie_cyclide": _Decl(_op_lie_cyclide, refs=("target",)),
+    "omega0": _Decl(_op_omega0, refs=("grid", "sphere_curve"),
+                    params=dict(store=_NAME, q_uu_expected=_NUMBER),
+                    stores=_key_if_set("store")),
+    "flatness": _Decl(_op_flatness, refs=("omega",), required=("lambdas",),
+                      params=dict(lambdas=_LAMBDAS)),
+    "conserved": _Decl(_op_conserved, refs=("omega",), required=("lambdas",),
+                       params=dict(lambdas=_LAMBDAS, p=_VEC6)),
+    "darboux": _Decl(_op_darboux, refs=("grid", "omega"),
+                     required=("m", "store"),
+                     params=dict(m=_NONZERO, store=_NAME, substeps=_STEP),
+                     stores=_stores_darboux),
+    "calapso": _Decl(_op_calapso, refs=("grid", "omega"),
+                     required=("lambdas",),
+                     params=dict(lambdas=_LAMBDAS, substeps=_STEP,
+                                 store_prefix=_NAME),
+                     stores=_stores_calapso),
+    "verify_pair": _Decl(_op_verify_pair, refs=_PAIR),
+    "cyclides": _Decl(_op_cyclides, refs=_PAIR,
+                      optional_refs=("grid_a", "grid_b")),
+    "congruence_contact": _Decl(
         _op_congruence_contact,
         refs=("grid", "hat_grid", "spheres_a", "spheres_b"),
-        required=("grid", "hat_grid", "spheres_a", "spheres_b"),
-        params=frozenset({"sample_every", "n_probe", "store_prefix"}),
+        params=dict(sample_every=_STEP, n_probe=_STEP, store_prefix=_NAME),
         prefixes=_key_if_set("store_prefix")),
-    "sphericity": _Op(_op_sphericity, refs=("target",), required=("target",),
-                      params=frozenset({"axis", "stride"})),
-    "dupin_fit": _Op(_op_dupin_fit, refs=("sphere_curve",),
-                     required=("sphere_curve", "indices"),
-                     params=frozenset({"indices", "store", "torus"}),
-                     stores=_key_if_set("store")),
-    "curve_check": _Op(_op_curve_check, refs=("a", "b"), required=("a", "b")),
-    "tube_check": _Op(_op_tube_check, refs=("a", "b"),
-                      required=("a", "b", "radius"),
-                      params=frozenset({"radius"})),
-    "circle_congruence": _Op(_op_circle_congruence, refs=("a", "b"),
-                             required=("a", "b")),
+    "sphericity": _Decl(_op_sphericity, refs=("target",),
+                        params=dict(axis={"enum": ["u", "theta"]},
+                                    stride=_STEP)),
+    "dupin_fit": _Decl(_op_dupin_fit, refs=("sphere_curve",),
+                       required=("indices",),
+                       params=dict(indices=_INDICES, store=_NAME,
+                                   torus=_TORUS),
+                       stores=_key_if_set("store")),
+    "curve_check": _Decl(_op_curve_check, refs=_PAIR),
+    "tube_check": _Decl(_op_tube_check, refs=_PAIR, required=("radius",),
+                        params=dict(radius=_NUMBER)),
+    "circle_congruence": _Decl(_op_circle_congruence, refs=_PAIR),
 }
+_OP_VALIDATORS = {name: op.validator({"id": {}, "op": {}, "assert": {}})
+                  for name, op in _OPS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +605,24 @@ def _safe_path(path: str) -> bool:
             and "\\" not in path)
 
 
+def _schema_errors(validator, instance, *where) -> list:
+    errors = []
+    for err in sorted(validator.iter_errors(instance), key=str):
+        path = " -> ".join(str(p) for p in where + tuple(err.absolute_path))
+        errors.append("schema: " + (path + ": " if path else "")
+                      + err.message)
+    return errors
+
+
+def _undefined(owner, decl, cfg, defined) -> list:
+    return [f"{owner}: reference '{cfg[ref]}' is not defined before use"
+            for ref in decl.refs + decl.optional_refs
+            if isinstance(cfg.get(ref), str) and cfg[ref] not in defined]
+
+
 def validate_scene(config) -> list:
     """All schema and semantic errors of a config, empty when runnable."""
-    validator = jsonschema.Draft202012Validator(SCENE_SCHEMA)
-    errors = [
-        "schema: " + (" -> ".join(str(p) for p in err.absolute_path) + ": "
-                      if err.absolute_path else "") + err.message
-        for err in sorted(validator.iter_errors(config), key=str)
-    ]
+    errors = _schema_errors(_Validator(SCENE_SCHEMA), config)
     if errors:
         return errors
     if not isinstance(config.get("seed", 0), int):
@@ -622,22 +633,15 @@ def validate_scene(config) -> list:
         kind = _OBJECT_KINDS.get(cfg["kind"])
         if kind is None:
             errors.append(f"object '{name}': unknown kind '{cfg['kind']}'")
-            defined.add(name)
-            continue
-        allowed = {"kind"} | set(kind["refs"]) | kind["params"]
-        for key in set(cfg) - allowed:
-            errors.append(f"object '{name}': unknown parameter '{key}'")
-        for ref in kind["refs"]:
-            if ref not in cfg:
-                errors.append(f"object '{name}': missing reference '{ref}'")
-            elif cfg[ref] not in defined:
-                errors.append(f"object '{name}': reference '{cfg[ref]}' "
-                              "is not defined before use")
+        else:
+            errors += _schema_errors(_KIND_VALIDATORS[cfg["kind"]], cfg,
+                                     "objects", name)
+            errors += _undefined(f"object '{name}'", kind, cfg, defined)
         defined.add(name)
 
     prefixes = []
     seen_ids = set()
-    for stage in config["pipeline"]:
+    for index, stage in enumerate(config["pipeline"]):
         sid = stage["id"]
         if sid in seen_ids:
             errors.append(f"stage '{sid}': duplicate id")
@@ -646,20 +650,11 @@ def validate_scene(config) -> list:
         if op is None:
             errors.append(f"stage '{sid}': unknown op '{stage['op']}'")
             continue
-        allowed = {"id", "op", "assert"} | set(op.refs) | op.params
-        for key in set(stage) - allowed:
-            errors.append(f"stage '{sid}': unknown parameter '{key}'")
-        for req in op.required:
-            if req not in stage:
-                errors.append(f"stage '{sid}': missing parameter '{req}'")
-        for ref in op.refs:
-            if ref in stage and stage[ref] not in defined:
-                errors.append(f"stage '{sid}': reference '{stage[ref]}' is "
-                              "not defined before use")
-        if stage["op"] == "darboux" and stage.get("m") == 0:
-            errors.append(f"stage '{sid}': the transform parameter m must "
-                          "be nonzero")
-        if all(req in stage for req in op.required):
+        stage_errors = _schema_errors(_OP_VALIDATORS[stage["op"]], stage,
+                                      "pipeline", index)
+        errors += stage_errors + _undefined(f"stage '{sid}'", op, stage,
+                                            defined)
+        if not stage_errors:
             defined.update(op.stores(stage))
             prefixes.extend(op.prefixes(stage))
 
@@ -749,8 +744,8 @@ def run_scene(config: dict, out_dir) -> dict:
     ctx = _Context(objects={}, seed=int(config.get("seed", 0)))
     for name, cfg in config["objects"].items():
         try:
-            builder = _OBJECT_KINDS[cfg["kind"]]["build"]
-            ctx.objects[name] = builder(cfg, ctx.objects)
+            ctx.objects[name] = _build(_OBJECT_KINDS[cfg["kind"]], cfg,
+                                       ctx.objects)
         except (GeometryError, ValueError, np.linalg.LinAlgError) as exc:
             raise PipelineError(f"objects.{name}", str(exc)) from exc
 
@@ -759,7 +754,7 @@ def run_scene(config: dict, out_dir) -> dict:
     for stage in config["pipeline"]:
         op = _OPS[stage["op"]]
         try:
-            measurements = op.run(stage, ctx)
+            measurements = op.run(op.args(stage, ctx.objects), ctx)
         except (GeometryError, ValueError, KeyError,
                 np.linalg.LinAlgError) as exc:
             raise PipelineError(stage["id"], str(exc)) from exc

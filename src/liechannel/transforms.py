@@ -664,7 +664,6 @@ class PairStructureReport:
     span_defect: float             # d hat_sigma1 outside span{sigma1, sigma1'}
     parallel_pointwise: float      # |d hat_sigma1 + eta hat_sigma1| via jets
     parallel_edge: float           # trapezoid edge residual (O(h^3) local)
-    closedness: float
     passed: bool
     notes: list = field(default_factory=list)
 
@@ -728,12 +727,6 @@ def darboux_pair_structure(s: SphereCurve, s_hat: SphereCurve,
     res = hat1[right] - hat1[left] + np.einsum("kij,kj->ki", eta_edge, mid)
     parallel_edge = float(np.max(np.linalg.norm(res, axis=-1)))
 
-    # a curve-level form has no theta-component and no theta-dependence, so
-    # the only curvature content is d_theta(eta_u); measure it literally on
-    # the broadcast form rather than asserting zero
-    eta_b = np.broadcast_to(eta[:, None], (eta.shape[0], 4) + eta.shape[1:])
-    closed = float(np.max(np.abs(
-        stencils.diff1(eta_b, 1.0, axis=1, periodic=True))))
     passed = span_defect <= span_tol and defect <= 1e-8
     notes = []
     if not passed:
@@ -743,4 +736,4 @@ def darboux_pair_structure(s: SphereCurve, s_hat: SphereCurve,
         sigma1=sig1, hat_sigma1=hat1, eta_u=eta,
         normalisation_defect=defect, span_defect=span_defect,
         parallel_pointwise=parallel_pointwise, parallel_edge=parallel_edge,
-        closedness=closed, passed=passed, notes=notes)
+        passed=passed, notes=notes)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liechannel import conformal as cf
+from liechannel.channel import SphereCurve
 from liechannel.core import (
     INFINITY_VEC,
     SIGNS,
@@ -237,6 +238,21 @@ def test_circle_congruence_report_parallel_lines():
     assert np.max(report.residuals) <= 1e-12
     assert report.passed
     assert report.notes == []
+
+
+def test_circle_congruence_report_differentiates_each_curve_once(
+        monkeypatch):
+    calls = []
+    derivatives = SphereCurve.derivatives
+
+    def counting(curve):
+        calls.append(curve)
+        return derivatives(curve)
+
+    monkeypatch.setattr(SphereCurve, "derivatives", counting)
+    axis, offset = lines()
+    assert cf.circle_congruence_report(axis, offset).passed
+    assert len(calls) == 2
 
 
 def test_circle_congruence_rejects_non_ribaucour_pair():

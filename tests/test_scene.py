@@ -4,12 +4,16 @@ Everything here runs at small grid sizes; the heavier end-to-end checks
 live in the acceptance suite.
 """
 
+import inspect
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liechannel import legendre
+from liechannel import legendre, scene
 from liechannel.cli import main
 from liechannel.demos import demo_config, demo_names
 from liechannel.scene import (
@@ -44,6 +48,21 @@ def tiny_scene(**overrides):
     }
     config.update(overrides)
     return config
+
+
+def _paths(node, path=()):
+    """Path of every dict entry and list item under node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _node(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +105,7 @@ def test_semantic_violations_are_reported():
     assert "'late' is not defined before use" in joined
     assert "duplicate id" in joined
     assert "'ghost' is not defined before use" in joined
-    assert "m must be nonzero" in joined
+    assert "m: must be nonzero" in joined
     assert "'nowhere' is never defined" in joined
     assert "must stay inside the artifact directory" in joined
 
@@ -96,8 +115,64 @@ def test_unknown_parameters_rejected():
     cfg["objects"]["axis"]["wobble"] = 3
     cfg["pipeline"][0]["tolerance"] = 1e-3
     errors = validate_scene(cfg)
-    assert any("unknown parameter 'wobble'" in e for e in errors)
-    assert any("unknown parameter 'tolerance'" in e for e in errors)
+    assert any("'wobble' was unexpected" in e for e in errors)
+    assert any("'tolerance' was unexpected" in e for e in errors)
+
+
+def test_declarations_match_their_constructors():
+    for decl in list(scene._OBJECT_KINDS.values()) + list(scene._OPS.values()):
+        assert set(decl.required) <= set(decl.params)
+    for name, kind in scene._OBJECT_KINDS.items():
+        params = inspect.signature(kind.run).parameters
+        # references fill the leading positional parameters, then exactly
+        # the required parameters lack a library default
+        no_default = [key for key, p in params.items() if p.default is p.empty]
+        assert no_default == list(params)[:len(kind.refs)] + list(
+            kind.required), name
+        for key in kind.params:
+            assert key in params, (name, key)
+            assert params[key].kind in (params[key].POSITIONAL_OR_KEYWORD,
+                                        params[key].KEYWORD_ONLY), (name, key)
+
+
+_BROKEN = {
+    "string-radius": ("cylinder-calapso", ("objects", "generators", "radius"),
+                      "1.0"),
+    "n-3": ("cylinder-calapso", ("objects", "generators", "n"), 3),
+    "direction-2": ("cylinder-calapso",
+                    ("objects", "generators", "direction"), [0.0, 1.0]),
+    "string-lambda": ("cylinder-calapso", ("pipeline", 1, "lambdas"),
+                      [0.5, "1.0"]),
+    "string-q_uu_expected": ("cylinder-calapso",
+                             ("pipeline", 0, "q_uu_expected"), "-1.0"),
+    "empty-lambdas": ("cylinder-calapso", ("pipeline", 1, "lambdas"), []),
+    "torus-without-radius": ("torus-cyclide", ("pipeline", 3, "torus"),
+                             {"ring": 2.0}),
+}
+
+
+@pytest.mark.parametrize("demo, path, value", _BROKEN.values(),
+                         ids=list(_BROKEN))
+def test_broken_scene_exits_2_before_anything_is_built(tmp_path, demo, path,
+                                                       value):
+    cfg = demo_config(demo, grid=16)
+    _node(cfg, path[:-1])[path[-1]] = value
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["check", str(scene_path)]) == 2
+    assert main(["run", str(scene_path), "--out", str(out)]) == 2
+    with pytest.raises(SceneError, match=str(path[-1])):
+        run_scene(cfg, out)
+    assert not out.exists()
+
+
+def test_integer_valued_floats_still_run(tmp_path):
+    cfg = tiny_scene()
+    cfg["objects"]["axis"]["n"] = 24.0
+    cfg["objects"]["tube_a"]["n_theta"] = 16.0
+    assert run_scene(cfg, tmp_path / "a") == run_scene(tiny_scene(),
+                                                       tmp_path / "b")
 
 
 def test_stored_names_are_usable_downstream():
@@ -148,6 +223,17 @@ def test_object_build_failure_names_the_object(tmp_path):
     cfg["objects"]["tube_a"]["radius"] = 0.0
     with pytest.raises(PipelineError, match="objects.tube_a"):
         run_scene(cfg, tmp_path)
+
+
+def test_dupin_fit_index_outside_the_curve(tmp_path):
+    cfg = demo_config("torus-cyclide", grid=16)
+    cfg["pipeline"][3]["indices"] = [0, 5, 99]
+    assert validate_scene(cfg) == []
+    with pytest.raises(PipelineError, match="dupin-through-spheres.*99"):
+        run_scene(cfg, tmp_path)
+    cfg["pipeline"][3]["indices"] = [0, 5, -1]
+    assert any("-1 is less than the minimum of 0" in e
+               for e in validate_scene(cfg))
 
 
 def test_failed_assertion_flips_the_verdict(tmp_path):
@@ -258,3 +344,71 @@ def test_cli_demo_and_env_default(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envout" / "helix-channel" / "report.json").exists()
     assert main(["demo", "no-such-demo"]) == 2
     assert "unknown demo" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# mutated demo configs
+# ---------------------------------------------------------------------------
+
+_OTHER_TYPES = ["text", 7, 0.5, True, None, [1.0], {"a": 1}]
+
+
+@st.composite
+def mutated_demo(draw):
+    """A demo config at grid 16 with one random mutation."""
+    cfg = demo_config(draw(st.sampled_from(demo_names())), grid=16)
+    paths = list(_paths(cfg))
+    leaves = [p for p in paths if not isinstance(_node(cfg, p), (dict, list))]
+    targets = {
+        "type": leaves, "integer": leaves, "number": leaves,
+        "length": [p for p in paths if isinstance(_node(cfg, p), list)
+                   and all(isinstance(v, (int, float))
+                           for v in _node(cfg, p))],
+        "drop": [p for p in paths if isinstance(_node(cfg, p[:-1]), dict)],
+        "unknown": [()] + [p for p in paths
+                           if isinstance(_node(cfg, p), dict)],
+    }
+    mutation = draw(st.sampled_from([m for m in targets if targets[m]]))
+    path = draw(st.sampled_from(targets[mutation]))
+    if mutation == "unknown":
+        _node(cfg, path)["wobble"] = 1
+        return cfg
+    parent, old = _node(cfg, path[:-1]), _node(cfg, path)
+    if mutation == "drop":
+        del parent[path[-1]]
+    elif mutation == "length":
+        parent[path[-1]] = (old[:2] if draw(st.booleans())
+                            else (old + [0.0] * 4)[:4])
+    else:
+        parent[path[-1]] = draw({
+            "type": st.sampled_from([v for v in _OTHER_TYPES
+                                     if type(v) is not type(old)]),
+            "integer": st.integers(-2, 40),
+            "number": st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+        }[mutation])
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_demo())
+def test_mutated_demo_is_rejected_or_runs(cfg):
+    # a mutation either fails validation (exit 2 from check and run, with
+    # nothing written) or runs to a report or a PipelineError naming the
+    # stage; any other exception is a bug
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        if validate_scene(cfg):
+            scene_path = os.path.join(tmp, "scene.json")
+            with open(scene_path, "w") as fh:
+                json.dump(cfg, fh)
+            assert main(["check", scene_path]) == 2
+            assert main(["run", scene_path, "--out", out]) == 2
+            assert not os.path.exists(out)
+        else:
+            try:
+                run_scene(cfg, out)
+            except PipelineError as exc:
+                assert exc.stage in (
+                    [f"objects.{name}" for name in cfg["objects"]]
+                    + [stage["id"] for stage in cfg["pipeline"]]
+                    + ["outputs"])

@@ -325,7 +325,6 @@ def test_pair_structure_of_parallel_tubes():
     assert rep.span_defect <= 1e-12                   # measured 6.7e-16
     assert rep.parallel_pointwise <= 1e-12            # measured 2.7e-16
     assert rep.parallel_edge <= 1e-12                 # measured 4.7e-16
-    assert rep.closedness == 0.0
     assert binner(rep.sigma1, rep.hat_sigma1) == pytest.approx(-1.0)
 
 
