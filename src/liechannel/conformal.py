@@ -26,16 +26,20 @@ from .core import (
     LiePoint,
     Plane,
     Point,
+    RankDeficiencyError,
+    SignatureError,
     Sphere,
-    circle_phase,
+    Subspace,
+    first_failure,
     inner,
     lightcone_circle,
-    lightcone_frame,
+    lightcone_frames,
     parallel_transform_matrix,
+    principal_sine,
     project_to_euclidean,
-    span,
+    span_rows,
     sphere_lift,
-    subspace_equal,
+    unit_rows,
 )
 from .legendre import LegendreGrid
 from .mesh import grid_point_spheres
@@ -270,19 +274,23 @@ def ribaucour_curve_check(c1: ConformalCurve, c2: ConformalCurve) -> float:
     return verify_ribaucour(c1.lift, c2.lift)
 
 
-def _congruence_space(c1: ConformalCurve, c2: ConformalCurve, d1, k: int,
-                      tol: float):
-    """span{sigma, sigma', sigma_hat} at sample k and its span residual
-    against span{sigma_hat, sigma_hat', sigma}; d1 holds both curves'
+def _congruence_space(c1: ConformalCurve, c2: ConformalCurve, d1, tol: float):
+    """span{sigma, sigma', sigma_hat} at every sample, as orthonormal bases
+    (n, 3, 6), with its span residuals against span{sigma_hat, sigma_hat',
+    sigma} and the failed checks as first_failure (mask, cause) pairs: rank
+    loss of either span, then a residual over tol.  d1 holds both curves'
     first derivatives."""
-    a = span([c1.lift.vectors[k], d1[0][k], c2.lift.vectors[k]])
-    b = span([c2.lift.vectors[k], d1[1][k], c1.lift.vectors[k]])
-    _, residual = subspace_equal(a, b)
-    if residual > tol:
-        raise GeometryError(
+    v1, v2 = c1.lift.vectors, c2.lift.vectors
+    a, rank_a = span_rows(np.stack([v1, d1[0], v2], axis=-2))
+    b, rank_b = span_rows(np.stack([v2, d1[1], v1], axis=-2))
+    residuals = principal_sine(a, b)
+    failures = [
+        (rank_a < 3, lambda k: RankDeficiencyError(3, int(rank_a[k]))),
+        (rank_b < 3, lambda k: RankDeficiencyError(3, int(rank_b[k]))),
+        (residuals > tol, lambda k: GeometryError(
             f"curves are not a Ribaucour pair at sample {k} "
-            f"(span residual {residual:.3e})")
-    return a, residual
+            f"(span residual {residuals[k]:.3e})"))]
+    return a, residuals, failures
 
 
 def circle_congruence(c1: ConformalCurve, c2: ConformalCurve, k: int,
@@ -295,8 +303,11 @@ def circle_congruence(c1: ConformalCurve, c2: ConformalCurve, k: int,
     """
     _pair_guard(c1, c2)
     d1 = (c1.lift.derivatives()[0], c2.lift.derivatives()[0])
-    sub, _ = _congruence_space(c1, c2, d1, k, tol)
-    pts = lightcone_circle(sub, np.asarray(thetas, dtype=float))
+    bases, _, failures = _congruence_space(c1, c2, d1, tol)
+    for mask, cause in failures:
+        if mask[k]:
+            raise cause(k)
+    pts = lightcone_circle(Subspace(bases[k]), np.asarray(thetas, dtype=float))
     h = pts[..., 3] + pts[..., 4]
     if np.min(np.abs(h)) <= 1e-12 * np.max(np.linalg.norm(pts, axis=-1)):
         raise GeometryError("congruence circle passes through infinity "
@@ -323,35 +334,46 @@ def circle_congruence_report(c1: ConformalCurve, c2: ConformalCurve,
     membership: both point lifts must lie in the congruence span.
     tangency: the theta-derivative of the projected circle at each curve's
     phase must align with the curve's own tangent (angle between lines).
+    All samples at once; the first failing sample in u order is reported.
     """
     _pair_guard(c1, c2)
-    n = c1.n
     d1 = (c1.lift.derivatives()[0], c2.lift.derivatives()[0])
-    membership = 0.0
-    angles = np.zeros((n, 2))
-    residuals = np.zeros(n)
-    notes = []
-    for k in range(n):
-        try:
-            sub, residuals[k] = _congruence_space(c1, c2, d1, k, tol)
-        except GeometryError as exc:
-            raise GeometryError(f"congruence fails at sample {k}") from exc
-        frame = lightcone_frame(sub)
-        for j, curve in enumerate((c1, c2)):
-            membership = max(membership,
-                             float(sub.containment_gap(curve.lift.vectors[k])))
-            phase = circle_phase(frame, curve.lift.vectors[k])
-            probe = np.asarray([phase - fd_delta, phase + fd_delta])
-            pts = lightcone_circle(sub, probe)
-            h = pts[..., 3] + pts[..., 4]
-            pos = pts[..., :3] / h[..., None]
-            tangent = pos[1] - pos[0]
-            ref = d1[j][k][:3]
-            cr = np.linalg.norm(np.cross(tangent, ref))
-            denom = np.linalg.norm(tangent) * np.linalg.norm(ref)
-            angles[k, j] = float(np.arcsin(np.clip(cr / denom, 0.0, 1.0)))
+    bases, residuals, failures = _congruence_space(c1, c2, d1, tol)
+    frames, ok = lightcone_frames(bases)
+    lifts = np.stack([c1.lift.vectors, c2.lift.vectors], axis=1)  # (n, 2, 6)
+    # containment gap of each unit lift; bases rows are orthonormal
+    u = unit_rows(lifts)
+    gaps = np.linalg.norm(u - (u @ np.swapaxes(bases, -1, -2)) @ bases,
+                          axis=-1)
+    # circle phase of each lift (as circle_phase), then the projected
+    # circle just beside it
+    pairing = inner(lifts[:, :, None], frames[:, None])      # (n, 2, 3)
+    x, y, z = pairing[..., 0], pairing[..., 1], -pairing[..., 2]
+    timelike = np.abs(z) >= 1e-12 * np.linalg.norm(lifts, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.arctan2(y / z, x / z)
+        probe = phase[..., None] + np.array([-fd_delta, fd_delta])  # (n, 2, 2)
+        e1, e2, e3 = (frames[:, None, None, r] for r in range(3))
+        pts = (np.cos(probe)[..., None] * e1 + np.sin(probe)[..., None] * e2
+               + e3)
+        pos = pts[..., :3] / (pts[..., 3] + pts[..., 4])[..., None]
+        tangent = pos[:, :, 1] - pos[:, :, 0]
+        ref = np.stack([d1[0][:, :3], d1[1][:, :3]], axis=1)
+        cr = np.linalg.norm(np.cross(tangent, ref), axis=-1)
+        denom = np.linalg.norm(tangent, axis=-1) * np.linalg.norm(ref, axis=-1)
+        angles = np.arcsin(np.clip(cr / denom, 0.0, 1.0))
+    hit = first_failure(failures + [
+        (~ok, lambda k: SignatureError(
+            "lightcone circle needs signature (2,1,0), got signature "
+            f"{Subspace(bases[k]).signature}")),
+        (~timelike.all(axis=1), lambda k: GeometryError(
+            "vector has no timelike component in this frame"))])
+    if hit is not None:
+        raise GeometryError(f"congruence fails at sample {hit[0]}") from hit[1]
+    membership = float(np.max(gaps))
     t1, t2 = float(angles[:, 0].max()), float(angles[:, 1].max())
     passed = membership <= membership_tol and max(t1, t2) <= tangency_tol
+    notes = []
     if not passed:
         notes.append("circle congruence is not enveloped at the stated "
                      "tolerances")

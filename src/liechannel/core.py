@@ -217,6 +217,32 @@ def wedge_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # subspaces
 # ---------------------------------------------------------------------------
 
+def span_rows(stacks: np.ndarray, rank_tol: float = 1e-10):
+    """Batched rank-checked span: stacks (..., k, 6) -> (bases, ranks).
+
+    One SVD per stack.  bases holds its Euclidean-orthonormal right
+    singular rows; ranks counts the singular values above rank_tol times
+    the largest (0 for a zero stack), so a stack dropped rank where
+    ranks < k.
+    """
+    _, svals, vt = np.linalg.svd(np.asarray(stacks, dtype=float),
+                                 full_matrices=False)
+    return vt, np.sum(svals > rank_tol * svals[..., :1], axis=-1)
+
+
+def _signature_counts(evals: np.ndarray):
+    """(n_plus, n_minus, n_zero) of Gram eigenvalues (..., k), batched.
+
+    Gram matrices of Euclidean-orthonormal rows have eigenvalues in
+    [-1, 1]; the absolute floor catches totally degenerate spans.
+    """
+    zero_tol = np.maximum(1e-9 * np.max(np.abs(evals), axis=-1,
+                                        keepdims=True), 1e-12)
+    n_zero = np.sum(np.abs(evals) < zero_tol, axis=-1)
+    n_plus = np.sum(evals >= zero_tol, axis=-1)
+    return n_plus, evals.shape[-1] - n_plus - n_zero, n_zero
+
+
 class Subspace:
     """A linear subspace of R^{4,2} with cached metric data.
 
@@ -239,11 +265,10 @@ class Subspace:
         mat = np.asarray([np.asarray(v, dtype=float).reshape(DIM) for v in vectors])
         if mat.shape[0] == 0:
             return Subspace(np.zeros((0, DIM)))
-        _, svals, vt = np.linalg.svd(mat, full_matrices=False)
-        rank = int(np.sum(svals > rank_tol * svals[0])) if svals[0] > 0 else 0
+        basis, rank = span_rows(mat, rank_tol)
         if rank < mat.shape[0]:
-            raise RankDeficiencyError(mat.shape[0], rank)
-        return Subspace(vt[:rank])
+            raise RankDeficiencyError(mat.shape[0], int(rank))
+        return Subspace(basis)
 
     # -- metric data --------------------------------------------------------
 
@@ -264,13 +289,8 @@ class Subspace:
             if self.dim == 0:
                 self._signature = (0, 0, 0)
             else:
-                evals = np.linalg.eigvalsh(self.gram)
-                # basis rows are Euclidean-orthonormal, so eigenvalues live in
-                # [-1, 1]; the absolute floor catches totally degenerate spans
-                zero_tol = max(1e-9 * float(np.max(np.abs(evals))), 1e-12)
-                n_zero = int(np.sum(np.abs(evals) < zero_tol))
-                n_plus = int(np.sum(evals >= zero_tol))
-                self._signature = (n_plus, self.dim - n_plus - n_zero, n_zero)
+                counts = _signature_counts(np.linalg.eigvalsh(self.gram))
+                self._signature = tuple(int(c) for c in counts)
         return self._signature
 
     # -- membership ----------------------------------------------------------
@@ -353,37 +373,82 @@ def subspace_equal(s1: Subspace, s2: Subspace, tol: float = 1e-8):
         return False, 1.0
     if s1.dim == 0:
         return True, 0.0
-    rej = s2.basis - (s2.basis @ s1.basis.T) @ s1.basis
-    residual = float(np.linalg.svd(rej, compute_uv=False)[0])
+    residual = float(principal_sine(s1.basis, s2.basis))
     return residual <= tol, residual
+
+
+def principal_sine(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Sine of the largest principal angle between the row spaces of
+    orthonormal bases b1 (..., m, 6) and b2 (..., k, 6), batched.
+
+    The largest singular value of b2's rejection off span b1; the leading
+    axes broadcast.
+    """
+    rej = b2 - (b2 @ np.swapaxes(b1, -1, -2)) @ b1
+    return np.linalg.svd(rej, compute_uv=False)[..., 0]
+
+
+def first_failure(failures):
+    """(k, exception) of the smallest flagged sample, or None.
+
+    failures: (mask, cause) pairs in check order, mask over samples and
+    cause(k) building the exception of that check; at one sample the
+    earlier check wins.
+    """
+    hits = [(int(np.argmax(mask)), order)
+            for order, (mask, _) in enumerate(failures) if np.any(mask)]
+    if not hits:
+        return None
+    k, order = min(hits)
+    return k, failures[order][1](k)
 
 
 # ---------------------------------------------------------------------------
 # the circle's worth of null lines in a (2,1) subspace
 # ---------------------------------------------------------------------------
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v)))
-    return -v if v[idx] < 0 else v
+def lightcone_frames(bases: np.ndarray):
+    """Batched lightcone frames: bases (..., 3, 6) orthonormal rows ->
+    (frames (..., 3, 6), ok (...)).
+
+    Frame rows (E1, E2, E3) have squares (+1, +1, -1): eigenvectors of the
+    Gram matrix sorted by descending eigenvalue, each sign-fixed by its
+    largest-magnitude coefficient.  ok marks signature (2, 1, 0); frames
+    elsewhere are meaningless.
+    """
+    gram = bases @ np.swapaxes(bases * SIGNS, -1, -2)
+    evals, evecs = np.linalg.eigh(gram)
+    n_plus, n_minus, n_zero = _signature_counts(evals)
+    ok = (n_plus == 2) & (n_minus == 1) & (n_zero == 0)
+    order = np.argsort(evals, axis=-1)[..., ::-1]  # two positive first
+    evals = np.take_along_axis(evals, order, axis=-1)
+    # each row is the vector-matrix product of its own eigenvector (a
+    # strided view, or a negated copy where the sign rule flips it),
+    # rounded exactly as the frame of one subspace always was, so cyclide
+    # meshes keep their bytes; one (3,3)@(3,6) product rounds differently
+    coeff = np.swapaxes(np.take_along_axis(evecs, order[..., None, :],
+                                           axis=-1), -1, -2)
+    lead = np.take_along_axis(
+        coeff, np.argmax(np.abs(coeff), axis=-1)[..., None], axis=-1)
+    rows = [np.where(lead[..., r, None, :] < 0,
+                     (-coeff[..., r, None, :]) @ bases,
+                     coeff[..., r, None, :] @ bases) for r in range(3)]
+    with np.errstate(divide="ignore"):
+        frames = (np.concatenate(rows, axis=-2)
+                  / np.sqrt(np.abs(evals))[..., None])
+    return frames, ok
 
 
 def lightcone_frame(s: Subspace) -> np.ndarray:
-    """Pseudo-orthonormal frame rows (E1, E2, E3) with squares (+1, +1, -1).
-
-    Deterministic: eigenvectors of the Gram matrix sorted by descending
-    eigenvalue, each sign-fixed by its largest-magnitude coefficient.
-    """
-    if s.dim != 3 or s.signature != (2, 1, 0):
+    """Pseudo-orthonormal frame rows (E1, E2, E3) of a (2,1) subspace; see
+    lightcone_frames."""
+    if s.dim == 3:
+        frame, ok = lightcone_frames(s.basis)
+    if s.dim != 3 or not ok:
         raise SignatureError(
             f"lightcone circle needs signature (2,1,0), got dim {s.dim} "
             f"signature {s.signature}"
         )
-    evals, evecs = np.linalg.eigh(s.gram)
-    order = np.argsort(evals)[::-1]  # two positive first, negative last
-    frame = np.empty((3, DIM))
-    for row, k in enumerate(order):
-        coeff = _canonical_sign(evecs[:, k])
-        frame[row] = (coeff @ s.basis) / np.sqrt(abs(evals[k]))
     return frame
 
 

@@ -18,6 +18,16 @@ def _cylinder_objects(grid):
     }
 
 
+_CYCLIDE_EVERY = 8
+
+
+def _cyclide_indices(grid):
+    """Up to three stored congruence cyclides to mesh: 0, 24 and 48 from
+    grid 49 on, fewer multiples of the sampling step on smaller grids."""
+    last = min(6, (grid - 1) // _CYCLIDE_EVERY)
+    return sorted({_CYCLIDE_EVERY * (j * last // 2) for j in range(3)})
+
+
 def cylinder_darboux(grid: int = 64, seed: int = 7) -> dict:
     """A cylinder, its Darboux transform, and the tangent cyclide family.
 
@@ -74,7 +84,7 @@ def cylinder_darboux(grid: int = 64, seed: int = 7) -> dict:
             {"id": "tangent-cyclides", "op": "congruence_contact",
              "grid": "cylinder", "hat_grid": "hat",
              "spheres_a": "generators", "spheres_b": "hat_spheres",
-             "sample_every": 8, "store_prefix": "cyclide",
+             "sample_every": _CYCLIDE_EVERY, "store_prefix": "cyclide",
              "assert": [{"key": "contact_residual", "max": 1e-8},
                         {"key": "membership_residual", "max": 1e-8},
                         {"key": "line_residual", "max": 1e-8}]},
@@ -84,10 +94,9 @@ def cylinder_darboux(grid: int = 64, seed: int = 7) -> dict:
             "meshes": [
                 {"object": "cylinder", "path": "cylinder.obj"},
                 {"object": "hat", "path": "darboux-transform.obj"},
-                {"object": "cyclide_0", "path": "congruence-cyclide-0.obj"},
-                {"object": "cyclide_24", "path": "congruence-cyclide-24.obj"},
-                {"object": "cyclide_48", "path": "congruence-cyclide-48.obj"},
-            ],
+            ] + [{"object": f"cyclide_{k}",
+                  "path": f"congruence-cyclide-{k}.obj"}
+                 for k in _cyclide_indices(grid)],
         },
     }
 

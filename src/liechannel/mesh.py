@@ -137,29 +137,42 @@ def mesh_from_grid(grid, scalars: Optional[dict] = None) -> MeshOutput:
                             grid.periodic_theta, scalars)
 
 
+#: rows per write in export_obj: whole-mesh strings would cost memory
+_WRITE_ROWS = 4096
+
+
+def _blocks(rows: np.ndarray):
+    for start in range(0, rows.shape[0], _WRITE_ROWS):
+        yield start, rows[start:start + _WRITE_ROWS]
+
+
 def export_obj(mesh: MeshOutput, path) -> str:
     """Write a Wavefront OBJ file; scalar channels go to a CSV sidecar.
 
     Returns the OBJ path.  Floats are written with full repr precision so a
-    reload reproduces the vertices bit for bit.
+    reload reproduces the vertices bit for bit.  Rows go out in blocks of
+    _WRITE_ROWS, so memory stays bounded for large meshes.
     """
     path = os.fspath(path)
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write("v {!r} {!r} {!r}\n".format(float(v[0]), float(v[1]),
-                                                 float(v[2])))
-        for f in mesh.faces:
-            fh.write("f {} {} {}\n".format(int(f[0]) + 1, int(f[1]) + 1,
-                                           int(f[2]) + 1))
+        for _, block in _blocks(mesh.vertices):
+            fh.writelines(map("v {!r} {!r} {!r}\n".format,
+                              *block.T.tolist()))
+        for _, block in _blocks(mesh.faces):
+            fh.write(("f %d %d %d\n" * block.shape[0])
+                     % tuple((block + 1).ravel().tolist()))
     if mesh.scalars:
         sidecar = (path[:-4] if path.endswith(".obj") else path) + ".scalars.csv"
         names = sorted(mesh.scalars)
+        columns = np.stack([np.asarray(mesh.scalars[n], dtype=float)
+                            for n in names], axis=-1)
         with open(sidecar, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["vertex"] + names)
-            for k in range(mesh.vertices.shape[0]):
-                writer.writerow([k] + [repr(float(mesh.scalars[n][k]))
-                                       for n in names])
+            for start, block in _blocks(columns):
+                writer.writerows(
+                    [k] + list(map(repr, row))
+                    for k, row in enumerate(block.tolist(), start))
     return path
 
 

@@ -539,6 +539,8 @@ def _key_if_set(key):
 
 
 def _stores_darboux(stage):
+    if "store" not in stage:
+        return []
     return [stage["store"], stage["store"] + "_spheres"]
 
 
@@ -546,7 +548,7 @@ def _stores_calapso(stage):
     if "store_prefix" not in stage:
         return []
     return [f"{stage['store_prefix']}_{float(lam)}"
-            for lam in stage["lambdas"]]
+            for lam in stage.get("lambdas", [])]
 
 
 _PAIR = ("a", "b")
@@ -606,12 +608,20 @@ def _safe_path(path: str) -> bool:
 
 
 def _schema_errors(validator, instance, *where) -> list:
+    return _messages(sorted(validator.iter_errors(instance), key=str), where)
+
+
+def _messages(schema_errors, where) -> list:
     errors = []
-    for err in sorted(validator.iter_errors(instance), key=str):
+    for err in schema_errors:
         path = " -> ".join(str(p) for p in where + tuple(err.absolute_path))
         errors.append("schema: " + (path + ": " if path else "")
                       + err.message)
     return errors
+
+
+#: the stage keys that stored names and prefixes are made from
+_NAME_KEYS = {"store", "store_prefix", "lambdas"}
 
 
 def _undefined(owner, decl, cfg, defined) -> list:
@@ -650,11 +660,14 @@ def validate_scene(config) -> list:
         if op is None:
             errors.append(f"stage '{sid}': unknown op '{stage['op']}'")
             continue
-        stage_errors = _schema_errors(_OP_VALIDATORS[stage["op"]], stage,
-                                      "pipeline", index)
-        errors += stage_errors + _undefined(f"stage '{sid}'", op, stage,
-                                            defined)
-        if not stage_errors:
+        stage_errors = sorted(_OP_VALIDATORS[stage["op"]].iter_errors(stage),
+                              key=str)
+        errors += (_messages(stage_errors, ("pipeline", index))
+                   + _undefined(f"stage '{sid}'", op, stage, defined))
+        # a bad parameter elsewhere must not hide what the stage stores,
+        # or every later stage using it reports an undefined reference
+        if not _NAME_KEYS & {err.absolute_path[0] for err in stage_errors
+                             if err.absolute_path}:
             defined.update(op.stores(stage))
             prefixes.extend(op.prefixes(stage))
 

@@ -29,18 +29,21 @@ from .core import (
     INFINITY_VEC,
     METRIC,
     GeometryError,
+    RankDeficiencyError,
     SignatureError,
     Subspace,
     complement_rows,
     expm,
+    first_failure,
     inner,
     lightcone_circle,
     lightcone_frame,
     orth_complement,
     orthonormal_rows,
+    principal_sine,
     projective_gap,
     span,
-    subspace_equal,
+    span_rows,
     unit_rows,
     wedge_matrix,
 )
@@ -378,15 +381,26 @@ def verify_ribaucour(s: SphereCurve, s_hat: SphereCurve) -> float:
             "element there and the criterion degenerates")
     d1, _ = s.derivatives()
     d1_hat, _ = s_hat.derivatives()
-    worst = 0.0
-    for k in range(s.vectors.shape[0]):
-        try:
-            a = span([s.vectors[k], d1[k], s_hat.vectors[k]])
-            b = span([s_hat.vectors[k], d1_hat[k], s.vectors[k]])
-        except GeometryError as exc:
-            raise GeometryError(f"span degenerates at sample {k}") from exc
-        worst = max(worst, subspace_equal(a, b)[1])
-    return worst
+    a, b = _checked_spans(
+        np.stack([s.vectors, d1, s_hat.vectors], axis=-2),
+        np.stack([s_hat.vectors, d1_hat, s.vectors], axis=-2),
+        "span degenerates at sample {}")
+    return float(np.max(principal_sine(a, b)))
+
+
+def _checked_spans(stack_a: np.ndarray, stack_b: np.ndarray, message: str):
+    """Orthonormal bases of two (n, 3, 6) stacks of spanning rows.
+
+    Raises GeometryError(message.format(k)) at the first sample k where
+    either stack drops rank, chained to that span's RankDeficiencyError.
+    """
+    (a, rank_a), (b, rank_b) = span_rows(stack_a), span_rows(stack_b)
+    hit = first_failure([
+        (rank_a < 3, lambda k: RankDeficiencyError(3, int(rank_a[k]))),
+        (rank_b < 3, lambda k: RankDeficiencyError(3, int(rank_b[k])))])
+    if hit is not None:
+        raise GeometryError(message.format(hit[0])) from hit[1]
+    return a, b
 
 
 def ribaucour_partner_curve(s: SphereCurve, beta, gamma,
@@ -476,10 +490,7 @@ def _batched_rejection(stacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
     stacks (..., k, 6) raw spanning rows; basis (..., k, 6) orthonormal
     rows of the reference space (broadcastable against stacks).
     """
-    ortho = orthonormal_rows(stacks)
-    proj = np.einsum("...kd,...md,...me->...ke", ortho, basis, basis)
-    rej = ortho - proj
-    return np.linalg.svd(rej, compute_uv=False)[..., 0]
+    return principal_sine(basis, orthonormal_rows(stacks))
 
 
 @dataclass
@@ -515,21 +526,14 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
     if np.min(np.abs(pair) / scale) <= 1e-12:
         raise GeometryError("curvature spheres coincide or span an element "
                             "somewhere: not a pointwise-distinct pair")
-    n = s.vectors.shape[0]
     d1_s, _ = s.derivatives()
     d1_hat, _ = s_hat.derivatives()
 
-    d1_spaces = np.empty((n, 3, DIM))
-    coincidence = 0.0
-    for k in range(n):
-        try:
-            a = span([s.vectors[k], s_hat.vectors[k], d1_s[k]])
-            b = span([s.vectors[k], s_hat.vectors[k], d1_hat[k]])
-        except GeometryError as exc:
-            raise GeometryError(
-                f"cyclide span degenerates at sample {k}") from exc
-        d1_spaces[k] = a.basis
-        coincidence = max(coincidence, subspace_equal(a, b)[1])
+    d1_spaces, b = _checked_spans(
+        np.stack([s.vectors, s_hat.vectors, d1_s], axis=-2),
+        np.stack([s.vectors, s_hat.vectors, d1_hat], axis=-2),
+        "cyclide span degenerates at sample {}")
+    coincidence = float(np.max(principal_sine(d1_spaces, b)))
 
     duality = theta_constancy = d2_coincidence = None
     rank_ok = None

@@ -7,6 +7,7 @@ tori) or were frozen from a first trusted run; every frozen number is
 recorded next to its assertion.
 """
 
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -21,15 +22,18 @@ from liechannel.core import (
     SIGNS,
     GeometryError,
     circle_phase,
+    lightcone_circle,
     lightcone_frame,
     parallel_transform_matrix,
     plane_lift,
     projective_gap,
     span,
     sphere_lift,
+    subspace_equal,
 )
 from liechannel.legendre import curvature_data, validate_legendre
 from liechannel.mesh import grid_point_spheres
+from liechannel import transforms as tr
 from liechannel.transforms import verify_ribaucour
 
 
@@ -259,6 +263,90 @@ def test_circle_congruence_rejects_non_ribaucour_pair():
     slow, fast = mismatch_pair()
     with pytest.raises(GeometryError, match="not a Ribaucour pair"):
         cf.circle_congruence(slow, fast, 5, [0.0])
+
+
+def _congruence_pairs():
+    u = np.linspace(-1.0, 1.0, 48)
+    return [
+        (cf.line_curve(n=48), cf.line_curve(n=48, origin=(2.0, 0.0, 0.0))),
+        (cf.circle_curve(n=48, radius=2.0), cf.circle_curve(n=48,
+                                                            radius=3.0)),
+        (cf.conformal_curve(_jet_line(1.0, 0.0), u),
+         cf.conformal_curve(_jet_line(1.0, 1.5), u)),
+    ]
+
+
+@pytest.mark.parametrize("pair", range(3), ids=["lines", "circles",
+                                                "profile"])
+def test_batched_congruence_residuals_match_per_sample_spans(pair):
+    c1, c2 = _congruence_pairs()[pair]
+    (v1, d1), (v2, d2) = ((c.lift.vectors, c.lift.derivatives()[0])
+                          for c in (c1, c2))
+    looped = [subspace_equal(span([v1[k], d1[k], v2[k]]),
+                             span([v2[k], d2[k], v1[k]]))[1]
+              for k in range(c1.n)]
+    report = cf.circle_congruence_report(c1, c2)
+    assert report.passed
+    assert np.array_equal(report.residuals, looped)
+    # the one-sample entry point sees the same circle as the report
+    k = 17
+    sub = span([v1[k], d1[k], v2[k]])
+    theta = np.linspace(0.0, 2.0 * np.pi, 5)
+    pts = lightcone_circle(sub, theta)
+    expected = pts[:, :3] / (pts[:, 3] + pts[:, 4])[:, None]
+    assert np.array_equal(cf.circle_congruence(c1, c2, k, theta), expected)
+
+
+def _planted(curve, flat=(), bent=()):
+    """A copy of curve whose lift derivative is parallel to the lift at
+    the `flat` samples and leaves the Ribaucour span at the `bent` ones."""
+    d1, d2 = curve.lift.derivatives()
+    d1 = d1.copy()
+    d1[list(flat)] = 3.0 * curve.lift.vectors[list(flat)]
+    d1[list(bent)] += np.array([0.0, 0.7, 0.0, 0.0, 0.0, 0.0])
+    bad = copy.copy(curve)
+    bad.lift = SphereCurve(curve.lift.vectors, curve.lift.u_values,
+                           jet=lambda u: (curve.lift.vectors, d1, d2))
+    return bad
+
+
+@pytest.mark.parametrize("flat, bent, named", [
+    ((23,), (), 23), ((40, 11), (), 11), ((40,), (20,), 20),
+    ((11,), (20,), 11)])
+def test_congruence_report_names_the_first_failing_sample(flat, bent,
+                                                          named):
+    axis, offset = lines()
+    bad = _planted(offset, flat, bent)
+    with pytest.raises(GeometryError,
+                       match=f"^congruence fails at sample {named}$"):
+        cf.circle_congruence_report(axis, bad)
+
+
+@pytest.mark.parametrize("check", ["verify_ribaucour", "ribaucour_cyclides",
+                                   "circle_congruence_report"])
+def test_curve_checks_make_as_many_linalg_calls_at_any_n(check,
+                                                         monkeypatch):
+    calls = []
+    for name in np.linalg.__all__:
+        original = getattr(np.linalg, name)
+        if callable(original) and not isinstance(original, type):
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+
+    def count(n):
+        axis = cf.line_curve(n=n)
+        offset = cf.line_curve(n=n, origin=(2.0, 0.0, 0.0))
+        del calls[:]
+        if check == "circle_congruence_report":
+            cf.circle_congruence_report(axis, offset)
+        else:
+            getattr(tr, check)(cf.tube_sphere_curve(axis, 1.0),
+                               cf.tube_sphere_curve(offset, 1.0))
+        return len(calls)
+
+    assert 0 < count(64) == count(512)
 
 
 def test_collinear_pair_envelopes_a_straight_line():

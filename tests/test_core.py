@@ -250,6 +250,38 @@ def test_subspace_equal_tolerances():
     assert subspace_equal(s1, span([e[0]]))[1] == 1.0
 
 
+def test_batched_helpers_match_the_subspace_api():
+    # a mix of signatures, one dependent stack and one zero stack
+    rng = np.random.default_rng(17)
+    stacks = rng.normal(size=(40, 3, 6))
+    stacks[5, 2] = 2.0 * stacks[5, 0]
+    stacks[9] = 0.0
+    bases, ranks = core.span_rows(stacks)
+    frames, ok = core.lightcone_frames(bases)
+    sines = core.principal_sine(bases[:-1], bases[1:])
+    full = []
+    for k, rows in enumerate(stacks):
+        try:
+            s = span(rows)
+        except RankDeficiencyError as exc:
+            assert ranks[k] == exc.achieved < 3
+            continue
+        full.append(k)
+        assert ranks[k] == 3
+        assert np.array_equal(bases[k], s.basis)
+        assert ok[k] == (s.signature == (2, 1, 0))
+        if ok[k]:
+            assert np.array_equal(frames[k], lightcone_frame(s))
+            gram = frames[k] @ (SIGNS * frames[k]).T
+            assert np.max(np.abs(gram - np.diag([1.0, 1.0, -1.0]))) <= 1e-12
+    assert list(ranks[[5, 9]]) == [2, 0]
+    assert 5 <= int(np.sum(ok)) < len(full)
+    for k in full:
+        if k + 1 in full:
+            assert sines[k] == subspace_equal(span(stacks[k]),
+                                              span(stacks[k + 1]))[1]
+
+
 # -- lightcone circles ---------------------------------------------------------
 
 

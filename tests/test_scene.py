@@ -110,6 +110,22 @@ def test_semantic_violations_are_reported():
     assert "must stay inside the artifact directory" in joined
 
 
+def test_a_bad_parameter_does_not_hide_what_the_stage_stores():
+    cfg = demo_config("cylinder-darboux", grid=16)
+    middle = next(s for s in cfg["pipeline"] if s["id"] == "middle-form")
+    middle["q_uu_expected"] = "minus one"
+    assert validate_scene(cfg) == [
+        "schema: pipeline -> 2 -> q_uu_expected: 'minus one' is not of "
+        "type 'number'"]
+    # a bad stored name still defines nothing
+    middle["q_uu_expected"] = -1.0
+    middle["store"] = "e/ta"
+    errors = validate_scene(cfg)
+    assert errors[0].startswith("schema: pipeline -> 2 -> store:")
+    assert "stage 'conserved': reference 'eta' is not defined before use" \
+        in errors
+
+
 def test_unknown_parameters_rejected():
     cfg = tiny_scene()
     cfg["objects"]["axis"]["wobble"] = 3
@@ -277,6 +293,23 @@ def test_each_grid_is_extracted_and_validated_once(tmp_path, monkeypatch):
     # one quotient-frame pass per grid: validation shares the curvature
     # extraction's frames, which depend only on the element
     assert sorted(map(str, sources)) == ["darboux", "envelope"]
+
+
+@pytest.mark.parametrize("name", demo_names())
+def test_every_demo_runs_at_small_grids(tmp_path, name, capsys):
+    # grid 16 runs every stage and writes every mesh; some tolerances are
+    # set for the default grid and fail this coarse (RK4 null drift,
+    # Calapso orthogonality, the helix's channel direction); grid 32
+    # passes them all
+    out = tmp_path / "o"
+    assert main(["demo", name, "--grid", "16", "--out", str(out)]) in (0, 1)
+    report = json.loads((out / name / "report.json").read_text())
+    config = demo_config(name, grid=16)
+    assert [s["id"] for s in report["stages"]] == [
+        s["id"] for s in config["pipeline"]]
+    for entry in config["outputs"].get("meshes", []):
+        assert (out / name / entry["path"]).exists()
+    assert main(["demo", name, "--grid", "32", "--out", str(out)]) == 0
 
 
 def test_demo_overrides():

@@ -29,6 +29,7 @@ from liechannel.core import (
     projective_gap,
     span,
     sphere_lift,
+    subspace_equal,
 )
 from liechannel.legendre import curvature_data, is_channel, validate_legendre
 from liechannel import transforms as tr
@@ -273,6 +274,62 @@ def test_verify_ribaucour_rejects_orthogonal_pairs():
     b = line_sphere_curve(n=64, origin=(2.0, 0.0, 0.0), radius=-1.0)
     with pytest.raises(GeometryError, match="orthogonal at sample"):
         tr.verify_ribaucour(a, b)
+
+
+def _per_sample_sines(stack_a, stack_b):
+    return np.array([subspace_equal(span(a), span(b))[1]
+                     for a, b in zip(stack_a, stack_b)])
+
+
+def _ribaucour_pairs():
+    a = line_sphere_curve(n=32, u_min=0.5, u_max=1.0)
+    return [
+        (line_sphere_curve(n=48), line_sphere_curve(n=48,
+                                                    origin=(2.0, 0.0, 0.0))),
+        (circle_sphere_curve(n=48), circle_sphere_curve(n=48,
+                                                        ring_radius=3.0)),
+        (a, curve_from_profile(fast_line_profile, 1.0, a.u_values)),
+    ]
+
+
+@pytest.mark.parametrize("pair", range(3), ids=["lines", "circles",
+                                                "profile"])
+def test_batched_ribaucour_checks_match_per_sample_spans(pair):
+    s, s_hat = _ribaucour_pairs()[pair]
+    d1, d1_hat = s.derivatives()[0], s_hat.derivatives()[0]
+    v, v_hat = s.vectors, s_hat.vectors
+    looped = _per_sample_sines(np.stack([v, d1, v_hat], axis=1),
+                               np.stack([v_hat, d1_hat, v], axis=1))
+    assert tr.verify_ribaucour(s, s_hat) == np.max(looped)
+    rep = tr.ribaucour_cyclides(s, s_hat)
+    looped = _per_sample_sines(np.stack([v, v_hat, d1], axis=1),
+                               np.stack([v, v_hat, d1_hat], axis=1))
+    assert rep.coincidence == np.max(looped)
+    for k in (0, 17, 31):
+        assert np.array_equal(rep.d1_basis[k], span([v[k], v_hat[k],
+                                                     d1[k]]).basis)
+
+
+def planted(curve, *samples):
+    """curve with its derivative made parallel to it at the given samples,
+    so every span containing both drops rank there."""
+    d1, d2 = curve.derivatives()
+    d1 = d1.copy()
+    d1[list(samples)] = 3.0 * curve.vectors[list(samples)]
+    return SphereCurve(curve.vectors, curve.u_values,
+                       jet=lambda u: (curve.vectors, d1, d2))
+
+
+@pytest.mark.parametrize("samples, named", [((23,), 23), ((40, 11), 11)])
+def test_planted_rank_loss_names_the_first_sample(samples, named):
+    s, s_hat = _ribaucour_pairs()[0]
+    bad = planted(s, *samples)
+    with pytest.raises(GeometryError,
+                       match=f"^span degenerates at sample {named}$"):
+        tr.verify_ribaucour(bad, s_hat)
+    with pytest.raises(GeometryError,
+                       match=f"^cyclide span degenerates at sample {named}$"):
+        tr.ribaucour_cyclides(bad, s_hat)
 
 
 def test_partner_curve_is_ribaucour_by_construction():
