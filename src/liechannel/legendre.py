@@ -43,22 +43,62 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return copy
 
 
+def _neighbour_pairs(fields: np.ndarray):
+    """(current, previous) vectors of every comparison a grid sweep makes:
+    row 0 along theta, then every u-row against the row before it,
+    flattened to shape ((nt - 1) + (nu - 1) * nt, d)."""
+    d = fields.shape[-1]
+    current = np.concatenate([fields[0, 1:], fields[1:].reshape(-1, d)])
+    previous = np.concatenate([fields[0, :-1], fields[:-1].reshape(-1, d)])
+    return current, previous
+
+
+def _sweep_flags(flip: np.ndarray, tie: np.ndarray, shape) -> np.ndarray:
+    """(nu, nt) flags of a greedy sweep, computed as segmented XOR scans.
+
+    flip and tie hold the comparisons of _neighbour_pairs, each taken
+    between *unaligned* neighbours (flip is false at a tie).  Flipping the earlier element of a
+    comparison exchanges its two scores exactly (a swapped pair or a
+    negated vector enters the same expressions), so the greedy flag is
+    f_i = f_{i-1} XOR flip_i -- except at a tie (equal scores, or a NaN),
+    where the greedy rule keeps element i whatever f_{i-1} was.  Row 0 is
+    scanned along theta from an unflipped corner, then every column along
+    u from its row-0 flag.
+    """
+    nu, nt = shape
+
+    def scan(first, flip, tie):
+        steps = np.concatenate([first[None], flip])
+        parity = np.logical_xor.accumulate(
+            np.concatenate([np.zeros_like(first)[None], steps]), axis=0)
+        index = np.arange(1, len(steps) + 1).reshape(
+            (-1,) + (1,) * first.ndim)
+        resets = np.concatenate([np.zeros_like(first)[None], tie])
+        start = np.maximum.accumulate(np.where(resets, index, 0), axis=0)
+        return parity[1:] ^ np.take_along_axis(parity, start, axis=0)
+
+    row0 = scan(np.zeros((), dtype=bool), flip[:nt - 1], tie[:nt - 1])
+    return scan(row0, flip[nt - 1:].reshape(nu - 1, nt),
+                tie[nt - 1:].reshape(nu - 1, nt))
+
+
 def align_signs_grid(fields: np.ndarray) -> np.ndarray:
     """Flip signs over a (nu, nt, d) grid so neighbouring vectors correlate.
 
-    Works row 0 along theta first, then each u-row against the previous one.
-    Purely a representative-smoothing device: the projective content is
-    unchanged.
+    The result is that of a greedy sweep -- row 0 along theta, then each
+    u-row against the previous, already aligned one, flipping a vector
+    whose dot product with its predecessor is negative -- computed as one
+    batched dot product of the unaligned neighbours and a scan over the
+    flips (see _sweep_flags).  A dot product of zero or NaN is a tie: the
+    vector keeps its sign.  Purely a representative-smoothing device: the
+    projective content is unchanged.
     """
     out = np.array(fields, dtype=float)
-    row = out[0]
-    for j in range(1, row.shape[0]):
-        if np.dot(row[j], row[j - 1]) < 0.0:
-            row[j] = -row[j]
-    for i in range(1, out.shape[0]):
-        flip = np.einsum("jd,jd->j", out[i], out[i - 1]) < 0.0
-        out[i][flip] = -out[i][flip]
-    return out
+    current, previous = _neighbour_pairs(out)
+    dot = np.einsum("kd,kd->k", current, previous)
+    flip = dot < 0.0
+    flags = _sweep_flags(flip, ~(flip | (dot > 0.0)), out.shape[:2])
+    return np.where(flags[..., None], -out, out)
 
 
 def _pair_mismatch(a1, a2, b1, b2):
@@ -71,34 +111,27 @@ def align_labels_grid(*pairs):
 
     pairs is a sequence of (field1, field2) tuples that must be swapped in
     lockstep (directions plus their kernel spheres).  Continuity is judged on
-    the first pair.  The greedy sweep (row 0 along theta, then row by row)
+    the first pair.  The result is that of a greedy sweep -- row 0 along
+    theta, then each u-row against the previous, already relabelled one,
+    swapping where the crossed pairing has the smaller mismatch -- which
     removes the label flicker that per-point conventions produce wherever
-    the two families happen to tie on the convention's score.
+    the two families happen to tie on the convention's score.  It is
+    computed as one batched "keep" and "swap" score of the unrelabelled
+    neighbours and a scan over the swaps (see _sweep_flags); equal scores,
+    or a NaN, are a tie, and a tie keeps the labels.
     """
     outs = [(np.array(p, dtype=float), np.array(q, dtype=float))
             for p, q in pairs]
     d1, d2 = outs[0]
-    nu, nt = d1.shape[:2]
-
-    def swap_at(mask):
-        for p, q in outs:
-            tmp = np.array(p[mask])
-            p[mask] = q[mask]
-            q[mask] = tmp
-
-    for j in range(1, nt):
-        keep = _pair_mismatch(d1[0, j], d2[0, j], d1[0, j - 1], d2[0, j - 1])
-        swap = _pair_mismatch(d1[0, j], d2[0, j], d2[0, j - 1], d1[0, j - 1])
-        if swap < keep:
-            swap_at((0, j))
-    for i in range(1, nu):
-        keep = _pair_mismatch(d1[i], d2[i], d1[i - 1], d2[i - 1])
-        swap = _pair_mismatch(d1[i], d2[i], d2[i - 1], d1[i - 1])
-        row_mask = np.zeros((nu, nt), dtype=bool)
-        row_mask[i] = swap < keep
-        if row_mask.any():
-            swap_at(row_mask)
-    return [x for pair in outs for x in pair]
+    cur1, prev1 = _neighbour_pairs(d1)
+    cur2, prev2 = _neighbour_pairs(d2)
+    keep = _pair_mismatch(cur1, cur2, prev1, prev2)
+    swap = _pair_mismatch(cur1, cur2, prev2, prev1)
+    flip = swap < keep
+    flags = _sweep_flags(flip, ~(flip | (keep < swap)), d1.shape[:2])
+    flags = flags[..., None]
+    return [x for p, q in outs
+            for x in (np.where(flags, q, p), np.where(flags, p, q))]
 
 
 @dataclass(frozen=True, eq=False)

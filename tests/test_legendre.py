@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liechannel import presets
+from liechannel import legendre as legendre_module, presets
 from liechannel.core import (
     SIGNS,
     GeometryError,
@@ -467,6 +467,123 @@ def test_align_labels_grid_unscrambles_swaps():
     assert np.max(np.abs(d2 - b)) <= 1e-14
     assert np.max(np.abs(s1[..., 1])) <= 1e-14
     assert np.max(np.abs(s2[..., 0])) <= 1e-14
+
+
+def greedy_signs(fields):
+    """Reference: the row-by-row greedy sign sweep the scan replaces.
+
+    Row 0 takes its dot products with einsum, like the other rows: np.dot
+    may fuse multiply-adds, and then reads a planted zero as a rounding
+    residue of either sign.
+    """
+    out = np.array(fields, dtype=float)
+    row = out[0]
+    for j in range(1, row.shape[0]):
+        if np.einsum("d,d->", row[j], row[j - 1]) < 0.0:
+            row[j] = -row[j]
+    for i in range(1, out.shape[0]):
+        flip = np.einsum("jd,jd->j", out[i], out[i - 1]) < 0.0
+        out[i][flip] = -out[i][flip]
+    return out
+
+
+def greedy_labels(*pairs):
+    """Reference: the row-by-row greedy label sweep the scan replaces."""
+    outs = [(np.array(p, dtype=float), np.array(q, dtype=float))
+            for p, q in pairs]
+    d1, d2 = outs[0]
+    nu, nt = d1.shape[:2]
+
+    def mismatch(a1, a2, b1, b2):
+        return projective_gap(a1, b1) ** 2 + projective_gap(a2, b2) ** 2
+
+    def swap_at(mask):
+        for p, q in outs:
+            tmp = np.array(p[mask])
+            p[mask] = q[mask]
+            q[mask] = tmp
+
+    for j in range(1, nt):
+        keep = mismatch(d1[0, j], d2[0, j], d1[0, j - 1], d2[0, j - 1])
+        swap = mismatch(d1[0, j], d2[0, j], d2[0, j - 1], d1[0, j - 1])
+        if swap < keep:
+            swap_at((0, j))
+    for i in range(1, nu):
+        keep = mismatch(d1[i], d2[i], d1[i - 1], d2[i - 1])
+        swap = mismatch(d1[i], d2[i], d2[i - 1], d1[i - 1])
+        row_mask = np.zeros((nu, nt), dtype=bool)
+        row_mask[i] = swap < keep
+        if row_mask.any():
+            swap_at(row_mask)
+    return [x for pair in outs for x in pair]
+
+
+@st.composite
+def planted_ties(draw):
+    """Two (nu, nt, d) fields with exact ties planted along the sweep.
+
+    Entries are Gaussian or drawn from {-1, 0, 1} (zero vectors and exact
+    coincidences then occur on their own).  On top of that, elements are
+    overwritten by a copy of their sweep predecessor (a repeated element),
+    a rotation of it (dot product exactly 0), a NaN, or -- in the second
+    field -- a copy of the first (both directions coincide, so the keep
+    and swap scores are equal).
+    """
+    nu, nt = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    d = draw(st.sampled_from([2, 3, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        a, b = rng.integers(-1, 2, size=(2, nu, nt, d)).astype(float)
+    else:
+        a, b = rng.normal(size=(2, nu, nt, d))
+    for kind in draw(st.lists(st.sampled_from(
+            ["repeat", "orthogonal", "nan", "coincide"]), max_size=8)):
+        i, j = int(rng.integers(nu)), int(rng.integers(nt))
+        prev = (i - 1, j) if i else (0, j - 1)
+        if kind == "nan":
+            a[i, j, rng.integers(d)] = np.nan
+        elif kind == "coincide":
+            b[i, j] = a[i, j]
+        elif min(prev) >= 0:
+            for f in (a, b):
+                f[i, j] = f[prev]
+                if kind == "orthogonal":
+                    f[i, j, :2] = -f[prev][1], f[prev][0]
+    return a, b
+
+
+def test_curvature_extraction_makes_as_many_gap_calls_at_any_size(
+        monkeypatch):
+    calls = []
+    original = legendre_module.projective_gap
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+    monkeypatch.setattr(legendre_module, "projective_gap", counting)
+
+    def count(n_u, n_theta):
+        grid = make_legendre_from_surface(*presets.cylinder_surface(
+            n_u=n_u, n_theta=n_theta))
+        del calls[:]
+        curvature_data(grid)
+        return len(calls)
+
+    assert 0 < count(64, 8) == count(512, 8) == count(64, 64) == count(512, 64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=planted_ties())
+def test_alignment_scans_match_the_greedy_sweeps(fields):
+    a, b = fields
+    with np.errstate(invalid="ignore", divide="ignore"):
+        signs = [align_signs_grid(a)], [greedy_signs(a)]
+        labels = (align_labels_grid((a, b), (2.0 * a, 3.0 * b)),
+                  greedy_labels((a, b), (2.0 * a, 3.0 * b)))
+    for got, want in (signs, labels):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y, equal_nan=True)
 
 
 # -- properties -------------------------------------------------------------------
