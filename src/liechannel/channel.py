@@ -339,7 +339,7 @@ def special_lift(curve: SphereCurve, mode: str = "unit",
     raise ValueError(f"unknown lift mode {mode!r}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Omega0Structure:
     """The middle one-form of a channel grid and its quadratic differential.
 
@@ -349,6 +349,10 @@ class Omega0Structure:
     quadratic differential.  closedness and bracket are the measured
     discrete residuals of d(eta) = 0 and [eta ^ eta] = 0; both vanish to
     rounding because eta is theta-independent with one component.
+
+    The structure is immutable; data derived from it (the connection at
+    the RK4 nodes of the transform flows) is computed once and kept in
+    the private _derived dict.
     """
 
     sigma1: np.ndarray            # (n, 6) special lift
@@ -360,6 +364,7 @@ class Omega0Structure:
     star_convention: str
     closedness: float
     bracket: float
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def du(self) -> float:

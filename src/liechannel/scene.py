@@ -65,6 +65,7 @@ from .transforms import (
     gauge_edge_residual,
     ribaucour_cyclides,
     verify_ribaucour,
+    _cyclide_spans,
 )
 
 REPORT_SCHEMA = "liechannel-report/1"
@@ -364,32 +365,36 @@ def _op_darboux(args, ctx):
     return out
 
 
-def _op_calapso(args, ctx):
+def _calapso_measurements(args, ctx, lam):
+    """One spectral parameter of the calapso op.  Its transformed grid
+    and derived arrays are released before the next parameter's."""
     grid, omega = args["grid"], args["omega"]
-    per_lambda = {}
-    for lam in args["lambdas"]:
-        gauge, out = calapso_transform(grid, omega, lam,
-                                       **_given(args, "substeps"))
-        q_dev = float(np.max(np.abs(
-            calapso_quadratic_form(gauge, omega) - omega.q_uu)))
-        channel = is_channel(out)
-        pushed = unit_rows(gauge.push(omega.sigma1))
-        data = curvature_data(out)
-        s1 = unit_rows(data.s1)
-        gap = float(np.max(np.minimum(
-            np.linalg.norm(s1 - pushed[:, None], axis=-1),
-            np.linalg.norm(s1 + pushed[:, None], axis=-1))))
-        per_lambda[str(float(lam))] = {
-            "ortho_defect": gauge.ortho_defect,
-            "edge_residual": gauge_edge_residual(gauge, omega),
-            "q_deviation": q_dev,
-            "circular_dir": channel.circular_dir,
-            "dir1_circular": channel.circular("dir1"),
-            "sphere_map_gap": gap,
-            "validation_passed": validate_legendre(out).passed,
-        }
-        if "store_prefix" in args:
-            ctx.objects[f"{args['store_prefix']}_{float(lam)}"] = out
+    gauge, out = calapso_transform(grid, omega, lam,
+                                   **_given(args, "substeps"))
+    q_dev = float(np.max(np.abs(
+        calapso_quadratic_form(gauge, omega) - omega.q_uu)))
+    channel = is_channel(out)
+    pushed = unit_rows(gauge.push(omega.sigma1))
+    s1 = unit_rows(curvature_data(out).s1)
+    gap = float(np.max(np.minimum(
+        np.linalg.norm(s1 - pushed[:, None], axis=-1),
+        np.linalg.norm(s1 + pushed[:, None], axis=-1))))
+    if "store_prefix" in args:
+        ctx.objects[f"{args['store_prefix']}_{float(lam)}"] = out
+    return {
+        "ortho_defect": gauge.ortho_defect,
+        "edge_residual": gauge_edge_residual(gauge, omega),
+        "q_deviation": q_dev,
+        "circular_dir": channel.circular_dir,
+        "dir1_circular": channel.circular("dir1"),
+        "sphere_map_gap": gap,
+        "validation_passed": validate_legendre(out).passed,
+    }
+
+
+def _op_calapso(args, ctx):
+    per_lambda = {str(float(lam)): _calapso_measurements(args, ctx, lam)
+                  for lam in args["lambdas"]}
     return {
         "per_lambda": per_lambda,
         "ortho_max": max(v["ortho_defect"] for v in per_lambda.values()),
@@ -435,7 +440,7 @@ def _op_congruence_contact(args, ctx):
     """
     f, f_hat = args["grid"], args["hat_grid"]
     s, s_hat = args["spheres_a"], args["spheres_b"]
-    rep = ribaucour_cyclides(s, s_hat)
+    d1_basis, _ = _cyclide_spans(s, s_hat)
     nu = f.shape[0]
     every = args.get("sample_every", max(1, nu // 8))
     probes = np.linspace(0.0, 2.0 * np.pi, args.get("n_probe", 16),
@@ -446,7 +451,7 @@ def _op_congruence_contact(args, ctx):
     dropped = 0
     count = 0
     for k in range(0, nu, every):
-        cyc = dupin_from_subspace(rep.d1_basis[k],
+        cyc = dupin_from_subspace(d1_basis[k],
                                   provenance=f"congruence u-index {k}")
         su = unit_rows(np.stack([s.vectors[k], s_hat.vectors[k]]))
         membership = max(membership,

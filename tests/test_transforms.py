@@ -498,6 +498,71 @@ def test_calapso_substep_refinement_and_gate():
         tr.calapso_transform(grid, omega, 2.0, substeps=1, ortho_tol=1e-14)
 
 
+def stepwise_rk4(nodes, y0, h, coeff):
+    """Reference: classical RK4 on y' = coeff * eta(u) y, stage by stage."""
+    substeps = nodes.shape[1]
+    hs = h / substeps
+    out = np.empty((nodes.shape[0] + 1,) + y0.shape)
+    out[0] = y = y0
+    for e in range(nodes.shape[0]):
+        for k in range(substeps):
+            a0, am, a1 = nodes[e, k]
+            k1 = coeff * (a0 @ y)
+            k2 = coeff * (am @ (y + 0.5 * hs * k1))
+            k3 = coeff * (am @ (y + 0.5 * hs * k2))
+            k4 = coeff * (a1 @ (y + hs * k3))
+            y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[e + 1] = y
+    return out
+
+
+@lru_cache(maxsize=None)
+def torus_omega(n=32):
+    curve = circle_sphere_curve(n=n, ring_radius=2.0, radius=0.7)
+    return omega0_form(envelope(curve, n_theta=8), curve.vectors)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.5, 2.0])
+def test_batched_rk4_matches_stepwise_rk4_on_a_torus(lam):
+    # on a curved channel the Hermite nodes are not exact, so every
+    # stage of the step matrices carries weight
+    omega = torus_omega()
+    nodes = tr._edge_connection(omega, 4)
+    phi0 = np.array([1.0, 0.5, -0.25, 2.0, 0.3, 1.5])
+    for y0 in (np.eye(6), phi0):
+        got = tr._rk4_flow(nodes, y0, omega.du, -lam)
+        want = stepwise_rk4(nodes, y0, omega.du, -lam)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_rk4_flow_is_fourth_order_under_substep_doubling():
+    omega = torus_omega()
+    ends = [tr._rk4_flow(tr._edge_connection(omega, k), np.eye(6),
+                         omega.du, -1.0)[-1] for k in (2, 4, 8)]
+    first = np.max(np.abs(ends[0] - ends[1]))
+    second = np.max(np.abs(ends[1] - ends[2]))
+    assert 3.7 <= np.log2(first / second) <= 4.3      # measured 4.05
+
+
+def test_edge_connection_is_built_once_per_structure(monkeypatch):
+    curve = line_sphere_curve(n=16)
+    grid = envelope(curve, n_theta=8)
+    omega = omega0_form(grid, curve.vectors)
+    builds = []
+    original = tr.wedge_matrix
+
+    def counting(*args):
+        builds.append(1)
+        return original(*args)
+    monkeypatch.setattr(tr, "wedge_matrix", counting)
+    for lam in (-1.0, 0.5, 1.0, 2.0):
+        tr.calapso_transform(grid, omega, lam)
+    nodes = tr._edge_connection(omega, 4)
+    assert len(builds) == 1                       # one batched wedge
+    assert not nodes.flags.writeable
+    assert tr._edge_connection(omega, 2).shape[1] == 2
+
+
 @settings(max_examples=6, deadline=None)
 @given(lam=st.floats(0.25, 2.0))
 def test_calapso_property_gauge_consistency(lam):
