@@ -350,9 +350,9 @@ class Omega0Structure:
     discrete residuals of d(eta) = 0 and [eta ^ eta] = 0; both vanish to
     rounding because eta is theta-independent with one component.
 
-    The structure is immutable; data derived from it (the connection at
-    the RK4 nodes of the transform flows) is computed once and kept in
-    the private _derived dict.
+    The structure is immutable; data derived from it (the special lift
+    interpolated at the RK4 nodes of the transform flows) is computed
+    once and kept in the private _derived dict.
     """
 
     sigma1: np.ndarray            # (n, 6) special lift

@@ -90,24 +90,26 @@ def _edge_connection(omega: Omega0Structure, substeps: int):
     connection at the start, middle and end of each substep.  It is a
     view of the 2 * substeps * n_edges + 1 distinct nodes (a substep ends
     where the next one starts, and the Hermite cubic reproduces the
-    samples exactly at both ends of an edge), which are built once per
-    structure and substep count.
+    samples exactly at both ends of an edge).  The Hermite values and
+    derivatives at those nodes are computed once per structure and
+    substep count; the matrices, six times their size, are formed per
+    call and not kept.
     """
-    key = ("edge_connection", substeps)
+    key = ("rk4_nodes", substeps)
     if key not in omega._derived:
         s, d = omega.sigma1, omega.dsigma1
         left, right = _edge_index_pairs(s.shape[0], omega.periodic_u)
         t = (np.arange(2 * substeps) / (2 * substeps))[:, None]
         val, der = _hermite(s[left, None], d[left, None], s[right, None],
                             d[right, None], omega.du, t)
-        unique = wedge_matrix(
-            np.concatenate([val.reshape(-1, DIM), s[right[-1:]]]),
-            np.concatenate([der.reshape(-1, DIM), d[right[-1:]]]))
-        windows = np.lib.stride_tricks.sliding_window_view(
-            unique, 3, axis=0)[::2]                    # (n_edges * substeps, 6, 6, 3)
-        omega._derived[key] = np.moveaxis(windows, -1, 1).reshape(
-            left.size, substeps, 3, DIM, DIM)
-    return omega._derived[key]
+        val = np.concatenate([val.reshape(-1, DIM), s[right[-1:]]])
+        der = np.concatenate([der.reshape(-1, DIM), d[right[-1:]]])
+        val.flags.writeable = der.flags.writeable = False
+        omega._derived[key] = val, der
+    unique = wedge_matrix(*omega._derived[key])
+    windows = np.lib.stride_tricks.sliding_window_view(
+        unique, 3, axis=0)[::2]                 # (n_edges * substeps, 6, 6, 3)
+    return np.moveaxis(windows, -1, 1).reshape(-1, substeps, 3, DIM, DIM)
 
 
 def _rk4_flow(nodes: np.ndarray, y0: np.ndarray, h: float, coeff: float):

@@ -544,23 +544,25 @@ def test_rk4_flow_is_fourth_order_under_substep_doubling():
     assert 3.7 <= np.log2(first / second) <= 4.3      # measured 4.05
 
 
-def test_edge_connection_is_built_once_per_structure(monkeypatch):
+def test_rk4_nodes_are_interpolated_once_per_structure(monkeypatch):
     curve = line_sphere_curve(n=16)
     grid = envelope(curve, n_theta=8)
     omega = omega0_form(grid, curve.vectors)
     builds = []
-    original = tr.wedge_matrix
+    original = tr._hermite
 
     def counting(*args):
         builds.append(1)
         return original(*args)
-    monkeypatch.setattr(tr, "wedge_matrix", counting)
+    monkeypatch.setattr(tr, "_hermite", counting)
     for lam in (-1.0, 0.5, 1.0, 2.0):
         tr.calapso_transform(grid, omega, lam)
-    nodes = tr._edge_connection(omega, 4)
-    assert len(builds) == 1                       # one batched wedge
-    assert not nodes.flags.writeable
-    assert tr._edge_connection(omega, 2).shape[1] == 2
+    tr.darboux_transform(grid, omega, 1.0, tr.darboux_initial_condition(
+        seed_space(), curve.vectors[0], seed=7))
+    assert len(builds) == 1
+    assert not tr._edge_connection(omega, 4).flags.writeable
+    assert tr._edge_connection(omega, 2).shape == (15, 2, 3, 6, 6)
+    assert len(builds) == 2
 
 
 @settings(max_examples=6, deadline=None)
