@@ -57,11 +57,12 @@ def _sweep_flags(flip: np.ndarray, tie: np.ndarray, shape) -> np.ndarray:
     """(nu, nt) flags of a greedy sweep, computed as segmented XOR scans.
 
     flip and tie hold the comparisons of _neighbour_pairs, each taken
-    between *unaligned* neighbours (flip is false at a tie).  Flipping the earlier element of a
-    comparison exchanges its two scores exactly (a swapped pair or a
-    negated vector enters the same expressions), so the greedy flag is
-    f_i = f_{i-1} XOR flip_i -- except at a tie (equal scores, or a NaN),
-    where the greedy rule keeps element i whatever f_{i-1} was.  Row 0 is
+    between *unaligned* neighbours (flip is false at a tie).  Flipping
+    the earlier element of a comparison exchanges its two scores exactly
+    (a swapped pair or a negated vector enters the same expressions), so
+    the greedy flag is f_i = f_{i-1} XOR flip_i -- except at a tie (equal
+    scores, or a NaN), where the greedy rule keeps element i whatever
+    f_{i-1} was.  Row 0 is
     scanned along theta from an unflipped corner, then every column along
     u from its row-0 flag.
     """
@@ -98,7 +99,7 @@ def align_signs_grid(fields: np.ndarray) -> np.ndarray:
     dot = np.einsum("kd,kd->k", current, previous)
     flip = dot < 0.0
     flags = _sweep_flags(flip, ~(flip | (dot > 0.0)), out.shape[:2])
-    return np.where(flags[..., None], -out, out)
+    return np.negative(out, out=out, where=flags[..., None])
 
 
 def _pair_mismatch(a1, a2, b1, b2):
@@ -120,18 +121,17 @@ def align_labels_grid(*pairs):
     neighbours and a scan over the swaps (see _sweep_flags); equal scores,
     or a NaN, are a tie, and a tie keeps the labels.
     """
-    outs = [(np.array(p, dtype=float), np.array(q, dtype=float))
-            for p, q in pairs]
-    d1, d2 = outs[0]
+    pairs = [(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+             for p, q in pairs]
+    d1, d2 = pairs[0]
     cur1, prev1 = _neighbour_pairs(d1)
     cur2, prev2 = _neighbour_pairs(d2)
     keep = _pair_mismatch(cur1, cur2, prev1, prev2)
     swap = _pair_mismatch(cur1, cur2, prev2, prev1)
     flip = swap < keep
     flags = _sweep_flags(flip, ~(flip | (keep < swap)), d1.shape[:2])
-    flags = flags[..., None]
-    return [x for p, q in outs
-            for x in (np.where(flags, q, p), np.where(flags, p, q))]
+    return [x for p, q in pairs for x in (np.where(flags[..., None], q, p),
+                                          np.where(flags[..., None], p, q))]
 
 
 @dataclass(frozen=True, eq=False)

@@ -107,8 +107,9 @@ def _edge_connection(omega: Omega0Structure, substeps: int):
         val.flags.writeable = der.flags.writeable = False
         omega._derived[key] = val, der
     unique = wedge_matrix(*omega._derived[key])
+    # windows of three consecutive nodes, one per substep: (.., 6, 6, 3)
     windows = np.lib.stride_tricks.sliding_window_view(
-        unique, 3, axis=0)[::2]                 # (n_edges * substeps, 6, 6, 3)
+        unique, 3, axis=0)[::2]
     return np.moveaxis(windows, -1, 1).reshape(-1, substeps, 3, DIM, DIM)
 
 

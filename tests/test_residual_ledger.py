@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from make_residual_ledger import LEDGER_PATH, SCENES, demo_entries, scene_entries
+from make_residual_ledger import (LEDGER_PATH, SCENES, demo_entries,
+                                  scene_entries)
 
 with open(LEDGER_PATH) as _fh:
     LEDGER = json.load(_fh)
