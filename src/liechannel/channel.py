@@ -25,11 +25,13 @@ from .core import (
     Subspace,
     complement_rows,
     inner,
+    inv3,
     lightcone_frame,
     projective_gap,
+    small_eigvalsh,
     wedge_matrix,
 )
-from .legendre import LegendreGrid, curvature_data, is_channel
+from .legendre import LegendreGrid, _read_only, curvature_data, is_channel
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +210,7 @@ def helix_sphere_curve(n: int = 64, ring_radius: float = 2.0,
 
 def _signature_21(stacks: np.ndarray) -> np.ndarray:
     """Per-sample verdict: do the three rows span a (2,1) space?"""
-    gram = stacks @ np.swapaxes(SIGNS * stacks, -1, -2)
-    ev = np.linalg.eigvalsh(gram)
+    ev = small_eigvalsh(stacks @ np.swapaxes(SIGNS * stacks, -1, -2))
     tol = 1e-9 * np.maximum(np.max(np.abs(ev), axis=-1), 1e-300)[:, None]
     return (np.sum(ev > tol, axis=-1) == 2) & (np.sum(ev < -tol, axis=-1) == 1)
 
@@ -221,19 +222,19 @@ def osculating_spaces(curve: SphereCurve):
     return stacks, _signature_21(stacks)
 
 
-def _transport_frame(prev: np.ndarray, fiber: np.ndarray) -> np.ndarray:
+def _transport_frame(prev: np.ndarray, fiber: np.ndarray,
+                     gram_inv: np.ndarray) -> np.ndarray:
     """Carry a (+,+,-) frame into the next fibre by metric projection.
 
-    Projects each frame row onto the span of the fibre rows, then runs a
-    signature-aware Gram-Schmidt.  Sign continuity with the previous frame
-    is restored afterwards (flips keep orthonormality).
+    Projects each frame row onto the span of the fibre rows (gram_inv is
+    the inverse of the fibre's Gram matrix, non-finite where it is
+    singular), then runs a signature-aware Gram-Schmidt.  Sign continuity
+    with the previous frame is restored afterwards (flips keep
+    orthonormality).
     """
-    gram = fiber @ (SIGNS * fiber).T
-    try:
-        coords = np.linalg.solve(gram, fiber @ (SIGNS * prev).T)
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError("circle-frame transport degenerated") from exc
-    cand = coords.T @ fiber
+    if not np.all(np.isfinite(gram_inv)):
+        raise GeometryError("circle-frame transport degenerated")
+    cand = (gram_inv @ (fiber @ (SIGNS * prev).T)).T @ fiber
     out = np.empty_like(cand)
     signs = (1.0, 1.0, -1.0)
     for k in range(3):
@@ -282,16 +283,17 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
             "(sphere-curve inflection)")
 
     perp = complement_rows(stacks)
+    gram_inv = inv3(perp @ np.swapaxes(SIGNS * perp, -1, -2))
     n = curve.u_values.size
     frames = np.empty((n, 3, DIM))
     frames[0] = lightcone_frame(Subspace(perp[0]))
     for k in range(1, n):
-        frames[k] = _transport_frame(frames[k - 1], perp[k])
+        frames[k] = _transport_frame(frames[k - 1], perp[k], gram_inv[k])
 
     metadata = {"source": "envelope"}
     periodic_u = curve.periodic_u
     if periodic_u:
-        wrap = _transport_frame(frames[-1], perp[0])
+        wrap = _transport_frame(frames[-1], perp[0], gram_inv[0])
         mismatch = float(np.max(np.abs(wrap - frames[0])))
         metadata["holonomy_mismatch"] = mismatch
         if mismatch > holonomy_tol:
@@ -384,7 +386,7 @@ def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
     identity on the circular one, so d(sigma1) having only a u-component
     makes eta = wedge(sigma1, sigma1') du.
     """
-    sigma1 = np.asarray(sigma1, dtype=float)
+    sigma1 = _read_only(sigma1)
     nu, nt = grid.shape
     if sigma1.shape != (nu, DIM):
         raise GeometryError("sigma1 must be a u-grid of 6-vectors")

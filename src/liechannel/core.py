@@ -366,26 +366,146 @@ def subspace_equal(s1: Subspace, s2: Subspace, tol: float = 1e-8):
 
     The sine is taken from the rejection of one basis off the other subspace,
     which is stable down to rounding level (sqrt(1 - cos^2) would floor out
-    near sqrt(machine eps)).  Subspaces of different dimension are never
+    near sqrt(machine eps)).  Subspaces of more than three dimensions are
+    compared through their Euclidean complements, which have the same
+    largest principal angle.  Subspaces of different dimension are never
     equal; the residual is then 1.
     """
     if s1.dim != s2.dim:
         return False, 1.0
-    if s1.dim == 0:
+    if s1.dim in (0, DIM):
         return True, 0.0
-    residual = float(principal_sine(s1.basis, s2.basis))
+    b1, b2 = s1.basis, s2.basis
+    if s1.dim > 3:
+        b1, b2 = (orthonormal_rows(b, DIM)[s1.dim:] for b in (b1, b2))
+    residual = float(principal_sine(b1, b2))
     return residual <= tol, residual
 
 
 def principal_sine(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Sine of the largest principal angle between the row spaces of
-    orthonormal bases b1 (..., m, 6) and b2 (..., k, 6), batched.
+    orthonormal bases b1 (..., m, 6) and b2 (..., k, 6), k <= 3, batched.
 
-    The largest singular value of b2's rejection off span b1; the leading
-    axes broadcast.
+    The largest singular value of b2's rejection off span b1, taken as the
+    square root of the largest eigenvalue of the rejection's k x k Gram
+    matrix (small_eigvalsh).  The rejection is formed explicitly, so the
+    squared sine keeps its relative accuracy down to rounding level.  The
+    leading axes broadcast.
     """
     rej = b2 - (b2 @ np.swapaxes(b1, -1, -2)) @ b1
-    return np.linalg.svd(rej, compute_uv=False)[..., 0]
+    top = small_eigvalsh(rej @ np.swapaxes(rej, -1, -2))[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+#: 1 - |r| below which small_eigvalsh deflates a 3 x 3 matrix
+_DEFLATE_TOL = 1e-2
+
+
+def _cross(x, y):
+    return np.stack([x[..., 1] * y[..., 2] - x[..., 2] * y[..., 1],
+                     x[..., 2] * y[..., 0] - x[..., 0] * y[..., 2],
+                     x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]], axis=-1)
+
+
+def inv3(a: np.ndarray) -> np.ndarray:
+    """Inverses of (..., 3, 3) matrices from the adjugate, batched.
+
+    Column j of the adjugate is the cross product of the other two rows,
+    and the determinant is row 0 against column 0.  The error is about
+    cond * eps, as for LU; a singular matrix gives non-finite entries
+    instead of an exception.
+    """
+    a = np.asarray(a, dtype=float)
+    r0, r1, r2 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    adj = np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)], axis=-1)
+    det = np.einsum("...i,...i->...", r0, adj[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return adj / det[..., None, None]
+
+
+def _deflated_eigvalsh3(c, single):
+    """Ascending eigenvalues of trace-free symmetric (n, 3, 3) matrices c
+    whose eigenvalue `single` (n,) lies well apart from a close pair.
+
+    The eigenvector v of `single` is the longest cross product of two rows
+    of c - single * I.  On the plane orthogonal to v, c is the pair's mean
+    -single / 2 plus the trace-free part of
+    W = c + (single / 2) I - (3 single / 2) v v^T, which vanishes on v; the
+    pair is -single / 2 -+ |W|_F / sqrt(2), with no difference of nearly
+    equal numbers formed.
+    """
+    m = c - single[:, None, None] * np.eye(3)
+    crosses = np.stack([_cross(m[:, 0], m[:, 1]), _cross(m[:, 0], m[:, 2]),
+                        _cross(m[:, 1], m[:, 2])], axis=1)
+    longest = np.argmax(np.einsum("nkd,nkd->nk", crosses, crosses), axis=1)
+    v = unit_rows(crosses[np.arange(len(c)), longest])
+    s = single[:, None, None]
+    w = c + 0.5 * s * np.eye(3) - 1.5 * s * v[:, :, None] * v[:, None, :]
+    half_gap = np.sqrt(0.5 * np.einsum("nij,nij->n", w, w))
+    low, high = -0.5 * single - half_gap, -0.5 * single + half_gap
+    return np.where((single > 0.0)[:, None],
+                    np.stack([low, high, single], axis=-1),
+                    np.stack([single, low, high], axis=-1))
+
+
+def small_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of symmetric (..., k, k) matrices, k <= 3,
+    batched; the closed-form counterpart of np.linalg.eigvalsh, which reads
+    the lower triangle as this does.
+
+    k = 2 is the diagonal mean -+ hypot(half the diagonal difference, the
+    off-diagonal).  k = 3 is the trigonometric form (Smith, CACM 4(4),
+    1961): with q = tr(A)/3, p = sqrt(tr((A - qI)^2)/6) and
+    r = det((A - qI)/p)/2, the eigenvalues are
+    q + 2p cos(arccos(r)/3 + 2 pi j/3).  Where two eigenvalues meet,
+    |r| -> 1 and arccos turns a rounding error of eps into one of
+    sqrt(eps), a floor of about 1.5e-8 * ||A|| (Kopp, arXiv:
+    physics/0610206); entries with 1 - |r| < _DEFLATE_TOL are therefore
+    deflated instead (_deflated_eigvalsh3).  Every eigenvalue is then within
+    1e-14 * ||A||_2 of np.linalg.eigvalsh, repeated and zero eigenvalues
+    included (the bound the tests check).
+    """
+    a = np.asarray(a, dtype=float)
+    k = a.shape[-1]
+    if a.shape[-2] != k or k > 3:
+        raise ValueError(f"small_eigvalsh takes (..., k, k) with k <= 3, "
+                         f"got {a.shape}")
+    if k < 2:
+        return np.diagonal(a, axis1=-2, axis2=-1).copy()
+    if k == 2:
+        mean = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
+        radius = np.hypot(0.5 * (a[..., 0, 0] - a[..., 1, 1]), a[..., 1, 0])
+        return np.stack([mean - radius, mean + radius], axis=-1)
+
+    batch = a.shape[:-2]
+    # the lower triangle as six contiguous rows, scaled to unit largest
+    # entry so that squares and cubes neither under- nor overflow
+    entries = a.reshape(-1, 9).T[[0, 3, 4, 6, 7, 8]]
+    size = np.max(np.abs(entries), axis=0)
+    size[size == 0.0] = 1.0
+    a00, a10, a11, a20, a21, a22 = entries / size
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                 + 2.0 * (a10 * a10 + a20 * a20 + a21 * a21)) / 6.0)
+    inv_p = 1.0 / np.where(p > 0.0, p, 1.0)
+    c00, c10, c11, c20, c21, c22 = (x * inv_p for x in (b00, a10, b11, a20,
+                                                         a21, b22))
+    det = (c00 * (c11 * c22 - c21 * c21) - c10 * (c10 * c22 - c21 * c20)
+           + c20 * (c10 * c21 - c11 * c20))
+    r = np.clip(0.5 * det, -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    top = 2.0 * np.cos(phi)
+    bottom = 2.0 * np.cos(phi + 2.0 * np.pi / 3.0)
+    scaled = np.stack([bottom, -top - bottom, top], axis=-1)
+    near = np.flatnonzero(1.0 - np.abs(r) < _DEFLATE_TOL)
+    if near.size:
+        c = np.stack([c00, c10, c20, c10, c11, c21, c20, c21, c22],
+                     axis=-1)[near].reshape(-1, 3, 3)
+        scaled[near] = _deflated_eigvalsh3(
+            c, np.where(r[near] > 0.0, top[near], bottom[near]))
+    out = size[:, None] * (q[:, None] + p[:, None] * scaled)
+    return out.reshape(batch + (3,))
 
 
 def first_failure(failures):

@@ -21,10 +21,13 @@ from .core import (
     GeometryError,
     complement_rows,
     inner,
+    inv3,
     orthonormal_rows,
     plane_lift,
     point_lift,
+    principal_sine,
     projective_gap,
+    small_eigvalsh,
     unit_rows,
 )
 
@@ -267,8 +270,7 @@ def _legendre_measurements(grid: LegendreGrid):
             contact = max(contact, float(np.max(np.abs(inner(dv, fr)))))
 
     w_basis, qgram = _memoised(grid, "quotient", _quotient_frames)
-    qeigs = np.linalg.eigvalsh(qgram)
-    qmin = float(np.min(qeigs))
+    qmin = float(np.min(small_eigvalsh(qgram)[..., 0]))
 
     beta = np.empty(grid.shape + (4, 2))
     for col, (dsig, dtau) in enumerate(((ds_u, dt_u), (ds_t, dt_t))):
@@ -276,9 +278,26 @@ def _legendre_measurements(grid: LegendreGrid):
         beta[..., 1, col] = np.einsum("...d,...d->...", w_basis[..., 1, :], dsig)
         beta[..., 2, col] = np.einsum("...d,...d->...", w_basis[..., 0, :], dtau)
         beta[..., 3, col] = np.einsum("...d,...d->...", w_basis[..., 1, :], dtau)
-    svals = np.linalg.svd(beta, compute_uv=False)
-    immersion = float(np.min(svals[..., -1]))
-    return iso, contact, immersion, qmin
+    return iso, contact, _smallest_singular_value(beta), qmin
+
+
+def _smallest_singular_value(beta: np.ndarray) -> float:
+    """Smallest singular value over a grid of (..., 4, 2) matrices.
+
+    The square root of the smaller eigenvalue of beta^T beta, taken as
+    det / lambda_max, with the determinant from Cauchy-Binet: the sum of
+    the squared 2 x 2 minors of beta.  That keeps the result within about
+    eps * sigma_max of the SVD's, where the 2 x 2 eigenvalue form would
+    lose it to cancellation, down to sqrt(eps) * sigma_max.
+    """
+    col0, col1 = beta[..., 0], beta[..., 1]
+    rows = np.triu_indices(beta.shape[-2], 1)
+    minors = (col0[..., rows[0]] * col1[..., rows[1]]
+              - col0[..., rows[1]] * col1[..., rows[0]])
+    top = small_eigvalsh(np.einsum("...ki,...kj->...ij", beta, beta))[..., 1]
+    det = np.einsum("...m,...m->...", minors, minors)
+    low = np.divide(det, top, out=np.zeros_like(det), where=top > 0.0)
+    return float(np.sqrt(np.min(low)))
 
 
 def validate_legendre(grid: LegendreGrid, tol_isotropy: float = 1e-9,
@@ -489,9 +508,11 @@ class LieCyclideSplit:
 
 
 def _metric_projector_batch(basis: np.ndarray) -> np.ndarray:
+    """Metric projectors B^T G^-1 B S onto the spans of (n, 3, 6) bases,
+    with the Gram inverse from the adjugate (callers pass only bases whose
+    Gram eigenvalues are at least SPLIT_COND_TOL in magnitude)."""
     gram = basis @ np.swapaxes(SIGNS * basis, -1, -2)
-    coeff = np.linalg.solve(gram, basis * SIGNS)
-    return np.swapaxes(basis, -1, -2) @ coeff
+    return np.swapaxes(basis, -1, -2) @ (inv3(gram) @ (basis * SIGNS))
 
 
 def interior_mask(shape, periodic_u: bool, periodic_theta: bool,
@@ -523,10 +544,8 @@ def _split_projector(grid: LegendreGrid, data: CurvatureData):
     b1 = orthonormal_rows(np.stack([data.s1, d1s1, d2s1], axis=-2))
     b2_jet = orthonormal_rows(np.stack([data.s2, d1s2, d2s2], axis=-2))
 
-    gram1 = b1 @ np.swapaxes(SIGNS * b1, -1, -2)
-    gram2 = b2_jet @ np.swapaxes(SIGNS * b2_jet, -1, -2)
-    ev1 = np.linalg.eigvalsh(gram1)
-    ev2 = np.linalg.eigvalsh(gram2)
+    ev1 = small_eigvalsh(b1 @ np.swapaxes(SIGNS * b1, -1, -2))
+    ev2 = small_eigvalsh(b2_jet @ np.swapaxes(SIGNS * b2_jet, -1, -2))
     sig_ok = ((np.sum(ev1 > 1e-9, axis=-1) == 2) & (np.sum(ev1 < -1e-9, axis=-1) == 1)
               & (np.sum(ev2 > 1e-9, axis=-1) == 2) & (np.sum(ev2 < -1e-9, axis=-1) == 1))
     # splitting quality degrades where an osculating space nearly degenerates;
@@ -557,8 +576,7 @@ def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
 
     # geometric content: the complement is reproduced by the other family's
     # jet span (sine of the largest principal angle, O(h^2) on exact data)
-    rej = b2_jet - (b2_jet @ np.swapaxes(b2, -1, -2)) @ b2
-    sines = np.linalg.svd(rej, compute_uv=False)[..., 0]
+    sines = principal_sine(b2, b2_jet)
     agreement = float(np.max(sines[usable])) if np.any(usable) else np.inf
 
     eye = np.eye(DIM)
@@ -694,21 +712,15 @@ def spherical_line_residual(grid: LegendreGrid, axis: str, index: int):
     condition (its orientation is not determined by the fit, the
     nonnegative root is returned).
     """
-    from .mesh import point_sphere_of  # local import to keep layering simple
+    from .mesh import point_sphere_lifts  # local import to keep layering simple
 
     if axis not in ("u", "theta"):
         raise ValueError("axis must be 'u' or 'theta'")
-    nu, nt = grid.shape
-    count = nt if axis == "u" else nu
-    rows = []
-    for k in range(count):
-        i, j = (index, k) if axis == "u" else (k, index)
-        vec = point_sphere_of(grid.sigma[i, j], grid.tau[i, j])
-        if vec is not None:
-            rows.append(vec / np.linalg.norm(vec))
+    line = (index, slice(None)) if axis == "u" else (slice(None), index)
+    rows, _ = point_sphere_lifts(grid.sigma[line], grid.tau[line])
     if len(rows) < 6:
         raise GeometryError("not enough finite points on the parameter line")
-    mat = (np.asarray(rows) * SIGNS)[:, :5]
+    mat = (rows * SIGNS)[:, :5]
     u_, svals, vt = np.linalg.svd(mat, full_matrices=False)
     v = vt[-1]
     r_sq = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2 - v[4] ** 2

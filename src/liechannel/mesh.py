@@ -15,35 +15,17 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GeometryError, Subspace, lightcone_circle, orth_complement
+from .core import (GeometryError, Subspace, lightcone_circle, orth_complement,
+                   unit_rows)
 
 
-def point_sphere_of(sigma: np.ndarray, tau: np.ndarray,
-                    tol: float = 1e-10) -> Optional[np.ndarray]:
-    """The unique radius-zero member of the pencil spanned by two frames.
+def _pencil_point_spheres(sigma: np.ndarray, tau: np.ndarray, tol: float):
+    """(vectors, finite, pure) of the radius-zero pencil members, batched.
 
-    Returns an (unnormalised) 6-vector, or None when that member is the
-    point at infinity.  The combination kills the radius coordinate, so the
-    weights are just the swapped last components.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    a, b = -tau[5], sigma[5]
-    if abs(a) < tol and abs(b) < tol:
-        raise GeometryError("pencil is entirely made of point spheres")
-    vec = a * sigma + b * tau
-    denom = vec[3] + vec[4]
-    if abs(denom) <= tol * np.linalg.norm(vec):
-        return None
-    return vec
-
-
-def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray, tol: float = 1e-10):
-    """Batched point-sphere positions for a grid of contact elements.
-
-    Returns (positions, finite) where positions has shape (..., 3) and
-    finite marks elements whose point sphere is not the point at infinity
-    (positions at masked-out samples are zero-filled).
+    vectors (..., 6) are unnormalised: the combination kills the radius
+    coordinate, so the weights are just the swapped last components.
+    finite marks members that are not the point at infinity; pure marks
+    pencils made entirely of point spheres (both weights below tol).
     """
     sigma = np.asarray(sigma, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -53,7 +35,47 @@ def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray, tol: float = 1e-10):
     denom = vec[..., 3] + vec[..., 4]
     norm = np.linalg.norm(vec, axis=-1)
     finite = np.abs(denom) > tol * np.maximum(norm, 1e-300)
-    safe = np.where(finite, denom, 1.0)
+    pure = (np.abs(a[..., 0]) < tol) & (np.abs(b[..., 0]) < tol)
+    return vec, finite, pure
+
+
+def point_sphere_of(sigma: np.ndarray, tau: np.ndarray,
+                    tol: float = 1e-10) -> Optional[np.ndarray]:
+    """The unique radius-zero member of the pencil spanned by two frames.
+
+    Returns an (unnormalised) 6-vector, or None when that member is the
+    point at infinity.
+    """
+    vec, finite, pure = _pencil_point_spheres(sigma, tau, tol)
+    if pure:
+        raise GeometryError("pencil is entirely made of point spheres")
+    return vec if finite else None
+
+
+def point_sphere_lifts(sigma: np.ndarray, tau: np.ndarray,
+                       tol: float = 1e-10):
+    """Unit point-sphere lifts of a row of contact elements, batched.
+
+    sigma and tau are (n, 6) frames.  Returns (lifts (m, 6), dropped): the
+    finite point spheres in row order, scaled to Euclidean norm 1, and the
+    number of elements whose point sphere is the point at infinity.
+    Raises GeometryError if some pencil is entirely made of point spheres.
+    """
+    vec, finite, pure = _pencil_point_spheres(sigma, tau, tol)
+    if np.any(pure):
+        raise GeometryError("pencil is entirely made of point spheres")
+    return unit_rows(vec[finite]), int(np.count_nonzero(~finite))
+
+
+def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray, tol: float = 1e-10):
+    """Batched point-sphere positions for a grid of contact elements.
+
+    Returns (positions, finite) where positions has shape (..., 3) and
+    finite marks elements whose point sphere is not the point at infinity
+    (positions at masked-out samples are zero-filled).
+    """
+    vec, finite, _ = _pencil_point_spheres(sigma, tau, tol)
+    safe = np.where(finite, vec[..., 3] + vec[..., 4], 1.0)
     positions = vec[..., :3] / safe[..., None]
     positions = np.where(finite[..., None], positions, 0.0)
     return positions, finite

@@ -51,7 +51,7 @@ from .legendre import (
     spherical_line_residual,
     validate_legendre,
 )
-from .mesh import cyclide_mesh, export_obj, mesh_from_grid, point_sphere_of
+from .mesh import cyclide_mesh, export_obj, mesh_from_grid, point_sphere_lifts
 from .transforms import (
     DupinCyclide,
     calapso_quadratic_form,
@@ -419,17 +419,6 @@ def _op_cyclides(args, ctx):
             "d2_coincidence": rep.d2_coincidence, "notes": list(rep.notes)}
 
 
-def _row_point_lifts(grid, k):
-    lifts, dropped = [], 0
-    for j in range(grid.shape[1]):
-        vec = point_sphere_of(grid.sigma[k, j], grid.tau[k, j])
-        if vec is None:
-            dropped += 1
-        else:
-            lifts.append(vec / np.linalg.norm(vec))
-    return np.asarray(lifts), dropped
-
-
 def _op_congruence_contact(args, ctx):
     """Contact of the u-family of Dupin cyclides with both surfaces.
 
@@ -461,7 +450,7 @@ def _op_congruence_contact(args, ctx):
         contact = max(contact, float(np.max(np.abs(inner(
             family_b[:, None], su[None])))))
         for grid in (f, f_hat):
-            lifts, miss = _row_point_lifts(grid, k)
+            lifts, miss = point_sphere_lifts(grid.sigma[k], grid.tau[k])
             dropped += miss
             if lifts.size:
                 line = max(line, float(np.max(

@@ -11,7 +11,11 @@ from liechannel import channel as ch
 from liechannel.core import (
     SIGNS,
     GeometryError,
+    Subspace,
+    complement_rows,
     inner,
+    inv3,
+    lightcone_frame,
     projective_gap,
     sphere_lift,
 )
@@ -263,6 +267,44 @@ def test_omega0_rejects_non_channel_grids():
     grid = make_legendre_from_surface(*presets.ellipsoid_surface(48, 48))
     with pytest.raises(GeometryError, match="not a channel"):
         ch.omega0_form(grid, grid.sigma[:, 0])
+
+
+def test_omega0_stores_a_read_only_copy_of_the_lift():
+    curve, grid = cylinder_envelope()
+    sigma1 = ch.special_lift(curve, "against_p", E6)
+    omega = ch.omega0_form(grid, sigma1)
+    for array in (omega.sigma1, omega.u_values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # the caller's array stays writeable, and writing into it leaves the
+    # structure (and the flows that interpolate its lift) untouched
+    before = omega.sigma1.copy()
+    sigma1 *= 2.0
+    assert sigma1.flags.writeable
+    assert np.array_equal(omega.sigma1, before)
+
+
+def test_transport_raises_on_a_singular_fibre():
+    e = np.eye(6)
+    fiber = np.stack([e[0], e[1], e[2] + e[4]])    # a null row: Gram singular
+    gram = fiber @ (SIGNS * fiber).T
+    prev = np.stack([e[0], e[1], e[5]])
+    with pytest.raises(GeometryError, match="transport degenerated"):
+        ch._transport_frame(prev, fiber, inv3(gram))
+
+
+def test_envelope_transport_matches_lapack_inverses():
+    # the batched adjugate inverses carry the same frames as LAPACK's
+    curve, grid = torus_envelope()
+    perp = complement_rows(ch.osculating_spaces(curve)[0])
+    frame = lightcone_frame(Subspace(perp[0]))
+    for fiber in perp[1:]:
+        frame = ch._transport_frame(frame, fiber,
+                                    np.linalg.inv(fiber @ (SIGNS * fiber).T))
+    theta = grid.theta_values
+    last = (np.cos(theta)[:, None] * frame[0]
+            + np.sin(theta)[:, None] * frame[1] + frame[2])
+    assert np.max(np.abs(grid.tau[-1] - last)) <= 1e-12
 
 
 def test_torus_omega0_quadratic_form():

@@ -282,6 +282,98 @@ def test_batched_helpers_match_the_subspace_api():
                                               span(stacks[k + 1]))[1]
 
 
+# -- closed-form small eigenproblems ------------------------------------------
+
+
+def _planted_symmetric(rng, n, evals):
+    """(n, k, k) symmetric matrices with the given eigenvalues (n, k)."""
+    rot, _ = np.linalg.qr(rng.normal(size=(n,) + evals.shape[-1:] * 2))
+    return rot @ (evals[..., :, None] * np.swapaxes(rot, -1, -2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+       shape=st.sampled_from(["generic", "repeated", "zero", "all-equal",
+                              "near-repeated"]),
+       scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]))
+def test_small_eigvalsh_matches_lapack(seed, k, shape, scale):
+    rng = np.random.default_rng(seed)
+    evals = rng.normal(size=(200, k))
+    if shape == "repeated" and k > 1:      # an equal top or bottom pair
+        evals[:100, -1] = evals[:100, -2]
+        evals[100:, 0] = evals[100:, 1]
+    elif shape == "zero":                  # one or more zero eigenvalues
+        evals[:, :rng.integers(1, k + 1)] = 0.0
+    elif shape == "all-equal":
+        evals[:] = evals[:, :1]
+    elif shape == "near-repeated" and k > 1:
+        evals[:, 1] = evals[:, 0] * (1.0 + 10.0 ** rng.uniform(-12, -3, 200))
+    a = _planted_symmetric(rng, 200, evals) * scale
+    reference = np.linalg.eigvalsh(a)
+    got = core.small_eigvalsh(a)
+    assert got.shape == reference.shape
+    # the bound in small_eigvalsh's docstring
+    size = np.max(np.abs(reference), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - reference) <= 1e-14 * size)
+
+
+def test_small_eigvalsh_reads_the_lower_triangle_and_keeps_batch_axes():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 5, 3, 3))
+    got = core.small_eigvalsh(a)
+    assert got.shape == (4, 5, 3)
+    np.testing.assert_allclose(got, np.linalg.eigvalsh(a), atol=1e-14)
+    with pytest.raises(ValueError):
+        core.small_eigvalsh(np.zeros((2, 4, 4)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+       shape=st.sampled_from(["generic", "close", "equal-top-pair",
+                              "shared-span"]))
+def test_principal_sine_matches_the_svd(seed, k, shape):
+    rng = np.random.default_rng(seed)
+    b1 = orthonormal_rows(rng.normal(size=(100, 3, 6)))
+    rows = rng.normal(size=(100, k, 6))
+    if shape == "close":                   # sines between 1e-12 and 1e-3
+        rows = (np.einsum("nkm,nmd->nkd", rng.normal(size=(100, k, 3)), b1)
+                + 10.0 ** rng.uniform(-12, -3, (100, 1, 1)) * rows)
+    elif shape == "equal-top-pair" and k > 1:
+        # two rows rotated off span b1 by the same angle, a third by less
+        comp = orthonormal_rows(b1, 6)[:, 3:]
+        angle = rng.uniform(0.01, 1.5, (100, 1, 1)) * np.array(
+            [1.0, 1.0, 0.5])[:k, None]
+        rows = np.cos(angle) * b1[:, :k] + np.sin(angle) * comp[:, :k]
+    elif shape == "shared-span" and k == 3:
+        rows[:, :2] = b1[:, :2]            # rank-1 rejection
+    b2 = orthonormal_rows(rows)
+    got = core.principal_sine(b1, b2)
+    assert np.all(np.abs(got - _largest_sine(b2, b1)) <= 1e-13 * got + 1e-16)
+
+
+def test_subspace_equal_compares_large_subspaces_through_complements():
+    rng = np.random.default_rng(23)
+    for k in (4, 5):
+        rows = rng.normal(size=(k, 6))
+        tilt = rows + 1e-7 * rng.normal(size=(k, 6))
+        expected = _largest_sine(span(tilt).basis, span(rows).basis)
+        ok, res = subspace_equal(span(rows), span(tilt))
+        # the complements carry rounding-level absolute errors
+        assert not ok and abs(res - expected) <= 1e-15
+        assert subspace_equal(span(rows), span(rows[::-1]))[1] <= 1e-14
+
+
+def test_inv3_matches_lapack_and_flags_singular_matrices():
+    rng = np.random.default_rng(29)
+    a = rng.normal(size=(50, 3, 3))
+    np.testing.assert_allclose(core.inv3(a) @ a, np.broadcast_to(
+        np.eye(3), a.shape), atol=1e-10)
+    a[7, 2] = 0.0
+    a[8] = 0.0
+    finite = np.all(np.isfinite(core.inv3(a)), axis=(-2, -1))
+    assert list(np.flatnonzero(~finite)) == [7, 8]
+
+
 # -- lightcone circles ---------------------------------------------------------
 
 

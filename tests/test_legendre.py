@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liechannel import legendre as legendre_module, presets
+from liechannel import legendre as legendre_module, presets, stencils
 from liechannel.core import (
     SIGNS,
     GeometryError,
@@ -382,6 +382,80 @@ def test_ellipsoid_split_diagnostics():
     assert split.orthogonality <= 1e-12   # orthogonal by construction
     assert split.s2_agreement <= 0.1      # measured 3.0e-2
     assert split.excluded.mean() <= 0.6   # edge margins plus conditioning gate
+
+
+def _split_masks_by_lapack(grid):
+    """(usable, interior, p1) of _split_projector, recomputed as it was
+    before the closed forms: eigvalsh for both Gram signatures and
+    conditionings, solve for the metric projector."""
+    data = curvature_data(grid)
+    b1, b2_jet, *_ = legendre_module._split_projector(grid, data)
+    ev1, ev2 = (np.linalg.eigvalsh(b @ np.swapaxes(SIGNS * b, -1, -2))
+                for b in (b1, b2_jet))
+    sig_ok = ((np.sum(ev1 > 1e-9, axis=-1) == 2) & (np.sum(ev1 < -1e-9, axis=-1) == 1)
+              & (np.sum(ev2 > 1e-9, axis=-1) == 2) & (np.sum(ev2 < -1e-9, axis=-1) == 1))
+    conditioning = np.minimum(np.min(np.abs(ev1), axis=-1),
+                              np.min(np.abs(ev2), axis=-1))
+    usable = (sig_ok & ~data.umbilic
+              & (conditioning >= legendre_module.SPLIT_COND_TOL)
+              & interior_mask(grid.shape, grid.periodic_u, grid.periodic_theta,
+                              legendre_module.SPLIT_EDGE_MARGIN))
+    b = b1[usable]
+    gram = b @ np.swapaxes(SIGNS * b, -1, -2)
+    p1 = np.full(grid.shape + (6, 6), np.nan)
+    p1[usable] = np.swapaxes(b, -1, -2) @ np.linalg.solve(gram, b * SIGNS)
+    p1_u = stencils.diff1(p1, grid.du, axis=0, periodic=grid.periodic_u)
+    p1_t = stencils.diff1(p1, grid.dtheta, axis=1, periodic=grid.periodic_theta)
+    interior = (usable & ~np.isnan(p1_u).any(axis=(-1, -2))
+                & ~np.isnan(p1_t).any(axis=(-1, -2)))
+    return usable, interior, p1
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("cylinder", dict(n_u=48, n_theta=48)),
+    ("torus", dict(n_u=48, n_theta=48)),
+    ("helix_tube", dict(n_u=64, n_theta=48)),
+    ("ellipsoid", dict(n_u=48, n_theta=48))])
+def test_split_masks_match_the_lapack_oracle(name, kw):
+    grid = preset_grid(name, **kw)
+    _, _, sig_ok, conditioning, usable, interior, p1, _, _ = (
+        legendre_module._split_projector(grid, curvature_data(grid)))
+    usable_ref, interior_ref, p1_ref = _split_masks_by_lapack(grid)
+    assert np.any(interior)
+    assert np.array_equal(usable, usable_ref)
+    assert np.array_equal(interior, interior_ref)
+    assert np.max(np.abs(p1[usable] - p1_ref[usable])) <= 1e-11
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       condition=st.sampled_from([1.0, 1e-4, 1e-8, 1e-12]))
+def test_immersion_matches_the_svd(seed, condition):
+    # 4 x 2 solder forms whose columns are nearly parallel at the given
+    # ratio of singular values: the smallest is found to about
+    # eps * sigma_max, as by the SVD (sqrt(eps) * sigma_max from the
+    # 2 x 2 eigenvalue form)
+    rng = np.random.default_rng(seed)
+    beta = rng.normal(size=(6, 7, 4, 2))
+    beta[..., 1] = (beta[..., 0] * rng.normal(size=(6, 7, 1))
+                    + condition * beta[..., 1])
+    svals = np.linalg.svd(beta, compute_uv=False)
+    got = legendre_module._smallest_singular_value(beta)
+    assert abs(got - np.min(svals[..., -1])) <= 1e-14 * np.max(svals)
+
+
+def test_channel_check_and_validation_make_no_lapack_calls(monkeypatch):
+    grid = make_legendre_from_surface(*presets.torus_surface(n_u=32, n_theta=32))
+    calls = []
+    for name in ("svd", "eigvalsh", "eigh", "solve", "inv"):
+        def counting(*args, _name=name, _original=getattr(np.linalg, name),
+                     **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert is_channel(grid).circular_dir == "both"
+    assert validate_legendre(grid).passed
+    assert calls == []
 
 
 # -- spherical parameter lines ----------------------------------------------------

@@ -17,6 +17,7 @@ from liechannel.mesh import (
     grid_point_spheres,
     load_obj,
     mesh_from_grid,
+    point_sphere_lifts,
     point_sphere_of,
     triangulate_grid,
 )
@@ -41,6 +42,22 @@ def test_point_sphere_special_cases():
     with pytest.raises(GeometryError):
         point_sphere_of(point_lift(np.array([1.0, 0, 0])),
                         point_lift(np.array([0.0, 1, 0])))
+
+
+def test_point_sphere_lifts_read_a_row_like_the_pointwise_reader():
+    grid = cylinder_grid(16)
+    sigma, tau = np.array(grid.sigma[3]), np.array(grid.tau[3])
+    sigma[[2, 9]] = INFINITY_VEC          # two elements through infinity
+    tau[[2, 9]] = plane_lift([0, 0, 1.0], 0.0)
+    lifts, dropped = point_sphere_lifts(sigma, tau)
+    expected = [v / np.linalg.norm(v) for v in map(point_sphere_of, sigma, tau)
+                if v is not None]
+    assert dropped == 2 and lifts.shape == (14, 6)
+    np.testing.assert_allclose(lifts, expected, atol=1e-15)
+    sigma[5] = point_lift(np.array([1.0, 0, 0]))
+    tau[5] = point_lift(np.array([0.0, 1, 0]))
+    with pytest.raises(GeometryError, match="entirely made of point spheres"):
+        point_sphere_lifts(sigma, tau)
 
 
 def test_grid_point_spheres_roundtrip():
