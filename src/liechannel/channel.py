@@ -28,10 +28,11 @@ from .core import (
     inv3,
     lightcone_frame,
     projective_gap,
+    read_only_copy,
     small_eigvalsh,
     wedge_matrix,
 )
-from .legendre import LegendreGrid, _read_only, curvature_data, is_channel
+from .legendre import LegendreGrid, curvature_data, is_channel
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +228,10 @@ def _transport_frame(prev: np.ndarray, fiber: np.ndarray,
     """Carry a (+,+,-) frame into the next fibre by metric projection.
 
     Projects each frame row onto the span of the fibre rows (gram_inv is
-    the inverse of the fibre's Gram matrix, non-finite where it is
-    singular), then runs a signature-aware Gram-Schmidt.  Sign continuity
-    with the previous frame is restored afterwards (flips keep
-    orthonormality).
+    the inverse of the fibre's Gram matrix), then runs a signature-aware
+    Gram-Schmidt.  Sign continuity with the previous frame is restored
+    afterwards (flips keep orthonormality).
     """
-    if not np.all(np.isfinite(gram_inv)):
-        raise GeometryError("circle-frame transport degenerated")
     cand = (gram_inv @ (fiber @ (SIGNS * prev).T)).T @ fiber
     out = np.empty_like(cand)
     signs = (1.0, 1.0, -1.0)
@@ -287,6 +285,11 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
     n = curve.u_values.size
     frames = np.empty((n, 3, DIM))
     frames[0] = lightcone_frame(Subspace(perp[0]))
+    # a singular fibre Gram has a non-finite inverse; fibre 0 is only
+    # transported into when the curve wraps around
+    reached = gram_inv if curve.periodic_u else gram_inv[1:]
+    if not np.all(np.isfinite(reached)):
+        raise GeometryError("circle-frame transport degenerated")
     for k in range(1, n):
         frames[k] = _transport_frame(frames[k - 1], perp[k], gram_inv[k])
 
@@ -386,7 +389,7 @@ def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
     identity on the circular one, so d(sigma1) having only a u-component
     makes eta = wedge(sigma1, sigma1') du.
     """
-    sigma1 = _read_only(sigma1)
+    sigma1 = read_only_copy(sigma1)
     nu, nt = grid.shape
     if sigma1.shape != (nu, DIM):
         raise GeometryError("sigma1 must be a u-grid of 6-vectors")

@@ -62,6 +62,13 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
+def read_only_copy(array: np.ndarray) -> np.ndarray:
+    """A float copy of array that cannot be written to."""
+    copy = np.array(array, dtype=float)
+    copy.flags.writeable = False
+    return copy
+
+
 def projective_gap(a: np.ndarray, b: np.ndarray):
     """Sine of the angle between the lines spanned by a and b.
 

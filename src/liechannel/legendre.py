@@ -27,6 +27,7 @@ from .core import (
     point_lift,
     principal_sine,
     projective_gap,
+    read_only_copy,
     small_eigvalsh,
     unit_rows,
 )
@@ -38,12 +39,6 @@ SPLIT_COND_TOL = 1e-3
 #: open-grid edge rows skipped by the splitting and by channel detection
 SPLIT_EDGE_MARGIN = 6
 CHANNEL_EDGE_MARGIN = 4
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    copy = np.array(array, dtype=float)
-    copy.flags.writeable = False
-    return copy
 
 
 def _neighbour_pairs(fields: np.ndarray):
@@ -163,7 +158,7 @@ class LegendreGrid:
 
     def __post_init__(self):
         for name in ("sigma", "tau", "u_values", "theta_values"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+            object.__setattr__(self, name, read_only_copy(getattr(self, name)))
         if self.sigma.shape != self.tau.shape or self.sigma.shape[-1] != DIM:
             raise GeometryError("frame arrays must both have shape (nu, nt, 6)")
 

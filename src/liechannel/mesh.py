@@ -18,6 +18,10 @@ import numpy as np
 from .core import (GeometryError, Subspace, lightcone_circle, orth_complement,
                    unit_rows)
 
+#: relative size below which a pencil weight or a point sphere's
+#: (e4 + e5) component counts as zero
+POINT_SPHERE_TOL = 1e-10
+
 
 def _pencil_point_spheres(sigma: np.ndarray, tau: np.ndarray, tol: float):
     """(vectors, finite, pure) of the radius-zero pencil members, batched.
@@ -40,7 +44,7 @@ def _pencil_point_spheres(sigma: np.ndarray, tau: np.ndarray, tol: float):
 
 
 def point_sphere_of(sigma: np.ndarray, tau: np.ndarray,
-                    tol: float = 1e-10) -> Optional[np.ndarray]:
+                    tol: float = POINT_SPHERE_TOL) -> Optional[np.ndarray]:
     """The unique radius-zero member of the pencil spanned by two frames.
 
     Returns an (unnormalised) 6-vector, or None when that member is the
@@ -52,8 +56,7 @@ def point_sphere_of(sigma: np.ndarray, tau: np.ndarray,
     return vec if finite else None
 
 
-def point_sphere_lifts(sigma: np.ndarray, tau: np.ndarray,
-                       tol: float = 1e-10):
+def point_sphere_lifts(sigma: np.ndarray, tau: np.ndarray):
     """Unit point-sphere lifts of a row of contact elements, batched.
 
     sigma and tau are (n, 6) frames.  Returns (lifts (m, 6), dropped): the
@@ -61,13 +64,14 @@ def point_sphere_lifts(sigma: np.ndarray, tau: np.ndarray,
     number of elements whose point sphere is the point at infinity.
     Raises GeometryError if some pencil is entirely made of point spheres.
     """
-    vec, finite, pure = _pencil_point_spheres(sigma, tau, tol)
+    vec, finite, pure = _pencil_point_spheres(sigma, tau, POINT_SPHERE_TOL)
     if np.any(pure):
         raise GeometryError("pencil is entirely made of point spheres")
     return unit_rows(vec[finite]), int(np.count_nonzero(~finite))
 
 
-def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray, tol: float = 1e-10):
+def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray,
+                       tol: float = POINT_SPHERE_TOL):
     """Batched point-sphere positions for a grid of contact elements.
 
     Returns (positions, finite) where positions has shape (..., 3) and

@@ -14,7 +14,6 @@ from liechannel.core import (
     Subspace,
     complement_rows,
     inner,
-    inv3,
     lightcone_frame,
     projective_gap,
     sphere_lift,
@@ -284,13 +283,19 @@ def test_omega0_stores_a_read_only_copy_of_the_lift():
     assert np.array_equal(omega.sigma1, before)
 
 
-def test_transport_raises_on_a_singular_fibre():
+@pytest.mark.parametrize("index", [1, 17, 31])
+def test_envelope_raises_on_a_singular_fibre(monkeypatch, index):
     e = np.eye(6)
-    fiber = np.stack([e[0], e[1], e[2] + e[4]])    # a null row: Gram singular
-    gram = fiber @ (SIGNS * fiber).T
-    prev = np.stack([e[0], e[1], e[5]])
+    singular = np.stack([e[0], e[1], e[2] + e[4]])  # a null row: Gram singular
+
+    def planted(stacks):
+        perp = complement_rows(stacks)
+        perp[index] = singular
+        return perp
+
+    monkeypatch.setattr(ch, "complement_rows", planted)
     with pytest.raises(GeometryError, match="transport degenerated"):
-        ch._transport_frame(prev, fiber, inv3(gram))
+        ch.envelope(ch.line_sphere_curve(n=32), 8)
 
 
 def test_envelope_transport_matches_lapack_inverses():
