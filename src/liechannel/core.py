@@ -83,6 +83,21 @@ def projective_gap(a: np.ndarray, b: np.ndarray):
     return np.linalg.norm(rej, axis=-1)
 
 
+def null_combination(x: np.ndarray, y: np.ndarray):
+    """Coefficients (a, b), each (..., 1), of the unit combination a x + b y
+    of least Euclidean norm, batched over the leading axes of x and y
+    (..., d): the null vector of the matrix with columns x and y wherever
+    that matrix is singular.
+
+    (a, b) = (-sin phi, cos phi), phi the major axis of the 2 x 2 Gram
+    matrix of x and y, from one arctan2; so b >= 0, and no sign is left to
+    an SVD.
+    """
+    phi = 0.5 * np.arctan2(2.0 * np.sum(x * y, axis=-1),
+                           np.sum(x * x - y * y, axis=-1))
+    return -np.sin(phi)[..., None], np.cos(phi)[..., None]
+
+
 # ---------------------------------------------------------------------------
 # projective points and Euclidean readings
 # ---------------------------------------------------------------------------
@@ -326,40 +341,57 @@ def orth_complement(s: Subspace) -> Subspace:
     return Subspace(vt[s.dim:])
 
 
+#: relative gap under which orthonormal_rows counts completion residuals
+#: as tied (the lowest coordinate index then wins)
+_TIE_TOL = 1e-12
+
+
 def orthonormal_rows(rows: np.ndarray, total: Optional[int] = None) -> np.ndarray:
     """Batched Gram–Schmidt: rows (..., k, 6) -> (..., total, 6).
 
     Euclidean-orthonormal rows: the first k span the input rows (each
-    orthogonalised twice against those before it), the rest complete them
-    with the coordinate vector of largest residual.  A dependent input row
-    (zero or repeated) is replaced the same way, so the output is always
-    finite.  total defaults to k.
+    orthogonalised twice against those before it, classical Gram–Schmidt
+    run twice), the rest complete them with the coordinate vector of
+    largest residual.  Residuals within a relative _TIE_TOL of the largest
+    count as tied and the lowest index wins, so the completion does not
+    depend on summation order.  A dependent input row (zero or repeated)
+    is replaced the same way, so the output is always finite.  total
+    defaults to k.
+
+    The work runs component-major: the rows move once to a contiguous
+    (k, 6, n) array, so every step is arithmetic over the n batch entries
+    rather than over trailing 6-vectors.
     """
     rows = np.asarray(rows, dtype=float)
-    k = rows.shape[-2]
+    batch, k = rows.shape[:-2], rows.shape[-2]
     total = k if total is None else total
-    out = np.zeros(rows.shape[:-2] + (total, DIM))
-    eye = np.eye(DIM)
+    n = int(np.prod(batch))
+    given = np.ascontiguousarray(np.moveaxis(rows.reshape((n, k, DIM)), 0, -1))
+    out = np.empty((total, DIM, n))
 
     def reject(v, q):
         for _ in range(2):
-            v = v - np.einsum("...md,...m->...d", q,
-                              np.einsum("...md,...d->...m", q, v))
+            v = v - np.einsum("mn,mdn->dn", np.einsum("mdn,dn->mn", q, v), q)
         return v
 
+    def squares(v):
+        return np.einsum("dn,dn->n", v, v)
+
     for j in range(total):
-        q = out[..., :j, :]
+        q = out[:j]
         if j < k:
-            given = rows[..., j, :]
-            v = reject(given, q)
+            v = reject(given[j], q)
+            weak = squares(v) <= 1e-24 * squares(given[j])
         else:
-            given = v = np.zeros(rows.shape[:-2] + (DIM,))
-        weak = np.linalg.norm(v, axis=-1) <= 1e-12 * np.linalg.norm(given, axis=-1)
+            v, weak = np.zeros((DIM, n)), np.ones(n, dtype=bool)
         if np.any(weak):
-            best = np.argmin(np.einsum("...md,...md->...d", q, q), axis=-1)
-            v = np.where(weak[..., None], reject(eye[best], q), v)
-        out[..., j, :] = unit_rows(v)
-    return out
+            residual = 1.0 - np.einsum("mdn,mdn->dn", q, q)
+            tied = residual >= (1.0 - _TIE_TOL) * np.max(residual, axis=0)
+            coordinate = np.arange(DIM)[:, None] == np.argmax(tied, axis=0)
+            v = np.where(weak, reject(coordinate.astype(float), q), v)
+        out[j] = v / np.sqrt(squares(v))
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(
+        batch + (total, DIM))
 
 
 def complement_rows(rows: np.ndarray) -> np.ndarray:
@@ -395,16 +427,25 @@ def principal_sine(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
 
     The largest singular value of b2's rejection off span b1, taken as the
     square root of the largest eigenvalue of the rejection's k x k Gram
-    matrix (small_eigvalsh).  The rejection is formed explicitly, so the
+    matrix (_largest_eigvalsh).  The rejection is formed explicitly, so the
     squared sine keeps its relative accuracy down to rounding level.  The
     leading axes broadcast.
     """
     rej = b2 - (b2 @ np.swapaxes(b1, -1, -2)) @ b1
-    top = small_eigvalsh(rej @ np.swapaxes(rej, -1, -2))[..., -1]
+    top = _largest_eigvalsh(rej @ np.swapaxes(rej, -1, -2))
     return np.sqrt(np.maximum(top, 0.0))
 
 
-#: 1 - |r| below which small_eigvalsh deflates a 3 x 3 matrix
+def _largest_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """small_eigvalsh(a)[..., -1], with a 3 x 3 entry deflated only where
+    its top pair meets (r -> -1); where the two small roots meet (r -> 1)
+    the trigonometric form already gives the top root to rounding."""
+    if a.shape[-1] < 3:
+        return small_eigvalsh(a)[..., -1]
+    return _eigvalsh3(a, lambda r: 1.0 + r < _DEFLATE_TOL)[..., -1]
+
+
+#: 1 - |r| below which a 3 x 3 matrix whose roots meet there is deflated
 _DEFLATE_TOL = 1e-2
 
 
@@ -444,8 +485,9 @@ def _deflated_eigvalsh3(c, single):
     m = c - single[:, None, None] * np.eye(3)
     crosses = np.stack([_cross(m[:, 0], m[:, 1]), _cross(m[:, 0], m[:, 2]),
                         _cross(m[:, 1], m[:, 2])], axis=1)
-    longest = np.argmax(np.einsum("nkd,nkd->nk", crosses, crosses), axis=1)
-    v = unit_rows(crosses[np.arange(len(c)), longest])
+    squares = np.einsum("nkd,nkd->nk", crosses, crosses)
+    pick = np.arange(len(c)), np.argmax(squares, axis=1)
+    v = crosses[pick] / np.sqrt(squares[pick])[:, None]
     s = single[:, None, None]
     w = c + 0.5 * s * np.eye(3) - 1.5 * s * v[:, :, None] * v[:, None, :]
     half_gap = np.sqrt(0.5 * np.einsum("nij,nij->n", w, w))
@@ -484,6 +526,17 @@ def small_eigvalsh(a: np.ndarray) -> np.ndarray:
         radius = np.hypot(0.5 * (a[..., 0, 0] - a[..., 1, 1]), a[..., 1, 0])
         return np.stack([mean - radius, mean + radius], axis=-1)
 
+    return _eigvalsh3(a, lambda r: 1.0 - np.abs(r) < _DEFLATE_TOL)
+
+
+def _eigvalsh3(a: np.ndarray, deflate) -> np.ndarray:
+    """Ascending eigenvalues of symmetric (..., 3, 3) matrices by the
+    trigonometric form of small_eigvalsh; entries whose r satisfies the
+    mask function deflate(r) go through _deflated_eigvalsh3.  Where r -> 1
+    and such an entry is not deflated, the two small roots carry the
+    sqrt(eps) floor, but the top root stays at rounding level: an error e
+    in arccos(r) moves 2 cos(phi) by e * sin(phi) / 3, and phi -> 0.
+    """
     batch = a.shape[:-2]
     # the lower triangle as six contiguous rows, scaled to unit largest
     # entry so that squares and cubes neither under- nor overflow
@@ -505,7 +558,7 @@ def small_eigvalsh(a: np.ndarray) -> np.ndarray:
     top = 2.0 * np.cos(phi)
     bottom = 2.0 * np.cos(phi + 2.0 * np.pi / 3.0)
     scaled = np.stack([bottom, -top - bottom, top], axis=-1)
-    near = np.flatnonzero(1.0 - np.abs(r) < _DEFLATE_TOL)
+    near = np.flatnonzero(deflate(r))
     if near.size:
         c = np.stack([c00, c10, c20, c10, c11, c21, c20, c21, c22],
                      axis=-1)[near].reshape(-1, 3, 3)

@@ -22,6 +22,7 @@ from .core import (
     complement_rows,
     inner,
     inv3,
+    null_combination,
     orthonormal_rows,
     plane_lift,
     point_lift,
@@ -407,11 +408,8 @@ def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
     def kernel_sphere(direction):
         m_s = direction[..., :1] * au_s + direction[..., 1:] * at_s
         m_t = direction[..., :1] * au_t + direction[..., 1:] * at_t
-        # the null vector of the 2x2 map [m_s m_t] is (-sin phi, cos phi),
-        # phi the major axis of its Gram matrix
-        phi = 0.5 * np.arctan2(2.0 * np.sum(m_s * m_t, axis=-1),
-                               np.sum(m_s * m_s - m_t * m_t, axis=-1))
-        return -np.sin(phi)[..., None] * grid.sigma + np.cos(phi)[..., None] * grid.tau
+        a, b = null_combination(m_s, m_t)
+        return a * grid.sigma + b * grid.tau
 
     k1 = unit_rows(kernel_sphere(r1))
     k2 = unit_rows(kernel_sphere(r2))

@@ -23,13 +23,14 @@ from .core import (GeometryError, Subspace, lightcone_circle, orth_complement,
 POINT_SPHERE_TOL = 1e-10
 
 
-def _pencil_point_spheres(sigma: np.ndarray, tau: np.ndarray, tol: float):
+def _pencil_point_spheres(sigma: np.ndarray, tau: np.ndarray):
     """(vectors, finite, pure) of the radius-zero pencil members, batched.
 
     vectors (..., 6) are unnormalised: the combination kills the radius
     coordinate, so the weights are just the swapped last components.
     finite marks members that are not the point at infinity; pure marks
-    pencils made entirely of point spheres (both weights below tol).
+    pencils made entirely of point spheres (both weights below
+    POINT_SPHERE_TOL).
     """
     sigma = np.asarray(sigma, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -38,22 +39,10 @@ def _pencil_point_spheres(sigma: np.ndarray, tau: np.ndarray, tol: float):
     vec = a * sigma + b * tau
     denom = vec[..., 3] + vec[..., 4]
     norm = np.linalg.norm(vec, axis=-1)
-    finite = np.abs(denom) > tol * np.maximum(norm, 1e-300)
-    pure = (np.abs(a[..., 0]) < tol) & (np.abs(b[..., 0]) < tol)
+    finite = np.abs(denom) > POINT_SPHERE_TOL * np.maximum(norm, 1e-300)
+    pure = ((np.abs(a[..., 0]) < POINT_SPHERE_TOL)
+            & (np.abs(b[..., 0]) < POINT_SPHERE_TOL))
     return vec, finite, pure
-
-
-def point_sphere_of(sigma: np.ndarray, tau: np.ndarray,
-                    tol: float = POINT_SPHERE_TOL) -> Optional[np.ndarray]:
-    """The unique radius-zero member of the pencil spanned by two frames.
-
-    Returns an (unnormalised) 6-vector, or None when that member is the
-    point at infinity.
-    """
-    vec, finite, pure = _pencil_point_spheres(sigma, tau, tol)
-    if pure:
-        raise GeometryError("pencil is entirely made of point spheres")
-    return vec if finite else None
 
 
 def point_sphere_lifts(sigma: np.ndarray, tau: np.ndarray):
@@ -64,21 +53,20 @@ def point_sphere_lifts(sigma: np.ndarray, tau: np.ndarray):
     number of elements whose point sphere is the point at infinity.
     Raises GeometryError if some pencil is entirely made of point spheres.
     """
-    vec, finite, pure = _pencil_point_spheres(sigma, tau, POINT_SPHERE_TOL)
+    vec, finite, pure = _pencil_point_spheres(sigma, tau)
     if np.any(pure):
         raise GeometryError("pencil is entirely made of point spheres")
     return unit_rows(vec[finite]), int(np.count_nonzero(~finite))
 
 
-def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray,
-                       tol: float = POINT_SPHERE_TOL):
+def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray):
     """Batched point-sphere positions for a grid of contact elements.
 
     Returns (positions, finite) where positions has shape (..., 3) and
     finite marks elements whose point sphere is not the point at infinity
     (positions at masked-out samples are zero-filled).
     """
-    vec, finite, _ = _pencil_point_spheres(sigma, tau, tol)
+    vec, finite, _ = _pencil_point_spheres(sigma, tau)
     safe = np.where(finite, vec[..., 3] + vec[..., 4], 1.0)
     positions = vec[..., :3] / safe[..., None]
     positions = np.where(finite[..., None], positions, 0.0)

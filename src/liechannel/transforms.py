@@ -38,6 +38,7 @@ from .core import (
     inner,
     lightcone_circle,
     lightcone_frame,
+    null_combination,
     orth_complement,
     orthonormal_rows,
     principal_sine,
@@ -565,17 +566,19 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
     rank_ok = None
     notes = []
     if f is not None and f_hat is not None:
-        # re-measure the shared congruence as an element intersection
-        cols = np.stack([f.sigma, f.tau, -f_hat.sigma, -f_hat.tau], axis=-1)
-        cols = cols / np.linalg.norm(cols, axis=-2, keepdims=True)
-        _, svals, vt = np.linalg.svd(cols)
-        rank_ok = bool(np.min(svals[..., -2]) > 1e-6)
+        # re-measure the shared congruence as the element intersection: the
+        # zero first principal angle of the two elements, a line wherever
+        # the second is nonzero
+        unit = unit_rows(np.stack([f.sigma, f.tau], axis=-2))
+        basis_hat = orthonormal_rows(np.stack([f_hat.sigma, f_hat.tau],
+                                              axis=-2))
+        rank_ok = bool(np.min(principal_sine(orthonormal_rows(unit),
+                                             basis_hat)) > 1e-6)
         if not rank_ok:
             notes.append("element intersections are not uniformly rank 1")
-        coeff = vt[..., -1, :]
-        s0 = (coeff[..., 0, None] * cols[..., 0] + coeff[..., 1, None]
-              * cols[..., 1])
-        s0 = unit_rows(s0)
+        rej = unit - (unit @ np.swapaxes(basis_hat, -1, -2)) @ basis_hat
+        a, b = null_combination(rej[..., 0, :], rej[..., 1, :])
+        s0 = unit_rows(a * unit[..., 0, :] + b * unit[..., 1, :])
 
         dt = f.dtheta
         ds0 = stencils.diff1(s0, dt, axis=1, periodic=f.periodic_theta)

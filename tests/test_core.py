@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liechannel import core
+from liechannel.channel import line_sphere_curve, osculating_spaces
 from liechannel.core import (
     GeometryError,
     Infinity,
@@ -239,6 +240,114 @@ def test_orthonormal_rows_stay_finite_on_dependent_rows():
     assert np.max(np.abs(comp @ np.swapaxes(SIGNS * rows, -1, -2))) <= 1e-12
 
 
+def _row_major_orthonormal_rows(rows, total=None):
+    """The row-major Gram–Schmidt that orthonormal_rows replaced, kept as
+    its oracle: (basis, broken, gap).
+
+    broken marks batch entries where a completion coordinate was chosen
+    among residuals tied to a relative 1e-12 but not at the lowest index
+    (a tie that rounding broke); gap is the smallest relative norm
+    |rejection| / |row| over the rows that were kept, which bounds how far
+    rounding in either summation order can move the basis (eps / gap).
+    """
+    rows = np.asarray(rows, dtype=float)
+    k = rows.shape[-2]
+    total = k if total is None else total
+    out = np.zeros(rows.shape[:-2] + (total, 6))
+    broken = np.zeros(rows.shape[:-2], dtype=bool)
+    gap = np.ones(rows.shape[:-2])
+    eye = np.eye(6)
+
+    def reject(v, q):
+        for _ in range(2):
+            v = v - np.einsum("...md,...m->...d", q,
+                              np.einsum("...md,...d->...m", q, v))
+        return v
+
+    for j in range(total):
+        q = out[..., :j, :]
+        if j < k:
+            given = rows[..., j, :]
+            v = reject(given, q)
+        else:
+            given = v = np.zeros(rows.shape[:-2] + (6,))
+        norm, given_norm = (np.linalg.norm(x, axis=-1) for x in (v, given))
+        weak = norm <= 1e-12 * given_norm
+        gap = np.where(weak, gap, np.minimum(gap, norm / np.where(
+            weak, 1.0, given_norm)))
+        if np.any(weak):
+            captured = np.einsum("...md,...md->...d", q, q)
+            best = np.argmin(captured, axis=-1)
+            residual = 1.0 - captured
+            tied = residual >= (1.0 - 1e-12) * np.max(residual, axis=-1,
+                                                      keepdims=True)
+            broken |= weak & (np.argmax(tied, axis=-1) != best)
+            v = np.where(weak[..., None], reject(eye[best], q), v)
+        out[..., j, :] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return out, broken, gap
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       batch=st.sampled_from([(), (7,), (3, 5)]), k=st.integers(1, 6),
+       extra=st.integers(0, 5),
+       kind=st.sampled_from(["generic", "near-dependent", "zero",
+                             "repeated"]))
+def test_orthonormal_rows_match_the_row_major_oracle(seed, batch, k, extra,
+                                                     kind):
+    rng = np.random.default_rng(seed)
+    total = min(6, k + extra)
+    rows = rng.normal(size=batch + (k, 6))
+    if kind == "near-dependent" and k > 1:
+        # the last row sits 1e-10 to 1e-3 off the span of the others
+        rows[..., -1, :] = (
+            np.einsum("...k,...kd->...d", rng.normal(size=batch + (k - 1,)),
+                      rows[..., :-1, :])
+            + 10.0 ** rng.uniform(-10, -3) * rng.normal(size=batch + (6,)))
+    elif kind == "zero":
+        rows[..., rng.integers(k), :] = 0.0
+    elif kind == "repeated" and k > 1:
+        first, later = sorted(rng.choice(k, 2, replace=False))
+        rows[..., later, :] = rows[..., first, :]
+    got = orthonormal_rows(rows, total)
+    want, broken, gap = _row_major_orthonormal_rows(rows, total)
+    assert got.shape == want.shape == batch + (total, 6)
+    assert np.all(np.isfinite(got))
+    _assert_orthonormal(got)
+    # 1e-13 on well-separated rows; a row kept at relative distance gap
+    # from the span before it carries about eps / gap in either summation
+    # order (measured over 15,000 stacks: moved * gap <= 2.4e-16)
+    tol = np.maximum(1e-13, 1e-15 / gap)
+    moved = np.max(np.abs(got - want), axis=(-2, -1))
+    assert np.all((moved <= tol) | broken)
+
+
+def test_orthonormal_rows_break_completion_ties_by_the_lowest_index():
+    # the metric-flipped osculating stack of a line of unit spheres, as
+    # complement_rows passes it: the last completion row finds e4, e5 and
+    # e6 tied at squared residual 1/3, and the row-major sweep picked among
+    # them by rounding
+    stacks, _ = osculating_spaces(line_sphere_curve(n=1024))
+    rows = stacks * SIGNS
+    alone = orthonormal_rows(rows[0], 6)
+    residual = 1.0 - np.sum(alone[:5] ** 2, axis=0)
+    np.testing.assert_allclose(residual[3:], 1.0 / 3.0, rtol=1e-14)
+    e4 = np.eye(6)[3]
+    lowest = e4 - alone[:5].T @ (alone[:5] @ e4)
+    np.testing.assert_allclose(alone[5], lowest / np.linalg.norm(lowest),
+                               atol=1e-15)
+    # the same choice inside a batch, and at every sample of the line
+    # (which has the same tie), from either memory layout
+    batched = orthonormal_rows(np.broadcast_to(rows[0], rows.shape), 6)
+    in_order = orthonormal_rows(rows, 6)
+    transposed = orthonormal_rows(np.asfortranarray(rows), 6)
+    assert np.array_equal(transposed, in_order)
+    for basis in (batched, in_order):
+        assert np.max(np.abs(basis[:, 5] - alone[5])) <= 1e-15
+    # the row-major sweep broke the tie the other way at some samples
+    assert np.any(_row_major_orthonormal_rows(rows, 6)[1])
+
+
 def test_subspace_equal_tolerances():
     e = np.eye(6)
     s1 = span([e[0], e[1]])
@@ -315,6 +424,35 @@ def test_small_eigvalsh_matches_lapack(seed, k, shape, scale):
     # the bound in small_eigvalsh's docstring
     size = np.max(np.abs(reference), axis=-1, keepdims=True)
     assert np.all(np.abs(got - reference) <= 1e-14 * size)
+
+
+@pytest.mark.parametrize("pair", ["small", "top"])
+def test_largest_eigvalsh_deflates_only_a_meeting_top_pair(pair,
+                                                           monkeypatch):
+    # a pair of eigenvalues meeting exactly or to a relative 1e-12..1e-3,
+    # below the third (r -> +1) or above it (r -> -1)
+    rng = np.random.default_rng(31 if pair == "small" else 37)
+    evals = np.sort(rng.normal(size=(400, 3)), axis=-1)
+    close = 1.0 + np.where(np.arange(400) < 200, 0.0,
+                           10.0 ** rng.uniform(-12, -3, 400))
+    if pair == "small":
+        evals[:, 1] = evals[:, 0] + np.abs(evals[:, 0]) * (close - 1.0)
+    else:
+        evals[:, 1] = evals[:, 2] - np.abs(evals[:, 2]) * (close - 1.0)
+    a = _planted_symmetric(rng, 400, evals)
+    deflated = []
+    original = core._deflated_eigvalsh3
+
+    def counting(c, single):
+        deflated.append(len(c))
+        return original(c, single)
+
+    monkeypatch.setattr(core, "_deflated_eigvalsh3", counting)
+    got = core._largest_eigvalsh(a)
+    reference = np.linalg.eigvalsh(a)
+    size = np.max(np.abs(reference), axis=-1)
+    assert np.all(np.abs(got - reference[:, -1]) <= 1e-14 * size)
+    assert sum(deflated) == (0 if pair == "small" else 400)
 
 
 def test_small_eigvalsh_reads_the_lower_triangle_and_keeps_batch_axes():

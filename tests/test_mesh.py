@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from liechannel import presets
-from liechannel.core import INFINITY_VEC, GeometryError, plane_lift, point_lift, span
+from liechannel.core import (INFINITY_VEC, GeometryError, Infinity, plane_lift,
+                             point_lift, project_to_euclidean, span)
 from liechannel.legendre import make_legendre_from_surface
 from liechannel.mesh import (
     MeshOutput,
@@ -18,7 +19,6 @@ from liechannel.mesh import (
     load_obj,
     mesh_from_grid,
     point_sphere_lifts,
-    point_sphere_of,
     triangulate_grid,
 )
 
@@ -27,21 +27,45 @@ def cylinder_grid(n=64):
     return make_legendre_from_surface(*presets.cylinder_surface(n_u=n, n_theta=n))
 
 
+def pointwise_point_sphere(sigma, tau):
+    """Per-element oracle: the unit pencil member with zero radius
+    coordinate, or None where core reads it as the point at infinity."""
+    vec = sigma[5] * tau - tau[5] * sigma
+    if isinstance(project_to_euclidean(vec), Infinity):
+        return None
+    return vec / np.linalg.norm(vec)
+
+
 def test_point_sphere_recovers_surface_point():
     grid = cylinder_grid(16)
     pts = presets.cylinder_surface(n_u=16, n_theta=16)[0]
-    for i, j in ((0, 0), (5, 9), (15, 15)):
-        vec = point_sphere_of(grid.sigma[i, j], grid.tau[i, j])
-        pos = vec[:3] / (vec[3] + vec[4])
-        np.testing.assert_allclose(pos, pts[i, j], atol=1e-12)
-        assert abs(vec[5]) <= 1e-12      # radius-zero member
+    positions, finite = grid_point_spheres(grid.sigma, grid.tau)
+    assert finite.all()
+    for i in (0, 5, 15):
+        lifts, dropped = point_sphere_lifts(grid.sigma[i], grid.tau[i])
+        assert dropped == 0
+        assert np.max(np.abs(lifts[:, 5])) <= 1e-12      # radius-zero members
+        homog = lifts[:, 3:4] + lifts[:, 4:5]
+        np.testing.assert_allclose(lifts[:, :3] / homog, pts[i], atol=1e-12)
+        np.testing.assert_allclose(positions[i], pts[i], atol=1e-12)
 
 
 def test_point_sphere_special_cases():
-    assert point_sphere_of(INFINITY_VEC, plane_lift([0, 0, 1.0], 0.0)) is None
-    with pytest.raises(GeometryError):
-        point_sphere_of(point_lift(np.array([1.0, 0, 0])),
-                        point_lift(np.array([0.0, 1, 0])))
+    # a pencil through the point at infinity is dropped by the row reader
+    # and masked out by the grid reader
+    sigma = np.stack([INFINITY_VEC, point_lift(np.array([1.0, 2.0, 3.0]))])
+    tau = np.stack([plane_lift([0, 0, 1.0], 0.0),
+                    plane_lift([1.0, 0, 0], 1.0)])
+    lifts, dropped = point_sphere_lifts(sigma, tau)
+    assert dropped == 1 and lifts.shape == (1, 6)
+    positions, finite = grid_point_spheres(sigma, tau)
+    assert list(finite) == [False, True]
+    np.testing.assert_allclose(positions, [[0.0, 0, 0], [1.0, 2.0, 3.0]],
+                               atol=1e-15)
+    # a pencil made only of point spheres has no unique point sphere
+    with pytest.raises(GeometryError, match="entirely made of point spheres"):
+        point_sphere_lifts(point_lift(np.array([[1.0, 0, 0]])),
+                           point_lift(np.array([[0.0, 1, 0]])))
 
 
 def test_point_sphere_lifts_read_a_row_like_the_pointwise_reader():
@@ -50,7 +74,7 @@ def test_point_sphere_lifts_read_a_row_like_the_pointwise_reader():
     sigma[[2, 9]] = INFINITY_VEC          # two elements through infinity
     tau[[2, 9]] = plane_lift([0, 0, 1.0], 0.0)
     lifts, dropped = point_sphere_lifts(sigma, tau)
-    expected = [v / np.linalg.norm(v) for v in map(point_sphere_of, sigma, tau)
+    expected = [v for v in map(pointwise_point_sphere, sigma, tau)
                 if v is not None]
     assert dropped == 2 and lifts.shape == (14, 6)
     np.testing.assert_allclose(lifts, expected, atol=1e-15)

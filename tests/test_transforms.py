@@ -232,6 +232,45 @@ def test_cyclide_congruence_of_darboux_pair():
     assert rep.d2_coincidence <= 0.1                  # measured 1.9e-2
 
 
+def darboux_pair_at(n_theta):
+    curve = line_sphere_curve(n=32)
+    grid = envelope(curve, n_theta=n_theta)
+    omega = omega0_form(grid, curve.vectors)
+    phi0 = tr.darboux_initial_condition(seed_space(), curve.vectors[0], seed=0)
+    return curve, grid, tr.darboux_transform(grid, omega, 1.0, phi0)
+
+
+def test_element_intersection_takes_no_svd_per_element(monkeypatch):
+    matrices = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    def count(n_theta):
+        curve, grid, res = darboux_pair_at(n_theta)
+        del matrices[:]
+        rep = tr.ribaucour_cyclides(curve, res.hat_s, f=grid, f_hat=res.hat_f)
+        assert rep.intersection_rank_ok and rep.duality <= 1e-10
+        return sum(matrices)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert count(16) == count(32)
+
+
+def test_coinciding_elements_fail_the_intersection_rank():
+    curve, grid, res = darboux_pair()
+    hat = res.hat_f
+    sigma, tau = np.array(hat.sigma), np.array(hat.tau)
+    sigma[40], tau[40] = grid.sigma[40], grid.tau[40]
+    planted = type(hat)(sigma, tau, hat.u_values, hat.theta_values,
+                        hat.periodic_u, hat.periodic_theta)
+    rep = tr.ribaucour_cyclides(curve, res.hat_s, f=grid, f_hat=planted)
+    assert rep.intersection_rank_ok is False
+    assert rep.notes == ["element intersections are not uniformly rank 1"]
+
+
 def test_cyclide_congruence_curve_only():
     curve, _, res = darboux_pair()
     rep = tr.ribaucour_cyclides(curve, res.hat_s)
