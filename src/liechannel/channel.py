@@ -351,9 +351,10 @@ class Omega0Structure:
     eta has no theta-component (the form annihilates the circular
     direction) and its u-component is the wedge of the special lift with
     its u-derivative; q_uu is the single surviving coefficient of the
-    quadratic differential.  closedness and bracket are the measured
-    discrete residuals of d(eta) = 0 and [eta ^ eta] = 0; both vanish to
-    rounding because eta is theta-independent with one component.
+    quadratic differential.  Because sigma1 depends on u alone, d(eta) = 0
+    holds exactly when sigma1 is the circular curvature sphere at every
+    (u, theta); lift_gap is the worst projective gap between the two over
+    the grid, the one measurement of that condition that can fail.
 
     The structure is immutable; data derived from it (the special lift
     interpolated at the RK4 nodes of the transform flows) is computed
@@ -366,65 +367,43 @@ class Omega0Structure:
     q_uu: np.ndarray              # (n,)
     u_values: np.ndarray
     periodic_u: bool
-    star_convention: str
-    closedness: float
-    bracket: float
+    lift_gap: float
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def du(self) -> float:
         return float(self.u_values[1] - self.u_values[0])
 
-    @property
-    def eta_theta(self) -> np.ndarray:
-        return np.zeros_like(self.eta_u)
-
 
 def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
     """Middle one-form eta = sigma1 ^ (star d sigma1) of a channel grid.
 
     sigma1 must be a theta-independent lift of the circular-direction
-    curvature sphere family (one 6-vector per u-sample).  The star acts as
-    the identity on the non-circular conormal direction and as minus the
-    identity on the circular one, so d(sigma1) having only a u-component
-    makes eta = wedge(sigma1, sigma1') du.
+    curvature sphere family (one 6-vector per u-sample); a lift more than
+    1e-6 off the extracted curvature sphere at any grid point is rejected.
+    The star acts as the identity on the non-circular conormal direction
+    and as minus the identity on the circular one, so d(sigma1) having
+    only a u-component makes eta = wedge(sigma1, sigma1') du.
     """
     sigma1 = read_only_copy(sigma1)
-    nu, nt = grid.shape
-    if sigma1.shape != (nu, DIM):
+    if sigma1.shape != (grid.shape[0], DIM):
         raise GeometryError("sigma1 must be a u-grid of 6-vectors")
     verdict = is_channel(grid)
     if not verdict.circular("dir1"):
         raise GeometryError(
             "grid is not a channel along dir1; the middle one-form needs a "
             f"circular first family (verdict: {verdict.circular_dir})")
-    s1 = curvature_data(grid).s1
-    for j in (0, nt // 2):
-        gaps = projective_gap(sigma1, s1[:, j])
-        if float(np.max(gaps)) > 1e-6:
-            raise GeometryError("sigma1 does not lift the first curvature "
-                                "sphere family of this grid")
+    lift_gap = float(np.max(projective_gap(sigma1[:, None],
+                                           curvature_data(grid).s1)))
+    if lift_gap > 1e-6:
+        raise GeometryError("sigma1 does not lift the first curvature "
+                            f"sphere family of this grid (gap {lift_gap:.3e})")
 
     dsigma1 = stencils.diff1_5pt(sigma1, grid.du, periodic=grid.periodic_u)
-    eta_u = wedge_matrix(sigma1, dsigma1)
-    q_uu = -inner(dsigma1, dsigma1)
-
-    # discrete exterior derivative over grid plaquettes; eta_theta = 0 and
-    # eta_u is theta-independent, so this is zero to the last bit -- but
-    # measure it rather than assert it
-    eta_grid = np.broadcast_to(eta_u[:, None], (nu, nt, DIM, DIM))
-    d_theta = stencils.diff1(eta_grid, grid.dtheta, axis=1, periodic=True)
-    closedness = float(np.max(np.abs(d_theta)))
-    theta_comp = np.zeros_like(eta_u)
-    br = ((eta_u @ theta_comp - theta_comp @ eta_u)
-          - (theta_comp @ eta_u - eta_u @ theta_comp))
-    bracket = float(np.max(np.abs(br)))
     return Omega0Structure(
-        sigma1=sigma1, dsigma1=dsigma1, eta_u=eta_u, q_uu=q_uu,
-        u_values=grid.u_values, periodic_u=grid.periodic_u,
-        star_convention="star = -id on the circular conormal, +id transverse",
-        closedness=closedness, bracket=bracket,
-    )
+        sigma1=sigma1, dsigma1=dsigma1, eta_u=wedge_matrix(sigma1, dsigma1),
+        q_uu=-inner(dsigma1, dsigma1), u_values=grid.u_values,
+        periodic_u=grid.periodic_u, lift_gap=lift_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +473,3 @@ def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
                                    normalisation_defect=defect,
                                    tol=tol, passed=passed, notes=notes)
 
-
-def converges_quadratically(coarse: float, fine: float,
-                            floor: float = 1e-12, factor: float = 3.0) -> bool:
-    """Step-halving acceptance: quartering, or both already at rounding.
-
-    Structurally-exact residuals sit at machine precision on every grid, so
-    demanding a ratio there would divide noise by noise; two values below
-    the floor count as converged.
-    """
-    if coarse <= floor and fine <= floor:
-        return True
-    return fine <= coarse / factor

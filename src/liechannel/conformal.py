@@ -7,15 +7,12 @@ machinery.  Tubes arise by parallel transformation of the curve's contact
 lift, Ribaucour pairs of curves reduce to the sphere-curve criterion on
 point lifts, and the circle congruence enveloped by such a pair is the
 lightcone circle of the span {sigma, sigma', sigma_hat}.
-
-Isotropy projection reads oriented spheres as points of R^{3,1}; it is the
-bookkeeping bridge between the two pictures and is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -23,12 +20,8 @@ from .channel import SphereCurve, curve_from_profile, envelope
 from .core import (
     DIM,
     GeometryError,
-    LiePoint,
-    Plane,
-    Point,
     RankDeficiencyError,
     SignatureError,
-    Sphere,
     Subspace,
     first_failure,
     inner,
@@ -36,7 +29,6 @@ from .core import (
     lightcone_frames,
     parallel_transform_matrix,
     principal_sine,
-    project_to_euclidean,
     span_rows,
     sphere_lift,
     unit_rows,
@@ -381,36 +373,3 @@ def circle_congruence_report(c1: ConformalCurve, c2: ConformalCurve,
                                   tangency2=t2, residuals=residuals,
                                   passed=passed, notes=notes)
 
-
-# ---------------------------------------------------------------------------
-# isotropy projection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MinkowskiPoint:
-    """A point of R^{3,1}: the isotropy image of an oriented sphere."""
-
-    c: np.ndarray
-    r: float
-
-
-def isotropy_projection(p: Union[LiePoint, np.ndarray],
-                        tol: float = 1e-10) -> MinkowskiPoint:
-    """Read an oriented sphere or point as a point of R^{3,1}.
-
-    Planes and the point at infinity have no finite image and are
-    rejected.
-    """
-    obj = project_to_euclidean(p, tol=tol)
-    if isinstance(obj, Sphere):
-        return MinkowskiPoint(c=np.asarray(obj.center, dtype=float),
-                              r=float(obj.radius))
-    if isinstance(obj, Point):
-        return MinkowskiPoint(c=np.asarray(obj.position, dtype=float), r=0.0)
-    kind = "plane" if isinstance(obj, Plane) else "the point at infinity"
-    raise GeometryError(f"isotropy projection of {kind} is not a finite "
-                        "point of R^{3,1}")
-
-
-def isotropy_lift(q: MinkowskiPoint) -> np.ndarray:
-    return sphere_lift(q.c, q.r)

@@ -678,23 +678,3 @@ def parallel_transform_matrix(a: float) -> np.ndarray:
     m[5, 4] = a
     return m
 
-
-# ---------------------------------------------------------------------------
-# small dense matrix exponential (deterministic, numpy-only)
-# ---------------------------------------------------------------------------
-
-def expm(a: np.ndarray, terms: int = 16) -> np.ndarray:
-    """Scaled Taylor matrix exponential for (batches of) small matrices."""
-    a = np.asarray(a, dtype=float)
-    nrm = float(np.max(np.abs(a).sum(axis=-1))) if a.size else 0.0
-    k = max(0, int(np.ceil(np.log2(max(nrm, 1e-300) / 0.5))))
-    b = a / (2.0 ** k)
-    eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy()
-    result = eye.copy()
-    power = eye.copy()
-    for j in range(1, terms):
-        power = power @ b / j
-        result = result + power
-    for _ in range(k):
-        result = result @ result
-    return result

@@ -53,12 +53,8 @@ def cylinder_darboux(grid: int = 64, seed: int = 7) -> dict:
             {"id": "middle-form", "op": "omega0", "grid": "cylinder",
              "sphere_curve": "generators", "store": "eta",
              "q_uu_expected": -1.0,
-             "assert": [{"key": "closedness", "max": 1e-6},
-                        {"key": "bracket", "max": 1e-12},
+             "assert": [{"key": "lift_gap", "max": 1e-12},
                         {"key": "q_uu_deviation", "max": 1e-10}]},
-            {"id": "flatness", "op": "flatness", "omega": "eta",
-             "lambdas": [0.5, 1.0, 2.0],
-             "assert": [{"key": "defect_max", "max": 1e-12}]},
             {"id": "conserved", "op": "conserved", "omega": "eta",
              "lambdas": [-1.0, 1.0, 2.0, 3.0],
              "assert": [{"key": "residual_max", "max": 1e-8},
@@ -68,7 +64,8 @@ def cylinder_darboux(grid: int = 64, seed: int = 7) -> dict:
              "assert": [{"key": "null_drift", "max": 1e-10},
                         {"key": "validation_passed", "true": True}]},
             {"id": "transform-is-channel", "op": "channel", "target": "hat",
-             "assert": [{"key": "circular_dir", "equals": "dir1"}]},
+             "assert": [{"key": "circular_dir", "equals": "dir1"},
+                        {"key": "consistent", "true": True}]},
             {"id": "ribaucour", "op": "verify_pair", "a": "generators",
              "b": "hat_spheres",
              "assert": [{"key": "residual", "max": 1e-6}]},
@@ -87,7 +84,8 @@ def cylinder_darboux(grid: int = 64, seed: int = 7) -> dict:
              "sample_every": _CYCLIDE_EVERY, "store_prefix": "cyclide",
              "assert": [{"key": "contact_residual", "max": 1e-8},
                         {"key": "membership_residual", "max": 1e-8},
-                        {"key": "line_residual", "max": 1e-8}]},
+                        {"key": "line_residual", "max": 1e-8},
+                        {"key": "dropped_points", "equals": 0}]},
         ],
         "outputs": {
             "report": "report.json",
@@ -111,7 +109,7 @@ def cylinder_calapso(grid: int = 64, seed: int = 7) -> dict:
         "pipeline": [
             {"id": "middle-form", "op": "omega0", "grid": "cylinder",
              "sphere_curve": "generators", "store": "eta",
-             "assert": [{"key": "closedness", "max": 1e-6}]},
+             "assert": [{"key": "lift_gap", "max": 1e-12}]},
             {"id": "calapso", "op": "calapso", "grid": "cylinder",
              "omega": "eta", "lambdas": [0.5, 1.0, 2.0],
              "store_prefix": "cal",

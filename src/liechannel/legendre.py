@@ -221,17 +221,17 @@ def make_legendre_from_surface(points: np.ndarray, normals: np.ndarray,
 def _quotient_frames(grid: LegendreGrid):
     """Per-point machinery for the rank-2 positive quotient of each element.
 
-    Returns (w_basis, quotient_gram) where w_basis[i, j] has two rows spanning
-    a complement of the element inside its orthogonal space, Euclidean-
+    Returns w_basis, where w_basis[i, j] has two rows spanning a
+    complement of the element inside its orthogonal space, Euclidean-
     orthogonal to the element (so quotient coordinates are plain dot
     products): the Euclidean complement of span{sigma, tau, G sigma, G tau},
-    which depends only on the element.
+    which depends only on the element.  For null, independent sigma and
+    tau that complement lies in R^4 + 0, where G = I, so its quotient Gram
+    is the identity and needs no check beyond isotropy.
     """
     frames = np.stack([grid.sigma, grid.tau], axis=-2)          # (nu,nt,2,6)
     spanning = np.concatenate([frames, SIGNS * frames], axis=-2)
-    w_basis = orthonormal_rows(spanning, DIM)[..., 4:, :]       # (nu,nt,2,6)
-    qgram = w_basis @ np.swapaxes(SIGNS * w_basis, -1, -2)      # (nu,nt,2,2)
-    return w_basis, qgram
+    return orthonormal_rows(spanning, DIM)[..., 4:, :]          # (nu,nt,2,6)
 
 
 @dataclass
@@ -239,10 +239,8 @@ class LegendreReport:
     isotropy: float
     contact: float
     immersion: float
-    quotient_min_eig: float
     passed: bool
     tolerances: dict
-    notes: list
 
     def __str__(self):
         status = "ok" if self.passed else "FAILED"
@@ -251,7 +249,7 @@ class LegendreReport:
 
 
 def _legendre_measurements(grid: LegendreGrid):
-    """(isotropy, contact, immersion, quotient_min_eig) of validate_legendre."""
+    """(isotropy, contact, immersion) of validate_legendre."""
     s, t = unit_rows(grid.sigma), unit_rows(grid.tau)
     iso = max(float(np.max(np.abs(inner(s, s)))),
               float(np.max(np.abs(inner(t, t)))),
@@ -265,8 +263,7 @@ def _legendre_measurements(grid: LegendreGrid):
         for fr in (s, t):
             contact = max(contact, float(np.max(np.abs(inner(dv, fr)))))
 
-    w_basis, qgram = _memoised(grid, "quotient", _quotient_frames)
-    qmin = float(np.min(small_eigvalsh(qgram)[..., 0]))
+    w_basis = _memoised(grid, "quotient", _quotient_frames)
 
     beta = np.empty(grid.shape + (4, 2))
     for col, (dsig, dtau) in enumerate(((ds_u, dt_u), (ds_t, dt_t))):
@@ -274,7 +271,7 @@ def _legendre_measurements(grid: LegendreGrid):
         beta[..., 1, col] = np.einsum("...d,...d->...", w_basis[..., 1, :], dsig)
         beta[..., 2, col] = np.einsum("...d,...d->...", w_basis[..., 0, :], dtau)
         beta[..., 3, col] = np.einsum("...d,...d->...", w_basis[..., 1, :], dtau)
-    return iso, contact, _smallest_singular_value(beta), qmin
+    return iso, contact, _smallest_singular_value(beta)
 
 
 def _smallest_singular_value(beta: np.ndarray) -> float:
@@ -312,21 +309,16 @@ def validate_legendre(grid: LegendreGrid, tol_isotropy: float = 1e-9,
     scale-free.  They are taken once per grid; the verdict is judged
     against the tolerances of each call.
     """
-    iso, contact, immersion, qmin = _memoised(grid, "validation",
-                                             _legendre_measurements)
-    notes = []
+    iso, contact, immersion = _memoised(grid, "validation",
+                                        _legendre_measurements)
     if tol_contact is None:
         tol_contact = max(1e-8, 5.0 * (grid.du ** 2 + grid.dtheta ** 2))
-    if qmin <= 0.0:
-        notes.append("quotient metric not positive definite")
     passed = (iso <= tol_isotropy and contact <= tol_contact
-              and immersion >= immersion_min and qmin > 0.0)
+              and immersion >= immersion_min)
     return LegendreReport(
-        isotropy=iso, contact=contact, immersion=immersion,
-        quotient_min_eig=qmin, passed=passed,
+        isotropy=iso, contact=contact, immersion=immersion, passed=passed,
         tolerances={"isotropy": tol_isotropy, "contact": tol_contact,
                     "immersion_min": immersion_min},
-        notes=notes,
     )
 
 
@@ -388,7 +380,7 @@ def curvature_data(grid: LegendreGrid) -> CurvatureData:
 
 
 def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
-    w_basis, _ = _memoised(grid, "quotient", _quotient_frames)
+    w_basis = _memoised(grid, "quotient", _quotient_frames)
     ds_u, ds_t, dt_u, dt_t = grid.frame_derivatives()
 
     def wcoords(dv):

@@ -190,21 +190,6 @@ def export_obj(mesh: MeshOutput, path) -> str:
     return path
 
 
-def load_obj(path):
-    """Minimal OBJ reader (v/f lines only), for round-trip checks."""
-    verts, faces = [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
-    return np.asarray(verts, dtype=float), np.asarray(faces, dtype=int)
-
-
 def cyclide_point_grid(space: Subspace, n_a: int = 64, n_b: int = 64):
     """Sample a cyclide from its defining (2, 1) sphere space.
 

@@ -1,4 +1,4 @@
-"""Analytic sample surfaces used by tests and demos.
+"""Analytic sample surfaces for the tests.
 
 Each builder returns (points, normals, u_values, theta_values, periodic_u,
 periodic_theta) with points/normals of shape (n_u, n_theta, 3) and unit

@@ -61,7 +61,6 @@ from .transforms import (
     darboux_transform,
     dupin_from_spheres,
     dupin_from_subspace,
-    flatness_check,
     gauge_edge_residual,
     ribaucour_cyclides,
     verify_ribaucour,
@@ -299,9 +298,7 @@ def _given(args, *keys):
 def _op_validate(args, ctx):
     rep = validate_legendre(args["target"])
     return {"isotropy": rep.isotropy, "contact": rep.contact,
-            "immersion": rep.immersion,
-            "quotient_min_eig": rep.quotient_min_eig,
-            "passed": rep.passed, "notes": list(rep.notes)}
+            "immersion": rep.immersion, "passed": rep.passed}
 
 
 def _op_channel(args, ctx):
@@ -325,19 +322,13 @@ def _op_omega0(args, ctx):
     omega = omega0_form(args["grid"], args["sphere_curve"].vectors)
     if "store" in args:
         ctx.objects[args["store"]] = omega
-    out = {"closedness": omega.closedness, "bracket": omega.bracket,
+    out = {"lift_gap": omega.lift_gap,
            "q_uu_min": float(np.min(omega.q_uu)),
            "q_uu_max": float(np.max(omega.q_uu))}
     if "q_uu_expected" in args:
         out["q_uu_deviation"] = float(
             np.max(np.abs(omega.q_uu - args["q_uu_expected"])))
     return out
-
-
-def _op_flatness(args, ctx):
-    rep = flatness_check(args["omega"], args["lambdas"])
-    defects = {str(float(k)): v for k, v in rep.defects.items()}
-    return {"defects": defects, "defect_max": max(defects.values())}
 
 
 def _op_conserved(args, ctx):
@@ -554,8 +545,6 @@ _OPS = {
     "omega0": _Decl(_op_omega0, refs=("grid", "sphere_curve"),
                     params=dict(store=_NAME, q_uu_expected=_NUMBER),
                     stores=_key_if_set("store")),
-    "flatness": _Decl(_op_flatness, refs=("omega",), required=("lambdas",),
-                      params=dict(lambdas=_LAMBDAS)),
     "conserved": _Decl(_op_conserved, refs=("omega",), required=("lambdas",),
                        params=dict(lambdas=_LAMBDAS, p=_VEC6)),
     "darboux": _Decl(_op_darboux, refs=("grid", "omega"),

@@ -3,9 +3,8 @@
 The middle one-form eta of a channel grid generates a family of flat
 connections d + lambda*eta.  This module integrates their parallel
 sections and trivialising gauges (Darboux and Calapso transforms),
-generates and verifies Ribaucour partner curves, builds the Dupin cyclide
-congruences attached to a Ribaucour pair, and reconstructs the Darboux
-pair structure from the pair alone.
+generates and verifies Ribaucour partner curves, and builds the Dupin
+cyclide congruences attached to a Ribaucour pair.
 
 All flows are classical fixed-step RK4 along u.  Connection matrices at
 substep points come from cubic Hermite interpolation of (sigma1, sigma1')
@@ -18,7 +17,7 @@ of the integrator is reported instead of being hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .core import (
     SignatureError,
     Subspace,
     complement_rows,
-    expm,
     first_failure,
     inner,
     lightcone_circle,
@@ -144,49 +142,6 @@ def _rk4_flow(nodes: np.ndarray, y0: np.ndarray, h: float, coeff: float):
             y = y + step @ y
         out[e + 1] = y
     return out
-
-
-# ---------------------------------------------------------------------------
-# flatness of d + lambda eta
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FlatnessReport:
-    defects: dict                  # lambda -> max plaquette holonomy defect
-    notes: list = field(default_factory=list)
-
-    def __str__(self):
-        worst = max(self.defects.values()) if self.defects else 0.0
-        return f"flatness: worst plaquette defect {worst:.3e}"
-
-
-def flatness_check(omega: Omega0Structure, lambdas: Sequence[float],
-                   n_theta: int = 8) -> FlatnessReport:
-    """Holonomy of d + lambda*eta around every grid plaquette.
-
-    Edge transports are matrix exponentials of the trapezoidal edge
-    connection.  The theta-component of a channel's eta vanishes, so the
-    defect reduces to how much the u-transport varies with theta -- zero
-    for the one-form built here, but measured literally rather than
-    assumed.
-    """
-    du = omega.du
-    n = omega.sigma1.shape[0]
-    left, right = _edge_index_pairs(n, omega.periodic_u)
-    eta_edge = 0.5 * (omega.eta_u[left] + omega.eta_u[right]) * du
-    eta_theta = np.zeros((n, DIM, DIM))
-    dtheta = 2.0 * np.pi / n_theta
-    defects = {}
-    eye = np.eye(DIM)
-    for lam in lambdas:
-        e_u = expm(-lam * eta_edge)                     # per u-edge
-        e_t = expm(-lam * eta_theta * dtheta)           # per sample (all = I)
-        # plaquette: up in u at theta_j, across, down in u at theta_{j+1},
-        # back; with theta-independent edges each loop is E X E^-1 X^-1
-        loop = (e_u @ e_t[right] @ np.linalg.inv(e_u) @
-                np.linalg.inv(e_t[left]))
-        defects[lam] = float(np.max(np.abs(loop - eye)))
-    return FlatnessReport(defects=defects)
 
 
 # ---------------------------------------------------------------------------
@@ -683,90 +638,3 @@ def cyclide_point_residual(cyc: DupinCyclide, lifts: np.ndarray) -> np.ndarray:
         out = np.maximum(out, res)
     return out
 
-
-# ---------------------------------------------------------------------------
-# the pair structure: eta from the pair alone
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PairStructureReport:
-    sigma1: np.ndarray             # rescaled lifts, (sigma1, hat_sigma1) = -1
-    hat_sigma1: np.ndarray
-    eta_u: np.ndarray              # wedge(sigma1, d hat_sigma1)
-    normalisation_defect: float    # the orthogonality conditions on d-lifts
-    span_defect: float             # d hat_sigma1 outside span{sigma1, sigma1'}
-    parallel_pointwise: float      # |d hat_sigma1 + eta hat_sigma1| via jets
-    parallel_edge: float           # trapezoid edge residual (O(h^3) local)
-    passed: bool
-    notes: list = field(default_factory=list)
-
-
-def darboux_pair_structure(s: SphereCurve, s_hat: SphereCurve,
-                           span_tol: float = 1e-6) -> PairStructureReport:
-    """Reconstruct the m=1 structure of a channel pair from its curves.
-
-    Integrating factors rescale both lifts so their pairing is exactly -1
-    and each derivative is orthogonal to both spheres; the one-form is
-    then eta = wedge(sigma1, d hat_sigma1).  For a genuine Ribaucour pair
-    d hat_sigma1 falls inside span{sigma1, sigma1'}, making eta a multiple
-    of the channel one-form and hat_sigma1 parallel; the span defect is
-    the quantitative failure of that containment and is the number that
-    separates true pairs from mismatched ones.
-    """
-    if s.vectors.shape != s_hat.vectors.shape:
-        raise GeometryError("curves must share their u-grid")
-    sig, hat = s.vectors, s_hat.vectors
-    d_sig, _ = s.derivatives()
-    d_hat, _ = s_hat.derivatives()
-    g = inner(sig, hat)
-    scale = (np.linalg.norm(sig, axis=-1) * np.linalg.norm(hat, axis=-1))
-    if np.min(np.abs(g) / scale) <= 1e-12:
-        raise GeometryError("lift normalisation impossible: the curves are "
-                            "orthogonal somewhere")
-
-    du = s.du
-    rate_mu = -inner(d_sig, hat) / g
-    log_mu = np.concatenate([[0.0], np.cumsum(
-        0.5 * (rate_mu[:-1] + rate_mu[1:]) * du)])
-    mu = np.exp(log_mu)
-    nu = -1.0 / (mu * g)
-    sig1 = mu[:, None] * sig
-    hat1 = nu[:, None] * hat
-    # product-rule derivatives: the pointwise gauge ODEs hold exactly, so
-    # the orthogonality conditions below are identities up to rounding
-    dsig1 = (mu * rate_mu)[:, None] * sig + mu[:, None] * d_sig
-    rate_nu = -inner(sig, d_hat) / g
-    dhat1 = (nu * rate_nu)[:, None] * hat + nu[:, None] * d_hat
-
-    defect = max(
-        float(np.max(np.abs(inner(sig1, hat1) + 1.0))),
-        float(np.max(np.abs(inner(dsig1, hat1)))),
-        float(np.max(np.abs(inner(dhat1, sig1)))),
-    )
-
-    # rejection of d hat_sigma1 from span{sigma1, sigma1'}
-    basis = np.stack([sig1, dsig1], axis=1)
-    ortho = orthonormal_rows(basis)
-    rej = dhat1 - np.einsum("kmd,kd,kme->ke", ortho, dhat1, ortho)
-    span_defect = float(np.max(np.linalg.norm(rej, axis=-1)
-                               / np.linalg.norm(dhat1, axis=-1)))
-
-    eta = wedge_matrix(sig1, dhat1)
-    parallel_pointwise = float(np.max(np.linalg.norm(
-        dhat1 + np.einsum("kij,kj->ki", eta, hat1), axis=-1)))
-    left, right = _edge_index_pairs(sig.shape[0], periodic=False)
-    eta_edge = 0.5 * (eta[left] + eta[right]) * du
-    mid = 0.5 * (hat1[left] + hat1[right])
-    res = hat1[right] - hat1[left] + np.einsum("kij,kj->ki", eta_edge, mid)
-    parallel_edge = float(np.max(np.linalg.norm(res, axis=-1)))
-
-    passed = span_defect <= span_tol and defect <= 1e-8
-    notes = []
-    if not passed:
-        notes.append("the pair does not close into a Darboux structure; "
-                     f"span defect {span_defect:.3e}")
-    return PairStructureReport(
-        sigma1=sig1, hat_sigma1=hat1, eta_u=eta,
-        normalisation_defect=defect, span_defect=span_defect,
-        parallel_pointwise=parallel_pointwise, parallel_edge=parallel_edge,
-        passed=passed, notes=notes)

@@ -157,18 +157,22 @@ def test_criterion_04_channel_detection():
 
 
 def test_criterion_05_omega0_structure():
-    omegas = {n: cylinder(n)[2] for n in (64, 128)}
-    closed = {n: o.closedness for n, o in omegas.items()}
-    bracket = omegas[128].bracket
-    q_dev = float(np.max(np.abs(omegas[128].q_uu + 1.0)))
-    # the one-form has a single theta-independent component, so its
-    # discrete exterior derivative is identically zero at every grid size;
-    # the quartering bound then holds with equality at zero
-    quartering = closed[128] <= closed[64] / 3.5 + 1e-15
-    ok = closed[128] <= 1e-6 and quartering and bracket <= 1e-14 \
-        and q_dev <= 1e-10
-    _verdict(5, ok, f"closedness {closed[64]:.1e} -> {closed[128]:.1e}, "
-                    f"bracket {bracket:.1e}, |q_uu + 1| {q_dev:.3e}")
+    # d(eta) = 0 holds exactly when the u-only lift is the circular
+    # curvature sphere at every grid point; lift_gap measures that
+    gaps = {n: cylinder(n)[2].lift_gap for n in (64, 128)}
+    q_dev = float(np.max(np.abs(cylinder(128)[2].q_uu + 1.0)))
+    # tilt every generator sphere by the angle arctan(eps) towards e1, which
+    # is Euclidean-orthogonal to each lift of a sphere centred on the z-axis
+    curve, grid, _ = cylinder(64)
+    eps = 1e-9
+    scale = np.linalg.norm(curve.vectors, axis=-1, keepdims=True)
+    tilted = curve.vectors + eps * scale * np.eye(6)[0]
+    planted = omega0_form(grid, tilted).lift_gap
+    ok = (max(gaps.values()) <= 1e-12 and eps / 10 <= planted <= 10 * eps
+          and q_dev <= 1e-10)
+    _verdict(5, ok, f"lift gap {gaps[64]:.1e} (64), {gaps[128]:.1e} (128), "
+                    f"{planted:.2e} with a planted tilt of {eps:.0e}; "
+                    f"|q_uu + 1| {q_dev:.3e}")
 
 
 def test_criterion_06_conserved_quantity():

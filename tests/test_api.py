@@ -1,0 +1,66 @@
+"""The public API holds only what the package itself uses.
+
+Every name exported from liechannel/__init__.py must be referenced
+somewhere in the package outside its own definition and the export list,
+or be named below with the reason it is public anyway.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liechannel"
+
+#: exported names with no caller in the package, and why they stay public
+UNCALLED_BY_DESIGN = {
+    "make_legendre_from_surface": "acceptance criterion 4 builds the "
+                                  "ellipsoid, which is no envelope",
+    "ribaucour_partner_curve": "acceptance criterion 9 integrates partners",
+    "subspace_equal": "the tests' reference for equal subspaces",
+    "project_to_euclidean": "acceptance criterion 1 reads lifts back",
+    "special_lift": "acceptance criterion 6 gauges the lift",
+    "circle_congruence": "samples the circle a curve pair envelopes",
+}
+
+
+def _exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _defined_by(node):
+    """Names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {n.id for t in node.targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)}
+    return set()
+
+
+def _referenced():
+    """Names loaded in the package, each outside the top-level statement
+    that defines it; import statements do not count as uses."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = {n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Load)}
+            names |= {n.attr for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute)}
+            used |= names - _defined_by(node)
+    return used
+
+
+def test_every_export_has_a_caller_in_the_package():
+    exports, used = _exports(), _referenced()
+    unused = sorted(exports - used - set(UNCALLED_BY_DESIGN))
+    assert unused == [], f"exported but unused in the package: {unused}"
+    # the list stays exact: each entry is exported and still has no caller
+    assert set(UNCALLED_BY_DESIGN) <= exports
+    assert not set(UNCALLED_BY_DESIGN) & used

@@ -228,11 +228,36 @@ def test_omega0_q_is_minus_one_on_the_cylinder():
     assert np.max(np.abs(omega.q_uu + 1.0)) <= 1e-12   # measured 1.1e-14
 
 
-def test_omega0_is_closed_with_vanishing_bracket():
-    omega = cylinder_omega()
-    assert omega.closedness <= 1e-15
-    assert omega.bracket <= 1e-15
-    assert np.max(np.abs(omega.eta_theta)) == 0.0
+def planted_lift(curve, eps, seed=5):
+    """The curve's lift tilted off itself by the angle arctan(eps), at
+    every sample, in a seeded random direction."""
+    lift = curve.vectors
+    rng = np.random.default_rng(seed)
+    tilt = rng.normal(size=lift.shape)
+    tilt -= (np.einsum("ij,ij->i", tilt, lift)
+             / np.einsum("ij,ij->i", lift, lift))[:, None] * lift
+    tilt *= (np.linalg.norm(lift, axis=-1)
+             / np.linalg.norm(tilt, axis=-1))[:, None]
+    return lift + eps * tilt
+
+
+def test_omega0_lift_gap_sits_at_rounding():
+    for n in (32, 64):
+        curve, grid = cylinder_envelope(n)
+        # measured 3.1e-16 (32) and 3.7e-16 (64)
+        assert ch.omega0_form(grid, curve.vectors).lift_gap <= 1e-15
+        curve, grid = torus_envelope(n)
+        # measured 2.0e-16 (32) and 3.0e-16 (64)
+        assert ch.omega0_form(grid, curve.vectors).lift_gap <= 1e-15
+
+
+def test_omega0_lift_gap_measures_a_planted_tilt():
+    curve, grid = cylinder_envelope()
+    gap = ch.omega0_form(grid, planted_lift(curve, 1e-9)).lift_gap
+    # measured 1.0e-9: far above the 1e-12 the demos assert
+    assert 1e-10 <= gap <= 1e-8
+    with pytest.raises(GeometryError, match="sigma1 does not lift"):
+        ch.omega0_form(grid, planted_lift(curve, 1e-3))
 
 
 def test_omega0_eta_maps_are_metric_skew():
@@ -363,12 +388,6 @@ def test_conserved_quantity_on_torus_converges_locally():
         results[n] = report.residuals[1.0]
     # per-edge residuals are local truncation errors: third order
     assert results[32] / results[64] >= 6.0            # measured 8.1
-
-
-def test_convergence_helper():
-    assert ch.converges_quadratically(1e-3, 2.4e-4)
-    assert not ch.converges_quadratically(1e-3, 9e-4)
-    assert ch.converges_quadratically(3e-15, 5e-15)    # both at rounding
 
 
 # ---------------------------------------------------------------------------

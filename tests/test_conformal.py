@@ -1,6 +1,5 @@
 """Tests for the conformal layer: space curves as point-sphere curves,
-tubes, curve-level Ribaucour pairs, circle congruences, and the isotropy
-projection.
+tubes, curve-level Ribaucour pairs and circle congruences.
 
 Oracle values come from hand geometry (parallel lines, round circles,
 tori) or were frozen from a first trusted run; every frozen number is
@@ -12,8 +11,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from liechannel import conformal as cf
 from liechannel.channel import SphereCurve
@@ -25,10 +22,8 @@ from liechannel.core import (
     lightcone_circle,
     lightcone_frame,
     parallel_transform_matrix,
-    plane_lift,
     projective_gap,
     span,
-    sphere_lift,
     subspace_equal,
 )
 from liechannel.legendre import curvature_data, validate_legendre
@@ -389,27 +384,3 @@ def test_tilted_direction_builds_genuine_spheres():
     s1 = data.s1 / np.linalg.norm(data.s1, axis=-1, keepdims=True)
     assert np.max(np.abs(binner(s1, p))) <= 1e-12  # measured 2.8e-16
 
-
-# ---------------------------------------------------------------------------
-# isotropy projection
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=50, deadline=None)
-@given(
-    cx=st.floats(-5.0, 5.0), cy=st.floats(-5.0, 5.0), cz=st.floats(-5.0, 5.0),
-    r=st.floats(0.1, 4.0), sign=st.sampled_from([-1.0, 1.0]),
-    scale=st.floats(0.2, 5.0),
-)
-def test_isotropy_roundtrip(cx, cy, cz, r, sign, scale):
-    c = np.array([cx, cy, cz])
-    q = cf.isotropy_projection(scale * sphere_lift(c, sign * r))
-    assert np.max(np.abs(q.c - c)) <= 1e-12   # worst over 1000 draws: 2.1e-14
-    assert abs(q.r - sign * r) <= 1e-12
-    assert np.max(np.abs(cf.isotropy_lift(q) - sphere_lift(c, sign * r))) <= 1e-11
-
-
-def test_isotropy_rejects_planes_and_infinity():
-    with pytest.raises(GeometryError, match="not a finite point"):
-        cf.isotropy_projection(plane_lift((0.0, 0.0, 1.0), 0.5))
-    with pytest.raises(GeometryError, match="not a finite point"):
-        cf.isotropy_projection(INFINITY_VEC)

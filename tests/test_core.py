@@ -595,14 +595,3 @@ def test_projective_comparison():
     assert p.same_as(q)
     r = LiePoint(sphere_lift([1, 2, 3.001], 0.5))
     assert not p.same_as(r)
-
-
-def test_expm_against_closed_form():
-    # rotation generator in the (e1,e2) plane
-    gen = core.wedge_matrix(np.eye(6)[0], np.eye(6)[1])
-    got = core.expm(gen * 0.7)
-    expect = np.eye(6)
-    expect[0, 0] = expect[1, 1] = np.cos(0.7)
-    expect[0, 1] = -np.sin(0.7)
-    expect[1, 0] = np.sin(0.7)
-    np.testing.assert_allclose(got, expect, atol=1e-14)

@@ -16,11 +16,25 @@ from liechannel.mesh import (
     cyclide_point_grid,
     export_obj,
     grid_point_spheres,
-    load_obj,
     mesh_from_grid,
     point_sphere_lifts,
     triangulate_grid,
 )
+
+
+def load_obj(path):
+    """Minimal OBJ reader (v/f lines only): the round-trip oracle."""
+    verts, faces = [], []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "v":
+                verts.append([float(x) for x in parts[1:4]])
+            elif parts[0] == "f":
+                faces.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
+    return np.asarray(verts, dtype=float), np.asarray(faces, dtype=int)
 
 
 def cylinder_grid(n=64):
