@@ -32,7 +32,7 @@ from .core import (
     small_eigvalsh,
     wedge_matrix,
 )
-from .legendre import LegendreGrid, curvature_data, is_channel
+from .legendre import LegendreGrid, channel_verdict, curvature_data
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +381,9 @@ def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
     sigma1 must be a theta-independent lift of the circular-direction
     curvature sphere family (one 6-vector per u-sample); a lift more than
     1e-6 off the extracted curvature sphere at any grid point is rejected.
+    The grid must be channel along dir1 by the rate verdict of
+    channel_verdict alone: the middle form never pays for is_channel's
+    cyclide-splitting cross-check.
     The star acts as the identity on the non-circular conormal direction
     and as minus the identity on the circular one, so d(sigma1) having
     only a u-component makes eta = wedge(sigma1, sigma1') du.
@@ -388,7 +391,7 @@ def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
     sigma1 = read_only_copy(sigma1)
     if sigma1.shape != (grid.shape[0], DIM):
         raise GeometryError("sigma1 must be a u-grid of 6-vectors")
-    verdict = is_channel(grid)
+    verdict = channel_verdict(grid)
     if not verdict.circular("dir1"):
         raise GeometryError(
             "grid is not a channel along dir1; the middle one-form needs a "

@@ -592,17 +592,21 @@ def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ChannelReport:
+class ChannelVerdict:
     circular_dir: str             # 'none' | 'dir1' | 'dir2' | 'both'
     rates: dict                   # projective variation rate per direction
-    coupling: dict                # |N(dir_i)| per direction
     tol_rate: float
-    tol_coupling: float
-    consistent: bool              # the two criteria agree
-    notes: list
 
     def circular(self, which: str) -> bool:
         return self.circular_dir in (which, "both")
+
+
+@dataclass(frozen=True)
+class ChannelReport(ChannelVerdict):
+    coupling: dict                # |N(dir_i)| per direction
+    tol_coupling: float
+    consistent: bool              # the two criteria agree
+    notes: list
 
 
 def _variation_rate(field: np.ndarray, direction: np.ndarray,
@@ -616,31 +620,54 @@ def _variation_rate(field: np.ndarray, direction: np.ndarray,
     return float(np.max(speed[good])) if np.any(good) else np.inf
 
 
-def is_channel(grid: LegendreGrid) -> ChannelReport:
+def channel_verdict(grid: LegendreGrid) -> ChannelVerdict:
     """Decide along which curvature directions the curvature spheres freeze.
 
-    Primary criterion: the projective variation rate of s_i along its own
-    curvature direction.  Cross-check: the corresponding component of the
-    splitting tensor N must vanish too.  Disagreement is flagged (not raised)
-    since it indicates the grid is too coarse to classify.  Decided once
-    per grid.
+    The criterion is the projective variation rate of s_i along its own
+    curvature direction, within a grid-aware tolerance.  This is all that
+    omega0_form and the Calapso measurements read; only is_channel pays
+    for the splitting cross-check on top of it.  Decided once per grid.
     """
-    return _memoised(grid, "channel", _classify_channel)
+    return _memoised(grid, "channel_rates", _classify_rates)
 
 
-def _classify_channel(grid: LegendreGrid) -> ChannelReport:
+def _classify_rates(grid: LegendreGrid) -> ChannelVerdict:
     data = curvature_data(grid)
-    h2 = grid.du ** 2 + grid.dtheta ** 2
-    tol_rate = max(1e-6, 1.0 * h2)
-    tol_coupling = max(1e-6, 5.0 * h2)
-
-    notes = []
+    tol_rate = max(1e-6, grid.du ** 2 + grid.dtheta ** 2)
     mask = data.umbilic | ~interior_mask(grid.shape, grid.periodic_u,
                                          grid.periodic_theta,
                                          CHANNEL_EDGE_MARGIN)
     rate1 = _variation_rate(data.s1, data.dir1, grid, mask)
     rate2 = _variation_rate(data.s2, data.dir2, grid, mask)
+    circ = (rate1 <= tol_rate, rate2 <= tol_rate)
+    circular_dir = {(False, False): "none", (True, False): "dir1",
+                    (False, True): "dir2", (True, True): "both"}[circ]
+    return ChannelVerdict(circular_dir=circular_dir,
+                          rates={"dir1": rate1, "dir2": rate2},
+                          tol_rate=tol_rate)
 
+
+def is_channel(grid: LegendreGrid) -> ChannelReport:
+    """channel_verdict, cross-checked against the cyclide splitting.
+
+    Along each circular direction the corresponding component of the
+    splitting tensor N must vanish too.  That builds the cyclide-split
+    projector field and both of its differences, so only callers that
+    report the coupling (the scene's `channel` op, the tests) should pay
+    for it.
+    Disagreement is flagged (not raised) since it indicates the grid is
+    too coarse to classify.  Decided once per grid, on top of the
+    memoised rates.
+    """
+    return _memoised(grid, "channel", _classify_channel)
+
+
+def _classify_channel(grid: LegendreGrid) -> ChannelReport:
+    verdict = channel_verdict(grid)
+    data = curvature_data(grid)
+    tol_coupling = max(1e-6, 5.0 * (grid.du ** 2 + grid.dtheta ** 2))
+
+    notes = []
     coup1 = coup2 = np.nan
     try:
         *_, good, p1, p1_u, p1_t = _split_projector(grid, data)
@@ -659,24 +686,19 @@ def _classify_channel(grid: LegendreGrid) -> ChannelReport:
             coup1 = coupling(data.dir1)
             coup2 = coupling(data.dir2)
 
-    circ1 = rate1 <= tol_rate
-    circ2 = rate2 <= tol_rate
     consistent = True
-    for circ, coup, name in ((circ1, coup1, "dir1"), (circ2, coup2, "dir2")):
+    for coup, name in ((coup1, "dir1"), (coup2, "dir2")):
+        circ = verdict.circular(name)
         if not np.isnan(coup) and circ != (coup <= tol_coupling):
             consistent = False
             notes.append(
                 f"criteria disagree along {name}: rate vs coupling "
                 f"({'circular' if circ else 'non-circular'} vs {coup:.3e})")
 
-    circular_dir = {(False, False): "none", (True, False): "dir1",
-                    (False, True): "dir2", (True, True): "both"}[(circ1, circ2)]
     return ChannelReport(
-        circular_dir=circular_dir,
-        rates={"dir1": rate1, "dir2": rate2},
-        coupling={"dir1": coup1, "dir2": coup2},
-        tol_rate=tol_rate, tol_coupling=tol_coupling,
-        consistent=consistent, notes=notes,
+        circular_dir=verdict.circular_dir, rates=verdict.rates,
+        tol_rate=verdict.tol_rate, coupling={"dir1": coup1, "dir2": coup2},
+        tol_coupling=tol_coupling, consistent=consistent, notes=notes,
     )
 
 

@@ -45,6 +45,7 @@ from .conformal import (
 )
 from .core import DIM, GeometryError, inner, lightcone_circle, span, unit_rows
 from .legendre import (
+    channel_verdict,
     curvature_data,
     is_channel,
     lie_cyclide_split,
@@ -364,7 +365,7 @@ def _calapso_measurements(args, ctx, lam):
                                    **_given(args, "substeps"))
     q_dev = float(np.max(np.abs(
         calapso_quadratic_form(gauge, omega) - omega.q_uu)))
-    channel = is_channel(out)
+    channel = channel_verdict(out)
     pushed = unit_rows(gauge.push(omega.sigma1))
     s1 = unit_rows(curvature_data(out).s1)
     gap = float(np.max(np.minimum(

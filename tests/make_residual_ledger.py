@@ -9,6 +9,9 @@ or any verdict changes.  A change that improves a measurement
 regenerates the ledger and names the entry.
 
     PYTHONPATH=src python tests/make_residual_ledger.py
+    git diff tests/residual_ledger.json
+
+The diff lists every log10 entry and verdict the fresh run moved.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from liechannel.legendre import (
     LegendreGrid,
     align_labels_grid,
     align_signs_grid,
+    channel_verdict,
     curvature_data,
     interior_mask,
     is_channel,
@@ -294,6 +295,31 @@ def test_channel_verdicts_on_presets():
     for name, kw in (("cylinder", {}), ("torus", {}), ("ellipsoid", {})):
         assert is_channel(preset_grid(name, n_u=48, n_theta=48, **kw)).consistent
     assert helix.consistent
+    # the rate verdict alone is the verdict is_channel reports:
+    # 'both', 'both', 'dir1' and 'none'
+    for name in ("cylinder", "torus", "helix_tube", "ellipsoid"):
+        grid = preset_grid(name, n_u=48, n_theta=48)
+        assert channel_verdict(grid).circular_dir == is_channel(grid).circular_dir
+
+
+@pytest.mark.parametrize("verdict_first", [True, False])
+def test_variation_rates_are_computed_once_per_grid(monkeypatch,
+                                                    verdict_first):
+    calls = []
+    rate = legendre_module._variation_rate
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return rate(*args)
+
+    monkeypatch.setattr(legendre_module, "_variation_rate", counting)
+    grid = make_legendre_from_surface(*presets.torus_surface(n_u=32,
+                                                             n_theta=32))
+    first, second = ((channel_verdict, is_channel) if verdict_first
+                     else (is_channel, channel_verdict))
+    assert first(grid).circular_dir == second(grid).circular_dir
+    assert channel_verdict(grid) is channel_verdict(grid)
+    assert len(calls) == 2
 
 
 def test_channel_rate_separation():

@@ -275,10 +275,24 @@ def test_demo_suite_is_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def _count_split_projectors(monkeypatch):
+    """Grid sources of every cyclide-split projector field built."""
+    sources = []
+    split_projector = legendre._split_projector
+
+    def counting(grid, data):
+        sources.append(grid.metadata.get("source"))
+        return split_projector(grid, data)
+
+    monkeypatch.setattr(legendre, "_split_projector", counting)
+    return sources
+
+
 def test_each_grid_is_extracted_and_validated_once(tmp_path, monkeypatch):
     # cylinder-darboux builds two grids (the cylinder and its transform);
     # validation, channel detection, the middle form and the cyclide stage
     # all read the same per-grid data
+    split_sources = _count_split_projectors(monkeypatch)
     sources = []
     quotient_frames = legendre._quotient_frames
 
@@ -293,6 +307,36 @@ def test_each_grid_is_extracted_and_validated_once(tmp_path, monkeypatch):
     # one quotient-frame pass per grid: validation shares the curvature
     # extraction's frames, which depend only on the element
     assert sorted(map(str, sources)) == ["darboux", "envelope"]
+    # the two channel ops report the coupling, one split projector per
+    # grid; the middle form on the same cylinder reads only the verdict
+    assert sorted(map(str, split_sources)) == ["darboux", "envelope"]
+
+
+def test_calapso_scene_builds_no_split_projector(tmp_path, monkeypatch):
+    # the middle form and the calapso op read only the rate verdict; each
+    # transformed grid's verdict is the one the cross-checked report has
+    sources = _count_split_projectors(monkeypatch)
+    outputs = []
+    transform = scene.calapso_transform
+
+    def keeping(*args, **kwargs):
+        gauge, out = transform(*args, **kwargs)
+        outputs.append(out)
+        return gauge, out
+
+    monkeypatch.setattr(scene, "calapso_transform", keeping)
+    cfg = demo_config("cylinder-calapso", grid=32)
+    del cfg["outputs"]["meshes"]
+    report = run_scene(cfg, tmp_path)
+    assert report["passed"]
+    assert sources == []
+    per_lambda = report["stages"][1]["measurements"]["per_lambda"]
+    assert len(outputs) == len(per_lambda) == 3
+    for out, measured in zip(outputs, per_lambda.values()):
+        assert (measured["circular_dir"]
+                == legendre.is_channel(out).circular_dir)
+    # the cross-checked reports do build one each, so the count is live
+    assert len(sources) == 3
 
 
 @pytest.mark.parametrize("name", demo_names())
