@@ -35,6 +35,7 @@ from .core import (
 )
 from .legendre import LegendreGrid
 from .mesh import grid_point_spheres
+from .transforms import verify_ribaucour
 from . import stencils
 
 E6 = np.eye(DIM)[5]
@@ -261,7 +262,6 @@ def ribaucour_curve_check(c1: ConformalCurve, c2: ConformalCurve) -> float:
     p-orthogonal hyperplane automatically, so no separate projection step
     is needed.
     """
-    from .transforms import verify_ribaucour
     _pair_guard(c1, c2)
     return verify_ribaucour(c1.lift, c2.lift)
 

@@ -148,7 +148,7 @@ def torus_cyclide(grid: int = 96, seed: int = 7) -> dict:
                         {"key": "consistent", "true": True}]},
             {"id": "cyclide-splitting", "op": "lie_cyclide",
              "target": "torus",
-             "assert": [{"key": "orthogonality", "max": 1e-10}]},
+             "assert": [{"key": "s2_agreement", "max": 1e-10}]},
             {"id": "dupin-through-spheres", "op": "dupin_fit",
              "sphere_curve": "ring_unit",
              "indices": [0, grid // 3, (2 * grid) // 3], "store": "dupin",

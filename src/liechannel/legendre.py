@@ -19,19 +19,19 @@ from .core import (
     DIM,
     SIGNS,
     GeometryError,
-    complement_rows,
+    _largest_eigvalsh,
     inner,
     inv3,
     null_combination,
     orthonormal_rows,
     plane_lift,
     point_lift,
-    principal_sine,
     projective_gap,
     read_only_copy,
     small_eigvalsh,
     unit_rows,
 )
+from .mesh import point_sphere_lifts
 
 #: projective gap below which the two curvature spheres count as equal
 UMBILIC_TOL = 1e-6
@@ -465,31 +465,26 @@ def _second_directional_derivative(field: np.ndarray, direction: np.ndarray,
 # cyclide splitting
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LieCyclideSplit:
-    """Pointwise orthogonal splitting into two rank-3 subbundles.
+    """The pointwise splitting into two rank-3 subbundles, reduced to the
+    measurements that can fail.
 
-    s1_basis[i,j] spans the 2-jet of the first curvature sphere field along
-    the second curvature direction; s2_basis is its metric complement, so
-    the splitting is orthogonal by construction.  The geometric content --
-    that the complement agrees with the 2-jet span of the second curvature
-    sphere along the first direction -- is reported as s2_agreement (O(h^2)
-    on exact data).  n_u/n_theta are the components of the difference
-    between the flat derivative and the split-adapted one; they exchange
-    the two blocks, and block_defect reports the leakage.
+    S1 is spanned by the 2-jet of the first curvature sphere field along
+    the second curvature direction; its metric complement is S2.
+    coupling[dir_i] is the largest entry of the splitting tensor
+    N(dir_i) = (1 - 2 p1) d_dir_i p1, p1 the metric projector onto S1: it
+    vanishes exactly along a circular direction (NaN where no usable point
+    has usable neighbours for both differences).  s2_agreement is the sine
+    of the largest principal angle between S2 and the 2-jet span of the
+    second curvature sphere along the first direction (O(h^2) on exact
+    data).  excluded marks umbilics, bad signatures, open-grid edges and
+    ill-conditioned points.
     """
 
-    s1_basis: np.ndarray          # (nu, nt, 3, 6)
-    s2_basis: np.ndarray          # metric complement of s1_basis
-    s2_jet_basis: np.ndarray      # jet span of s2 (diagnostic)
-    n_u: np.ndarray               # (nu, nt, 6, 6)
-    n_theta: np.ndarray
-    signature_ok: np.ndarray      # bool grid
-    conditioning: np.ndarray      # min |gram eigenvalue| across both sides
-    orthogonality: float
+    coupling: dict
     s2_agreement: float
-    block_defect: float
-    excluded: np.ndarray          # umbilics, bad signature, edges, ill-cond.
+    excluded: np.ndarray
 
 
 def _metric_projector_batch(basis: np.ndarray) -> np.ndarray:
@@ -517,10 +512,10 @@ def interior_mask(shape, periodic_u: bool, periodic_theta: bool,
     return mask
 
 
-def _split_projector(grid: LegendreGrid, data: CurvatureData):
-    """(b1, b2_jet, sig_ok, conditioning, usable, interior, p1, p1_u, p1_t):
-    the 2-jet bases, the trusted points, those where the projector p1 onto
-    b1 also has finite u/theta differences, and p1 with its differences."""
+def _split_bases(grid: LegendreGrid, data: CurvatureData):
+    """(b1, b2_jet, usable): orthonormal 2-jet bases of both curvature
+    sphere fields, and the points where both have signature (2, 1), are
+    well conditioned, and lie away from open-grid edges."""
     if bool(np.all(data.umbilic)):
         raise GeometryError("cyclide splitting undefined on a totally umbilic grid")
 
@@ -529,62 +524,61 @@ def _split_projector(grid: LegendreGrid, data: CurvatureData):
     b1 = orthonormal_rows(np.stack([data.s1, d1s1, d2s1], axis=-2))
     b2_jet = orthonormal_rows(np.stack([data.s2, d1s2, d2s2], axis=-2))
 
-    ev1 = small_eigvalsh(b1 @ np.swapaxes(SIGNS * b1, -1, -2))
-    ev2 = small_eigvalsh(b2_jet @ np.swapaxes(SIGNS * b2_jet, -1, -2))
-    sig_ok = ((np.sum(ev1 > 1e-9, axis=-1) == 2) & (np.sum(ev1 < -1e-9, axis=-1) == 1)
-              & (np.sum(ev2 > 1e-9, axis=-1) == 2) & (np.sum(ev2 < -1e-9, axis=-1) == 1))
-    # splitting quality degrades where an osculating space nearly degenerates;
-    # gate the diagnostics on the smaller of the two gram conditionings
-    conditioning = np.minimum(np.min(np.abs(ev1), axis=-1),
-                              np.min(np.abs(ev2), axis=-1))
-    usable = (sig_ok & ~data.umbilic & (conditioning >= SPLIT_COND_TOL)
-              & interior_mask(grid.shape, grid.periodic_u,
-                              grid.periodic_theta, SPLIT_EDGE_MARGIN))
-
-    p1 = np.full(grid.shape + (DIM, DIM), np.nan)
-    if np.any(usable):
-        p1[usable] = _metric_projector_batch(b1[usable])
-    p1_u = stencils.diff1(p1, grid.du, axis=0, periodic=grid.periodic_u)
-    p1_t = stencils.diff1(p1, grid.dtheta, axis=1, periodic=grid.periodic_theta)
-    interior = (usable & ~np.isnan(p1_u).any(axis=(-1, -2))
-                & ~np.isnan(p1_t).any(axis=(-1, -2)))
-    return b1, b2_jet, sig_ok, conditioning, usable, interior, p1, p1_u, p1_t
+    usable = ~data.umbilic & interior_mask(grid.shape, grid.periodic_u,
+                                           grid.periodic_theta, SPLIT_EDGE_MARGIN)
+    for basis in (b1, b2_jet):
+        ev = small_eigvalsh(basis @ np.swapaxes(SIGNS * basis, -1, -2))
+        # splitting quality degrades where an osculating space nearly
+        # degenerates
+        usable &= ((np.sum(ev > 1e-9, axis=-1) == 2)
+                   & (np.sum(ev < -1e-9, axis=-1) == 1)
+                   & (np.min(np.abs(ev), axis=-1) >= SPLIT_COND_TOL))
+    return b1, b2_jet, usable
 
 
 def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
-    (b1, b2_jet, sig_ok, conditioning, usable, interior,
-     p1, p1_u, p1_t) = _split_projector(grid, curvature_data(grid))
-    b2 = complement_rows(b1)
+    """The cyclide splitting and its measurements, taken once per grid.
 
-    cross = b1 @ np.swapaxes(SIGNS * b2, -1, -2)
-    ortho = float(np.max(np.abs(cross[usable]))) if np.any(usable) else np.inf
+    Raises GeometryError on a totally umbilic grid.  The bases and the
+    projector field are dropped once reduced, so the grid keeps only the
+    measurements and the excluded mask.
+    """
+    return _memoised(grid, "split", _split_cyclides)
 
-    # geometric content: the complement is reproduced by the other family's
-    # jet span (sine of the largest principal angle, O(h^2) on exact data)
-    sines = principal_sine(b2, b2_jet)
-    agreement = float(np.max(sines[usable])) if np.any(usable) else np.inf
 
-    eye = np.eye(DIM)
-    n_u = (eye - 2.0 * p1) @ p1_u
-    n_theta = (eye - 2.0 * p1) @ p1_t
+def _split_cyclides(grid: LegendreGrid) -> LieCyclideSplit:
+    data = curvature_data(grid)
+    b1, b2_jet, usable = _split_bases(grid, data)
+    excluded = ~usable
+    excluded.flags.writeable = False
+    coupling = {"dir1": np.nan, "dir2": np.nan}
+    if not np.any(usable):
+        return LieCyclideSplit(coupling, np.inf, excluded)
 
-    # defect of the splitting property: N should exchange the two blocks
-    block = 0.0
-    if np.any(interior):
-        for n in (n_u, n_theta):
-            nd = n[interior]
-            pp = p1[interior]
-            qq = eye - pp
-            block = max(block,
-                        float(np.max(np.abs(pp @ nd @ pp))),
-                        float(np.max(np.abs(qq @ nd @ qq))))
-    return LieCyclideSplit(
-        s1_basis=b1, s2_basis=b2, s2_jet_basis=b2_jet,
-        n_u=n_u, n_theta=n_theta,
-        signature_ok=sig_ok, conditioning=conditioning,
-        orthogonality=ortho, s2_agreement=agreement, block_defect=block,
-        excluded=~usable,
-    )
+    # S2 is the Euclidean complement of span(G b1), whose rows are
+    # orthonormal, so the sine against the jet span of s2 is the largest
+    # singular value of the 3 x 3 metric cross-Gram b1 G b2_jet^T
+    cross = b1[usable] @ np.swapaxes(SIGNS * b2_jet[usable], -1, -2)
+    top = np.max(_largest_eigvalsh(cross @ np.swapaxes(cross, -1, -2)))
+    agreement = float(np.sqrt(max(top, 0.0)))
+
+    p1 = np.full(grid.shape + (DIM, DIM), np.nan)
+    p1[usable] = _metric_projector_batch(b1[usable])
+    p1_u = stencils.diff1(p1, grid.du, axis=0, periodic=grid.periodic_u)
+    p1_t = stencils.diff1(p1, grid.dtheta, axis=1, periodic=grid.periodic_theta)
+    # p1 is NaN in every entry exactly off the usable points, so one entry
+    # of each difference shows where both stencils stay on usable points
+    good = usable & ~np.isnan(p1_u[..., 0, 0] + p1_t[..., 0, 0])
+    if np.any(good):
+        # only the reported components N(dir_i) = (1 - 2 p1) d_dir_i p1
+        flip = np.eye(DIM) - 2.0 * p1[good]
+        p1_u, p1_t = p1_u[good], p1_t[good]
+        for name, direction in (("dir1", data.dir1), ("dir2", data.dir2)):
+            a = direction[good][:, 0, None, None]
+            b = direction[good][:, 1, None, None]
+            n_dir = flip @ (a * p1_u + b * p1_t)
+            coupling[name] = float(np.max(np.abs(n_dir)))
+    return LieCyclideSplit(coupling, agreement, excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -651,43 +645,30 @@ def is_channel(grid: LegendreGrid) -> ChannelReport:
     """channel_verdict, cross-checked against the cyclide splitting.
 
     Along each circular direction the corresponding component of the
-    splitting tensor N must vanish too.  That builds the cyclide-split
-    projector field and both of its differences, so only callers that
-    report the coupling (the scene's `channel` op, the tests) should pay
-    for it.
+    splitting tensor N must vanish too.  That reads lie_cyclide_split,
+    which builds the projector field and both of its differences, so only
+    callers that report the coupling (the scene's `channel` op, the tests)
+    should pay for it.
     Disagreement is flagged (not raised) since it indicates the grid is
     too coarse to classify.  Decided once per grid, on top of the
-    memoised rates.
+    memoised rates and splitting.
     """
     return _memoised(grid, "channel", _classify_channel)
 
 
 def _classify_channel(grid: LegendreGrid) -> ChannelReport:
     verdict = channel_verdict(grid)
-    data = curvature_data(grid)
     tol_coupling = max(1e-6, 5.0 * (grid.du ** 2 + grid.dtheta ** 2))
 
     notes = []
-    coup1 = coup2 = np.nan
     try:
-        *_, good, p1, p1_u, p1_t = _split_projector(grid, data)
+        coupling = dict(lie_cyclide_split(grid).coupling)
     except GeometryError as exc:
         notes.append(f"splitting unavailable: {exc}")
-    else:
-        if np.any(good):
-            # only the reported components N(dir_i) = (1 - 2 p1) d_dir_i p1
-            flip = np.eye(DIM) - 2.0 * p1[good]
-
-            def coupling(direction):
-                a = direction[good][:, 0, None, None]
-                b = direction[good][:, 1, None, None]
-                n_dir = flip @ (a * p1_u[good] + b * p1_t[good])
-                return float(np.max(np.abs(n_dir)))
-            coup1 = coupling(data.dir1)
-            coup2 = coupling(data.dir2)
+        coupling = {"dir1": np.nan, "dir2": np.nan}
 
     consistent = True
-    for coup, name in ((coup1, "dir1"), (coup2, "dir2")):
+    for name, coup in coupling.items():
         circ = verdict.circular(name)
         if not np.isnan(coup) and circ != (coup <= tol_coupling):
             consistent = False
@@ -697,7 +678,7 @@ def _classify_channel(grid: LegendreGrid) -> ChannelReport:
 
     return ChannelReport(
         circular_dir=verdict.circular_dir, rates=verdict.rates,
-        tol_rate=verdict.tol_rate, coupling={"dir1": coup1, "dir2": coup2},
+        tol_rate=verdict.tol_rate, coupling=coupling,
         tol_coupling=tol_coupling, consistent=consistent, notes=notes,
     )
 
@@ -719,8 +700,6 @@ def spherical_line_residual(grid: LegendreGrid, axis: str, index: int):
     condition (its orientation is not determined by the fit, the
     nonnegative root is returned).
     """
-    from .mesh import point_sphere_lifts  # local import to keep layering simple
-
     if axis not in ("u", "theta"):
         raise ValueError("axis must be 'u' or 'theta'")
     line = (index, slice(None)) if axis == "u" else (slice(None), index)

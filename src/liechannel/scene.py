@@ -52,7 +52,8 @@ from .legendre import (
     spherical_line_residual,
     validate_legendre,
 )
-from .mesh import cyclide_mesh, export_obj, mesh_from_grid, point_sphere_lifts
+from .mesh import (cyclide_mesh, cyclide_point_grid, export_obj, mesh_from_grid,
+                   point_sphere_lifts)
 from .transforms import (
     DupinCyclide,
     calapso_quadratic_form,
@@ -313,9 +314,7 @@ def _op_channel(args, ctx):
 
 def _op_lie_cyclide(args, ctx):
     split = lie_cyclide_split(args["target"])
-    return {"orthogonality": split.orthogonality,
-            "s2_agreement": split.s2_agreement,
-            "block_defect": split.block_defect,
+    return {"s2_agreement": split.s2_agreement,
             "excluded_fraction": float(np.mean(split.excluded))}
 
 
@@ -485,7 +484,6 @@ def _op_dupin_fit(args, ctx):
     out = {"signature_d": list(cyc.d.signature),
            "signature_dperp": list(cyc.dperp.signature)}
     if "torus" in args:
-        from .mesh import cyclide_point_grid
         ring = float(args["torus"]["ring"])
         radius = float(args["torus"]["radius"])
         positions, finite, *_ = cyclide_point_grid(cyc.d, 48, 48)

@@ -13,6 +13,7 @@ from liechannel import legendre as legendre_module, presets, stencils
 from liechannel.core import (
     SIGNS,
     GeometryError,
+    complement_rows,
     inner,
     plane_lift,
     point_lift,
@@ -360,41 +361,61 @@ TORUS_S2 = [np.eye(6)[2], np.array([0, 0, 0, 1.0, 0.0, 1.0]),
             np.array([0, 0, 0, 0.0, 1.0, 2.0])]
 
 
+def split_bases(name, **kw):
+    """(b1, b2_jet, usable) of the splitting pass on a preset grid."""
+    grid = preset_grid(name, **kw)
+    return legendre_module._split_bases(grid, curvature_data(grid))
+
+
 def test_torus_split_matches_hand_oracle():
-    split = preset_split("torus", n_u=48, n_theta=48)
-    ok1, res1 = subspace_equal(span(split.s1_basis[0, 0]), span(TORUS_S1), tol=1e-10)
-    ok2, res2 = subspace_equal(span(split.s2_basis[0, 0]), span(TORUS_S2), tol=1e-10)
+    b1, _, _ = split_bases("torus", n_u=48, n_theta=48)
+    b2 = complement_rows(b1)
+    assert np.max(np.abs(b1 @ np.swapaxes(SIGNS * b2, -1, -2))) <= 1e-12
+    ok1, res1 = subspace_equal(span(b1[0, 0]), span(TORUS_S1), tol=1e-10)
+    ok2, res2 = subspace_equal(span(b2[0, 0]), span(TORUS_S2), tol=1e-10)
     assert ok1, res1
     assert ok2, res2
     sphere = sphere_lift([0.0, 0, 0], -3.0)
-    assert span(split.s2_basis[0, 0]).containment_gap(sphere) <= 1e-10
+    assert span(b2[0, 0]).containment_gap(sphere) <= 1e-10
 
 
 def test_torus_split_is_constant_and_clean():
     split = preset_split("torus", n_u=48, n_theta=48)
-    assert split.orthogonality <= 1e-12
     assert split.s2_agreement <= 1e-8
-    assert split.block_defect <= 1e-10
     assert not split.excluded.any()
-    b0 = split.s1_basis[0, 0]
+    # N(dir1) and N(dir2) span N_u and N_theta
+    assert max(split.coupling.values()) <= 1e-8
+    b1, _, _ = split_bases("torus", n_u=48, n_theta=48)
+    b0 = b1[0, 0]
     p0 = b0.T @ np.linalg.solve(b0 @ b0.T, b0)
     for i in (5, 20, 40):
         for j in (3, 17, 33):
-            b = split.s1_basis[i, j]
+            b = b1[i, j]
             p = b.T @ np.linalg.solve(b @ b.T, b)
             assert np.max(np.abs(p - p0)) <= 1e-10
-    good = ~np.isnan(split.n_u).any(axis=(-1, -2))
-    assert np.max(np.abs(split.n_u[good])) <= 1e-8
-    assert np.max(np.abs(split.n_theta[good])) <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6])
+def test_split_agreement_measures_a_planted_tilt(eps, monkeypatch):
+    # tilting every row of b2_jet by eps towards G b1 adds eps * I to the
+    # cross-Gram b1 G b2_jet^T, so the agreement reads eps (the torus
+    # itself reads about 1e-13)
+    bases = legendre_module._split_bases
+
+    def tilted(grid, data):
+        b1, b2_jet, usable = bases(grid, data)
+        return b1, b2_jet + eps * SIGNS * b1, usable
+
+    monkeypatch.setattr(legendre_module, "_split_bases", tilted)
+    grid = make_legendre_from_surface(*presets.torus_surface(n_u=48, n_theta=48))
+    agreement = lie_cyclide_split(grid).s2_agreement
+    assert eps / 3.0 <= agreement <= 3.0 * eps
 
 
 def test_helix_split_diagnostics():
     split = preset_split("helix_tube", n_u=64, n_theta=48)
-    assert split.orthogonality <= 1e-12
     assert split.s2_agreement <= 5e-3     # measured 8.2e-4
-    assert split.block_defect <= 5e-2     # measured 6.8e-3
     assert split.excluded.mean() <= 0.3
-    assert split.signature_ok[~split.excluded].all()
 
 
 def test_helix_agreement_refines_under_doubling():
@@ -405,17 +426,16 @@ def test_helix_agreement_refines_under_doubling():
 
 def test_ellipsoid_split_diagnostics():
     split = preset_split("ellipsoid", n_u=48, n_theta=48)
-    assert split.orthogonality <= 1e-12   # orthogonal by construction
     assert split.s2_agreement <= 0.1      # measured 3.0e-2
     assert split.excluded.mean() <= 0.6   # edge margins plus conditioning gate
 
 
 def _split_masks_by_lapack(grid):
-    """(usable, interior, p1) of _split_projector, recomputed as it was
+    """(usable, p1, coupling) of the splitting pass, recomputed as it was
     before the closed forms: eigvalsh for both Gram signatures and
     conditionings, solve for the metric projector."""
     data = curvature_data(grid)
-    b1, b2_jet, *_ = legendre_module._split_projector(grid, data)
+    b1, b2_jet, _ = legendre_module._split_bases(grid, data)
     ev1, ev2 = (np.linalg.eigvalsh(b @ np.swapaxes(SIGNS * b, -1, -2))
                 for b in (b1, b2_jet))
     sig_ok = ((np.sum(ev1 > 1e-9, axis=-1) == 2) & (np.sum(ev1 < -1e-9, axis=-1) == 1)
@@ -434,7 +454,12 @@ def _split_masks_by_lapack(grid):
     p1_t = stencils.diff1(p1, grid.dtheta, axis=1, periodic=grid.periodic_theta)
     interior = (usable & ~np.isnan(p1_u).any(axis=(-1, -2))
                 & ~np.isnan(p1_t).any(axis=(-1, -2)))
-    return usable, interior, p1
+    coupling = {}
+    for name, d in (("dir1", data.dir1), ("dir2", data.dir2)):
+        dp1 = d[..., 0, None, None] * p1_u + d[..., 1, None, None] * p1_t
+        n_dir = (np.eye(6) - 2.0 * p1) @ dp1
+        coupling[name] = float(np.max(np.abs(n_dir[interior])))
+    return usable, p1, coupling
 
 
 @pytest.mark.parametrize("name, kw", [
@@ -444,13 +469,17 @@ def _split_masks_by_lapack(grid):
     ("ellipsoid", dict(n_u=48, n_theta=48))])
 def test_split_masks_match_the_lapack_oracle(name, kw):
     grid = preset_grid(name, **kw)
-    _, _, sig_ok, conditioning, usable, interior, p1, _, _ = (
-        legendre_module._split_projector(grid, curvature_data(grid)))
-    usable_ref, interior_ref, p1_ref = _split_masks_by_lapack(grid)
-    assert np.any(interior)
+    b1, _, usable = split_bases(name, **kw)
+    usable_ref, p1_ref, coupling_ref = _split_masks_by_lapack(grid)
+    assert np.any(usable)
     assert np.array_equal(usable, usable_ref)
-    assert np.array_equal(interior, interior_ref)
-    assert np.max(np.abs(p1[usable] - p1_ref[usable])) <= 1e-11
+    p1 = legendre_module._metric_projector_batch(b1[usable])
+    assert np.max(np.abs(p1 - p1_ref[usable])) <= 1e-11
+    # the coupling reads the same interior points, to rounding of the
+    # projector divided by the step
+    coupling = lie_cyclide_split(grid).coupling
+    for key, value in coupling_ref.items():
+        assert abs(coupling[key] - value) <= 1e-10 * max(1.0, value)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -275,47 +275,54 @@ def test_demo_suite_is_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def _count_split_projectors(monkeypatch):
-    """Grid sources of every cyclide-split projector field built."""
-    sources = []
-    split_projector = legendre._split_projector
+def _count_grids(monkeypatch, name):
+    """Every grid passed to the per-grid pass legendre.<name>, in order."""
+    grids = []
+    compute = getattr(legendre, name)
 
-    def counting(grid, data):
-        sources.append(grid.metadata.get("source"))
-        return split_projector(grid, data)
+    def counting(grid, *args):
+        grids.append(grid)
+        return compute(grid, *args)
 
-    monkeypatch.setattr(legendre, "_split_projector", counting)
-    return sources
+    monkeypatch.setattr(legendre, name, counting)
+    return grids
 
 
-def test_each_grid_is_extracted_and_validated_once(tmp_path, monkeypatch):
-    # cylinder-darboux builds two grids (the cylinder and its transform);
+#: (quotient-frame, splitting) passes of each demo, by grid source
+PER_GRID_PASSES = {
+    "cylinder-darboux": (["darboux", "envelope"], ["darboux", "envelope"]),
+    "cylinder-calapso": (["calapso"] * 3 + ["envelope"], []),
+    "torus-cyclide": (["envelope"], ["envelope"]),
+    "helix-channel": (["envelope"], ["envelope"]),
+    "curve-ribaucour": ([], []),
+}
+
+
+@pytest.mark.parametrize("name", demo_names())
+def test_each_grid_is_extracted_and_validated_once(tmp_path, monkeypatch,
+                                                   name):
     # validation, channel detection, the middle form and the cyclide stage
-    # all read the same per-grid data
-    split_sources = _count_split_projectors(monkeypatch)
-    sources = []
-    quotient_frames = legendre._quotient_frames
-
-    def counting(grid):
-        sources.append(grid.metadata.get("source"))
-        return quotient_frames(grid)
-
-    monkeypatch.setattr(legendre, "_quotient_frames", counting)
-    cfg = demo_config("cylinder-darboux")
-    del cfg["outputs"]["meshes"]
+    # all read the same per-grid data: one quotient-frame pass per grid
+    # (validation shares the curvature extraction's frames, which depend
+    # only on the element) and at most one splitting pass, shared by the
+    # channel and lie_cyclide ops; the middle form and the calapso op read
+    # only the rate verdict
+    frame_grids = _count_grids(monkeypatch, "_quotient_frames")
+    split_grids = _count_grids(monkeypatch, "_split_cyclides")
+    cfg = demo_config(name)
+    cfg["outputs"].pop("meshes", None)
     assert run_scene(cfg, tmp_path)["passed"]
-    # one quotient-frame pass per grid: validation shares the curvature
-    # extraction's frames, which depend only on the element
-    assert sorted(map(str, sources)) == ["darboux", "envelope"]
-    # the two channel ops report the coupling, one split projector per
-    # grid; the middle form on the same cylinder reads only the verdict
-    assert sorted(map(str, split_sources)) == ["darboux", "envelope"]
+    for grids, expected in zip((frame_grids, split_grids),
+                               PER_GRID_PASSES[name]):
+        assert len({id(grid) for grid in grids}) == len(grids)
+        assert sorted(str(grid.metadata.get("source"))
+                      for grid in grids) == expected
 
 
 def test_calapso_scene_builds_no_split_projector(tmp_path, monkeypatch):
     # the middle form and the calapso op read only the rate verdict; each
     # transformed grid's verdict is the one the cross-checked report has
-    sources = _count_split_projectors(monkeypatch)
+    split_grids = _count_grids(monkeypatch, "_split_cyclides")
     outputs = []
     transform = scene.calapso_transform
 
@@ -329,14 +336,14 @@ def test_calapso_scene_builds_no_split_projector(tmp_path, monkeypatch):
     del cfg["outputs"]["meshes"]
     report = run_scene(cfg, tmp_path)
     assert report["passed"]
-    assert sources == []
+    assert split_grids == []
     per_lambda = report["stages"][1]["measurements"]["per_lambda"]
     assert len(outputs) == len(per_lambda) == 3
     for out, measured in zip(outputs, per_lambda.values()):
         assert (measured["circular_dir"]
                 == legendre.is_channel(out).circular_dir)
     # the cross-checked reports do build one each, so the count is live
-    assert len(sources) == 3
+    assert len(split_grids) == 3
 
 
 @pytest.mark.parametrize("name", demo_names())
