@@ -433,32 +433,31 @@ def _directional_derivative(field: np.ndarray, direction: np.ndarray,
     return a * fu + b * ft
 
 
-def _second_directional_derivative(field: np.ndarray, direction: np.ndarray,
-                                   grid: LegendreGrid):
-    """Iterated derivative along a varying direction field (with the
-    first-order correction terms coming from the variation of the field)."""
+def _two_jet(field: np.ndarray, direction: np.ndarray,
+             grid: LegendreGrid) -> np.ndarray:
+    """(nu, nt, 3, 6) rows field, D field and D^2 field, D the derivative
+    along a varying direction field (D^2 with the first-order correction
+    terms coming from the variation of the direction)."""
     du, dt = grid.du, grid.dtheta
     pu, pt = grid.periodic_u, grid.periodic_theta
     a = direction[..., 0]
     b = direction[..., 1]
     fu = stencils.diff1(field, du, axis=0, periodic=pu)
     ft = stencils.diff1(field, dt, axis=1, periodic=pt)
-    fuu = stencils.diff2(field, du, axis=0, periodic=pu)
-    ftt = stencils.diff2(field, dt, axis=1, periodic=pt)
-    fut = stencils.mixed_partial(field, du, dt, periodic_u=pu, periodic_t=pt)
+    fut = stencils.diff1(fu, dt, axis=1, periodic=pt)
     a_u = stencils.diff1(a, du, axis=0, periodic=pu)
     a_t = stencils.diff1(a, dt, axis=1, periodic=pt)
     b_u = stencils.diff1(b, du, axis=0, periodic=pu)
     b_t = stencils.diff1(b, dt, axis=1, periodic=pt)
-    first = a[..., None] * fu + b[..., None] * ft
-    second = (
-        (a * a)[..., None] * fuu
-        + (2.0 * a * b)[..., None] * fut
-        + (b * b)[..., None] * ftt
-        + (a * a_u + b * a_t)[..., None] * fu
-        + (a * b_u + b * b_t)[..., None] * ft
-    )
-    return first, second
+    # each sum formed in place, term by term in the order of the formula
+    first = a[..., None] * fu
+    first += b[..., None] * ft
+    second = (a * a)[..., None] * stencils.diff2(field, du, axis=0, periodic=pu)
+    second += (2.0 * a * b)[..., None] * fut
+    second += (b * b)[..., None] * stencils.diff2(field, dt, axis=1, periodic=pt)
+    second += (a * a_u + b * a_t)[..., None] * fu
+    second += (a * b_u + b * b_t)[..., None] * ft
+    return np.stack([field, first, second], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +486,20 @@ class LieCyclideSplit:
     excluded: np.ndarray
 
 
+def _transposed(stack: np.ndarray) -> np.ndarray:
+    """The transposes of a stack of small matrices, made contiguous: as the
+    right factor of a batched product it takes about half the time of the
+    strided view, with bit-identical products (OpenBLAS, numpy 2.4)."""
+    return np.ascontiguousarray(np.swapaxes(stack, -1, -2))
+
+
 def _metric_projector_batch(basis: np.ndarray) -> np.ndarray:
     """Metric projectors B^T G^-1 B S onto the spans of (n, 3, 6) bases,
     with the Gram inverse from the adjugate (callers pass only bases whose
     Gram eigenvalues are at least SPLIT_COND_TOL in magnitude)."""
-    gram = basis @ np.swapaxes(SIGNS * basis, -1, -2)
-    return np.swapaxes(basis, -1, -2) @ (inv3(gram) @ (basis * SIGNS))
+    signed = basis * SIGNS
+    gram = basis @ _transposed(signed)
+    return np.swapaxes(basis, -1, -2) @ (inv3(gram) @ signed)
 
 
 def interior_mask(shape, periodic_u: bool, periodic_theta: bool,
@@ -512,6 +519,32 @@ def interior_mask(shape, periodic_u: bool, periodic_theta: bool,
     return mask
 
 
+def _gram_eigvals(basis: np.ndarray):
+    """(high, low): the metric Gram eigenvalues other than 1 of
+    Euclidean-orthonormal (..., 3, 6) bases, high >= low.
+
+    With orthonormal rows the Gram is I - 2 K K^T, K = basis[..., 4:] the
+    3 x 2 negative block, so its eigenvalues are 1 and 1 - 2 mu for the
+    two eigenvalues mu of the 2 x 2 matrix K^T K (small_eigvalsh's hypot
+    form)."""
+    k0, k1 = basis[..., 4], basis[..., 5]
+    kk00 = np.einsum("...k,...k->...", k0, k0)
+    kk11 = np.einsum("...k,...k->...", k1, k1)
+    radius = np.hypot(0.5 * (kk00 - kk11), np.einsum("...k,...k->...", k0, k1))
+    mean = 0.5 * (kk00 + kk11)
+    return 1.0 - 2.0 * (mean - radius), 1.0 - 2.0 * (mean + radius)
+
+
+def _well_split(basis: np.ndarray) -> np.ndarray:
+    """Where the Gram of Euclidean-orthonormal (..., 3, 6) bases has
+    signature (2, 1) and no eigenvalue under SPLIT_COND_TOL in magnitude:
+    splitting quality degrades where an osculating space nearly
+    degenerates.  The third eigenvalue, 1, is positive and never the
+    smallest in magnitude."""
+    high, low = _gram_eigvals(basis)
+    return (high >= SPLIT_COND_TOL) & (low <= -SPLIT_COND_TOL)
+
+
 def _split_bases(grid: LegendreGrid, data: CurvatureData):
     """(b1, b2_jet, usable): orthonormal 2-jet bases of both curvature
     sphere fields, and the points where both have signature (2, 1), are
@@ -519,29 +552,37 @@ def _split_bases(grid: LegendreGrid, data: CurvatureData):
     if bool(np.all(data.umbilic)):
         raise GeometryError("cyclide splitting undefined on a totally umbilic grid")
 
-    d1s1, d2s1 = _second_directional_derivative(data.s1, data.dir2, grid)
-    d1s2, d2s2 = _second_directional_derivative(data.s2, data.dir1, grid)
-    b1 = orthonormal_rows(np.stack([data.s1, d1s1, d2s1], axis=-2))
-    b2_jet = orthonormal_rows(np.stack([data.s2, d1s2, d2s2], axis=-2))
+    b1 = orthonormal_rows(_two_jet(data.s1, data.dir2, grid))
+    b2_jet = orthonormal_rows(_two_jet(data.s2, data.dir1, grid))
 
     usable = ~data.umbilic & interior_mask(grid.shape, grid.periodic_u,
                                            grid.periodic_theta, SPLIT_EDGE_MARGIN)
-    for basis in (b1, b2_jet):
-        ev = small_eigvalsh(basis @ np.swapaxes(SIGNS * basis, -1, -2))
-        # splitting quality degrades where an osculating space nearly
-        # degenerates
-        usable &= ((np.sum(ev > 1e-9, axis=-1) == 2)
-                   & (np.sum(ev < -1e-9, axis=-1) == 1)
-                   & (np.min(np.abs(ev), axis=-1) >= SPLIT_COND_TOL))
+    usable &= _well_split(b1) & _well_split(b2_jet)
     return b1, b2_jet, usable
+
+
+#: u-rows per slab of the splitting pass, so that the slab's few
+#: (rows, nt, 6, 6) fields stay cache-sized instead of grid-sized
+_SPLIT_ROWS = 16
+
+
+def _slab_rows(start: int, stop: int, nu: int, periodic: bool):
+    """Rows of the u-slab [start, stop) with one halo row on each side
+    (wrapped when periodic; at an open end none, but at least three rows,
+    as the one-sided difference needs), and the slab's offset in them."""
+    if periodic:
+        return np.arange(start - 1, stop + 1) % nu, 1
+    hi = min(stop + 1, nu)
+    lo = max(min(start - 1, hi - 3), 0)
+    return np.arange(lo, hi), start - lo
 
 
 def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
     """The cyclide splitting and its measurements, taken once per grid.
 
-    Raises GeometryError on a totally umbilic grid.  The bases and the
-    projector field are dropped once reduced, so the grid keeps only the
-    measurements and the excluded mask.
+    Raises GeometryError on a totally umbilic grid.  The projector field
+    and its differences are built u-slab by u-slab and reduced at once,
+    so the grid keeps only the measurements and the excluded mask.
     """
     return _memoised(grid, "split", _split_cyclides)
 
@@ -551,33 +592,56 @@ def _split_cyclides(grid: LegendreGrid) -> LieCyclideSplit:
     b1, b2_jet, usable = _split_bases(grid, data)
     excluded = ~usable
     excluded.flags.writeable = False
-    coupling = {"dir1": np.nan, "dir2": np.nan}
     if not np.any(usable):
-        return LieCyclideSplit(coupling, np.inf, excluded)
+        return LieCyclideSplit({"dir1": np.nan, "dir2": np.nan}, np.inf,
+                               excluded)
 
     # S2 is the Euclidean complement of span(G b1), whose rows are
     # orthonormal, so the sine against the jet span of s2 is the largest
     # singular value of the 3 x 3 metric cross-Gram b1 G b2_jet^T
-    cross = b1[usable] @ np.swapaxes(SIGNS * b2_jet[usable], -1, -2)
-    top = np.max(_largest_eigvalsh(cross @ np.swapaxes(cross, -1, -2)))
+    cross = b1 @ _transposed(SIGNS * b2_jet)
+    top = np.max(_largest_eigvalsh(cross @ _transposed(cross)),
+                 where=usable, initial=-np.inf)
     agreement = float(np.sqrt(max(top, 0.0)))
 
-    p1 = np.full(grid.shape + (DIM, DIM), np.nan)
-    p1[usable] = _metric_projector_batch(b1[usable])
-    p1_u = stencils.diff1(p1, grid.du, axis=0, periodic=grid.periodic_u)
-    p1_t = stencils.diff1(p1, grid.dtheta, axis=1, periodic=grid.periodic_theta)
-    # p1 is NaN in every entry exactly off the usable points, so one entry
-    # of each difference shows where both stencils stay on usable points
-    good = usable & ~np.isnan(p1_u[..., 0, 0] + p1_t[..., 0, 0])
-    if np.any(good):
-        # only the reported components N(dir_i) = (1 - 2 p1) d_dir_i p1
-        flip = np.eye(DIM) - 2.0 * p1[good]
+    coupling = {"dir1": -np.inf, "dir2": -np.inf}
+    nu = grid.shape[0]
+    for start in range(0, nu, _SPLIT_ROWS):
+        stop = min(start + _SPLIT_ROWS, nu)
+        here = usable[start:stop]
+        if not np.any(here):
+            continue
+        rows, offset = _slab_rows(start, stop, nu, grid.periodic_u)
+        window = usable[rows]
+        p1 = np.full(window.shape + (DIM, DIM), np.nan)
+        p1[window] = _metric_projector_batch(b1[rows][window])
+        # with the halo rows in the window, the open-grid difference is the
+        # central one on every slab row but an open end's one-sided one
+        p1_u = stencils.diff1(p1, grid.du, axis=0)[offset:offset + stop - start]
+        p1 = p1[offset:offset + stop - start]
+        p1_t = stencils.diff1(p1, grid.dtheta, axis=1,
+                              periodic=grid.periodic_theta)
+        # p1 is NaN in every entry exactly off the usable points, so one
+        # entry of each difference shows where both stencils stay on
+        # usable points
+        good = here & ~np.isnan(p1_u[..., 0, 0] + p1_t[..., 0, 0])
+        if not np.any(good):
+            continue
+        # only the reported components N(dir_i) = (1 - 2 p1) d_dir_i p1;
+        # both factors are formed in place
+        flip = p1[good]
+        flip *= -2.0
+        flip += np.eye(DIM)
         p1_u, p1_t = p1_u[good], p1_t[good]
         for name, direction in (("dir1", data.dir1), ("dir2", data.dir2)):
-            a = direction[good][:, 0, None, None]
-            b = direction[good][:, 1, None, None]
-            n_dir = flip @ (a * p1_u + b * p1_t)
-            coupling[name] = float(np.max(np.abs(n_dir)))
+            ab = direction[start:stop][good][..., None, None]
+            d_p1 = ab[:, 0] * p1_u
+            d_p1 += ab[:, 1] * p1_t
+            n_dir = np.abs(flip @ d_p1, out=d_p1)
+            coupling[name] = np.maximum(coupling[name], np.max(n_dir))
+    # NaN where no slab had a good point (still -inf) or a read was NaN
+    coupling = {name: float(value) if value >= 0.0 else np.nan
+                for name, value in coupling.items()}
     return LieCyclideSplit(coupling, agreement, excluded)
 
 

@@ -73,8 +73,3 @@ def diff2_5pt(arr: np.ndarray, h: float, periodic: bool = False) -> np.ndarray:
         ) / (12.0 * h * h)
     return out
 
-
-def mixed_partial(arr: np.ndarray, hu: float, ht: float,
-                  periodic_u: bool = False, periodic_t: bool = False) -> np.ndarray:
-    """d^2/du dtheta via nested second-order first differences (axes 0, 1)."""
-    return diff1(diff1(arr, hu, axis=0, periodic=periodic_u), ht, axis=1, periodic=periodic_t)

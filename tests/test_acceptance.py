@@ -11,7 +11,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from liechannel import presets
 from liechannel.channel import (
     SphereCurve,
     conserved_quantity,
@@ -55,6 +54,8 @@ from liechannel.transforms import (
     ribaucour_partner_curve,
     verify_ribaucour,
 )
+
+import presets
 
 E6 = np.eye(6)[5]
 

@@ -286,7 +286,7 @@ def test_omega0_rejects_wrong_sphere_family():
 
 
 def test_omega0_rejects_non_channel_grids():
-    from liechannel import presets
+    import presets
     from liechannel.legendre import make_legendre_from_surface
     grid = make_legendre_from_surface(*presets.ellipsoid_surface(48, 48))
     with pytest.raises(GeometryError, match="not a channel"):

@@ -4,12 +4,13 @@ parameter lines."""
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liechannel import legendre as legendre_module, presets, stencils
+from liechannel import legendre as legendre_module, stencils
 from liechannel.core import (
     SIGNS,
     GeometryError,
@@ -37,6 +38,8 @@ from liechannel.legendre import (
     _directional_derivative,
     _quotient_frames,
 )
+
+import presets
 
 
 @functools.lru_cache(maxsize=None)
@@ -466,7 +469,14 @@ def _split_masks_by_lapack(grid):
     ("cylinder", dict(n_u=48, n_theta=48)),
     ("torus", dict(n_u=48, n_theta=48)),
     ("helix_tube", dict(n_u=64, n_theta=48)),
-    ("ellipsoid", dict(n_u=48, n_theta=48))])
+    ("ellipsoid", dict(n_u=48, n_theta=48)),
+    # no edge margin on 12 rows: usable open-end rows take the one-sided
+    # differences
+    ("ellipsoid", dict(n_u=12, n_theta=12)),
+    ("helix_tube", dict(n_u=12, n_theta=24)),
+    # a partial last u-slab, across the periodic wrap
+    ("torus", dict(n_u=17, n_theta=20)),
+    ("torus", dict(n_u=49, n_theta=32))])
 def test_split_masks_match_the_lapack_oracle(name, kw):
     grid = preset_grid(name, **kw)
     b1, _, usable = split_bases(name, **kw)
@@ -480,6 +490,118 @@ def test_split_masks_match_the_lapack_oracle(name, kw):
     coupling = lie_cyclide_split(grid).coupling
     for key, value in coupling_ref.items():
         assert abs(coupling[key] - value) <= 1e-10 * max(1.0, value)
+
+
+def _split_by_whole_grid(grid, b1, b2_jet, usable):
+    """(coupling, agreement) of the splitting pass, recomputed in the same
+    arithmetic on whole-grid fields: the projector field, both of its
+    differences and a gather of the usable points."""
+    data = curvature_data(grid)
+    cross = b1[usable] @ np.swapaxes(SIGNS * b2_jet[usable], -1, -2)
+    top = np.max(legendre_module._largest_eigvalsh(
+        cross @ np.swapaxes(cross, -1, -2)))
+    p1 = np.full(grid.shape + (6, 6), np.nan)
+    p1[usable] = legendre_module._metric_projector_batch(b1[usable])
+    p1_u = stencils.diff1(p1, grid.du, axis=0, periodic=grid.periodic_u)
+    p1_t = stencils.diff1(p1, grid.dtheta, axis=1, periodic=grid.periodic_theta)
+    good = usable & ~np.isnan(p1_u[..., 0, 0] + p1_t[..., 0, 0])
+    flip = np.eye(6) - 2.0 * p1[good]
+    coupling = {}
+    for name, d in (("dir1", data.dir1), ("dir2", data.dir2)):
+        dp1 = d[good][:, 0, None, None] * p1_u[good] + d[good][:, 1, None, None] * p1_t[good]
+        coupling[name] = float(np.max(np.abs(flip @ dp1)))
+    return coupling, float(np.sqrt(max(top, 0.0)))
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("ellipsoid", dict(n_u=12, n_theta=12)),
+    ("cylinder", dict(n_u=33, n_theta=16)),
+    ("torus", dict(n_u=49, n_theta=32))])
+@pytest.mark.parametrize("edges_only", [False, True])
+def test_split_slabs_match_the_whole_grid_pass(name, kw, edges_only,
+                                               monkeypatch):
+    # bit for bit, on the pass's own mask and on one that keeps only rows
+    # beside the first two u-slab boundaries and the grid's ends, so that
+    # every coupling is read where a slab's halo, a one-sided open end or
+    # the periodic wrap supplies the u-difference
+    bases = legendre_module._split_bases
+    slab = legendre_module._SPLIT_ROWS
+    rows = [0, 1, 2, -3, -2, -1] + [edge + k for edge in (slab, 2 * slab)
+                                    for k in (-2, -1, 0, 1, 2)]
+
+    def planted(grid, data):
+        b1, b2_jet, usable = bases(grid, data)
+        if edges_only:
+            keep = np.zeros(len(usable), dtype=bool)
+            keep[[r for r in rows if r < len(keep)]] = True
+            usable = usable & keep[:, None]
+        return b1, b2_jet, usable
+
+    monkeypatch.setattr(legendre_module, "_split_bases", planted)
+    builder = getattr(presets, name + "_surface")
+    grid = make_legendre_from_surface(*builder(**kw))
+    split = lie_cyclide_split(grid)
+    b1, b2_jet, usable = planted(grid, curvature_data(grid))
+    coupling, agreement = _split_by_whole_grid(grid, b1, b2_jet, usable)
+    assert not np.isnan(list(coupling.values())).any()
+    assert split.coupling == coupling
+    assert split.s2_agreement == agreement
+
+
+def planted_basis(rng, gram_eigvals):
+    """A random Euclidean-orthonormal 3 x 6 basis whose metric Gram has
+    eigenvalues 1 and gram_eigvals (each in [-1, 1]): its negative block
+    K = U diag(sqrt(mu)) V^T with mu = (1 - ev) / 2, and its positive block
+    completes the rows to orthonormal ones."""
+    mu = (1.0 - np.asarray(gram_eigvals)) / 2.0
+    w = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    v = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    x = np.linalg.qr(rng.normal(size=(4, 3)))[0]
+    k = w[:, :2] @ np.diag(np.sqrt(mu)) @ v.T
+    p = w @ np.diag(np.append(np.sqrt(1.0 - mu), 1.0)) @ x.T
+    return np.concatenate([p, k], axis=1)
+
+
+def gram_verdict(ev):
+    """The usable-mask rule on ascending Gram eigenvalues (..., 3)."""
+    return ((np.sum(ev > 1e-9, axis=-1) == 2) & (np.sum(ev < -1e-9, axis=-1) == 1)
+            & (np.min(np.abs(ev), axis=-1) >= legendre_module.SPLIT_COND_TOL))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       high=st.sampled_from([1e-9, 1e-3, None]),
+       low=st.sampled_from([-1e-9, -1e-3, 1e-9, 1e-3, None]),
+       offsets=st.tuples(*[st.sampled_from([-1e-12, -1e-13, 1e-13, 1e-12])] * 2))
+def test_negative_block_gram_matches_eigvalsh(seed, high, low, offsets):
+    # random orthonormal bases, plus bases planted 1e-13 to 1e-12 from the
+    # +-1e-9 and SPLIT_COND_TOL thresholds (None: a random eigenvalue)
+    rng = np.random.default_rng(seed)
+    random = np.linalg.qr(rng.normal(size=(40, 6, 3)))[0]
+    planted = [rng.uniform(-1.0, 1.0) if t is None else t + d
+               for t, d in zip((high, low), offsets)]
+    bases = np.concatenate([np.swapaxes(random, -1, -2),
+                            planted_basis(rng, planted)[None]])
+    assert np.max(np.abs(bases @ np.swapaxes(bases, -1, -2) - np.eye(3))) <= 1e-14
+    ev = np.linalg.eigvalsh(bases @ np.swapaxes(SIGNS * bases, -1, -2))
+    high_ev, low_ev = legendre_module._gram_eigvals(bases)
+    got = np.sort(np.stack([low_ev, high_ev, np.ones_like(low_ev)], axis=-1))
+    assert np.max(np.abs(got - ev)) <= 1e-14
+    assert np.array_equal(legendre_module._well_split(bases), gram_verdict(ev))
+
+
+def test_split_pass_memory_stays_under_five_projector_fields():
+    # the pass builds the projector field slab by slab: no (nu, nt, 6, 6)
+    # field, nor a gather of one, is ever whole
+    grid = make_legendre_from_surface(*presets.torus_surface(n_u=128, n_theta=128))
+    curvature_data(grid)
+    tracemalloc.start()
+    try:
+        lie_cyclide_split(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 128 * 128 * 6 * 6 * 8
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -5,7 +5,6 @@ import csv
 import numpy as np
 import pytest
 
-from liechannel import presets
 from liechannel.core import (INFINITY_VEC, GeometryError, Infinity, plane_lift,
                              point_lift, project_to_euclidean, span)
 from liechannel.legendre import make_legendre_from_surface
@@ -20,6 +19,8 @@ from liechannel.mesh import (
     point_sphere_lifts,
     triangulate_grid,
 )
+
+import presets
 
 
 def load_obj(path):
