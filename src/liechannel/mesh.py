@@ -152,7 +152,7 @@ def mesh_from_grid(grid, scalars: Optional[dict] = None) -> MeshOutput:
 
 
 #: rows per write in export_obj: whole-mesh strings would cost memory
-_WRITE_ROWS = 4096
+_WRITE_ROWS = 1024
 
 
 def _blocks(rows: np.ndarray):
@@ -165,13 +165,18 @@ def export_obj(mesh: MeshOutput, path) -> str:
 
     Returns the OBJ path.  Floats are written with full repr precision so a
     reload reproduces the vertices bit for bit.  Rows go out in blocks of
-    _WRITE_ROWS, so memory stays bounded for large meshes.
+    _WRITE_ROWS, so memory stays bounded for large meshes; each distinct
+    coordinate of a block is formatted once, told apart by its bits (0.0 and
+    -0.0 repr differently).
     """
     path = os.fspath(path)
     with open(path, "w") as fh:
         for _, block in _blocks(mesh.vertices):
-            fh.writelines(map("v {!r} {!r} {!r}\n".format,
-                              *block.T.tolist()))
+            block = np.ascontiguousarray(block)
+            bits, inv = np.unique(block.view(np.int64), return_inverse=True)
+            labels = np.array([*map(repr, bits.view(float).tolist())], object)
+            fh.write(("v %s %s %s\n" * len(block))
+                     % tuple(labels[inv.ravel()]))
         for _, block in _blocks(mesh.faces):
             fh.write(("f %d %d %d\n" * block.shape[0])
                      % tuple((block + 1).ravel().tolist()))

@@ -612,8 +612,8 @@ def dupin_from_spheres(a, b, c) -> DupinCyclide:
 def dupin_from_subspace(rows, provenance: str = "from-splitting") -> DupinCyclide:
     d = rows if isinstance(rows, Subspace) else span(list(rows))
     if d.signature != (2, 1, 0):
-        raise SignatureError(
-            f"cyclide subspace has signature {d.signature}, need (2, 1, 0)")
+        raise SignatureError(f"cyclide subspace ({provenance}) has signature "
+                             f"{d.signature}, need (2, 1, 0)")
     return DupinCyclide(d=d, dperp=orth_complement(d),
                         provenance=provenance)
 

@@ -7,8 +7,10 @@ import pytest
 
 from liechannel.core import (INFINITY_VEC, GeometryError, Infinity, plane_lift,
                              point_lift, project_to_euclidean, span)
+from liechannel.demos import demo_config
 from liechannel.legendre import make_legendre_from_surface
 from liechannel.mesh import (
+    _WRITE_ROWS,
     MeshOutput,
     compact_mesh,
     cyclide_mesh,
@@ -19,6 +21,7 @@ from liechannel.mesh import (
     point_sphere_lifts,
     triangulate_grid,
 )
+from liechannel.scene import run_scene
 
 import presets
 
@@ -36,6 +39,13 @@ def load_obj(path):
             elif parts[0] == "f":
                 faces.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
     return np.asarray(verts, dtype=float), np.asarray(faces, dtype=int)
+
+
+def reference_obj_bytes(vertices, faces):
+    """The OBJ text export_obj must produce: one repr per coordinate."""
+    lines = ["v {!r} {!r} {!r}\n".format(*row) for row in vertices.tolist()]
+    lines += ["f %d %d %d\n" % tuple(row) for row in (faces + 1).tolist()]
+    return "".join(lines).encode()
 
 
 def cylinder_grid(n=64):
@@ -174,6 +184,37 @@ def test_obj_roundtrip_is_exact(tmp_path):
     rv, rf = load_obj(path)
     assert np.array_equal(rv, verts)           # repr round-trips floats exactly
     assert np.array_equal(rf, faces)
+
+
+def test_obj_matches_the_reference_writer_across_blocks(tmp_path):
+    # values whose repr is easy to get wrong when coordinates are shared:
+    # signed zeros, non-finite values, a subnormal and repr's switches
+    # between positional and exponent notation
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16,
+               9999999999999998.0, 1e-5, 0.0001, -1e16, 1.0, -1.0]
+    n = 2 * _WRITE_ROWS + 37
+    rng = np.random.default_rng(8)
+    verts = rng.choice(special + list(rng.normal(size=40)), size=(n, 3))
+    # 0.0 and -0.0 side by side in one block, and rows repeated within a
+    # block and across the first block boundary
+    verts[5] = [0.0, -0.0, 0.0]
+    verts[6] = [-0.0, 0.0, -0.0]
+    verts[_WRITE_ROWS - 2:_WRITE_ROWS + 2] = verts[3]
+    faces = rng.integers(0, n, size=(n, 3))
+    export_obj(MeshOutput(verts, faces), tmp_path / "special.obj")
+    assert ((tmp_path / "special.obj").read_bytes()
+            == reference_obj_bytes(verts, faces))
+
+
+def test_demo_objs_match_the_reference_writer(tmp_path):
+    for name in ("cylinder-darboux", "torus-cyclide"):
+        out = tmp_path / name
+        report = run_scene(demo_config(name, grid=32), out)
+        assert report["meshes"]
+        for entry in report["meshes"]:
+            path = out / entry["path"]
+            verts, faces = load_obj(path)
+            assert path.read_bytes() == reference_obj_bytes(verts, faces)
 
 
 def test_obj_scalar_sidecar(tmp_path):

@@ -252,6 +252,15 @@ def test_dupin_fit_index_outside_the_curve(tmp_path):
                for e in validate_scene(cfg))
 
 
+def test_degenerate_cyclide_names_its_u_index(tmp_path):
+    # at this seed one sampled cyclide subspace of the congruence is
+    # degenerate; the error says which sample it was
+    cfg = demo_config("cylinder-darboux", grid=160, seed=7106)
+    with pytest.raises(PipelineError,
+                       match=r"tangent-cyclides.*congruence u-index 104\b"):
+        run_scene(cfg, tmp_path)
+
+
 def test_failed_assertion_flips_the_verdict(tmp_path):
     cfg = tiny_scene()
     cfg["pipeline"][0]["assert"] = [{"key": "residual", "max": 1e-30},
