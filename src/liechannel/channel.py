@@ -23,6 +23,7 @@ from .core import (
     SIGNS,
     GeometryError,
     Subspace,
+    _transposed,
     complement_rows,
     inner,
     inv3,
@@ -211,7 +212,7 @@ def helix_sphere_curve(n: int = 64, ring_radius: float = 2.0,
 
 def _signature_21(stacks: np.ndarray) -> np.ndarray:
     """Per-sample verdict: do the three rows span a (2,1) space?"""
-    ev = small_eigvalsh(stacks @ np.swapaxes(SIGNS * stacks, -1, -2))
+    ev = small_eigvalsh(stacks @ _transposed(SIGNS * stacks))
     tol = 1e-9 * np.maximum(np.max(np.abs(ev), axis=-1), 1e-300)[:, None]
     return (np.sum(ev > tol, axis=-1) == 2) & (np.sum(ev < -tol, axis=-1) == 1)
 
@@ -281,7 +282,7 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
             "(sphere-curve inflection)")
 
     perp = complement_rows(stacks)
-    gram_inv = inv3(perp @ np.swapaxes(SIGNS * perp, -1, -2))
+    gram_inv = inv3(perp @ _transposed(SIGNS * perp))
     n = curve.u_values.size
     frames = np.empty((n, 3, DIM))
     frames[0] = lightcone_frame(Subspace(perp[0]))

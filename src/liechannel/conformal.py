@@ -23,6 +23,7 @@ from .core import (
     RankDeficiencyError,
     SignatureError,
     Subspace,
+    _transposed,
     first_failure,
     inner,
     lightcone_circle,
@@ -335,7 +336,7 @@ def circle_congruence_report(c1: ConformalCurve, c2: ConformalCurve,
     lifts = np.stack([c1.lift.vectors, c2.lift.vectors], axis=1)  # (n, 2, 6)
     # containment gap of each unit lift; bases rows are orthonormal
     u = unit_rows(lifts)
-    gaps = np.linalg.norm(u - (u @ np.swapaxes(bases, -1, -2)) @ bases,
+    gaps = np.linalg.norm(u - (u @ _transposed(bases)) @ bases,
                           axis=-1)
     # circle phase of each lift (as circle_phase), then the projected
     # circle just beside it

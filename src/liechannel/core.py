@@ -69,6 +69,13 @@ def read_only_copy(array: np.ndarray) -> np.ndarray:
     return copy
 
 
+def _transposed(stack: np.ndarray) -> np.ndarray:
+    """The transposes of a stack of small matrices, made contiguous: as the
+    right factor of a batched product it takes about half the time of the
+    strided view, with bit-identical products (OpenBLAS, numpy 2.4)."""
+    return np.ascontiguousarray(np.swapaxes(stack, -1, -2))
+
+
 def projective_gap(a: np.ndarray, b: np.ndarray):
     """Sine of the angle between the lines spanned by a and b.
 
@@ -431,8 +438,8 @@ def principal_sine(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     squared sine keeps its relative accuracy down to rounding level.  The
     leading axes broadcast.
     """
-    rej = b2 - (b2 @ np.swapaxes(b1, -1, -2)) @ b1
-    top = _largest_eigvalsh(rej @ np.swapaxes(rej, -1, -2))
+    rej = b2 - (b2 @ _transposed(b1)) @ b1
+    top = _largest_eigvalsh(rej @ _transposed(rej))
     return np.sqrt(np.maximum(top, 0.0))
 
 
@@ -596,7 +603,7 @@ def lightcone_frames(bases: np.ndarray):
     largest-magnitude coefficient.  ok marks signature (2, 1, 0); frames
     elsewhere are meaningless.
     """
-    gram = bases @ np.swapaxes(bases * SIGNS, -1, -2)
+    gram = bases @ _transposed(bases * SIGNS)
     evals, evecs = np.linalg.eigh(gram)
     n_plus, n_minus, n_zero = _signature_counts(evals)
     ok = (n_plus == 2) & (n_minus == 1) & (n_zero == 0)

@@ -31,6 +31,7 @@ from .core import (
     RankDeficiencyError,
     SignatureError,
     Subspace,
+    _transposed,
     complement_rows,
     first_failure,
     inner,
@@ -531,7 +532,7 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
                                              basis_hat)) > 1e-6)
         if not rank_ok:
             notes.append("element intersections are not uniformly rank 1")
-        rej = unit - (unit @ np.swapaxes(basis_hat, -1, -2)) @ basis_hat
+        rej = unit - (unit @ _transposed(basis_hat)) @ basis_hat
         a, b = null_combination(rej[..., 0, :], rej[..., 1, :])
         s0 = unit_rows(a * unit[..., 0, :] + b * unit[..., 1, :])
 
