@@ -249,14 +249,55 @@ def wedge_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def span_rows(stacks: np.ndarray, rank_tol: float = 1e-10):
     """Batched rank-checked span: stacks (..., k, 6) -> (bases, ranks).
 
-    One SVD per stack.  bases holds its Euclidean-orthonormal right
-    singular rows; ranks counts the singular values above rank_tol times
-    the largest (0 for a zero stack), so a stack dropped rank where
-    ranks < k.
+    bases holds the orthonormal_rows of each stack, k finite rows even
+    where the stack drops rank; ranks counts the singular values of the
+    stack above rank_tol times the largest (0 for a zero stack), so a
+    stack dropped rank where ranks < k.
+
+    The singular values are those of the k x k factor R = A Q^T of the
+    stack A against its basis Q, in closed form for k <= 3
+    (_singular_values); only k > 3 asks LAPACK, for values alone.  Each
+    stack is first scaled by the power of two that brings its largest
+    entry into [0.5, 1), which leaves the bases' bits alone and keeps the
+    products of R from over- or underflowing.
     """
-    _, svals, vt = np.linalg.svd(np.asarray(stacks, dtype=float),
-                                 full_matrices=False)
-    return vt, np.sum(svals > rank_tol * svals[..., :1], axis=-1)
+    stacks = np.asarray(stacks, dtype=float)
+    _, exponent = np.frexp(np.max(np.abs(stacks), axis=(-2, -1),
+                                  keepdims=True))
+    scaled = np.ldexp(stacks, -exponent)
+    bases = orthonormal_rows(scaled)
+    svals = _singular_values(scaled @ _transposed(bases))
+    return bases, np.sum(svals > rank_tol * svals[..., :1], axis=-1)
+
+
+def _singular_values(r: np.ndarray) -> np.ndarray:
+    """Descending singular values of (..., k, k) matrices, batched.
+
+    For k <= 3 they come from the products of the leading ones:
+    s1 = sqrt(lambda_max(R R^T)); s1 s2 = |det R| for k = 2, and for
+    k = 3 s1 s2 = sqrt(lambda_max(adj adj^T)) (the adjugate's singular
+    values are the pairwise products) and s1 s2 s3 = |det R|.  A value
+    whose divisor vanishes is 0.  k > 3 calls np.linalg.svd.
+    """
+    k = r.shape[-1]
+    if k > 3:
+        return np.linalg.svd(r, compute_uv=False)
+
+    def top_singular(a):
+        return np.sqrt(np.maximum(_largest_eigvalsh(a @ _transposed(a)), 0.0))
+
+    products = [top_singular(r)]
+    if k == 2:
+        products.append(np.abs(r[..., 0, 0] * r[..., 1, 1]
+                               - r[..., 0, 1] * r[..., 1, 0]))
+    elif k == 3:
+        adj, det = _adjugate(r)
+        products += [top_singular(adj), np.abs(det)]
+    svals = products[:1]
+    for before, product in zip(products, products[1:]):
+        svals.append(np.divide(product, before, out=np.zeros_like(product),
+                               where=before > 0.0))
+    return np.stack(svals, axis=-1)
 
 
 def _signature_counts(evals: np.ndarray):
@@ -275,9 +316,9 @@ def _signature_counts(evals: np.ndarray):
 class Subspace:
     """A linear subspace of R^{4,2} with cached metric data.
 
-    The stored basis rows are Euclidean-orthonormal (from an SVD), which keeps
-    principal-angle computations stable; the metric enters through the Gram
-    matrix.
+    The stored basis rows are Euclidean-orthonormal (span_rows' Gram-Schmidt
+    rows when built from vectors), which keeps principal-angle computations
+    stable; the metric enters through the Gram matrix.
     """
 
     __slots__ = ("basis", "_gram", "_signature")
@@ -318,7 +359,9 @@ class Subspace:
             if self.dim == 0:
                 self._signature = (0, 0, 0)
             else:
-                counts = _signature_counts(np.linalg.eigvalsh(self.gram))
+                gram = self.gram
+                counts = _signature_counts(small_eigvalsh(gram) if self.dim <= 3
+                                           else np.linalg.eigvalsh(gram))
                 self._signature = tuple(int(c) for c in counts)
         return self._signature
 
@@ -341,11 +384,8 @@ def span(vectors: Iterable[np.ndarray], rank_tol: float = 1e-10) -> Subspace:
 
 
 def orth_complement(s: Subspace) -> Subspace:
-    """Metric-orthogonal complement, via the null space of B G."""
-    if s.dim == 0:
-        return Subspace(np.eye(DIM))
-    _, _, vt = np.linalg.svd(s.basis * SIGNS, full_matrices=True)
-    return Subspace(vt[s.dim:])
+    """Metric-orthogonal complement (complement_rows of the basis)."""
+    return Subspace(complement_rows(s.basis))
 
 
 #: relative gap under which orthonormal_rows counts completion residuals
@@ -372,8 +412,12 @@ def orthonormal_rows(rows: np.ndarray, total: Optional[int] = None) -> np.ndarra
     rows = np.asarray(rows, dtype=float)
     batch, k = rows.shape[:-2], rows.shape[-2]
     total = k if total is None else total
-    n = int(np.prod(batch))
-    given = np.ascontiguousarray(np.moveaxis(rows.reshape((n, k, DIM)), 0, -1))
+    count = int(np.prod(batch))
+    # a lone stack goes in twice: at n = 1 the reductions over d take
+    # other einsum kernels and round differently from a row of a batch
+    n = 2 if count == 1 else count
+    given = np.ascontiguousarray(np.moveaxis(
+        np.broadcast_to(rows.reshape((count, k, DIM)), (n, k, DIM)), 0, -1))
     out = np.empty((total, DIM, n))
 
     def reject(v, q):
@@ -397,7 +441,7 @@ def orthonormal_rows(rows: np.ndarray, total: Optional[int] = None) -> np.ndarra
             coordinate = np.arange(DIM)[:, None] == np.argmax(tied, axis=0)
             v = np.where(weak, reject(coordinate.astype(float), q), v)
         out[j] = v / np.sqrt(squares(v))
-    return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(
+    return np.ascontiguousarray(np.moveaxis(out[..., :count], -1, 0)).reshape(
         batch + (total, DIM))
 
 
@@ -462,18 +506,22 @@ def _cross(x, y):
                      x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]], axis=-1)
 
 
+def _adjugate(a: np.ndarray):
+    """(adjugate, determinant) of (..., 3, 3) matrices, batched: column j
+    of the adjugate is the cross product of the other two rows, and the
+    determinant is row 0 against column 0."""
+    r0, r1, r2 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    adj = np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)], axis=-1)
+    return adj, np.einsum("...i,...i->...", r0, adj[..., 0])
+
+
 def inv3(a: np.ndarray) -> np.ndarray:
     """Inverses of (..., 3, 3) matrices from the adjugate, batched.
 
-    Column j of the adjugate is the cross product of the other two rows,
-    and the determinant is row 0 against column 0.  The error is about
-    cond * eps, as for LU; a singular matrix gives non-finite entries
-    instead of an exception.
+    The error is about cond * eps, as for LU; a singular matrix gives
+    non-finite entries instead of an exception.
     """
-    a = np.asarray(a, dtype=float)
-    r0, r1, r2 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
-    adj = np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)], axis=-1)
-    det = np.einsum("...i,...i->...", r0, adj[..., 0])
+    adj, det = _adjugate(np.asarray(a, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         return adj / det[..., None, None]
 

@@ -43,7 +43,8 @@ from .conformal import (
     tube,
     tube_sphere_curve,
 )
-from .core import DIM, GeometryError, inner, lightcone_circle, span, unit_rows
+from .core import (DIM, GeometryError, _transposed, first_failure, inner, span,
+                   unit_rows)
 from .legendre import (
     channel_verdict,
     curvature_data,
@@ -52,8 +53,8 @@ from .legendre import (
     spherical_line_residual,
     validate_legendre,
 )
-from .mesh import (cyclide_mesh, cyclide_point_grid, export_obj, mesh_from_grid,
-                   point_sphere_lifts)
+from .mesh import (_pencil_point_spheres, cyclide_mesh, cyclide_point_grid,
+                   export_obj, mesh_from_grid)
 from .transforms import (
     DupinCyclide,
     calapso_quadratic_form,
@@ -62,7 +63,7 @@ from .transforms import (
     darboux_initial_condition,
     darboux_transform,
     dupin_from_spheres,
-    dupin_from_subspace,
+    dupin_from_subspaces,
     gauge_edge_residual,
     ribaucour_cyclides,
     verify_ribaucour,
@@ -413,45 +414,51 @@ def _op_cyclides(args, ctx):
 def _op_congruence_contact(args, ctx):
     """Contact of the u-family of Dupin cyclides with both surfaces.
 
-    For each sampled u the cyclide space is span{sigma, sigma', sigma_hat};
-    both curvature spheres must lie in it, every sphere of the complement
-    family must touch them, and the fixed-u parameter lines of both grids
-    must consist of points of the cyclide.
+    At every sample_every-th u the cyclide space is
+    span{sigma, sigma_hat, sigma'}; both curvature spheres must lie in it,
+    every sphere of the complement family must touch them, and the fixed-u
+    parameter lines of both grids must consist of points of the cyclide.
+    All sampled u are measured at once; an error names the first bad
+    sample, a cyclide's own failures before its grid rows'.
     """
     f, f_hat = args["grid"], args["hat_grid"]
     s, s_hat = args["spheres_a"], args["spheres_b"]
     d1_basis, _ = _cyclide_spans(s, s_hat)
     nu = f.shape[0]
-    every = args.get("sample_every", max(1, nu // 8))
+    ks = np.arange(0, nu, args.get("sample_every", max(1, nu // 8)))
     probes = np.linspace(0.0, 2.0 * np.pi, args.get("n_probe", 16),
                          endpoint=False)
-    prefix = args.get("store_prefix")
+    bases = d1_basis[ks]
+    cyclides, frames, failures = dupin_from_subspaces(
+        bases, [f"congruence u-index {k}" for k in ks])
+    pencils = [_pencil_point_spheres(grid.sigma[ks], grid.tau[ks])
+               for grid in (f, f_hat)]
+    hit = first_failure(failures + [
+        (pure.any(axis=-1), lambda i: GeometryError(
+            "pencil is entirely made of point spheres"))
+        for _, _, pure in pencils])
+    if hit is not None:
+        raise hit[1]
 
-    contact = membership = line = 0.0
-    dropped = 0
-    count = 0
-    for k in range(0, nu, every):
-        cyc = dupin_from_subspace(d1_basis[k],
-                                  provenance=f"congruence u-index {k}")
-        su = unit_rows(np.stack([s.vectors[k], s_hat.vectors[k]]))
-        membership = max(membership,
-                         float(cyc.d.containment_gap(su[0])),
-                         float(cyc.d.containment_gap(su[1])))
-        family_b = unit_rows(lightcone_circle(cyc.dperp, probes))
-        contact = max(contact, float(np.max(np.abs(inner(
-            family_b[:, None], su[None])))))
-        for grid in (f, f_hat):
-            lifts, miss = point_sphere_lifts(grid.sigma[k], grid.tau[k])
-            dropped += miss
-            if lifts.size:
-                line = max(line, float(np.max(
-                    cyclide_point_residual(cyc, lifts))))
-        if prefix is not None:
+    su = unit_rows(np.stack([s.vectors[ks], s_hat.vectors[ks]], axis=1))
+    membership = np.linalg.norm(su - (su @ _transposed(bases)) @ bases,
+                                axis=-1)
+    e1, e2, e3 = (frames[:, 1, None, r] for r in range(3))
+    family_b = unit_rows(np.cos(probes)[:, None] * e1
+                         + np.sin(probes)[:, None] * e2 + e3)
+    contact = np.abs(inner(family_b[:, :, None], su[:, None]))
+    line = max(float(np.max(cyclide_point_residual(frames, vec),
+                            where=finite, initial=0.0))
+               for vec, finite, _ in pencils)
+    prefix = args.get("store_prefix")
+    if prefix is not None:
+        for k, cyc in zip(ks, cyclides):
             ctx.objects[f"{prefix}_{k}"] = cyc
-        count += 1
-    return {"contact_residual": contact, "membership_residual": membership,
-            "line_residual": line, "n_cyclides": count,
-            "dropped_points": dropped}
+    return {"contact_residual": float(np.max(contact)),
+            "membership_residual": float(np.max(membership)),
+            "line_residual": line, "n_cyclides": len(ks),
+            "dropped_points": sum(int(np.count_nonzero(~finite))
+                                  for _, finite, _ in pencils)}
 
 
 def _op_sphericity(args, ctx):

@@ -30,18 +30,21 @@ from .core import (
     GeometryError,
     RankDeficiencyError,
     SignatureError,
+    SIGNS,
     Subspace,
+    _signature_counts,
     _transposed,
     complement_rows,
     first_failure,
     inner,
     lightcone_circle,
-    lightcone_frame,
+    lightcone_frames,
     null_combination,
     orth_complement,
     orthonormal_rows,
     principal_sine,
     projective_gap,
+    small_eigvalsh,
     span,
     span_rows,
     unit_rows,
@@ -610,32 +613,55 @@ def dupin_from_spheres(a, b, c) -> DupinCyclide:
                         provenance="from-three-spheres")
 
 
-def dupin_from_subspace(rows, provenance: str = "from-splitting") -> DupinCyclide:
-    d = rows if isinstance(rows, Subspace) else span(list(rows))
-    if d.signature != (2, 1, 0):
-        raise SignatureError(f"cyclide subspace ({provenance}) has signature "
-                             f"{d.signature}, need (2, 1, 0)")
-    return DupinCyclide(d=d, dperp=orth_complement(d),
-                        provenance=provenance)
+def dupin_from_subspaces(bases: np.ndarray, provenances):
+    """Dupin cyclides of m cyclide spaces D at once: bases (m, 3, 6)
+    orthonormal rows of each D, provenances m labels ->
+    (cyclides, frames, failures).
+
+    cyclides[i] pairs D with its metric complement; frames (m, 2, 3, 6)
+    holds the lightcone frames of D and Dperp, from one lightcone_frames
+    call.  failures lists core.first_failure's (mask, cause) pairs in
+    check order: a D whose signature is not (2, 1, 0), then a Dperp and
+    then a D whose frame fails.  Cyclides and frames at a flagged sample
+    are meaningless.
+    """
+    bases = np.asarray(bases, dtype=float)
+    signature = np.stack(_signature_counts(small_eigvalsh(
+        bases @ _transposed(SIGNS * bases))), axis=-1)
+    perp = complement_rows(bases)
+    frames, ok = lightcone_frames(np.stack([bases, perp], axis=1))
+    cyclides = [DupinCyclide(d=Subspace(b), dperp=Subspace(p),
+                             provenance=name)
+                for b, p, name in zip(bases, perp, provenances)]
+
+    def frame_error(which):
+        return lambda i: SignatureError(
+            "lightcone circle needs signature (2,1,0), got dim 3 signature "
+            f"{getattr(cyclides[i], which).signature}")
+
+    return cyclides, frames, [
+        (np.any(signature != (2, 1, 0), axis=-1), lambda i: SignatureError(
+            f"cyclide subspace ({provenances[i]}) has signature "
+            f"{tuple(signature[i].tolist())}, need (2, 1, 0)")),
+        (~ok[:, 1], frame_error("dperp")),
+        (~ok[:, 0], frame_error("d"))]
 
 
-def cyclide_point_residual(cyc: DupinCyclide, lifts: np.ndarray) -> np.ndarray:
-    """How far point lifts are from lying on the cyclide.
+def cyclide_point_residual(frames: np.ndarray, lifts: np.ndarray) -> np.ndarray:
+    """How far point lifts are from lying on Dupin cyclides, batched.
 
-    A point is on the cyclide iff its lift is orthogonal to some sphere of
-    the D-circle and some sphere of the Dperp-circle.  For each family the
-    pairing against the circle is c + a cos(t) + b sin(t); its minimum
-    modulus is max(0, |c| - hypot(a, b)).  Returns the worse of the two
-    family residuals per lift, scale-free in the lift.
+    frames (..., 2, 3, 6) are the lightcone frames of each cyclide's D and
+    Dperp (as dupin_from_subspaces returns them), lifts (..., p, 6) the
+    points to test against it.  A point is on the cyclide iff its lift is
+    orthogonal to some sphere of the D-circle and some sphere of the
+    Dperp-circle.  For each family the pairing against the circle is
+    c + a cos(t) + b sin(t); its minimum modulus is max(0, |c| - hypot(a, b)).
+    Returns the worse of the two family residuals per lift (..., p),
+    scale-free in the lift.
     """
     lifts = unit_rows(np.asarray(lifts, dtype=float))
-    out = np.zeros(lifts.shape[:-1])
-    for sub in (cyc.d, cyc.dperp):
-        frame = lightcone_frame(sub)
-        pa = inner(lifts, frame[0])
-        pb = inner(lifts, frame[1])
-        pc = inner(lifts, frame[2])
-        res = np.maximum(0.0, np.abs(pc) - np.hypot(pa, pb))
-        out = np.maximum(out, res)
-    return out
+    pairing = inner(lifts[..., :, None, None, :], frames[..., None, :, :, :])
+    res = np.maximum(0.0, np.abs(pairing[..., 2])
+                     - np.hypot(pairing[..., 0], pairing[..., 1]))
+    return np.max(res, axis=-1)
 

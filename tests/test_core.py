@@ -391,6 +391,70 @@ def test_batched_helpers_match_the_subspace_api():
                                               span(stacks[k + 1]))[1]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_lone_stack_rounds_as_a_row_of_a_batch(k):
+    # a single stack once took other einsum kernels than a batch and
+    # differed in the last bit; the per-sample API must see the batch's
+    # bits, dependent and zero stacks included
+    rng = np.random.default_rng(k)
+    stacks = rng.normal(size=(300, k, 6))
+    stacks[::7, -1] = stacks[::7, 0]
+    stacks[::11] = 0.0
+    rows, completed = orthonormal_rows(stacks), orthonormal_rows(stacks, 6)
+    bases, ranks = core.span_rows(stacks)
+    for n, stack in enumerate(stacks):
+        assert np.array_equal(orthonormal_rows(stack), rows[n])
+        assert np.array_equal(orthonormal_rows(stack, 6), completed[n])
+        basis, rank = core.span_rows(stack)
+        assert np.array_equal(basis, bases[n]) and rank == ranks[n]
+
+
+#: rank_tol of span_rows
+RANK_TOL = 1e-10
+
+
+def _planted_stacks(rng, n, k, shape):
+    """(n, k, 6) stacks: generic, with planted singular values, with a
+    repeated row, or with zero rows and zero stacks."""
+    stacks = rng.normal(size=(n, k, 6))
+    if shape == "near-dependent" and k > 1:
+        # every value after the first is s1 times a ratio drawn from 1e-13
+        # to 1e-7, moved out of the band within 2x of rank_tol
+        ratio = 10.0 ** rng.uniform(-13, -7, size=(n, k))
+        band = (ratio > RANK_TOL / 2.0) & (ratio < 2.0 * RANK_TOL)
+        ratio[band] *= 10.0
+        ratio[:, 0] = 1.0
+        left, _ = np.linalg.qr(rng.normal(size=(n, k, k)))
+        right, _ = np.linalg.qr(rng.normal(size=(n, 6, k)))
+        stacks = (left * ratio[:, None, :]) @ np.swapaxes(right, -1, -2)
+    elif shape == "repeated" and k > 1:
+        stacks[:, -1] = stacks[:, 0]
+    elif shape == "zero":
+        stacks[: n // 2, rng.integers(k)] = 0.0
+        stacks[-n // 4:] = 0.0
+    return stacks
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+       shape=st.sampled_from(["generic", "near-dependent", "repeated",
+                              "zero"]),
+       scale=st.sampled_from([1e-150, 1.0, 1e150]))
+def test_span_rows_counts_rank_as_the_svd(seed, k, shape, scale):
+    rng = np.random.default_rng(seed)
+    stacks = _planted_stacks(rng, 200, k, shape) * scale
+    bases, ranks = core.span_rows(stacks, RANK_TOL)
+    _, svals, vt = np.linalg.svd(stacks, full_matrices=False)
+    assert np.array_equal(ranks, np.sum(svals > RANK_TOL * svals[:, :1],
+                                        axis=-1))
+    _assert_orthonormal(bases, 1e-15)
+    # where the SVD's own basis is good to rounding (full rank, condition
+    # at most 100; beyond that it moves by eps * cond) the spans agree
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sharp = (ranks == k) & (svals[:, 0] <= 100.0 * svals[:, -1])
+    assert np.all(core.principal_sine(bases[sharp], vt[sharp]) <= 1e-14)
+
+
 # -- closed-form small eigenproblems ------------------------------------------
 
 

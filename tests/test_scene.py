@@ -4,11 +4,13 @@ Everything here runs at small grid sizes; the heavier end-to-end checks
 live in the acceptance suite.
 """
 
+import dataclasses
 import inspect
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,6 +261,45 @@ def test_degenerate_cyclide_names_its_u_index(tmp_path):
     with pytest.raises(PipelineError,
                        match=r"tangent-cyclides.*congruence u-index 104\b"):
         run_scene(cfg, tmp_path)
+
+
+def test_congruence_contact_makes_as_many_linalg_calls_at_any_grid(
+        tmp_path, monkeypatch):
+    # every sampled cyclide is measured in one batched pass
+    calls, inside = [], []
+    for name in np.linalg.__all__:
+        original = getattr(np.linalg, name)
+        if callable(original) and not isinstance(original, type):
+            def counting(*args, _name=name, _original=original, **kwargs):
+                if inside:
+                    calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+    op = scene._OPS["congruence_contact"]
+
+    def run(args, ctx):
+        inside.append(True)
+        try:
+            return op.run(args, ctx)
+        finally:
+            inside.pop()
+
+    monkeypatch.setitem(scene._OPS, "congruence_contact",
+                        dataclasses.replace(op, run=run))
+
+    def count(grid):
+        cfg = demo_config("cylinder-darboux", grid=grid)
+        del cfg["outputs"]["meshes"]
+        del calls[:]
+        report = run_scene(cfg, tmp_path / str(grid))
+        assert report["passed"]
+        stage, = [s for s in report["stages"] if s["id"] == "tangent-cyclides"]
+        return stage["measurements"]["n_cyclides"], list(calls)
+
+    (n_small, small), (n_large, large) = count(32), count(64)
+    assert n_small < n_large
+    assert 0 < len(small) == len(large)
+    assert "svd" not in small and "eigvalsh" not in small
 
 
 def test_failed_assertion_flips_the_verdict(tmp_path):

@@ -25,7 +25,12 @@ from liechannel.core import (
     SIGNS,
     GeometryError,
     SignatureError,
+    Subspace,
+    first_failure,
     lightcone_circle,
+    lightcone_frame,
+    orth_complement,
+    orthonormal_rows,
     projective_gap,
     span,
     sphere_lift,
@@ -437,6 +442,7 @@ def test_dupin_circle_samples_are_null_members():
 
 def test_dupin_point_residual_on_and_off_torus():
     _, cyc = torus_cyclide()
+    frames = np.stack([lightcone_frame(cyc.d), lightcone_frame(cyc.dperp)])
     th = np.linspace(0.0, 2.0 * np.pi, 40)
     uu, vv = np.meshgrid(th, th, indexing="ij")
     pts = np.stack([(2 + np.cos(vv)) * np.cos(uu),
@@ -444,13 +450,35 @@ def test_dupin_point_residual_on_and_off_torus():
     sq = np.sum(pts ** 2, axis=-1, keepdims=True)
     lifts = np.concatenate([pts, 0.5 * (1 - sq), 0.5 * (1 + sq),
                             np.zeros_like(sq)], axis=-1).reshape(-1, 6)
-    assert tr.cyclide_point_residual(cyc, lifts).max() <= 1e-12   # 3.3e-16
+    assert tr.cyclide_point_residual(frames, lifts).max() <= 1e-12   # 3.3e-16
 
     off = pts * 1.1
     sq = np.sum(off ** 2, axis=-1, keepdims=True)
     lifts_off = np.concatenate([off, 0.5 * (1 - sq), 0.5 * (1 + sq),
                                 np.zeros_like(sq)], axis=-1).reshape(-1, 6)
-    assert tr.cyclide_point_residual(cyc, lifts_off).min() >= 1e-3   # 2.3e-3
+    assert tr.cyclide_point_residual(frames, lifts_off).min() >= 1e-3   # 2.3e-3
+
+
+def test_batched_cyclides_match_the_subspace_api():
+    rng = np.random.default_rng(3)
+    bases = orthonormal_rows(rng.normal(size=(60, 3, 6)))
+    names = [f"sample {i}" for i in range(60)]
+    cyclides, frames, failures = tr.dupin_from_subspaces(bases, names)
+    wrong = failures[0][0]
+    assert 0 < np.sum(wrong) < 60
+    for i in np.flatnonzero(~wrong):
+        d = Subspace(bases[i])
+        assert cyclides[i].d.signature == (2, 1, 0)
+        assert np.array_equal(cyclides[i].dperp.basis,
+                              orth_complement(d).basis)
+        assert np.array_equal(frames[i, 0], lightcone_frame(d))
+        assert np.array_equal(frames[i, 1],
+                              lightcone_frame(orth_complement(d)))
+    first = int(np.argmax(wrong))
+    k, exc = first_failure(failures)
+    assert k == first and isinstance(exc, SignatureError)
+    assert str(exc).startswith(f"cyclide subspace (sample {first}) has "
+                               f"signature {cyclides[first].d.signature}")
 
 
 def test_dupin_rejects_degenerate_triples():
