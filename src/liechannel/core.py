@@ -360,9 +360,10 @@ class Subspace:
                 self._signature = (0, 0, 0)
             else:
                 gram = self.gram
-                counts = _signature_counts(small_eigvalsh(gram) if self.dim <= 3
-                                           else np.linalg.eigvalsh(gram))
-                self._signature = tuple(int(c) for c in counts)
+                evals = (small_eigvalsh(gram) if self.dim <= 3
+                         else np.linalg.eigvalsh(gram))
+                self._signature = tuple(int(c)
+                                        for c in _signature_counts(evals))
         return self._signature
 
     # -- membership ----------------------------------------------------------

@@ -634,17 +634,16 @@ def dupin_from_subspaces(bases: np.ndarray, provenances):
                              provenance=name)
                 for b, p, name in zip(bases, perp, provenances)]
 
-    def frame_error(which):
-        return lambda i: SignatureError(
-            "lightcone circle needs signature (2,1,0), got dim 3 signature "
-            f"{getattr(cyclides[i], which).signature}")
+    def frame_error(sub):
+        return SignatureError("lightcone circle needs signature (2,1,0), "
+                              f"got dim 3 signature {sub.signature}")
 
     return cyclides, frames, [
         (np.any(signature != (2, 1, 0), axis=-1), lambda i: SignatureError(
             f"cyclide subspace ({provenances[i]}) has signature "
             f"{tuple(signature[i].tolist())}, need (2, 1, 0)")),
-        (~ok[:, 1], frame_error("dperp")),
-        (~ok[:, 0], frame_error("d"))]
+        (~ok[:, 1], lambda i: frame_error(cyclides[i].dperp)),
+        (~ok[:, 0], lambda i: frame_error(cyclides[i].d))]
 
 
 def cyclide_point_residual(frames: np.ndarray, lifts: np.ndarray) -> np.ndarray:
