@@ -24,10 +24,12 @@ from .core import (
     GeometryError,
     Subspace,
     _transposed,
+    circle_failure,
+    circle_points,
     complement_rows,
     inner,
     inv3,
-    lightcone_frame,
+    lightcone_frames,
     projective_gap,
     read_only_copy,
     small_eigvalsh,
@@ -285,7 +287,10 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
     gram_inv = inv3(perp @ _transposed(SIGNS * perp))
     n = curve.u_values.size
     frames = np.empty((n, 3, DIM))
-    frames[0] = lightcone_frame(Subspace(perp[0]))
+    frames[0], signature = lightcone_frames(perp[0])
+    wrong, cause = circle_failure(signature, lambda _: "normal space 0")
+    if wrong.any():
+        raise cause(0)
     # a singular fibre Gram has a non-finite inverse; fibre 0 is only
     # transported into when the curve wraps around
     reached = gram_inv if curve.periodic_u else gram_inv[1:]
@@ -306,9 +311,7 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
                                 "grid; falling back to an open u-axis")
 
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    circle = (np.cos(theta)[None, :, None] * frames[:, None, 0]
-              + np.sin(theta)[None, :, None] * frames[:, None, 1]
-              + frames[:, None, 2])
+    circle = circle_points(frames[:, None], theta)
     sigma = np.broadcast_to(curve.vectors[:, None, :], circle.shape).copy()
     return LegendreGrid(sigma, circle, curve.u_values, theta,
                         periodic_u=periodic_u, periodic_theta=True,

@@ -20,23 +20,20 @@ from .channel import SphereCurve, curve_from_profile, envelope
 from .core import (
     DIM,
     GeometryError,
-    RankDeficiencyError,
-    SignatureError,
-    Subspace,
     _transposed,
+    circle_failure,
+    circle_phase,
+    circle_points,
     first_failure,
     inner,
-    lightcone_circle,
     lightcone_frames,
     parallel_transform_matrix,
-    principal_sine,
-    span_rows,
     sphere_lift,
     unit_rows,
 )
 from .legendre import LegendreGrid
 from .mesh import grid_point_spheres
-from .transforms import verify_ribaucour
+from .transforms import _span_pair, verify_ribaucour
 from . import stencils
 
 E6 = np.eye(DIM)[5]
@@ -267,47 +264,6 @@ def ribaucour_curve_check(c1: ConformalCurve, c2: ConformalCurve) -> float:
     return verify_ribaucour(c1.lift, c2.lift)
 
 
-def _congruence_space(c1: ConformalCurve, c2: ConformalCurve, d1, tol: float):
-    """span{sigma, sigma', sigma_hat} at every sample, as orthonormal bases
-    (n, 3, 6), with its span residuals against span{sigma_hat, sigma_hat',
-    sigma} and the failed checks as first_failure (mask, cause) pairs: rank
-    loss of either span, then a residual over tol.  d1 holds both curves'
-    first derivatives."""
-    v1, v2 = c1.lift.vectors, c2.lift.vectors
-    a, rank_a = span_rows(np.stack([v1, d1[0], v2], axis=-2))
-    b, rank_b = span_rows(np.stack([v2, d1[1], v1], axis=-2))
-    residuals = principal_sine(a, b)
-    failures = [
-        (rank_a < 3, lambda k: RankDeficiencyError(3, int(rank_a[k]))),
-        (rank_b < 3, lambda k: RankDeficiencyError(3, int(rank_b[k]))),
-        (residuals > tol, lambda k: GeometryError(
-            f"curves are not a Ribaucour pair at sample {k} "
-            f"(span residual {residuals[k]:.3e})"))]
-    return a, residuals, failures
-
-
-def circle_congruence(c1: ConformalCurve, c2: ConformalCurve, k: int,
-                      thetas, tol: float = 1e-6) -> np.ndarray:
-    """Points of the enveloped circle at sample k.
-
-    Samples the lightcone circle of span{sigma, sigma', sigma_hat}(u_k)
-    and projects to Euclidean 3-space; all members are point spheres since
-    the span is p-orthogonal.
-    """
-    _pair_guard(c1, c2)
-    d1 = (c1.lift.derivatives()[0], c2.lift.derivatives()[0])
-    bases, _, failures = _congruence_space(c1, c2, d1, tol)
-    for mask, cause in failures:
-        if mask[k]:
-            raise cause(k)
-    pts = lightcone_circle(Subspace(bases[k]), np.asarray(thetas, dtype=float))
-    h = pts[..., 3] + pts[..., 4]
-    if np.min(np.abs(h)) <= 1e-12 * np.max(np.linalg.norm(pts, axis=-1)):
-        raise GeometryError("congruence circle passes through infinity "
-                            "(a straight line); cannot project all samples")
-    return pts[..., :3] / h[..., None]
-
-
 @dataclass
 class CircleCongruenceReport:
     membership: float              # worst containment gap of either lift
@@ -330,35 +286,33 @@ def circle_congruence_report(c1: ConformalCurve, c2: ConformalCurve,
     All samples at once; the first failing sample in u order is reported.
     """
     _pair_guard(c1, c2)
-    d1 = (c1.lift.derivatives()[0], c2.lift.derivatives()[0])
-    bases, residuals, failures = _congruence_space(c1, c2, d1, tol)
-    frames, ok = lightcone_frames(bases)
-    lifts = np.stack([c1.lift.vectors, c2.lift.vectors], axis=1)  # (n, 2, 6)
+    (v1, d1), (v2, d2) = ((c.lift.vectors, c.lift.derivatives()[0])
+                          for c in (c1, c2))
+    # the congruence span {sigma, sigma', sigma_hat} against its twin
+    bases, residuals, failures = _span_pair(c1.lift, c2.lift, [v1, d1, v2],
+                                            [v2, d2, v1])
+    frames, signature = lightcone_frames(bases)
+    lifts = np.stack([v1, v2], axis=1)                          # (n, 2, 6)
     # containment gap of each unit lift; bases rows are orthonormal
     u = unit_rows(lifts)
     gaps = np.linalg.norm(u - (u @ _transposed(bases)) @ bases,
                           axis=-1)
-    # circle phase of each lift (as circle_phase), then the projected
-    # circle just beside it
-    pairing = inner(lifts[:, :, None], frames[:, None])      # (n, 2, 3)
-    x, y, z = pairing[..., 0], pairing[..., 1], -pairing[..., 2]
-    timelike = np.abs(z) >= 1e-12 * np.linalg.norm(lifts, axis=-1)
+    # circle phase of each lift, then the projected circle just beside it
+    phase, timelike = circle_phase(frames[:, None], lifts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        phase = np.arctan2(y / z, x / z)
         probe = phase[..., None] + np.array([-fd_delta, fd_delta])  # (n, 2, 2)
-        e1, e2, e3 = (frames[:, None, None, r] for r in range(3))
-        pts = (np.cos(probe)[..., None] * e1 + np.sin(probe)[..., None] * e2
-               + e3)
+        pts = circle_points(frames[:, None, None], probe)
         pos = pts[..., :3] / (pts[..., 3] + pts[..., 4])[..., None]
         tangent = pos[:, :, 1] - pos[:, :, 0]
-        ref = np.stack([d1[0][:, :3], d1[1][:, :3]], axis=1)
+        ref = np.stack([d1[:, :3], d2[:, :3]], axis=1)
         cr = np.linalg.norm(np.cross(tangent, ref), axis=-1)
         denom = np.linalg.norm(tangent, axis=-1) * np.linalg.norm(ref, axis=-1)
         angles = np.arcsin(np.clip(cr / denom, 0.0, 1.0))
     hit = first_failure(failures + [
-        (~ok, lambda k: SignatureError(
-            "lightcone circle needs signature (2,1,0), got signature "
-            f"{Subspace(bases[k]).signature}")),
+        (residuals > tol, lambda k: GeometryError(
+            f"curves are not a Ribaucour pair at sample {k} "
+            f"(span residual {residuals[k]:.3e})")),
+        circle_failure(signature, lambda _: "congruence span"),
         (~timelike.all(axis=1), lambda k: GeometryError(
             "vector has no timelike component in this frame"))])
     if hit is not None:

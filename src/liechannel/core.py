@@ -384,11 +384,6 @@ def span(vectors: Iterable[np.ndarray], rank_tol: float = 1e-10) -> Subspace:
     return Subspace.from_vectors(vectors, rank_tol=rank_tol)
 
 
-def orth_complement(s: Subspace) -> Subspace:
-    """Metric-orthogonal complement (complement_rows of the basis)."""
-    return Subspace(complement_rows(s.basis))
-
-
 #: relative gap under which orthonormal_rows counts completion residuals
 #: as tied (the lowest coordinate index then wins)
 _TIE_TOL = 1e-12
@@ -645,17 +640,18 @@ def first_failure(failures):
 
 def lightcone_frames(bases: np.ndarray):
     """Batched lightcone frames: bases (..., 3, 6) orthonormal rows ->
-    (frames (..., 3, 6), ok (...)).
+    (frames (..., 3, 6), signature (..., 3)).
 
-    Frame rows (E1, E2, E3) have squares (+1, +1, -1): eigenvectors of the
-    Gram matrix sorted by descending eigenvalue, each sign-fixed by its
-    largest-magnitude coefficient.  ok marks signature (2, 1, 0); frames
-    elsewhere are meaningless.
+    signature counts (n_plus, n_minus, n_zero) of each space's metric; a
+    space is a circle of spheres where it is (2, 1, 0) (circle_failure),
+    and its frame elsewhere is meaningless.  Frame rows (E1, E2, E3) have
+    squares (+1, +1, -1): eigenvectors of the Gram matrix sorted by
+    descending eigenvalue, each sign-fixed by its largest-magnitude
+    coefficient.
     """
     gram = bases @ _transposed(bases * SIGNS)
     evals, evecs = np.linalg.eigh(gram)
-    n_plus, n_minus, n_zero = _signature_counts(evals)
-    ok = (n_plus == 2) & (n_minus == 1) & (n_zero == 0)
+    signature = np.stack(_signature_counts(evals), axis=-1)
     order = np.argsort(evals, axis=-1)[..., ::-1]  # two positive first
     evals = np.take_along_axis(evals, order, axis=-1)
     # each row is the vector-matrix product of its own eigenvector (a
@@ -672,48 +668,38 @@ def lightcone_frames(bases: np.ndarray):
     with np.errstate(divide="ignore"):
         frames = (np.concatenate(rows, axis=-2)
                   / np.sqrt(np.abs(evals))[..., None])
-    return frames, ok
+    return frames, signature
 
 
-def lightcone_frame(s: Subspace) -> np.ndarray:
-    """Pseudo-orthonormal frame rows (E1, E2, E3) of a (2,1) subspace; see
-    lightcone_frames."""
-    if s.dim == 3:
-        frame, ok = lightcone_frames(s.basis)
-    if s.dim != 3 or not ok:
-        raise SignatureError(
-            f"lightcone circle needs signature (2,1,0), got dim {s.dim} "
-            f"signature {s.signature}"
-        )
-    return frame
+def circle_failure(signature: np.ndarray, name):
+    """first_failure's (mask, cause) pair for lightcone_frames signatures
+    (..., 3), over their flattened leading axes: the spaces that are not
+    (2, 1, 0), each named by name(k) in its SignatureError."""
+    signature = signature.reshape(-1, 3)
+    return np.any(signature != (2, 1, 0), axis=-1), lambda k: SignatureError(
+        f"{name(k)} has signature {tuple(signature[k].tolist())}, "
+        "need (2, 1, 0)")
 
 
-def lightcone_circle(s: Subspace, theta) -> np.ndarray:
-    """Null vectors cos(theta) E1 + sin(theta) E2 + E3 of a (2,1) subspace.
-
-    theta may be a scalar or an array; the result has matching leading shape.
-    """
-    e1, e2, e3 = lightcone_frame(s)
+def circle_points(frames: np.ndarray, theta) -> np.ndarray:
+    """Null vectors cos(theta) E1 + sin(theta) E2 + E3 of lightcone frames
+    (..., 3, 6), batched: theta broadcasts against the frames' leading
+    axes, and the points have its shape plus a trailing 6."""
     th = np.asarray(theta, dtype=float)
-    return (
-        np.cos(th)[..., None] * e1 + np.sin(th)[..., None] * e2 + e3
-        if th.ndim
-        else np.cos(th) * e1 + np.sin(th) * e2 + e3
-    )
+    return (np.cos(th)[..., None] * frames[..., 0, :]
+            + np.sin(th)[..., None] * frames[..., 1, :] + frames[..., 2, :])
 
 
-def circle_phase(frame: np.ndarray, v: np.ndarray) -> float:
-    """Parameter theta with lightcone_circle point proportional to v.
-
-    v must be a null vector of the frame's span; raises otherwise.
-    """
-    e1, e2, e3 = frame
-    x = inner(v, e1)
-    y = inner(v, e2)
-    z = -inner(v, e3)
-    if abs(z) < 1e-12 * np.linalg.norm(v):
-        raise GeometryError("vector has no timelike component in this frame")
-    return float(np.arctan2(y / z, x / z))
+def circle_phase(frames: np.ndarray, v: np.ndarray):
+    """Parameters theta (...) at which circle_points(frames, theta) is
+    proportional to the null vectors v (..., 6) of the frames' spans,
+    batched, and a mask of where that is defined: where v has a timelike
+    component in its frame."""
+    pairing = inner(v[..., None, :], frames)
+    x, y, z = pairing[..., 0], pairing[..., 1], -pairing[..., 2]
+    timelike = np.abs(z) >= 1e-12 * np.linalg.norm(v, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.arctan2(y / z, x / z), timelike
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (GeometryError, Subspace, lightcone_circle, orth_complement,
-                   unit_rows)
+from .core import GeometryError, circle_points, unit_rows
 
 #: relative size below which a pencil weight or a point sphere's
 #: (e4 + e5) component counts as zero
@@ -195,32 +194,26 @@ def export_obj(mesh: MeshOutput, path) -> str:
     return path
 
 
-def cyclide_point_grid(space: Subspace, n_a: int = 64, n_b: int = 64):
-    """Sample a cyclide from its defining (2, 1) sphere space.
+def cyclide_point_grid(cyclide, n_a: int = 64, n_b: int = 64):
+    """Sample a Dupin cyclide (transforms.DupinCyclide) from its frames.
 
-    The two one-parameter sphere families are the light cones of the space
-    and of its orthogonal complement; each pair of members (one from each
-    family) is automatically in oriented contact and their common point
-    sphere sweeps out the surface.
-
-    Returns (positions, finite, spheres_a, spheres_b, angles_a, angles_b).
+    The two one-parameter sphere families are the lightcone circles of its
+    sphere space and of that space's complement; each pair of members (one
+    from each family) is in oriented contact, and their common point
+    sphere sweeps out the surface.  Returns (positions (n_a, n_b, 3),
+    finite) as grid_point_spheres does.
     """
-    if space.signature != (2, 1, 0):
-        raise GeometryError(
-            f"cyclide needs a (2,1) sphere space, got {space.signature}")
-    comp = orth_complement(space)
     angles_a = np.linspace(0.0, 2.0 * np.pi, n_a, endpoint=False)
     angles_b = np.linspace(0.0, 2.0 * np.pi, n_b, endpoint=False)
-    spheres_a = lightcone_circle(space, angles_a)
-    spheres_b = lightcone_circle(comp, angles_b)
+    spheres_a = circle_points(cyclide.frames[0], angles_a)
+    spheres_b = circle_points(cyclide.frames[1], angles_b)
     sig = np.broadcast_to(spheres_a[:, None, :], (n_a, n_b, 6))
     tau = np.broadcast_to(spheres_b[None, :, :], (n_a, n_b, 6))
-    positions, finite = grid_point_spheres(sig, tau)
-    return positions, finite, spheres_a, spheres_b, angles_a, angles_b
+    return grid_point_spheres(sig, tau)
 
 
-def cyclide_mesh(space: Subspace, n_a: int = 64, n_b: int = 64) -> MeshOutput:
-    """Triangle mesh of the cyclide carried by a (2, 1) sphere space."""
-    positions, finite, *_ = cyclide_point_grid(space, n_a, n_b)
+def cyclide_mesh(cyclide, n_a: int = 64, n_b: int = 64) -> MeshOutput:
+    """Triangle mesh of a Dupin cyclide (transforms.DupinCyclide)."""
+    positions, finite = cyclide_point_grid(cyclide, n_a, n_b)
     faces = triangulate_grid((n_a, n_b), periodic_u=True, periodic_theta=True)
     return compact_mesh(positions.reshape(-1, 3), faces, finite.reshape(-1))

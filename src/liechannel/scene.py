@@ -43,8 +43,8 @@ from .conformal import (
     tube,
     tube_sphere_curve,
 )
-from .core import (DIM, GeometryError, _transposed, first_failure, inner, span,
-                   unit_rows)
+from .core import (DIM, GeometryError, _transposed, circle_points, first_failure,
+                   inner, span, unit_rows)
 from .legendre import (
     channel_verdict,
     curvature_data,
@@ -443,9 +443,7 @@ def _op_congruence_contact(args, ctx):
     su = unit_rows(np.stack([s.vectors[ks], s_hat.vectors[ks]], axis=1))
     membership = np.linalg.norm(su - (su @ _transposed(bases)) @ bases,
                                 axis=-1)
-    e1, e2, e3 = (frames[:, 1, None, r] for r in range(3))
-    family_b = unit_rows(np.cos(probes)[:, None] * e1
-                         + np.sin(probes)[:, None] * e2 + e3)
+    family_b = unit_rows(circle_points(frames[:, 1, None], probes))
     contact = np.abs(inner(family_b[:, :, None], su[:, None]))
     line = max(float(np.max(cyclide_point_residual(frames, vec),
                             where=finite, initial=0.0))
@@ -488,12 +486,11 @@ def _op_dupin_fit(args, ctx):
     cyc = dupin_from_spheres(*curve.vectors[indices])
     if "store" in args:
         ctx.objects[args["store"]] = cyc
-    out = {"signature_d": list(cyc.d.signature),
-           "signature_dperp": list(cyc.dperp.signature)}
+    out = {}
     if "torus" in args:
         ring = float(args["torus"]["ring"])
         radius = float(args["torus"]["radius"])
-        positions, finite, *_ = cyclide_point_grid(cyc.d, 48, 48)
+        positions, finite = cyclide_point_grid(cyc, 48, 48)
         good = positions[finite]
         dev = np.abs(np.hypot(np.hypot(good[:, 0], good[:, 1]) - ring,
                               good[:, 2]) - radius)
@@ -724,7 +721,7 @@ def _eval_assertion(check, measurements):
 
 def _mesh_of(obj, name, n):
     if isinstance(obj, DupinCyclide):
-        return cyclide_mesh(obj.d, n, n)
+        return cyclide_mesh(obj, n, n)
     if hasattr(obj, "sigma") and hasattr(obj, "tau"):
         return mesh_from_grid(obj)
     raise GeometryError(f"object '{name}' of type {type(obj).__name__} "

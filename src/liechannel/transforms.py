@@ -30,22 +30,18 @@ from .core import (
     GeometryError,
     RankDeficiencyError,
     SignatureError,
-    SIGNS,
     Subspace,
-    _signature_counts,
     _transposed,
+    circle_failure,
+    circle_points,
     complement_rows,
     first_failure,
     inner,
-    lightcone_circle,
     lightcone_frames,
     null_combination,
-    orth_complement,
     orthonormal_rows,
     principal_sine,
     projective_gap,
-    small_eigvalsh,
-    span,
     span_rows,
     unit_rows,
     wedge_matrix,
@@ -172,10 +168,15 @@ def darboux_initial_condition(space: Subspace, sigma1_0: np.ndarray,
     surface collapses toward the sphere curve), so they are rejected and
     redrawn rather than merely warned about.
     """
+    frame, signature = lightcone_frames(space.basis)
+    wrong, cause = circle_failure(signature,
+                                  lambda _: "initial-condition space")
+    if wrong.any():
+        raise cause(0)
     rng = np.random.default_rng(seed)
     scale = np.linalg.norm(sigma1_0)
     for _ in range(max_tries):
-        phi0 = lightcone_circle(space, float(rng.uniform(0.0, 2.0 * np.pi)))
+        phi0 = circle_points(frame, rng.uniform(0.0, 2.0 * np.pi))
         pairing = abs(float(inner(phi0, sigma1_0)))
         if pairing >= min_pairing * scale * np.linalg.norm(phi0):
             return phi0
@@ -349,6 +350,26 @@ def verify_ribaucour(s: SphereCurve, s_hat: SphereCurve) -> float:
     loss of either stack or an orthogonal pair is an error, not a large
     residual.
     """
+    d1, d1_hat = s.derivatives()[0], s_hat.derivatives()[0]
+    _, sines, failures = _span_pair(s, s_hat, [s.vectors, d1, s_hat.vectors],
+                                    [s_hat.vectors, d1_hat, s.vectors])
+    hit = first_failure(failures)
+    if hit is not None:
+        k, cause = hit
+        raise GeometryError(f"span degenerates at sample {k}") from cause
+    return float(np.max(sines))
+
+
+def _span_pair(s: SphereCurve, s_hat: SphereCurve, rows_a, rows_b):
+    """Two spans a pair of sphere curves shares at every sample.
+
+    rows_a and rows_b list the three (n, 6) rows spanning each.  Returns
+    (a, sines, failures): orthonormal bases (n, 3, 6) of the first span,
+    the sines of the largest principal angle between the two, and
+    core.first_failure's (mask, cause) pairs for rank loss of the first
+    span, then of the second.  Raises GeometryError before any span where
+    the curves do not share their u-grid or are orthogonal somewhere.
+    """
     if s.vectors.shape != s_hat.vectors.shape:
         raise GeometryError("curves must share their u-grid")
     pair = inner(s.vectors, s_hat.vectors)
@@ -359,28 +380,11 @@ def verify_ribaucour(s: SphereCurve, s_hat: SphereCurve) -> float:
         raise GeometryError(
             f"curves are orthogonal at sample {k}; they span a contact "
             "element there and the criterion degenerates")
-    d1, _ = s.derivatives()
-    d1_hat, _ = s_hat.derivatives()
-    a, b = _checked_spans(
-        np.stack([s.vectors, d1, s_hat.vectors], axis=-2),
-        np.stack([s_hat.vectors, d1_hat, s.vectors], axis=-2),
-        "span degenerates at sample {}")
-    return float(np.max(principal_sine(a, b)))
-
-
-def _checked_spans(stack_a: np.ndarray, stack_b: np.ndarray, message: str):
-    """Orthonormal bases of two (n, 3, 6) stacks of spanning rows.
-
-    Raises GeometryError(message.format(k)) at the first sample k where
-    either stack drops rank, chained to that span's RankDeficiencyError.
-    """
-    (a, rank_a), (b, rank_b) = span_rows(stack_a), span_rows(stack_b)
-    hit = first_failure([
+    (a, rank_a), (b, rank_b) = (span_rows(np.stack(rows, axis=-2))
+                                for rows in (rows_a, rows_b))
+    return a, principal_sine(a, b), [
         (rank_a < 3, lambda k: RankDeficiencyError(3, int(rank_a[k]))),
-        (rank_b < 3, lambda k: RankDeficiencyError(3, int(rank_b[k])))])
-    if hit is not None:
-        raise GeometryError(message.format(hit[0])) from hit[1]
-    return a, b
+        (rank_b < 3, lambda k: RankDeficiencyError(3, int(rank_b[k])))]
 
 
 def ribaucour_partner_curve(s: SphereCurve, beta, gamma,
@@ -464,15 +468,6 @@ def ribaucour_partner_curve(s: SphereCurve, beta, gamma,
 # the cyclide congruences of a Ribaucour pair
 # ---------------------------------------------------------------------------
 
-def _batched_rejection(stacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Sine of the largest principal angle, batched.
-
-    stacks (..., k, 6) raw spanning rows; basis (..., k, 6) orthonormal
-    rows of the reference space (broadcastable against stacks).
-    """
-    return principal_sine(basis, orthonormal_rows(stacks))
-
-
 @dataclass
 class CyclideCongruenceReport:
     d1_basis: np.ndarray           # (nu, 3, 6) orthonormal rows, u-family
@@ -486,22 +481,19 @@ class CyclideCongruenceReport:
 
 def _cyclide_spans(s: SphereCurve, s_hat: SphereCurve):
     """Orthonormal (nu, 3, 6) bases of D1(u) = span{s1, shat1, d_u s1} and
-    of its twin span{s1, shat1, d_u shat1}; raises GeometryError where the
-    pair is not pointwise distinct or either span drops rank."""
-    if s.vectors.shape != s_hat.vectors.shape:
-        raise GeometryError("curves must share their u-grid")
-    pair = inner(s.vectors, s_hat.vectors)
-    scale = (np.linalg.norm(s.vectors, axis=-1)
-             * np.linalg.norm(s_hat.vectors, axis=-1))
-    if np.min(np.abs(pair) / scale) <= 1e-12:
-        raise GeometryError("curvature spheres coincide or span an element "
-                            "somewhere: not a pointwise-distinct pair")
-    d1_s, _ = s.derivatives()
-    d1_hat, _ = s_hat.derivatives()
-    return _checked_spans(
-        np.stack([s.vectors, s_hat.vectors, d1_s], axis=-2),
-        np.stack([s.vectors, s_hat.vectors, d1_hat], axis=-2),
-        "cyclide span degenerates at sample {}")
+    their sines against the twin span{s1, shat1, d_u shat1}; raises
+    GeometryError where the pair is not pointwise distinct or either span
+    drops rank."""
+    d1_s, d1_hat = s.derivatives()[0], s_hat.derivatives()[0]
+    a, sines, failures = _span_pair(s, s_hat,
+                                    [s.vectors, s_hat.vectors, d1_s],
+                                    [s.vectors, s_hat.vectors, d1_hat])
+    hit = first_failure(failures)
+    if hit is not None:
+        k, cause = hit
+        raise GeometryError(
+            f"cyclide span degenerates at sample {k}") from cause
+    return a, sines
 
 
 def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
@@ -518,8 +510,8 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
     and the theta-constancy of D1 is measured against the first grid's
     extracted curvature spheres.
     """
-    d1_spaces, b = _cyclide_spans(s, s_hat)
-    coincidence = float(np.max(principal_sine(d1_spaces, b)))
+    d1_spaces, sines = _cyclide_spans(s, s_hat)
+    coincidence = float(np.max(sines))
 
     duality = theta_constancy = d2_coincidence = None
     rank_ok = None
@@ -544,7 +536,8 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
         dds0 = stencils.diff2(s0, dt, axis=1, periodic=f.periodic_theta)
         jet = np.stack([s0, ds0, dds0], axis=-2)          # (nu, nt, 3, 6)
         perp = complement_rows(d1_spaces)                  # (nu, 3, 6)
-        duality = float(np.max(_batched_rejection(jet, perp[:, None])))
+        duality = float(np.max(principal_sine(perp[:, None],
+                                              orthonormal_rows(jet))))
 
         data = curvature_data(f)
         # the extracted field is unit-normalised, which makes its entries
@@ -557,8 +550,8 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
         hat_field = np.broadcast_to(s_hat.vectors[:, None, :],
                                     s1_field.shape)
         stacks = np.stack([s1_field, hat_field, ds1_field], axis=-2)
-        theta_constancy = float(np.max(
-            _batched_rejection(stacks, d1_spaces[:, None])))
+        theta_constancy = float(np.max(principal_sine(
+            d1_spaces[:, None], orthonormal_rows(stacks))))
 
         # the second family, measured from grid data alone (extraction
         # noise is O(h^2); reported, not gated)
@@ -568,8 +561,8 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
         ds2_hat = stencils.diff1(data_hat.s2, dt, axis=1,
                                  periodic=f.periodic_theta)
         b2 = np.stack([data.s2, data_hat.s2, ds2_hat], axis=-2)
-        d2_coincidence = float(np.max(_batched_rejection(
-            a2, orthonormal_rows(b2))))
+        d2_coincidence = float(np.max(principal_sine(
+            orthonormal_rows(b2), orthonormal_rows(a2))))
 
     return CyclideCongruenceReport(
         d1_basis=d1_spaces, coincidence=coincidence, duality=duality,
@@ -583,14 +576,12 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
 
 @dataclass
 class DupinCyclide:
-    d: Subspace
-    dperp: Subspace
-    provenance: str = "from-three-spheres"
-
-    def sphere(self, theta, which: str = "d") -> np.ndarray:
-        """Sample the lightcone circle of either factor."""
-        sub = self.d if which == "d" else self.dperp
-        return lightcone_circle(sub, theta)
+    """A Dupin cyclide by its two sphere families: frames (2, 3, 6) holds
+    the lightcone frames of its (2, 1) sphere space D and of D's metric
+    complement (core.circle_points samples either circle).  Built by
+    dupin_from_subspaces, which checks both signatures."""
+    frames: np.ndarray
+    provenance: str
 
 
 def dupin_from_spheres(a, b, c) -> DupinCyclide:
@@ -600,17 +591,17 @@ def dupin_from_spheres(a, b, c) -> DupinCyclide:
     circle of the complement.  Pencils and other degenerate triples have
     the wrong signature and are rejected.
     """
-    try:
-        d = span([a, b, c])
-    except GeometryError as exc:
+    basis, rank = span_rows(np.stack([a, b, c]))
+    if rank < 3:
         raise SignatureError(
             "sphere triple is linearly dependent (a pencil has no "
-            "cyclide)") from exc
-    if d.signature != (2, 1, 0):
-        raise SignatureError(
-            f"sphere triple spans signature {d.signature}, need (2, 1, 0)")
-    return DupinCyclide(d=d, dperp=orth_complement(d),
-                        provenance="from-three-spheres")
+            "cyclide)") from RankDeficiencyError(3, int(rank))
+    (cyclide,), _, failures = dupin_from_subspaces(basis[None],
+                                                   ["from-three-spheres"])
+    hit = first_failure(failures)
+    if hit is not None:
+        raise hit[1]
+    return cyclide
 
 
 def dupin_from_subspaces(bases: np.ndarray, provenances):
@@ -618,32 +609,21 @@ def dupin_from_subspaces(bases: np.ndarray, provenances):
     orthonormal rows of each D, provenances m labels ->
     (cyclides, frames, failures).
 
-    cyclides[i] pairs D with its metric complement; frames (m, 2, 3, 6)
-    holds the lightcone frames of D and Dperp, from one lightcone_frames
-    call.  failures lists core.first_failure's (mask, cause) pairs in
-    check order: a D whose signature is not (2, 1, 0), then a Dperp and
-    then a D whose frame fails.  Cyclides and frames at a flagged sample
-    are meaningless.
+    frames (m, 2, 3, 6) holds the lightcone frames of each D and of its
+    metric complement, from one lightcone_frames call, and cyclides[i]
+    carries frames[i].  failures lists core.first_failure's (mask, cause)
+    pairs in check order: a D whose signature is not (2, 1, 0), then such
+    a complement.  Cyclides and frames at a flagged sample are
+    meaningless.
     """
     bases = np.asarray(bases, dtype=float)
-    signature = np.stack(_signature_counts(small_eigvalsh(
-        bases @ _transposed(SIGNS * bases))), axis=-1)
-    perp = complement_rows(bases)
-    frames, ok = lightcone_frames(np.stack([bases, perp], axis=1))
-    cyclides = [DupinCyclide(d=Subspace(b), dperp=Subspace(p),
-                             provenance=name)
-                for b, p, name in zip(bases, perp, provenances)]
-
-    def frame_error(sub):
-        return SignatureError("lightcone circle needs signature (2,1,0), "
-                              f"got dim 3 signature {sub.signature}")
-
-    return cyclides, frames, [
-        (np.any(signature != (2, 1, 0), axis=-1), lambda i: SignatureError(
-            f"cyclide subspace ({provenances[i]}) has signature "
-            f"{tuple(signature[i].tolist())}, need (2, 1, 0)")),
-        (~ok[:, 1], lambda i: frame_error(cyclides[i].dperp)),
-        (~ok[:, 0], lambda i: frame_error(cyclides[i].d))]
+    frames, signature = lightcone_frames(
+        np.stack([bases, complement_rows(bases)], axis=1))
+    cyclides = [DupinCyclide(f, name) for f, name in zip(frames, provenances)]
+    failures = [circle_failure(signature[:, j], lambda i, what=what:
+                               f"cyclide {what} ({provenances[i]})")
+                for j, what in enumerate(["subspace", "complement"])]
+    return cyclides, frames, failures
 
 
 def cyclide_point_residual(frames: np.ndarray, lifts: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ UNCALLED_BY_DESIGN = {
     "subspace_equal": "the tests' reference for equal subspaces",
     "project_to_euclidean": "acceptance criterion 1 reads lifts back",
     "special_lift": "acceptance criterion 6 gauges the lift",
-    "circle_congruence": "samples the circle a curve pair envelopes",
 }
 
 

@@ -11,10 +11,9 @@ from liechannel import channel as ch
 from liechannel.core import (
     SIGNS,
     GeometryError,
-    Subspace,
     complement_rows,
     inner,
-    lightcone_frame,
+    lightcone_frames,
     projective_gap,
     sphere_lift,
 )
@@ -327,7 +326,7 @@ def test_envelope_transport_matches_lapack_inverses():
     # the batched adjugate inverses carry the same frames as LAPACK's
     curve, grid = torus_envelope()
     perp = complement_rows(ch.osculating_spaces(curve)[0])
-    frame = lightcone_frame(Subspace(perp[0]))
+    frame, _ = lightcone_frames(perp[0])
     for fiber in perp[1:]:
         frame = ch._transport_frame(frame, fiber,
                                     np.linalg.inv(fiber @ (SIGNS * fiber).T))

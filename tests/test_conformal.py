@@ -19,11 +19,12 @@ from liechannel.core import (
     SIGNS,
     GeometryError,
     circle_phase,
-    lightcone_circle,
-    lightcone_frame,
+    circle_points,
+    lightcone_frames,
     parallel_transform_matrix,
     projective_gap,
     span,
+    span_rows,
     subspace_equal,
 )
 from liechannel.legendre import curvature_data, validate_legendre
@@ -217,11 +218,33 @@ def test_grid_mismatch_rejected():
 # circle congruence
 # ---------------------------------------------------------------------------
 
+def circle_congruence(c1, c2, k, thetas, tol=1e-6):
+    """Points of the circle a curve pair envelopes at sample k, from the
+    Subspace API: the lightcone circle of span{sigma, sigma', sigma_hat}
+    at u_k, projected to Euclidean 3-space.  Its members are point
+    spheres, since the span is p-orthogonal."""
+    (v1, d1), (v2, d2) = ((c.lift.vectors[k], c.lift.derivatives()[0][k])
+                          for c in (c1, c2))
+    sub = span([v1, d1, v2])
+    ok, residual = subspace_equal(sub, span([v2, d2, v1]), tol)
+    if not ok:
+        raise GeometryError(f"curves are not a Ribaucour pair at sample {k} "
+                            f"(span residual {residual:.3e})")
+    frame, signature = lightcone_frames(sub.basis)
+    assert tuple(signature) == (2, 1, 0)
+    pts = circle_points(frame, thetas)
+    h = pts[..., 3] + pts[..., 4]
+    if np.min(np.abs(h)) <= 1e-12 * np.max(np.linalg.norm(pts, axis=-1)):
+        raise GeometryError("congruence circle passes through infinity "
+                            "(a straight line); cannot project all samples")
+    return pts[..., :3] / h[..., None]
+
+
 def test_circle_congruence_hand_geometry():
     # two parallel lines, distance 2: the enveloped circle at u sits in the
     # plane y = 0 with centre (1, 0, u) and radius 1
     axis, offset = lines()
-    points = cf.circle_congruence(axis, offset, 32,
+    points = circle_congruence(axis, offset, 32,
                                   np.linspace(0.0, 2.0 * np.pi, 17))
     centre = np.array([1.0, 0.0, axis.u_values[32]])
     radius = np.linalg.norm(points - centre, axis=-1)
@@ -257,7 +280,7 @@ def test_circle_congruence_report_differentiates_each_curve_once(
 def test_circle_congruence_rejects_non_ribaucour_pair():
     slow, fast = mismatch_pair()
     with pytest.raises(GeometryError, match="not a Ribaucour pair"):
-        cf.circle_congruence(slow, fast, 5, [0.0])
+        circle_congruence(slow, fast, 5, [0.0])
 
 
 def _congruence_pairs():
@@ -283,13 +306,13 @@ def test_batched_congruence_residuals_match_per_sample_spans(pair):
     report = cf.circle_congruence_report(c1, c2)
     assert report.passed
     assert np.array_equal(report.residuals, looped)
-    # the one-sample entry point sees the same circle as the report
-    k = 17
-    sub = span([v1[k], d1[k], v2[k]])
+    # the batched circles the report reads are the Subspace API's
+    frames, _ = lightcone_frames(span_rows(np.stack([v1, d1, v2], axis=1))[0])
     theta = np.linspace(0.0, 2.0 * np.pi, 5)
-    pts = lightcone_circle(sub, theta)
-    expected = pts[:, :3] / (pts[:, 3] + pts[:, 4])[:, None]
-    assert np.array_equal(cf.circle_congruence(c1, c2, k, theta), expected)
+    for k in (0, 17, c1.n - 1):
+        pts = circle_points(frames[k], theta)
+        expected = pts[:, :3] / (pts[:, 3] + pts[:, 4])[:, None]
+        assert np.array_equal(circle_congruence(c1, c2, k, theta), expected)
 
 
 def _planted(curve, flat=(), bent=()):
@@ -357,12 +380,13 @@ def test_collinear_pair_envelopes_a_straight_line():
     d1, _ = axis.lift.derivatives()
     sub = span([axis.lift.vectors[10], d1[10], shifted.lift.vectors[10]])
     assert sub.containment_gap(INFINITY_VEC) <= 1e-12        # 3.7e-16
-    phase = circle_phase(lightcone_frame(sub), INFINITY_VEC)
+    phase, timelike = circle_phase(lightcone_frames(sub.basis)[0],
+                                   INFINITY_VEC)
+    assert timelike
     with pytest.raises(GeometryError, match="infinity"):
-        cf.circle_congruence(axis, shifted, 10, [phase])
+        circle_congruence(axis, shifted, 10, [phase])
     # away from the infinite phase the samples land on the axis
-    points = cf.circle_congruence(axis, shifted, 10,
-                                  [phase + 0.5, phase + 2.0])
+    points = circle_congruence(axis, shifted, 10, [phase + 0.5, phase + 2.0])
     assert np.max(np.abs(points[:, :2])) <= 1e-12            # 6.9e-16
 
 

@@ -18,10 +18,10 @@ from liechannel.core import (
     SIGNS,
     Subspace,
     complement_rows,
+    circle_phase,
+    circle_points,
     inner,
-    lightcone_circle,
-    lightcone_frame,
-    orth_complement,
+    lightcone_frames,
     orthonormal_rows,
     parallel_transform_matrix,
     plane_lift,
@@ -161,7 +161,7 @@ def test_complement_of_osculating_line_space():
     dsigma = np.array([0, 0, 1, -u, u, 0.0])
     ddsigma = np.array([0, 0, 0, -1, 1, 0.0])
     V = span([sigma, dsigma, ddsigma])
-    Vp = orth_complement(V)
+    Vp = Subspace(complement_rows(V.basis))
     expected = span([np.eye(6)[0], np.eye(6)[1], np.eye(6)[5]])
     ok, residual = subspace_equal(Vp, expected)
     assert ok and residual <= 1e-12
@@ -172,9 +172,9 @@ def test_complement_involution_and_dimensions():
     rng = np.random.default_rng(11)
     for k in (1, 2, 3, 4):
         s = span(rng.normal(size=(k, 6)))
-        sp = orth_complement(s)
+        sp = Subspace(complement_rows(s.basis))
         assert sp.dim == 6 - k
-        ok, res = subspace_equal(orth_complement(sp), s)
+        ok, res = subspace_equal(Subspace(complement_rows(sp.basis)), s)
         assert ok, res
 
 
@@ -366,7 +366,8 @@ def test_batched_helpers_match_the_subspace_api():
     stacks[5, 2] = 2.0 * stacks[5, 0]
     stacks[9] = 0.0
     bases, ranks = core.span_rows(stacks)
-    frames, ok = core.lightcone_frames(bases)
+    frames, signature = core.lightcone_frames(bases)
+    ok = np.all(signature == (2, 1, 0), axis=-1)
     sines = core.principal_sine(bases[:-1], bases[1:])
     full = []
     for k, rows in enumerate(stacks):
@@ -378,9 +379,10 @@ def test_batched_helpers_match_the_subspace_api():
         full.append(k)
         assert ranks[k] == 3
         assert np.array_equal(bases[k], s.basis)
-        assert ok[k] == (s.signature == (2, 1, 0))
+        assert tuple(signature[k]) == s.signature
         if ok[k]:
-            assert np.array_equal(frames[k], lightcone_frame(s))
+            # one subspace's frame carries the same bits as its row
+            assert np.array_equal(frames[k], lightcone_frames(s.basis)[0])
             gram = frames[k] @ (SIGNS * frames[k]).T
             assert np.max(np.abs(gram - np.diag([1.0, 1.0, -1.0]))) <= 1e-12
     assert list(ranks[[5, 9]]) == [2, 0]
@@ -579,12 +581,18 @@ def test_inv3_matches_lapack_and_flags_singular_matrices():
 # -- lightcone circles ---------------------------------------------------------
 
 
+def frame_of(s):
+    frame, signature = lightcone_frames(s.basis)
+    assert tuple(signature) == (2, 1, 0)
+    return frame
+
+
 def test_lightcone_circle_tangent_planes_of_cylinder():
     # span{e1, e2, (0,0,0,1,-1,1)} parametrises the tangent planes of the
     # unit cylinder about the z-axis
     s = span([np.eye(6)[0], np.eye(6)[1], np.array([0, 0, 0, 1.0, -1.0, 1.0])])
     for theta in np.linspace(0, 2 * np.pi, 9):
-        v = lightcone_circle(s, theta)
+        v = circle_points(frame_of(s), theta)
         assert abs(inner(v, v)) <= 1e-12
         out = project_to_euclidean(LiePoint(v))
         assert isinstance(out, Plane)
@@ -593,8 +601,13 @@ def test_lightcone_circle_tangent_planes_of_cylinder():
 
 
 def test_lightcone_circle_rejects_wrong_signature():
-    with pytest.raises(SignatureError):
-        lightcone_frame(span([np.eye(6)[0], np.eye(6)[1], np.eye(6)[2]]))
+    bases = np.stack([np.eye(6)[:3], np.eye(6)[[0, 1, 4]]])
+    wrong, cause = core.circle_failure(lightcone_frames(bases)[1],
+                                       lambda k: f"space {k}")
+    assert list(wrong) == [True, False]
+    with pytest.raises(SignatureError, match=r"^space 0 has signature "
+                       r"\(3, 0, 0\), need \(2, 1, 0\)$"):
+        raise cause(0)
 
 
 def test_lightcone_circle_spans_whole_family():
@@ -604,7 +617,7 @@ def test_lightcone_circle_spans_whole_family():
     if s.signature != (2, 1, 0):  # make a (2,1) space deterministically instead
         s = span([np.eye(6)[0], np.eye(6)[1], np.eye(6)[4]])
     th = rng.uniform(0, 2 * np.pi, size=16)
-    pts = lightcone_circle(s, th)
+    pts = circle_points(frame_of(s), th)
     assert np.max(np.abs(inner(pts, pts))) <= 1e-10
     for v in pts:
         assert s.containment_gap(v) <= 1e-10
@@ -612,11 +625,13 @@ def test_lightcone_circle_spans_whole_family():
 
 def test_circle_phase_recovers_parameter():
     s = span([np.eye(6)[0], np.eye(6)[1], np.array([0, 0, 0, 1.0, -1.0, 1.0])])
-    frame = lightcone_frame(s)
-    for theta in (-2.0, 0.0, 0.4, 3.0):
-        v = 1.7 * lightcone_circle(s, theta)
-        rec = core.circle_phase(frame, v)
-        assert abs(np.angle(np.exp(1j * (rec - theta)))) <= 1e-12
+    theta = np.array([-2.0, 0.0, 0.4, 3.0])
+    frames = np.broadcast_to(frame_of(s), (4, 3, 6))
+    rec, timelike = circle_phase(frames, 1.7 * circle_points(frames, theta))
+    assert timelike.all()
+    assert np.max(np.abs(np.angle(np.exp(1j * (rec - theta))))) <= 1e-12
+    # a vector without a timelike component has no phase
+    assert not circle_phase(frame_of(s), np.eye(6)[2])[1]
 
 
 # -- parallel transform --------------------------------------------------------

@@ -5,6 +5,7 @@ live in the acceptance suite.
 """
 
 import dataclasses
+import importlib.util
 import inspect
 import json
 import os
@@ -300,6 +301,44 @@ def test_congruence_contact_makes_as_many_linalg_calls_at_any_grid(
     assert n_small < n_large
     assert 0 < len(small) == len(large)
     assert "svd" not in small and "eigvalsh" not in small
+
+
+def _curve_pairs(seed):
+    """The curve-pairs scene of the benchmark's workload generators."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.curve_pairs(seed)
+
+
+@pytest.mark.parametrize("config, expected", [
+    (lambda: demo_config("cylinder-darboux", grid=32), 3),
+    (lambda: demo_config("cylinder-darboux", grid=64), 3),
+    (lambda: demo_config("torus-cyclide"), 2),
+    (lambda: _curve_pairs(41), 2)],
+    ids=["cylinder-darboux-32", "cylinder-darboux-64", "torus-cyclide",
+         "curve-pairs"])
+def test_each_circle_family_takes_one_eigh_call(config, expected, tmp_path,
+                                                monkeypatch):
+    # one lightcone_frames call per envelope, Darboux initial condition,
+    # congruence and cyclide fit; meshes reuse the cyclides' frames
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    cfg = config()
+    assert cfg["outputs"]["meshes"]
+    run_scene(cfg, tmp_path / "meshes")
+    assert len(calls) == expected
+    del cfg["outputs"]["meshes"], calls[:]
+    run_scene(cfg, tmp_path / "bare")
+    assert len(calls) == expected
 
 
 def test_failed_assertion_flips_the_verdict(tmp_path):

@@ -26,10 +26,10 @@ from liechannel.core import (
     GeometryError,
     SignatureError,
     Subspace,
+    circle_points,
+    complement_rows,
     first_failure,
-    lightcone_circle,
-    lightcone_frame,
-    orth_complement,
+    lightcone_frames,
     orthonormal_rows,
     projective_gap,
     span,
@@ -100,7 +100,7 @@ def test_darboux_rejects_bad_inputs():
         tr.darboux_transform(grid, omega, 0.0, phi0)
     with pytest.raises(GeometryError, match="not null"):
         tr.darboux_transform(grid, omega, 1.0, np.eye(6)[0])
-    phi_bad = lightcone_circle(dead_space(), 0.3)
+    phi_bad = circle_points(lightcone_frames(dead_space().basis)[0], 0.3)
     with pytest.raises(GeometryError, match="orthogonal to sigma1"):
         tr.darboux_transform(grid, omega, 1.0, phi_bad)
 
@@ -414,35 +414,41 @@ def torus_cyclide():
     return curve, tr.dupin_from_spheres(a, b, c)
 
 
+def families(cyc):
+    """The sphere space D of a cyclide and its complement, spanned by
+    their frames."""
+    return span(cyc.frames[0]), span(cyc.frames[1])
+
+
 def test_dupin_from_tube_spheres():
     curve, cyc = torus_cyclide()
-    assert cyc.d.signature == (2, 1, 0)
-    assert cyc.dperp.signature == (2, 1, 0)
-    gaps = [cyc.d.containment_gap(v) for v in curve.vectors]
+    d, dperp = families(cyc)
+    assert d.signature == (2, 1, 0)
+    assert dperp.signature == (2, 1, 0)
+    gaps = [d.containment_gap(v) for v in curve.vectors]
     assert max(gaps) <= 1e-12                         # measured 3.8e-16
 
 
 def test_dupin_second_family_orientation():
     _, cyc = torus_cyclide()
+    _, dperp = families(cyc)
     # the big sphere through the torus equator, outward oriented
     eq = sphere_lift(np.zeros(3), 3.0)
-    assert cyc.dperp.containment_gap(eq) <= 1e-12     # measured 1.9e-16
+    assert dperp.containment_gap(eq) <= 1e-12         # measured 1.9e-16
     # flipping the orientation leaves the family
-    assert cyc.dperp.containment_gap(sphere_lift(np.zeros(3), -3.0)) >= 0.1
+    assert dperp.containment_gap(sphere_lift(np.zeros(3), -3.0)) >= 0.1
 
 
 def test_dupin_circle_samples_are_null_members():
     _, cyc = torus_cyclide()
-    for which in ("d", "dperp"):
-        v = cyc.sphere(0.7, which=which)
+    for frame, sub in zip(cyc.frames, families(cyc)):
+        v = circle_points(frame, 0.7)
         assert abs(binner(v, v)) <= 1e-12 * (v @ v)
-        sub = cyc.d if which == "d" else cyc.dperp
         assert sub.containment_gap(v) <= 1e-12
 
 
 def test_dupin_point_residual_on_and_off_torus():
     _, cyc = torus_cyclide()
-    frames = np.stack([lightcone_frame(cyc.d), lightcone_frame(cyc.dperp)])
     th = np.linspace(0.0, 2.0 * np.pi, 40)
     uu, vv = np.meshgrid(th, th, indexing="ij")
     pts = np.stack([(2 + np.cos(vv)) * np.cos(uu),
@@ -450,13 +456,13 @@ def test_dupin_point_residual_on_and_off_torus():
     sq = np.sum(pts ** 2, axis=-1, keepdims=True)
     lifts = np.concatenate([pts, 0.5 * (1 - sq), 0.5 * (1 + sq),
                             np.zeros_like(sq)], axis=-1).reshape(-1, 6)
-    assert tr.cyclide_point_residual(frames, lifts).max() <= 1e-12   # 3.3e-16
+    assert tr.cyclide_point_residual(cyc.frames, lifts).max() <= 1e-12  # 3.3e-16
 
     off = pts * 1.1
     sq = np.sum(off ** 2, axis=-1, keepdims=True)
     lifts_off = np.concatenate([off, 0.5 * (1 - sq), 0.5 * (1 + sq),
                                 np.zeros_like(sq)], axis=-1).reshape(-1, 6)
-    assert tr.cyclide_point_residual(frames, lifts_off).min() >= 1e-3   # 2.3e-3
+    assert tr.cyclide_point_residual(cyc.frames, lifts_off).min() >= 1e-3  # 2.3e-3
 
 
 def test_batched_cyclides_match_the_subspace_api():
@@ -466,19 +472,21 @@ def test_batched_cyclides_match_the_subspace_api():
     cyclides, frames, failures = tr.dupin_from_subspaces(bases, names)
     wrong = failures[0][0]
     assert 0 < np.sum(wrong) < 60
+    assert not np.any(failures[1][0][~wrong])
     for i in np.flatnonzero(~wrong):
         d = Subspace(bases[i])
-        assert cyclides[i].d.signature == (2, 1, 0)
-        assert np.array_equal(cyclides[i].dperp.basis,
-                              orth_complement(d).basis)
-        assert np.array_equal(frames[i, 0], lightcone_frame(d))
+        dperp = Subspace(complement_rows(d.basis))
+        assert d.signature == dperp.signature == (2, 1, 0)
+        # each frame carries the bits of its one subspace's frame
+        assert np.array_equal(frames[i, 0], lightcone_frames(d.basis)[0])
         assert np.array_equal(frames[i, 1],
-                              lightcone_frame(orth_complement(d)))
+                              lightcone_frames(dperp.basis)[0])
+        assert np.array_equal(cyclides[i].frames, frames[i])
     first = int(np.argmax(wrong))
     k, exc = first_failure(failures)
     assert k == first and isinstance(exc, SignatureError)
-    assert str(exc).startswith(f"cyclide subspace (sample {first}) has "
-                               f"signature {cyclides[first].d.signature}")
+    assert str(exc) == (f"cyclide subspace (sample {first}) has signature "
+                        f"{Subspace(bases[first]).signature}, need (2, 1, 0)")
 
 
 def test_dupin_rejects_degenerate_triples():
