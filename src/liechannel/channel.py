@@ -12,6 +12,7 @@ that characterises them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -22,17 +23,19 @@ from .core import (
     DIM,
     SIGNS,
     GeometryError,
-    Subspace,
     _transposed,
     circle_failure,
     circle_points,
     complement_rows,
+    first_failure,
     inner,
     inv3,
     lightcone_frames,
+    orthonormal_rows,
     projective_gap,
     read_only_copy,
     small_eigvalsh,
+    unit_rows,
     wedge_matrix,
 )
 from .legendre import LegendreGrid, channel_verdict, curvature_data
@@ -226,29 +229,68 @@ def osculating_spaces(curve: SphereCurve):
     return stacks, _signature_21(stacks)
 
 
-def _transport_frame(prev: np.ndarray, fiber: np.ndarray,
-                     gram_inv: np.ndarray) -> np.ndarray:
-    """Carry a (+,+,-) frame into the next fibre by metric projection.
+def _transported_frames(perp: np.ndarray, frame0: np.ndarray,
+                        periodic: bool) -> np.ndarray:
+    """(+,+,-) circle frames carried along the fibres perp (n, 3, 6).
 
-    Projects each frame row onto the span of the fibre rows (gram_inv is
-    the inverse of the fibre's Gram matrix), then runs a signature-aware
-    Gram-Schmidt.  Sign continuity with the previous frame is restored
-    afterwards (flips keep orthonormality).
+    Each step projects the frame into the next fibre (metric projection,
+    through the inverse of that fibre's Gram matrix) and runs a
+    signature-aware Gram-Schmidt there; each row keeps its sign against
+    its predecessor.  frame0 is the frame in fibre 0.  A periodic chain
+    takes one more step, round to fibre 0, so its n + 1 frames end with
+    the one that measures the holonomy.
+
+    The steps run in 3 x 3 fibre coordinates: the projection maps between
+    neighbouring fibres and the fibre Grams are batched, and the serial
+    chain that carries the coefficient rows through them is on Python
+    floats, since a 3 x 3 numpy operation costs more in call overhead
+    than in work.  It reads its inputs a step at a time and keeps its rows
+    in one flat list (whole nested lists of Python floats would add about
+    a megabyte of peak memory at n = 1024).  Signs are restored after the
+    chain, as a running product of per-step flips: negating a row
+    commutes with every later step.
     """
-    cand = (gram_inv @ (fiber @ (SIGNS * prev).T)).T @ fiber
-    out = np.empty_like(cand)
+    n = perp.shape[0]
+    prev = np.arange(n if periodic else n - 1)
+    nxt = (prev + 1) % n
+    grams = (perp @ _transposed(SIGNS * perp))[nxt]
+    # a singular fibre Gram has a non-finite inverse
+    gram_inv = inv3(grams)
+    if not np.all(np.isfinite(gram_inv)):
+        raise GeometryError("circle-frame transport degenerated")
+    maps = (perp[prev] * SIGNS) @ _transposed(perp[nxt]) @ gram_inv
+    out = (frame0 @ perp[0].T).reshape(9).tolist()
     signs = (1.0, 1.0, -1.0)
-    for k in range(3):
-        v = cand[k]
-        for m in range(k):
-            v = v - signs[m] * inner(v, out[m]) * out[m]
-        norm2 = signs[k] * inner(v, v)
-        if norm2 <= 1e-14:
-            raise GeometryError("circle-frame transport degenerated")
-        out[k] = v / np.sqrt(norm2)
-        if np.dot(out[k], prev[k]) < 0.0:
-            out[k] = -out[k]
-    return out
+    for t, g in zip(maps.reshape(-1, 9), grams.reshape(-1, 9)):
+        t00, t01, t02, t10, t11, t12, t20, t21, t22 = t.tolist()
+        g00, g01, g02, _, g11, g12, _, _, g22 = g.tolist()
+        prev_rows, done = out[-9:], []
+        for r in range(3):
+            c0, c1, c2 = prev_rows[3 * r:3 * r + 3]
+            v0 = c0 * t00 + c1 * t10 + c2 * t20
+            v1 = c0 * t01 + c1 * t11 + c2 * t21
+            v2 = c0 * t02 + c1 * t12 + c2 * t22
+            # done holds each finished row e with its metric dual s G e
+            for e0, e1, e2, d0, d1, d2 in done:
+                p = v0 * d0 + v1 * d1 + v2 * d2
+                v0, v1, v2 = v0 - p * e0, v1 - p * e1, v2 - p * e2
+            w0 = g00 * v0 + g01 * v1 + g02 * v2
+            w1 = g01 * v0 + g11 * v1 + g12 * v2
+            w2 = g02 * v0 + g12 * v1 + g22 * v2
+            norm2 = signs[r] * (v0 * w0 + v1 * w1 + v2 * w2)
+            if norm2 <= 1e-14:
+                raise GeometryError("circle-frame transport degenerated")
+            root, sign = math.sqrt(norm2), signs[r]
+            e0, e1, e2 = v0 / root, v1 / root, v2 / root
+            out += (e0, e1, e2)
+            done.append((e0, e1, e2, sign * w0 / root, sign * w1 / root,
+                         sign * w2 / root))
+    frames = (np.array(out).reshape(-1, 3, 3)
+              @ perp[np.concatenate([[0], nxt])])
+    frames[0] = frame0
+    turned = np.einsum("kri,kri->kr", frames[1:], frames[:-1]) < 0.0
+    frames[1:] *= np.cumprod(np.where(turned, -1.0, 1.0), axis=0)[..., None]
+    return frames
 
 
 def envelope(curve: SphereCurve, n_theta: int = 64,
@@ -259,10 +301,12 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
     Each contact element is spanned by the sphere s(u) and one point of the
     lightcone circle of V(u)^perp, where V defaults to the osculating space
     span{sigma, sigma', sigma''} (an override with the same shape and
-    signature is accepted).  The circle frames are parallel-transported
-    along u so the theta-parametrisation is continuous; a periodic curve
-    whose normal bundle has holonomy cannot close up, in which case the
-    grid falls back to an open u-axis with a diagnostic note.
+    signature that contains the curve at every sample is accepted).  The
+    circle frames are parallel-transported along u so the
+    theta-parametrisation is continuous (_transported_frames).  A
+    periodic curve takes one more step, round to sample 0; where its
+    normal bundle has holonomy the frames cannot close up, and the grid
+    falls back to an open u-axis with a diagnostic note.
     """
     curve.check()
     if spaces is None:
@@ -272,11 +316,17 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
         if stacks.shape != (curve.u_values.size, 3, DIM):
             raise GeometryError("space override must have shape (n, 3, 6)")
         ok = _signature_21(stacks)
-        # the enveloped sphere must sit inside every supplied space
-        for i in (0, stacks.shape[0] // 2, stacks.shape[0] - 1):
-            if Subspace.from_vectors(stacks[i]).containment_gap(
-                    curve.vectors[i]) > 1e-9:
-                raise GeometryError("space override does not contain the curve")
+        # the enveloped sphere must sit inside every supplied space: the
+        # rejection of the unit sphere off each orthonormal basis
+        basis, unit = orthonormal_rows(stacks), unit_rows(curve.vectors)
+        coeff = np.einsum("kij,kj->ki", basis, unit)
+        gap = np.linalg.norm(
+            unit - np.einsum("ki,kij->kj", coeff, basis), axis=-1)
+        hit = first_failure([(gap > 1e-9, lambda k: GeometryError(
+            f"space override does not contain the curve at sample {k} "
+            f"(gap {gap[k]:.3e})"))])
+        if hit is not None:
+            raise hit[1]
     if not ok.all():
         bad = np.flatnonzero(~ok)
         raise GeometryError(
@@ -284,26 +334,17 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
             "(sphere-curve inflection)")
 
     perp = complement_rows(stacks)
-    gram_inv = inv3(perp @ _transposed(SIGNS * perp))
-    n = curve.u_values.size
-    frames = np.empty((n, 3, DIM))
-    frames[0], signature = lightcone_frames(perp[0])
+    frame0, signature = lightcone_frames(perp[0])
     wrong, cause = circle_failure(signature, lambda _: "normal space 0")
     if wrong.any():
         raise cause(0)
-    # a singular fibre Gram has a non-finite inverse; fibre 0 is only
-    # transported into when the curve wraps around
-    reached = gram_inv if curve.periodic_u else gram_inv[1:]
-    if not np.all(np.isfinite(reached)):
-        raise GeometryError("circle-frame transport degenerated")
-    for k in range(1, n):
-        frames[k] = _transport_frame(frames[k - 1], perp[k], gram_inv[k])
+    frames = _transported_frames(perp, frame0, curve.periodic_u)
 
     metadata = {"source": "envelope"}
     periodic_u = curve.periodic_u
     if periodic_u:
-        wrap = _transport_frame(frames[-1], perp[0], gram_inv[0])
-        mismatch = float(np.max(np.abs(wrap - frames[0])))
+        mismatch = float(np.max(np.abs(frames[-1] - frame0)))
+        frames = frames[:-1]
         metadata["holonomy_mismatch"] = mismatch
         if mismatch > holonomy_tol:
             periodic_u = False

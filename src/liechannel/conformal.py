@@ -243,9 +243,13 @@ def tube_sphere_curve(curve: ConformalCurve, radius: float) -> SphereCurve:
 # ---------------------------------------------------------------------------
 
 def _pair_guard(c1: ConformalCurve, c2: ConformalCurve):
-    if c1.gamma.shape != c2.gamma.shape or not np.array_equal(
-            c1.u_values, c2.u_values):
-        raise GeometryError("curves must share their u-grid")
+    """Refuse curves that touch: their point lifts are orthogonal there.
+
+    Curves of different sample counts are left to _span_pair, which
+    refuses every pair not on one u-grid.
+    """
+    if c1.gamma.shape != c2.gamma.shape:
+        return
     gap = np.linalg.norm(c1.gamma - c2.gamma, axis=-1)
     if np.min(gap) <= 1e-8 * max(1.0, np.max(np.abs(c1.gamma))):
         k = int(np.argmin(gap))

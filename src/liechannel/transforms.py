@@ -122,11 +122,13 @@ def _rk4_flow(nodes: np.ndarray, y0: np.ndarray, h: float, coeff: float):
     is exactly the increment y <- y + S y, with
     S = hs/6 (K1 + 2 K2 + 2 K3 + K4), K1 = c a0, K2 = c am (1 + hs/2 K1),
     K3 = c am (1 + hs/2 K2), K4 = c a1 (1 + hs K3) and c = coeff.  Every S
-    is built in one batched pass; the serial part is one product and one
-    sum per substep.  The identity stays out of S: iterating y <- (1 + S) y
-    instead rounds the small entries of S against the unit diagonal at
-    every step, which costs one to two decades of the metric and nullity
-    drift on long grids.
+    is built in one batched pass, and so is each edge's increment D, the
+    product of its substeps (1 + S_j) less the identity, folded substep by
+    substep as D <- S_j + D + S_j D.  The serial part is one product and
+    one sum per edge, y <- y + D y.  The identity stays out of S and D:
+    iterating y <- (1 + D) y instead rounds the small entries of D against
+    the unit diagonal at every step, which costs one to two decades of the
+    metric and nullity drift on long grids.
     """
     substeps = nodes.shape[1]
     hs = h / substeps
@@ -135,12 +137,13 @@ def _rk4_flow(nodes: np.ndarray, y0: np.ndarray, h: float, coeff: float):
     k3 = am + (0.5 * hs) * (am @ k2)
     k4 = a1 + hs * (a1 @ k3)
     steps = (hs / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    edge = steps[:, 0]
+    for j in range(1, substeps):
+        edge = steps[:, j] + edge + steps[:, j] @ edge
     out = np.empty((nodes.shape[0] + 1,) + y0.shape)
     out[0] = y = y0
-    for e in range(nodes.shape[0]):
-        for step in steps[e]:
-            y = y + step @ y
-        out[e + 1] = y
+    for e, step in enumerate(edge):
+        out[e + 1] = y = y + step @ y
     return out
 
 
@@ -370,7 +373,7 @@ def _span_pair(s: SphereCurve, s_hat: SphereCurve, rows_a, rows_b):
     span, then of the second.  Raises GeometryError before any span where
     the curves do not share their u-grid or are orthogonal somewhere.
     """
-    if s.vectors.shape != s_hat.vectors.shape:
+    if not np.array_equal(s.u_values, s_hat.u_values):
         raise GeometryError("curves must share their u-grid")
     pair = inner(s.vectors, s_hat.vectors)
     scale = (np.linalg.norm(s.vectors, axis=-1)

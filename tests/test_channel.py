@@ -11,6 +11,7 @@ from liechannel import channel as ch
 from liechannel.core import (
     SIGNS,
     GeometryError,
+    _adjugate,
     complement_rows,
     inner,
     lightcone_frames,
@@ -203,6 +204,19 @@ def test_envelope_rejects_spaces_missing_the_curve():
         ch.envelope(curve, 16, spaces=bad)
 
 
+def test_envelope_checks_the_space_override_at_every_sample():
+    # bent off the curve at one sample away from 0, n/2 and n - 1, by a
+    # relative 1e-6 along its normal space
+    curve, _ = torus_envelope(48)
+    stacks, _ = ch.osculating_spaces(curve)
+    bent = stacks.copy()
+    bent[17, 0] += 1e-6 * np.linalg.norm(stacks[17, 0]) * complement_rows(
+        stacks[17])[0]
+    with pytest.raises(GeometryError, match="does not contain the curve at "
+                                            "sample 17 "):
+        ch.envelope(curve, 16, spaces=bent)
+
+
 # ---------------------------------------------------------------------------
 # special lifts and the middle one-form
 # ---------------------------------------------------------------------------
@@ -322,18 +336,106 @@ def test_envelope_raises_on_a_singular_fibre(monkeypatch, index):
         ch.envelope(ch.line_sphere_curve(n=32), 8)
 
 
+def transport_frame(prev, fiber, gram_inv):
+    """Reference: carry a (+,+,-) frame into the next fibre, one sample at
+    a time in ambient coordinates.
+
+    Projects each frame row onto the span of the fibre rows (gram_inv is
+    the inverse of the fibre's Gram matrix), then runs a signature-aware
+    Gram-Schmidt, restoring each row's sign continuity with the previous
+    frame as it goes.  Works in the dtype of its arguments.  Returns the
+    frame and the number of rows whose sign it restored.
+    """
+    cand = (gram_inv @ (fiber @ (SIGNS * prev).T)).T @ fiber
+    out = np.empty_like(cand)
+    signs = (1.0, 1.0, -1.0)
+    flips = 0
+    for k in range(3):
+        v = cand[k]
+        for m in range(k):
+            v = v - signs[m] * binner(v, out[m]) * out[m]
+        norm2 = signs[k] * binner(v, v)
+        if norm2 <= 1e-14:
+            raise GeometryError("circle-frame transport degenerated")
+        out[k] = v / np.sqrt(norm2)
+        if np.dot(out[k], prev[k]) < 0.0:
+            out[k] = -out[k]
+            flips += 1
+    return out, flips
+
+
+def transported_circles(curve, theta, dtype=float):
+    """The envelope's circles from the reference transport, in dtype:
+    the same fibres and first frame, with each fibre's Gram inverted by
+    the adjugate in that dtype (LAPACK's inverse for float).  Returns
+    the circles, the largest frame entry and the count of sign flips."""
+    perp = complement_rows(ch.osculating_spaces(curve)[0]).astype(dtype)
+    grams = perp @ np.swapaxes(SIGNS * perp, -1, -2)
+    if dtype is float:
+        inverses = np.linalg.inv(grams)
+    else:
+        adj, det = _adjugate(grams)
+        inverses = adj / det[..., None, None]
+    frames = [lightcone_frames(perp[0].astype(float))[0].astype(dtype)]
+    flips = 0
+    for fiber, gram_inv in zip(perp[1:], inverses[1:]):
+        frame, flipped = transport_frame(frames[-1], fiber, gram_inv)
+        frames.append(frame)
+        flips += flipped
+    frames = np.array(frames)
+    th = np.asarray(theta, dtype=dtype)
+    circles = (np.cos(th)[:, None] * frames[:, None, 0]
+               + np.sin(th)[:, None] * frames[:, None, 1] + frames[:, None, 2])
+    return circles, float(np.max(np.abs(frames))), flips
+
+
 def test_envelope_transport_matches_lapack_inverses():
-    # the batched adjugate inverses carry the same frames as LAPACK's
+    # the batched adjugate inverses and the chain in fibre coordinates
+    # carry the same frames as the reference transport with LAPACK's
     curve, grid = torus_envelope()
-    perp = complement_rows(ch.osculating_spaces(curve)[0])
-    frame, _ = lightcone_frames(perp[0])
-    for fiber in perp[1:]:
-        frame = ch._transport_frame(frame, fiber,
-                                    np.linalg.inv(fiber @ (SIGNS * fiber).T))
-    theta = grid.theta_values
-    last = (np.cos(theta)[:, None] * frame[0]
-            + np.sin(theta)[:, None] * frame[1] + frame[2])
-    assert np.max(np.abs(grid.tau[-1] - last)) <= 1e-12
+    circles, _, _ = transported_circles(curve, grid.theta_values)
+    assert np.max(np.abs(grid.tau[-1] - circles[-1])) <= 1e-12
+
+
+def test_envelope_sign_flips_match_the_stepwise_reference():
+    # on a coarse helix some steps turn frame rows against their
+    # predecessors; the envelope restores their signs after the chain,
+    # the reference at each step (measured 1.9e-12, on frames of size 86)
+    curve = ch.helix_sphere_curve(8, ring_radius=1.0, pitch=1.0, radius=1.0,
+                                  turns=3.0)
+    grid = ch.envelope(curve, 4)
+    circles, scale, flips = transported_circles(curve, grid.theta_values)
+    assert flips >= 1                                  # measured 9
+    assert np.max(np.abs(grid.tau - circles)) <= 1e-10 * scale
+
+
+def varying_radius_curve(n):
+    """Spheres along the z-axis with radius 1 + 0.3 sin u, u in [0, 2 pi]."""
+    def center(u):
+        zero = np.zeros_like(u)
+        return (np.stack([zero, zero, u], axis=-1),
+                np.stack([zero, zero, zero + 1.0], axis=-1),
+                np.stack([zero, zero, zero], axis=-1))
+
+    def radius(u):
+        return 1.0 + 0.3 * np.sin(u), 0.3 * np.cos(u), -0.3 * np.sin(u)
+
+    return ch.curve_from_profile(center, radius,
+                                 np.linspace(0.0, 2.0 * np.pi, n))
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("make", [
+    ch.line_sphere_curve, ch.circle_sphere_curve, ch.helix_sphere_curve,
+    varying_radius_curve], ids=["line", "circle", "helix", "varying-radius"])
+def test_envelope_transport_matches_an_extended_precision_reference(make, n):
+    # largest measured: helix 2.5e-14 relative at n = 1024 (the per-sample
+    # ambient transport: 8.1e-14)
+    curve = make(n)
+    grid = ch.envelope(curve, 4)
+    circles, scale, _ = transported_circles(curve, grid.theta_values,
+                                            np.longdouble)
+    assert np.max(np.abs(grid.tau - circles)) <= 1e-13 * scale
 
 
 def test_torus_omega0_quadratic_form():

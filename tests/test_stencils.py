@@ -1,4 +1,4 @@
-"""Periodic stencils against their np.roll formulas."""
+"""Periodic stencils against their np.roll formulas, open ones against np.gradient."""
 
 import numpy as np
 import pytest
@@ -41,3 +41,39 @@ def test_periodic_stencils_equal_the_roll_formulas(name, shape):
             kwargs = {"axis": axis} if len(axes) > 1 else {}
             got = getattr(stencils, name)(f, h, periodic=True, **kwargs)
             assert np.array_equal(got, ROLL_FORMULAS[name](f, h, axis))
+
+
+def wide_field(shape, seed=22):
+    """Normal samples scaled over many decades, so that a change of
+    operation order would show in the last bits."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) * np.exp(rng.normal(scale=20.0, size=shape))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("trailing", [(6,), (6, 6)])
+def test_open_diff1_equals_np_gradient(n, trailing):
+    h = 2.0 / 159
+    for axis in (0, 1):
+        shape = ((n, 5) if axis == 0 else (5, n)) + trailing
+        field = wide_field(shape)
+        for f in (field, field[::-1]):         # contiguous and strided
+            want = np.gradient(f, h, axis=axis, edge_order=2)
+            assert np.array_equal(stencils.diff1(f, h, axis=axis), want)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("trailing", [(6,), (6, 6)])
+def test_open_diff1_5pt_ends_equal_np_gradient(n, trailing):
+    h = 2.0 / 159
+    field = wide_field((n, 5) + trailing)
+    got = stencils.diff1_5pt(field, h)
+    want = np.gradient(field, h, axis=0, edge_order=2)
+    if n < 5:
+        assert np.array_equal(got, want)
+        return
+    ends = [0, 1, -2, -1]
+    assert np.array_equal(got[ends], want[ends])
+    interior = (-field[4:] + 8.0 * field[3:-1] - 8.0 * field[1:-3]
+                + field[:-4]) / (12.0 * h)
+    assert np.array_equal(got[2:-2], interior)

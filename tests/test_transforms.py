@@ -568,6 +568,20 @@ def test_batched_rk4_matches_stepwise_rk4_on_a_torus(lam):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("lam", [-1.0, 2.0])
+def test_batched_rk4_matches_stepwise_rk4_on_a_long_thin_cylinder(lam):
+    # 1,023 edges: the per-edge increments fold four substeps each, and
+    # their rounding must not build up along u
+    curve = line_sphere_curve(n=1024)
+    omega = omega0_form(envelope(curve, n_theta=8), curve.vectors)
+    nodes = tr._edge_connection(omega, 4)
+    phi0 = np.array([1.0, 0.5, -0.25, 2.0, 0.3, 1.5])
+    for y0 in (np.eye(6), phi0):
+        got = tr._rk4_flow(nodes, y0, omega.du, -lam)
+        want = stepwise_rk4(nodes, y0, omega.du, -lam)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_rk4_flow_is_fourth_order_under_substep_doubling():
     omega = torus_omega()
     ends = [tr._rk4_flow(tr._edge_connection(omega, k), np.eye(6),
