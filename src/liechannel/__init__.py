@@ -6,22 +6,18 @@ from .core import (
     SIGNS,
     GeometryError,
     Infinity,
-    LiePoint,
     Plane,
     Point,
     RankDeficiencyError,
     SignatureError,
     Sphere,
-    Subspace,
     inner,
     parallel_transform_matrix,
     plane_lift,
     point_lift,
     project_to_euclidean,
     projective_gap,
-    span,
     sphere_lift,
-    subspace_equal,
 )
 from .legendre import (
     ChannelReport,

@@ -27,6 +27,7 @@ from .core import (
     circle_failure,
     circle_points,
     complement_rows,
+    containment_gap,
     first_failure,
     inner,
     inv3,
@@ -35,7 +36,6 @@ from .core import (
     projective_gap,
     read_only_copy,
     small_eigvalsh,
-    unit_rows,
     wedge_matrix,
 )
 from .legendre import LegendreGrid, channel_verdict, curvature_data
@@ -316,12 +316,9 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
         if stacks.shape != (curve.u_values.size, 3, DIM):
             raise GeometryError("space override must have shape (n, 3, 6)")
         ok = _signature_21(stacks)
-        # the enveloped sphere must sit inside every supplied space: the
-        # rejection of the unit sphere off each orthonormal basis
-        basis, unit = orthonormal_rows(stacks), unit_rows(curve.vectors)
-        coeff = np.einsum("kij,kj->ki", basis, unit)
-        gap = np.linalg.norm(
-            unit - np.einsum("ki,kij->kj", coeff, basis), axis=-1)
+        # the enveloped sphere must sit inside every supplied space
+        gap = containment_gap(orthonormal_rows(stacks),
+                              curve.vectors[:, None])[:, 0]
         hit = first_failure([(gap > 1e-9, lambda k: GeometryError(
             f"space override does not contain the curve at sample {k} "
             f"(gap {gap[k]:.3e})"))])

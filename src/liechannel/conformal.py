@@ -20,16 +20,15 @@ from .channel import SphereCurve, curve_from_profile, envelope
 from .core import (
     DIM,
     GeometryError,
-    _transposed,
     circle_failure,
     circle_phase,
     circle_points,
+    containment_gap,
     first_failure,
     inner,
     lightcone_frames,
     parallel_transform_matrix,
     sphere_lift,
-    unit_rows,
 )
 from .legendre import LegendreGrid
 from .mesh import grid_point_spheres
@@ -297,10 +296,6 @@ def circle_congruence_report(c1: ConformalCurve, c2: ConformalCurve,
                                             [v2, d2, v1])
     frames, signature = lightcone_frames(bases)
     lifts = np.stack([v1, v2], axis=1)                          # (n, 2, 6)
-    # containment gap of each unit lift; bases rows are orthonormal
-    u = unit_rows(lifts)
-    gaps = np.linalg.norm(u - (u @ _transposed(bases)) @ bases,
-                          axis=-1)
     # circle phase of each lift, then the projected circle just beside it
     phase, timelike = circle_phase(frames[:, None], lifts)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -321,7 +316,7 @@ def circle_congruence_report(c1: ConformalCurve, c2: ConformalCurve,
             "vector has no timelike component in this frame"))])
     if hit is not None:
         raise GeometryError(f"congruence fails at sample {hit[0]}") from hit[1]
-    membership = float(np.max(gaps))
+    membership = float(np.max(containment_gap(bases, lifts)))
     t1, t2 = float(angles[:, 0].max()), float(angles[:, 1].max())
     passed = membership <= membership_tol and max(t1, t2) <= tangency_tol
     notes = []

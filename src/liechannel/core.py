@@ -8,14 +8,14 @@ product
 
 Two oriented spheres are in oriented contact exactly when their null lifts are
 orthogonal.  Everything in this module is plain numpy on shape-(6,) vectors
-(or batches thereof); the classes are thin wrappers that carry validation and
-projective comparison semantics.
+(or batches thereof); a subspace is a stack of Euclidean-orthonormal rows
+(..., k, 6), as span_rows, complement_rows and orthonormal_rows return it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -109,34 +109,6 @@ def null_combination(x: np.ndarray, y: np.ndarray):
 # projective points and Euclidean readings
 # ---------------------------------------------------------------------------
 
-class LiePoint:
-    """A point of the projective lightcone: an oriented sphere/plane/point.
-
-    Wraps a nonzero null representative vector.  Comparison is projective
-    (sign and scale insensitive).
-    """
-
-    __slots__ = ("vec",)
-
-    def __init__(self, vec: np.ndarray, tol_null: float = 1e-9):
-        vec = np.asarray(vec, dtype=float).reshape(DIM)
-        scale = float(np.dot(vec, vec))
-        if scale == 0.0:
-            raise GeometryError("zero vector does not define a projective point")
-        if abs(inner(vec, vec)) > tol_null * scale:
-            raise GeometryError(
-                f"representative is not null: (v,v) = {inner(vec, vec):.3e} "
-                f"at Euclidean norm^2 {scale:.3e}"
-            )
-        self.vec = vec
-
-    def same_as(self, other: "LiePoint", tol: float = 1e-8) -> bool:
-        return float(projective_gap(self.vec, other.vec)) <= tol
-
-    def __repr__(self):
-        return f"LiePoint({np.array2string(self.vec, precision=6)})"
-
-
 @dataclass(frozen=True)
 class Sphere:
     center: np.ndarray
@@ -205,7 +177,7 @@ def plane_lift(normal, offset) -> np.ndarray:
 INFINITY_VEC = np.array([0.0, 0.0, 0.0, -1.0, 1.0, 0.0])
 
 
-def project_to_euclidean(p: Union[LiePoint, np.ndarray], tol: float = 1e-10) -> EuclideanObject:
+def project_to_euclidean(p: np.ndarray, tol: float = 1e-10) -> EuclideanObject:
     """Read a projective lightcone point back as a Euclidean sphere/plane/point.
 
     A representative with nonvanishing homogenising coordinate (x4 + x5) is a
@@ -213,7 +185,7 @@ def project_to_euclidean(p: Union[LiePoint, np.ndarray], tol: float = 1e-10) -> 
     nonvanishing sixth component marks a plane; otherwise the point at
     infinity.
     """
-    v = p.vec if isinstance(p, LiePoint) else np.asarray(p, dtype=float)
+    v = np.asarray(p, dtype=float)
     scale = np.linalg.norm(v)
     if scale == 0.0:
         raise GeometryError("zero vector")
@@ -255,11 +227,10 @@ def span_rows(stacks: np.ndarray, rank_tol: float = 1e-10):
     stack dropped rank where ranks < k.
 
     The singular values are those of the k x k factor R = A Q^T of the
-    stack A against its basis Q, in closed form for k <= 3
-    (_singular_values); only k > 3 asks LAPACK, for values alone.  Each
-    stack is first scaled by the power of two that brings its largest
-    entry into [0.5, 1), which leaves the bases' bits alone and keeps the
-    products of R from over- or underflowing.
+    stack A against its basis Q, in closed form (_singular_values), so k
+    is at most 3.  Each stack is first scaled by the power of two that
+    brings its largest entry into [0.5, 1), which leaves the bases' bits
+    alone and keeps the products of R from over- or underflowing.
     """
     stacks = np.asarray(stacks, dtype=float)
     _, exponent = np.frexp(np.max(np.abs(stacks), axis=(-2, -1),
@@ -277,11 +248,11 @@ def _singular_values(r: np.ndarray) -> np.ndarray:
     s1 = sqrt(lambda_max(R R^T)); s1 s2 = |det R| for k = 2, and for
     k = 3 s1 s2 = sqrt(lambda_max(adj adj^T)) (the adjugate's singular
     values are the pairwise products) and s1 s2 s3 = |det R|.  A value
-    whose divisor vanishes is 0.  k > 3 calls np.linalg.svd.
+    whose divisor vanishes is 0.  k > 3 raises ValueError.
     """
     k = r.shape[-1]
     if k > 3:
-        return np.linalg.svd(r, compute_uv=False)
+        raise ValueError(f"closed-form singular values need k <= 3, got {k}")
 
     def top_singular(a):
         return np.sqrt(np.maximum(_largest_eigvalsh(a @ _transposed(a)), 0.0))
@@ -311,77 +282,6 @@ def _signature_counts(evals: np.ndarray):
     n_zero = np.sum(np.abs(evals) < zero_tol, axis=-1)
     n_plus = np.sum(evals >= zero_tol, axis=-1)
     return n_plus, evals.shape[-1] - n_plus - n_zero, n_zero
-
-
-class Subspace:
-    """A linear subspace of R^{4,2} with cached metric data.
-
-    The stored basis rows are Euclidean-orthonormal (span_rows' Gram-Schmidt
-    rows when built from vectors), which keeps principal-angle computations
-    stable; the metric enters through the Gram matrix.
-    """
-
-    __slots__ = ("basis", "_gram", "_signature")
-
-    def __init__(self, basis: np.ndarray):
-        self.basis = np.asarray(basis, dtype=float).reshape(-1, DIM)
-        self._gram = None
-        self._signature = None
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_vectors(vectors: Iterable[np.ndarray], rank_tol: float = 1e-10) -> "Subspace":
-        mat = np.asarray([np.asarray(v, dtype=float).reshape(DIM) for v in vectors])
-        if mat.shape[0] == 0:
-            return Subspace(np.zeros((0, DIM)))
-        basis, rank = span_rows(mat, rank_tol)
-        if rank < mat.shape[0]:
-            raise RankDeficiencyError(mat.shape[0], int(rank))
-        return Subspace(basis)
-
-    # -- metric data --------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = self.basis @ (SIGNS * self.basis).T
-        return self._gram
-
-    @property
-    def signature(self):
-        """(n_plus, n_minus, n_zero) of the restricted metric."""
-        if self._signature is None:
-            if self.dim == 0:
-                self._signature = (0, 0, 0)
-            else:
-                gram = self.gram
-                evals = (small_eigvalsh(gram) if self.dim <= 3
-                         else np.linalg.eigvalsh(gram))
-                self._signature = tuple(int(c)
-                                        for c in _signature_counts(evals))
-        return self._signature
-
-    # -- membership ----------------------------------------------------------
-
-    def containment_gap(self, v: np.ndarray) -> float:
-        """Sine of the angle between v and the subspace."""
-        u = np.asarray(v, dtype=float)
-        u = u / np.linalg.norm(u)
-        rej = u - self.basis.T @ (self.basis @ u)
-        return float(np.linalg.norm(rej))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, signature={self.signature})"
-
-
-def span(vectors: Iterable[np.ndarray], rank_tol: float = 1e-10) -> Subspace:
-    """Subspace spanned by the given vectors; raises if they are dependent."""
-    return Subspace.from_vectors(vectors, rank_tol=rank_tol)
 
 
 #: relative gap under which orthonormal_rows counts completion residuals
@@ -447,25 +347,14 @@ def complement_rows(rows: np.ndarray) -> np.ndarray:
     return orthonormal_rows(rows * SIGNS, DIM)[..., rows.shape[-2]:, :]
 
 
-def subspace_equal(s1: Subspace, s2: Subspace, tol: float = 1e-8):
-    """(verdict, residual): residual is the sine of the largest principal angle.
-
-    The sine is taken from the rejection of one basis off the other subspace,
-    which is stable down to rounding level (sqrt(1 - cos^2) would floor out
-    near sqrt(machine eps)).  Subspaces of more than three dimensions are
-    compared through their Euclidean complements, which have the same
-    largest principal angle.  Subspaces of different dimension are never
-    equal; the residual is then 1.
+def containment_gap(bases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Sine of the angle between each vector of (..., p, 6) and the row
+    space of the orthonormal bases (..., k, 6), batched: the norm of the
+    unit vector's rejection off the basis, (..., p).  The leading axes
+    broadcast.
     """
-    if s1.dim != s2.dim:
-        return False, 1.0
-    if s1.dim in (0, DIM):
-        return True, 0.0
-    b1, b2 = s1.basis, s2.basis
-    if s1.dim > 3:
-        b1, b2 = (orthonormal_rows(b, DIM)[s1.dim:] for b in (b1, b2))
-    residual = float(principal_sine(b1, b2))
-    return residual <= tol, residual
+    u = unit_rows(vectors)
+    return np.linalg.norm(u - (u @ _transposed(bases)) @ bases, axis=-1)
 
 
 def principal_sine(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:

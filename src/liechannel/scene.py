@@ -43,8 +43,8 @@ from .conformal import (
     tube,
     tube_sphere_curve,
 )
-from .core import (DIM, GeometryError, _transposed, circle_points, first_failure,
-                   inner, span, unit_rows)
+from .core import (DIM, GeometryError, circle_points, containment_gap,
+                   first_failure, inner, unit_rows)
 from .legendre import (
     channel_verdict,
     curvature_data,
@@ -343,9 +343,8 @@ def _op_conserved(args, ctx):
 
 def _op_darboux(args, ctx):
     grid, omega = args["grid"], args["omega"]
-    eye = np.eye(DIM)
-    seed_space = span([eye[0], eye[3], eye[4]])
-    phi0 = darboux_initial_condition(seed_space, omega.sigma1[0], ctx.seed)
+    phi0 = darboux_initial_condition(np.eye(DIM)[[0, 3, 4]], omega.sigma1[0],
+                                     ctx.seed)
     result = darboux_transform(grid, omega, args["m"], phi0,
                                **_given(args, "substeps"))
     ctx.objects[args["store"]] = result.hat_f
@@ -440,9 +439,9 @@ def _op_congruence_contact(args, ctx):
     if hit is not None:
         raise hit[1]
 
-    su = unit_rows(np.stack([s.vectors[ks], s_hat.vectors[ks]], axis=1))
-    membership = np.linalg.norm(su - (su @ _transposed(bases)) @ bases,
-                                axis=-1)
+    spheres = np.stack([s.vectors[ks], s_hat.vectors[ks]], axis=1)
+    membership = containment_gap(bases, spheres)
+    su = unit_rows(spheres)
     family_b = unit_rows(circle_points(frames[:, 1, None], probes))
     contact = np.abs(inner(family_b[:, :, None], su[:, None]))
     line = max(float(np.max(cyclide_point_residual(frames, vec),

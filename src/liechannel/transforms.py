@@ -30,7 +30,6 @@ from .core import (
     GeometryError,
     RankDeficiencyError,
     SignatureError,
-    Subspace,
     _transposed,
     circle_failure,
     circle_points,
@@ -160,18 +159,23 @@ class DarbouxResult:
     s0: np.ndarray                 # (nu, nt, 6) common sphere congruence
 
 
-def darboux_initial_condition(space: Subspace, sigma1_0: np.ndarray,
+def darboux_initial_condition(rows: np.ndarray, sigma1_0: np.ndarray,
                               seed: int, min_pairing: float = 0.05,
                               max_tries: int = 32) -> np.ndarray:
-    """Seeded null vector from a (2,1) subspace, admissible against sigma1.
+    """Seeded null vector from the (2,1) span of rows (3, 6), admissible
+    against sigma1.
 
-    Draws circle angles from the subspace's lightcone until the relative
+    Draws circle angles from the span's lightcone until the relative
     pairing with the initial curvature sphere clears min_pairing; draws
     below the floor start transforms that are close to degenerate (the new
     surface collapses toward the sphere curve), so they are rejected and
-    redrawn rather than merely warned about.
+    redrawn rather than merely warned about.  Dependent rows raise
+    RankDeficiencyError.
     """
-    frame, signature = lightcone_frames(space.basis)
+    basis, rank = span_rows(rows)
+    if rank < 3:
+        raise RankDeficiencyError(3, int(rank))
+    frame, signature = lightcone_frames(basis)
     wrong, cause = circle_failure(signature,
                                   lambda _: "initial-condition space")
     if wrong.any():

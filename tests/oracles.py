@@ -1,0 +1,55 @@
+"""LAPACK references for subspaces of R^{4,2}, independent of core's
+Gram–Schmidt.
+
+A subspace is a row stack (..., k, 6).  Ranks and bases come from
+np.linalg.svd, signatures from np.linalg.eigvalsh of the metric Gram,
+and principal sines from the SVD of a rejection.
+"""
+
+import numpy as np
+
+from liechannel.core import SIGNS
+
+
+def _t(stack):
+    return np.swapaxes(stack, -1, -2)
+
+
+def rank(stacks, rank_tol=1e-10):
+    """Singular values of each stack above rank_tol times the largest."""
+    svals = np.linalg.svd(stacks, compute_uv=False)
+    return np.sum(svals > rank_tol * svals[..., :1], axis=-1)
+
+
+def basis(stacks):
+    """Orthonormal rows spanning each full-rank stack (..., k, 6): its
+    leading k right singular vectors."""
+    stacks = np.asarray(stacks, dtype=float)
+    return np.linalg.svd(stacks, full_matrices=False)[2]
+
+
+def signature(bases):
+    """(n_plus, n_minus, n_zero) of the metric on the row spaces of
+    orthonormal bases (..., k, 6), as an (..., 3) array; a Gram
+    eigenvalue within 1e-9 of zero counts as zero."""
+    evals = np.linalg.eigvalsh(bases @ _t(SIGNS * bases))
+    zero = np.abs(evals) <= 1e-9
+    return np.stack([np.sum(evals > 1e-9, axis=-1),
+                     np.sum(evals < -1e-9, axis=-1),
+                     np.sum(zero, axis=-1)], axis=-1)
+
+
+def largest_sine(a, b):
+    """Sine of the largest principal angle of the orthonormal rows a off
+    the row space of the orthonormal rows b: the top singular value of
+    a's rejection off b."""
+    rej = a - (a @ _t(b)) @ b
+    return np.linalg.svd(rej, compute_uv=False)[..., 0]
+
+
+def containment_gap(bases, vectors):
+    """Sine of the angle between each vector (..., p, 6) and the row
+    space of bases (..., k, 6), one vector at a time."""
+    vectors = np.asarray(vectors, dtype=float)
+    unit = vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)
+    return largest_sine(unit[..., :, None, :], bases[..., None, :, :])

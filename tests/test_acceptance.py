@@ -32,7 +32,6 @@ from liechannel.core import (
     plane_lift,
     point_lift,
     project_to_euclidean,
-    span,
     sphere_lift,
 )
 from liechannel.demos import demo_config, demo_names
@@ -74,10 +73,8 @@ def cylinder(n):
     return curve, grid, omega
 
 
-@lru_cache(maxsize=None)
 def seed_space():
-    eye = np.eye(6)
-    return span([eye[0], eye[3], eye[4]])
+    return np.eye(6)[[0, 3, 4]]
 
 
 def _unit(rows):

@@ -24,10 +24,6 @@ from liechannel.mesh import grid_point_spheres
 E6 = np.eye(6)[5]
 
 
-def binner(a, b):
-    return np.einsum("...i,...i->...", a, SIGNS * b)
-
-
 @lru_cache(maxsize=None)
 def cylinder_envelope(n=64):
     curve = ch.line_sphere_curve(n, -1.0, 1.0, radius=1.0)
@@ -130,7 +126,7 @@ def test_envelope_elements_contain_the_curve():
     assert np.max(gap) <= 1e-14
     s = grid.sigma / np.linalg.norm(grid.sigma, axis=-1, keepdims=True)
     t = grid.tau / np.linalg.norm(grid.tau, axis=-1, keepdims=True)
-    assert np.max(np.abs(binner(s, t))) <= 1e-12
+    assert np.max(np.abs(inner(s, t))) <= 1e-12
 
 
 def test_envelope_s1_is_the_enveloped_sphere_and_dir1_circular():
@@ -226,7 +222,7 @@ def test_special_lift_gauges():
     unit = ch.special_lift(curve, "unit")
     assert np.allclose(np.linalg.norm(unit, axis=-1), 1.0, atol=1e-14)
     tilted = ch.special_lift(curve, "against_p", E6)
-    assert np.max(np.abs(binner(tilted, E6) + 1.0)) <= 1e-14
+    assert np.max(np.abs(inner(tilted, E6) + 1.0)) <= 1e-14
     # unit-radius spheres pair with e6 as -1 already, so the gauge is a no-op
     assert np.max(np.abs(tilted - curve.vectors)) == 0.0
     with pytest.raises(ValueError):
@@ -353,8 +349,8 @@ def transport_frame(prev, fiber, gram_inv):
     for k in range(3):
         v = cand[k]
         for m in range(k):
-            v = v - signs[m] * binner(v, out[m]) * out[m]
-        norm2 = signs[k] * binner(v, v)
+            v = v - signs[m] * inner(v, out[m]) * out[m]
+        norm2 = signs[k] * inner(v, v)
         if norm2 <= 1e-14:
             raise GeometryError("circle-frame transport degenerated")
         out[k] = v / np.sqrt(norm2)
@@ -513,7 +509,7 @@ def test_every_torus_envelope_conserves_its_quantity(ring, tube):
     grid = ch.envelope(curve, 48)
     assert grid.periodic_u
     sigma1 = ch.special_lift(curve, "against_p", E6)
-    assert np.max(np.abs(binner(sigma1, E6) + 1.0)) <= 1e-12
+    assert np.max(np.abs(inner(sigma1, E6) + 1.0)) <= 1e-12
     omega = ch.omega0_form(grid, sigma1)
     report = ch.conserved_quantity(omega, E6, [-1.0, 1.0, 2.0])
     assert report.passed

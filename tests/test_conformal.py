@@ -12,29 +12,25 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import oracles
 from liechannel import conformal as cf
 from liechannel.channel import SphereCurve
 from liechannel.core import (
     INFINITY_VEC,
-    SIGNS,
     GeometryError,
     circle_phase,
     circle_points,
+    containment_gap,
+    inner,
     lightcone_frames,
     parallel_transform_matrix,
     projective_gap,
-    span,
     span_rows,
-    subspace_equal,
 )
 from liechannel.legendre import curvature_data, validate_legendre
 from liechannel.mesh import grid_point_spheres
 from liechannel import transforms as tr
 from liechannel.transforms import verify_ribaucour
-
-
-def binner(a, b):
-    return np.einsum("...i,...i->...", a, SIGNS * b)
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +65,7 @@ def mismatch_pair():
 def test_line_curve_is_point_sphere_lift():
     axis, _ = lines()
     assert np.max(np.abs(axis.lift.vectors[:, 5])) == 0.0
-    assert np.max(np.abs(binner(axis.lift.vectors, axis.p_vec))) == 0.0
+    assert np.max(np.abs(inner(axis.lift.vectors, axis.p_vec))) == 0.0
     assert axis.lift.jet is not None
     assert axis.n == 64
 
@@ -219,18 +215,19 @@ def test_grid_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 def circle_congruence(c1, c2, k, thetas, tol=1e-6):
-    """Points of the circle a curve pair envelopes at sample k, from the
-    Subspace API: the lightcone circle of span{sigma, sigma', sigma_hat}
-    at u_k, projected to Euclidean 3-space.  Its members are point
-    spheres, since the span is p-orthogonal."""
+    """Points of the circle a curve pair envelopes at sample k, one sample
+    at a time: the lightcone circle of span{sigma, sigma', sigma_hat} at
+    u_k, projected to Euclidean 3-space.  Its members are point spheres,
+    since the span is p-orthogonal.  The pair test is the oracle's."""
     (v1, d1), (v2, d2) = ((c.lift.vectors[k], c.lift.derivatives()[0][k])
                           for c in (c1, c2))
-    sub = span([v1, d1, v2])
-    ok, residual = subspace_equal(sub, span([v2, d2, v1]), tol)
-    if not ok:
+    residual = oracles.largest_sine(oracles.basis([v1, d1, v2]),
+                                    oracles.basis([v2, d2, v1]))
+    if residual > tol:
         raise GeometryError(f"curves are not a Ribaucour pair at sample {k} "
                             f"(span residual {residual:.3e})")
-    frame, signature = lightcone_frames(sub.basis)
+    basis, _ = span_rows(np.stack([v1, d1, v2]))
+    frame, signature = lightcone_frames(basis)
     assert tuple(signature) == (2, 1, 0)
     pts = circle_points(frame, thetas)
     h = pts[..., 3] + pts[..., 4]
@@ -300,13 +297,15 @@ def test_batched_congruence_residuals_match_per_sample_spans(pair):
     c1, c2 = _congruence_pairs()[pair]
     (v1, d1), (v2, d2) = ((c.lift.vectors, c.lift.derivatives()[0])
                           for c in (c1, c2))
-    looped = [subspace_equal(span([v1[k], d1[k], v2[k]]),
-                             span([v2[k], d2[k], v1[k]]))[1]
-              for k in range(c1.n)]
+    looped = oracles.largest_sine(
+        oracles.basis(np.stack([v1, d1, v2], axis=1)),
+        oracles.basis(np.stack([v2, d2, v1], axis=1)))
     report = cf.circle_congruence_report(c1, c2)
     assert report.passed
-    assert np.array_equal(report.residuals, looped)
-    # the batched circles the report reads are the Subspace API's
+    # both sides carry rounding: a Ribaucour pair reads up to 1.5e-15
+    np.testing.assert_allclose(report.residuals, looped, rtol=1e-14,
+                               atol=5e-15)
+    # the batched circles the report reads are the per-sample ones
     frames, _ = lightcone_frames(span_rows(np.stack([v1, d1, v2], axis=1))[0])
     theta = np.linspace(0.0, 2.0 * np.pi, 5)
     for k in (0, 17, c1.n - 1):
@@ -378,10 +377,10 @@ def test_collinear_pair_envelopes_a_straight_line():
     assert cf.ribaucour_curve_check(axis, shifted) <= 1e-12  # 5.6e-15
 
     d1, _ = axis.lift.derivatives()
-    sub = span([axis.lift.vectors[10], d1[10], shifted.lift.vectors[10]])
-    assert sub.containment_gap(INFINITY_VEC) <= 1e-12        # 3.7e-16
-    phase, timelike = circle_phase(lightcone_frames(sub.basis)[0],
-                                   INFINITY_VEC)
+    sub, _ = span_rows(np.stack([axis.lift.vectors[10], d1[10],
+                                 shifted.lift.vectors[10]]))
+    assert containment_gap(sub, INFINITY_VEC) <= 1e-12        # 1.2e-16
+    phase, timelike = circle_phase(lightcone_frames(sub)[0], INFINITY_VEC)
     assert timelike
     with pytest.raises(GeometryError, match="infinity"):
         circle_congruence(axis, shifted, 10, [phase])
@@ -402,12 +401,12 @@ def test_tilted_direction_builds_genuine_spheres():
     # closed form: r(u) = (0.8 - sqrt(1 + 0.36 u^2)) / 0.6
     expected = (0.8 - np.sqrt(1.0 + 0.36 * curve.u_values ** 2)) / 0.6
     assert np.max(np.abs(radii - expected)) <= 1e-12
-    assert np.max(np.abs(binner(v, p))) <= 1e-12   # measured 4.4e-16
+    assert np.max(np.abs(inner(v, p))) <= 1e-12   # measured 4.4e-16
 
     ring = cf.circle_curve(n=64, radius=2.0, p_vec=p)
     grid = cf.curve_legendre_lift(ring)
     assert validate_legendre(grid).passed
     data = curvature_data(grid)
     s1 = data.s1 / np.linalg.norm(data.s1, axis=-1, keepdims=True)
-    assert np.max(np.abs(binner(s1, p))) <= 1e-12  # measured 2.8e-16
+    assert np.max(np.abs(inner(s1, p))) <= 1e-12  # measured 2.8e-16
 

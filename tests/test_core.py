@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from oracles import largest_sine as _largest_sine
 from liechannel import core
 from liechannel.channel import line_sphere_curve, osculating_spaces
 from liechannel.core import (
     GeometryError,
     Infinity,
-    LiePoint,
     Plane,
     Point,
-    RankDeficiencyError,
     SignatureError,
     Sphere,
     SIGNS,
-    Subspace,
     complement_rows,
+    containment_gap,
     circle_phase,
     circle_points,
     inner,
@@ -27,9 +27,8 @@ from liechannel.core import (
     plane_lift,
     point_lift,
     project_to_euclidean,
-    span,
     sphere_lift,
-    subspace_equal,
+    unit_rows,
     wedge_matrix,
 )
 
@@ -68,27 +67,27 @@ def test_roundtrip_seeded_batch():
         if kind == 0:
             c = rng.uniform(-5, 5, size=3)
             r = rng.uniform(0.01, 5.0) * rng.choice([-1.0, 1.0])
-            out = project_to_euclidean(LiePoint(scale * sphere_lift(c, r)))
+            out = project_to_euclidean(scale * sphere_lift(c, r))
             assert isinstance(out, Sphere)
             worst = max(worst, np.max(np.abs(out.center - c)), abs(out.radius - r))
         elif kind == 1:
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
             d = rng.uniform(-5, 5)
-            out = project_to_euclidean(LiePoint(scale * plane_lift(n, d)))
+            out = project_to_euclidean(scale * plane_lift(n, d))
             assert isinstance(out, Plane)
             worst = max(worst, np.max(np.abs(out.normal - n)), abs(out.offset - d))
         else:
             x = rng.uniform(-5, 5, size=3)
-            out = project_to_euclidean(LiePoint(scale * point_lift(x)))
+            out = project_to_euclidean(scale * point_lift(x))
             assert isinstance(out, Point)
             worst = max(worst, np.max(np.abs(out.position - x)))
     assert worst <= 1e-12
 
 
 def test_project_infinity():
-    assert isinstance(project_to_euclidean(LiePoint(core.INFINITY_VEC)), Infinity)
-    assert isinstance(project_to_euclidean(LiePoint(-3.0 * core.INFINITY_VEC)), Infinity)
+    assert isinstance(project_to_euclidean(core.INFINITY_VEC), Infinity)
+    assert isinstance(project_to_euclidean(-3.0 * core.INFINITY_VEC), Infinity)
 
 
 def test_tangency_identity_seeded():
@@ -141,17 +140,26 @@ def test_wedge_antisymmetry():
 
 def test_span_rank_deficiency():
     v = point_lift([1, 0, 0])
-    with pytest.raises(RankDeficiencyError):
-        span([v, 2.0 * v])
+    stack = np.stack([v, 2.0 * v])
+    basis, rank = core.span_rows(stack)
+    assert rank == oracles.rank(stack) == 1
+    assert _largest_sine(basis[:1], v[None] / np.linalg.norm(v)) <= 1e-15
+    # the closed-form singular values stop at three rows
+    with pytest.raises(ValueError, match="k <= 3"):
+        core.span_rows(np.eye(6)[:4])
 
 
 def test_signature_examples():
-    # osculating space of the z-axis point curve is span{e3,e4,e5}: (2,1)
-    s = span([np.eye(6)[2], np.eye(6)[3], np.eye(6)[4]])
-    assert s.signature == (2, 1, 0)
-    # a null line has a degenerate direction
-    assert span([UNIT_SPHERE_LIFT]).signature == (0, 0, 1)
-    assert span([np.eye(6)[5]]).signature == (0, 1, 0)
+    e = np.eye(6)
+    # osculating space of the z-axis point curve is span{e3,e4,e5}: (2,1);
+    # a null direction, or two timelike ones, change the count
+    stacks = np.stack([e[[2, 3, 4]], [UNIT_SPHERE_LIFT, e[0], e[1]],
+                       e[[0, 4, 5]], e[[0, 1, 2]]])
+    bases, ranks = core.span_rows(stacks)
+    assert list(ranks) == [3, 3, 3, 3]
+    expected = [(2, 1, 0), (2, 0, 1), (1, 2, 0), (3, 0, 0)]
+    assert oracles.signature(bases).tolist() == [list(x) for x in expected]
+    assert lightcone_frames(bases)[1].tolist() == [list(x) for x in expected]
 
 
 def test_complement_of_osculating_line_space():
@@ -160,28 +168,19 @@ def test_complement_of_osculating_line_space():
     sigma = point_lift([0, 0, u])
     dsigma = np.array([0, 0, 1, -u, u, 0.0])
     ddsigma = np.array([0, 0, 0, -1, 1, 0.0])
-    V = span([sigma, dsigma, ddsigma])
-    Vp = Subspace(complement_rows(V.basis))
-    expected = span([np.eye(6)[0], np.eye(6)[1], np.eye(6)[5]])
-    ok, residual = subspace_equal(Vp, expected)
-    assert ok and residual <= 1e-12
-    assert Vp.signature == (2, 1, 0)
+    vp = complement_rows(np.stack([sigma, dsigma, ddsigma]))
+    expected = np.eye(6)[[0, 1, 5]]
+    assert _largest_sine(vp, expected) <= 1e-12
+    assert oracles.signature(vp).tolist() == [2, 1, 0]
 
 
 def test_complement_involution_and_dimensions():
     rng = np.random.default_rng(11)
     for k in (1, 2, 3, 4):
-        s = span(rng.normal(size=(k, 6)))
-        sp = Subspace(complement_rows(s.basis))
-        assert sp.dim == 6 - k
-        ok, res = subspace_equal(Subspace(complement_rows(sp.basis)), s)
-        assert ok, res
-
-
-def _largest_sine(a, b):
-    """Sine of the largest principal angle between orthonormal row sets."""
-    rej = a - (a @ np.swapaxes(b, -1, -2)) @ b
-    return np.linalg.svd(rej, compute_uv=False)[..., 0]
+        s = oracles.basis(rng.normal(size=(k, 6)))
+        sp = complement_rows(s)
+        assert sp.shape == (6 - k, 6)
+        assert _largest_sine(complement_rows(sp), s) <= 1e-12
 
 
 def _assert_orthonormal(rows, tol=1e-13):
@@ -348,18 +347,7 @@ def test_orthonormal_rows_break_completion_ties_by_the_lowest_index():
     assert np.any(_row_major_orthonormal_rows(rows, 6)[1])
 
 
-def test_subspace_equal_tolerances():
-    e = np.eye(6)
-    s1 = span([e[0], e[1]])
-    s2 = span([e[0], e[1] + 1e-6 * e[2]])
-    ok, res = subspace_equal(s1, s2, tol=1e-8)
-    assert not ok and 1e-7 <= res <= 1e-5
-    ok, res = subspace_equal(s1, s2, tol=1e-5)
-    assert ok
-    assert subspace_equal(s1, span([e[0]]))[1] == 1.0
-
-
-def test_batched_helpers_match_the_subspace_api():
+def test_batched_helpers_match_the_oracle():
     # a mix of signatures, one dependent stack and one zero stack
     rng = np.random.default_rng(17)
     stacks = rng.normal(size=(40, 3, 6))
@@ -368,29 +356,23 @@ def test_batched_helpers_match_the_subspace_api():
     bases, ranks = core.span_rows(stacks)
     frames, signature = core.lightcone_frames(bases)
     ok = np.all(signature == (2, 1, 0), axis=-1)
-    sines = core.principal_sine(bases[:-1], bases[1:])
-    full = []
-    for k, rows in enumerate(stacks):
-        try:
-            s = span(rows)
-        except RankDeficiencyError as exc:
-            assert ranks[k] == exc.achieved < 3
-            continue
-        full.append(k)
-        assert ranks[k] == 3
-        assert np.array_equal(bases[k], s.basis)
-        assert tuple(signature[k]) == s.signature
-        if ok[k]:
-            # one subspace's frame carries the same bits as its row
-            assert np.array_equal(frames[k], lightcone_frames(s.basis)[0])
-            gram = frames[k] @ (SIGNS * frames[k]).T
-            assert np.max(np.abs(gram - np.diag([1.0, 1.0, -1.0]))) <= 1e-12
     assert list(ranks[[5, 9]]) == [2, 0]
-    assert 5 <= int(np.sum(ok)) < len(full)
-    for k in full:
-        if k + 1 in full:
-            assert sines[k] == subspace_equal(span(stacks[k]),
-                                              span(stacks[k + 1]))[1]
+    full = ranks == 3
+    assert np.array_equal(full, oracles.rank(stacks) == 3)
+    reference = oracles.basis(stacks[full])
+    assert np.all(_largest_sine(bases[full], reference) <= 1e-14)
+    assert np.array_equal(signature[full], oracles.signature(reference))
+    assert 5 <= int(np.sum(ok)) < int(np.sum(full))
+    for k in np.flatnonzero(ok):
+        # one subspace's frame carries the same bits as its row
+        assert np.array_equal(frames[k], lightcone_frames(bases[k])[0])
+        gram = frames[k] @ (SIGNS * frames[k]).T
+        assert np.max(np.abs(gram - np.diag([1.0, 1.0, -1.0]))) <= 1e-12
+    k = np.flatnonzero(full[:-1] & full[1:])
+    sines = core.principal_sine(bases[k], bases[k + 1])
+    expected = _largest_sine(oracles.basis(stacks[k + 1]),
+                             oracles.basis(stacks[k]))
+    assert np.all(np.abs(sines - expected) <= 1e-14)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -555,16 +537,28 @@ def test_principal_sine_matches_the_svd(seed, k, shape):
     assert np.all(np.abs(got - _largest_sine(b2, b1)) <= 1e-13 * got + 1e-16)
 
 
-def test_subspace_equal_compares_large_subspaces_through_complements():
-    rng = np.random.default_rng(23)
-    for k in (4, 5):
-        rows = rng.normal(size=(k, 6))
-        tilt = rows + 1e-7 * rng.normal(size=(k, 6))
-        expected = _largest_sine(span(tilt).basis, span(rows).basis)
-        ok, res = subspace_equal(span(rows), span(tilt))
-        # the complements carry rounding-level absolute errors
-        assert not ok and abs(res - expected) <= 1e-15
-        assert subspace_equal(span(rows), span(rows[::-1]))[1] <= 1e-14
+def test_containment_gap_matches_the_oracle():
+    rng = np.random.default_rng(43)
+    bases = oracles.basis(rng.normal(size=(40, 3, 6)))
+    vectors = rng.normal(size=(40, 4, 6)) * 10.0 ** rng.uniform(
+        -3, 3, (40, 4, 1))
+    got = containment_gap(bases, vectors)
+    assert got.shape == (40, 4)
+    assert np.max(np.abs(got - oracles.containment_gap(bases, vectors))) \
+        <= 1e-15
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+def test_containment_gap_reads_a_planted_tilt(eps):
+    rng = np.random.default_rng(47)
+    rows = oracles.basis(rng.normal(size=(6, 6)))
+    basis, off = rows[:3], rows[3:]
+    inside = unit_rows(rng.normal(size=(8, 3)) @ basis)
+    away = unit_rows(rng.normal(size=(8, 3)) @ off)
+    tilted = 2.5 * (np.cos(eps) * inside + np.sin(eps) * away)
+    gap = containment_gap(basis, tilted)
+    assert np.all((eps / 2.0 <= gap) & (gap <= 2.0 * eps))
+    assert np.max(containment_gap(basis, inside)) <= 1e-14
 
 
 def test_inv3_matches_lapack_and_flags_singular_matrices():
@@ -581,20 +575,23 @@ def test_inv3_matches_lapack_and_flags_singular_matrices():
 # -- lightcone circles ---------------------------------------------------------
 
 
-def frame_of(s):
-    frame, signature = lightcone_frames(s.basis)
+#: span{e1, e2, (0,0,0,1,-1,1)}: the tangent planes of the unit cylinder
+#: about the z-axis
+CYLINDER_PLANES = np.stack([np.eye(6)[0], np.eye(6)[1],
+                            np.array([0, 0, 0, 1.0, -1.0, 1.0])])
+
+
+def frame_of(rows):
+    frame, signature = lightcone_frames(core.span_rows(rows)[0])
     assert tuple(signature) == (2, 1, 0)
     return frame
 
 
 def test_lightcone_circle_tangent_planes_of_cylinder():
-    # span{e1, e2, (0,0,0,1,-1,1)} parametrises the tangent planes of the
-    # unit cylinder about the z-axis
-    s = span([np.eye(6)[0], np.eye(6)[1], np.array([0, 0, 0, 1.0, -1.0, 1.0])])
     for theta in np.linspace(0, 2 * np.pi, 9):
-        v = circle_points(frame_of(s), theta)
+        v = circle_points(frame_of(CYLINDER_PLANES), theta)
         assert abs(inner(v, v)) <= 1e-12
-        out = project_to_euclidean(LiePoint(v))
+        out = project_to_euclidean(v)
         assert isinstance(out, Plane)
         assert abs(out.offset - (-1.0)) <= 1e-12
         assert abs(out.normal[2]) <= 1e-12
@@ -612,26 +609,24 @@ def test_lightcone_circle_rejects_wrong_signature():
 
 def test_lightcone_circle_spans_whole_family():
     rng = np.random.default_rng(9)
-    basis = rng.normal(size=(3, 6))
-    s = span(basis)
-    if s.signature != (2, 1, 0):  # make a (2,1) space deterministically instead
-        s = span([np.eye(6)[0], np.eye(6)[1], np.eye(6)[4]])
+    basis = oracles.basis(rng.normal(size=(3, 6)))
+    if oracles.signature(basis).tolist() != [2, 1, 0]:
+        # make a (2,1) space deterministically instead
+        basis = np.eye(6)[[0, 1, 4]]
     th = rng.uniform(0, 2 * np.pi, size=16)
-    pts = circle_points(frame_of(s), th)
+    pts = circle_points(frame_of(basis), th)
     assert np.max(np.abs(inner(pts, pts))) <= 1e-10
-    for v in pts:
-        assert s.containment_gap(v) <= 1e-10
+    assert np.max(oracles.containment_gap(basis, pts)) <= 1e-10
 
 
 def test_circle_phase_recovers_parameter():
-    s = span([np.eye(6)[0], np.eye(6)[1], np.array([0, 0, 0, 1.0, -1.0, 1.0])])
     theta = np.array([-2.0, 0.0, 0.4, 3.0])
-    frames = np.broadcast_to(frame_of(s), (4, 3, 6))
+    frames = np.broadcast_to(frame_of(CYLINDER_PLANES), (4, 3, 6))
     rec, timelike = circle_phase(frames, 1.7 * circle_points(frames, theta))
     assert timelike.all()
     assert np.max(np.abs(np.angle(np.exp(1j * (rec - theta))))) <= 1e-12
     # a vector without a timelike component has no phase
-    assert not circle_phase(frame_of(s), np.eye(6)[2])[1]
+    assert not circle_phase(frame_of(CYLINDER_PLANES), np.eye(6)[2])[1]
 
 
 # -- parallel transform --------------------------------------------------------
@@ -640,7 +635,7 @@ def test_circle_phase_recovers_parameter():
 def test_parallel_transform_examples():
     m = parallel_transform_matrix(1.0)
     shifted = m @ point_lift([0, 0, 2.0])
-    out = project_to_euclidean(LiePoint(shifted))
+    out = project_to_euclidean(shifted)
     assert isinstance(out, Sphere)
     np.testing.assert_allclose(out.center, [0, 0, 2.0], atol=1e-14)
     assert out.radius == pytest.approx(1.0)
@@ -663,14 +658,8 @@ def test_parallel_transform_metric_preserving(a):
     assert np.max(np.abs(defect)) <= 1e-11 * max(1.0, a * a) ** 2
 
 
-def test_lie_point_rejects_non_null():
-    with pytest.raises(GeometryError):
-        LiePoint(np.array([1.0, 0, 0, 0, 0, 0]))
-
-
 def test_projective_comparison():
-    p = LiePoint(sphere_lift([1, 2, 3], 0.5))
-    q = LiePoint(-2.5 * sphere_lift([1, 2, 3], 0.5))
-    assert p.same_as(q)
-    r = LiePoint(sphere_lift([1, 2, 3.001], 0.5))
-    assert not p.same_as(r)
+    p = sphere_lift([1, 2, 3], 0.5)
+    assert core.projective_gap(p, -2.5 * p) <= 1e-15
+    r = sphere_lift([1, 2, 3.001], 0.5)
+    assert 1e-5 <= core.projective_gap(p, r) <= 1e-3

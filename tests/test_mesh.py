@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from liechannel.core import (INFINITY_VEC, GeometryError, Infinity,
-                             SignatureError, circle_points, first_failure,
-                             plane_lift, point_lift, project_to_euclidean,
-                             span)
+                             SignatureError, circle_points, containment_gap,
+                             first_failure, plane_lift, point_lift,
+                             project_to_euclidean, span_rows)
 from liechannel.demos import demo_config
 from liechannel.legendre import make_legendre_from_surface
 from liechannel.mesh import (
@@ -248,36 +248,36 @@ TORUS_SPACE = [np.eye(6)[0], np.eye(6)[1], np.array([0, 0, 0, -1.0, 2.0, -1.0])]
 
 
 def cyclides_of(*spaces):
-    """dupin_from_subspaces of the given sphere spaces: (cyclides, first
-    failure)."""
+    """dupin_from_subspaces of the spans of the given row stacks:
+    (cyclides, first failure)."""
+    bases, _ = span_rows(np.stack(spaces))
     cyclides, _, failures = dupin_from_subspaces(
-        np.stack([space.basis for space in spaces]),
-        [f"space {i}" for i in range(len(spaces))])
+        bases, [f"space {i}" for i in range(len(spaces))])
     return cyclides, first_failure(failures)
 
 
 def test_cyclide_grid_reproduces_torus():
-    space = span(TORUS_SPACE)
-    (cyclide,), failure = cyclides_of(space)
+    (cyclide,), failure = cyclides_of(TORUS_SPACE)
     assert failure is None
     positions, finite = cyclide_point_grid(cyclide, n_a=48, n_b=40)
     assert positions.shape == (48, 40, 3) and finite.all()
     rho = np.hypot(positions[..., 0], positions[..., 1])
     implicit = (rho - 2.0) ** 2 + positions[..., 2] ** 2 - 1.0
     assert np.max(np.abs(implicit)) <= 1e-6
-    for v in circle_points(cyclide.frames[0], np.linspace(0.0, 6.0, 4)):
-        assert space.containment_gap(v) <= 1e-10
+    space, _ = span_rows(TORUS_SPACE)
+    circle = circle_points(cyclide.frames[0], np.linspace(0.0, 6.0, 4))
+    assert np.max(containment_gap(space, circle)) <= 1e-10
 
 
 def test_cyclide_mesh_counts():
-    (cyclide,), _ = cyclides_of(span(TORUS_SPACE))
+    (cyclide,), _ = cyclides_of(TORUS_SPACE)
     mesh = cyclide_mesh(cyclide, n_a=32, n_b=24)
     assert mesh.vertices.shape == (768, 3)
     assert mesh.faces.shape == (1536, 3)       # both directions periodic
 
 
 def test_cyclide_rejects_wrong_signature():
-    _, (k, exc) = cyclides_of(span(TORUS_SPACE), span(np.eye(6)[:3]))
+    _, (k, exc) = cyclides_of(TORUS_SPACE, np.eye(6)[:3])
     assert k == 1 and isinstance(exc, SignatureError)
     assert str(exc) == ("cyclide subspace (space 1) has signature (3, 0, 0), "
                         "need (2, 1, 0)")
