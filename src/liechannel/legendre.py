@@ -21,7 +21,6 @@ from .core import (
     GeometryError,
     _largest_eigvalsh,
     _transposed,
-    inner,
     inv3,
     null_combination,
     orthonormal_rows,
@@ -180,13 +179,19 @@ class LegendreGrid:
 
     def frame_derivatives(self):
         """First differences of both frame fields along u and theta."""
-        du, dt = self.du, self.dtheta
-        return (
-            stencils.diff1(self.sigma, du, axis=0, periodic=self.periodic_u),
-            stencils.diff1(self.sigma, dt, axis=1, periodic=self.periodic_theta),
-            stencils.diff1(self.tau, du, axis=0, periodic=self.periodic_u),
-            stencils.diff1(self.tau, dt, axis=1, periodic=self.periodic_theta),
-        )
+        return _frame_derivatives(self, self.sigma, self.tau)
+
+
+def _frame_derivatives(grid: LegendreGrid, sigma: np.ndarray, tau: np.ndarray):
+    """First differences of the fields sigma and tau (nu, nt, 6) along u
+    and theta, with the grid's spacings and periodicity."""
+    du, dt = grid.du, grid.dtheta
+    return (
+        stencils.diff1(sigma, du, axis=0, periodic=grid.periodic_u),
+        stencils.diff1(sigma, dt, axis=1, periodic=grid.periodic_theta),
+        stencils.diff1(tau, du, axis=0, periodic=grid.periodic_u),
+        stencils.diff1(tau, dt, axis=1, periodic=grid.periodic_theta),
+    )
 
 
 def _memoised(grid: LegendreGrid, key: str, compute):
@@ -219,20 +224,54 @@ def make_legendre_from_surface(points: np.ndarray, normals: np.ndarray,
 # quotient bundle f^perp / f and the solder form
 # ---------------------------------------------------------------------------
 
+#: index pairs (i, j), i < j, of the Pluecker coordinates of a 2-plane of R^4
+_PLUCKER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+#: the Hodge dual Q = *(a ^ b) as a 4 x 4 skew matrix of Pluecker
+#: coordinates: Q[r, c] = _HODGE_SIGN[r, c] * p[_HODGE_INDEX[r, c]]
+_HODGE_INDEX = np.array([[0, 5, 4, 3], [5, 0, 2, 1], [4, 2, 0, 0], [3, 1, 0, 0]])
+_HODGE_SIGN = np.array([[0.0, 1.0, -1.0, 1.0], [-1.0, 0.0, 1.0, -1.0],
+                        [1.0, -1.0, 0.0, 1.0], [-1.0, 1.0, -1.0, 0.0]])
+
+
 def _quotient_frames(grid: LegendreGrid):
     """Per-point machinery for the rank-2 positive quotient of each element.
 
-    Returns w_basis, where w_basis[i, j] has two rows spanning a
-    complement of the element inside its orthogonal space, Euclidean-
+    Returns w_basis, where w_basis[i, j] has two orthonormal rows spanning
+    a complement of the element inside its orthogonal space, Euclidean-
     orthogonal to the element (so quotient coordinates are plain dot
     products): the Euclidean complement of span{sigma, tau, G sigma, G tau},
-    which depends only on the element.  For null, independent sigma and
-    tau that complement lies in R^4 + 0, where G = I, so its quotient Gram
-    is the identity and needs no check beyond isotropy.
+    which depends only on the element.
+
+    With a and b the R^4 parts of sigma and tau, that span is
+    span{a, b} + R^{0,2}: a and b are independent, because a null vector
+    with zero R^4 part is zero.  The complement is therefore the plane of
+    R^4 + 0 orthogonal to a and b, where G = I, so its quotient Gram is the
+    identity and needs no check beyond isotropy.  Its bivector is the Hodge
+    dual Q = *(a ^ b), formed from the six Pluecker coordinates
+    p_ij = a_i b_j - a_j b_i.  The rows are the longest column c of Q (ties
+    go to the lowest index) and Q c, normalised: Q c lies in the plane and
+    is orthogonal to c, with |Q c| = |a ^ b| |c|, and the longest column
+    has |c|^2 >= |a ^ b|^2 / 2.  Where a ^ b vanishes both rows are zero.
+    Every consumer reads only quantities invariant under an O(2) change
+    of the two rows (2 x 2 determinants up to a common sign, Grams,
+    singular values), so the choice of column is harmless.
     """
-    frames = np.stack([grid.sigma, grid.tau], axis=-2)          # (nu,nt,2,6)
-    spanning = np.concatenate([frames, SIGNS * frames], axis=-2)
-    return orthonormal_rows(spanning, DIM)[..., 4:, :]          # (nu,nt,2,6)
+    shape = grid.shape
+    count = shape[0] * shape[1]
+    a = grid.sigma.reshape(count, DIM).T                        # (6, n) views
+    b = grid.tau.reshape(count, DIM).T
+    plucker = np.empty((len(_PLUCKER), count))
+    for m, (i, j) in enumerate(_PLUCKER):
+        plucker[m] = a[i] * b[j] - a[j] * b[i]
+    hodge = _HODGE_SIGN[..., None] * plucker[_HODGE_INDEX]      # (4, 4, n)
+    del plucker
+    longest = np.argmax(np.einsum("rcn,rcn->cn", hodge, hodge), axis=0)
+    c = np.take_along_axis(hodge, longest[None, None], axis=1)[:, 0]
+    rows = np.zeros((count, 2, DIM))
+    for row, v in enumerate((c, np.einsum("rcn,cn->rn", hodge, c))):
+        norm = np.sqrt(np.einsum("in,in->n", v, v))
+        np.divide(v, norm, out=rows[:, row, :4].T, where=norm > 0.0)
+    return rows.reshape(shape + (2, DIM))                       # (nu,nt,2,6)
 
 
 @dataclass
@@ -252,17 +291,15 @@ class LegendreReport:
 def _legendre_measurements(grid: LegendreGrid):
     """(isotropy, contact, immersion) of validate_legendre."""
     s, t = unit_rows(grid.sigma), unit_rows(grid.tau)
-    iso = max(float(np.max(np.abs(inner(s, s)))),
-              float(np.max(np.abs(inner(t, t)))),
-              float(np.max(np.abs(inner(s, t)))))
+    gs, gt = SIGNS * s, SIGNS * t                 # inner(x, s) = x . gs
 
-    unit_grid = LegendreGrid(s, t, grid.u_values, grid.theta_values,
-                             grid.periodic_u, grid.periodic_theta)
-    ds_u, ds_t, dt_u, dt_t = unit_grid.frame_derivatives()
-    contact = 0.0
-    for dv in (ds_u, ds_t, dt_u, dt_t):
-        for fr in (s, t):
-            contact = max(contact, float(np.max(np.abs(inner(dv, fr)))))
+    def worst(x, gy):
+        return float(np.max(np.abs(np.einsum("...i,...i->...", x, gy))))
+
+    iso = max(worst(s, gs), worst(t, gt), worst(s, gt))
+    ds_u, ds_t, dt_u, dt_t = _frame_derivatives(grid, s, t)
+    contact = max(worst(dv, gy) for dv in (ds_u, ds_t, dt_u, dt_t)
+                  for gy in (gs, gt))
 
     w_basis = _memoised(grid, "quotient", _quotient_frames)
 

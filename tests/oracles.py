@@ -1,9 +1,10 @@
 """LAPACK references for subspaces of R^{4,2}, independent of core's
 Gram–Schmidt.
 
-A subspace is a row stack (..., k, 6).  Ranks and bases come from
-np.linalg.svd, signatures from np.linalg.eigvalsh of the metric Gram,
-and principal sines from the SVD of a rejection.
+A subspace is a row stack (..., k, 6).  Ranks, bases and the quotient
+complement of a contact element come from np.linalg.svd, signatures from
+np.linalg.eigvalsh of the metric Gram, and principal sines from the SVD
+of a rejection.
 """
 
 import numpy as np
@@ -12,7 +13,10 @@ from liechannel.core import SIGNS
 
 
 def _t(stack):
-    return np.swapaxes(stack, -1, -2)
+    """Transposes of a stack of matrices, made contiguous as core's are:
+    as the right factor of a product a strided transpose rounds about an
+    ulp apart from the contiguous one."""
+    return np.ascontiguousarray(np.swapaxes(stack, -1, -2))
 
 
 def rank(stacks, rank_tol=1e-10):
@@ -53,3 +57,12 @@ def containment_gap(bases, vectors):
     vectors = np.asarray(vectors, dtype=float)
     unit = vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)
     return largest_sine(unit[..., :, None, :], bases[..., None, :, :])
+
+
+def element_complement(sigma, tau):
+    """Orthonormal rows (..., 2, 6) spanning the Euclidean complement of
+    span{sigma, tau, G sigma, G tau}: the trailing right singular vectors
+    of that 4 x 6 stack, with its singular values (..., 4)."""
+    stack = np.stack([sigma, tau, SIGNS * sigma, SIGNS * tau], axis=-2)
+    _, svals, vt = np.linalg.svd(stack)
+    return vt[..., 4:, :], svals

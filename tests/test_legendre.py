@@ -5,6 +5,7 @@ parameter lines."""
 import dataclasses
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from liechannel import legendre as legendre_module, stencils
+from liechannel.channel import envelope, line_sphere_curve, omega0_form
 from liechannel.core import (
     SIGNS,
     GeometryError,
@@ -37,6 +39,11 @@ from liechannel.legendre import (
     _directional_derivative,
     _quotient_frames,
 )
+from liechannel.transforms import (
+    calapso_transform,
+    darboux_initial_condition,
+    darboux_transform,
+)
 
 import presets
 
@@ -45,6 +52,27 @@ import presets
 def preset_grid(name, **kw):
     builder = getattr(presets, name + "_surface")
     return make_legendre_from_surface(*builder(**kw))
+
+
+@functools.lru_cache(maxsize=None)
+def transform_grid(name, **kw):
+    """The transformed grid of the cylinder-darboux (seed 7) or the
+    cylinder-calapso demo at grid 64."""
+    curve = line_sphere_curve(n=64)
+    base = envelope(curve, n_theta=64)
+    omega = omega0_form(base, curve.vectors)
+    if name == "darboux":
+        phi0 = darboux_initial_condition(np.eye(6)[[0, 3, 4]],
+                                         omega.sigma1[0], 7)
+        return darboux_transform(base, omega, kw["m"], phi0).hat_f
+    return calapso_transform(base, omega, kw["lam"])[1]
+
+
+#: the transformed grids of the demos, whose elements are the least well
+#: conditioned of any demo's (the Darboux output's 4 x 6 stacks
+#: [sigma, tau, G sigma, G tau] reach sigma_1 / sigma_4 = 20)
+TRANSFORM_GRIDS = [("darboux", {"m": 1.0}), ("calapso", {"lam": 0.5}),
+                   ("calapso", {"lam": 1.0}), ("calapso", {"lam": 2.0})]
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,9 +230,11 @@ def test_derived_data_is_computed_once_and_read_only():
 
 
 @pytest.mark.parametrize("name, kw", [("torus", {"n_u": 48, "n_theta": 48}),
-                                      ("helix_tube", {"n_u": 64, "n_theta": 48})])
+                                      ("helix_tube", {"n_u": 64, "n_theta": 48})]
+                         + TRANSFORM_GRIDS)
 def test_quotient_frame_is_orthogonal_to_the_element(name, kw):
-    grid = preset_grid(name, **kw)
+    grid = (transform_grid if name in ("darboux", "calapso")
+            else preset_grid)(name, **kw)
     w_basis = _quotient_frames(grid)
     element = np.stack([grid.sigma, grid.tau], axis=-2)
     element = element / np.linalg.norm(element, axis=-1, keepdims=True)
@@ -216,6 +246,59 @@ def test_quotient_frame_is_orthogonal_to_the_element(name, kw):
     assert np.max(np.abs(metric)) <= 1e-12
     qgram = w_basis @ np.swapaxes(SIGNS * w_basis, -1, -2)
     assert np.max(np.abs(qgram - np.eye(2))) <= 1e-13
+    reference, _ = oracles.element_complement(grid.sigma, grid.tau)
+    diff = projector(w_basis) - projector(reference)
+    assert np.max(np.abs(diff)) <= 1e-14          # measured <= 2.8e-15
+
+
+def projector(rows):
+    return np.swapaxes(rows, -1, -2) @ rows
+
+
+@pytest.mark.parametrize("sine", [1.0, 1e-2, 1e-4, 1e-6])
+def test_quotient_frames_match_the_svd_on_random_elements(sine):
+    # a point and a plane through it, mixed by a random GL(2) with
+    # singular values 1 and sine.  The SVD's complement is itself accurate
+    # to about eps * sigma_1 / sigma_4 of the 4 x 6 stack, so the bound
+    # scales with that ratio: 1e-14 on a well-conditioned stack (measured
+    # at most 6e-16 times the ratio, which reaches 7e6 at sine 1e-6)
+    rng = np.random.default_rng(int(-np.log10(sine)))
+    points = rng.normal(size=(8, 50, 3))
+    normals = rng.normal(size=(8, 50, 3))
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    point = point_lift(points)
+    plane = plane_lift(normals, np.einsum("...i,...i->...", points, normals))
+    u, _, vt = np.linalg.svd(rng.normal(size=(8, 50, 2, 2)))
+    mix = u @ (np.array([1.0, sine])[:, None] * vt)
+    grid = LegendreGrid(mix[..., 0, :1] * point + mix[..., 0, 1:] * plane,
+                        mix[..., 1, :1] * point + mix[..., 1, 1:] * plane,
+                        np.arange(8.0), np.arange(50.0))
+    reference, svals = oracles.element_complement(grid.sigma, grid.tau)
+    diff = projector(_quotient_frames(grid)) - projector(reference)
+    bound = 1e-14 * svals[..., 0] / svals[..., 3]
+    assert np.all(np.max(np.abs(diff), axis=(-2, -1)) <= bound)
+
+
+@pytest.mark.parametrize("where", ["everywhere", "one sample"])
+def test_degenerate_elements_fail_without_a_warning(where):
+    # tau = sigma spans no contact element: the quotient rows are zero
+    # there, so the immersion reads 0 and validation fails, and the
+    # channel verdict stays 'none', consistent
+    base = preset_grid("torus", n_u=48, n_theta=48)
+    tau = np.array(base.sigma if where == "everywhere" else base.tau)
+    tau[17, 29] = base.sigma[17, 29]
+    grid = LegendreGrid(base.sigma, tau, base.u_values, base.theta_values,
+                        base.periodic_u, base.periodic_theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w_basis = _quotient_frames(grid)
+        report = validate_legendre(grid)
+        channel = is_channel(grid)
+    degenerate = np.all(grid.tau == grid.sigma, axis=-1)
+    assert np.all(w_basis[degenerate] == 0.0)
+    assert np.all(np.isfinite(w_basis))
+    assert report.immersion == 0.0 and not report.passed
+    assert channel.circular_dir == "none" and channel.consistent
 
 
 # -- curvature spheres ----------------------------------------------------------
@@ -601,6 +684,19 @@ def test_split_pass_memory_stays_under_five_projector_fields():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * 128 * 128 * 6 * 6 * 8
+
+
+def test_quotient_frames_memory_stays_under_64_doubles_per_point():
+    # the closed form needs about 40 doubles per point; completing the
+    # 4 x 6 stacks with orthonormal_rows takes 146
+    grid = make_legendre_from_surface(*presets.torus_surface(n_u=128, n_theta=128))
+    tracemalloc.start()
+    try:
+        _quotient_frames(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 128 * 128 * 8
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
