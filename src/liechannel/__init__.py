@@ -29,7 +29,7 @@ from .legendre import (
     is_channel,
     lie_cyclide_split,
     make_legendre_from_surface,
-    spherical_line_residual,
+    spherical_line_residuals,
     validate_legendre,
 )
 from .channel import (
@@ -81,7 +81,6 @@ from .mesh import (
     cyclide_point_grid,
     export_obj,
     grid_point_spheres,
-    mesh_from_frames,
     mesh_from_grid,
     triangulate_grid,
 )

@@ -21,6 +21,7 @@ from .core import (
     GeometryError,
     _largest_eigvalsh,
     _transposed,
+    first_failure,
     inv3,
     null_combination,
     orthonormal_rows,
@@ -31,7 +32,7 @@ from .core import (
     small_eigvalsh,
     unit_rows,
 )
-from .mesh import point_sphere_lifts
+from .mesh import _pencil_point_spheres
 
 #: projective gap below which the two curvature spheres count as equal
 UMBILIC_TOL = 1e-6
@@ -782,28 +783,42 @@ def _classify_channel(grid: LegendreGrid) -> ChannelReport:
 # spherical parameter lines
 # ---------------------------------------------------------------------------
 
-def spherical_line_residual(grid: LegendreGrid, axis: str, index: int):
-    """How close a parameter line's points come to lying on one sphere.
+def spherical_line_residuals(grid: LegendreGrid, axis: str, indices):
+    """How close each requested parameter line's points come to lying on
+    one sphere, all lines fitted in one pass.
 
-    Planes count as spheres here (infinite radius), so planar lines also
-    report a near-zero residual; and when the line is a circle the
+    axis "u" reads the lines of constant u, "theta" those of constant
+    theta.  Planes count as spheres here (infinite radius), so planar lines
+    also report a near-zero residual; and when a line is a circle the
     minimiser is just one member of the pencil of spheres through it.
 
-    Returns (residual, sphere_vector).  A point lift pairs to zero with a
-    sphere's radius slot, so the fit runs over the five effective
-    coordinates; the radius is recovered afterwards from the lightcone
-    condition (its orientation is not determined by the fit, the
-    nonnegative root is returned).
+    Returns (residuals (m,), spheres (m, 6)).  A point lift pairs to zero
+    with a sphere's radius slot, so each fit runs over the five effective
+    coordinates of the line's unit point spheres, and points at infinity
+    enter as zero rows, which leave the fit alone; the radius is recovered
+    afterwards from the lightcone condition (its orientation is not
+    determined by the fit, the nonnegative root is returned).  An error
+    names the first bad line: a pencil made entirely of point spheres, or
+    fewer than six finite points.
     """
     if axis not in ("u", "theta"):
         raise ValueError("axis must be 'u' or 'theta'")
-    line = (index, slice(None)) if axis == "u" else (slice(None), index)
-    rows, _ = point_sphere_lifts(grid.sigma[line], grid.tau[line])
-    if len(rows) < 6:
-        raise GeometryError("not enough finite points on the parameter line")
-    mat = (rows * SIGNS)[:, :5]
-    u_, svals, vt = np.linalg.svd(mat, full_matrices=False)
-    v = vt[-1]
-    r_sq = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2 - v[4] ** 2
-    sphere = np.append(v, np.sqrt(max(r_sq, 0.0)))
-    return float(svals[-1]), sphere
+    indices = np.asarray(indices, dtype=int)
+    sigma, tau = ((grid.sigma, grid.tau) if axis == "u" else
+                  (np.swapaxes(grid.sigma, 0, 1), np.swapaxes(grid.tau, 0, 1)))
+    vec, finite, pure = _pencil_point_spheres(sigma[indices], tau[indices])
+    hit = first_failure([
+        (pure.any(axis=-1), lambda k: GeometryError(
+            f"parameter line {axis}-index {indices[k]}: pencil is entirely "
+            "made of point spheres")),
+        (np.count_nonzero(finite, axis=-1) < 6, lambda k: GeometryError(
+            f"parameter line {axis}-index {indices[k]} has fewer than six "
+            "finite points"))])
+    if hit is not None:
+        raise hit[1]
+    rows = np.where(finite[..., None], unit_rows(vec), 0.0)
+    _, svals, vt = np.linalg.svd((rows * SIGNS)[..., :5], full_matrices=False)
+    v = vt[:, -1]
+    r_sq = np.sum(v[:, :4] ** 2, axis=-1) - v[:, 4] ** 2
+    return svals[:, -1], np.concatenate(
+        [v, np.sqrt(np.maximum(r_sq, 0.0))[:, None]], axis=-1)

@@ -2,20 +2,19 @@
 
 Every contact element contains exactly one point sphere (possibly the point
 at infinity); evaluating it over a grid turns frame data back into an
-ordinary surface mesh, written out as Wavefront OBJ with an optional CSV
-sidecar for per-vertex scalars.
+ordinary surface mesh, written out as Wavefront OBJ.  Grids and Dupin
+cyclides become meshes through one builder, which drops the points at
+infinity, and the line-sphere fits of legendre read the same pencils.
 """
 
 from __future__ import annotations
 
-import csv
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, circle_points, unit_rows
+from .core import circle_points
 
 #: relative size below which a pencil weight or a point sphere's
 #: (e4 + e5) component counts as zero
@@ -44,20 +43,6 @@ def _pencil_point_spheres(sigma: np.ndarray, tau: np.ndarray):
     return vec, finite, pure
 
 
-def point_sphere_lifts(sigma: np.ndarray, tau: np.ndarray):
-    """Unit point-sphere lifts of a row of contact elements, batched.
-
-    sigma and tau are (n, 6) frames.  Returns (lifts (m, 6), dropped): the
-    finite point spheres in row order, scaled to Euclidean norm 1, and the
-    number of elements whose point sphere is the point at infinity.
-    Raises GeometryError if some pencil is entirely made of point spheres.
-    """
-    vec, finite, pure = _pencil_point_spheres(sigma, tau)
-    if np.any(pure):
-        raise GeometryError("pencil is entirely made of point spheres")
-    return unit_rows(vec[finite]), int(np.count_nonzero(~finite))
-
-
 def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray):
     """Batched point-sphere positions for a grid of contact elements.
 
@@ -74,11 +59,10 @@ def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray):
 
 @dataclass
 class MeshOutput:
-    """Triangle mesh with optional per-vertex scalar channels."""
+    """Triangle mesh."""
 
     vertices: np.ndarray                    # (n, 3)
     faces: np.ndarray                       # (m, 3) int, zero-based
-    scalars: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -113,41 +97,26 @@ def triangulate_grid(shape, periodic_u: bool = False,
     return faces
 
 
-def compact_mesh(vertices: np.ndarray, faces: np.ndarray, keep: np.ndarray,
-                 scalars: Optional[dict] = None) -> MeshOutput:
-    """Drop masked-out vertices, discard faces touching them, renumber."""
-    scalars = scalars or {}
-    keep = np.asarray(keep, dtype=bool)
+def _grid_mesh(positions: np.ndarray, finite: np.ndarray, periodic_u: bool,
+               periodic_theta: bool) -> MeshOutput:
+    """Triangle mesh of a (nu, nt) grid of positions (nu, nt, 3): the
+    vertices that are not finite are dropped, with every face touching
+    them, and the rest renumbered."""
+    faces = triangulate_grid(finite.shape, periodic_u, periodic_theta)
+    vertices, keep = positions.reshape(-1, 3), finite.reshape(-1)
     if keep.all():
-        return MeshOutput(vertices, faces, dict(scalars))
+        return MeshOutput(vertices, faces)
     kept = np.flatnonzero(keep)
     remap = -np.ones(keep.size, dtype=int)
     remap[kept] = np.arange(kept.size)
-    face_ok = keep[faces].all(axis=1)
-    return MeshOutput(
-        vertices=vertices[kept],
-        faces=remap[faces[face_ok]],
-        scalars={k: np.asarray(v)[kept] for k, v in scalars.items()},
-    )
+    return MeshOutput(vertices[kept], remap[faces[keep[faces].all(axis=1)]])
 
 
-def mesh_from_frames(sigma: np.ndarray, tau: np.ndarray,
-                     periodic_u: bool = False, periodic_theta: bool = False,
-                     scalars: Optional[dict] = None) -> MeshOutput:
-    """Point-sphere mesh of a frame grid, with infinite points removed."""
-    positions, finite = grid_point_spheres(sigma, tau)
-    nu, nt = positions.shape[:2]
-    faces = triangulate_grid((nu, nt), periodic_u, periodic_theta)
-    flat_scalars = {k: np.asarray(v, dtype=float).reshape(-1)
-                    for k, v in (scalars or {}).items()}
-    return compact_mesh(positions.reshape(-1, 3), faces,
-                        finite.reshape(-1), flat_scalars)
-
-
-def mesh_from_grid(grid, scalars: Optional[dict] = None) -> MeshOutput:
-    """Convenience wrapper taking anything with sigma/tau/periodic flags."""
-    return mesh_from_frames(grid.sigma, grid.tau, grid.periodic_u,
-                            grid.periodic_theta, scalars)
+def mesh_from_grid(grid) -> MeshOutput:
+    """Point-sphere mesh of anything with sigma/tau/periodic flags, with
+    the points at infinity removed."""
+    return _grid_mesh(*grid_point_spheres(grid.sigma, grid.tau),
+                      grid.periodic_u, grid.periodic_theta)
 
 
 #: rows per write in export_obj: whole-mesh strings would cost memory
@@ -156,11 +125,11 @@ _WRITE_ROWS = 1024
 
 def _blocks(rows: np.ndarray):
     for start in range(0, rows.shape[0], _WRITE_ROWS):
-        yield start, rows[start:start + _WRITE_ROWS]
+        yield rows[start:start + _WRITE_ROWS]
 
 
 def export_obj(mesh: MeshOutput, path) -> str:
-    """Write a Wavefront OBJ file; scalar channels go to a CSV sidecar.
+    """Write a Wavefront OBJ file.
 
     Returns the OBJ path.  Floats are written with full repr precision so a
     reload reproduces the vertices bit for bit.  Rows go out in blocks of
@@ -170,27 +139,15 @@ def export_obj(mesh: MeshOutput, path) -> str:
     """
     path = os.fspath(path)
     with open(path, "w") as fh:
-        for _, block in _blocks(mesh.vertices):
+        for block in _blocks(mesh.vertices):
             block = np.ascontiguousarray(block)
             bits, inv = np.unique(block.view(np.int64), return_inverse=True)
             labels = np.array([*map(repr, bits.view(float).tolist())], object)
             fh.write(("v %s %s %s\n" * len(block))
                      % tuple(labels[inv.ravel()]))
-        for _, block in _blocks(mesh.faces):
+        for block in _blocks(mesh.faces):
             fh.write(("f %d %d %d\n" * block.shape[0])
                      % tuple((block + 1).ravel().tolist()))
-    if mesh.scalars:
-        sidecar = (path[:-4] if path.endswith(".obj") else path) + ".scalars.csv"
-        names = sorted(mesh.scalars)
-        columns = np.stack([np.asarray(mesh.scalars[n], dtype=float)
-                            for n in names], axis=-1)
-        with open(sidecar, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["vertex"] + names)
-            for start, block in _blocks(columns):
-                writer.writerows(
-                    [k] + list(map(repr, row))
-                    for k, row in enumerate(block.tolist(), start))
     return path
 
 
@@ -214,6 +171,4 @@ def cyclide_point_grid(cyclide, n_a: int = 64, n_b: int = 64):
 
 def cyclide_mesh(cyclide, n_a: int = 64, n_b: int = 64) -> MeshOutput:
     """Triangle mesh of a Dupin cyclide (transforms.DupinCyclide)."""
-    positions, finite = cyclide_point_grid(cyclide, n_a, n_b)
-    faces = triangulate_grid((n_a, n_b), periodic_u=True, periodic_theta=True)
-    return compact_mesh(positions.reshape(-1, 3), faces, finite.reshape(-1))
+    return _grid_mesh(*cyclide_point_grid(cyclide, n_a, n_b), True, True)

@@ -10,10 +10,11 @@ written with full repr precision.
 
 Each object kind and each pipeline op has one declaration: what runs it,
 the keys naming earlier objects, and a JSON-schema type per parameter.
-Its validator, the object builder and the names it stores all derive
-from it.  The semantic layer on top checks what a schema cannot: that
-names are defined before use, that ids are unique, and that output paths
-stay inside the artifact directory.
+Its validator, the object builder, the names it stores and which of them
+have a mesh all derive from it.  The semantic layer on top checks what a
+schema cannot: that names are defined before use, that ids are unique,
+that a mesh output names a grid or a cyclide (and sizes only a
+cyclide's), and that output paths stay inside the artifact directory.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import jsonschema
 import numpy as np
@@ -50,7 +51,7 @@ from .legendre import (
     curvature_data,
     is_channel,
     lie_cyclide_split,
-    spherical_line_residual,
+    spherical_line_residuals,
     validate_legendre,
 )
 from .mesh import (_pencil_point_spheres, cyclide_mesh, cyclide_point_grid,
@@ -188,7 +189,7 @@ _NAME = {"type": "string", "pattern": _NAME_PATTERN}
 
 
 def _nothing(cfg):
-    return []
+    return {}
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,10 @@ class _Decl:
     """An object kind or a pipeline op: the library constructor or op runner,
     the config keys naming earlier objects (required `refs`, optional
     `optional_refs`), one JSON-schema type per parameter, the parameters
-    that must be given, and the object names (or name prefixes) it stores
-    for later stages."""
+    that must be given, and what it makes for later stages, each with the
+    mesh it is written as ("grid", "cyclide" or None): for an object kind
+    the object itself (`mesh`), for an op the object names (or name
+    prefixes) it stores, as {name: mesh}."""
 
     run: Callable
     refs: tuple = ()
@@ -206,6 +209,7 @@ class _Decl:
     required: tuple = ()
     stores: Callable = _nothing
     prefixes: Callable = _nothing
+    mesh: Optional[str] = None
 
     def validator(self, fixed):
         """Validator of one config entry; `fixed` holds the keys every
@@ -250,17 +254,17 @@ _OBJECT_KINDS = {
         n=_COUNT, ring_radius=_NUMBER, pitch=_NUMBER, radius=_NUMBER,
         turns=_NUMBER)),
     "envelope": _Decl(envelope, refs=("sphere_curve",),
-                      params=dict(n_theta=_COUNT)),
+                      params=dict(n_theta=_COUNT), mesh="grid"),
     "line_curve": _Decl(line_curve, params=_CURVE),
     "circle_curve": _Decl(circle_curve, params=dict(n=_COUNT,
                                                     radius=_NUMBER)),
     "tube": _Decl(tube, refs=("curve",), required=("radius",),
-                  params=dict(radius=_NUMBER, n_theta=_COUNT)),
+                  params=dict(radius=_NUMBER, n_theta=_COUNT), mesh="grid"),
     "tube_sphere_curve": _Decl(tube_sphere_curve, refs=("curve",),
                                required=("radius",),
                                params=dict(radius=_NUMBER)),
     "curve_legendre_lift": _Decl(curve_legendre_lift, refs=("curve",),
-                                 params=dict(n_theta=_COUNT)),
+                                 params=dict(n_theta=_COUNT), mesh="grid"),
 }
 _KIND_VALIDATORS = {name: kind.validator({"kind": {}})
                     for name, kind in _OBJECT_KINDS.items()}
@@ -467,13 +471,10 @@ def _op_sphericity(args, ctx):
     grid = args["target"]
     axis = args.get("axis", "u")
     count = grid.shape[0] if axis == "u" else grid.shape[1]
-    stride = args.get("stride", max(1, count // 8))
-    worst = 0.0
-    for index in range(0, count, stride):
-        residual, _ = spherical_line_residual(grid, axis, index)
-        worst = max(worst, residual)
-    return {"residual_max": worst, "lines_checked": len(range(0, count,
-                                                              stride))}
+    lines = range(0, count, args.get("stride", max(1, count // 8)))
+    residuals, _ = spherical_line_residuals(grid, axis, lines)
+    return {"residual_max": float(np.max(residuals)),
+            "lines_checked": len(lines)}
 
 
 def _op_dupin_fit(args, ctx):
@@ -521,21 +522,21 @@ def _op_circle_congruence(args, ctx):
             "passed": rep.passed, "notes": list(rep.notes)}
 
 
-def _key_if_set(key):
-    return lambda stage: [stage[key]] if key in stage else []
+def _key_if_set(key, mesh=None):
+    return lambda stage: {stage[key]: mesh} if key in stage else {}
 
 
 def _stores_darboux(stage):
     if "store" not in stage:
-        return []
-    return [stage["store"], stage["store"] + "_spheres"]
+        return {}
+    return {stage["store"]: "grid", stage["store"] + "_spheres": None}
 
 
 def _stores_calapso(stage):
     if "store_prefix" not in stage:
-        return []
-    return [f"{stage['store_prefix']}_{float(lam)}"
-            for lam in stage.get("lambdas", [])]
+        return {}
+    return {f"{stage['store_prefix']}_{float(lam)}": "grid"
+            for lam in stage.get("lambdas", [])}
 
 
 _PAIR = ("a", "b")
@@ -565,7 +566,7 @@ _OPS = {
         _op_congruence_contact,
         refs=("grid", "hat_grid", "spheres_a", "spheres_b"),
         params=dict(sample_every=_STEP, n_probe=_STEP, store_prefix=_NAME),
-        prefixes=_key_if_set("store_prefix")),
+        prefixes=_key_if_set("store_prefix", "cyclide")),
     "sphericity": _Decl(_op_sphericity, refs=("target",),
                         params=dict(axis={"enum": ["u", "theta"]},
                                     stride=_STEP)),
@@ -573,7 +574,7 @@ _OPS = {
                        required=("indices",),
                        params=dict(indices=_INDICES, store=_NAME,
                                    torus=_TORUS),
-                       stores=_key_if_set("store")),
+                       stores=_key_if_set("store", "cyclide")),
     "curve_check": _Decl(_op_curve_check, refs=_PAIR),
     "tube_check": _Decl(_op_tube_check, refs=_PAIR, required=("radius",),
                         params=dict(radius=_NUMBER)),
@@ -623,7 +624,7 @@ def validate_scene(config) -> list:
     if not isinstance(config.get("seed", 0), int):
         errors.append("seed must be an integer")
 
-    defined = set()
+    defined = {}
     for name, cfg in config["objects"].items():
         kind = _OBJECT_KINDS.get(cfg["kind"])
         if kind is None:
@@ -632,9 +633,9 @@ def validate_scene(config) -> list:
             errors += _schema_errors(_KIND_VALIDATORS[cfg["kind"]], cfg,
                                      "objects", name)
             errors += _undefined(f"object '{name}'", kind, cfg, defined)
-        defined.add(name)
+        defined[name] = kind.mesh if kind else None
 
-    prefixes = []
+    prefixes = {}
     seen_ids = set()
     for index, stage in enumerate(config["pipeline"]):
         sid = stage["id"]
@@ -654,19 +655,23 @@ def validate_scene(config) -> list:
         if not _NAME_KEYS & {err.absolute_path[0] for err in stage_errors
                              if err.absolute_path}:
             defined.update(op.stores(stage))
-            prefixes.extend(op.prefixes(stage))
+            prefixes.update(op.prefixes(stage))
 
     outputs = config.get("outputs", {})
     for entry in outputs.get("meshes", []):
-        name = entry["object"]
-        known = name in defined or any(name.startswith(p + "_")
-                                       for p in prefixes)
-        if not known:
-            errors.append(f"mesh output '{entry['path']}': object '{name}' "
-                          "is never defined")
+        name, where = entry["object"], f"mesh output '{entry['path']}'"
+        meshes = [defined[name]] if name in defined else [
+            mesh for p, mesh in prefixes.items() if name.startswith(p + "_")]
+        if not meshes:
+            errors.append(f"{where}: object '{name}' is never defined")
+        elif meshes[0] is None:
+            errors.append(f"{where}: object '{name}' has no mesh")
+        elif meshes[0] == "grid" and "n" in entry:
+            errors.append(f"{where}: object '{name}' is a grid, meshed at "
+                          "its own samples; 'n' sizes cyclide meshes only")
         if not _safe_path(entry["path"]):
-            errors.append(f"mesh output '{entry['path']}': path must stay "
-                          "inside the artifact directory")
+            errors.append(f"{where}: path must stay inside the artifact "
+                          "directory")
     report = outputs.get("report")
     if report is not None and not _safe_path(report):
         errors.append(f"report output '{report}': path must stay inside "
@@ -718,15 +723,6 @@ def _eval_assertion(check, measurements):
     return entry
 
 
-def _mesh_of(obj, name, n):
-    if isinstance(obj, DupinCyclide):
-        return cyclide_mesh(obj, n, n)
-    if hasattr(obj, "sigma") and hasattr(obj, "tau"):
-        return mesh_from_grid(obj)
-    raise GeometryError(f"object '{name}' of type {type(obj).__name__} "
-                        "has no mesh")
-
-
 def run_scene(config: dict, out_dir) -> dict:
     """Execute a validated scene and write its artifacts.
 
@@ -772,10 +768,13 @@ def run_scene(config: dict, out_dir) -> dict:
         if name not in ctx.objects:
             raise PipelineError(
                 "outputs", f"mesh object '{name}' was never stored")
+        # validate_scene admits only grids and cyclides here
+        obj, n = ctx.objects[name], int(entry.get("n", 48))
         try:
-            mesh = _mesh_of(ctx.objects[name], name, int(entry.get("n", 48)))
+            mesh = (cyclide_mesh(obj, n, n) if isinstance(obj, DupinCyclide)
+                    else mesh_from_grid(obj))
             export_obj(mesh, os.path.join(out_dir, entry["path"]))
-        except (GeometryError, OSError) as exc:
+        except OSError as exc:
             raise PipelineError("outputs", str(exc)) from exc
         mesh_entries.append({"object": name, "path": entry["path"],
                              "vertices": int(mesh.vertices.shape[0]),

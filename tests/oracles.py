@@ -66,3 +66,19 @@ def element_complement(sigma, tau):
     stack = np.stack([sigma, tau, SIGNS * sigma, SIGNS * tau], axis=-2)
     _, svals, vt = np.linalg.svd(stack)
     return vt[..., 4:, :], svals
+
+
+def line_sphere_fit(sigma, tau):
+    """Sphere fit to one parameter line of contact elements (n, 6) from
+    its finite points alone: each element's radius-zero pencil member
+    sigma_5 tau - tau_5 sigma, dropped where its (e4 + e5) part vanishes
+    (the point at infinity), the rest scaled to norm 1 and compacted into
+    one (m, 5) system over the SIGNS-paired first five coordinates.
+    Returns (singular values, that system, its last right singular
+    vector)."""
+    vec = sigma[:, 5:6] * tau - tau[:, 5:6] * sigma
+    norm = np.linalg.norm(vec, axis=-1)
+    finite = np.abs(vec[:, 3] + vec[:, 4]) > 1e-10 * norm
+    system = (vec[finite] / norm[finite, None] * SIGNS)[:, :5]
+    _, svals, vt = np.linalg.svd(system, full_matrices=False)
+    return svals, system, vt[-1]

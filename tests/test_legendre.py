@@ -15,6 +15,7 @@ import oracles
 from liechannel import legendre as legendre_module, stencils
 from liechannel.channel import envelope, line_sphere_curve, omega0_form
 from liechannel.core import (
+    INFINITY_VEC,
     SIGNS,
     GeometryError,
     complement_rows,
@@ -34,7 +35,7 @@ from liechannel.legendre import (
     is_channel,
     lie_cyclide_split,
     make_legendre_from_surface,
-    spherical_line_residual,
+    spherical_line_residuals,
     validate_legendre,
     _directional_derivative,
     _quotient_frames,
@@ -736,7 +737,7 @@ def test_channel_check_and_validation_make_no_lapack_calls(monkeypatch):
 def test_circular_lines_have_zero_residual():
     torus = preset_grid("torus", n_u=48, n_theta=48)
     for axis, index in (("u", 10), ("theta", 7)):
-        res, sphere = spherical_line_residual(torus, axis, index)
+        (res,), (sphere,) = spherical_line_residuals(torus, axis, [index])
         assert res <= 1e-10
         # the recovered sphere actually contains the line's points
         line = torus.sigma[index, :] if axis == "u" else torus.sigma[:, index]
@@ -747,7 +748,7 @@ def test_circular_lines_have_zero_residual():
 
 def test_noncircular_line_is_detected():
     helix = preset_grid("helix_tube", n_u=64, n_theta=48)
-    res, _ = spherical_line_residual(helix, "theta", 7)
+    (res,), _ = spherical_line_residuals(helix, "theta", [7])
     assert res >= 1e-2                    # measured 1.9e-1
 
 
@@ -756,23 +757,91 @@ def test_planar_lines_count_as_spherical():
     # to the sphere family, so the residual is tiny even though the surface
     # is nowhere a channel
     ellipsoid = preset_grid("ellipsoid", n_u=48, n_theta=48)
-    res, sphere = spherical_line_residual(ellipsoid, "u", 10)
+    (res,), (sphere,) = spherical_line_residuals(ellipsoid, "u", [10])
     assert res <= 1e-10
     assert abs(sphere[3] + sphere[4]) <= 1e-10   # plane lifts satisfy x4 = -x5
-    res, _ = spherical_line_residual(preset_grid("cylinder", n_u=48, n_theta=48),
-                                     "theta", 3)
+    (res,), _ = spherical_line_residuals(
+        preset_grid("cylinder", n_u=48, n_theta=48), "theta", [3])
     assert res <= 1e-10                   # straight rulings are planar too
+
+
+def _at_infinity(sigma, tau, where):
+    """Move the elements at where to a plane through the point at
+    infinity, whose point sphere is that point."""
+    sigma[where] = INFINITY_VEC
+    tau[where] = plane_lift([0, 0, 1.0], 0.0)
+
+
+@pytest.mark.parametrize("name, axis, kw", [
+    ("torus", "u", {"n_u": 48, "n_theta": 48}),
+    ("torus", "theta", {"n_u": 48, "n_theta": 48}),
+    ("helix_tube", "theta", {"n_u": 64, "n_theta": 48}),
+    ("ellipsoid", "u", {"n_u": 48, "n_theta": 48})])
+def test_batched_line_fits_match_the_compacted_svd(name, axis, kw):
+    # points at infinity enter the batch as zero rows; the oracle drops
+    # them and fits each line on its own
+    grid = preset_grid(name, **kw)
+    sigma, tau = np.array(grid.sigma), np.array(grid.tau)
+    if axis == "theta":
+        sigma, tau = np.swapaxes(sigma, 0, 1), np.swapaxes(tau, 0, 1)
+    rng = np.random.default_rng(19)
+    lines = np.arange(0, sigma.shape[0], 5)
+    for index in lines[::2]:              # 7 points at infinity per line
+        _at_infinity(sigma, tau, (index, rng.choice(sigma.shape[1], 7,
+                                                    replace=False)))
+    if axis == "theta":
+        sigma, tau = np.swapaxes(sigma, 0, 1), np.swapaxes(tau, 0, 1)
+    planted = dataclasses.replace(grid, sigma=sigma, tau=tau)
+    residuals, spheres = spherical_line_residuals(planted, axis, lines)
+    assert residuals.shape == (len(lines),) and spheres.shape == (len(lines), 6)
+    for index, res, sphere in zip(lines, residuals, spheres):
+        line = (index, slice(None)) if axis == "u" else (slice(None), index)
+        svals, system, _ = oracles.line_sphere_fit(sigma[line], tau[line])
+        assert abs(res - svals[-1]) <= 1e-14 * svals[0]
+        # the returned sphere attains the residual on the compacted rows
+        assert abs(np.linalg.norm(system @ sphere[:5]) - res) <= 1e-14 * svals[0]
+        # the radius slot puts the sphere on the lightcone wherever the
+        # fit's five coordinates admit a real radius
+        assert abs(inner(sphere, sphere)) <= 1e-12 or sphere[5] == 0.0
 
 
 def test_spherical_line_error_paths():
     torus = preset_grid("torus", n_u=48, n_theta=48)
     with pytest.raises(ValueError):
-        spherical_line_residual(torus, "x", 0)
+        spherical_line_residuals(torus, "x", [0])
     sig = np.broadcast_to(np.array([0, 0, 0, -1.0, 1.0, 0]), (8, 8, 6)).copy()
     tau = np.broadcast_to(plane_lift([0, 0, 1.0], 0.0), (8, 8, 6)).copy()
     grid = LegendreGrid(sig, tau, np.linspace(0, 1, 8), np.linspace(0, 1, 8))
-    with pytest.raises(GeometryError):
-        spherical_line_residual(grid, "u", 0)   # every point sits at infinity
+    with pytest.raises(GeometryError, match="u-index 0 has fewer than six"):
+        spherical_line_residuals(grid, "u", [0])   # every point at infinity
+
+
+def test_line_fit_errors_name_the_first_bad_line():
+    torus = preset_grid("torus", n_u=48, n_theta=48)
+    sigma, tau = np.array(torus.sigma), np.array(torus.tau)
+    _at_infinity(sigma, tau, 5)                    # line u-index 5 at infinity
+    sigma[9, 3] = point_lift(np.array([1.0, 0, 0]))
+    tau[9, 3] = point_lift(np.array([0.0, 1, 0]))  # a pencil of point spheres
+
+    def fit(axis, lines):
+        return spherical_line_residuals(
+            dataclasses.replace(torus, sigma=sigma, tau=tau), axis, lines)
+
+    with pytest.raises(GeometryError,
+                       match=r"u-index 5 has fewer than six finite points"):
+        fit("u", [0, 5, 9])
+    with pytest.raises(GeometryError, match=r"u-index 9: pencil is entirely "
+                                            "made of point spheres"):
+        fit("u", [0, 9, 5])
+    with pytest.raises(GeometryError, match=r"theta-index 3: pencil"):
+        fit("theta", range(48))
+    # on one line the pencil check comes first
+    sigma[5, 0] = sigma[9, 3]
+    tau[5, 0] = tau[9, 3]
+    with pytest.raises(GeometryError, match=r"u-index 5: pencil"):
+        fit("u", [5, 9])
+    residuals, _ = fit("u", [0, 10, 20])           # good lines still fit
+    assert np.max(residuals) <= 1e-10
 
 
 # -- grid utilities ---------------------------------------------------------------

@@ -1,11 +1,8 @@
 """Tests for point-sphere extraction, triangulation and OBJ export."""
 
-import csv
-
 import numpy as np
-import pytest
 
-from liechannel.core import (INFINITY_VEC, GeometryError, Infinity,
+from liechannel.core import (INFINITY_VEC, Infinity,
                              SignatureError, circle_points, containment_gap,
                              first_failure, plane_lift, point_lift,
                              project_to_euclidean, span_rows)
@@ -14,13 +11,12 @@ from liechannel.legendre import make_legendre_from_surface
 from liechannel.mesh import (
     _WRITE_ROWS,
     MeshOutput,
-    compact_mesh,
+    _grid_mesh,
     cyclide_mesh,
     cyclide_point_grid,
     export_obj,
     grid_point_spheres,
     mesh_from_grid,
-    point_sphere_lifts,
     triangulate_grid,
 )
 from liechannel.scene import run_scene
@@ -70,46 +66,33 @@ def test_point_sphere_recovers_surface_point():
     positions, finite = grid_point_spheres(grid.sigma, grid.tau)
     assert finite.all()
     for i in (0, 5, 15):
-        lifts, dropped = point_sphere_lifts(grid.sigma[i], grid.tau[i])
-        assert dropped == 0
-        assert np.max(np.abs(lifts[:, 5])) <= 1e-12      # radius-zero members
-        homog = lifts[:, 3:4] + lifts[:, 4:5]
-        np.testing.assert_allclose(lifts[:, :3] / homog, pts[i], atol=1e-12)
         np.testing.assert_allclose(positions[i], pts[i], atol=1e-12)
 
 
 def test_point_sphere_special_cases():
-    # a pencil through the point at infinity is dropped by the row reader
-    # and masked out by the grid reader
+    # a pencil through the point at infinity is masked out
     sigma = np.stack([INFINITY_VEC, point_lift(np.array([1.0, 2.0, 3.0]))])
     tau = np.stack([plane_lift([0, 0, 1.0], 0.0),
                     plane_lift([1.0, 0, 0], 1.0)])
-    lifts, dropped = point_sphere_lifts(sigma, tau)
-    assert dropped == 1 and lifts.shape == (1, 6)
     positions, finite = grid_point_spheres(sigma, tau)
     assert list(finite) == [False, True]
     np.testing.assert_allclose(positions, [[0.0, 0, 0], [1.0, 2.0, 3.0]],
                                atol=1e-15)
-    # a pencil made only of point spheres has no unique point sphere
-    with pytest.raises(GeometryError, match="entirely made of point spheres"):
-        point_sphere_lifts(point_lift(np.array([[1.0, 0, 0]])),
-                           point_lift(np.array([[0.0, 1, 0]])))
 
 
-def test_point_sphere_lifts_read_a_row_like_the_pointwise_reader():
+def test_grid_point_spheres_read_a_row_like_the_pointwise_reader():
     grid = cylinder_grid(16)
     sigma, tau = np.array(grid.sigma[3]), np.array(grid.tau[3])
     sigma[[2, 9]] = INFINITY_VEC          # two elements through infinity
     tau[[2, 9]] = plane_lift([0, 0, 1.0], 0.0)
-    lifts, dropped = point_sphere_lifts(sigma, tau)
-    expected = [v for v in map(pointwise_point_sphere, sigma, tau)
-                if v is not None]
-    assert dropped == 2 and lifts.shape == (14, 6)
-    np.testing.assert_allclose(lifts, expected, atol=1e-15)
-    sigma[5] = point_lift(np.array([1.0, 0, 0]))
-    tau[5] = point_lift(np.array([0.0, 1, 0]))
-    with pytest.raises(GeometryError, match="entirely made of point spheres"):
-        point_sphere_lifts(sigma, tau)
+    positions, finite = grid_point_spheres(sigma, tau)
+    expected = list(map(pointwise_point_sphere, sigma, tau))
+    assert list(finite) == [v is not None for v in expected]
+    assert np.count_nonzero(~finite) == 2
+    np.testing.assert_allclose(
+        positions[finite], [v[:3] / (v[3] + v[4]) for v in expected
+                            if v is not None], atol=1e-14)
+    assert not positions[~finite].any()
 
 
 def test_grid_point_spheres_roundtrip():
@@ -141,18 +124,20 @@ def test_triangulation_indices_are_valid():
 
 
 def test_compact_mesh_drops_and_renumbers():
-    verts = np.arange(27, dtype=float).reshape(9, 3)
+    positions = np.arange(27, dtype=float).reshape(3, 3, 3)
     faces = triangulate_grid((3, 3))
-    keep = np.ones(9, dtype=bool)
-    keep[0] = False
-    out = compact_mesh(verts, faces, keep, {"tag": np.arange(9.0)})
-    assert out.vertices.shape == (8, 3)
+    finite = np.ones((3, 3), dtype=bool)
+    finite[0, 0] = False
+    out = _grid_mesh(positions, finite, False, False)
+    np.testing.assert_array_equal(out.vertices, positions.reshape(9, 3)[1:])
     assert out.faces.shape == (6, 3)           # the corner quad's 2 faces gone
-    assert out.faces.min() >= 0 and out.faces.max() < 8
-    np.testing.assert_allclose(out.scalars["tag"], np.arange(1.0, 9.0))
-    # untouched mask is a no-op
-    same = compact_mesh(verts, faces, np.ones(9, dtype=bool))
-    assert same.faces.shape == faces.shape
+    # each kept face names the same vertices, renumbered past the corner
+    np.testing.assert_array_equal(out.faces + 1,
+                                  faces[(faces != 0).all(axis=1)])
+    # an all-finite grid keeps every vertex and face
+    same = _grid_mesh(positions, np.ones((3, 3), dtype=bool), False, False)
+    np.testing.assert_array_equal(same.faces, faces)
+    assert same.vertices.shape == (9, 3)
 
 
 def test_mesh_from_grid_counts():
@@ -218,26 +203,6 @@ def test_demo_objs_match_the_reference_writer(tmp_path):
             path = out / entry["path"]
             verts, faces = load_obj(path)
             assert path.read_bytes() == reference_obj_bytes(verts, faces)
-
-
-def test_obj_scalar_sidecar(tmp_path):
-    mesh = mesh_from_grid(cylinder_grid(8),
-                          scalars={"zeta": np.linspace(0, 1, 64),
-                                   "alpha": np.linspace(2, 3, 64)})
-    path = export_obj(mesh, tmp_path / "m.obj")
-    sidecar = tmp_path / "m.scalars.csv"
-    with open(sidecar) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["vertex", "alpha", "zeta"]  # names sorted
-    assert len(rows) == 65
-    assert float(rows[1][2]) == 0.0
-    assert float(rows[-1][1]) == 3.0
-
-
-def test_obj_without_scalars_writes_no_sidecar(tmp_path):
-    export_obj(MeshOutput(np.zeros((3, 3)), np.array([[0, 1, 2]])),
-               tmp_path / "bare.obj")
-    assert not (tmp_path / "bare.scalars.csv").exists()
 
 
 # -- cyclide sampling -----------------------------------------------------------

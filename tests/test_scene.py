@@ -102,6 +102,9 @@ def test_semantic_violations_are_reported():
     cfg["outputs"]["meshes"].append({"object": "nowhere", "path": "x.obj"})
     cfg["outputs"]["meshes"].append({"object": "tube_a",
                                      "path": "../out.obj"})
+    cfg["outputs"]["meshes"].append({"object": "axis", "path": "a.obj"})
+    cfg["outputs"]["meshes"].append({"object": "tube_a", "path": "t.obj",
+                                     "n": 8})
     errors = validate_scene(cfg)
     joined = "\n".join(errors)
     assert "unknown kind 'hexagon'" in joined
@@ -111,6 +114,9 @@ def test_semantic_violations_are_reported():
     assert "m: must be nonzero" in joined
     assert "'nowhere' is never defined" in joined
     assert "must stay inside the artifact directory" in joined
+    assert "mesh output 'a.obj': object 'axis' has no mesh" in errors
+    assert ("mesh output 't.obj': object 'tube_a' is a grid, meshed at its "
+            "own samples; 'n' sizes cyclide meshes only") in errors
 
 
 def test_a_bad_parameter_does_not_hide_what_the_stage_stores():
@@ -167,6 +173,17 @@ _BROKEN = {
     "empty-lambdas": ("cylinder-calapso", ("pipeline", 1, "lambdas"), []),
     "torus-without-radius": ("torus-cyclide", ("pipeline", 3, "torus"),
                              {"ring": 2.0}),
+    # which stored objects have a mesh follows from the declarations
+    "mesh-of-a-sphere-curve": ("cylinder-darboux",
+                               ("outputs", "meshes", 0, "object"),
+                               "generators"),
+    "mesh-of-omega0": ("cylinder-darboux", ("outputs", "meshes", 0, "object"),
+                       "eta"),
+    "mesh-of-darboux-spheres": ("cylinder-darboux",
+                                ("outputs", "meshes", 0, "object"),
+                                "hat_spheres"),
+    "n-of-a-grid-mesh": ("cylinder-darboux", ("outputs", "meshes", 1, "n"),
+                         32),
 }
 
 
@@ -200,8 +217,9 @@ def test_stored_names_are_usable_downstream():
     # also use the congruence cyclide prefix
     assert validate_scene(cfg) == []
     cfg["outputs"]["meshes"].append({"object": "cyclide_999",
-                                     "path": "extra.obj"})
-    assert validate_scene(cfg) == []   # prefix names resolve at run time
+                                     "path": "extra.obj", "n": 16})
+    # prefix names resolve at run time, and a cyclide takes its sampling
+    assert validate_scene(cfg) == []
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +282,9 @@ def test_degenerate_cyclide_names_its_u_index(tmp_path):
         run_scene(cfg, tmp_path)
 
 
-def test_congruence_contact_makes_as_many_linalg_calls_at_any_grid(
-        tmp_path, monkeypatch):
-    # every sampled cyclide is measured in one batched pass
+def _linalg_calls_inside(monkeypatch, op_name):
+    """The list that every numpy.linalg call made inside the op op_name
+    is appended to, by name."""
     calls, inside = [], []
     for name in np.linalg.__all__:
         original = getattr(np.linalg, name)
@@ -276,7 +294,7 @@ def test_congruence_contact_makes_as_many_linalg_calls_at_any_grid(
                     calls.append(_name)
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
-    op = scene._OPS["congruence_contact"]
+    op = scene._OPS[op_name]
 
     def run(args, ctx):
         inside.append(True)
@@ -285,22 +303,45 @@ def test_congruence_contact_makes_as_many_linalg_calls_at_any_grid(
         finally:
             inside.pop()
 
-    monkeypatch.setitem(scene._OPS, "congruence_contact",
-                        dataclasses.replace(op, run=run))
+    monkeypatch.setitem(scene._OPS, op_name, dataclasses.replace(op, run=run))
+    return calls
 
-    def count(grid):
-        cfg = demo_config("cylinder-darboux", grid=grid)
-        del cfg["outputs"]["meshes"]
-        del calls[:]
-        report = run_scene(cfg, tmp_path / str(grid))
-        assert report["passed"]
-        stage, = [s for s in report["stages"] if s["id"] == "tangent-cyclides"]
-        return stage["measurements"]["n_cyclides"], list(calls)
 
-    (n_small, small), (n_large, large) = count(32), count(64)
-    assert n_small < n_large
+def _darboux_stage(tmp_path, calls, stage_id, grid, **params):
+    """Measurements of one stage of the cylinder-darboux demo (no meshes,
+    params added to the stage) and the calls counted during the run."""
+    cfg = demo_config("cylinder-darboux", grid=grid)
+    del cfg["outputs"]["meshes"]
+    stage, = [s for s in cfg["pipeline"] if s["id"] == stage_id]
+    stage.update(params)
+    del calls[:]
+    report = run_scene(cfg, tmp_path / f"{stage_id}-{grid}")
+    assert report["passed"]
+    stage, = [s for s in report["stages"] if s["id"] == stage_id]
+    return stage["measurements"], list(calls)
+
+
+def test_congruence_contact_makes_as_many_linalg_calls_at_any_grid(
+        tmp_path, monkeypatch):
+    # every sampled cyclide is measured in one batched pass
+    calls = _linalg_calls_inside(monkeypatch, "congruence_contact")
+    (small_rep, small), (large_rep, large) = (
+        _darboux_stage(tmp_path, calls, "tangent-cyclides", grid)
+        for grid in (32, 64))
+    assert small_rep["n_cyclides"] < large_rep["n_cyclides"]
     assert 0 < len(small) == len(large)
     assert "svd" not in small and "eigvalsh" not in small
+
+
+def test_sphericity_makes_as_many_linalg_calls_at_any_grid(tmp_path,
+                                                          monkeypatch):
+    # every sampled line is fitted in one batched SVD
+    calls = _linalg_calls_inside(monkeypatch, "sphericity")
+    (small_rep, small), (large_rep, large) = (
+        _darboux_stage(tmp_path, calls, "circular-lines", grid, stride=1)
+        for grid in (32, 64))
+    assert (small_rep["lines_checked"], large_rep["lines_checked"]) == (32, 64)
+    assert small == large and small.count("svd") == 1
 
 
 def _curve_pairs(seed):
