@@ -54,15 +54,15 @@ def _out_dir(base, scene_name) -> str:
 
 
 def _execute(config, base_out) -> int:
-    errors = validate_scene(config)
-    if errors:
-        for err in errors:
-            print(f"invalid scene: {err}", file=sys.stderr)
-        return 2
-    # validated first: the output directory is named after the scene
-    name = config.get("name", "scene")
+    # run_scene validates the config before it touches the output
+    # directory, which is named after the scene
+    name = str(config.get("name", "scene"))
     try:
         report = run_scene(config, _out_dir(base_out, name))
+    except SceneError as exc:
+        for err in exc.errors:
+            print(f"invalid scene: {err}", file=sys.stderr)
+        return 2
     except PipelineError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -10,21 +10,27 @@ written with full repr precision.
 
 Each object kind and each pipeline op has one declaration: what runs it,
 the keys naming earlier objects, and a JSON-schema type per parameter.
-Its validator, the object builder, the names it stores and which of them
-have a mesh all derive from it.  The semantic layer on top checks what a
-schema cannot: that names are defined before use, that ids are unique,
-that a mesh output names a grid or a cyclide (and sizes only a
-cyclide's), and that output paths stay inside the artifact directory.
+Its schema, the object builder, the names it stores and which of them
+have a mesh all derive from it.  The schema types are checked in-package:
+`_errors` implements the JSON Schema keywords the declarations use, with
+jsonschema's semantics and messages, and a declaration using any other
+keyword fails when this module loads.  The semantic layer on top checks
+what a schema cannot: that numbers are finite, that names are defined
+before use, that ids are unique, that a mesh output names a grid or a
+cyclide (and sizes only a cyclide's), and that output paths stay inside
+the artifact directory.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-import jsonschema
 import numpy as np
 
 from .channel import (
@@ -74,6 +80,222 @@ from .transforms import (
 REPORT_SCHEMA = "liechannel-report/1"
 OUT_ENV_VAR = "LIECHANNEL_OUT"
 
+
+# ---------------------------------------------------------------------------
+# schema checker: the draft 2020-12 keywords the declarations use, with
+# jsonschema's semantics and messages
+# ---------------------------------------------------------------------------
+
+#: JSON types: bools are neither numbers nor integers, and an
+#: integer-valued float is an integer
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": lambda value: (isinstance(value, numbers.Number)
+                             and not isinstance(value, bool)),
+    "integer": lambda value: (
+        isinstance(value, int) and not isinstance(value, bool)
+        or isinstance(value, float) and value.is_integer()),
+}
+
+
+def _equal(value, wanted):
+    """JSON equality with a scalar `wanted`: True and 1 differ."""
+    if isinstance(value, bool) or isinstance(wanted, bool):
+        return value is wanted
+    return value == wanted
+
+
+# Each keyword check takes (keyword value, instance, enclosing schema) and
+# yields either an error message about the instance or, to descend, a tuple
+# (part of the instance, its schema, instance path step, schema path step).
+
+def _type(name, value, schema):
+    if not _TYPES[name](value):
+        yield f"{value!r} is not of type {name!r}"
+
+
+def _const(wanted, value, schema):
+    if not _equal(value, wanted):
+        yield f"{wanted!r} was expected"
+
+
+def _enum(options, value, schema):
+    if not any(_equal(value, option) for option in options):
+        yield f"{value!r} is not one of {options!r}"
+
+
+def _pattern(pattern, value, schema):
+    if isinstance(value, str) and not re.search(pattern, value):
+        yield f"{value!r} does not match {pattern!r}"
+
+
+def _minimum(bound, value, schema):
+    if _TYPES["number"](value) and value < bound:
+        yield f"{value!r} is less than the minimum of {bound!r}"
+
+
+def _exclusive_minimum(bound, value, schema):
+    if _TYPES["number"](value) and value <= bound:
+        yield f"{value!r} is less than or equal to the minimum of {bound!r}"
+
+
+def _nonzero(wanted, value, schema):
+    if wanted and _TYPES["number"](value) and value == 0:
+        yield "must be nonzero"
+
+
+def _min_items(count, value, schema):
+    if isinstance(value, list) and len(value) < count:
+        yield f"{value!r} " + ("should be non-empty" if count == 1
+                               else "is too short")
+
+
+def _max_items(count, value, schema):
+    if isinstance(value, list) and len(value) > count:
+        yield f"{value!r} " + ("is expected to be empty" if count == 0
+                               else "is too long")
+
+
+def _items(item_schema, value, schema):
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            yield item, item_schema, (index,), ()
+
+
+def _properties(subschemas, value, schema):
+    if isinstance(value, dict):
+        for key, subschema in subschemas.items():
+            if key in value:
+                yield value[key], subschema, (key,), (key,)
+
+
+def _pattern_properties(subschemas, value, schema):
+    if isinstance(value, dict):
+        for pattern, subschema in subschemas.items():
+            for key, item in value.items():
+                if re.search(pattern, key):
+                    yield item, subschema, (key,), (pattern,)
+
+
+def _no_additional_properties(allowed, value, schema):
+    if not isinstance(value, dict):
+        return
+    known = schema.get("properties", {})
+    patterns = "|".join(schema.get("patternProperties", {}))
+    extras = {key for key in value if key not in known
+              and not (patterns and re.search(patterns, key))}
+    if not extras:
+        return
+    if "patternProperties" in schema:
+        verb = "does" if len(extras) == 1 else "do"
+        yield (", ".join(map(repr, sorted(extras)))
+               + f" {verb} not match any of the regexes: "
+               + ", ".join(map(repr, sorted(schema["patternProperties"]))))
+    else:
+        verb = "was" if len(extras) == 1 else "were"
+        yield ("Additional properties are not allowed ("
+               + ", ".join(map(repr, sorted(extras, key=str)))
+               + f" {verb} unexpected)")
+
+
+def _required(keys, value, schema):
+    if isinstance(value, dict):
+        for key in keys:
+            if key not in value:
+                yield f"{key!r} is a required property"
+
+
+def _one_of(subschemas, value, schema):
+    valid = [sub for sub in subschemas
+             if next(_errors(sub, value), None) is None]
+    if not valid:
+        yield f"{value!r} is not valid under any of the given schemas"
+    elif len(valid) > 1:
+        listed = ", ".join(map(repr, valid[1:] + valid[:1]))
+        yield f"{value!r} is valid under each of {listed}"
+
+
+def _annotation(value, instance, schema):
+    return ()
+
+
+_KEYWORDS = {
+    "$schema": _annotation,
+    "type": _type, "const": _const, "enum": _enum, "pattern": _pattern,
+    "minimum": _minimum, "exclusiveMinimum": _exclusive_minimum,
+    "nonzero": _nonzero,
+    "items": _items, "minItems": _min_items, "maxItems": _max_items,
+    "properties": _properties, "patternProperties": _pattern_properties,
+    "additionalProperties": _no_additional_properties,
+    "required": _required, "oneOf": _one_of,
+}
+
+#: the keywords whose value holds subschemas, and how to list them
+_SUBSCHEMAS = {"items": lambda value: [value], "oneOf": list,
+               "properties": dict.values, "patternProperties": dict.values}
+
+
+def _checked(schema) -> dict:
+    """`schema`, once every keyword in it and in its subschemas is one
+    `_errors` implements, in a form it implements; ValueError if not."""
+    for keyword, value in schema.items():
+        if (keyword not in _KEYWORDS
+                or keyword == "type" and value not in _TYPES
+                or keyword == "additionalProperties" and value is not False):
+            raise ValueError(f"schema keyword {keyword!r} with value "
+                             f"{value!r} is not implemented")
+        for subschema in _SUBSCHEMAS.get(keyword, lambda value: ())(value):
+            _checked(subschema)
+    return schema
+
+
+class _Error(NamedTuple):
+    path: tuple          # keys and indices from the instance root
+    message: str
+    schema_path: tuple   # from the schema root to the keyword that failed
+
+
+def _errors(schema, instance, path=(), schema_path=()):
+    """Every error of `instance` under `schema`, in jsonschema's order."""
+    for keyword, value in schema.items():
+        where = schema_path + (keyword,)
+        for found in _KEYWORDS[keyword](value, instance, schema):
+            if isinstance(found, str):
+                yield _Error(path, found, where)
+            else:
+                part, subschema, step, schema_step = found
+                yield from _errors(subschema, part, path + step,
+                                   where + schema_step)
+
+
+def _index(path) -> str:
+    return "".join(f"[{step!r}]" for step in path)
+
+
+def _order(err: _Error):
+    """Sort key that orders errors as jsonschema's str() does.  That
+    string holds, in turn, the message, the keyword's repr, the schema
+    path to the keyword's schema, that schema (fixed by its path) and the
+    instance path.  Each part is followed by a separator ("\\n", " in",
+    ":") below any character that can continue a longer one, so comparing
+    the four parts in turn gives the same order."""
+    return (err.message, repr(err.schema_path[-1]),
+            _index(err.schema_path[:-1]), _index(err.path))
+
+
+def _schema_errors(schema, instance) -> list:
+    """(path, message) of every error of `instance` under `schema`, as
+    jsonschema reports them, sorted by their full description."""
+    return [(err.path, err.message)
+            for err in sorted(_errors(schema, instance), key=_order)]
+
+
+# ---------------------------------------------------------------------------
+# scene schema
+# ---------------------------------------------------------------------------
+
 _NAME_PATTERN = "^[A-Za-z0-9_.-]+$"
 
 _ASSERTION_SCHEMA = {
@@ -90,7 +312,7 @@ _ASSERTION_SCHEMA = {
     "additionalProperties": False,
 }
 
-SCENE_SCHEMA = {
+SCENE_SCHEMA = _checked({
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["version", "objects", "pipeline"],
@@ -143,7 +365,7 @@ SCENE_SCHEMA = {
         },
     },
     "additionalProperties": False,
-}
+})
 
 
 class SceneError(ValueError):
@@ -165,14 +387,6 @@ class PipelineError(RuntimeError):
 # ---------------------------------------------------------------------------
 # declarations: one per object kind and per pipeline op
 # ---------------------------------------------------------------------------
-
-def _nonzero(validator, wanted, value, schema):
-    if wanted and validator.is_type(value, "number") and value == 0:
-        yield jsonschema.ValidationError("must be nonzero")
-
-
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator, {"nonzero": _nonzero})
 
 _NUMBER = {"type": "number"}
 _COUNT = {"type": "integer", "minimum": 5}
@@ -211,12 +425,12 @@ class _Decl:
     prefixes: Callable = _nothing
     mesh: Optional[str] = None
 
-    def validator(self, fixed):
-        """Validator of one config entry; `fixed` holds the keys every
-        entry carries (checked by SCENE_SCHEMA)."""
+    def schema(self, fixed):
+        """Schema of one config entry; `fixed` holds the keys every entry
+        carries (checked by SCENE_SCHEMA)."""
         refs = dict.fromkeys(self.refs + self.optional_refs,
                              {"type": "string"})
-        return _Validator({
+        return _checked({
             "type": "object", "properties": {**fixed, **refs, **self.params},
             "required": list(self.refs + self.required),
             "additionalProperties": False})
@@ -266,8 +480,8 @@ _OBJECT_KINDS = {
     "curve_legendre_lift": _Decl(curve_legendre_lift, refs=("curve",),
                                  params=dict(n_theta=_COUNT), mesh="grid"),
 }
-_KIND_VALIDATORS = {name: kind.validator({"kind": {}})
-                    for name, kind in _OBJECT_KINDS.items()}
+_KIND_SCHEMAS = {name: kind.schema({"kind": {}})
+                 for name, kind in _OBJECT_KINDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +794,8 @@ _OPS = {
                         params=dict(radius=_NUMBER)),
     "circle_congruence": _Decl(_op_circle_congruence, refs=_PAIR),
 }
-_OP_VALIDATORS = {name: op.validator({"id": {}, "op": {}, "assert": {}})
-                  for name, op in _OPS.items()}
+_OP_SCHEMAS = {name: op.schema({"id": {}, "op": {}, "assert": {}})
+               for name, op in _OPS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +807,28 @@ def _safe_path(path: str) -> bool:
             and "\\" not in path)
 
 
-def _schema_errors(validator, instance, *where) -> list:
-    return _messages(sorted(validator.iter_errors(instance), key=str), where)
-
-
 def _messages(schema_errors, where) -> list:
     errors = []
-    for err in schema_errors:
-        path = " -> ".join(str(p) for p in where + tuple(err.absolute_path))
-        errors.append("schema: " + (path + ": " if path else "")
-                      + err.message)
+    for path, message in schema_errors:
+        path = " -> ".join(str(p) for p in where + path)
+        errors.append("schema: " + (path + ": " if path else "") + message)
     return errors
+
+
+def _non_finite(node, path=()) -> list:
+    """Errors naming each NaN or infinite number under node: every schema
+    type admits them, and only load_scene's parser rejects them."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        if isinstance(node, (float, np.floating)) and not math.isfinite(node):
+            return [" -> ".join(map(str, path))
+                    + f": {node!r} is not a finite number"]
+        return []
+    return [err for key, child in children
+            for err in _non_finite(child, path + (key,))]
 
 
 #: the stage keys that stored names and prefixes are made from
@@ -618,9 +843,10 @@ def _undefined(owner, decl, cfg, defined) -> list:
 
 def validate_scene(config) -> list:
     """All schema and semantic errors of a config, empty when runnable."""
-    errors = _schema_errors(_Validator(SCENE_SCHEMA), config)
+    errors = _messages(_schema_errors(SCENE_SCHEMA, config), ())
     if errors:
         return errors
+    errors = _non_finite(config)
     if not isinstance(config.get("seed", 0), int):
         errors.append("seed must be an integer")
 
@@ -630,8 +856,9 @@ def validate_scene(config) -> list:
         if kind is None:
             errors.append(f"object '{name}': unknown kind '{cfg['kind']}'")
         else:
-            errors += _schema_errors(_KIND_VALIDATORS[cfg["kind"]], cfg,
-                                     "objects", name)
+            errors += _messages(
+                _schema_errors(_KIND_SCHEMAS[cfg["kind"]], cfg),
+                ("objects", name))
             errors += _undefined(f"object '{name}'", kind, cfg, defined)
         defined[name] = kind.mesh if kind else None
 
@@ -646,14 +873,12 @@ def validate_scene(config) -> list:
         if op is None:
             errors.append(f"stage '{sid}': unknown op '{stage['op']}'")
             continue
-        stage_errors = sorted(_OP_VALIDATORS[stage["op"]].iter_errors(stage),
-                              key=str)
+        stage_errors = _schema_errors(_OP_SCHEMAS[stage["op"]], stage)
         errors += (_messages(stage_errors, ("pipeline", index))
                    + _undefined(f"stage '{sid}'", op, stage, defined))
         # a bad parameter elsewhere must not hide what the stage stores,
         # or every later stage using it reports an undefined reference
-        if not _NAME_KEYS & {err.absolute_path[0] for err in stage_errors
-                             if err.absolute_path}:
+        if not _NAME_KEYS & {path[0] for path, _ in stage_errors if path}:
             defined.update(op.stores(stage))
             prefixes.update(op.prefixes(stage))
 

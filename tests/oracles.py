@@ -1,5 +1,5 @@
 """LAPACK references for subspaces of R^{4,2}, independent of core's
-Gram–Schmidt.
+Gram–Schmidt, and jsonschema as the reference for scene's schema checker.
 
 A subspace is a row stack (..., k, 6).  Ranks, bases and the quotient
 complement of a contact element come from np.linalg.svd, signatures from
@@ -7,6 +7,7 @@ np.linalg.eigvalsh of the metric Gram, and principal sines from the SVD
 of a rejection.
 """
 
+import jsonschema
 import numpy as np
 
 from liechannel.core import SIGNS
@@ -82,3 +83,21 @@ def line_sphere_fit(sigma, tau):
     system = (vec[finite] / norm[finite, None] * SIGNS)[:, :5]
     _, svals, vt = np.linalg.svd(system, full_matrices=False)
     return svals, system, vt[-1]
+
+
+def _nonzero(validator, wanted, value, schema):
+    if wanted and validator.is_type(value, "number") and value == 0:
+        yield jsonschema.ValidationError("must be nonzero")
+
+
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, {"nonzero": _nonzero})
+
+
+def jsonschema_errors(schema, instance):
+    """(path, message) of every error of instance under schema from
+    jsonschema's draft 2020-12 validator with the scene keyword `nonzero`,
+    sorted by the errors' full descriptions."""
+    return [(tuple(err.absolute_path), err.message)
+            for err in sorted(_Validator(schema).iter_errors(instance),
+                              key=str)]

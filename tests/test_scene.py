@@ -9,6 +9,8 @@ import importlib.util
 import inspect
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liechannel import legendre, scene
+import oracles
+from liechannel import cli, legendre, scene
 from liechannel.cli import main
 from liechannel.demos import demo_config, demo_names
 from liechannel.scene import (
@@ -201,6 +204,143 @@ def test_broken_scene_exits_2_before_anything_is_built(tmp_path, demo, path,
     with pytest.raises(SceneError, match=str(path[-1])):
         run_scene(cfg, out)
     assert not out.exists()
+
+
+def _assert_checker_matches_jsonschema(cfg, every_schema):
+    """The in-package checker reports jsonschema's (path, message) list,
+    order included, for cfg under the scene schema and for each object and
+    stage under its own kind's or op's schema (or under every kind or op
+    schema when every_schema)."""
+    pairs = [(scene.SCENE_SCHEMA, cfg)]
+    for entries, schemas, name in ((cfg.get("objects"), scene._KIND_SCHEMAS,
+                                    "kind"),
+                                   (cfg.get("pipeline"), scene._OP_SCHEMAS,
+                                    "op")):
+        if isinstance(entries, dict):
+            entries = list(entries.values())
+        for entry in entries if isinstance(entries, list) else ():
+            own = entry.get(name) if isinstance(entry, dict) else None
+            pairs += [(schema, entry) for key, schema in schemas.items()
+                      if every_schema or key == own]
+    for schema, instance in pairs:
+        assert scene._schema_errors(schema, instance) == \
+            oracles.jsonschema_errors(schema, instance)
+
+
+@pytest.mark.parametrize("name", demo_names())
+def test_schema_checker_matches_jsonschema_on_demos(name):
+    _assert_checker_matches_jsonschema(demo_config(name, grid=16), True)
+
+
+@pytest.mark.parametrize("demo, path, value", _BROKEN.values(),
+                         ids=list(_BROKEN))
+def test_schema_checker_matches_jsonschema_on_broken_scenes(demo, path,
+                                                            value):
+    cfg = demo_config(demo, grid=16)
+    _node(cfg, path[:-1])[path[-1]] = value
+    _assert_checker_matches_jsonschema(cfg, True)
+
+
+def test_schema_checker_orders_equal_messages_as_jsonschema():
+    # jsonschema sorts errors by their full description, so among equal
+    # messages the instance path decides, compared as text ("[10]" < "[2]")
+    cfg = demo_config("cylinder-calapso", grid=16)
+    cfg["pipeline"][1]["lambdas"] = ["x"] * 12
+    cfg["pipeline"][0]["assert"] = [5, 5, {"key": "b", "max": 0},
+                                    {"key": "b", "max": 0}]
+    _assert_checker_matches_jsonschema(cfg, True)
+    paths = [path for path, _ in scene._schema_errors(
+        scene._OP_SCHEMAS["calapso"], cfg["pipeline"][1])]
+    assert paths.index(("lambdas", 10)) < paths.index(("lambdas", 2))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0, 1, 1.0, 4, 64.0, -1e-3, "u", "a.obj", "r.json"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def edited_demo(draw):
+    """A demo config at grid 16 after one to three edits, each replacing
+    a node by any JSON value, deleting a key or adding an unknown key."""
+    cfg = demo_config(draw(st.sampled_from(demo_names())), grid=16)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(cfg))
+        keyed = [p for p in paths if isinstance(_node(cfg, p[:-1]), dict)]
+        edit = draw(st.sampled_from(["replace", "delete", "add"]))
+        if edit == "add" or not keyed:
+            path = draw(st.sampled_from(
+                [()] + [p for p in paths if isinstance(_node(cfg, p), dict)]))
+            _node(cfg, path)[draw(st.text(max_size=6))] = draw(_JSON)
+        elif edit == "delete":
+            path = draw(st.sampled_from(keyed))
+            del _node(cfg, path[:-1])[path[-1]]
+        else:
+            path = draw(st.sampled_from(paths))
+            _node(cfg, path[:-1])[path[-1]] = draw(_JSON)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edited_demo())
+def test_schema_checker_matches_jsonschema_on_edited_demos(cfg):
+    _assert_checker_matches_jsonschema(cfg, False)
+
+
+def test_unimplemented_schema_keyword_raises():
+    with pytest.raises(ValueError, match="'maxLength'"):
+        scene._Decl(scene._op_validate,
+                    params=dict(label={"type": "string", "maxLength": 8}),
+                    ).schema({})
+    with pytest.raises(ValueError, match="'additionalProperties'"):
+        scene._checked({"type": "object", "additionalProperties": {}})
+
+
+@pytest.mark.parametrize("path, value", [
+    (("objects", "generators", "radius"), float("nan")),
+    (("pipeline", 1, "lambdas", 0), float("inf")),
+])
+def test_non_finite_numbers_rejected_by_run_scene(tmp_path, path, value):
+    cfg = demo_config("cylinder-calapso", grid=16)
+    _node(cfg, path[:-1])[path[-1]] = value
+    where = " -> ".join(map(str, path))
+    assert validate_scene(cfg) == [f"{where}: {value!r} is not a finite number"]
+    with pytest.raises(SceneError, match=where):
+        run_scene(cfg, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_validates_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return validate_scene(config)
+
+    monkeypatch.setattr(scene, "validate_scene", counted)
+    monkeypatch.setattr(cli, "validate_scene", counted)
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(tiny_scene()))
+    assert main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+def test_validation_does_not_import_jsonschema():
+    probe = ("import sys, liechannel\n"
+             "cfg = liechannel.demo_config('cylinder-darboux', grid=16)\n"
+             "assert liechannel.validate_scene(cfg) == []\n"
+             "print(sorted({'jsonschema', 'referencing', 'attrs'}"
+             " & set(sys.modules)))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 def test_integer_valued_floats_still_run(tmp_path):
