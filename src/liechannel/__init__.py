@@ -65,13 +65,7 @@ from .transforms import (
 )
 from .conformal import (
     CircleCongruenceReport,
-    ConformalCurve,
     circle_congruence_report,
-    circle_curve,
-    conformal_curve,
-    curve_legendre_lift,
-    line_curve,
-    ribaucour_curve_check,
     tube,
     tube_sphere_curve,
 )

@@ -1,197 +1,61 @@
-"""Curves in conformal 3-space as degenerate sphere curves.
+"""Space curves, their tubes and Ribaucour pairs of space curves.
 
-Breaking the symmetry with a timelike direction p singles out the sphere
-lifts orthogonal to p; for the default p = e6 these are exactly the point
-spheres, so a space curve becomes the radius-zero case of the sphere-curve
-machinery.  Tubes arise by parallel transformation of the curve's contact
-lift, Ribaucour pairs of curves reduce to the sphere-curve criterion on
-point lifts, and the circle congruence enveloped by such a pair is the
-lightcone circle of the span {sigma, sigma', sigma_hat}.
+In Lie sphere geometry a point is a sphere of radius 0, so a space curve
+is the sphere curve of its point spheres: `line_sphere_curve`,
+`circle_sphere_curve` or `curve_from_profile` with radius 0.  No second
+curve type is needed.  The curve's contact lift is the envelope of its
+point spheres, tubes arise by parallel transformation of that lift,
+Ribaucour pairs of curves are `verify_ribaucour` on the point spheres, and
+the circle congruence enveloped by such a pair is the lightcone circle of
+the span {sigma, sigma', sigma_hat}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .channel import SphereCurve, curve_from_profile, envelope
+from .channel import SphereCurve, envelope
 from .core import (
-    DIM,
     GeometryError,
     circle_failure,
     circle_phase,
     circle_points,
     containment_gap,
     first_failure,
-    inner,
     lightcone_frames,
     parallel_transform_matrix,
-    sphere_lift,
 )
 from .legendre import LegendreGrid
 from .mesh import grid_point_spheres
-from .transforms import _span_pair, verify_ribaucour
+from .transforms import _span_pair
 from . import stencils
 
-E6 = np.eye(DIM)[5]
-
 
 # ---------------------------------------------------------------------------
-# curves and their point-sphere lifts
+# tubes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConformalCurve:
-    """A regular curve in Euclidean 3-space with its p-orthogonal lift."""
-
-    gamma: np.ndarray              # (n, 3)
-    u_values: np.ndarray
-    p_vec: np.ndarray
-    lift: SphereCurve
-    periodic_u: bool = False
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.p_vec = np.asarray(self.p_vec, dtype=float).reshape(DIM)
-        if inner(self.p_vec, self.p_vec) >= 0.0:
-            raise GeometryError("symmetry-breaking direction must be "
-                                "timelike")
-        pair = np.abs(inner(self.lift.vectors, self.p_vec))
-        scale = (np.linalg.norm(self.lift.vectors, axis=-1)
-                 * np.linalg.norm(self.p_vec))
-        if np.max(pair / scale) > 1e-10:
-            raise GeometryError("lift is not orthogonal to p")
-        self.lift.check()
-
-    @property
-    def n(self) -> int:
-        return self.gamma.shape[0]
-
-
-def _p_radius(centers: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Signed radii making sphere lifts orthogonal to a timelike p.
-
-    The pairing (sphere_lift(c, r), p) is quadratic in r; point spheres
-    solve it for p = e6, and for a general p the family tilts into genuine
-    spheres.  Picks the root of smaller magnitude (the branch through the
-    point spheres); raises when no real radius exists.
-    """
-    sq = np.sum(centers ** 2, axis=-1)
-    a = 0.5 * (p[3] + p[4])
-    b = -p[5]
-    d = centers @ p[:3] + 0.5 * (1.0 - sq) * p[3] - 0.5 * (1.0 + sq) * p[4]
-    if abs(a) < 1e-14 * np.linalg.norm(p):
-        if abs(b) < 1e-14 * np.linalg.norm(p):
-            raise GeometryError("p pairs with no radius direction; cannot "
-                                "build the orthogonal sphere family")
-        return -d / b
-    disc = b * b - 4.0 * a * d
-    if np.min(disc) < 0.0:
-        raise GeometryError("no real radius makes the lift orthogonal to "
-                            "this p along the whole curve")
-    root = np.sqrt(disc)
-    r1 = (-b + root) / (2.0 * a)
-    r2 = (-b - root) / (2.0 * a)
-    return np.where(np.abs(r1) <= np.abs(r2), r1, r2)
-
-
-def conformal_curve(source, u_values, p_vec: Optional[np.ndarray] = None,
-                    periodic_u: bool = False) -> ConformalCurve:
-    """Build a ConformalCurve from samples or from an analytic 2-jet.
-
-    source is either an (n, 3) array of positions or a callable returning
-    (c, c', c'') with trailing axis 3.  With the default p = e6 and a
-    callable source, the lift carries the exact jet of the point spheres.
-    """
-    u_values = np.asarray(u_values, dtype=float)
-    p = E6 if p_vec is None else np.asarray(p_vec, dtype=float).reshape(DIM)
-    if inner(p, p) >= 0.0:
-        raise GeometryError("symmetry-breaking direction must be timelike")
-
-    if callable(source):
-        gamma, dgamma, _ = source(u_values)
-    else:
-        gamma = np.asarray(source, dtype=float)
-        dgamma = None
-    if gamma.shape != (u_values.size, 3):
-        raise GeometryError("curve samples must have shape (n, 3)")
-
-    if np.allclose(p, E6 * p[5]) and callable(source):
-        lift = curve_from_profile(source, 0.0, u_values,
-                                  periodic_u=periodic_u)
-    else:
-        radii = (np.zeros(u_values.size) if np.allclose(p, E6 * p[5])
-                 else _p_radius(gamma, p))
-        lift = SphereCurve(sphere_lift(gamma, radii), u_values,
-                           periodic_u=periodic_u)
-    return ConformalCurve(gamma=gamma, u_values=u_values, p_vec=p,
-                          lift=lift, periodic_u=periodic_u)
-
-
-def line_curve(n: int = 64, u_min: float = -1.0, u_max: float = 1.0,
-               direction=(0.0, 0.0, 1.0), origin=(0.0, 0.0, 0.0),
-               p_vec=None) -> ConformalCurve:
-    d = np.asarray(direction, dtype=float)
-    o = np.asarray(origin, dtype=float)
-
-    def jet(u):
-        c = o + u[..., None] * d
-        c1 = np.broadcast_to(d, c.shape).copy()
-        return c, c1, np.zeros_like(c)
-
-    return conformal_curve(jet, np.linspace(u_min, u_max, n), p_vec=p_vec)
-
-
-def circle_curve(n: int = 64, radius: float = 2.0, p_vec=None) -> ConformalCurve:
-    """Round circle in the xy-plane, periodic parametrisation."""
-    u = np.arange(n) * (2.0 * np.pi / n)
-
-    def jet(t):
-        c, s = np.cos(t), np.sin(t)
-        z = np.zeros_like(t)
-        val = radius * np.stack([c, s, z], axis=-1)
-        d1 = radius * np.stack([-s, c, z], axis=-1)
-        return val, d1, -val
-
-    return conformal_curve(jet, u, p_vec=p_vec, periodic_u=True)
-
-
-# ---------------------------------------------------------------------------
-# Legendre lifts and tubes
-# ---------------------------------------------------------------------------
-
-def curve_legendre_lift(curve: ConformalCurve, n_theta: int = 64) -> LegendreGrid:
-    """Contact lift of a space curve: the envelope of its point spheres.
-
-    The circular curvature sphere family of the result is the point-sphere
-    lift itself, hence orthogonal to p at every sample.
-    """
-    grid = envelope(curve.lift, n_theta=n_theta)
-    grid.metadata["p_vec"] = curve.p_vec.copy()
-    return grid
-
-
-def tube(curve: ConformalCurve, radius: float, n_theta: int = 64) -> LegendreGrid:
+def tube(curve: SphereCurve, radius: float, n_theta: int = 64) -> LegendreGrid:
     """Tube of constant radius, by parallel transformation of the lift.
 
-    Moves every frame vector of the curve's contact lift with the radius
-    shift; the sphere family of the result is the radius-`radius` sphere
-    curve over the same centres.  Loss of immersion (radius at the scale
-    of the curve's curvature radius) shows in validate_legendre and in the
+    Moves every frame vector of the curve's contact lift, its envelope,
+    with the radius shift; for a space curve (radius 0) the sphere family
+    of the result is the radius-`radius` sphere curve over the same
+    centres.  Loss of immersion (radius at the scale of the curve's
+    curvature radius) shows in validate_legendre and in the
     point-immersion metadata rather than being silently accepted.
     """
     if radius == 0.0:
         raise ValueError("tube radius must be nonzero; the curve lift "
                          "itself is the radius-0 object")
-    base = curve_legendre_lift(curve, n_theta=n_theta)
+    base = envelope(curve, n_theta=n_theta)
     m = parallel_transform_matrix(radius)
     grid = LegendreGrid(base.sigma @ m.T, base.tau @ m.T, base.u_values,
                         base.theta_values, periodic_u=base.periodic_u,
                         periodic_theta=base.periodic_theta,
-                        metadata={"p_vec": curve.p_vec.copy(),
-                                  "tube_radius": float(radius)})
+                        metadata={"tube_radius": float(radius)})
 
     # a tube at the curve's curvature radius is still a perfectly good
     # Legendre map, but its point projection pinches; that is a property
@@ -217,23 +81,17 @@ def tube(curve: ConformalCurve, radius: float, n_theta: int = 64) -> LegendreGri
     return grid
 
 
-def tube_sphere_curve(curve: ConformalCurve, radius: float) -> SphereCurve:
+def tube_sphere_curve(curve: SphereCurve, radius: float) -> SphereCurve:
     """The tube's sphere curve: the same centres with shifted radius.
 
     Parallel transformation is linear, so it commutes with u-derivatives;
-    an analytic jet on the point lift transports to an exact jet here.
+    an analytic jet on the curve transports to an exact jet here.
     """
     m = parallel_transform_matrix(radius)
-    vecs = curve.lift.vectors @ m.T
-    jet = None
-    if curve.lift.jet is not None:
-        base_jet = curve.lift.jet
-
-        def jet(u):
-            return tuple(arr @ m.T for arr in base_jet(u))
-
-    return SphereCurve(vecs, curve.lift.u_values,
-                       periodic_u=curve.lift.periodic_u, jet=jet,
+    jet = None if curve.jet is None else (
+        lambda u, base=curve.jet: tuple(arr @ m.T for arr in base(u)))
+    return SphereCurve(curve.vectors @ m.T, curve.u_values,
+                       periodic_u=curve.periodic_u, jet=jet,
                        metadata={"tube_radius": float(radius)})
 
 
@@ -241,35 +99,9 @@ def tube_sphere_curve(curve: ConformalCurve, radius: float) -> SphereCurve:
 # Ribaucour pairs of curves and their circle congruence
 # ---------------------------------------------------------------------------
 
-def _pair_guard(c1: ConformalCurve, c2: ConformalCurve):
-    """Refuse curves that touch: their point lifts are orthogonal there.
-
-    Curves of different sample counts are left to _span_pair, which
-    refuses every pair not on one u-grid.
-    """
-    if c1.gamma.shape != c2.gamma.shape:
-        return
-    gap = np.linalg.norm(c1.gamma - c2.gamma, axis=-1)
-    if np.min(gap) <= 1e-8 * max(1.0, np.max(np.abs(c1.gamma))):
-        k = int(np.argmin(gap))
-        raise GeometryError(f"curves touch at sample {k}; the point lifts "
-                            "become orthogonal and the criterion degenerates")
-
-
-def ribaucour_curve_check(c1: ConformalCurve, c2: ConformalCurve) -> float:
-    """Ribaucour residual for a pair of space curves, via point lifts.
-
-    The span criterion runs on the lifts; both spans lie inside the
-    p-orthogonal hyperplane automatically, so no separate projection step
-    is needed.
-    """
-    _pair_guard(c1, c2)
-    return verify_ribaucour(c1.lift, c2.lift)
-
-
 @dataclass
 class CircleCongruenceReport:
-    membership: float              # worst containment gap of either lift
+    membership: float              # worst containment gap of either curve
     tangency1: float               # largest angle to curve 1, radians
     tangency2: float
     residuals: np.ndarray          # per-sample span residuals
@@ -277,22 +109,21 @@ class CircleCongruenceReport:
     notes: list = field(default_factory=list)
 
 
-def circle_congruence_report(c1: ConformalCurve, c2: ConformalCurve,
+def circle_congruence_report(c1: SphereCurve, c2: SphereCurve,
                              tol: float = 1e-6, membership_tol: float = 1e-8,
                              tangency_tol: float = 1e-4,
                              fd_delta: float = 1e-3) -> CircleCongruenceReport:
     """Envelopment diagnostics of the circle congruence of a curve pair.
 
-    membership: both point lifts must lie in the congruence span.
+    membership: both curves' point spheres must lie in the congruence
+    span.
     tangency: the theta-derivative of the projected circle at each curve's
     phase must align with the curve's own tangent (angle between lines).
     All samples at once; the first failing sample in u order is reported.
     """
-    _pair_guard(c1, c2)
-    (v1, d1), (v2, d2) = ((c.lift.vectors, c.lift.derivatives()[0])
-                          for c in (c1, c2))
+    (v1, d1), (v2, d2) = ((c.vectors, c.derivatives()[0]) for c in (c1, c2))
     # the congruence span {sigma, sigma', sigma_hat} against its twin
-    bases, residuals, failures = _span_pair(c1.lift, c2.lift, [v1, d1, v2],
+    bases, residuals, failures = _span_pair(c1, c2, [v1, d1, v2],
                                             [v2, d2, v1])
     frames, signature = lightcone_frames(bases)
     lifts = np.stack([v1, v2], axis=1)                          # (n, 2, 6)

@@ -4,7 +4,8 @@ Each demo is an ordinary scene config (see scene.py) with assertions at
 the tolerances the library promises; together they cover envelope
 construction, channel detection, the middle one-form, conserved
 quantities, Darboux and Calapso transforms, Ribaucour verification,
-cyclide congruences, and the curve-level symmetry breaking.
+cyclide congruences, and space curves as radius-0 sphere curves with
+their tubes.
 """
 
 from __future__ import annotations

@@ -9,20 +9,23 @@ is a pure function of the config: no timestamps, no machine state, floats
 written with full repr precision.
 
 Each object kind and each pipeline op has one declaration: what runs it,
-the keys naming earlier objects, and a JSON-schema type per parameter.
-Its schema, the object builder, the names it stores and which of them
-have a mesh all derive from it.  The schema types are checked in-package:
-`_errors` implements the JSON Schema keywords the declarations use, with
+the keys naming earlier objects with the type of object each takes, a
+JSON-schema type per parameter, and the type of each object it makes.
+Its schema, the object builder, the names it stores and their types all
+derive from it.  A scene object is a sphere curve (a space curve is the
+one of radius 0), a grid, a cyclide or an omega0 structure.  The schema
+types are checked in-package: `_errors` implements the JSON Schema keywords the declarations use, with
 jsonschema's semantics and messages, and a declaration using any other
 keyword fails when this module loads.  The semantic layer on top checks
 what a schema cannot: that numbers are finite, that names are defined
-before use, that ids are unique, that a mesh output names a grid or a
-cyclide (and sizes only a cyclide's), and that output paths stay inside
-the artifact directory.
+before use and name an object of the type the reference takes, that ids
+are unique, that a mesh output names a grid or a cyclide (and sizes only
+a cyclide's), and that output paths stay inside the artifact directory.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -34,6 +37,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .channel import (
+    SphereCurve,
     circle_sphere_curve,
     conserved_quantity,
     envelope,
@@ -41,15 +45,7 @@ from .channel import (
     line_sphere_curve,
     omega0_form,
 )
-from .conformal import (
-    circle_congruence_report,
-    circle_curve,
-    curve_legendre_lift,
-    line_curve,
-    ribaucour_curve_check,
-    tube,
-    tube_sphere_curve,
-)
+from .conformal import circle_congruence_report, tube, tube_sphere_curve
 from .core import (DIM, GeometryError, circle_points, containment_gap,
                    first_failure, inner, unit_rows)
 from .legendre import (
@@ -402,6 +398,11 @@ _TORUS = {"type": "object", "properties": {"ring": _NUMBER, "radius": _NUMBER},
 _NAME = {"type": "string", "pattern": _NAME_PATTERN}
 
 
+#: the types of scene object, as an error message names them
+_OBJECT_TYPES = {"curve": "a sphere curve", "grid": "a grid",
+                 "cyclide": "a cyclide", "omega0": "an omega0 structure"}
+
+
 def _nothing(cfg):
     return {}
 
@@ -409,30 +410,33 @@ def _nothing(cfg):
 @dataclass(frozen=True)
 class _Decl:
     """An object kind or a pipeline op: the library constructor or op runner,
-    the config keys naming earlier objects (required `refs`, optional
-    `optional_refs`), one JSON-schema type per parameter, the parameters
-    that must be given, and what it makes for later stages, each with the
-    mesh it is written as ("grid", "cyclide" or None): for an object kind
-    the object itself (`mesh`), for an op the object names (or name
-    prefixes) it stores, as {name: mesh}."""
+    the config keys naming earlier objects with the type each takes, as
+    {key: type} (required `refs`, optional `optional_refs`), one JSON-schema
+    type per parameter, the parameters that must be given, and what it
+    makes for later stages, each with its type (a key of _OBJECT_TYPES):
+    for an object kind the object itself (`makes`), for an op the object
+    names (or name prefixes) it stores, as {name: type}."""
 
     run: Callable
-    refs: tuple = ()
-    optional_refs: tuple = ()
+    refs: dict = field(default_factory=dict)
+    optional_refs: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     required: tuple = ()
     stores: Callable = _nothing
     prefixes: Callable = _nothing
-    mesh: Optional[str] = None
+    makes: Optional[str] = None
+
+    @property
+    def all_refs(self) -> dict:
+        return {**self.refs, **self.optional_refs}
 
     def schema(self, fixed):
         """Schema of one config entry; `fixed` holds the keys every entry
         carries (checked by SCENE_SCHEMA)."""
-        refs = dict.fromkeys(self.refs + self.optional_refs,
-                             {"type": "string"})
+        refs = dict.fromkeys(self.all_refs, {"type": "string"})
         return _checked({
             "type": "object", "properties": {**fixed, **refs, **self.params},
-            "required": list(self.refs + self.required),
+            "required": list(self.refs) + list(self.required),
             "additionalProperties": False})
 
     def args(self, cfg, objects):
@@ -440,8 +444,9 @@ class _Decl:
         integer-typed parameters as Python ints (JSON Schema counts 64.0
         as an integer, numpy does not)."""
         args = dict(cfg)
+        refs = self.all_refs
         for key, value in cfg.items():
-            if key in self.refs + self.optional_refs:
+            if key in refs:
                 args[key] = objects[value]
             elif self.params.get(key, {}).get("type") == "integer":
                 args[key] = int(value)
@@ -456,29 +461,39 @@ def _build(kind, cfg, objects):
                     **{key: args[key] for key in kind.params if key in args})
 
 
+def _ring_curve(n: int = 64, radius: float = 2.0) -> SphereCurve:
+    """The point spheres of a round circle of `radius` in the xy-plane."""
+    return circle_sphere_curve(n, ring_radius=radius, radius=0.0)
+
+
 _CURVE = dict(n=_COUNT, u_min=_NUMBER, u_max=_NUMBER, direction=_VEC3,
               origin=_VEC3)
+_OF_CURVE = {"curve": "curve"}
 
+# line_curve, circle_curve and curve_legendre_lift name the radius-0 case
+# of the sphere-curve kinds and its envelope
 _OBJECT_KINDS = {
     "line_sphere_curve": _Decl(line_sphere_curve,
-                               params=dict(_CURVE, radius=_NUMBER)),
+                               params=dict(_CURVE, radius=_NUMBER),
+                               makes="curve"),
     "circle_sphere_curve": _Decl(circle_sphere_curve, params=dict(
-        n=_COUNT, ring_radius=_NUMBER, radius=_NUMBER)),
+        n=_COUNT, ring_radius=_NUMBER, radius=_NUMBER), makes="curve"),
     "helix_sphere_curve": _Decl(helix_sphere_curve, params=dict(
         n=_COUNT, ring_radius=_NUMBER, pitch=_NUMBER, radius=_NUMBER,
-        turns=_NUMBER)),
-    "envelope": _Decl(envelope, refs=("sphere_curve",),
-                      params=dict(n_theta=_COUNT), mesh="grid"),
-    "line_curve": _Decl(line_curve, params=_CURVE),
-    "circle_curve": _Decl(circle_curve, params=dict(n=_COUNT,
-                                                    radius=_NUMBER)),
-    "tube": _Decl(tube, refs=("curve",), required=("radius",),
-                  params=dict(radius=_NUMBER, n_theta=_COUNT), mesh="grid"),
-    "tube_sphere_curve": _Decl(tube_sphere_curve, refs=("curve",),
+        turns=_NUMBER), makes="curve"),
+    "envelope": _Decl(envelope, refs={"sphere_curve": "curve"},
+                      params=dict(n_theta=_COUNT), makes="grid"),
+    "line_curve": _Decl(functools.partial(line_sphere_curve, radius=0.0),
+                        params=_CURVE, makes="curve"),
+    "circle_curve": _Decl(_ring_curve, params=dict(n=_COUNT, radius=_NUMBER),
+                          makes="curve"),
+    "tube": _Decl(tube, refs=_OF_CURVE, required=("radius",),
+                  params=dict(radius=_NUMBER, n_theta=_COUNT), makes="grid"),
+    "tube_sphere_curve": _Decl(tube_sphere_curve, refs=_OF_CURVE,
                                required=("radius",),
-                               params=dict(radius=_NUMBER)),
-    "curve_legendre_lift": _Decl(curve_legendre_lift, refs=("curve",),
-                                 params=dict(n_theta=_COUNT), mesh="grid"),
+                               params=dict(radius=_NUMBER), makes="curve"),
+    "curve_legendre_lift": _Decl(envelope, refs=_OF_CURVE,
+                                 params=dict(n_theta=_COUNT), makes="grid"),
 }
 _KIND_SCHEMAS = {name: kind.schema({"kind": {}})
                  for name, kind in _OBJECT_KINDS.items()}
@@ -713,14 +728,9 @@ def _op_dupin_fit(args, ctx):
     return out
 
 
-def _op_curve_check(args, ctx):
-    return {"residual": ribaucour_curve_check(args["a"], args["b"])}
-
-
 def _op_tube_check(args, ctx):
-    a, b = args["a"], args["b"]
-    radius = args["radius"]
-    point_level = ribaucour_curve_check(a, b)
+    a, b, radius = args["a"], args["b"], args["radius"]
+    point_level = verify_ribaucour(a, b)
     tube_level = verify_ribaucour(tube_sphere_curve(a, radius),
                                   tube_sphere_curve(b, radius))
     return {"radius": float(radius), "residual": tube_level,
@@ -736,14 +746,14 @@ def _op_circle_congruence(args, ctx):
             "passed": rep.passed, "notes": list(rep.notes)}
 
 
-def _key_if_set(key, mesh=None):
-    return lambda stage: {stage[key]: mesh} if key in stage else {}
+def _key_if_set(key, made):
+    return lambda stage: {stage[key]: made} if key in stage else {}
 
 
 def _stores_darboux(stage):
     if "store" not in stage:
         return {}
-    return {stage["store"]: "grid", stage["store"] + "_spheres": None}
+    return {stage["store"]: "grid", stage["store"] + "_spheres": "curve"}
 
 
 def _stores_calapso(stage):
@@ -753,43 +763,45 @@ def _stores_calapso(stage):
             for lam in stage.get("lambdas", [])}
 
 
-_PAIR = ("a", "b")
+_PAIR = {"a": "curve", "b": "curve"}
+_TARGET = {"target": "grid"}
+_FLOW = {"grid": "grid", "omega": "omega0"}
 
 _OPS = {
-    "validate": _Decl(_op_validate, refs=("target",)),
-    "channel": _Decl(_op_channel, refs=("target",)),
-    "lie_cyclide": _Decl(_op_lie_cyclide, refs=("target",)),
-    "omega0": _Decl(_op_omega0, refs=("grid", "sphere_curve"),
+    "validate": _Decl(_op_validate, refs=_TARGET),
+    "channel": _Decl(_op_channel, refs=_TARGET),
+    "lie_cyclide": _Decl(_op_lie_cyclide, refs=_TARGET),
+    "omega0": _Decl(_op_omega0, refs={"grid": "grid", "sphere_curve": "curve"},
                     params=dict(store=_NAME, q_uu_expected=_NUMBER),
-                    stores=_key_if_set("store")),
-    "conserved": _Decl(_op_conserved, refs=("omega",), required=("lambdas",),
+                    stores=_key_if_set("store", "omega0")),
+    "conserved": _Decl(_op_conserved, refs={"omega": "omega0"},
+                       required=("lambdas",),
                        params=dict(lambdas=_LAMBDAS, p=_VEC6)),
-    "darboux": _Decl(_op_darboux, refs=("grid", "omega"),
-                     required=("m", "store"),
+    "darboux": _Decl(_op_darboux, refs=_FLOW, required=("m", "store"),
                      params=dict(m=_NONZERO, store=_NAME, substeps=_STEP),
                      stores=_stores_darboux),
-    "calapso": _Decl(_op_calapso, refs=("grid", "omega"),
-                     required=("lambdas",),
+    "calapso": _Decl(_op_calapso, refs=_FLOW, required=("lambdas",),
                      params=dict(lambdas=_LAMBDAS, substeps=_STEP,
                                  store_prefix=_NAME),
                      stores=_stores_calapso),
     "verify_pair": _Decl(_op_verify_pair, refs=_PAIR),
     "cyclides": _Decl(_op_cyclides, refs=_PAIR,
-                      optional_refs=("grid_a", "grid_b")),
+                      optional_refs={"grid_a": "grid", "grid_b": "grid"}),
     "congruence_contact": _Decl(
         _op_congruence_contact,
-        refs=("grid", "hat_grid", "spheres_a", "spheres_b"),
+        refs={"grid": "grid", "hat_grid": "grid", "spheres_a": "curve",
+              "spheres_b": "curve"},
         params=dict(sample_every=_STEP, n_probe=_STEP, store_prefix=_NAME),
         prefixes=_key_if_set("store_prefix", "cyclide")),
-    "sphericity": _Decl(_op_sphericity, refs=("target",),
+    "sphericity": _Decl(_op_sphericity, refs=_TARGET,
                         params=dict(axis={"enum": ["u", "theta"]},
                                     stride=_STEP)),
-    "dupin_fit": _Decl(_op_dupin_fit, refs=("sphere_curve",),
+    "dupin_fit": _Decl(_op_dupin_fit, refs={"sphere_curve": "curve"},
                        required=("indices",),
                        params=dict(indices=_INDICES, store=_NAME,
                                    torus=_TORUS),
                        stores=_key_if_set("store", "cyclide")),
-    "curve_check": _Decl(_op_curve_check, refs=_PAIR),
+    "curve_check": _Decl(_op_verify_pair, refs=_PAIR),
     "tube_check": _Decl(_op_tube_check, refs=_PAIR, required=("radius",),
                         params=dict(radius=_NUMBER)),
     "circle_congruence": _Decl(_op_circle_congruence, refs=_PAIR),
@@ -835,10 +847,21 @@ def _non_finite(node, path=()) -> list:
 _NAME_KEYS = {"store", "store_prefix", "lambdas"}
 
 
-def _undefined(owner, decl, cfg, defined) -> list:
-    return [f"{owner}: reference '{cfg[ref]}' is not defined before use"
-            for ref in decl.refs + decl.optional_refs
-            if isinstance(cfg.get(ref), str) and cfg[ref] not in defined]
+def _reference_errors(owner, decl, cfg, defined) -> list:
+    """Each reference must name an object defined before it, of the type
+    the reference takes; `defined` maps names to types (None when the
+    object's kind is unknown, an error of its own)."""
+    errors = []
+    for key, wanted in decl.all_refs.items():
+        name = cfg.get(key)
+        if isinstance(name, str) and name not in defined:
+            errors.append(f"{owner}: reference '{name}' is not defined "
+                          "before use")
+        elif isinstance(name, str) and defined[name] not in (None, wanted):
+            errors.append(f"{owner}: reference '{name}' is "
+                          f"{_OBJECT_TYPES[defined[name]]}, need "
+                          f"{_OBJECT_TYPES[wanted]}")
+    return errors
 
 
 def validate_scene(config) -> list:
@@ -859,8 +882,9 @@ def validate_scene(config) -> list:
             errors += _messages(
                 _schema_errors(_KIND_SCHEMAS[cfg["kind"]], cfg),
                 ("objects", name))
-            errors += _undefined(f"object '{name}'", kind, cfg, defined)
-        defined[name] = kind.mesh if kind else None
+            errors += _reference_errors(f"object '{name}'", kind, cfg,
+                                        defined)
+        defined[name] = kind.makes if kind else None
 
     prefixes = {}
     seen_ids = set()
@@ -875,7 +899,7 @@ def validate_scene(config) -> list:
             continue
         stage_errors = _schema_errors(_OP_SCHEMAS[stage["op"]], stage)
         errors += (_messages(stage_errors, ("pipeline", index))
-                   + _undefined(f"stage '{sid}'", op, stage, defined))
+                   + _reference_errors(f"stage '{sid}'", op, stage, defined))
         # a bad parameter elsewhere must not hide what the stage stores,
         # or every later stage using it reports an undefined reference
         if not _NAME_KEYS & {path[0] for path, _ in stage_errors if path}:
@@ -885,13 +909,13 @@ def validate_scene(config) -> list:
     outputs = config.get("outputs", {})
     for entry in outputs.get("meshes", []):
         name, where = entry["object"], f"mesh output '{entry['path']}'"
-        meshes = [defined[name]] if name in defined else [
-            mesh for p, mesh in prefixes.items() if name.startswith(p + "_")]
-        if not meshes:
+        types = [defined[name]] if name in defined else [
+            made for p, made in prefixes.items() if name.startswith(p + "_")]
+        if not types:
             errors.append(f"{where}: object '{name}' is never defined")
-        elif meshes[0] is None:
+        elif types[0] not in ("grid", "cyclide"):
             errors.append(f"{where}: object '{name}' has no mesh")
-        elif meshes[0] == "grid" and "n" in entry:
+        elif types[0] == "grid" and "n" in entry:
             errors.append(f"{where}: object '{name}' is a grid, meshed at "
                           "its own samples; 'n' sizes cyclide meshes only")
         if not _safe_path(entry["path"]):

@@ -20,13 +20,7 @@ from liechannel.channel import (
     omega0_form,
     special_lift,
 )
-from liechannel.conformal import (
-    circle_congruence_report,
-    conformal_curve,
-    line_curve,
-    ribaucour_curve_check,
-    tube_sphere_curve,
-)
+from liechannel.conformal import circle_congruence_report, tube_sphere_curve
 from liechannel.core import (
     inner,
     plane_lift,
@@ -284,9 +278,11 @@ def test_criterion_10_figure_demo(tmp_path):
 
 
 def test_criterion_11_symmetry_breaking():
-    axis = line_curve(n=64)
-    offset = line_curve(n=64, origin=(2.0, 0.0, 0.0))
-    point_level = ribaucour_curve_check(axis, offset)
+    # breaking the symmetry with p = e6 leaves the point spheres, so a
+    # space curve is the sphere curve of radius 0
+    axis = line_sphere_curve(n=64, radius=0.0)
+    offset = line_sphere_curve(n=64, radius=0.0, origin=(2.0, 0.0, 0.0))
+    point_level = verify_ribaucour(axis, offset)
     agreement = 0.0
     tube_ok = True
     for radius in (0.3, 1.0):
@@ -296,12 +292,12 @@ def test_criterion_11_symmetry_breaking():
         tube_ok &= tube_level <= 1e-8
 
     u = np.linspace(0.5, 1.0, 64)
-    slow = conformal_curve(lambda t: (
+    slow = curve_from_profile(lambda t: (
         np.stack([0 * t, 0 * t, t], -1),
         np.stack([0 * t, 0 * t, 1 + 0 * t], -1),
-        np.zeros((t.size, 3))), u)
-    fast = conformal_curve(_fast_line_profile, u)
-    neg_point = ribaucour_curve_check(slow, fast)
+        np.zeros((t.size, 3))), 0.0, u)
+    fast = curve_from_profile(_fast_line_profile, 0.0, u)
+    neg_point = verify_ribaucour(slow, fast)
     neg_tubes = min(
         verify_ribaucour(tube_sphere_curve(slow, r),
                          tube_sphere_curve(fast, r)) for r in (0.3, 1.0))

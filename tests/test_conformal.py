@@ -1,4 +1,4 @@
-"""Tests for the conformal layer: space curves as point-sphere curves,
+"""Tests for the conformal layer: space curves as radius-0 sphere curves,
 tubes, curve-level Ribaucour pairs and circle congruences.
 
 Oracle values come from hand geometry (parallel lines, round circles,
@@ -6,7 +6,6 @@ tori) or were frozen from a first trusted run; every frozen number is
 recorded next to its assertion.
 """
 
-import copy
 from functools import lru_cache
 
 import numpy as np
@@ -14,14 +13,19 @@ import pytest
 
 import oracles
 from liechannel import conformal as cf
-from liechannel.channel import SphereCurve
+from liechannel.channel import (
+    SphereCurve,
+    circle_sphere_curve,
+    curve_from_profile,
+    envelope,
+    line_sphere_curve,
+)
 from liechannel.core import (
     INFINITY_VEC,
     GeometryError,
     circle_phase,
     circle_points,
     containment_gap,
-    inner,
     lightcone_frames,
     parallel_transform_matrix,
     projective_gap,
@@ -33,10 +37,20 @@ from liechannel import transforms as tr
 from liechannel.transforms import verify_ribaucour
 
 
+def line(n=64, **placement):
+    """A straight space curve: the line sphere curve of radius 0."""
+    return line_sphere_curve(n=n, radius=0.0, **placement)
+
+
+def ring(n, ring_radius):
+    """A round space circle: the circle sphere curve of radius 0."""
+    return circle_sphere_curve(n=n, ring_radius=ring_radius, radius=0.0)
+
+
 @lru_cache(maxsize=None)
 def lines():
-    axis = cf.line_curve(n=64)
-    offset = cf.line_curve(n=64, origin=(2.0, 0.0, 0.0))
+    axis = line()
+    offset = line(origin=(2.0, 0.0, 0.0))
     return axis, offset
 
 
@@ -53,8 +67,8 @@ def _jet_line(speed, x0):
 def mismatch_pair():
     # same u-grid, different parametrisation speed: not Ribaucour
     u = np.linspace(0.5, 1.0, 64)
-    slow = cf.conformal_curve(_jet_line(1.0, 0.0), u)
-    fast = cf.conformal_curve(_jet_line(2.0, 2.0), u)
+    slow = curve_from_profile(_jet_line(1.0, 0.0), 0.0, u)
+    fast = curve_from_profile(_jet_line(2.0, 2.0), 0.0, u)
     return slow, fast
 
 
@@ -64,43 +78,36 @@ def mismatch_pair():
 
 def test_line_curve_is_point_sphere_lift():
     axis, _ = lines()
-    assert np.max(np.abs(axis.lift.vectors[:, 5])) == 0.0
-    assert np.max(np.abs(inner(axis.lift.vectors, axis.p_vec))) == 0.0
-    assert axis.lift.jet is not None
-    assert axis.n == 64
-
-
-def test_array_source_matches_jet_source():
-    axis, _ = lines()
-    sampled = cf.conformal_curve(axis.gamma.copy(), axis.u_values)
-    assert np.max(np.abs(sampled.lift.vectors - axis.lift.vectors)) == 0.0
-    assert sampled.lift.jet is None
+    assert np.max(np.abs(axis.vectors[:, 5])) == 0.0
+    assert axis.jet is not None
+    assert axis.vectors.shape == (64, 6)
 
 
 def test_curve_shape_guard():
-    with pytest.raises(GeometryError, match="shape"):
-        cf.conformal_curve(np.zeros((5, 2)), np.linspace(0.0, 1.0, 5))
-
-
-def test_spacelike_direction_rejected():
-    with pytest.raises(GeometryError, match="timelike"):
-        cf.line_curve(p_vec=np.eye(6)[0])
+    u = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(GeometryError, match=r"shape \(n, 6\)"):
+        SphereCurve(np.zeros((5, 3)), u)
+    with pytest.raises(GeometryError, match=r"shape \(n, 6\)"):
+        SphereCurve(np.zeros(30), u)
+    with pytest.raises(GeometryError, match="does not match the u-grid"):
+        SphereCurve(np.zeros((6, 6)), u)
+    with pytest.raises(GeometryError, match="at least 5 samples"):
+        SphereCurve(np.zeros((4, 6)), u[:4])
 
 
 def test_legendre_lift_sphere_family_is_the_point_lift():
     axis, _ = lines()
-    grid = cf.curve_legendre_lift(axis)
+    grid = envelope(axis)
     data = curvature_data(grid)
     worst = max(
-        projective_gap(data.s1[i, j], axis.lift.vectors[i])
+        projective_gap(data.s1[i, j], axis.vectors[i])
         for i in range(0, 64, 8) for j in range(0, grid.sigma.shape[1], 8))
     assert worst <= 1e-12                      # measured 3.3e-16
-    assert np.array_equal(grid.metadata["p_vec"], axis.p_vec)
 
 
 def test_line_lift_transverse_family_is_planes_through_axis():
     axis, _ = lines()
-    data = curvature_data(cf.curve_legendre_lift(axis))
+    data = curvature_data(envelope(axis))
     s2 = data.s2 / np.linalg.norm(data.s2, axis=-1, keepdims=True)
     # plane lifts: no finite part, and the plane contains the z-axis
     assert np.max(np.abs(s2[..., 3] + s2[..., 4])) <= 1e-12  # 7.8e-15
@@ -134,9 +141,9 @@ def test_tube_sphere_curve_matches_grid_and_transports_jets():
     axis, _ = lines()
     curve = cf.tube_sphere_curve(axis, 1.0)
     m = parallel_transform_matrix(1.0)
-    assert np.max(np.abs(curve.vectors - axis.lift.vectors @ m.T)) == 0.0
+    assert np.max(np.abs(curve.vectors - axis.vectors @ m.T)) == 0.0
     d1, d2 = curve.derivatives()
-    b1, b2 = axis.lift.derivatives()
+    b1, b2 = axis.derivatives()
     assert np.max(np.abs(d1 - b1 @ m.T)) == 0.0
     assert np.max(np.abs(d2 - b2 @ m.T)) == 0.0
     # parallel transformations compose additively
@@ -146,8 +153,7 @@ def test_tube_sphere_curve_matches_grid_and_transports_jets():
 
 
 def test_circle_tube_is_a_torus():
-    ring = cf.circle_curve(n=96, radius=2.0)
-    grid = cf.tube(ring, 1.0)
+    grid = cf.tube(ring(96, 2.0), 1.0)
     positions, finite = grid_point_spheres(grid.sigma, grid.tau)
     assert finite.all()
     residual = ((np.hypot(positions[..., 0], positions[..., 1]) - 2.0) ** 2
@@ -156,17 +162,17 @@ def test_circle_tube_is_a_torus():
 
 
 def test_pinched_tube_reports_point_degeneracy():
-    ring = cf.circle_curve(n=96, radius=2.0)
+    circle = ring(96, 2.0)
 
-    healthy = cf.tube(ring, 1.0)
+    healthy = cf.tube(circle, 1.0)
     assert healthy.metadata["point_immersion"] >= 0.99   # measured 0.9984
     assert "regularity_note" not in healthy.metadata
 
-    close = cf.tube(ring, 1.99)
+    close = cf.tube(circle, 1.99)
     assert close.metadata["point_immersion"] <= 2e-2     # measured 9.99e-3
     assert "regularity_note" not in close.metadata
 
-    pinched = cf.tube(ring, 2.0)
+    pinched = cf.tube(circle, 2.0)
     assert pinched.metadata["point_immersion"] <= 1e-12  # measured 3.2e-16
     assert "point projection degenerates" in pinched.metadata["regularity_note"]
     # the contact lift itself stays immersed; only the Euclidean reading pinches
@@ -179,7 +185,7 @@ def test_pinched_tube_reports_point_degeneracy():
 
 def test_parallel_lines_are_ribaucour_at_every_level():
     axis, offset = lines()
-    point_level = cf.ribaucour_curve_check(axis, offset)
+    point_level = verify_ribaucour(axis, offset)
     assert point_level <= 1e-12                 # measured 1.3e-15
     for radius in (0.3, 1.0):
         tube_level = verify_ribaucour(cf.tube_sphere_curve(axis, radius),
@@ -190,7 +196,7 @@ def test_parallel_lines_are_ribaucour_at_every_level():
 
 def test_speed_mismatch_detected_at_every_level():
     slow, fast = mismatch_pair()
-    assert cf.ribaucour_curve_check(slow, fast) >= 1e-2   # measured 0.533
+    assert verify_ribaucour(slow, fast) >= 1e-2   # measured 0.533
     for radius in (0.3, 1.0):
         tube_level = verify_ribaucour(cf.tube_sphere_curve(slow, radius),
                                       cf.tube_sphere_curve(fast, radius))
@@ -198,16 +204,18 @@ def test_speed_mismatch_detected_at_every_level():
 
 
 def test_touching_curves_rejected():
+    # point spheres that coincide are orthogonal: the pair spans a contact
+    # element there and the criterion degenerates
     axis, _ = lines()
-    with pytest.raises(GeometryError, match="touch at sample"):
-        cf.ribaucour_curve_check(axis, cf.line_curve(n=64))
+    with pytest.raises(GeometryError, match="orthogonal at sample 0"):
+        verify_ribaucour(axis, line())
 
 
 def test_grid_mismatch_rejected():
     axis, _ = lines()
-    other = cf.line_curve(n=32, origin=(2.0, 0.0, 0.0))
+    other = line(n=32, origin=(2.0, 0.0, 0.0))
     with pytest.raises(GeometryError, match="share their u-grid"):
-        cf.ribaucour_curve_check(axis, other)
+        verify_ribaucour(axis, other)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +226,9 @@ def circle_congruence(c1, c2, k, thetas, tol=1e-6):
     """Points of the circle a curve pair envelopes at sample k, one sample
     at a time: the lightcone circle of span{sigma, sigma', sigma_hat} at
     u_k, projected to Euclidean 3-space.  Its members are point spheres,
-    since the span is p-orthogonal.  The pair test is the oracle's."""
-    (v1, d1), (v2, d2) = ((c.lift.vectors[k], c.lift.derivatives()[0][k])
+    since no vector of the span has an e6 part.  The pair test is the
+    oracle's."""
+    (v1, d1), (v2, d2) = ((c.vectors[k], c.derivatives()[0][k])
                           for c in (c1, c2))
     residual = oracles.largest_sine(oracles.basis([v1, d1, v2]),
                                     oracles.basis([v2, d2, v1]))
@@ -283,11 +292,10 @@ def test_circle_congruence_rejects_non_ribaucour_pair():
 def _congruence_pairs():
     u = np.linspace(-1.0, 1.0, 48)
     return [
-        (cf.line_curve(n=48), cf.line_curve(n=48, origin=(2.0, 0.0, 0.0))),
-        (cf.circle_curve(n=48, radius=2.0), cf.circle_curve(n=48,
-                                                            radius=3.0)),
-        (cf.conformal_curve(_jet_line(1.0, 0.0), u),
-         cf.conformal_curve(_jet_line(1.0, 1.5), u)),
+        (line(n=48), line(n=48, origin=(2.0, 0.0, 0.0))),
+        (ring(48, 2.0), ring(48, 3.0)),
+        (curve_from_profile(_jet_line(1.0, 0.0), 0.0, u),
+         curve_from_profile(_jet_line(1.0, 1.5), 0.0, u)),
     ]
 
 
@@ -295,8 +303,7 @@ def _congruence_pairs():
                                                 "profile"])
 def test_batched_congruence_residuals_match_per_sample_spans(pair):
     c1, c2 = _congruence_pairs()[pair]
-    (v1, d1), (v2, d2) = ((c.lift.vectors, c.lift.derivatives()[0])
-                          for c in (c1, c2))
+    (v1, d1), (v2, d2) = ((c.vectors, c.derivatives()[0]) for c in (c1, c2))
     looped = oracles.largest_sine(
         oracles.basis(np.stack([v1, d1, v2], axis=1)),
         oracles.basis(np.stack([v2, d2, v1], axis=1)))
@@ -308,23 +315,21 @@ def test_batched_congruence_residuals_match_per_sample_spans(pair):
     # the batched circles the report reads are the per-sample ones
     frames, _ = lightcone_frames(span_rows(np.stack([v1, d1, v2], axis=1))[0])
     theta = np.linspace(0.0, 2.0 * np.pi, 5)
-    for k in (0, 17, c1.n - 1):
+    for k in (0, 17, c1.vectors.shape[0] - 1):
         pts = circle_points(frames[k], theta)
         expected = pts[:, :3] / (pts[:, 3] + pts[:, 4])[:, None]
         assert np.array_equal(circle_congruence(c1, c2, k, theta), expected)
 
 
 def _planted(curve, flat=(), bent=()):
-    """A copy of curve whose lift derivative is parallel to the lift at
-    the `flat` samples and leaves the Ribaucour span at the `bent` ones."""
-    d1, d2 = curve.lift.derivatives()
+    """A copy of curve whose derivative is parallel to the curve at the
+    `flat` samples and leaves the Ribaucour span at the `bent` ones."""
+    d1, d2 = curve.derivatives()
     d1 = d1.copy()
-    d1[list(flat)] = 3.0 * curve.lift.vectors[list(flat)]
+    d1[list(flat)] = 3.0 * curve.vectors[list(flat)]
     d1[list(bent)] += np.array([0.0, 0.7, 0.0, 0.0, 0.0, 0.0])
-    bad = copy.copy(curve)
-    bad.lift = SphereCurve(curve.lift.vectors, curve.lift.u_values,
-                           jet=lambda u: (curve.lift.vectors, d1, d2))
-    return bad
+    return SphereCurve(curve.vectors, curve.u_values,
+                       jet=lambda u: (curve.vectors, d1, d2))
 
 
 @pytest.mark.parametrize("flat, bent, named", [
@@ -353,8 +358,8 @@ def test_curve_checks_make_as_many_linalg_calls_at_any_n(check,
             monkeypatch.setattr(np.linalg, name, counting)
 
     def count(n):
-        axis = cf.line_curve(n=n)
-        offset = cf.line_curve(n=n, origin=(2.0, 0.0, 0.0))
+        axis = line(n=n)
+        offset = line(n=n, origin=(2.0, 0.0, 0.0))
         del calls[:]
         if check == "circle_congruence_report":
             cf.circle_congruence_report(axis, offset)
@@ -373,12 +378,12 @@ def test_collinear_pair_envelopes_a_straight_line():
     # the same line traversed with an offset parameter: a valid Ribaucour
     # pair whose "circle" is the axis itself, passing through infinity
     axis, _ = lines()
-    shifted = cf.line_curve(n=64, origin=(0.0, 0.0, 5.0))
-    assert cf.ribaucour_curve_check(axis, shifted) <= 1e-12  # 5.6e-15
+    shifted = line(origin=(0.0, 0.0, 5.0))
+    assert verify_ribaucour(axis, shifted) <= 1e-12  # 5.6e-15
 
-    d1, _ = axis.lift.derivatives()
-    sub, _ = span_rows(np.stack([axis.lift.vectors[10], d1[10],
-                                 shifted.lift.vectors[10]]))
+    d1, _ = axis.derivatives()
+    sub, _ = span_rows(np.stack([axis.vectors[10], d1[10],
+                                 shifted.vectors[10]]))
     assert containment_gap(sub, INFINITY_VEC) <= 1e-12        # 1.2e-16
     phase, timelike = circle_phase(lightcone_frames(sub)[0], INFINITY_VEC)
     assert timelike
@@ -387,26 +392,4 @@ def test_collinear_pair_envelopes_a_straight_line():
     # away from the infinite phase the samples land on the axis
     points = circle_congruence(axis, shifted, 10, [phase + 0.5, phase + 2.0])
     assert np.max(np.abs(points[:, :2])) <= 1e-12            # 6.9e-16
-
-
-# ---------------------------------------------------------------------------
-# symmetry breaking with a tilted direction
-# ---------------------------------------------------------------------------
-
-def test_tilted_direction_builds_genuine_spheres():
-    p = np.array([0.0, 0.0, 0.0, 0.0, 0.6, 0.8])   # (p, p) = -0.28
-    curve = cf.line_curve(n=64, p_vec=p)
-    v = curve.lift.vectors
-    radii = v[:, 5] / (v[:, 3] + v[:, 4])
-    # closed form: r(u) = (0.8 - sqrt(1 + 0.36 u^2)) / 0.6
-    expected = (0.8 - np.sqrt(1.0 + 0.36 * curve.u_values ** 2)) / 0.6
-    assert np.max(np.abs(radii - expected)) <= 1e-12
-    assert np.max(np.abs(inner(v, p))) <= 1e-12   # measured 4.4e-16
-
-    ring = cf.circle_curve(n=64, radius=2.0, p_vec=p)
-    grid = cf.curve_legendre_lift(ring)
-    assert validate_legendre(grid).passed
-    data = curvature_data(grid)
-    s1 = data.s1 / np.linalg.norm(data.s1, axis=-1, keepdims=True)
-    assert np.max(np.abs(inner(s1, p))) <= 1e-12  # measured 2.8e-16
 

@@ -20,6 +20,12 @@ from hypothesis import strategies as st
 
 import oracles
 from liechannel import cli, legendre, scene
+from liechannel.channel import (
+    SphereCurve,
+    circle_sphere_curve,
+    envelope,
+    line_sphere_curve,
+)
 from liechannel.cli import main
 from liechannel.demos import demo_config, demo_names
 from liechannel.scene import (
@@ -203,6 +209,48 @@ def test_broken_scene_exits_2_before_anything_is_built(tmp_path, demo, path,
     assert main(["run", str(scene_path), "--out", str(out)]) == 2
     with pytest.raises(SceneError, match=str(path[-1])):
         run_scene(cfg, out)
+    assert not out.exists()
+
+
+# a reference names an object of the type it takes: a sphere curve, a
+# grid, a cyclide or an omega0 structure
+_WRONG_TYPE = {
+    "tube-of-a-tube": (
+        "curve-ribaucour", ("objects", "tube_b", "curve"), "tube_a",
+        "object 'tube_b': reference 'tube_a' is a grid, need a sphere curve"),
+    "validate-a-line-curve": (
+        "curve-ribaucour", ("pipeline", 0),
+        {"id": "lift", "op": "validate", "target": "axis"},
+        "stage 'lift': reference 'axis' is a sphere curve, need a grid"),
+    "channel-of-darboux-spheres": (
+        "cylinder-darboux", ("pipeline", 5, "target"), "hat_spheres",
+        "stage 'transform-is-channel': reference 'hat_spheres' is a sphere "
+        "curve, need a grid"),
+    "darboux-with-a-grid-as-omega": (
+        "cylinder-darboux", ("pipeline", 4, "omega"), "cylinder",
+        "stage 'darboux': reference 'cylinder' is a grid, need an omega0 "
+        "structure"),
+    "cyclides-with-omega-as-grid": (
+        "cylinder-darboux", ("pipeline", 7, "grid_b"), "eta",
+        "stage 'cyclide-family': reference 'eta' is an omega0 structure, "
+        "need a grid"),
+}
+
+
+@pytest.mark.parametrize("demo, path, value, error", _WRONG_TYPE.values(),
+                         ids=list(_WRONG_TYPE))
+def test_wrong_type_reference_exits_2_before_anything_is_built(
+        tmp_path, capsys, demo, path, value, error):
+    cfg = demo_config(demo, grid=16)
+    _node(cfg, path[:-1])[path[-1]] = value
+    assert validate_scene(cfg) == [error]
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["check", str(scene_path)]) == 2
+    assert main(["run", str(scene_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{error}\ninvalid scene: {error}\n"
     assert not out.exists()
 
 
@@ -400,6 +448,62 @@ def test_object_build_failure_names_the_object(tmp_path):
     cfg["objects"]["tube_a"]["radius"] = 0.0
     with pytest.raises(PipelineError, match="objects.tube_a"):
         run_scene(cfg, tmp_path)
+
+
+def _built(cfg, objects=None):
+    return scene._build(scene._OBJECT_KINDS[cfg["kind"]], cfg, objects or {})
+
+
+def test_space_curve_kinds_are_radius_0_sphere_curves():
+    line_cfg = {"kind": "line_curve", "n": 24, "u_min": -0.5, "u_max": 2.0,
+                "direction": [0.0, 1.0, 1.0], "origin": [2.0, 0.0, 0.0]}
+    line = _built(line_cfg)
+    expected = line_sphere_curve(n=24, u_min=-0.5, u_max=2.0, radius=0.0,
+                                 direction=(0.0, 1.0, 1.0),
+                                 origin=(2.0, 0.0, 0.0))
+    ring = _built({"kind": "circle_curve", "n": 24, "radius": 3.0})
+    expected_ring = circle_sphere_curve(24, ring_radius=3.0, radius=0.0)
+    for curve, want in ((line, expected), (ring, expected_ring)):
+        assert isinstance(curve, SphereCurve)
+        assert np.array_equal(curve.vectors, want.vectors)
+        assert np.array_equal(curve.u_values, want.u_values)
+        assert curve.periodic_u == want.periodic_u
+        for got, wanted in zip(curve.derivatives(), want.derivatives()):
+            assert np.array_equal(got, wanted)
+        assert np.max(np.abs(curve.vectors[:, 5])) == 0.0   # point spheres
+    lift = _built({"kind": "curve_legendre_lift", "curve": "c",
+                   "n_theta": 16}, {"c": line})
+    grid = envelope(expected, n_theta=16)
+    assert np.array_equal(lift.sigma, grid.sigma)
+    assert np.array_equal(lift.tau, grid.tau)
+
+
+def test_curve_ops_take_any_sphere_curve(tmp_path):
+    # the curve-level ops read sphere curves, so genuine spheres (radius
+    # 0.5) run through the curve-ribaucour demo as the points do
+    cfg = demo_config("curve-ribaucour", grid=16)
+    cfg["objects"]["axis"] = {"kind": "line_sphere_curve", "n": 16,
+                              "radius": 0.5}
+    cfg["objects"]["offset"] = {"kind": "line_sphere_curve", "n": 16,
+                                "radius": 0.5, "origin": [2.0, 0.0, 0.0]}
+    assert validate_scene(cfg) == []
+    report = run_scene(cfg, tmp_path / "o")
+    assert report["passed"] is True
+
+
+def test_degenerate_space_curve_fails_at_its_first_use(tmp_path, capsys):
+    # a line with no direction is no regular curve; nothing checks it
+    # when it is sampled, so the first object built from it fails
+    cfg = demo_config("curve-ribaucour", grid=16)
+    cfg["objects"]["axis"]["direction"] = [0.0, 0.0, 0.0]
+    assert validate_scene(cfg) == []
+    with pytest.raises(PipelineError, match="^stage 'objects.tube_a' "
+                       "failed: curve is not regular at samples"):
+        run_scene(cfg, tmp_path / "o")
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(cfg))
+    assert main(["run", str(scene_path), "--out", str(tmp_path / "p")]) == 1
+    assert "curve is not regular" in capsys.readouterr().err
 
 
 def test_dupin_fit_index_outside_the_curve(tmp_path):
@@ -743,12 +847,10 @@ def mutated_demo(draw):
     return cfg
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(mutated_demo())
-def test_mutated_demo_is_rejected_or_runs(cfg):
-    # a mutation either fails validation (exit 2 from check and run, with
-    # nothing written) or runs to a report or a PipelineError naming the
-    # stage; any other exception is a bug
+def _rejected_or_runs(cfg):
+    """cfg either fails validation (exit 2 from check and run, with
+    nothing written) or runs to a report or a PipelineError naming the
+    stage; any other exception is a bug."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         if validate_scene(cfg):
@@ -766,3 +868,36 @@ def test_mutated_demo_is_rejected_or_runs(cfg):
                     [f"objects.{name}" for name in cfg["objects"]]
                     + [stage["id"] for stage in cfg["pipeline"]]
                     + ["outputs"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_demo())
+def test_mutated_demo_is_rejected_or_runs(cfg):
+    _rejected_or_runs(cfg)
+
+
+#: the string-valued keys of the demos' objects and stages that are no
+#: references
+_NOT_REFERENCES = {"kind", "id", "op", "store", "store_prefix", "axis"}
+
+
+@st.composite
+def swapped_reference(draw):
+    """A demo config at grid 16 with one reference to an object swapped
+    for the name of another object the scene makes or uses."""
+    cfg = demo_config(draw(st.sampled_from(demo_names())), grid=16)
+    entries = list(cfg["objects"].values()) + cfg["pipeline"]
+    refs = [(entry, key) for entry in entries
+            for key, value in entry.items()
+            if isinstance(value, str) and key not in _NOT_REFERENCES]
+    names = (set(cfg["objects"]) | {entry[key] for entry, key in refs}
+             | {entry["store"] for entry in entries if "store" in entry})
+    entry, key = draw(st.sampled_from(refs))
+    entry[key] = draw(st.sampled_from(sorted(names - {entry[key]})))
+    return cfg
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(swapped_reference())
+def test_swapped_reference_is_rejected_or_runs(cfg):
+    _rejected_or_runs(cfg)
