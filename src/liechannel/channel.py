@@ -88,24 +88,28 @@ class SphereCurve:
         scale = np.einsum("ij,ij->i", self.vectors, self.vectors)
         return float(np.max(np.abs(inner(self.vectors, self.vectors)) / scale))
 
-    def regularity_values(self) -> np.ndarray:
+    def regularity_values(self, d1=None) -> np.ndarray:
         """Quotient-metric speed (sigma', sigma') of the unit-scaled lift.
 
         The quotient of the first osculating space by the curve itself
         inherits this quadratic form; the curve is regular where it is
         positive.  Scaling sigma only contributes terms proportional to
         (sigma, sigma') = 0, so dividing by the Euclidean norm squared is
-        exact.
+        exact.  d1, when given, is the first derivative of the samples.
         """
-        d1, _ = self.derivatives()
+        if d1 is None:
+            d1, _ = self.derivatives()
         scale = np.einsum("ij,ij->i", self.vectors, self.vectors)
         return inner(d1, d1) / scale
 
-    def check(self, null_tol: float = 1e-10, reg_min: float = 1e-6) -> None:
+    def check(self, null_tol: float = 1e-10, reg_min: float = 1e-6,
+              d1=None) -> None:
+        """Raise GeometryError unless the samples are null and the curve
+        is regular; d1 as in regularity_values."""
         if self.nullity() > null_tol:
             raise GeometryError(
                 f"curve samples are not null (worst {self.nullity():.3e})")
-        reg = self.regularity_values()
+        reg = self.regularity_values(d1)
         bad = np.flatnonzero(reg <= reg_min)
         if bad.size:
             raise GeometryError(

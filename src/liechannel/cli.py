@@ -5,7 +5,8 @@ pipeline stage failed or an assertion did not hold, 2 for configuration
 problems (malformed JSON, schema violations, unknown demo names).  The
 default output directory comes from the LIECHANNEL_OUT environment
 variable, falling back to ./artifacts; each scene writes into a
-subdirectory named after it.
+subdirectory named after it.  `check` imports neither numpy nor the
+geometry modules; `run` and `demo` load them with their first scene.
 """
 
 from __future__ import annotations

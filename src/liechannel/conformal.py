@@ -85,8 +85,10 @@ def tube_sphere_curve(curve: SphereCurve, radius: float) -> SphereCurve:
     """The tube's sphere curve: the same centres with shifted radius.
 
     Parallel transformation is linear, so it commutes with u-derivatives;
-    an analytic jet on the curve transports to an exact jet here.
+    an analytic jet on the curve transports to an exact jet here.  The
+    curve must be null and regular (SphereCurve.check).
     """
+    curve.check()
     m = parallel_transform_matrix(radius)
     jet = None if curve.jet is None else (
         lambda u, base=curve.jet: tuple(arr @ m.T for arr in base(u)))
@@ -119,9 +121,12 @@ def circle_congruence_report(c1: SphereCurve, c2: SphereCurve,
     span.
     tangency: the theta-derivative of the projected circle at each curve's
     phase must align with the curve's own tangent (angle between lines).
-    All samples at once; the first failing sample in u order is reported.
+    Both curves must be null and regular (SphereCurve.check).  All samples
+    at once; the first failing sample in u order is reported.
     """
     (v1, d1), (v2, d2) = ((c.vectors, c.derivatives()[0]) for c in (c1, c2))
+    c1.check(d1=d1)
+    c2.check(d1=d2)
     # the congruence span {sigma, sigma', sigma_hat} against its twin
     bases, residuals, failures = _span_pair(c1, c2, [v1, d1, v2],
                                             [v2, d2, v1])

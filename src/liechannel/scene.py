@@ -14,64 +14,30 @@ JSON-schema type per parameter, and the type of each object it makes.
 Its schema, the object builder, the names it stores and their types all
 derive from it.  A scene object is a sphere curve (a space curve is the
 one of radius 0), a grid, a cyclide or an omega0 structure.  The schema
-types are checked in-package: `_errors` implements the JSON Schema keywords the declarations use, with
-jsonschema's semantics and messages, and a declaration using any other
-keyword fails when this module loads.  The semantic layer on top checks
-what a schema cannot: that numbers are finite, that names are defined
-before use and name an object of the type the reference takes, that ids
-are unique, that a mesh output names a grid or a cyclide (and sizes only
-a cyclide's), and that output paths stay inside the artifact directory.
+types are checked in-package: `_errors` implements the JSON Schema
+keywords the declarations use, with jsonschema's semantics and messages,
+and a declaration using any other keyword fails when this module loads.
+The semantic layer on top checks what a schema cannot: that numbers are
+finite, that names are defined before use and name an object of the type
+the reference takes, that ids are unique, that a mesh output names a grid
+or a cyclide (and sizes only a cyclide's), and that output paths stay
+inside the artifact directory.
+
+This module is the scene contract and imports neither numpy nor the
+library, so validating a scene (`liechannel check`) loads neither.  A
+declaration names what runs it as "module.function" in this package; the
+runners live in `ops`, which `run_scene` imports on its first call.
 """
 
 from __future__ import annotations
 
-import functools
+import importlib
 import json
 import math
 import numbers
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
-
-import numpy as np
-
-from .channel import (
-    SphereCurve,
-    circle_sphere_curve,
-    conserved_quantity,
-    envelope,
-    helix_sphere_curve,
-    line_sphere_curve,
-    omega0_form,
-)
-from .conformal import circle_congruence_report, tube, tube_sphere_curve
-from .core import (DIM, GeometryError, circle_points, containment_gap,
-                   first_failure, inner, unit_rows)
-from .legendre import (
-    channel_verdict,
-    curvature_data,
-    is_channel,
-    lie_cyclide_split,
-    spherical_line_residuals,
-    validate_legendre,
-)
-from .mesh import (_pencil_point_spheres, cyclide_mesh, cyclide_point_grid,
-                   export_obj, mesh_from_grid)
-from .transforms import (
-    DupinCyclide,
-    calapso_quadratic_form,
-    calapso_transform,
-    cyclide_point_residual,
-    darboux_initial_condition,
-    darboux_transform,
-    dupin_from_spheres,
-    dupin_from_subspaces,
-    gauge_edge_residual,
-    ribaucour_cyclides,
-    verify_ribaucour,
-    _cyclide_spans,
-)
 
 REPORT_SCHEMA = "liechannel-report/1"
 OUT_ENV_VAR = "LIECHANNEL_OUT"
@@ -407,24 +373,32 @@ def _nothing(cfg):
     return {}
 
 
-@dataclass(frozen=True)
-class _Decl:
-    """An object kind or a pipeline op: the library constructor or op runner,
-    the config keys naming earlier objects with the type each takes, as
+class _Decl(NamedTuple):
+    """An object kind or a pipeline op: what runs it, as "module.function"
+    in this package (a library constructor or an op runner of `ops`), the
+    config keys naming earlier objects with the type each takes, as
     {key: type} (required `refs`, optional `optional_refs`), one JSON-schema
     type per parameter, the parameters that must be given, and what it
     makes for later stages, each with its type (a key of _OBJECT_TYPES):
     for an object kind the object itself (`makes`), for an op the object
-    names (or name prefixes) it stores, as {name: type}."""
+    names (or name prefixes) it stores, as {name: type}.  No field is ever
+    mutated, so the empty defaults are shared."""
 
-    run: Callable
-    refs: dict = field(default_factory=dict)
-    optional_refs: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
+    run: str
+    refs: dict = {}
+    optional_refs: dict = {}
+    params: dict = {}
     required: tuple = ()
     stores: Callable = _nothing
     prefixes: Callable = _nothing
     makes: Optional[str] = None
+
+    def runner(self) -> Callable:
+        """What runs this declaration, looked up in its module now, so
+        that a rebound module attribute is the one called."""
+        module, name = self.run.rsplit(".", 1)
+        return getattr(importlib.import_module("." + module, __package__),
+                       name)
 
     @property
     def all_refs(self) -> dict:
@@ -453,19 +427,6 @@ class _Decl:
         return args
 
 
-def _build(kind, cfg, objects):
-    """Referenced objects go positionally, given parameters as keywords:
-    every default lives in the library signature."""
-    args = kind.args(cfg, objects)
-    return kind.run(*(args[ref] for ref in kind.refs),
-                    **{key: args[key] for key in kind.params if key in args})
-
-
-def _ring_curve(n: int = 64, radius: float = 2.0) -> SphereCurve:
-    """The point spheres of a round circle of `radius` in the xy-plane."""
-    return circle_sphere_curve(n, ring_radius=radius, radius=0.0)
-
-
 _CURVE = dict(n=_COUNT, u_min=_NUMBER, u_max=_NUMBER, direction=_VEC3,
               origin=_VEC3)
 _OF_CURVE = {"curve": "curve"}
@@ -473,26 +434,26 @@ _OF_CURVE = {"curve": "curve"}
 # line_curve, circle_curve and curve_legendre_lift name the radius-0 case
 # of the sphere-curve kinds and its envelope
 _OBJECT_KINDS = {
-    "line_sphere_curve": _Decl(line_sphere_curve,
+    "line_sphere_curve": _Decl("channel.line_sphere_curve",
                                params=dict(_CURVE, radius=_NUMBER),
                                makes="curve"),
-    "circle_sphere_curve": _Decl(circle_sphere_curve, params=dict(
+    "circle_sphere_curve": _Decl("channel.circle_sphere_curve", params=dict(
         n=_COUNT, ring_radius=_NUMBER, radius=_NUMBER), makes="curve"),
-    "helix_sphere_curve": _Decl(helix_sphere_curve, params=dict(
+    "helix_sphere_curve": _Decl("channel.helix_sphere_curve", params=dict(
         n=_COUNT, ring_radius=_NUMBER, pitch=_NUMBER, radius=_NUMBER,
         turns=_NUMBER), makes="curve"),
-    "envelope": _Decl(envelope, refs={"sphere_curve": "curve"},
+    "envelope": _Decl("channel.envelope", refs={"sphere_curve": "curve"},
                       params=dict(n_theta=_COUNT), makes="grid"),
-    "line_curve": _Decl(functools.partial(line_sphere_curve, radius=0.0),
-                        params=_CURVE, makes="curve"),
-    "circle_curve": _Decl(_ring_curve, params=dict(n=_COUNT, radius=_NUMBER),
+    "line_curve": _Decl("ops._line_curve", params=_CURVE, makes="curve"),
+    "circle_curve": _Decl("ops._ring_curve",
+                          params=dict(n=_COUNT, radius=_NUMBER),
                           makes="curve"),
-    "tube": _Decl(tube, refs=_OF_CURVE, required=("radius",),
+    "tube": _Decl("conformal.tube", refs=_OF_CURVE, required=("radius",),
                   params=dict(radius=_NUMBER, n_theta=_COUNT), makes="grid"),
-    "tube_sphere_curve": _Decl(tube_sphere_curve, refs=_OF_CURVE,
+    "tube_sphere_curve": _Decl("conformal.tube_sphere_curve", refs=_OF_CURVE,
                                required=("radius",),
                                params=dict(radius=_NUMBER), makes="curve"),
-    "curve_legendre_lift": _Decl(envelope, refs=_OF_CURVE,
+    "curve_legendre_lift": _Decl("channel.envelope", refs=_OF_CURVE,
                                  params=dict(n_theta=_COUNT), makes="grid"),
 }
 _KIND_SCHEMAS = {name: kind.schema({"kind": {}})
@@ -502,249 +463,6 @@ _KIND_SCHEMAS = {name: kind.schema({"kind": {}})
 # ---------------------------------------------------------------------------
 # pipeline operations
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _Context:
-    objects: dict
-    seed: int
-
-
-def _clean(value):
-    """Make a measurement JSON-safe; non-finite numbers become null."""
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if np.isfinite(v) else None
-    if isinstance(value, dict):
-        return {str(k): _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_clean(v) for v in np.asarray(value).tolist()
-                ] if isinstance(value, np.ndarray) else [
-                    _clean(v) for v in value]
-    raise TypeError(f"cannot report a value of type {type(value).__name__}")
-
-
-def _given(args, *keys):
-    return {key: args[key] for key in keys if key in args}
-
-
-def _op_validate(args, ctx):
-    rep = validate_legendre(args["target"])
-    return {"isotropy": rep.isotropy, "contact": rep.contact,
-            "immersion": rep.immersion, "passed": rep.passed}
-
-
-def _op_channel(args, ctx):
-    rep = is_channel(args["target"])
-    return {"circular_dir": rep.circular_dir,
-            "rate_dir1": rep.rates["dir1"], "rate_dir2": rep.rates["dir2"],
-            "coupling_dir1": rep.coupling["dir1"],
-            "coupling_dir2": rep.coupling["dir2"],
-            "consistent": rep.consistent, "notes": list(rep.notes)}
-
-
-def _op_lie_cyclide(args, ctx):
-    split = lie_cyclide_split(args["target"])
-    return {"s2_agreement": split.s2_agreement,
-            "excluded_fraction": float(np.mean(split.excluded))}
-
-
-def _op_omega0(args, ctx):
-    omega = omega0_form(args["grid"], args["sphere_curve"].vectors)
-    if "store" in args:
-        ctx.objects[args["store"]] = omega
-    out = {"lift_gap": omega.lift_gap,
-           "q_uu_min": float(np.min(omega.q_uu)),
-           "q_uu_max": float(np.max(omega.q_uu))}
-    if "q_uu_expected" in args:
-        out["q_uu_deviation"] = float(
-            np.max(np.abs(omega.q_uu - args["q_uu_expected"])))
-    return out
-
-
-def _op_conserved(args, ctx):
-    p = np.asarray(args.get("p", np.eye(DIM)[5].tolist()), dtype=float)
-    rep = conserved_quantity(args["omega"], p, args["lambdas"])
-    residuals = {str(float(k)): v for k, v in rep.residuals.items()}
-    return {"residuals": residuals, "residual_max": max(residuals.values()),
-            "normalisation_defect": rep.normalisation_defect,
-            "passed": rep.passed}
-
-
-def _op_darboux(args, ctx):
-    grid, omega = args["grid"], args["omega"]
-    phi0 = darboux_initial_condition(np.eye(DIM)[[0, 3, 4]], omega.sigma1[0],
-                                     ctx.seed)
-    result = darboux_transform(grid, omega, args["m"], phi0,
-                               **_given(args, "substeps"))
-    ctx.objects[args["store"]] = result.hat_f
-    ctx.objects[args["store"] + "_spheres"] = result.hat_s
-    out = {"m": float(args["m"]), "null_drift": result.null_drift,
-           "validation_passed": validate_legendre(result.hat_f).passed}
-    if "holonomy_mismatch" in result.hat_f.metadata:
-        out["holonomy_mismatch"] = result.hat_f.metadata["holonomy_mismatch"]
-    return out
-
-
-def _calapso_measurements(args, ctx, lam):
-    """One spectral parameter of the calapso op.  Its transformed grid
-    and derived arrays are released before the next parameter's."""
-    grid, omega = args["grid"], args["omega"]
-    gauge, out = calapso_transform(grid, omega, lam,
-                                   **_given(args, "substeps"))
-    q_dev = float(np.max(np.abs(
-        calapso_quadratic_form(gauge, omega) - omega.q_uu)))
-    channel = channel_verdict(out)
-    pushed = unit_rows(gauge.push(omega.sigma1))
-    s1 = unit_rows(curvature_data(out).s1)
-    gap = float(np.max(np.minimum(
-        np.linalg.norm(s1 - pushed[:, None], axis=-1),
-        np.linalg.norm(s1 + pushed[:, None], axis=-1))))
-    if "store_prefix" in args:
-        ctx.objects[f"{args['store_prefix']}_{float(lam)}"] = out
-    return {
-        "ortho_defect": gauge.ortho_defect,
-        "edge_residual": gauge_edge_residual(gauge, omega),
-        "q_deviation": q_dev,
-        "circular_dir": channel.circular_dir,
-        "dir1_circular": channel.circular("dir1"),
-        "sphere_map_gap": gap,
-        "validation_passed": validate_legendre(out).passed,
-    }
-
-
-def _op_calapso(args, ctx):
-    per_lambda = {str(float(lam)): _calapso_measurements(args, ctx, lam)
-                  for lam in args["lambdas"]}
-    return {
-        "per_lambda": per_lambda,
-        "ortho_max": max(v["ortho_defect"] for v in per_lambda.values()),
-        "q_deviation_max": max(v["q_deviation"] for v in per_lambda.values()),
-        "sphere_map_gap_max": max(v["sphere_map_gap"]
-                                  for v in per_lambda.values()),
-        "circular_preserved": all(v["dir1_circular"]
-                                  for v in per_lambda.values()),
-    }
-
-
-def _op_verify_pair(args, ctx):
-    return {"residual": verify_ribaucour(args["a"], args["b"])}
-
-
-def _op_cyclides(args, ctx):
-    rep = ribaucour_cyclides(args["a"], args["b"], f=args.get("grid_a"),
-                             f_hat=args.get("grid_b"))
-    return {"coincidence": rep.coincidence, "duality": rep.duality,
-            "theta_constancy": rep.theta_constancy,
-            "intersection_rank_ok": rep.intersection_rank_ok,
-            "d2_coincidence": rep.d2_coincidence, "notes": list(rep.notes)}
-
-
-def _op_congruence_contact(args, ctx):
-    """Contact of the u-family of Dupin cyclides with both surfaces.
-
-    At every sample_every-th u the cyclide space is
-    span{sigma, sigma_hat, sigma'}; both curvature spheres must lie in it,
-    every sphere of the complement family must touch them, and the fixed-u
-    parameter lines of both grids must consist of points of the cyclide.
-    All sampled u are measured at once; an error names the first bad
-    sample, a cyclide's own failures before its grid rows'.
-    """
-    f, f_hat = args["grid"], args["hat_grid"]
-    s, s_hat = args["spheres_a"], args["spheres_b"]
-    d1_basis, _ = _cyclide_spans(s, s_hat)
-    nu = f.shape[0]
-    ks = np.arange(0, nu, args.get("sample_every", max(1, nu // 8)))
-    probes = np.linspace(0.0, 2.0 * np.pi, args.get("n_probe", 16),
-                         endpoint=False)
-    bases = d1_basis[ks]
-    cyclides, frames, failures = dupin_from_subspaces(
-        bases, [f"congruence u-index {k}" for k in ks])
-    pencils = [_pencil_point_spheres(grid.sigma[ks], grid.tau[ks])
-               for grid in (f, f_hat)]
-    hit = first_failure(failures + [
-        (pure.any(axis=-1), lambda i: GeometryError(
-            "pencil is entirely made of point spheres"))
-        for _, _, pure in pencils])
-    if hit is not None:
-        raise hit[1]
-
-    spheres = np.stack([s.vectors[ks], s_hat.vectors[ks]], axis=1)
-    membership = containment_gap(bases, spheres)
-    su = unit_rows(spheres)
-    family_b = unit_rows(circle_points(frames[:, 1, None], probes))
-    contact = np.abs(inner(family_b[:, :, None], su[:, None]))
-    line = max(float(np.max(cyclide_point_residual(frames, vec),
-                            where=finite, initial=0.0))
-               for vec, finite, _ in pencils)
-    prefix = args.get("store_prefix")
-    if prefix is not None:
-        for k, cyc in zip(ks, cyclides):
-            ctx.objects[f"{prefix}_{k}"] = cyc
-    return {"contact_residual": float(np.max(contact)),
-            "membership_residual": float(np.max(membership)),
-            "line_residual": line, "n_cyclides": len(ks),
-            "dropped_points": sum(int(np.count_nonzero(~finite))
-                                  for _, finite, _ in pencils)}
-
-
-def _op_sphericity(args, ctx):
-    """Worst sphere-fit residual over a sample of parameter lines.
-
-    axis "u" walks the lines of constant u (the theta-circles); axis
-    "theta" walks the lines of constant theta.
-    """
-    grid = args["target"]
-    axis = args.get("axis", "u")
-    count = grid.shape[0] if axis == "u" else grid.shape[1]
-    lines = range(0, count, args.get("stride", max(1, count // 8)))
-    residuals, _ = spherical_line_residuals(grid, axis, lines)
-    return {"residual_max": float(np.max(residuals)),
-            "lines_checked": len(lines)}
-
-
-def _op_dupin_fit(args, ctx):
-    curve = args["sphere_curve"]
-    indices = [int(x) for x in args["indices"]]
-    if max(indices) >= len(curve.vectors):
-        raise GeometryError(f"indices {indices} reach past the curve's "
-                            f"{len(curve.vectors)} samples")
-    cyc = dupin_from_spheres(*curve.vectors[indices])
-    if "store" in args:
-        ctx.objects[args["store"]] = cyc
-    out = {}
-    if "torus" in args:
-        ring = float(args["torus"]["ring"])
-        radius = float(args["torus"]["radius"])
-        positions, finite = cyclide_point_grid(cyc, 48, 48)
-        good = positions[finite]
-        dev = np.abs(np.hypot(np.hypot(good[:, 0], good[:, 1]) - ring,
-                              good[:, 2]) - radius)
-        out["torus_deviation"] = float(np.max(dev))
-        out["finite_fraction"] = float(np.mean(finite))
-    return out
-
-
-def _op_tube_check(args, ctx):
-    a, b, radius = args["a"], args["b"], args["radius"]
-    point_level = verify_ribaucour(a, b)
-    tube_level = verify_ribaucour(tube_sphere_curve(a, radius),
-                                  tube_sphere_curve(b, radius))
-    return {"radius": float(radius), "residual": tube_level,
-            "point_residual": point_level,
-            "agreement": abs(tube_level - point_level)}
-
-
-def _op_circle_congruence(args, ctx):
-    rep = circle_congruence_report(args["a"], args["b"])
-    return {"membership": rep.membership, "tangency1": rep.tangency1,
-            "tangency2": rep.tangency2,
-            "tangency_max": max(rep.tangency1, rep.tangency2),
-            "passed": rep.passed, "notes": list(rep.notes)}
-
 
 def _key_if_set(key, made):
     return lambda stage: {stage[key]: made} if key in stage else {}
@@ -768,43 +486,44 @@ _TARGET = {"target": "grid"}
 _FLOW = {"grid": "grid", "omega": "omega0"}
 
 _OPS = {
-    "validate": _Decl(_op_validate, refs=_TARGET),
-    "channel": _Decl(_op_channel, refs=_TARGET),
-    "lie_cyclide": _Decl(_op_lie_cyclide, refs=_TARGET),
-    "omega0": _Decl(_op_omega0, refs={"grid": "grid", "sphere_curve": "curve"},
+    "validate": _Decl("ops._op_validate", refs=_TARGET),
+    "channel": _Decl("ops._op_channel", refs=_TARGET),
+    "lie_cyclide": _Decl("ops._op_lie_cyclide", refs=_TARGET),
+    "omega0": _Decl("ops._op_omega0",
+                    refs={"grid": "grid", "sphere_curve": "curve"},
                     params=dict(store=_NAME, q_uu_expected=_NUMBER),
                     stores=_key_if_set("store", "omega0")),
-    "conserved": _Decl(_op_conserved, refs={"omega": "omega0"},
+    "conserved": _Decl("ops._op_conserved", refs={"omega": "omega0"},
                        required=("lambdas",),
                        params=dict(lambdas=_LAMBDAS, p=_VEC6)),
-    "darboux": _Decl(_op_darboux, refs=_FLOW, required=("m", "store"),
+    "darboux": _Decl("ops._op_darboux", refs=_FLOW, required=("m", "store"),
                      params=dict(m=_NONZERO, store=_NAME, substeps=_STEP),
                      stores=_stores_darboux),
-    "calapso": _Decl(_op_calapso, refs=_FLOW, required=("lambdas",),
+    "calapso": _Decl("ops._op_calapso", refs=_FLOW, required=("lambdas",),
                      params=dict(lambdas=_LAMBDAS, substeps=_STEP,
                                  store_prefix=_NAME),
                      stores=_stores_calapso),
-    "verify_pair": _Decl(_op_verify_pair, refs=_PAIR),
-    "cyclides": _Decl(_op_cyclides, refs=_PAIR,
+    "verify_pair": _Decl("ops._op_verify_pair", refs=_PAIR),
+    "cyclides": _Decl("ops._op_cyclides", refs=_PAIR,
                       optional_refs={"grid_a": "grid", "grid_b": "grid"}),
     "congruence_contact": _Decl(
-        _op_congruence_contact,
+        "ops._op_congruence_contact",
         refs={"grid": "grid", "hat_grid": "grid", "spheres_a": "curve",
               "spheres_b": "curve"},
         params=dict(sample_every=_STEP, n_probe=_STEP, store_prefix=_NAME),
         prefixes=_key_if_set("store_prefix", "cyclide")),
-    "sphericity": _Decl(_op_sphericity, refs=_TARGET,
+    "sphericity": _Decl("ops._op_sphericity", refs=_TARGET,
                         params=dict(axis={"enum": ["u", "theta"]},
                                     stride=_STEP)),
-    "dupin_fit": _Decl(_op_dupin_fit, refs={"sphere_curve": "curve"},
+    "dupin_fit": _Decl("ops._op_dupin_fit", refs={"sphere_curve": "curve"},
                        required=("indices",),
                        params=dict(indices=_INDICES, store=_NAME,
                                    torus=_TORUS),
                        stores=_key_if_set("store", "cyclide")),
-    "curve_check": _Decl(_op_verify_pair, refs=_PAIR),
-    "tube_check": _Decl(_op_tube_check, refs=_PAIR, required=("radius",),
-                        params=dict(radius=_NUMBER)),
-    "circle_congruence": _Decl(_op_circle_congruence, refs=_PAIR),
+    "curve_check": _Decl("ops._op_verify_pair", refs=_PAIR),
+    "tube_check": _Decl("ops._op_tube_check", refs=_PAIR,
+                        required=("radius",), params=dict(radius=_NUMBER)),
+    "circle_congruence": _Decl("ops._op_circle_congruence", refs=_PAIR),
 }
 _OP_SCHEMAS = {name: op.schema({"id": {}, "op": {}, "assert": {}})
                for name, op in _OPS.items()}
@@ -835,7 +554,11 @@ def _non_finite(node, path=()) -> list:
     elif isinstance(node, list):
         children = enumerate(node)
     else:
-        if isinstance(node, (float, np.floating)) and not math.isfinite(node):
+        # numpy's float scalars are numbers.Real too; integers are always
+        # finite (and may be too large for math.isfinite)
+        if (isinstance(node, numbers.Real)
+                and not isinstance(node, numbers.Integral)
+                and not math.isfinite(node)):
             return [" -> ".join(map(str, path))
                     + f": {node!r} is not a finite number"]
         return []
@@ -951,97 +674,18 @@ def load_scene(path):
 # execution
 # ---------------------------------------------------------------------------
 
-def _eval_assertion(check, measurements):
-    key = check["key"]
-    value = measurements.get(key)
-    entry = {"key": key, "measured": _clean(value)}
-    if "max" in check:
-        entry["kind"] = "max"
-        entry["tolerance"] = float(check["max"])
-        ok = (isinstance(value, (int, float, np.floating, np.integer))
-              and not isinstance(value, bool)
-              and np.isfinite(value) and value <= check["max"])
-        entry["passed"] = bool(ok)
-    elif "true" in check:
-        entry["kind"] = "true"
-        entry["passed"] = value is True
-    else:
-        entry["kind"] = "equals"
-        entry["expected"] = _clean(check["equals"])
-        entry["passed"] = bool(value == check["equals"])
-    return entry
-
-
 def run_scene(config: dict, out_dir) -> dict:
     """Execute a validated scene and write its artifacts.
 
     Validation runs first and raises SceneError before anything touches
     the filesystem; stage failures raise PipelineError naming the stage.
     Returns the report dictionary (also written to the report path when
-    the config requests one).
+    the config requests one).  The first call imports the execution
+    module `ops`, and with it numpy and the library.
     """
     errors = validate_scene(config)
     if errors:
         raise SceneError(errors)
 
-    ctx = _Context(objects={}, seed=int(config.get("seed", 0)))
-    for name, cfg in config["objects"].items():
-        try:
-            ctx.objects[name] = _build(_OBJECT_KINDS[cfg["kind"]], cfg,
-                                       ctx.objects)
-        except (GeometryError, ValueError, np.linalg.LinAlgError) as exc:
-            raise PipelineError(f"objects.{name}", str(exc)) from exc
-
-    stages = []
-    all_passed = True
-    for stage in config["pipeline"]:
-        op = _OPS[stage["op"]]
-        try:
-            measurements = op.run(op.args(stage, ctx.objects), ctx)
-        except (GeometryError, ValueError, KeyError,
-                np.linalg.LinAlgError) as exc:
-            raise PipelineError(stage["id"], str(exc)) from exc
-        checks = [_eval_assertion(a, measurements)
-                  for a in stage.get("assert", [])]
-        passed = all(c["passed"] for c in checks)
-        all_passed = all_passed and passed
-        stages.append({"id": stage["id"], "op": stage["op"],
-                       "measurements": _clean(measurements),
-                       "assertions": checks, "passed": passed})
-
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = config.get("outputs", {})
-    mesh_entries = []
-    for entry in outputs.get("meshes", []):
-        name = entry["object"]
-        if name not in ctx.objects:
-            raise PipelineError(
-                "outputs", f"mesh object '{name}' was never stored")
-        # validate_scene admits only grids and cyclides here
-        obj, n = ctx.objects[name], int(entry.get("n", 48))
-        try:
-            mesh = (cyclide_mesh(obj, n, n) if isinstance(obj, DupinCyclide)
-                    else mesh_from_grid(obj))
-            export_obj(mesh, os.path.join(out_dir, entry["path"]))
-        except OSError as exc:
-            raise PipelineError("outputs", str(exc)) from exc
-        mesh_entries.append({"object": name, "path": entry["path"],
-                             "vertices": int(mesh.vertices.shape[0]),
-                             "faces": int(mesh.faces.shape[0])})
-
-    report = {
-        "schema": REPORT_SCHEMA,
-        "name": config.get("name", "scene"),
-        "version": config["version"],
-        "seed": int(config.get("seed", 0)),
-        "stages": stages,
-        "meshes": mesh_entries,
-        "passed": all_passed,
-    }
-    report_path = outputs.get("report")
-    if report_path is not None:
-        text = json.dumps(report, sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
-        with open(os.path.join(out_dir, report_path), "w") as fh:
-            fh.write(text)
-    return report
+    from . import ops
+    return ops.execute(config, out_dir)

@@ -1,14 +1,17 @@
 """The public API holds only what the package itself uses.
 
-Every name exported from liechannel/__init__.py must be referenced
-somewhere in the package outside its own definition and the export list,
-or be named below with the reason it is public anyway.  So must every
+Every name in liechannel.__all__ must be referenced somewhere in the
+package outside its own definition and the export table, or be named
+below with the reason it is public anyway.  A scene declaration naming
+its runner as "module.function" references that function.  So must every
 public method and property of an exported class, named "Class.method"
 below.
 """
 
 import ast
 from pathlib import Path
+
+import liechannel
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liechannel"
 
@@ -23,9 +26,7 @@ UNCALLED_BY_DESIGN = {
 
 
 def _exports():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {alias.asname or alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return set(liechannel.__all__)
 
 
 def _defined_by(node):
@@ -40,7 +41,9 @@ def _defined_by(node):
 
 def _referenced():
     """Names loaded in the package, each outside the top-level statement
-    that defines it; import statements do not count as uses."""
+    that defines it, and the functions named by the scene declarations
+    (`_Decl("module.function", ...)`); import statements do not count as
+    uses."""
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
@@ -53,6 +56,9 @@ def _referenced():
                      and isinstance(n.ctx, ast.Load)}
             names |= {n.attr for n in ast.walk(node)
                       if isinstance(n, ast.Attribute)}
+            names |= {n.args[0].value.rsplit(".", 1)[1]
+                      for n in ast.walk(node) if isinstance(n, ast.Call)
+                      and getattr(n.func, "id", None) == "_Decl"}
             used |= names - _defined_by(node)
     return used
 

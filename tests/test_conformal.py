@@ -26,6 +26,7 @@ from liechannel.core import (
     circle_phase,
     circle_points,
     containment_gap,
+    inner,
     lightcone_frames,
     parallel_transform_matrix,
     projective_gap,
@@ -321,12 +322,15 @@ def test_batched_congruence_residuals_match_per_sample_spans(pair):
         assert np.array_equal(circle_congruence(c1, c2, k, theta), expected)
 
 
-def _planted(curve, flat=(), bent=()):
-    """A copy of curve whose derivative is parallel to the curve at the
-    `flat` samples and leaves the Ribaucour span at the `bent` ones."""
+def _planted(curve, partner, flat=(), bent=()):
+    """A copy of curve, still null and regular, whose derivative lies in
+    span{curve, partner} at the `flat` samples, so the congruence span
+    drops rank there, and leaves the Ribaucour span at the `bent` ones."""
     d1, d2 = curve.derivatives()
     d1 = d1.copy()
-    d1[list(flat)] = 3.0 * curve.vectors[list(flat)]
+    v, w = curve.vectors[list(flat)], partner.vectors[list(flat)]
+    # (3v + cw, 3v + cw) = 6c (v, w) > 0 for c = sign (v, w)
+    d1[list(flat)] = 3.0 * v + np.sign(inner(v, w))[:, None] * w
     d1[list(bent)] += np.array([0.0, 0.7, 0.0, 0.0, 0.0, 0.0])
     return SphereCurve(curve.vectors, curve.u_values,
                        jet=lambda u: (curve.vectors, d1, d2))
@@ -338,10 +342,31 @@ def _planted(curve, flat=(), bent=()):
 def test_congruence_report_names_the_first_failing_sample(flat, bent,
                                                           named):
     axis, offset = lines()
-    bad = _planted(offset, flat, bent)
+    bad = _planted(offset, axis, flat, bent)
     with pytest.raises(GeometryError,
                        match=f"^congruence fails at sample {named}$"):
         cf.circle_congruence_report(axis, bad)
+
+
+def test_curve_consumers_refuse_a_non_regular_curve():
+    # a curve standing still, or with its derivative parallel to itself at
+    # one sample, is refused as envelope refuses it, before any span
+    axis, offset = lines()
+    still = line(direction=(0.0, 0.0, 0.0))
+    d1, d2 = offset.derivatives()
+    d1 = d1.copy()
+    d1[23] = 3.0 * offset.vectors[23]
+    parallel = SphereCurve(offset.vectors, offset.u_values,
+                           jet=lambda u: (offset.vectors, d1, d2))
+    for bad, where in ((still, r"\[0, 1, 2"), (parallel, r"\[23\]")):
+        for consume in (lambda: cf.tube_sphere_curve(bad, 0.5),
+                        lambda: cf.circle_congruence_report(axis, bad),
+                        lambda: cf.circle_congruence_report(bad, axis),
+                        lambda: envelope(bad, n_theta=8)):
+            with pytest.raises(GeometryError,
+                               match=f"^curve is not regular at samples "
+                                     f"{where}"):
+                consume()
 
 
 @pytest.mark.parametrize("check", ["verify_ribaucour", "ribaucour_cyclides",

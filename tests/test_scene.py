@@ -4,7 +4,6 @@ Everything here runs at small grid sizes; the heavier end-to-end checks
 live in the acceptance suite.
 """
 
-import dataclasses
 import importlib.util
 import inspect
 import json
@@ -12,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from liechannel import cli, legendre, scene
+from liechannel import channel, cli, legendre, ops, scene
 from liechannel.channel import (
     SphereCurve,
     circle_sphere_curve,
@@ -157,7 +157,7 @@ def test_declarations_match_their_constructors():
     for decl in list(scene._OBJECT_KINDS.values()) + list(scene._OPS.values()):
         assert set(decl.required) <= set(decl.params)
     for name, kind in scene._OBJECT_KINDS.items():
-        params = inspect.signature(kind.run).parameters
+        params = inspect.signature(kind.runner()).parameters
         # references fill the leading positional parameters, then exactly
         # the required parameters lack a library default
         no_default = [key for key, p in params.items() if p.default is p.empty]
@@ -341,7 +341,7 @@ def test_schema_checker_matches_jsonschema_on_edited_demos(cfg):
 
 def test_unimplemented_schema_keyword_raises():
     with pytest.raises(ValueError, match="'maxLength'"):
-        scene._Decl(scene._op_validate,
+        scene._Decl("ops._op_validate",
                     params=dict(label={"type": "string", "maxLength": 8}),
                     ).schema({})
     with pytest.raises(ValueError, match="'additionalProperties'"):
@@ -360,6 +360,23 @@ def test_non_finite_numbers_rejected_by_run_scene(tmp_path, path, value):
     with pytest.raises(SceneError, match=where):
         run_scene(cfg, tmp_path / "o")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("objects", "generators", "radius"), np.float32("nan")),
+    (("objects", "generators", "radius"), np.float32("-inf")),
+    (("pipeline", 1, "lambdas", 0), np.float64("nan")),
+    (("pipeline", 1, "lambdas", 0), np.float64("inf")),
+], ids=["float32-nan", "float32-minus-inf", "float64-nan", "float64-inf"])
+def test_non_finite_numpy_scalars_rejected(path, value):
+    # the contract imports no numpy, yet numpy's float scalars from Python
+    # are checked like floats; finite ones pass
+    cfg = demo_config("cylinder-calapso", grid=16)
+    _node(cfg, path[:-1])[path[-1]] = value
+    where = " -> ".join(map(str, path))
+    assert validate_scene(cfg) == [f"{where}: {value!r} is not a finite number"]
+    _node(cfg, path[:-1])[path[-1]] = type(value)(0.5)
+    assert validate_scene(cfg) == []
 
 
 def test_cli_run_validates_once(tmp_path, monkeypatch):
@@ -389,6 +406,67 @@ def test_validation_does_not_import_jsonschema():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
+
+
+#: the modules that import numpy, and numpy itself
+COMPUTE_MODULES = {"numpy", "liechannel.core", "liechannel.stencils",
+                   "liechannel.legendre", "liechannel.channel",
+                   "liechannel.transforms", "liechannel.conformal",
+                   "liechannel.mesh", "liechannel.ops"}
+#: the last line of a probe: which of them it has loaded
+_LOADED = f"print(sorted(set(sys.modules) & {COMPUTE_MODULES!r}))\n"
+
+
+def _fresh(code):
+    """Standard output of `code` run by a fresh interpreter on src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.stdout.strip().splitlines()
+
+
+def test_validation_imports_no_compute_module():
+    probe = ("import sys, liechannel\n"
+             "cfg = liechannel.demo_config('cylinder-darboux', grid=16)\n"
+             "assert liechannel.validate_scene(cfg) == []\n" + _LOADED)
+    assert _fresh(probe) == ["[]"]
+
+
+def test_cli_check_imports_no_compute_module(tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(demo_config("cylinder-darboux", grid=16)))
+    bad.write_text(json.dumps(tiny_scene(version=7)))
+    probe = ("import sys\n"
+             "from liechannel.cli import main\n"
+             f"print(main(['check', {str(good)!r}]),"
+             f" main(['check', {str(bad)!r}]))\n" + _LOADED)
+    assert _fresh(probe)[-2:] == ["0 2", "[]"]
+
+
+def test_every_export_is_the_object_of_its_defining_module():
+    # resolved lazily in a fresh interpreter: functions and classes are
+    # compared with the module named by their __module__, constants with
+    # the module the export table names
+    probe = textwrap.dedent("""\
+        import importlib, inspect, liechannel
+        names = liechannel.__all__
+        wrong = []
+        for name in names:
+            obj = getattr(liechannel, name)
+            home = (obj.__module__ if inspect.isclass(obj)
+                    or inspect.isfunction(obj) else
+                    "liechannel." + liechannel._MODULE_OF[name])
+            if getattr(importlib.import_module(home), name) is not obj:
+                wrong.append(name)
+        star = {}
+        exec("from liechannel import *", star)
+        print(len(names) == len(set(names)), wrong,
+              sorted(set(names) - set(dir(liechannel))),
+              sorted(set(names) - set(star)))
+        """)
+    assert _fresh(probe) == ["True [] [] []"]
 
 
 def test_integer_valued_floats_still_run(tmp_path):
@@ -451,7 +529,7 @@ def test_object_build_failure_names_the_object(tmp_path):
 
 
 def _built(cfg, objects=None):
-    return scene._build(scene._OBJECT_KINDS[cfg["kind"]], cfg, objects or {})
+    return ops._build(scene._OBJECT_KINDS[cfg["kind"]], cfg, objects or {})
 
 
 def test_space_curve_kinds_are_radius_0_sphere_curves():
@@ -538,16 +616,17 @@ def _linalg_calls_inside(monkeypatch, op_name):
                     calls.append(_name)
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
-    op = scene._OPS[op_name]
+    _, runner = scene._OPS[op_name].run.split(".")
+    op = getattr(ops, runner)
 
     def run(args, ctx):
         inside.append(True)
         try:
-            return op.run(args, ctx)
+            return op(args, ctx)
         finally:
             inside.pop()
 
-    monkeypatch.setitem(scene._OPS, op_name, dataclasses.replace(op, run=run))
+    monkeypatch.setattr(ops, runner, run)
     return calls
 
 
@@ -596,6 +675,40 @@ def _curve_pairs(seed):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.curve_pairs(seed)
+
+
+def test_still_curve_pair_is_refused_where_it_is_built(tmp_path):
+    # both lines standing still: the first tube sphere curve refuses its
+    # curve, as envelope does, before any stage runs
+    cfg = _curve_pairs(41)
+    for name in ("axis", "offset"):
+        cfg["objects"][name]["direction"] = [0.0, 0.0, 0.0]
+    assert validate_scene(cfg) == []
+    with pytest.raises(PipelineError, match=r"^stage 'objects\.spheres_a' "
+                       r"failed: curve is not regular at samples \[0, 1"):
+        run_scene(cfg, tmp_path)
+
+
+def test_object_kinds_call_the_constructor_their_module_holds(tmp_path,
+                                                              monkeypatch):
+    # a declaration looks its constructor up at each call, so a wrapper
+    # bound in the defining module (as perfbench's tracer binds one) runs
+    calls = []
+    envelope = channel.envelope
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return envelope(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "envelope", counting)
+    cfg = {"version": 1, "objects": {
+        "generators": {"kind": "line_sphere_curve", "n": 16},
+        "cylinder": {"kind": "envelope", "sphere_curve": "generators",
+                     "n_theta": 8}},
+        "pipeline": [{"id": "valid", "op": "validate", "target": "cylinder",
+                      "assert": [{"key": "passed", "true": True}]}]}
+    assert run_scene(cfg, tmp_path)["passed"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("config, expected", [
@@ -698,14 +811,14 @@ def test_calapso_scene_builds_no_split_projector(tmp_path, monkeypatch):
     # transformed grid's verdict is the one the cross-checked report has
     split_grids = _count_grids(monkeypatch, "_split_cyclides")
     outputs = []
-    transform = scene.calapso_transform
+    transform = ops.calapso_transform
 
     def keeping(*args, **kwargs):
         gauge, out = transform(*args, **kwargs)
         outputs.append(out)
         return gauge, out
 
-    monkeypatch.setattr(scene, "calapso_transform", keeping)
+    monkeypatch.setattr(ops, "calapso_transform", keeping)
     cfg = demo_config("cylinder-calapso", grid=32)
     del cfg["outputs"]["meshes"]
     report = run_scene(cfg, tmp_path)
