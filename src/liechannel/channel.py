@@ -40,30 +40,44 @@ from .core import (
 )
 from .legendre import LegendreGrid, channel_verdict, curvature_data
 
+#: worst |(sigma, sigma)| / |sigma|^2 a sphere curve's samples may have
+CURVE_NULL_TOL = 1e-10
+#: quotient speed a regular sphere curve must exceed at every sample
+CURVE_REGULARITY_MIN = 1e-6
+#: largest frame mismatch round a periodic curve that still closes the grid
+HOLONOMY_TOL = 1e-8
+#: smallest |(sigma, p)| the against_p gauge divides by
+AGAINST_P_MIN = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # sphere curves
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SphereCurve:
     """Discrete curve of oriented spheres: one null 6-vector per u-sample.
 
-    jet, when provided, maps a u-array to exact (value, first, second)
-    derivative arrays; otherwise derivatives come from finite differences
-    (fourth order in the interior, since the second derivative feeds the
-    osculating-space construction; order two at open ends).
+    d1 and d2 are the u-derivatives at the samples, passed in by whoever
+    knows them (the closed-form 2-jet of curve_from_profile, the transform
+    flows' connection equations) or taken from finite differences on first
+    request (fourth order in the interior, since the second derivative
+    feeds the osculating-space construction; order two at open ends).  The
+    curve is immutable and its arrays read-only, so each is computed once.
     """
 
     vectors: np.ndarray
     u_values: np.ndarray
     periodic_u: bool = False
-    jet: Optional[Callable] = None
+    d1: Optional[np.ndarray] = None
+    d2: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=float)
-        self.u_values = np.asarray(self.u_values, dtype=float)
+        for name in ("vectors", "u_values", "d1", "d2"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name,
+                                   read_only_copy(getattr(self, name)))
         if self.vectors.ndim != 2 or self.vectors.shape[1] != DIM:
             raise GeometryError("curve samples must have shape (n, 6)")
         if self.vectors.shape[0] != self.u_values.size:
@@ -77,40 +91,31 @@ class SphereCurve:
 
     def derivatives(self):
         """(first, second) u-derivatives of the sample vectors."""
-        if self.jet is not None:
-            _, d1, d2 = self.jet(self.u_values)
-            return np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
-        return (stencils.diff1_5pt(self.vectors, self.du, periodic=self.periodic_u),
-                stencils.diff2_5pt(self.vectors, self.du, periodic=self.periodic_u))
+        for name, stencil in (("d1", stencils.diff1_5pt),
+                              ("d2", stencils.diff2_5pt)):
+            if getattr(self, name) is None:
+                value = stencil(self.vectors, self.du, periodic=self.periodic_u)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+        return self.d1, self.d2
 
     def nullity(self) -> float:
         """Worst |(sigma, sigma)| relative to the Euclidean norm squared."""
         scale = np.einsum("ij,ij->i", self.vectors, self.vectors)
         return float(np.max(np.abs(inner(self.vectors, self.vectors)) / scale))
 
-    def regularity_values(self, d1=None) -> np.ndarray:
-        """Quotient-metric speed (sigma', sigma') of the unit-scaled lift.
-
-        The quotient of the first osculating space by the curve itself
-        inherits this quadratic form; the curve is regular where it is
-        positive.  Scaling sigma only contributes terms proportional to
-        (sigma, sigma') = 0, so dividing by the Euclidean norm squared is
-        exact.  d1, when given, is the first derivative of the samples.
-        """
-        if d1 is None:
-            d1, _ = self.derivatives()
-        scale = np.einsum("ij,ij->i", self.vectors, self.vectors)
-        return inner(d1, d1) / scale
-
-    def check(self, null_tol: float = 1e-10, reg_min: float = 1e-6,
-              d1=None) -> None:
+    def check(self) -> None:
         """Raise GeometryError unless the samples are null and the curve
-        is regular; d1 as in regularity_values."""
-        if self.nullity() > null_tol:
+        is regular: the unit-scaled lift has positive quotient-metric speed
+        (sigma', sigma') (scaling sigma only adds terms proportional to
+        (sigma, sigma') = 0, so dividing by |sigma|^2 is exact)."""
+        nullity = self.nullity()
+        if nullity > CURVE_NULL_TOL:
             raise GeometryError(
-                f"curve samples are not null (worst {self.nullity():.3e})")
-        reg = self.regularity_values(d1)
-        bad = np.flatnonzero(reg <= reg_min)
+                f"curve samples are not null (worst {nullity:.3e})")
+        d1, _ = self.derivatives()
+        reg = inner(d1, d1) / np.einsum("ij,ij->i", self.vectors, self.vectors)
+        bad = np.flatnonzero(reg <= CURVE_REGULARITY_MIN)
         if bad.size:
             raise GeometryError(
                 f"curve is not regular at samples {bad[:8].tolist()} "
@@ -139,18 +144,6 @@ def _lift_jet(c, c1, c2, r, r1, r2):
     return val, d1, d2
 
 
-def _radius_profile(radius):
-    if callable(radius):
-        return radius
-    r0 = float(radius)
-
-    def constant(u):
-        u = np.asarray(u, dtype=float)
-        return np.full_like(u, r0), np.zeros_like(u), np.zeros_like(u)
-
-    return constant
-
-
 def curve_from_profile(center_fn: Callable, radius, u_values,
                        periodic_u: bool = False, **metadata) -> SphereCurve:
     """Sphere curve from analytic centre and radius 2-jets.
@@ -158,14 +151,12 @@ def curve_from_profile(center_fn: Callable, radius, u_values,
     center_fn(u) must return (c, c', c'') with trailing axis 3; radius is a
     constant or a callable returning (r, r', r'').
     """
-    rad = _radius_profile(radius)
-
-    def jet(u):
-        return _lift_jet(*center_fn(u), *rad(u))
-
-    vectors = jet(np.asarray(u_values, dtype=float))[0]
-    return SphereCurve(vectors, u_values, periodic_u=periodic_u, jet=jet,
-                       metadata=dict(metadata))
+    u = np.asarray(u_values, dtype=float)
+    rad = radius(u) if callable(radius) else (
+        np.full_like(u, float(radius)), np.zeros_like(u), np.zeros_like(u))
+    vectors, d1, d2 = _lift_jet(*center_fn(u), *rad)
+    return SphereCurve(vectors, u, periodic_u=periodic_u, d1=d1,
+                       d2=d2, metadata=dict(metadata))
 
 
 def line_sphere_curve(n: int = 64, u_min: float = -1.0, u_max: float = 1.0,
@@ -298,8 +289,7 @@ def _transported_frames(perp: np.ndarray, frame0: np.ndarray,
 
 
 def envelope(curve: SphereCurve, n_theta: int = 64,
-             spaces: Optional[np.ndarray] = None,
-             holonomy_tol: float = 1e-8) -> LegendreGrid:
+             spaces: Optional[np.ndarray] = None) -> LegendreGrid:
     """Legendre grid swept by a regular sphere curve.
 
     Each contact element is spanned by the sphere s(u) and one point of the
@@ -347,7 +337,7 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
         mismatch = float(np.max(np.abs(frames[-1] - frame0)))
         frames = frames[:-1]
         metadata["holonomy_mismatch"] = mismatch
-        if mismatch > holonomy_tol:
+        if mismatch > HOLONOMY_TOL:
             periodic_u = False
             metadata["note"] = ("normal-bundle holonomy prevents a periodic "
                                 "grid; falling back to an open u-axis")
@@ -365,8 +355,7 @@ def envelope(curve: SphereCurve, n_theta: int = 64,
 # ---------------------------------------------------------------------------
 
 def special_lift(curve: SphereCurve, mode: str = "unit",
-                 p_vec: Optional[np.ndarray] = None,
-                 tol: float = 1e-9) -> np.ndarray:
+                 p_vec: Optional[np.ndarray] = None) -> np.ndarray:
     """Scale the curve's lift to a distinguished gauge.
 
     'unit' rescales each sample to Euclidean norm one.  'against_p' scales
@@ -382,7 +371,7 @@ def special_lift(curve: SphereCurve, mode: str = "unit",
         if p_vec is None:
             raise ValueError("against_p normalisation needs p_vec")
         ip = inner(vectors, np.asarray(p_vec, dtype=float))
-        bad = np.flatnonzero(np.abs(ip) < tol)
+        bad = np.flatnonzero(np.abs(ip) < AGAINST_P_MIN)
         if bad.size:
             raise GeometryError(
                 f"curve is orthogonal to p at samples {bad[:8].tolist()}")
@@ -463,7 +452,6 @@ def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
 class ConservedQuantityReport:
     residuals: dict                  # lambda -> worst edge residual
     normalisation_defect: float
-    tol: float
     passed: bool
     notes: list
 
@@ -520,5 +508,5 @@ def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
     passed = defect <= 1e-8 and all(r <= tol for r in residuals.values())
     return ConservedQuantityReport(residuals=residuals,
                                    normalisation_defect=defect,
-                                   tol=tol, passed=passed, notes=notes)
+                                   passed=passed, notes=notes)
 

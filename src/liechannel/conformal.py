@@ -7,7 +7,7 @@ curve type is needed.  The curve's contact lift is the envelope of its
 point spheres, tubes arise by parallel transformation of that lift,
 Ribaucour pairs of curves are `verify_ribaucour` on the point spheres, and
 the circle congruence enveloped by such a pair is the lightcone circle of
-the span {sigma, sigma', sigma_hat}.
+their span D1 = {sigma, sigma_hat, sigma'}.
 """
 
 from __future__ import annotations
@@ -29,8 +29,17 @@ from .core import (
 )
 from .legendre import LegendreGrid
 from .mesh import grid_point_spheres
-from .transforms import _span_pair
+from .transforms import _d1_spans
 from . import stencils
+
+#: largest span residual of a Ribaucour pair of curves
+RIBAUCOUR_TOL = 1e-6
+#: worst containment gap of an enveloped curve
+MEMBERSHIP_TOL = 1e-8
+#: largest angle, in radians, between an enveloped curve and its circle
+TANGENCY_TOL = 1e-4
+#: circle-phase step of the tangent chord
+FD_DELTA = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +93,15 @@ def tube(curve: SphereCurve, radius: float, n_theta: int = 64) -> LegendreGrid:
 def tube_sphere_curve(curve: SphereCurve, radius: float) -> SphereCurve:
     """The tube's sphere curve: the same centres with shifted radius.
 
-    Parallel transformation is linear, so it commutes with u-derivatives;
-    an analytic jet on the curve transports to an exact jet here.  The
-    curve must be null and regular (SphereCurve.check).
+    Parallel transformation is linear, so it commutes with u-derivatives:
+    the curve's derivatives transport to the tube curve's.  The curve
+    must be null and regular (SphereCurve.check).
     """
     curve.check()
     m = parallel_transform_matrix(radius)
-    jet = None if curve.jet is None else (
-        lambda u, base=curve.jet: tuple(arr @ m.T for arr in base(u)))
+    d1, d2 = curve.derivatives()
     return SphereCurve(curve.vectors @ m.T, curve.u_values,
-                       periodic_u=curve.periodic_u, jet=jet,
+                       periodic_u=curve.periodic_u, d1=d1 @ m.T, d2=d2 @ m.T,
                        metadata={"tube_radius": float(radius)})
 
 
@@ -111,40 +119,35 @@ class CircleCongruenceReport:
     notes: list = field(default_factory=list)
 
 
-def circle_congruence_report(c1: SphereCurve, c2: SphereCurve,
-                             tol: float = 1e-6, membership_tol: float = 1e-8,
-                             tangency_tol: float = 1e-4,
-                             fd_delta: float = 1e-3) -> CircleCongruenceReport:
+def circle_congruence_report(c1: SphereCurve,
+                             c2: SphereCurve) -> CircleCongruenceReport:
     """Envelopment diagnostics of the circle congruence of a curve pair.
 
     membership: both curves' point spheres must lie in the congruence
-    span.
+    span D1 = {sigma, sigma_hat, sigma'} of the pair (_d1_spans).
     tangency: the theta-derivative of the projected circle at each curve's
     phase must align with the curve's own tangent (angle between lines).
     Both curves must be null and regular (SphereCurve.check).  All samples
     at once; the first failing sample in u order is reported.
     """
-    (v1, d1), (v2, d2) = ((c.vectors, c.derivatives()[0]) for c in (c1, c2))
-    c1.check(d1=d1)
-    c2.check(d1=d2)
-    # the congruence span {sigma, sigma', sigma_hat} against its twin
-    bases, residuals, failures = _span_pair(c1, c2, [v1, d1, v2],
-                                            [v2, d2, v1])
+    c1.check()
+    c2.check()
+    bases, residuals, failures = _d1_spans(c1, c2)
     frames, signature = lightcone_frames(bases)
-    lifts = np.stack([v1, v2], axis=1)                          # (n, 2, 6)
+    lifts = np.stack([c1.vectors, c2.vectors], axis=1)          # (n, 2, 6)
     # circle phase of each lift, then the projected circle just beside it
     phase, timelike = circle_phase(frames[:, None], lifts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        probe = phase[..., None] + np.array([-fd_delta, fd_delta])  # (n, 2, 2)
+        probe = phase[..., None] + np.array([-FD_DELTA, FD_DELTA])  # (n, 2, 2)
         pts = circle_points(frames[:, None, None], probe)
         pos = pts[..., :3] / (pts[..., 3] + pts[..., 4])[..., None]
         tangent = pos[:, :, 1] - pos[:, :, 0]
-        ref = np.stack([d1[:, :3], d2[:, :3]], axis=1)
+        ref = np.stack([c.derivatives()[0][:, :3] for c in (c1, c2)], axis=1)
         cr = np.linalg.norm(np.cross(tangent, ref), axis=-1)
         denom = np.linalg.norm(tangent, axis=-1) * np.linalg.norm(ref, axis=-1)
         angles = np.arcsin(np.clip(cr / denom, 0.0, 1.0))
     hit = first_failure(failures + [
-        (residuals > tol, lambda k: GeometryError(
+        (residuals > RIBAUCOUR_TOL, lambda k: GeometryError(
             f"curves are not a Ribaucour pair at sample {k} "
             f"(span residual {residuals[k]:.3e})")),
         circle_failure(signature, lambda _: "congruence span"),
@@ -154,7 +157,7 @@ def circle_congruence_report(c1: SphereCurve, c2: SphereCurve,
         raise GeometryError(f"congruence fails at sample {hit[0]}") from hit[1]
     membership = float(np.max(containment_gap(bases, lifts)))
     t1, t2 = float(angles[:, 0].max()), float(angles[:, 1].max())
-    passed = membership <= membership_tol and max(t1, t2) <= tangency_tol
+    passed = membership <= MEMBERSHIP_TOL and max(t1, t2) <= TANGENCY_TOL
     notes = []
     if not passed:
         notes.append("circle congruence is not enveloped at the stated "

@@ -26,6 +26,11 @@ SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
 METRIC = np.diag(SIGNS)
 
 DIM = 6
+#: relative size under which a coordinate of a lift reads as zero
+EUCLIDEAN_TOL = 1e-10
+#: singular values of a stack at or under RANK_TOL times its largest do
+#: not count towards its rank
+RANK_TOL = 1e-10
 
 
 class GeometryError(ValueError):
@@ -177,7 +182,7 @@ def plane_lift(normal, offset) -> np.ndarray:
 INFINITY_VEC = np.array([0.0, 0.0, 0.0, -1.0, 1.0, 0.0])
 
 
-def project_to_euclidean(p: np.ndarray, tol: float = 1e-10) -> EuclideanObject:
+def project_to_euclidean(p: np.ndarray) -> EuclideanObject:
     """Read a projective lightcone point back as a Euclidean sphere/plane/point.
 
     A representative with nonvanishing homogenising coordinate (x4 + x5) is a
@@ -190,12 +195,12 @@ def project_to_euclidean(p: np.ndarray, tol: float = 1e-10) -> EuclideanObject:
     if scale == 0.0:
         raise GeometryError("zero vector")
     homog = v[3] + v[4]
-    if abs(homog) > tol * scale:
+    if abs(homog) > EUCLIDEAN_TOL * scale:
         w = v / homog
-        if abs(w[5]) <= tol:
+        if abs(w[5]) <= EUCLIDEAN_TOL:
             return Point(position=w[:3].copy())
         return Sphere(center=w[:3].copy(), radius=float(w[5]))
-    if abs(v[5]) > tol * scale:
+    if abs(v[5]) > EUCLIDEAN_TOL * scale:
         w = v / v[5]
         return Plane(normal=w[:3].copy(), offset=float(-w[3]))
     return Infinity()
@@ -218,12 +223,12 @@ def wedge_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # subspaces
 # ---------------------------------------------------------------------------
 
-def span_rows(stacks: np.ndarray, rank_tol: float = 1e-10):
+def span_rows(stacks: np.ndarray):
     """Batched rank-checked span: stacks (..., k, 6) -> (bases, ranks).
 
     bases holds the orthonormal_rows of each stack, k finite rows even
     where the stack drops rank; ranks counts the singular values of the
-    stack above rank_tol times the largest (0 for a zero stack), so a
+    stack above RANK_TOL times the largest (0 for a zero stack), so a
     stack dropped rank where ranks < k.
 
     The singular values are those of the k x k factor R = A Q^T of the
@@ -238,7 +243,7 @@ def span_rows(stacks: np.ndarray, rank_tol: float = 1e-10):
     scaled = np.ldexp(stacks, -exponent)
     bases = orthonormal_rows(scaled)
     svals = _singular_values(scaled @ _transposed(bases))
-    return bases, np.sum(svals > rank_tol * svals[..., :1], axis=-1)
+    return bases, np.sum(svals > RANK_TOL * svals[..., :1], axis=-1)
 
 
 def _singular_values(r: np.ndarray) -> np.ndarray:

@@ -41,6 +41,10 @@ SPLIT_COND_TOL = 1e-3
 #: open-grid edge rows skipped by the splitting and by channel detection
 SPLIT_EDGE_MARGIN = 6
 CHANNEL_EDGE_MARGIN = 4
+#: worst isotropy a validated grid may have
+ISOTROPY_TOL = 1e-9
+#: smallest solder-form singular value of a validated grid
+IMMERSION_MIN = 1e-4
 
 
 def _neighbour_pairs(fields: np.ndarray):
@@ -332,9 +336,8 @@ def _smallest_singular_value(beta: np.ndarray) -> float:
     return float(np.sqrt(np.min(low)))
 
 
-def validate_legendre(grid: LegendreGrid, tol_isotropy: float = 1e-9,
-                      tol_contact: Optional[float] = None,
-                      immersion_min: float = 1e-4) -> LegendreReport:
+def validate_legendre(grid: LegendreGrid,
+                      tol_contact: Optional[float] = None) -> LegendreReport:
     """Measure the defining conditions of a Legendre map on the grid.
 
     isotropy: worst inner product among unit frame vectors.
@@ -352,12 +355,12 @@ def validate_legendre(grid: LegendreGrid, tol_isotropy: float = 1e-9,
                                         _legendre_measurements)
     if tol_contact is None:
         tol_contact = max(1e-8, 5.0 * (grid.du ** 2 + grid.dtheta ** 2))
-    passed = (iso <= tol_isotropy and contact <= tol_contact
-              and immersion >= immersion_min)
+    passed = (iso <= ISOTROPY_TOL and contact <= tol_contact
+              and immersion >= IMMERSION_MIN)
     return LegendreReport(
         isotropy=iso, contact=contact, immersion=immersion, passed=passed,
-        tolerances={"isotropy": tol_isotropy, "contact": tol_contact,
-                    "immersion_min": immersion_min},
+        tolerances={"isotropy": ISOTROPY_TOL, "contact": tol_contact,
+                    "immersion_min": IMMERSION_MIN},
     )
 
 
@@ -381,7 +384,6 @@ class CurvatureData:
     dir2: np.ndarray
     kappa_gap: np.ndarray
     umbilic: np.ndarray
-    discriminant: np.ndarray
 
 
 def _solve_direction_quadratic(qa, qb, qc):
@@ -404,7 +406,7 @@ def _solve_direction_quadratic(qa, qb, qc):
                   np.array([1.0, 0.0]), r2)
     r1 = r1 / np.linalg.norm(r1, axis=-1, keepdims=True)
     r2 = r2 / np.linalg.norm(r2, axis=-1, keepdims=True)
-    return r1, r2, disc, degenerate
+    return r1, r2, degenerate
 
 
 def curvature_data(grid: LegendreGrid) -> CurvatureData:
@@ -434,7 +436,7 @@ def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
     qa = det2(au_s, au_t)
     qc = det2(at_s, at_t)
     qb = det2(au_s, at_t) + det2(at_s, au_t)
-    r1, r2, disc, degenerate = _solve_direction_quadratic(qa, qb, qc)
+    r1, r2, degenerate = _solve_direction_quadratic(qa, qb, qc)
 
     def kernel_sphere(direction):
         m_s = direction[..., :1] * au_s + direction[..., 1:] * at_s
@@ -457,7 +459,7 @@ def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
     d1 = align_signs_grid(d1)
     d2 = align_signs_grid(d2)
     fields = dict(s1=s1, s2=s2, dir1=d1, dir2=d2, kappa_gap=gap,
-                  umbilic=umbilic, discriminant=disc)
+                  umbilic=umbilic)
     for array in fields.values():
         array.flags.writeable = False
     return CurvatureData(**fields)

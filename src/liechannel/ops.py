@@ -28,12 +28,12 @@ from .legendre import (channel_verdict, curvature_data, is_channel,
 from .mesh import (_pencil_point_spheres, cyclide_mesh, cyclide_point_grid,
                    export_obj, mesh_from_grid)
 from .scene import _OBJECT_KINDS, _OPS, REPORT_SCHEMA, PipelineError
-from .transforms import (DupinCyclide, _cyclide_spans, calapso_quadratic_form,
-                         calapso_transform, cyclide_point_residual,
-                         darboux_initial_condition, darboux_transform,
-                         dupin_from_spheres, dupin_from_subspaces,
-                         gauge_edge_residual, ribaucour_cyclides,
-                         verify_ribaucour)
+from .transforms import (DupinCyclide, _d1_spans, _raise_span_failure,
+                         calapso_quadratic_form, calapso_transform,
+                         cyclide_point_residual, darboux_initial_condition,
+                         darboux_transform, dupin_from_spheres,
+                         dupin_from_subspaces, gauge_edge_residual,
+                         ribaucour_cyclides, verify_ribaucour)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,8 @@ def _op_congruence_contact(args, ctx):
     """
     f, f_hat = args["grid"], args["hat_grid"]
     s, s_hat = args["spheres_a"], args["spheres_b"]
-    d1_basis, _ = _cyclide_spans(s, s_hat)
+    d1_basis, _, span_failures = _d1_spans(s, s_hat)
+    _raise_span_failure(span_failures, "cyclide span")
     nu = f.shape[0]
     ks = np.arange(0, nu, args.get("sample_every", max(1, nu // 8)))
     probes = np.linspace(0.0, 2.0 * np.pi, args.get("n_probe", 16),

@@ -47,6 +47,15 @@ from .core import (
 )
 from .legendre import LegendreGrid, curvature_data
 
+#: relative pairing with sigma1 an admissible initial condition clears
+MIN_PAIRING = 0.05
+#: draws darboux_initial_condition makes before it gives up
+MAX_TRIES = 32
+#: relative pairing (s, shat) under which the partner flow degenerates
+PARTNER_PAIR_TOL = 1e-8
+#: worst nullity drift a partner curve may have
+PARTNER_NULL_TOL = 1e-8
+
 
 def _sphere_gauge(field: np.ndarray) -> np.ndarray:
     """Rescale lifts so the pairing with the point at infinity is -1.
@@ -156,17 +165,15 @@ class DarbouxResult:
     hat_s: SphereCurve             # the parallel section as a sphere curve
     hat_f: LegendreGrid
     null_drift: float
-    s0: np.ndarray                 # (nu, nt, 6) common sphere congruence
 
 
 def darboux_initial_condition(rows: np.ndarray, sigma1_0: np.ndarray,
-                              seed: int, min_pairing: float = 0.05,
-                              max_tries: int = 32) -> np.ndarray:
+                              seed: int) -> np.ndarray:
     """Seeded null vector from the (2,1) span of rows (3, 6), admissible
     against sigma1.
 
     Draws circle angles from the span's lightcone until the relative
-    pairing with the initial curvature sphere clears min_pairing; draws
+    pairing with the initial curvature sphere clears MIN_PAIRING; draws
     below the floor start transforms that are close to degenerate (the new
     surface collapses toward the sphere curve), so they are rejected and
     redrawn rather than merely warned about.  Dependent rows raise
@@ -182,10 +189,10 @@ def darboux_initial_condition(rows: np.ndarray, sigma1_0: np.ndarray,
         raise cause(0)
     rng = np.random.default_rng(seed)
     scale = np.linalg.norm(sigma1_0)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         phi0 = circle_points(frame, rng.uniform(0.0, 2.0 * np.pi))
         pairing = abs(float(inner(phi0, sigma1_0)))
-        if pairing >= min_pairing * scale * np.linalg.norm(phi0):
+        if pairing >= MIN_PAIRING * scale * np.linalg.norm(phi0):
             return phi0
     raise GeometryError("no admissible initial condition found in the "
                         "given subspace")
@@ -213,13 +220,27 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
                             "the transformed elements would degenerate")
 
     nodes = _edge_connection(omega, substeps)
+    seam = None
     if omega.periodic_u:
         # integrate the open chain; the wrap edge only closes the seam test
         phi = _rk4_flow(nodes[:-1], phi0, omega.du, -m)
+        wrap = _rk4_flow(nodes[-1:], phi[-1], omega.du, -m)[-1]
+        seam = float(np.max(projective_gap(wrap, phi[0])))
     else:
         phi = _rk4_flow(nodes, phi0, omega.du, -m)
-    drift = float(np.max(np.abs(inner(phi, phi))
-                         / np.einsum("ij,ij->i", phi, phi)))
+    # derivatives straight from the connection equation, so downstream
+    # span checks see the flow's own tangent data
+    eta = omega.eta_u
+    sigma2 = stencils.diff1_5pt(omega.dsigma1, omega.du,
+                                periodic=omega.periodic_u)
+    eta_prime = wedge_matrix(omega.sigma1, sigma2)
+    d1 = -m * np.einsum("kij,kj->ki", eta, phi)
+    d2 = (-m * np.einsum("kij,kj->ki", eta_prime, phi)
+          - m * np.einsum("kij,kj->ki", eta, d1))
+    hat_s = SphereCurve(phi, grid.u_values,
+                        periodic_u=seam is not None and seam <= 1e-8,
+                        d1=d1, d2=d2, metadata={"source": "darboux", "m": m})
+    drift = hat_s.nullity()
     if drift > null_tol:
         raise GeometryError(
             f"parallel section lost nullity (drift {drift:.3e}); refine the "
@@ -236,41 +257,14 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
             f"transformed element degenerates at grid position ({i}, {j}): "
             "phi is orthogonal to the whole contact element")
     s0 = b[..., None] * grid.sigma - a[..., None] * grid.tau
-
-    periodic_u = False
-    seam = None
-    if omega.periodic_u:
-        wrap = _rk4_flow(nodes[-1:], phi[-1], omega.du, -m)[-1]
-        seam = float(np.max(projective_gap(wrap, phi[0])))
-        periodic_u = seam <= 1e-8
     tau_hat = np.broadcast_to(phi[:, None, :], s0.shape).copy()
     hat_f = LegendreGrid(s0, tau_hat, grid.u_values, grid.theta_values,
-                         periodic_u=periodic_u,
+                         periodic_u=hat_s.periodic_u,
                          periodic_theta=grid.periodic_theta,
                          metadata={"source": "darboux", "m": m})
     if seam is not None:
         hat_f.metadata["holonomy_mismatch"] = seam
-
-    # sample-bound jet: derivatives straight from the connection equation,
-    # so downstream span checks see the flow's own tangent data
-    eta = omega.eta_u
-    sigma2 = stencils.diff1_5pt(omega.dsigma1, omega.du,
-                                periodic=omega.periodic_u)
-    eta_prime = wedge_matrix(omega.sigma1, sigma2)
-    d1 = -m * np.einsum("kij,kj->ki", eta, phi)
-    d2 = (-m * np.einsum("kij,kj->ki", eta_prime, phi)
-          - m * np.einsum("kij,kj->ki", eta, d1))
-
-    def jet(u):
-        if np.shape(u) != phi.shape[:1]:
-            raise GeometryError("the Darboux section's jet is sample-bound")
-        return phi, d1, d2
-
-    hat_s = SphereCurve(phi, grid.u_values, periodic_u=periodic_u, jet=jet,
-                        metadata={"source": "darboux", "m": m,
-                                  "null_drift": drift})
-    return DarbouxResult(m=m, hat_s=hat_s, hat_f=hat_f, null_drift=drift,
-                         s0=s0)
+    return DarbouxResult(m=m, hat_s=hat_s, hat_f=hat_f, null_drift=drift)
 
 
 # ---------------------------------------------------------------------------
@@ -350,85 +344,80 @@ def calapso_quadratic_form(gauge: GaugeField, omega: Omega0Structure):
 # ---------------------------------------------------------------------------
 
 def verify_ribaucour(s: SphereCurve, s_hat: SphereCurve) -> float:
-    """Largest principal-angle sine between span{s,s',shat} and span{shat,shat',s}.
+    """Largest principal-angle sine between D1 = span{s, shat, s'} and its
+    twin span{s, shat, shat'} (_d1_spans), over all samples.
 
     Zero exactly when the two curves see each other's derivative inside
-    their own first-order data -- the envelope-sharing criterion.  Rank
-    loss of either stack or an orthogonal pair is an error, not a large
-    residual.
+    their own first-order data -- the envelope-sharing criterion, and the
+    coincidence of ribaucour_cyclides.  Rank loss of either span or an
+    orthogonal pair is an error, not a large residual.
     """
-    d1, d1_hat = s.derivatives()[0], s_hat.derivatives()[0]
-    _, sines, failures = _span_pair(s, s_hat, [s.vectors, d1, s_hat.vectors],
-                                    [s_hat.vectors, d1_hat, s.vectors])
-    hit = first_failure(failures)
-    if hit is not None:
-        k, cause = hit
-        raise GeometryError(f"span degenerates at sample {k}") from cause
+    _, sines, failures = _d1_spans(s, s_hat)
+    _raise_span_failure(failures, "span")
     return float(np.max(sines))
 
 
-def _span_pair(s: SphereCurve, s_hat: SphereCurve, rows_a, rows_b):
-    """Two spans a pair of sphere curves shares at every sample.
+def _d1_spans(s: SphereCurve, s_hat: SphereCurve):
+    """The span D1 = span{s, shat, s'} a pair of sphere curves has at every
+    sample, against its twin span{s, shat, shat'}.
 
-    rows_a and rows_b list the three (n, 6) rows spanning each.  Returns
-    (a, sines, failures): orthonormal bases (n, 3, 6) of the first span,
-    the sines of the largest principal angle between the two, and
-    core.first_failure's (mask, cause) pairs for rank loss of the first
-    span, then of the second.  Raises GeometryError before any span where
-    the curves do not share their u-grid or are orthogonal somewhere.
+    Returns (bases, sines, failures): orthonormal bases (n, 3, 6) of D1
+    from the rows [s, shat, s'], the sines of the largest principal angle
+    between D1 and its twin, and core.first_failure's (mask, cause) pairs
+    for rank loss of D1, then of its twin.  Raises GeometryError before
+    any span where the curves do not share their u-grid or are orthogonal
+    somewhere.
     """
     if not np.array_equal(s.u_values, s_hat.u_values):
         raise GeometryError("curves must share their u-grid")
-    pair = inner(s.vectors, s_hat.vectors)
-    scale = (np.linalg.norm(s.vectors, axis=-1)
-             * np.linalg.norm(s_hat.vectors, axis=-1))
-    if np.min(np.abs(pair) / scale) <= 1e-12:
-        k = int(np.argmin(np.abs(pair) / scale))
+    pairing = np.abs(inner(s.vectors, s_hat.vectors)) / (
+        np.linalg.norm(s.vectors, axis=-1)
+        * np.linalg.norm(s_hat.vectors, axis=-1))
+    if np.min(pairing) <= 1e-12:
+        k = int(np.argmin(pairing))
         raise GeometryError(
             f"curves are orthogonal at sample {k}; they span a contact "
             "element there and the criterion degenerates")
-    (a, rank_a), (b, rank_b) = (span_rows(np.stack(rows, axis=-2))
-                                for rows in (rows_a, rows_b))
+    (a, rank_a), (b, rank_b) = (
+        span_rows(np.stack([s.vectors, s_hat.vectors, curve.derivatives()[0]],
+                           axis=-2))
+        for curve in (s, s_hat))
     return a, principal_sine(a, b), [
         (rank_a < 3, lambda k: RankDeficiencyError(3, int(rank_a[k]))),
         (rank_b < 3, lambda k: RankDeficiencyError(3, int(rank_b[k])))]
 
 
+def _raise_span_failure(failures, what: str) -> None:
+    """Raise "<what> degenerates at sample k" at _d1_spans' first failure."""
+    hit = first_failure(failures)
+    if hit is not None:
+        k, cause = hit
+        raise GeometryError(f"{what} degenerates at sample {k}") from cause
+
+
 def ribaucour_partner_curve(s: SphereCurve, beta, gamma,
-                            s_hat0: np.ndarray, pair_tol: float = 1e-8,
-                            null_tol: float = 1e-8) -> SphereCurve:
+                            s_hat0: np.ndarray) -> SphereCurve:
     """Integrate a partner curve with shat' inside span{s, s', shat}.
 
     The sigma-coefficient alpha = -beta*(s',shat)/(s,shat) is chosen so
     the flow preserves nullity; beta and gamma are scalars or u-callables.
-    The common-envelope criterion then holds by construction, and the
-    returned curve carries the flow's own derivatives as its jet.
+    RK4 reads s between samples from the cubic Hermite of its samples and
+    stored derivatives.  The common-envelope criterion then holds by
+    construction, and the returned curve carries the flow's own
+    derivatives.
     """
     def as_fn(v):
         return v if callable(v) else (lambda u, c=float(v): c)
 
     beta_fn, gamma_fn = as_fn(beta), as_fn(gamma)
-    u_vals = s.u_values
-    h = s.du
-    n = u_vals.size
-    d1, d2 = s.derivatives()
-
-    def curve_at(k, t):
-        if t == 0.0:
-            return s.vectors[k], d1[k]
-        if t == 1.0:
-            return s.vectors[k + 1], d1[k + 1]
-        if s.jet is not None:
-            try:
-                val, der, _ = s.jet(np.asarray([u_vals[k] + t * h]))
-                return val[0], der[0]
-            except GeometryError:
-                pass          # sample-bound jet: fall through to Hermite
-        return _hermite(s.vectors[k], d1[k], s.vectors[k + 1], d1[k + 1], h, t)
+    u_vals, h, n = s.u_values, s.du, s.u_values.size
+    v, (d1, _) = s.vectors, s.derivatives()
+    mid, dmid = _hermite(v[:-1], d1[:-1], v[1:], d1[1:], h, 0.5)
 
     def rhs(u, sig, dsig, y):
         pairing = float(inner(sig, y))
-        if abs(pairing) <= pair_tol * np.linalg.norm(sig) * np.linalg.norm(y):
+        if abs(pairing) <= (PARTNER_PAIR_TOL * np.linalg.norm(sig)
+                            * np.linalg.norm(y)):
             raise GeometryError(
                 f"partner flow degenerated near u = {u:.6f}: the curves "
                 "span a contact element")
@@ -443,32 +432,22 @@ def ribaucour_partner_curve(s: SphereCurve, beta, gamma,
     out[0] = y
     for k in range(n - 1):
         u0 = u_vals[k]
-        sig0, dsig0 = curve_at(k, 0.0)
-        sigm, dsigm = curve_at(k, 0.5)
-        sig1, dsig1 = curve_at(k, 1.0)
-        k1 = rhs(u0, sig0, dsig0, y)
-        k2 = rhs(u0 + h / 2, sigm, dsigm, y + 0.5 * h * k1)
-        k3 = rhs(u0 + h / 2, sigm, dsigm, y + 0.5 * h * k2)
-        k4 = rhs(u0 + h, sig1, dsig1, y + h * k3)
+        k1 = rhs(u0, v[k], d1[k], y)
+        k2 = rhs(u0 + h / 2, mid[k], dmid[k], y + 0.5 * h * k1)
+        k3 = rhs(u0 + h / 2, mid[k], dmid[k], y + 0.5 * h * k2)
+        k4 = rhs(u0 + h, v[k + 1], d1[k + 1], y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[k + 1] = y
 
-    drift = float(np.max(np.abs(inner(out, out))
-                         / np.einsum("ij,ij->i", out, out)))
-    if drift > null_tol:
+    d1_out = np.stack([rhs(u_vals[k], v[k], d1[k], out[k]) for k in range(n)])
+    partner = SphereCurve(out, u_vals, d1=d1_out,
+                          d2=stencils.diff1_5pt(d1_out, h, periodic=False),
+                          metadata={"source": "ribaucour-partner"})
+    drift = partner.nullity()
+    if drift > PARTNER_NULL_TOL:
         raise GeometryError(f"partner flow lost nullity (drift {drift:.3e})")
-    d1_out = np.stack([rhs(u_vals[k], s.vectors[k], d1[k], out[k])
-                       for k in range(n)])
-    d2_out = stencils.diff1_5pt(d1_out, h, periodic=False)
-
-    def jet(u):
-        if np.shape(u) != (n,):
-            raise GeometryError("the partner curve's jet is sample-bound")
-        return out, d1_out, d2_out
-
-    return SphereCurve(out, u_vals, periodic_u=False, jet=jet,
-                       metadata={"source": "ribaucour-partner",
-                                 "nullity_drift": drift})
+    partner.metadata["nullity_drift"] = drift
+    return partner
 
 
 # ---------------------------------------------------------------------------
@@ -477,30 +456,12 @@ def ribaucour_partner_curve(s: SphereCurve, beta, gamma,
 
 @dataclass
 class CyclideCongruenceReport:
-    d1_basis: np.ndarray           # (nu, 3, 6) orthonormal rows, u-family
     coincidence: float             # span{s1,shat1,ds1} vs span{s1,shat1,dshat1}
     duality: Optional[float]       # D1-perp vs the theta-jet of s0
     theta_constancy: Optional[float]
     intersection_rank_ok: Optional[bool]
     d2_coincidence: Optional[float]
     notes: list = field(default_factory=list)
-
-
-def _cyclide_spans(s: SphereCurve, s_hat: SphereCurve):
-    """Orthonormal (nu, 3, 6) bases of D1(u) = span{s1, shat1, d_u s1} and
-    their sines against the twin span{s1, shat1, d_u shat1}; raises
-    GeometryError where the pair is not pointwise distinct or either span
-    drops rank."""
-    d1_s, d1_hat = s.derivatives()[0], s_hat.derivatives()[0]
-    a, sines, failures = _span_pair(s, s_hat,
-                                    [s.vectors, s_hat.vectors, d1_s],
-                                    [s.vectors, s_hat.vectors, d1_hat])
-    hit = first_failure(failures)
-    if hit is not None:
-        k, cause = hit
-        raise GeometryError(
-            f"cyclide span degenerates at sample {k}") from cause
-    return a, sines
 
 
 def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
@@ -517,7 +478,8 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
     and the theta-constancy of D1 is measured against the first grid's
     extracted curvature spheres.
     """
-    d1_spaces, sines = _cyclide_spans(s, s_hat)
+    d1_spaces, sines, failures = _d1_spans(s, s_hat)
+    _raise_span_failure(failures, "cyclide span")
     coincidence = float(np.max(sines))
 
     duality = theta_constancy = d2_coincidence = None
@@ -572,7 +534,7 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
             orthonormal_rows(b2), orthonormal_rows(a2))))
 
     return CyclideCongruenceReport(
-        d1_basis=d1_spaces, coincidence=coincidence, duality=duality,
+        coincidence=coincidence, duality=duality,
         theta_constancy=theta_constancy, intersection_rank_ok=rank_ok,
         d2_coincidence=d2_coincidence, notes=notes)
 

@@ -6,14 +6,23 @@ below with the reason it is public anyway.  A scene declaration naming
 its runner as "module.function" references that function.  So must every
 public method and property of an exported class, named "Class.method"
 below.
+
+Every defaulted parameter of an exported function or public method must
+be set by some caller in the package, the tests or the benchmark, by
+keyword, by position or as a parameter of a scene declaration, or be
+named below with the reason it stays a parameter.  A value nobody sets is
+a module constant.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import liechannel
+from liechannel.scene import _OBJECT_KINDS, _OPS
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liechannel"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "liechannel"
 
 #: exported names with no caller in the package, and why they stay public
 UNCALLED_BY_DESIGN = {
@@ -23,6 +32,11 @@ UNCALLED_BY_DESIGN = {
     "project_to_euclidean": "acceptance criterion 1 reads lifts back",
     "special_lift": "acceptance criterion 6 gauges the lift",
 }
+
+
+#: defaulted parameters ("function.parameter") no caller sets, and why
+#: they stay parameters
+UNSET_BY_DESIGN = {}
 
 
 def _exports():
@@ -91,3 +105,66 @@ def test_every_public_member_of_an_export_has_a_caller_in_the_package():
     unused = sorted(m for m in members - set(UNCALLED_BY_DESIGN)
                     if m.split(".")[1] not in used)
     assert unused == [], f"public but unused in the package: {unused}"
+
+
+def _defaulted_parameters():
+    """{"function.parameter" or "Class.method.parameter": position} of the
+    defaulted parameters of the exported functions and public methods;
+    position is None for a keyword-only parameter."""
+    found = {}
+    for name in _exports():
+        obj = getattr(liechannel, name)
+        if inspect.isfunction(obj):
+            functions = [(name, obj, 0)]
+        elif inspect.isclass(obj):
+            functions = [(f"{name}.{m}", f, 1) for m, f in vars(obj).items()
+                         if inspect.isfunction(f) and not m.startswith("_")]
+        else:
+            continue
+        for qualified, function, skip in functions:
+            params = list(inspect.signature(function).parameters.values())
+            for i, p in enumerate(params[skip:]):
+                if p.default is not p.empty:
+                    found[f"{qualified}.{p.name}"] = (
+                        i if p.kind == p.POSITIONAL_OR_KEYWORD else None)
+    return found
+
+
+def _set_by_callers():
+    """{called name: keywords and positions its calls set} over the
+    package, the tests and the benchmark.  A call of functools.partial
+    counts for the function it wraps, a `**` argument sets the string
+    literals inside it (`**_given(args, "substeps")`), and a scene
+    declaration sets its parameter keys on the function it names."""
+    got = {}
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if getattr(func, "id", getattr(func, "attr", None)) == "partial":
+                func, args = args[0], args[1:]
+            name = getattr(func, "id", getattr(func, "attr", None))
+            given = got.setdefault(name, set())
+            if not any(isinstance(a, ast.Starred) for a in args):
+                given |= set(range(len(args)))
+            for kw in node.keywords:
+                given |= {kw.arg} if kw.arg is not None else {
+                    c.value for c in ast.walk(kw.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    for decl in [*_OBJECT_KINDS.values(), *_OPS.values()]:
+        got.setdefault(decl.run.rsplit(".", 1)[1], set()).update(decl.params)
+    return got
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    got = _set_by_callers()
+    defaulted = _defaulted_parameters()
+    unset = {key for key, position in defaulted.items()
+             if not {key.split(".")[-1], position}
+             & got.get(key.split(".")[-2], set())}
+    missing = sorted(unset - set(UNSET_BY_DESIGN))
+    assert missing == [], f"defaulted parameters no caller sets: {missing}"
+    # the list stays exact: each entry is a defaulted parameter nobody sets
+    assert set(UNSET_BY_DESIGN) <= unset

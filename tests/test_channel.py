@@ -1,5 +1,6 @@
 """Envelope construction, the middle one-form, and conserved quantities."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -62,6 +63,21 @@ def test_jet_matches_finite_differences():
     # interior rows only: the open ends drop to order two
     assert np.max(np.abs(d1_jet - d1_fd)[3:-3]) < 1e-5
     assert np.max(np.abs(d2_jet - d2_fd)[3:-3]) < 1e-4
+
+
+def test_curve_keeps_its_derivatives_read_only():
+    # derivatives passed in and derivatives from the stencils alike are
+    # computed once, kept, and cannot be written
+    exact = ch.helix_sphere_curve(32)
+    stencil = ch.SphereCurve(exact.vectors, exact.u_values)
+    assert stencil.d1 is None
+    for curve in (exact, stencil):
+        d1, d2 = curve.derivatives()
+        assert curve.derivatives()[0] is d1 and curve.derivatives()[1] is d2
+        assert not (d1.flags.writeable or d2.flags.writeable
+                    or curve.vectors.flags.writeable)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            curve.d1 = d2
 
 
 def test_concentric_spheres_are_rejected():

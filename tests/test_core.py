@@ -393,8 +393,7 @@ def test_a_lone_stack_rounds_as_a_row_of_a_batch(k):
         assert np.array_equal(basis, bases[n]) and rank == ranks[n]
 
 
-#: rank_tol of span_rows
-RANK_TOL = 1e-10
+RANK_TOL = core.RANK_TOL
 
 
 def _planted_stacks(rng, n, k, shape):
@@ -403,7 +402,7 @@ def _planted_stacks(rng, n, k, shape):
     stacks = rng.normal(size=(n, k, 6))
     if shape == "near-dependent" and k > 1:
         # every value after the first is s1 times a ratio drawn from 1e-13
-        # to 1e-7, moved out of the band within 2x of rank_tol
+        # to 1e-7, moved out of the band within 2x of RANK_TOL
         ratio = 10.0 ** rng.uniform(-13, -7, size=(n, k))
         band = (ratio > RANK_TOL / 2.0) & (ratio < 2.0 * RANK_TOL)
         ratio[band] *= 10.0
@@ -427,7 +426,7 @@ def _planted_stacks(rng, n, k, shape):
 def test_span_rows_counts_rank_as_the_svd(seed, k, shape, scale):
     rng = np.random.default_rng(seed)
     stacks = _planted_stacks(rng, 200, k, shape) * scale
-    bases, ranks = core.span_rows(stacks, RANK_TOL)
+    bases, ranks = core.span_rows(stacks)
     _, svals, vt = np.linalg.svd(stacks, full_matrices=False)
     assert np.array_equal(ranks, np.sum(svals > RANK_TOL * svals[:, :1],
                                         axis=-1))

@@ -739,6 +739,32 @@ def test_each_circle_family_takes_one_eigh_call(config, expected, tmp_path,
     assert len(calls) == expected
 
 
+@pytest.mark.parametrize("config", [
+    lambda: demo_config("cylinder-darboux", grid=32),
+    lambda: _curve_pairs(41)], ids=["cylinder-darboux", "curve-pairs"])
+def test_each_curve_is_differentiated_at_most_once(config, tmp_path,
+                                                   monkeypatch):
+    # a curve gets its derivatives from its maker or, on first request,
+    # from the stencils, and every later check reads the same arrays
+    curves, reads = {}, []
+    post_init, derivatives = SphereCurve.__post_init__, SphereCurve.derivatives
+
+    def building(curve):
+        post_init(curve)
+        curves[id(curve)] = [curve, int(curve.d1 is not None)]
+
+    def reading(curve):
+        curves[id(curve)][1] += curve.d1 is None
+        reads.append(curve)
+        return derivatives(curve)
+
+    monkeypatch.setattr(SphereCurve, "__post_init__", building)
+    monkeypatch.setattr(SphereCurve, "derivatives", reading)
+    run_scene(config(), tmp_path)
+    assert max(count for _, count in curves.values()) <= 1
+    assert len(reads) > len(curves) > 0
+
+
 def test_failed_assertion_flips_the_verdict(tmp_path):
     cfg = tiny_scene()
     cfg["pipeline"][0]["assert"] = [{"key": "residual", "max": 1e-30},

@@ -122,12 +122,12 @@ def test_darboux_cylinder_nominal():
     assert validation.passed
     assert validation.contact <= 5e-3                 # measured 1.3e-3
     assert res.hat_f.metadata["m"] == 1.0
-    assert res.s0.shape == grid.sigma.shape
+    assert res.hat_f.sigma.shape == grid.sigma.shape
 
     # the transform is a channel surface along dir1
     assert is_channel(res.hat_f).circular("dir1")
 
-    # the jet carried by hat_s is the flow's own derivative
+    # the derivative hat_s carries is the flow's own
     d1, _ = res.hat_s.derivatives()
     flow = -1.0 * np.einsum("kij,kj->ki", omega.eta_u, res.hat_s.vectors)
     assert np.max(np.abs(d1 - flow)) <= 1e-15
@@ -215,7 +215,6 @@ def darboux_pair():
 def test_cyclide_congruence_of_darboux_pair():
     curve, grid, res = darboux_pair()
     rep = tr.ribaucour_cyclides(curve, res.hat_s, f=grid, f_hat=res.hat_f)
-    assert rep.d1_basis.shape == (64, 3, 6)
     assert rep.coincidence <= 1e-13                   # measured 2.3e-15
     assert rep.intersection_rank_ok
     assert rep.duality <= 1e-10                       # measured 1.5e-12
@@ -349,8 +348,18 @@ def test_batched_ribaucour_checks_match_per_sample_spans(pair):
     d1_rows = np.stack([v, v_hat, d1], axis=1)
     looped = _per_sample_sines(d1_rows, np.stack([v, v_hat, d1_hat], axis=1))
     assert close(rep.coincidence, np.max(looped))
-    assert np.all(oracles.largest_sine(rep.d1_basis,
-                                       oracles.basis(d1_rows)) <= 1e-14)
+    bases, _, _ = tr._d1_spans(s, s_hat)
+    assert np.all(oracles.largest_sine(bases, oracles.basis(d1_rows))
+                  <= 1e-14)
+
+
+@pytest.mark.parametrize("pair", range(3), ids=["lines", "circles",
+                                                "profile"])
+def test_verify_ribaucour_is_the_cyclide_coincidence(pair):
+    # both read the one D1 span of the pair, so they agree bit for bit
+    s, s_hat = _ribaucour_pairs()[pair]
+    assert (tr.verify_ribaucour(s, s_hat)
+            == tr.ribaucour_cyclides(s, s_hat).coincidence)
 
 
 def planted(curve, *samples):
@@ -359,8 +368,7 @@ def planted(curve, *samples):
     d1, d2 = curve.derivatives()
     d1 = d1.copy()
     d1[list(samples)] = 3.0 * curve.vectors[list(samples)]
-    return SphereCurve(curve.vectors, curve.u_values,
-                       jet=lambda u: (curve.vectors, d1, d2))
+    return SphereCurve(curve.vectors, curve.u_values, d1=d1, d2=d2)
 
 
 @pytest.mark.parametrize("samples, named", [((23,), 23), ((40, 11), 11)])
