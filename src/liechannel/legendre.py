@@ -687,7 +687,6 @@ def _split_cyclides(grid: LegendreGrid) -> LieCyclideSplit:
 class ChannelVerdict:
     circular_dir: str             # 'none' | 'dir1' | 'dir2' | 'both'
     rates: dict                   # projective variation rate per direction
-    tol_rate: float
 
     def circular(self, which: str) -> bool:
         return self.circular_dir in (which, "both")
@@ -696,7 +695,6 @@ class ChannelVerdict:
 @dataclass(frozen=True)
 class ChannelReport(ChannelVerdict):
     coupling: dict                # |N(dir_i)| per direction
-    tol_coupling: float
     consistent: bool              # the two criteria agree
     notes: list
 
@@ -735,8 +733,7 @@ def _classify_rates(grid: LegendreGrid) -> ChannelVerdict:
     circular_dir = {(False, False): "none", (True, False): "dir1",
                     (False, True): "dir2", (True, True): "both"}[circ]
     return ChannelVerdict(circular_dir=circular_dir,
-                          rates={"dir1": rate1, "dir2": rate2},
-                          tol_rate=tol_rate)
+                          rates={"dir1": rate1, "dir2": rate2})
 
 
 def is_channel(grid: LegendreGrid) -> ChannelReport:
@@ -776,8 +773,7 @@ def _classify_channel(grid: LegendreGrid) -> ChannelReport:
 
     return ChannelReport(
         circular_dir=verdict.circular_dir, rates=verdict.rates,
-        tol_rate=verdict.tol_rate, coupling=coupling,
-        tol_coupling=tol_coupling, consistent=consistent, notes=notes,
+        coupling=coupling, consistent=consistent, notes=notes,
     )
 
 

@@ -550,7 +550,6 @@ class DupinCyclide:
     complement (core.circle_points samples either circle).  Built by
     dupin_from_subspaces, which checks both signatures."""
     frames: np.ndarray
-    provenance: str
 
 
 def dupin_from_spheres(a, b, c) -> DupinCyclide:
@@ -588,7 +587,7 @@ def dupin_from_subspaces(bases: np.ndarray, provenances):
     bases = np.asarray(bases, dtype=float)
     frames, signature = lightcone_frames(
         np.stack([bases, complement_rows(bases)], axis=1))
-    cyclides = [DupinCyclide(f, name) for f, name in zip(frames, provenances)]
+    cyclides = [DupinCyclide(f) for f in frames]
     failures = [circle_failure(signature[:, j], lambda i, what=what:
                                f"cyclide {what} ({provenances[i]})")
                 for j, what in enumerate(["subspace", "complement"])]

@@ -1,12 +1,16 @@
 """Tests for point-sphere extraction, triangulation and OBJ export."""
 
+import os
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from liechannel.core import (INFINITY_VEC, Infinity,
                              SignatureError, circle_points, containment_gap,
                              first_failure, plane_lift, point_lift,
                              project_to_euclidean, span_rows)
-from liechannel.demos import demo_config
+from liechannel.demos import demo_config, demo_names
 from liechannel.legendre import make_legendre_from_surface
 from liechannel.mesh import (
     _WRITE_ROWS,
@@ -176,17 +180,22 @@ def test_obj_roundtrip_is_exact(tmp_path):
 
 def test_obj_matches_the_reference_writer_across_blocks(tmp_path):
     # values whose repr is easy to get wrong when coordinates are shared:
-    # signed zeros, non-finite values, a subnormal and repr's switches
-    # between positional and exponent notation
-    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16,
-               9999999999999998.0, 1e-5, 0.0001, -1e16, 1.0, -1.0]
+    # signed zeros, both signs of nan and inf, a subnormal, repr's
+    # switches between positional and exponent notation, and the two
+    # longest reprs a float has (24 characters)
+    longest = [-2.2250738585072014e-308, -1.7976931348623157e+308]
+    assert [len(repr(x)) for x in longest] == [24, 24]
+    special = [0.0, -0.0, np.nan, -np.float64(np.nan), np.inf, -np.inf,
+               5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, -1e16, 1.0,
+               -1.0] + longest
     n = 2 * _WRITE_ROWS + 37
     rng = np.random.default_rng(8)
     verts = rng.choice(special + list(rng.normal(size=40)), size=(n, 3))
-    # 0.0 and -0.0 side by side in one block, and rows repeated within a
-    # block and across the first block boundary
-    verts[5] = [0.0, -0.0, 0.0]
-    verts[6] = [-0.0, 0.0, -0.0]
+    # 0.0 and -0.0 side by side in one block with the other specials, and
+    # rows repeated within a block and across the first block boundary
+    verts[5:11].flat[:len(special)] = special
+    assert len({x.tobytes() for x in verts[:_WRITE_ROWS].ravel()}) >= 16
+    verts[11] = [-0.0, 0.0, -0.0]
     verts[_WRITE_ROWS - 2:_WRITE_ROWS + 2] = verts[3]
     faces = rng.integers(0, n, size=(n, 3))
     export_obj(MeshOutput(verts, faces), tmp_path / "special.obj")
@@ -194,8 +203,63 @@ def test_obj_matches_the_reference_writer_across_blocks(tmp_path):
             == reference_obj_bytes(verts, faces))
 
 
+def test_obj_of_an_empty_mesh_and_of_bare_vertices(tmp_path):
+    no_faces = np.zeros((0, 3), dtype=int)
+    for verts in (np.zeros((0, 3)), np.array([[1.5, -0.0, 2e-7]] * 3)):
+        path = export_obj(MeshOutput(verts, no_faces), tmp_path / "m.obj")
+        assert (tmp_path / "m.obj").read_bytes() == reference_obj_bytes(
+            verts, no_faces)
+        assert path == str(tmp_path / "m.obj")
+
+
+def test_obj_face_labels_across_digit_widths_and_blocks(tmp_path):
+    # labels 1..n change width at powers of ten; n and the face count
+    # straddle the write blocks
+    rng = np.random.default_rng(12)
+    for n in (1, 9, 10, 99, 100, _WRITE_ROWS - 1, _WRITE_ROWS,
+              _WRITE_ROWS + 1, 4095, 4096, 4097, 100_001):
+        verts = rng.normal(size=(n, 3)).round(rng.integers(0, 17))
+        faces = rng.integers(0, n, size=(n, 3))
+        faces[0] = [0, n - 1, n // 2]
+        faces[-1] = [n - 1, 0, n - 1]
+        export_obj(MeshOutput(verts, faces), tmp_path / "n.obj")
+        assert ((tmp_path / "n.obj").read_bytes()
+                == reference_obj_bytes(verts, faces)), n
+
+
+def test_mesh_refuses_faces_that_are_not_vertex_triples():
+    verts = np.zeros((4, 3))
+    for faces, message in (
+            ([[0, 1, 2], [1, 2, -1]], "mesh face 1 [1, 2, -1] indexes "
+                                      "outside the 4 vertices"),
+            ([[0, 1, 2], [3, 4, 0], [4, 4, 4]],
+             "mesh face 1 [3, 4, 0] indexes outside the 4 vertices"),
+            (np.zeros((2, 4), dtype=int), "mesh faces must be an (m, 3) "
+                                          "integer array, got shape (2, 4) "
+                                          "of int64"),
+            (np.zeros((2, 3)), "mesh faces must be an (m, 3) integer array, "
+                               "got shape (2, 3) of float64")):
+        with pytest.raises(ValueError) as info:
+            MeshOutput(verts, faces)
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match=r"vertices must be an \(n, 3\)"):
+        MeshOutput(np.zeros((4, 2)), np.zeros((0, 3), dtype=int))
+
+
+def test_obj_writer_memory_stays_bounded():
+    (cyclide,), _ = cyclides_of(TORUS_SPACE)
+    mesh = cyclide_mesh(cyclide, n_a=256, n_b=256)
+    tracemalloc.start()
+    try:
+        export_obj(mesh, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_demo_objs_match_the_reference_writer(tmp_path):
-    for name in ("cylinder-darboux", "torus-cyclide"):
+    for name in demo_names():
         out = tmp_path / name
         report = run_scene(demo_config(name, grid=32), out)
         assert report["meshes"]
