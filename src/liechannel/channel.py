@@ -23,6 +23,7 @@ from .core import (
     DIM,
     SIGNS,
     GeometryError,
+    _signature_counts,
     _transposed,
     circle_failure,
     circle_points,
@@ -36,6 +37,8 @@ from .core import (
     projective_gap,
     read_only_copy,
     small_eigvalsh,
+    sphere_lift,
+    unit_rows,
     wedge_matrix,
 )
 from .legendre import LegendreGrid, channel_verdict, curvature_data
@@ -59,11 +62,12 @@ class SphereCurve:
     """Discrete curve of oriented spheres: one null 6-vector per u-sample.
 
     d1 and d2 are the u-derivatives at the samples, passed in by whoever
-    knows them (the closed-form 2-jet of curve_from_profile, the transform
-    flows' connection equations) or taken from finite differences on first
-    request (fourth order in the interior, since the second derivative
-    feeds the osculating-space construction; order two at open ends).  The
-    curve is immutable and its arrays read-only, so each is computed once.
+    knows them (curve_from_profile passes its closed-form 2-jet, the
+    Darboux and partner flows pass d1 from their connection equations) or
+    taken from the five-point stencils on first request (fourth order in
+    the interior, since the second derivative feeds the osculating-space
+    construction; order two at open ends).  The curve is immutable and its
+    arrays read-only, so each is computed once.
     """
 
     vectors: np.ndarray
@@ -124,8 +128,6 @@ class SphereCurve:
 
 def _lift_jet(c, c1, c2, r, r1, r2):
     """Closed-form 2-jet of the sphere lift from a centre/radius 2-jet."""
-    c = np.asarray(c, dtype=float)
-    cdot = np.einsum("...i,...i->...", c, c)
     cd1 = np.einsum("...i,...i->...", c, c1)
     cd2 = np.einsum("...i,...i->...", c1, c1) + np.einsum("...i,...i->...", c, c2)
     rr1 = r * r1
@@ -137,11 +139,8 @@ def _lift_jet(c, c1, c2, r, r1, r2):
         out[..., 4] = -p4
         out[..., 5] = p6
         return out
-    val = assemble(c, (1.0 - cdot + r * r) / 2.0, r)
-    val[..., 4] = (1.0 + cdot - r * r) / 2.0
-    d1 = assemble(c1, -cd1 + rr1, r1)
-    d2 = assemble(c2, -cd2 + rr2, r2)
-    return val, d1, d2
+    return (sphere_lift(c, r), assemble(c1, -cd1 + rr1, r1),
+            assemble(c2, -cd2 + rr2, r2))
 
 
 def curve_from_profile(center_fn: Callable, radius, u_values,
@@ -211,10 +210,12 @@ def helix_sphere_curve(n: int = 64, ring_radius: float = 2.0,
 # ---------------------------------------------------------------------------
 
 def _signature_21(stacks: np.ndarray) -> np.ndarray:
-    """Per-sample verdict: do the three rows span a (2,1) space?"""
-    ev = small_eigvalsh(stacks @ _transposed(SIGNS * stacks))
-    tol = 1e-9 * np.maximum(np.max(np.abs(ev), axis=-1), 1e-300)[:, None]
-    return (np.sum(ev > tol, axis=-1) == 2) & (np.sum(ev < -tol, axis=-1) == 1)
+    """Per-sample verdict: do the three rows span a (2,1) space?  Read
+    with lightcone_frames' sign rule, on the rows scaled to unit length."""
+    rows = unit_rows(stacks)
+    n_plus, n_minus, _ = _signature_counts(
+        small_eigvalsh(rows @ _transposed(SIGNS * rows)))
+    return (n_plus == 2) & (n_minus == 1)
 
 
 def osculating_spaces(curve: SphereCurve):
@@ -245,9 +246,7 @@ def _transported_frames(perp: np.ndarray, frame0: np.ndarray,
     chain, as a running product of per-step flips: negating a row
     commutes with every later step.
     """
-    n = perp.shape[0]
-    prev = np.arange(n if periodic else n - 1)
-    nxt = (prev + 1) % n
+    prev, nxt = stencils.edge_pairs(perp.shape[0], periodic)
     grams = (perp @ _transposed(SIGNS * perp))[nxt]
     # a singular fibre Gram has a non-finite inverse
     gram_inv = inv3(grams)
@@ -448,6 +447,17 @@ def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
 # the linear conserved quantity
 # ---------------------------------------------------------------------------
 
+def _trapezoid_defect(omega: Omega0Structure, y: np.ndarray, lam: float,
+                      periodic: bool) -> np.ndarray:
+    """y_r - y_l + lam * eta_edge * y_mid on every u-edge (l, r): the
+    trapezoid defect of the samples y (n, 6, ...) for d + lam*eta."""
+    left, right = stencils.edge_pairs(y.shape[0], periodic)
+    eta_edge = 0.5 * (omega.eta_u[left] + omega.eta_u[right]) * omega.du
+    mid = 0.5 * (y[left] + y[right])
+    return y[right] - y[left] + lam * np.einsum("kij,kj...->ki...",
+                                                eta_edge, mid)
+
+
 @dataclass
 class ConservedQuantityReport:
     residuals: dict                  # lambda -> worst edge residual
@@ -485,25 +495,12 @@ def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
         notes.append(f"normalisation defect {defect:.3e}; residuals are "
                      "expected to be O(1)")
 
-    du = omega.du
     if tol is None:
-        tol = max(1e-8, 10.0 * du * du)
-    sections = {}
-    for lam in lambdas:
-        sections[lam] = p_vec + lam * omega.sigma1
-    if omega.periodic_u:
-        nxt = lambda arr: np.roll(arr, -1, axis=0)
-        cur = lambda arr: arr
-    else:
-        nxt = lambda arr: arr[1:]
-        cur = lambda arr: arr[:-1]
-
+        tol = max(1e-8, 10.0 * omega.du * omega.du)
     residuals = {}
-    for lam, p_vals in sections.items():
-        dp = nxt(p_vals) - cur(p_vals)
-        eta_avg = 0.5 * (nxt(omega.eta_u) + cur(omega.eta_u)) * du
-        p_mid = 0.5 * (nxt(p_vals) + cur(p_vals))
-        res = dp + lam * np.einsum("kij,kj->ki", eta_avg, p_mid)
+    for lam in lambdas:
+        res = _trapezoid_defect(omega, p_vec + lam * omega.sigma1, lam,
+                                omega.periodic_u)
         residuals[lam] = float(np.max(np.linalg.norm(res, axis=-1)))
     passed = defect <= 1e-8 and all(r <= tol for r in residuals.values())
     return ConservedQuantityReport(residuals=residuals,

@@ -85,40 +85,35 @@ def _execute(config, base_out) -> int:
     return 0 if report["passed"] else 1
 
 
+def _invalid(errors) -> int:
+    """Print configuration errors, one a line, and return exit code 2."""
+    for err in errors:
+        print(err, file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    if args.command == "check":
+    if args.command == "demo":
         try:
-            config = load_scene(args.scene)
-        except SceneError as exc:
-            for err in exc.errors:
-                print(err, file=sys.stderr)
-            return 2
-        errors = validate_scene(config)
-        if errors:
-            for err in errors:
-                print(err, file=sys.stderr)
-            return 2
-        print(f"scene ok: {len(config['objects'])} objects, "
-              f"{len(config['pipeline'])} stages")
-        return 0
-
-    if args.command == "run":
-        try:
-            config = load_scene(args.scene)
-        except SceneError as exc:
-            for err in exc.errors:
-                print(err, file=sys.stderr)
-            return 2
+            config = demo_config(args.name, grid=args.grid, seed=args.seed)
+        except KeyError as exc:
+            return _invalid(exc.args[:1])
         return _execute(config, args.out)
 
     try:
-        config = demo_config(args.name, grid=args.grid, seed=args.seed)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    return _execute(config, args.out)
+        config = load_scene(args.scene)
+    except SceneError as exc:
+        return _invalid(exc.errors)
+    if args.command == "run":
+        return _execute(config, args.out)
+    errors = validate_scene(config)
+    if errors:
+        return _invalid(errors)
+    print(f"scene ok: {len(config['objects'])} objects, "
+          f"{len(config['pipeline'])} stages")
+    return 0
 
 
 if __name__ == "__main__":

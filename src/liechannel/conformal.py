@@ -30,7 +30,6 @@ from .core import (
 from .legendre import LegendreGrid
 from .mesh import grid_point_spheres
 from .transforms import _d1_spans
-from . import stencils
 
 #: largest span residual of a Ribaucour pair of curves
 RIBAUCOUR_TOL = 1e-6
@@ -72,12 +71,9 @@ def tube(curve: SphereCurve, radius: float, n_theta: int = 64) -> LegendreGrid:
     # and reported rather than folded into the contact validation
     positions, finite = grid_point_spheres(grid.sigma, grid.tau)
     if finite.all():
-        ju = stencils.diff1(positions, grid.du, axis=0,
-                            periodic=grid.periodic_u)
-        jt = stencils.diff1(positions, grid.dtheta, axis=1,
-                            periodic=grid.periodic_theta)
-        svals = np.linalg.svd(np.stack([ju, jt], axis=-1),
-                              compute_uv=False)
+        jacobian = np.stack([grid.diff(positions, 0),
+                             grid.diff(positions, 1)], axis=-1)
+        svals = np.linalg.svd(jacobian, compute_uv=False)
         point_imm = float(np.min(svals[..., -1]))
         grid.metadata["point_immersion"] = point_imm
         if point_imm <= 1e-3 * float(np.median(svals[..., 0])):

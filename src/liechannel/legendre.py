@@ -182,21 +182,20 @@ class LegendreGrid:
         t = self.theta_values
         return float(t[1] - t[0])
 
-    def frame_derivatives(self):
-        """First differences of both frame fields along u and theta."""
-        return _frame_derivatives(self, self.sigma, self.tau)
+    def diff(self, field: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
+        """First or second difference of a grid field (nu, nt, ...) along
+        axis 0 (u) or 1 (theta), with that axis's spacing and periodicity."""
+        h, periodic = ((self.du, self.periodic_u) if axis == 0
+                       else (self.dtheta, self.periodic_theta))
+        stencil = {1: stencils.diff1, 2: stencils.diff2}[order]
+        return stencil(field, h, axis=axis, periodic=periodic)
 
 
 def _frame_derivatives(grid: LegendreGrid, sigma: np.ndarray, tau: np.ndarray):
     """First differences of the fields sigma and tau (nu, nt, 6) along u
-    and theta, with the grid's spacings and periodicity."""
-    du, dt = grid.du, grid.dtheta
-    return (
-        stencils.diff1(sigma, du, axis=0, periodic=grid.periodic_u),
-        stencils.diff1(sigma, dt, axis=1, periodic=grid.periodic_theta),
-        stencils.diff1(tau, du, axis=0, periodic=grid.periodic_u),
-        stencils.diff1(tau, dt, axis=1, periodic=grid.periodic_theta),
-    )
+    and theta."""
+    return (grid.diff(sigma, 0), grid.diff(sigma, 1),
+            grid.diff(tau, 0), grid.diff(tau, 1))
 
 
 def _memoised(grid: LegendreGrid, key: str, compute):
@@ -422,7 +421,7 @@ def curvature_data(grid: LegendreGrid) -> CurvatureData:
 
 def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
     w_basis = _memoised(grid, "quotient", _quotient_frames)
-    ds_u, ds_t, dt_u, dt_t = grid.frame_derivatives()
+    ds_u, ds_t, dt_u, dt_t = _frame_derivatives(grid, grid.sigma, grid.tau)
 
     def wcoords(dv):
         return np.einsum("...kd,...d->...k", w_basis, dv)   # (nu,nt,2)
@@ -469,9 +468,7 @@ def _directional_derivative(field: np.ndarray, direction: np.ndarray,
                             grid: LegendreGrid) -> np.ndarray:
     a = direction[..., 0, None]
     b = direction[..., 1, None]
-    fu = stencils.diff1(field, grid.du, axis=0, periodic=grid.periodic_u)
-    ft = stencils.diff1(field, grid.dtheta, axis=1, periodic=grid.periodic_theta)
-    return a * fu + b * ft
+    return a * grid.diff(field, 0) + b * grid.diff(field, 1)
 
 
 def _two_jet(field: np.ndarray, direction: np.ndarray,
@@ -479,23 +476,18 @@ def _two_jet(field: np.ndarray, direction: np.ndarray,
     """(nu, nt, 3, 6) rows field, D field and D^2 field, D the derivative
     along a varying direction field (D^2 with the first-order correction
     terms coming from the variation of the direction)."""
-    du, dt = grid.du, grid.dtheta
-    pu, pt = grid.periodic_u, grid.periodic_theta
     a = direction[..., 0]
     b = direction[..., 1]
-    fu = stencils.diff1(field, du, axis=0, periodic=pu)
-    ft = stencils.diff1(field, dt, axis=1, periodic=pt)
-    fut = stencils.diff1(fu, dt, axis=1, periodic=pt)
-    a_u = stencils.diff1(a, du, axis=0, periodic=pu)
-    a_t = stencils.diff1(a, dt, axis=1, periodic=pt)
-    b_u = stencils.diff1(b, du, axis=0, periodic=pu)
-    b_t = stencils.diff1(b, dt, axis=1, periodic=pt)
+    fu, ft = grid.diff(field, 0), grid.diff(field, 1)
+    fut = grid.diff(fu, 1)
+    a_u, a_t = grid.diff(a, 0), grid.diff(a, 1)
+    b_u, b_t = grid.diff(b, 0), grid.diff(b, 1)
     # each sum formed in place, term by term in the order of the formula
     first = a[..., None] * fu
     first += b[..., None] * ft
-    second = (a * a)[..., None] * stencils.diff2(field, du, axis=0, periodic=pu)
+    second = (a * a)[..., None] * grid.diff(field, 0, order=2)
     second += (2.0 * a * b)[..., None] * fut
-    second += (b * b)[..., None] * stencils.diff2(field, dt, axis=1, periodic=pt)
+    second += (b * b)[..., None] * grid.diff(field, 1, order=2)
     second += (a * a_u + b * a_t)[..., None] * fu
     second += (a * b_u + b * b_t)[..., None] * ft
     return np.stack([field, first, second], axis=-2)
@@ -653,8 +645,7 @@ def _split_cyclides(grid: LegendreGrid) -> LieCyclideSplit:
         # central one on every slab row but an open end's one-sided one
         p1_u = stencils.diff1(p1, grid.du, axis=0)[offset:offset + stop - start]
         p1 = p1[offset:offset + stop - start]
-        p1_t = stencils.diff1(p1, grid.dtheta, axis=1,
-                              periodic=grid.periodic_theta)
+        p1_t = grid.diff(p1, 1)
         # p1 is NaN in every entry exactly off the usable points, so one
         # entry of each difference shows where both stencils stay on
         # usable points

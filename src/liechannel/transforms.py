@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import stencils
-from .channel import Omega0Structure, SphereCurve
+from .channel import Omega0Structure, SphereCurve, _trapezoid_defect
 from .core import (
     DIM,
     INFINITY_VEC,
@@ -74,12 +74,6 @@ def _sphere_gauge(field: np.ndarray) -> np.ndarray:
 # connection sampling and RK4 flows
 # ---------------------------------------------------------------------------
 
-def _edge_index_pairs(n: int, periodic: bool):
-    left = np.arange(n if periodic else n - 1)
-    right = (left + 1) % n
-    return left, right
-
-
 def _hermite(y0, d0, y1, d1, h, t):
     """Cubic Hermite evaluation (value, derivative) at fraction t of an edge."""
     t2, t3 = t * t, t * t * t
@@ -105,7 +99,7 @@ def _edge_connection(omega: Omega0Structure, substeps: int):
     key = ("rk4_nodes", substeps)
     if key not in omega._derived:
         s, d = omega.sigma1, omega.dsigma1
-        left, right = _edge_index_pairs(s.shape[0], omega.periodic_u)
+        left, right = stencils.edge_pairs(s.shape[0], omega.periodic_u)
         t = (np.arange(2 * substeps) / (2 * substeps))[:, None]
         val, der = _hermite(s[left, None], d[left, None], s[right, None],
                             d[right, None], omega.du, t)
@@ -206,7 +200,9 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
     Integrates phi' = -m * eta_u * phi along u; the new contact elements
     are spanned by phi and the line s0 of the old element orthogonal to
     phi, which both surfaces envelope.  Null drift of the section is
-    measured against its running norm and must stay below null_tol.
+    measured against its running norm and must stay below null_tol.  The
+    section's curve carries d1 = -m * eta_u * phi from the connection
+    equation; its d2 comes from the stencils on request.
     """
     if m == 0.0:
         raise ValueError("Darboux parameter m must be nonzero")
@@ -228,18 +224,12 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
         seam = float(np.max(projective_gap(wrap, phi[0])))
     else:
         phi = _rk4_flow(nodes, phi0, omega.du, -m)
-    # derivatives straight from the connection equation, so downstream
+    # the derivative straight from the connection equation, so downstream
     # span checks see the flow's own tangent data
-    eta = omega.eta_u
-    sigma2 = stencils.diff1_5pt(omega.dsigma1, omega.du,
-                                periodic=omega.periodic_u)
-    eta_prime = wedge_matrix(omega.sigma1, sigma2)
-    d1 = -m * np.einsum("kij,kj->ki", eta, phi)
-    d2 = (-m * np.einsum("kij,kj->ki", eta_prime, phi)
-          - m * np.einsum("kij,kj->ki", eta, d1))
+    d1 = -m * np.einsum("kij,kj->ki", omega.eta_u, phi)
     hat_s = SphereCurve(phi, grid.u_values,
                         periodic_u=seam is not None and seam <= 1e-8,
-                        d1=d1, d2=d2, metadata={"source": "darboux", "m": m})
+                        d1=d1, metadata={"source": "darboux", "m": m})
     drift = hat_s.nullity()
     if drift > null_tol:
         raise GeometryError(
@@ -315,12 +305,7 @@ def calapso_transform(grid: LegendreGrid, omega: Omega0Structure, lam: float,
 
 def gauge_edge_residual(gauge: GaugeField, omega: Omega0Structure) -> float:
     """Worst defect of Delta(Tinv) + lambda*eta_edge*Tinv_mid per edge."""
-    tinv = gauge.Tinv
-    n = tinv.shape[0]
-    left, right = _edge_index_pairs(n, periodic=False)
-    eta_edge = 0.5 * (omega.eta_u[left] + omega.eta_u[right]) * omega.du
-    mid = 0.5 * (tinv[left] + tinv[right])
-    res = tinv[right] - tinv[left] + gauge.lam * (eta_edge @ mid)
+    res = _trapezoid_defect(omega, gauge.Tinv, gauge.lam, periodic=False)
     return float(np.max(np.abs(res)))
 
 
@@ -441,7 +426,6 @@ def ribaucour_partner_curve(s: SphereCurve, beta, gamma,
 
     d1_out = np.stack([rhs(u_vals[k], v[k], d1[k], out[k]) for k in range(n)])
     partner = SphereCurve(out, u_vals, d1=d1_out,
-                          d2=stencils.diff1_5pt(d1_out, h, periodic=False),
                           metadata={"source": "ribaucour-partner"})
     drift = partner.nullity()
     if drift > PARTNER_NULL_TOL:
@@ -500,10 +484,8 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
         a, b = null_combination(rej[..., 0, :], rej[..., 1, :])
         s0 = unit_rows(a * unit[..., 0, :] + b * unit[..., 1, :])
 
-        dt = f.dtheta
-        ds0 = stencils.diff1(s0, dt, axis=1, periodic=f.periodic_theta)
-        dds0 = stencils.diff2(s0, dt, axis=1, periodic=f.periodic_theta)
-        jet = np.stack([s0, ds0, dds0], axis=-2)          # (nu, nt, 3, 6)
+        jet = np.stack([s0, f.diff(s0, 1), f.diff(s0, 1, order=2)],
+                       axis=-2)                           # (nu, nt, 3, 6)
         perp = complement_rows(d1_spaces)                  # (nu, 3, 6)
         duality = float(np.max(principal_sine(perp[:, None],
                                               orthonormal_rows(jet))))
@@ -514,8 +496,7 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
         # the pairing with the point at infinity instead gives the smooth
         # sphere-lift representative whenever no member is a plane
         s1_field = _sphere_gauge(data.s1)
-        ds1_field = stencils.diff1(s1_field, f.du, axis=0,
-                                   periodic=f.periodic_u)
+        ds1_field = f.diff(s1_field, 0)
         hat_field = np.broadcast_to(s_hat.vectors[:, None, :],
                                     s1_field.shape)
         stacks = np.stack([s1_field, hat_field, ds1_field], axis=-2)
@@ -525,11 +506,9 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
         # the second family, measured from grid data alone (extraction
         # noise is O(h^2); reported, not gated)
         data_hat = curvature_data(f_hat)
-        ds2 = stencils.diff1(data.s2, dt, axis=1, periodic=f.periodic_theta)
-        a2 = np.stack([data.s2, data_hat.s2, ds2], axis=-2)
-        ds2_hat = stencils.diff1(data_hat.s2, dt, axis=1,
-                                 periodic=f.periodic_theta)
-        b2 = np.stack([data.s2, data_hat.s2, ds2_hat], axis=-2)
+        a2 = np.stack([data.s2, data_hat.s2, f.diff(data.s2, 1)], axis=-2)
+        b2 = np.stack([data.s2, data_hat.s2, f.diff(data_hat.s2, 1)],
+                      axis=-2)
         d2_coincidence = float(np.max(principal_sine(
             orthonormal_rows(b2), orthonormal_rows(a2))))
 

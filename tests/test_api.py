@@ -168,3 +168,44 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     assert missing == [], f"defaulted parameters no caller sets: {missing}"
     # the list stays exact: each entry is a defaulted parameter nobody sets
     assert set(UNSET_BY_DESIGN) <= unset
+
+
+#: the only places that call a stencil (module, enclosing function): the
+#: grid's own difference and the splitting pass's open u-difference over
+#: its halo window, and the u-derivatives of sphere curves and of the
+#: special lift
+STENCIL_CALLERS = {("legendre", "LegendreGrid.diff"),
+                   ("legendre", "_split_cyclides"),
+                   ("channel", "SphereCurve.derivatives"),
+                   ("channel", "omega0_form")}
+
+
+def _stencil_callers():
+    """(module, enclosing top-level function or Class.method) of every
+    use of a `stencils.diff*` function in the package, imported by name
+    or read as an attribute."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "stencils":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            scopes = [(getattr(node, "name", "<module>"), node)]
+            if isinstance(node, ast.ClassDef):
+                scopes = [(f"{node.name}.{item.name}", item)
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)]
+            for name, scope in scopes:
+                for n in ast.walk(scope):
+                    if (isinstance(n, ast.Attribute)
+                            and getattr(n.value, "id", None) == "stencils"
+                            and n.attr.startswith("diff")):
+                        found.add((path.stem, name))
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.endswith("stencils")):
+                found |= {(path.stem, f"import {alias.name}")
+                          for alias in node.names}
+    return found
+
+
+def test_only_the_grid_and_the_curves_call_the_stencils():
+    assert _stencil_callers() == STENCIL_CALLERS

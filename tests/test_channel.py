@@ -229,6 +229,41 @@ def test_envelope_checks_the_space_override_at_every_sample():
         ch.envelope(curve, 16, spaces=bent)
 
 
+
+def test_envelope_names_the_samples_whose_space_is_not_21():
+    # a planted rank loss at sample 17: the space still contains the
+    # curve, but its third row is a combination of the first two
+    curve, _ = torus_envelope(48)
+    stacks, _ = ch.osculating_spaces(curve)
+    flat = stacks.copy()
+    flat[17, 2] = flat[17, 0] + flat[17, 1]
+    with pytest.raises(GeometryError, match=r"not \(2,1\) at samples \[17\]"):
+        ch.envelope(curve, 16, spaces=flat)
+
+
+@pytest.mark.parametrize("speed", [1e-3, 1.0, 1e3, 1e4])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e6])
+def test_osculating_verdict_ignores_scale_and_speed(speed, scale):
+    # a helix traversed at any speed, its lift at any scale: the rows'
+    # lengths differ by up to eight decades, the signature does not
+    R, p = 2.0, 0.5
+
+    def center(u):
+        k = speed * u
+        c = np.stack([R * np.cos(k), R * np.sin(k), p * k], axis=-1)
+        c1 = speed * np.stack([-R * np.sin(k), R * np.cos(k),
+                               np.full_like(k, p)], axis=-1)
+        c2 = speed ** 2 * np.stack([-R * np.cos(k), -R * np.sin(k),
+                                    np.zeros_like(k)], axis=-1)
+        return c, c1, c2
+
+    curve = ch.curve_from_profile(
+        center, 0.6, np.linspace(0.0, 3.0 * np.pi / speed, 64))
+    stacks, ok = ch.osculating_spaces(curve)
+    assert ok.all()
+    assert ch._signature_21(scale * stacks).all()
+
+
 # ---------------------------------------------------------------------------
 # special lifts and the middle one-form
 # ---------------------------------------------------------------------------
