@@ -63,11 +63,11 @@ class SphereCurve:
 
     d1 and d2 are the u-derivatives at the samples, passed in by whoever
     knows them (curve_from_profile passes its closed-form 2-jet, the
-    Darboux and partner flows pass d1 from their connection equations) or
-    taken from the five-point stencils on first request (fourth order in
-    the interior, since the second derivative feeds the osculating-space
-    construction; order two at open ends).  The curve is immutable and its
-    arrays read-only, so each is computed once.
+    Darboux and partner flows pass d1 from their flow equations) or taken
+    from the five-point stencils, each order on its first request
+    (fourth order in the interior, since the second derivative feeds the
+    osculating-space construction; order two at open ends).  The curve is
+    immutable and its arrays read-only, so each is computed once.
     """
 
     vectors: np.ndarray
@@ -93,15 +93,16 @@ class SphereCurve:
     def du(self) -> float:
         return float(self.u_values[1] - self.u_values[0])
 
-    def derivatives(self):
-        """(first, second) u-derivatives of the sample vectors."""
-        for name, stencil in (("d1", stencils.diff1_5pt),
-                              ("d2", stencils.diff2_5pt)):
-            if getattr(self, name) is None:
-                value = stencil(self.vectors, self.du, periodic=self.periodic_u)
-                value.flags.writeable = False
-                object.__setattr__(self, name, value)
-        return self.d1, self.d2
+    def derivative(self, order: int) -> np.ndarray:
+        """The first (order 1) or second (order 2) u-derivative of the
+        sample vectors."""
+        name = f"d{order}"
+        if getattr(self, name) is None:
+            stencil = (stencils.diff1_5pt, stencils.diff2_5pt)[order - 1]
+            value = stencil(self.vectors, self.du, periodic=self.periodic_u)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        return getattr(self, name)
 
     def nullity(self) -> float:
         """Worst |(sigma, sigma)| relative to the Euclidean norm squared."""
@@ -117,7 +118,7 @@ class SphereCurve:
         if nullity > CURVE_NULL_TOL:
             raise GeometryError(
                 f"curve samples are not null (worst {nullity:.3e})")
-        d1, _ = self.derivatives()
+        d1 = self.derivative(1)
         reg = inner(d1, d1) / np.einsum("ij,ij->i", self.vectors, self.vectors)
         bad = np.flatnonzero(reg <= CURVE_REGULARITY_MIN)
         if bad.size:
@@ -220,8 +221,8 @@ def _signature_21(stacks: np.ndarray) -> np.ndarray:
 
 def osculating_spaces(curve: SphereCurve):
     """Per-sample stacks {sigma, sigma', sigma''} and their (2,1) verdicts."""
-    d1, d2 = curve.derivatives()
-    stacks = np.stack([curve.vectors, d1, d2], axis=1)
+    stacks = np.stack([curve.vectors, curve.derivative(1),
+                       curve.derivative(2)], axis=1)
     return stacks, _signature_21(stacks)
 
 
@@ -390,9 +391,9 @@ class Omega0Structure:
     (u, theta); lift_gap is the worst projective gap between the two over
     the grid, the one measurement of that condition that can fail.
 
-    The structure is immutable; data derived from it (the special lift
-    interpolated at the RK4 nodes of the transform flows) is computed
-    once and kept in the private _derived dict.
+    The structure is immutable; data derived from it (the Magnus terms
+    of eta on the substeps of the transform flows) is computed once and
+    kept in the private _derived dict.
     """
 
     sigma1: np.ndarray            # (n, 6) special lift

@@ -95,9 +95,9 @@ def tube_sphere_curve(curve: SphereCurve, radius: float) -> SphereCurve:
     """
     curve.check()
     m = parallel_transform_matrix(radius)
-    d1, d2 = curve.derivatives()
+    d1, d2 = (curve.derivative(order) @ m.T for order in (1, 2))
     return SphereCurve(curve.vectors @ m.T, curve.u_values,
-                       periodic_u=curve.periodic_u, d1=d1 @ m.T, d2=d2 @ m.T,
+                       periodic_u=curve.periodic_u, d1=d1, d2=d2,
                        metadata={"tube_radius": float(radius)})
 
 
@@ -138,7 +138,7 @@ def circle_congruence_report(c1: SphereCurve,
         pts = circle_points(frames[:, None, None], probe)
         pos = pts[..., :3] / (pts[..., 3] + pts[..., 4])[..., None]
         tangent = pos[:, :, 1] - pos[:, :, 0]
-        ref = np.stack([c.derivatives()[0][:, :3] for c in (c1, c2)], axis=1)
+        ref = np.stack([c.derivative(1)[:, :3] for c in (c1, c2)], axis=1)
         cr = np.linalg.norm(np.cross(tangent, ref), axis=-1)
         denom = np.linalg.norm(tangent, axis=-1) * np.linalg.norm(ref, axis=-1)
         angles = np.arcsin(np.clip(cr / denom, 0.0, 1.0))

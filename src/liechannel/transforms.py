@@ -6,12 +6,19 @@ sections and trivialising gauges (Darboux and Calapso transforms),
 generates and verifies Ribaucour partner curves, and builds the Dupin
 cyclide congruences attached to a Ribaucour pair.
 
-All flows are classical fixed-step RK4 along u.  Connection matrices at
-substep points come from cubic Hermite interpolation of (sigma1, sigma1')
-samples, which is exact whenever the lift is polynomial of degree <= 3 --
-in particular for tubes over lines.  Sections are never renormalised:
-parallelness is a property of the lift, and the null/orthogonality drift
-of the integrator is reported instead of being hidden.
+Every flow solves y' = c * wedge(s, s') y along u, for one sphere curve s
+and a scalar c: the Darboux section (c = -m) and the Calapso gauge
+(c = -lambda) on the special lift sigma1, whose wedge is eta, and the
+Ribaucour partner (c = beta) on its base curve.  wedge(s, s') lies in
+o(4,2), and one stepper takes each substep into O(4,2): the fourth-order
+Magnus generator of the connection at cubic Hermite nodes of (s, s'),
+mapped to the group by the diagonal Pade approximant (Iserles,
+Munthe-Kaas, Norsett and Zanna, "Lie-group methods", Acta Numerica 9,
+2000; Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009).  The nodes are
+exact whenever the lift is polynomial of degree <= 3, in particular for
+tubes over lines.  Sections are never renormalised: the metric and
+nullity defects of a flow are reported, and they read rounding unless
+its generator leaves o(4,2).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .core import (
     DIM,
     INFINITY_VEC,
     METRIC,
+    SIGNS,
     GeometryError,
     RankDeficiencyError,
     SignatureError,
@@ -51,10 +59,8 @@ from .legendre import LegendreGrid, curvature_data
 MIN_PAIRING = 0.05
 #: draws darboux_initial_condition makes before it gives up
 MAX_TRIES = 32
-#: relative pairing (s, shat) under which the partner flow degenerates
-PARTNER_PAIR_TOL = 1e-8
-#: worst nullity drift a partner curve may have
-PARTNER_NULL_TOL = 1e-8
+#: Magnus-Pade substeps per u-edge of a flow whose caller sets none
+SUBSTEPS = 4
 
 
 def _sphere_gauge(field: np.ndarray) -> np.ndarray:
@@ -71,7 +77,7 @@ def _sphere_gauge(field: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# connection sampling and RK4 flows
+# connection sampling and the O(4,2) stepper
 # ---------------------------------------------------------------------------
 
 def _hermite(y0, d0, y1, d1, h, t):
@@ -84,65 +90,65 @@ def _hermite(y0, d0, y1, d1, h, t):
     return val, der
 
 
-def _edge_connection(omega: Omega0Structure, substeps: int):
-    """Wedge matrices eta(u) at the RK4 nodes of every edge.
+def _edge_connection(vectors, d1, du: float, periodic: bool, substeps: int):
+    """Magnus terms (P, Q) of A(u) = wedge(s, s') on every substep of every
+    u-edge of a sphere curve, given by its samples, their d1, du and
+    periodicity (a periodic curve adds the wrap edge).
 
-    Returns a read-only array of shape (n_edges, substeps, 3, 6, 6): the
-    connection at the start, middle and end of each substep.  It is a
-    view of the 2 * substeps * n_edges + 1 distinct nodes (a substep ends
-    where the next one starts, and the Hermite cubic reproduces the
-    samples exactly at both ends of an edge).  The Hermite values and
-    derivatives at those nodes are computed once per structure and
-    substep count; the matrices, six times their size, are formed per
-    call and not kept.
+    A substep of length hs with A0, Am, A1 at its start, middle and end
+    (from the cubic Hermite of the samples and d1) has the fourth-order
+    Magnus generator c P + c^2 Q for the flow y' = c A y, with
+    P = hs/6 (A0 + 4 Am + A1) and Q = hs^2/12 [A1, A0].  Both are
+    read-only arrays of shape (n_edges, substeps, 6, 6).
     """
-    key = ("rk4_nodes", substeps)
+    left, right = stencils.edge_pairs(vectors.shape[0], periodic)
+    t = (np.arange(2 * substeps + 1) / (2 * substeps))[:, None]
+    nodes = wedge_matrix(*_hermite(vectors[left, None], d1[left, None],
+                                   vectors[right, None], d1[right, None],
+                                   du, t))
+    a0, am, a1 = nodes[:, :-1:2], nodes[:, 1::2], nodes[:, 2::2]
+    hs = du / substeps
+    p = (hs / 6.0) * (a0 + 4.0 * am + a1)
+    q = (hs * hs / 12.0) * (a1 @ a0 - a0 @ a1)
+    p.flags.writeable = q.flags.writeable = False
+    return p, q
+
+
+def _omega_connection(omega: Omega0Structure, substeps: int):
+    """_edge_connection of sigma1 (eta), once per structure and substeps."""
+    key = ("magnus", substeps)
     if key not in omega._derived:
-        s, d = omega.sigma1, omega.dsigma1
-        left, right = stencils.edge_pairs(s.shape[0], omega.periodic_u)
-        t = (np.arange(2 * substeps) / (2 * substeps))[:, None]
-        val, der = _hermite(s[left, None], d[left, None], s[right, None],
-                            d[right, None], omega.du, t)
-        val = np.concatenate([val.reshape(-1, DIM), s[right[-1:]]])
-        der = np.concatenate([der.reshape(-1, DIM), d[right[-1:]]])
-        val.flags.writeable = der.flags.writeable = False
-        omega._derived[key] = val, der
-    unique = wedge_matrix(*omega._derived[key])
-    # windows of three consecutive nodes, one per substep: (.., 6, 6, 3)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        unique, 3, axis=0)[::2]
-    return np.moveaxis(windows, -1, 1).reshape(-1, substeps, 3, DIM, DIM)
+        omega._derived[key] = _edge_connection(
+            omega.sigma1, omega.dsigma1, omega.du, omega.periodic_u, substeps)
+    return omega._derived[key]
 
 
-def _rk4_flow(nodes: np.ndarray, y0: np.ndarray, h: float, coeff: float):
-    """Integrate y' = coeff * eta(u) y through the sampled edges.
+def _flow(terms, y0: np.ndarray, coeff: float) -> np.ndarray:
+    """Integrate y' = coeff * A(u) y through the edges of terms = (P, Q).
 
     y0 may be a vector (6,) or a matrix (6, 6) whose columns evolve
-    independently; returns the trajectory at the n_edges+1 sample points.
+    independently; returns the trajectory at the n_edges + 1 edge ends.
 
-    The flow is linear, so a classical RK4 substep with nodes (a0, am, a1)
-    is exactly the increment y <- y + S y, with
-    S = hs/6 (K1 + 2 K2 + 2 K3 + K4), K1 = c a0, K2 = c am (1 + hs/2 K1),
-    K3 = c am (1 + hs/2 K2), K4 = c a1 (1 + hs K3) and c = coeff.  Every S
-    is built in one batched pass, and so is each edge's increment D, the
-    product of its substeps (1 + S_j) less the identity, folded substep by
-    substep as D <- S_j + D + S_j D.  The serial part is one product and
-    one sum per edge, y <- y + D y.  The identity stays out of S and D:
-    iterating y <- (1 + D) y instead rounds the small entries of D against
-    the unit diagonal at every step, which costs one to two decades of the
-    metric and nullity drift on long grids.
+    Each substep's generator W = coeff P + coeff^2 Q goes to the group by
+    the diagonal Pade approximant r(W) = (I - W/2 + W^2/12)^-1
+    (I + W/2 + W^2/12): r(-W) r(W) = I, so for W in o(4,2) each step lies
+    in O(4,2) to rounding.  One batched solve gives every increment
+    S = r(W) - I = (I - W/2 + W^2/12)^-1 W; each edge's increment D, the
+    product of its substeps (1 + S_j) less the identity, folds as
+    D <- S_j + D + S_j D, and the serial part is y <- y + D y.  The
+    identity stays out of S and D: iterating y <- (1 + D) y instead rounds
+    the small entries of D against the unit diagonal at every step, which
+    costs one to two decades of the metric and nullity defects on long
+    grids.
     """
-    substeps = nodes.shape[1]
-    hs = h / substeps
-    a0, am, a1 = (coeff * nodes[:, :, pos] for pos in range(3))
-    k2 = am + (0.5 * hs) * (am @ a0)
-    k3 = am + (0.5 * hs) * (am @ k2)
-    k4 = a1 + hs * (a1 @ k3)
-    steps = (hs / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    p, q = terms
+    gen = coeff * p + (coeff * coeff) * q
+    steps = np.linalg.solve(np.eye(DIM) - 0.5 * gen + (gen @ gen) / 12.0,
+                            gen)
     edge = steps[:, 0]
-    for j in range(1, substeps):
+    for j in range(1, steps.shape[1]):
         edge = steps[:, j] + edge + steps[:, j] @ edge
-    out = np.empty((nodes.shape[0] + 1,) + y0.shape)
+    out = np.empty((steps.shape[0] + 1,) + y0.shape)
     out[0] = y = y0
     for e, step in enumerate(edge):
         out[e + 1] = y = y + step @ y
@@ -193,16 +199,16 @@ def darboux_initial_condition(rows: np.ndarray, sigma1_0: np.ndarray,
 
 
 def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
-                      phi0: np.ndarray, substeps: int = 4,
-                      null_tol: float = 1e-8) -> DarbouxResult:
+                      phi0: np.ndarray,
+                      substeps: int = SUBSTEPS) -> DarbouxResult:
     """New channel grid from a parallel null line of d + m*eta.
 
     Integrates phi' = -m * eta_u * phi along u; the new contact elements
     are spanned by phi and the line s0 of the old element orthogonal to
-    phi, which both surfaces envelope.  Null drift of the section is
-    measured against its running norm and must stay below null_tol.  The
-    section's curve carries d1 = -m * eta_u * phi from the connection
-    equation; its d2 comes from the stencils on request.
+    phi, which both surfaces envelope.  null_drift is the section's worst
+    nullity relative to its running norm.  The section's curve carries
+    d1 = -m * eta_u * phi from the connection equation; its d2 comes from
+    the stencils on request.
     """
     if m == 0.0:
         raise ValueError("Darboux parameter m must be nonzero")
@@ -215,26 +221,19 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
         raise GeometryError("initial condition is orthogonal to sigma1; "
                             "the transformed elements would degenerate")
 
-    nodes = _edge_connection(omega, substeps)
+    phi = _flow(_omega_connection(omega, substeps), phi0, -m)
     seam = None
     if omega.periodic_u:
-        # integrate the open chain; the wrap edge only closes the seam test
-        phi = _rk4_flow(nodes[:-1], phi0, omega.du, -m)
-        wrap = _rk4_flow(nodes[-1:], phi[-1], omega.du, -m)[-1]
+        # the flow ran round the wrap edge too; its end only closes the
+        # seam test
+        phi, wrap = phi[:-1], phi[-1]
         seam = float(np.max(projective_gap(wrap, phi[0])))
-    else:
-        phi = _rk4_flow(nodes, phi0, omega.du, -m)
     # the derivative straight from the connection equation, so downstream
     # span checks see the flow's own tangent data
     d1 = -m * np.einsum("kij,kj->ki", omega.eta_u, phi)
     hat_s = SphereCurve(phi, grid.u_values,
                         periodic_u=seam is not None and seam <= 1e-8,
                         d1=d1, metadata={"source": "darboux", "m": m})
-    drift = hat_s.nullity()
-    if drift > null_tol:
-        raise GeometryError(
-            f"parallel section lost nullity (drift {drift:.3e}); refine the "
-            "grid or raise substeps")
 
     a = inner(grid.sigma, phi[:, None, :])       # (nu, nt)
     b = inner(grid.tau, phi[:, None, :])
@@ -254,7 +253,8 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
                          metadata={"source": "darboux", "m": m})
     if seam is not None:
         hat_f.metadata["holonomy_mismatch"] = seam
-    return DarbouxResult(m=m, hat_s=hat_s, hat_f=hat_f, null_drift=drift)
+    return DarbouxResult(m=m, hat_s=hat_s, hat_f=hat_f,
+                         null_drift=hat_s.nullity())
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
 class GaugeField:
     lam: float
     Tinv: np.ndarray               # (nu, 6, 6)
-    T: np.ndarray                  # its inverse, the gauge itself
+    T: np.ndarray                  # its inverse G Tinv^t G, the gauge itself
     ortho_defect: float
 
     def push(self, vectors: np.ndarray) -> np.ndarray:
@@ -274,25 +274,20 @@ class GaugeField:
 
 
 def calapso_transform(grid: LegendreGrid, omega: Omega0Structure, lam: float,
-                      substeps: int = 4, ortho_tol: float = 1e-6):
+                      substeps: int = SUBSTEPS):
     """Trivialising gauge of d + lambda*eta and the transformed grid.
 
     Integrates d(Tinv)/du = -lambda * eta_u * Tinv from the identity; the
-    new grid is T applied to both frames.  The reported ortho_defect is
-    the worst entry of T^t G T - G: the connection is metric, so any
-    defect is integrator error and should quarter under substep doubling.
+    new grid is T applied to both frames.  Each step of the flow lies in
+    O(4,2), so T is Tinv's metric adjoint G Tinv^t G.  The reported
+    ortho_defect is the worst entry of T^t G T - G: it reads rounding
+    unless the flow's generator leaves o(4,2).
     """
-    nodes = _edge_connection(omega, substeps)
-    if omega.periodic_u:
-        nodes = nodes[:-1]
-    tinv = _rk4_flow(nodes, np.eye(DIM), omega.du, -lam)
-    t = np.linalg.inv(tinv)
+    tinv = _flow(_omega_connection(omega, substeps), np.eye(DIM),
+                 -lam)[:omega.u_values.size]
+    t = SIGNS[:, None] * _transposed(tinv) * SIGNS
     defect = float(np.max(np.abs(
         np.swapaxes(t, -1, -2) @ METRIC @ t - METRIC)))
-    if defect > ortho_tol:
-        raise GeometryError(
-            f"gauge left O(4,2) (defect {defect:.3e}); refine the grid or "
-            "raise substeps")
     gauge = GaugeField(lam=lam, Tinv=tinv, T=t, ortho_defect=defect)
     sigma = np.einsum("kab,kjb->kja", t, grid.sigma)
     tau = np.einsum("kab,kjb->kja", t, grid.tau)
@@ -364,7 +359,7 @@ def _d1_spans(s: SphereCurve, s_hat: SphereCurve):
             f"curves are orthogonal at sample {k}; they span a contact "
             "element there and the criterion degenerates")
     (a, rank_a), (b, rank_b) = (
-        span_rows(np.stack([s.vectors, s_hat.vectors, curve.derivatives()[0]],
+        span_rows(np.stack([s.vectors, s_hat.vectors, curve.derivative(1)],
                            axis=-2))
         for curve in (s, s_hat))
     return a, principal_sine(a, b), [
@@ -380,58 +375,30 @@ def _raise_span_failure(failures, what: str) -> None:
         raise GeometryError(f"{what} degenerates at sample {k}") from cause
 
 
-def ribaucour_partner_curve(s: SphereCurve, beta, gamma,
+def ribaucour_partner_curve(s: SphereCurve, beta: float,
                             s_hat0: np.ndarray) -> SphereCurve:
-    """Integrate a partner curve with shat' inside span{s, s', shat}.
+    """Partner curve of s from the flow shat' = beta * wedge(s, s') shat.
 
-    The sigma-coefficient alpha = -beta*(s',shat)/(s,shat) is chosen so
-    the flow preserves nullity; beta and gamma are scalars or u-callables.
-    RK4 reads s between samples from the cubic Hermite of its samples and
-    stored derivatives.  The common-envelope criterion then holds by
-    construction, and the returned curve carries the flow's own
-    derivatives.
+    wedge(s, s') shat = (s, shat) s' - (s', shat) s, so shat' lies in
+    span{s, s', shat} at every u, contact (s, shat) = 0 included, and the
+    flow keeps shat null.  With b = beta (s, shat) it is the null-keeping
+    flow shat' = b s' - b (s', shat)/(s, shat) s with the pairing
+    multiplied out, so it never divides by it.  It runs on the Darboux
+    stepper, through the connection of s's samples and d1 over the open
+    chain of its edges.  The common-envelope criterion then holds by
+    construction, and the returned curve carries d1 from the flow
+    equation.  The lift is never normalised, and b grows with its scale:
+    a partner that closes in on s can reach norms of 1e12.
     """
-    def as_fn(v):
-        return v if callable(v) else (lambda u, c=float(v): c)
-
-    beta_fn, gamma_fn = as_fn(beta), as_fn(gamma)
-    u_vals, h, n = s.u_values, s.du, s.u_values.size
-    v, (d1, _) = s.vectors, s.derivatives()
-    mid, dmid = _hermite(v[:-1], d1[:-1], v[1:], d1[1:], h, 0.5)
-
-    def rhs(u, sig, dsig, y):
-        pairing = float(inner(sig, y))
-        if abs(pairing) <= (PARTNER_PAIR_TOL * np.linalg.norm(sig)
-                            * np.linalg.norm(y)):
-            raise GeometryError(
-                f"partner flow degenerated near u = {u:.6f}: the curves "
-                "span a contact element")
-        b = beta_fn(u)
-        alpha = -b * float(inner(dsig, y)) / pairing
-        return alpha * sig + b * dsig + gamma_fn(u) * y
-
     y = np.asarray(s_hat0, dtype=float)
     if abs(float(inner(y, y))) > 1e-10 * float(y @ y):
         raise GeometryError("initial partner sphere is not null")
-    out = np.empty((n, DIM))
-    out[0] = y
-    for k in range(n - 1):
-        u0 = u_vals[k]
-        k1 = rhs(u0, v[k], d1[k], y)
-        k2 = rhs(u0 + h / 2, mid[k], dmid[k], y + 0.5 * h * k1)
-        k3 = rhs(u0 + h / 2, mid[k], dmid[k], y + 0.5 * h * k2)
-        k4 = rhs(u0 + h, v[k + 1], d1[k + 1], y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = y
-
-    d1_out = np.stack([rhs(u_vals[k], v[k], d1[k], out[k]) for k in range(n)])
-    partner = SphereCurve(out, u_vals, d1=d1_out,
-                          metadata={"source": "ribaucour-partner"})
-    drift = partner.nullity()
-    if drift > PARTNER_NULL_TOL:
-        raise GeometryError(f"partner flow lost nullity (drift {drift:.3e})")
-    partner.metadata["nullity_drift"] = drift
-    return partner
+    d1 = s.derivative(1)
+    out = _flow(_edge_connection(s.vectors, d1, s.du, False, SUBSTEPS),
+                y, beta)
+    d1_out = beta * np.einsum("kij,kj->ki", wedge_matrix(s.vectors, d1), out)
+    return SphereCurve(out, s.u_values, d1=d1_out,
+                       metadata={"source": "ribaucour-partner"})
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ def _flatten(prefix: str, value, out: dict):
 def long_thin_calapso() -> dict:
     """A unit cylinder 512 samples long and 8 around: the middle form,
     Calapso at four spectral parameters and one Darboux transform.  Its
-    u-serial flows run over 511 edges, where the rounding of each RK4
-    step adds up far more than on the demos' 63."""
+    u-serial flows run over 511 edges, where the rounding of each step
+    adds up far more than on the demos' 63."""
     return {
         "version": 1,
         "name": "long-thin-calapso",

@@ -246,7 +246,7 @@ def test_criterion_09_ribaucour_exactness():
     rates = {}
     for n in (64, 128):
         s = line_sphere_curve(n=n)
-        part = ribaucour_partner_curve(s, beta=1.0, gamma=0.0,
+        part = ribaucour_partner_curve(s, beta=1.0,
                                        s_hat0=sphere_lift(
                                            np.array([2.0, 0.0, 0.0]), 1.0))
         rate = verify_ribaucour(SphereCurve(s.vectors, s.u_values),

@@ -176,7 +176,7 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
 #: special lift
 STENCIL_CALLERS = {("legendre", "LegendreGrid.diff"),
                    ("legendre", "_split_cyclides"),
-                   ("channel", "SphereCurve.derivatives"),
+                   ("channel", "SphereCurve.derivative"),
                    ("channel", "omega0_form")}
 
 

@@ -57,9 +57,9 @@ def test_curve_presets_are_null_and_regular():
 
 def test_jet_matches_finite_differences():
     curve = ch.helix_sphere_curve(96, radius=0.6)
-    d1_jet, d2_jet = curve.derivatives()
+    d1_jet, d2_jet = curve.derivative(1), curve.derivative(2)
     fd = ch.SphereCurve(curve.vectors, curve.u_values)
-    d1_fd, d2_fd = fd.derivatives()
+    d1_fd, d2_fd = fd.derivative(1), fd.derivative(2)
     # interior rows only: the open ends drop to order two
     assert np.max(np.abs(d1_jet - d1_fd)[3:-3]) < 1e-5
     assert np.max(np.abs(d2_jet - d2_fd)[3:-3]) < 1e-4
@@ -71,9 +71,12 @@ def test_curve_keeps_its_derivatives_read_only():
     exact = ch.helix_sphere_curve(32)
     stencil = ch.SphereCurve(exact.vectors, exact.u_values)
     assert stencil.d1 is None
+    # each order is filled on its own: reading d1 forms no d2
+    stencil.derivative(1)
+    assert stencil.d2 is None
     for curve in (exact, stencil):
-        d1, d2 = curve.derivatives()
-        assert curve.derivatives()[0] is d1 and curve.derivatives()[1] is d2
+        d1, d2 = curve.derivative(1), curve.derivative(2)
+        assert curve.derivative(1) is d1 and curve.derivative(2) is d2
         assert not (d1.flags.writeable or d2.flags.writeable
                     or curve.vectors.flags.writeable)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -144,8 +144,8 @@ def test_tube_sphere_curve_matches_grid_and_transports_jets():
     curve = cf.tube_sphere_curve(axis, 1.0)
     m = parallel_transform_matrix(1.0)
     assert np.max(np.abs(curve.vectors - axis.vectors @ m.T)) == 0.0
-    d1, d2 = curve.derivatives()
-    b1, b2 = axis.derivatives()
+    d1, d2 = curve.derivative(1), curve.derivative(2)
+    b1, b2 = axis.derivative(1), axis.derivative(2)
     assert np.max(np.abs(d1 - b1 @ m.T)) == 0.0
     assert np.max(np.abs(d2 - b2 @ m.T)) == 0.0
     # parallel transformations compose additively
@@ -230,7 +230,7 @@ def circle_congruence(c1, c2, k, thetas, tol=1e-6):
     u_k, projected to Euclidean 3-space.  Its members are point spheres,
     since no vector of the span has an e6 part.  The pair test is the
     oracle's."""
-    (v1, d1), (v2, d2) = ((c.vectors[k], c.derivatives()[0][k])
+    (v1, d1), (v2, d2) = ((c.vectors[k], c.derivative(1)[k])
                           for c in (c1, c2))
     residual = oracles.largest_sine(oracles.basis([v1, d1, v2]),
                                     oracles.basis([v2, d2, v1]))
@@ -290,7 +290,7 @@ def _congruence_pairs():
                                                 "profile"])
 def test_batched_congruence_residuals_match_per_sample_spans(pair):
     c1, c2 = _congruence_pairs()[pair]
-    (v1, d1), (v2, d2) = ((c.vectors, c.derivatives()[0]) for c in (c1, c2))
+    (v1, d1), (v2, d2) = ((c.vectors, c.derivative(1)) for c in (c1, c2))
     looped = oracles.largest_sine(
         oracles.basis(np.stack([v1, d1, v2], axis=1)),
         oracles.basis(np.stack([v2, d2, v1], axis=1)))
@@ -312,7 +312,7 @@ def _planted(curve, partner, flat=(), bent=()):
     """A copy of curve, still null and regular, whose derivative lies in
     span{curve, partner} at the `flat` samples, so the congruence span
     drops rank there, and leaves the Ribaucour span at the `bent` ones."""
-    d1, d2 = curve.derivatives()
+    d1, d2 = curve.derivative(1), curve.derivative(2)
     d1 = d1.copy()
     v, w = curve.vectors[list(flat)], partner.vectors[list(flat)]
     # (3v + cw, 3v + cw) = 6c (v, w) > 0 for c = sign (v, w)
@@ -338,7 +338,7 @@ def test_curve_consumers_refuse_a_non_regular_curve():
     # one sample, is refused as envelope refuses it, before any span
     axis, offset = lines()
     still = line(direction=(0.0, 0.0, 0.0))
-    d1, d2 = offset.derivatives()
+    d1, d2 = offset.derivative(1), offset.derivative(2)
     d1 = d1.copy()
     d1[23] = 3.0 * offset.vectors[23]
     parallel = SphereCurve(offset.vectors, offset.u_values, d1=d1, d2=d2)
@@ -390,7 +390,7 @@ def test_collinear_pair_envelopes_a_straight_line():
     shifted = line(origin=(0.0, 0.0, 5.0))
     assert verify_ribaucour(axis, shifted) <= 1e-12  # 5.6e-15
 
-    d1, _ = axis.derivatives()
+    d1 = axis.derivative(1)
     sub, _ = span_rows(np.stack([axis.vectors[10], d1[10],
                                  shifted.vectors[10]]))
     assert containment_gap(sub, INFINITY_VEC) <= 1e-12        # 1.2e-16

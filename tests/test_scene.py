@@ -546,8 +546,9 @@ def test_space_curve_kinds_are_radius_0_sphere_curves():
         assert np.array_equal(curve.vectors, want.vectors)
         assert np.array_equal(curve.u_values, want.u_values)
         assert curve.periodic_u == want.periodic_u
-        for got, wanted in zip(curve.derivatives(), want.derivatives()):
-            assert np.array_equal(got, wanted)
+        for order in (1, 2):
+            assert np.array_equal(curve.derivative(order),
+                                  want.derivative(order))
         assert np.max(np.abs(curve.vectors[:, 5])) == 0.0   # point spheres
     lift = _built({"kind": "curve_legendre_lift", "curve": "c",
                    "n_theta": 16}, {"c": line})
@@ -739,6 +740,23 @@ def test_each_circle_family_takes_one_eigh_call(config, expected, tmp_path,
     assert len(calls) == expected
 
 
+def test_calapso_takes_one_solve_per_lambda_and_no_inverse(tmp_path,
+                                                           monkeypatch):
+    # each flow's Magnus-Pade increments come from one batched solve, and
+    # the gauge is the metric adjoint of the integrated Tinv
+    calls = {"inv": 0, "solve": 0}
+    for name in calls:
+        def counting(*args, _name=name, _call=getattr(np.linalg, name),
+                     **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    cfg = demo_config("cylinder-calapso", grid=32)
+    run_scene(cfg, tmp_path)
+    stage = next(s for s in cfg["pipeline"] if s["op"] == "calapso")
+    assert calls == {"inv": 0, "solve": len(stage["lambdas"])}
+
+
 @pytest.mark.parametrize("config", [
     lambda: demo_config("cylinder-darboux", grid=32),
     lambda: _curve_pairs(41)], ids=["cylinder-darboux", "curve-pairs"])
@@ -747,21 +765,22 @@ def test_each_curve_is_differentiated_at_most_once(config, tmp_path,
     # a curve gets its derivatives from its maker or, on first request,
     # from the stencils, and every later check reads the same arrays
     curves, reads = {}, []
-    post_init, derivatives = SphereCurve.__post_init__, SphereCurve.derivatives
+    post_init, derivative = SphereCurve.__post_init__, SphereCurve.derivative
 
     def building(curve):
         post_init(curve)
-        curves[id(curve)] = [curve, int(curve.d1 is not None)]
+        curves[id(curve)] = [curve, {1: int(curve.d1 is not None),
+                                     2: int(curve.d2 is not None)}]
 
-    def reading(curve):
-        curves[id(curve)][1] += curve.d1 is None
+    def reading(curve, order):
+        curves[id(curve)][1][order] += getattr(curve, f"d{order}") is None
         reads.append(curve)
-        return derivatives(curve)
+        return derivative(curve, order)
 
     monkeypatch.setattr(SphereCurve, "__post_init__", building)
-    monkeypatch.setattr(SphereCurve, "derivatives", reading)
+    monkeypatch.setattr(SphereCurve, "derivative", reading)
     run_scene(config(), tmp_path)
-    assert max(count for _, count in curves.values()) <= 1
+    assert max(max(count.values()) for _, count in curves.values()) <= 1
     assert len(reads) > len(curves) > 0
 
 
@@ -861,18 +880,20 @@ def test_calapso_scene_builds_no_split_projector(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", demo_names())
 def test_every_demo_runs_at_small_grids(tmp_path, name, capsys):
-    # grid 16 runs every stage and writes every mesh; some tolerances are
-    # set for the default grid and fail this coarse (RK4 null drift,
-    # Calapso orthogonality, the helix's channel direction); grid 32
-    # passes them all
+    # grids 16 and 24 run every stage and write every mesh, and every demo
+    # passes there but helix-channel, whose channel direction is misread
+    # this coarse; grid 32 passes them all
     out = tmp_path / "o"
-    assert main(["demo", name, "--grid", "16", "--out", str(out)]) in (0, 1)
-    report = json.loads((out / name / "report.json").read_text())
-    config = demo_config(name, grid=16)
-    assert [s["id"] for s in report["stages"]] == [
-        s["id"] for s in config["pipeline"]]
-    for entry in config["outputs"].get("meshes", []):
-        assert (out / name / entry["path"]).exists()
+    exits = (0, 1) if name == "helix-channel" else (0,)
+    for grid in (16, 24):
+        assert main(["demo", name, "--grid", str(grid),
+                     "--out", str(out)]) in exits
+        report = json.loads((out / name / "report.json").read_text())
+        config = demo_config(name, grid=grid)
+        assert [s["id"] for s in report["stages"]] == [
+            s["id"] for s in config["pipeline"]]
+        for entry in config["outputs"].get("meshes", []):
+            assert (out / name / entry["path"]).exists()
     assert main(["demo", name, "--grid", "32", "--out", str(out)]) == 0
 
 
