@@ -471,11 +471,12 @@ def _directional_derivative(field: np.ndarray, direction: np.ndarray,
     return a * grid.diff(field, 0) + b * grid.diff(field, 1)
 
 
-def _two_jet(field: np.ndarray, direction: np.ndarray,
-             grid: LegendreGrid) -> np.ndarray:
-    """(nu, nt, 3, 6) rows field, D field and D^2 field, D the derivative
-    along a varying direction field (D^2 with the first-order correction
-    terms coming from the variation of the direction)."""
+def _jet_rows(field: np.ndarray, direction: np.ndarray,
+              grid: LegendreGrid):
+    """(D field, D^2 field), each (nu, nt, 6): the derivative rows of the
+    2-jet of a field along a varying direction field (D^2 with the
+    first-order correction terms coming from the variation of the
+    direction)."""
     a = direction[..., 0]
     b = direction[..., 1]
     fu, ft = grid.diff(field, 0), grid.diff(field, 1)
@@ -490,7 +491,7 @@ def _two_jet(field: np.ndarray, direction: np.ndarray,
     second += (b * b)[..., None] * grid.diff(field, 1, order=2)
     second += (a * a_u + b * a_t)[..., None] * fu
     second += (a * b_u + b * b_t)[..., None] * ft
-    return np.stack([field, first, second], axis=-2)
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -571,80 +572,110 @@ def _well_split(basis: np.ndarray) -> np.ndarray:
     return (high >= SPLIT_COND_TOL) & (low <= -SPLIT_COND_TOL)
 
 
-def _split_bases(grid: LegendreGrid, data: CurvatureData):
-    """(b1, b2_jet, usable): orthonormal 2-jet bases of both curvature
-    sphere fields, and the points where both have signature (2, 1), are
-    well conditioned, and lie away from open-grid edges."""
-    if bool(np.all(data.umbilic)):
-        raise GeometryError("cyclide splitting undefined on a totally umbilic grid")
+#: u-rows per slab of the cyclide passes, so that a slab's few
+#: (rows, nt, 6, 6) fields and (rows, nt, 3, 6) stacks stay cache-sized
+#: instead of grid-sized
+_SLAB_ROWS = 16
 
-    b1 = orthonormal_rows(_two_jet(data.s1, data.dir2, grid))
-    b2_jet = orthonormal_rows(_two_jet(data.s2, data.dir1, grid))
 
-    usable = ~data.umbilic & interior_mask(grid.shape, grid.periodic_u,
-                                           grid.periodic_theta, SPLIT_EDGE_MARGIN)
+def _u_slabs(grid: LegendreGrid):
+    """The u-slabs of _SLAB_ROWS rows that the cyclide passes reduce grid
+    fields in, as (rows, window, inner).
+
+    rows is the slab's slice of u-rows; window indexes the slab's rows with
+    one halo row on each side (wrapped when periodic; at an open end none,
+    but at least three rows, as the one-sided difference needs); inner is
+    the slab's slice of the window.  On the inner rows, the u-difference
+    of a field read on the window is the field's grid difference, central
+    on every row but an open end's one-sided one: so is the window's open
+    difference, and so is grid.diff of it, whose periodic wrap reaches
+    only the halo rows.
+    """
+    nu = grid.shape[0]
+    for start in range(0, nu, _SLAB_ROWS):
+        stop = min(start + _SLAB_ROWS, nu)
+        if grid.periodic_u:
+            window, offset = np.arange(start - 1, stop + 1) % nu, 1
+        else:
+            hi = min(stop + 1, nu)
+            lo = max(min(start - 1, hi - 3), 0)
+            window, offset = np.arange(lo, hi), start - lo
+        yield slice(start, stop), window, slice(offset, offset + stop - start)
+
+
+def _split_jets(grid: LegendreGrid, data: CurvatureData):
+    """The derivative rows (_jet_rows) of both 2-jets of the splitting: s1
+    along dir2, then s2 along dir1."""
+    return (_jet_rows(data.s1, data.dir2, grid),
+            _jet_rows(data.s2, data.dir1, grid))
+
+
+def _split_bases(grid: LegendreGrid, data: CurvatureData, jets, rows):
+    """(b1, b2_jet, usable) on the u-rows `rows` (a slice) of the grid:
+    orthonormal bases of both 2-jets (_split_jets), and the points where
+    both have signature (2, 1), are well conditioned, and lie away from
+    open-grid edges."""
+    (first1, second1), (first2, second2) = jets
+    b1 = orthonormal_rows(np.stack(
+        [data.s1[rows], first1[rows], second1[rows]], axis=-2))
+    b2_jet = orthonormal_rows(np.stack(
+        [data.s2[rows], first2[rows], second2[rows]], axis=-2))
+    usable = ~data.umbilic[rows] & interior_mask(
+        grid.shape, grid.periodic_u, grid.periodic_theta,
+        SPLIT_EDGE_MARGIN)[rows]
     usable &= _well_split(b1) & _well_split(b2_jet)
     return b1, b2_jet, usable
-
-
-#: u-rows per slab of the splitting pass, so that the slab's few
-#: (rows, nt, 6, 6) fields stay cache-sized instead of grid-sized
-_SPLIT_ROWS = 16
-
-
-def _slab_rows(start: int, stop: int, nu: int, periodic: bool):
-    """Rows of the u-slab [start, stop) with one halo row on each side
-    (wrapped when periodic; at an open end none, but at least three rows,
-    as the one-sided difference needs), and the slab's offset in them."""
-    if periodic:
-        return np.arange(start - 1, stop + 1) % nu, 1
-    hi = min(stop + 1, nu)
-    lo = max(min(start - 1, hi - 3), 0)
-    return np.arange(lo, hi), start - lo
 
 
 def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
     """The cyclide splitting and its measurements, taken once per grid.
 
-    Raises GeometryError on a totally umbilic grid.  The projector field
-    and its differences are built u-slab by u-slab and reduced at once,
-    so the grid keeps only the measurements and the excluded mask.
+    Raises GeometryError on a totally umbilic grid.  The pass holds two
+    kinds of whole-grid field: the derivative rows of both 2-jets, and
+    the basis b1.  A first sweep over the u-slabs (_u_slabs)
+    orthonormalises both bases and reduces the usable mask and the
+    agreement; a second builds the projector field and its differences
+    from b1 on each slab's halo window and reduces them at once.  The
+    grid keeps only the measurements and the excluded mask.
     """
     return _memoised(grid, "split", _split_cyclides)
 
 
 def _split_cyclides(grid: LegendreGrid) -> LieCyclideSplit:
     data = curvature_data(grid)
-    b1, b2_jet, usable = _split_bases(grid, data)
+    if bool(np.all(data.umbilic)):
+        raise GeometryError("cyclide splitting undefined on a totally umbilic grid")
+    jets = _split_jets(grid, data)
+    b1 = np.empty(grid.shape + (3, DIM))
+    usable = np.empty(grid.shape, dtype=bool)
+    # S2 is the Euclidean complement of span(G b1), whose rows are
+    # orthonormal, so the sine against the jet span of s2 is the largest
+    # singular value of the 3 x 3 metric cross-Gram b1 G b2_jet^T
+    top = -np.inf
+    for rows, _, _ in _u_slabs(grid):
+        b1[rows], b2_jet, usable[rows] = _split_bases(grid, data, jets, rows)
+        cross = b1[rows] @ _transposed(SIGNS * b2_jet)
+        top = np.maximum(top, np.max(
+            _largest_eigvalsh(cross @ _transposed(cross)),
+            where=usable[rows], initial=-np.inf))
+    del jets
     excluded = ~usable
     excluded.flags.writeable = False
     if not np.any(usable):
         return LieCyclideSplit({"dir1": np.nan, "dir2": np.nan}, np.inf,
                                excluded)
-
-    # S2 is the Euclidean complement of span(G b1), whose rows are
-    # orthonormal, so the sine against the jet span of s2 is the largest
-    # singular value of the 3 x 3 metric cross-Gram b1 G b2_jet^T
-    cross = b1 @ _transposed(SIGNS * b2_jet)
-    top = np.max(_largest_eigvalsh(cross @ _transposed(cross)),
-                 where=usable, initial=-np.inf)
-    agreement = float(np.sqrt(max(top, 0.0)))
+    agreement = float(np.sqrt(np.maximum(top, 0.0)))
 
     coupling = {"dir1": -np.inf, "dir2": -np.inf}
-    nu = grid.shape[0]
-    for start in range(0, nu, _SPLIT_ROWS):
-        stop = min(start + _SPLIT_ROWS, nu)
-        here = usable[start:stop]
+    for rows, window, inner in _u_slabs(grid):
+        here = usable[rows]
         if not np.any(here):
             continue
-        rows, offset = _slab_rows(start, stop, nu, grid.periodic_u)
-        window = usable[rows]
-        p1 = np.full(window.shape + (DIM, DIM), np.nan)
-        p1[window] = _metric_projector_batch(b1[rows][window])
-        # with the halo rows in the window, the open-grid difference is the
-        # central one on every slab row but an open end's one-sided one
-        p1_u = stencils.diff1(p1, grid.du, axis=0)[offset:offset + stop - start]
-        p1 = p1[offset:offset + stop - start]
+        on = usable[window]
+        p1 = np.full(on.shape + (DIM, DIM), np.nan)
+        p1[on] = _metric_projector_batch(b1[window][on])
+        p1_u = stencils.diff1(p1, grid.du, axis=0)[inner]
+        p1 = p1[inner]
         p1_t = grid.diff(p1, 1)
         # p1 is NaN in every entry exactly off the usable points, so one
         # entry of each difference shows where both stencils stay on
@@ -659,7 +690,7 @@ def _split_cyclides(grid: LegendreGrid) -> LieCyclideSplit:
         flip += np.eye(DIM)
         p1_u, p1_t = p1_u[good], p1_t[good]
         for name, direction in (("dir1", data.dir1), ("dir2", data.dir2)):
-            ab = direction[start:stop][good][..., None, None]
+            ab = direction[rows][good][..., None, None]
             d_p1 = ab[:, 0] * p1_u
             d_p1 += ab[:, 1] * p1_t
             n_dir = np.abs(flip @ d_p1, out=d_p1)

@@ -53,7 +53,7 @@ from .core import (
     unit_rows,
     wedge_matrix,
 )
-from .legendre import LegendreGrid, curvature_data
+from .legendre import LegendreGrid, _u_slabs, curvature_data
 
 #: relative pairing with sigma1 an admissible initial condition clears
 MIN_PAIRING = 0.05
@@ -64,16 +64,17 @@ SUBSTEPS = 4
 
 
 def _sphere_gauge(field: np.ndarray) -> np.ndarray:
-    """Rescale lifts so the pairing with the point at infinity is -1.
+    """Divisors (..., 1) that rescale the lifts of a sphere field so the
+    pairing with the point at infinity is -1.
 
-    Falls back to the input when some member is (close to) a plane, whose
-    lift is orthogonal to infinity.
+    Ones when some member is (close to) a plane, whose lift is orthogonal
+    to infinity: the whole field then keeps its lifts.
     """
-    pair = -inner(field, INFINITY_VEC)
+    pair = -inner(field, INFINITY_VEC)[..., None]
     if np.min(np.abs(pair)) <= 1e-6 * np.max(
             np.linalg.norm(field, axis=-1)):
-        return field
-    return field / pair[..., None]
+        return np.ones_like(pair)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +247,10 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
             f"transformed element degenerates at grid position ({i}, {j}): "
             "phi is orthogonal to the whole contact element")
     s0 = b[..., None] * grid.sigma - a[..., None] * grid.tau
-    tau_hat = np.broadcast_to(phi[:, None, :], s0.shape).copy()
-    hat_f = LegendreGrid(s0, tau_hat, grid.u_values, grid.theta_values,
+    # the grid stores read-only copies of its frames, so the section's
+    # broadcast needs no copy of its own
+    hat_f = LegendreGrid(s0, np.broadcast_to(phi[:, None, :], s0.shape),
+                         grid.u_values, grid.theta_values,
                          periodic_u=hat_s.periodic_u,
                          periodic_theta=grid.periodic_theta,
                          metadata={"source": "darboux", "m": m})
@@ -427,7 +430,9 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
     congruence s0 is re-measured as the pointwise intersection of the
     contact elements, the duality D1-perp = theta-jet of s0 is checked,
     and the theta-constancy of D1 is measured against the first grid's
-    extracted curvature spheres.
+    extracted curvature spheres.  The grid measurements run u-slab by
+    u-slab of the first grid (legendre._u_slabs), each reduced as it goes,
+    so no grid-sized stack of bases or jets is ever built.
     """
     d1_spaces, sines, failures = _d1_spans(s, s_hat)
     _raise_span_failure(failures, "cyclide span")
@@ -437,47 +442,56 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
     rank_ok = None
     notes = []
     if f is not None and f_hat is not None:
-        # re-measure the shared congruence as the element intersection: the
-        # zero first principal angle of the two elements, a line wherever
-        # the second is nonzero
-        unit = unit_rows(np.stack([f.sigma, f.tau], axis=-2))
-        basis_hat = orthonormal_rows(np.stack([f_hat.sigma, f_hat.tau],
-                                              axis=-2))
-        rank_ok = bool(np.min(principal_sine(orthonormal_rows(unit),
-                                             basis_hat)) > 1e-6)
-        if not rank_ok:
-            notes.append("element intersections are not uniformly rank 1")
-        rej = unit - (unit @ _transposed(basis_hat)) @ basis_hat
-        a, b = null_combination(rej[..., 0, :], rej[..., 1, :])
-        s0 = unit_rows(a * unit[..., 0, :] + b * unit[..., 1, :])
-
-        jet = np.stack([s0, f.diff(s0, 1), f.diff(s0, 1, order=2)],
-                       axis=-2)                           # (nu, nt, 3, 6)
+        data, data_hat = curvature_data(f), curvature_data(f_hat)
         perp = complement_rows(d1_spaces)                  # (nu, 3, 6)
-        duality = float(np.max(principal_sine(perp[:, None],
-                                              orthonormal_rows(jet))))
-
-        data = curvature_data(f)
         # the extracted field is unit-normalised, which makes its entries
         # non-smooth functions of u (norm wiggle and sign flips); pinning
         # the pairing with the point at infinity instead gives the smooth
         # sphere-lift representative whenever no member is a plane
-        s1_field = _sphere_gauge(data.s1)
-        ds1_field = f.diff(s1_field, 0)
-        hat_field = np.broadcast_to(s_hat.vectors[:, None, :],
-                                    s1_field.shape)
-        stacks = np.stack([s1_field, hat_field, ds1_field], axis=-2)
-        theta_constancy = float(np.max(principal_sine(
-            d1_spaces[:, None], orthonormal_rows(stacks))))
+        gauge = _sphere_gauge(data.s1)
+        # np.minimum and np.maximum keep a NaN, as the grid-wide min and
+        # max would
+        low, worst = np.inf, np.full(3, -np.inf)
+        for rows, window, inner in _u_slabs(f):
+            # re-measure the shared congruence as the element intersection:
+            # the zero first principal angle of the two elements, a line
+            # wherever the second is nonzero
+            unit = unit_rows(np.stack([f.sigma[rows], f.tau[rows]], axis=-2))
+            basis_hat = orthonormal_rows(np.stack(
+                [f_hat.sigma[rows], f_hat.tau[rows]], axis=-2))
+            low = np.minimum(low, np.min(principal_sine(
+                orthonormal_rows(unit), basis_hat)))
+            rej = unit - (unit @ _transposed(basis_hat)) @ basis_hat
+            a, b = null_combination(rej[..., 0, :], rej[..., 1, :])
+            s0 = unit_rows(a * unit[..., 0, :] + b * unit[..., 1, :])
+            jet = np.stack([s0, f.diff(s0, 1), f.diff(s0, 1, order=2)],
+                           axis=-2)
+            duality_here = principal_sine(perp[rows, None],
+                                          orthonormal_rows(jet))
 
-        # the second family, measured from grid data alone (extraction
-        # noise is O(h^2); reported, not gated)
-        data_hat = curvature_data(f_hat)
-        a2 = np.stack([data.s2, data_hat.s2, f.diff(data.s2, 1)], axis=-2)
-        b2 = np.stack([data.s2, data_hat.s2, f.diff(data_hat.s2, 1)],
-                      axis=-2)
-        d2_coincidence = float(np.max(principal_sine(
-            orthonormal_rows(b2), orthonormal_rows(a2))))
+            # s1's u-difference on the slab rows, from its halo window
+            s1 = data.s1[window] / gauge[window]
+            ds1 = f.diff(s1, 0)[inner]
+            s1 = s1[inner]
+            hat = np.broadcast_to(s_hat.vectors[rows, None, :], s1.shape)
+            constancy_here = principal_sine(
+                d1_spaces[rows, None],
+                orthonormal_rows(np.stack([s1, hat, ds1], axis=-2)))
+
+            # the second family, measured from grid data alone (extraction
+            # noise is O(h^2); reported, not gated)
+            s2, s2_hat = data.s2[rows], data_hat.s2[rows]
+            a2 = np.stack([s2, s2_hat, f.diff(s2, 1)], axis=-2)
+            b2 = np.stack([s2, s2_hat, f.diff(s2_hat, 1)], axis=-2)
+            d2_here = principal_sine(orthonormal_rows(b2),
+                                     orthonormal_rows(a2))
+            worst = np.maximum(worst, [np.max(duality_here),
+                                       np.max(constancy_here),
+                                       np.max(d2_here)])
+        rank_ok = bool(low > 1e-6)
+        if not rank_ok:
+            notes.append("element intersections are not uniformly rank 1")
+        duality, theta_constancy, d2_coincidence = map(float, worst)
 
     return CyclideCongruenceReport(
         coincidence=coincidence, duality=duality,

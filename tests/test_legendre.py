@@ -447,10 +447,17 @@ TORUS_S2 = [np.eye(6)[2], np.array([0, 0, 0, 1.0, 0.0, 1.0]),
             np.array([0, 0, 0, 0.0, 1.0, 2.0])]
 
 
+def whole_grid_bases(grid):
+    """(b1, b2_jet, usable) of the splitting pass's seam on every u-row of
+    a grid at once."""
+    data = curvature_data(grid)
+    return legendre_module._split_bases(
+        grid, data, legendre_module._split_jets(grid, data), slice(None))
+
+
 def split_bases(name, **kw):
     """(b1, b2_jet, usable) of the splitting pass on a preset grid."""
-    grid = preset_grid(name, **kw)
-    return legendre_module._split_bases(grid, curvature_data(grid))
+    return whole_grid_bases(preset_grid(name, **kw))
 
 
 def test_torus_split_matches_hand_oracle():
@@ -488,8 +495,8 @@ def test_split_agreement_measures_a_planted_tilt(eps, monkeypatch):
     # itself reads about 1e-13)
     bases = legendre_module._split_bases
 
-    def tilted(grid, data):
-        b1, b2_jet, usable = bases(grid, data)
+    def tilted(grid, data, jets, rows):
+        b1, b2_jet, usable = bases(grid, data, jets, rows)
         return b1, b2_jet + eps * SIGNS * b1, usable
 
     monkeypatch.setattr(legendre_module, "_split_bases", tilted)
@@ -521,7 +528,7 @@ def _split_masks_by_lapack(grid):
     before the closed forms: eigvalsh for both Gram signatures and
     conditionings, solve for the metric projector."""
     data = curvature_data(grid)
-    b1, b2_jet, _ = legendre_module._split_bases(grid, data)
+    b1, b2_jet, _ = whole_grid_bases(grid)
     ev1, ev2 = (np.linalg.eigvalsh(b @ np.swapaxes(SIGNS * b, -1, -2))
                 for b in (b1, b2_jet))
     sig_ok = ((np.sum(ev1 > 1e-9, axis=-1) == 2) & (np.sum(ev1 < -1e-9, axis=-1) == 1)
@@ -606,26 +613,35 @@ def test_split_slabs_match_the_whole_grid_pass(name, kw, edges_only,
     # bit for bit, on the pass's own mask and on one that keeps only rows
     # beside the first two u-slab boundaries and the grid's ends, so that
     # every coupling is read where a slab's halo, a one-sided open end or
-    # the periodic wrap supplies the u-difference
+    # the periodic wrap supplies the u-difference; the bases the pass
+    # builds slab by slab are the whole-grid seam's rows
     bases = legendre_module._split_bases
-    slab = legendre_module._SPLIT_ROWS
-    rows = [0, 1, 2, -3, -2, -1] + [edge + k for edge in (slab, 2 * slab)
-                                    for k in (-2, -1, 0, 1, 2)]
+    slab = legendre_module._SLAB_ROWS
+    edge_rows = [0, 1, 2, -3, -2, -1] + [edge + k for edge in (slab, 2 * slab)
+                                         for k in (-2, -1, 0, 1, 2)]
+    built = []
 
-    def planted(grid, data):
-        b1, b2_jet, usable = bases(grid, data)
+    def planted(grid, data, jets, rows):
+        b1, b2_jet, usable = bases(grid, data, jets, rows)
         if edges_only:
-            keep = np.zeros(len(usable), dtype=bool)
-            keep[[r for r in rows if r < len(keep)]] = True
-            usable = usable & keep[:, None]
+            keep = np.zeros(grid.shape[0], dtype=bool)
+            keep[[r for r in edge_rows if r < len(keep)]] = True
+            usable = usable & keep[rows, None]
+        built.append((rows, b1, b2_jet, usable))
         return b1, b2_jet, usable
 
     monkeypatch.setattr(legendre_module, "_split_bases", planted)
     builder = getattr(presets, name + "_surface")
     grid = make_legendre_from_surface(*builder(**kw))
     split = lie_cyclide_split(grid)
-    b1, b2_jet, usable = planted(grid, curvature_data(grid))
-    coupling, agreement = _split_by_whole_grid(grid, b1, b2_jet, usable)
+    slabs, nu = list(built), grid.shape[0]
+    assert [rows for rows, *_ in slabs] == [
+        slice(start, min(start + slab, nu)) for start in range(0, nu, slab)]
+    whole = whole_grid_bases(grid)
+    for rows, *per_slab in slabs:
+        for got, want in zip(per_slab, whole):
+            assert np.array_equal(got, want[rows])
+    coupling, agreement = _split_by_whole_grid(grid, *whole)
     assert not np.isnan(list(coupling.values())).any()
     assert split.coupling == coupling
     assert split.s2_agreement == agreement
@@ -673,9 +689,11 @@ def test_negative_block_gram_matches_eigvalsh(seed, high, low, offsets):
     assert np.array_equal(legendre_module._well_split(bases), gram_verdict(ev))
 
 
-def test_split_pass_memory_stays_under_five_projector_fields():
-    # the pass builds the projector field slab by slab: no (nu, nt, 6, 6)
-    # field, nor a gather of one, is ever whole
+def test_split_pass_memory_stays_under_two_projector_fields():
+    # the pass builds the projector field and both 2-jet bases slab by
+    # slab: no (nu, nt, 6, 6) field, nor a gather of one, is ever whole,
+    # and of the (nu, nt, 3, 6) stacks only b1 is: about 60 doubles per
+    # point, where whole-grid b1 and b2_jet take 96
     grid = make_legendre_from_surface(*presets.torus_surface(n_u=128, n_theta=128))
     curvature_data(grid)
     tracemalloc.start()
@@ -684,7 +702,7 @@ def test_split_pass_memory_stays_under_five_projector_fields():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 128 * 128 * 6 * 6 * 8
+    assert peak <= 2 * 128 * 128 * 6 * 6 * 8
 
 
 def test_quotient_frames_memory_stays_under_64_doubles_per_point():

@@ -6,6 +6,7 @@ lifts, hand-checked pairings) or frozen from a first trusted run; each
 frozen number is recorded next to its assertion.
 """
 
+import tracemalloc
 from functools import lru_cache, partial
 
 import numpy as np
@@ -23,7 +24,9 @@ from liechannel.channel import (
     line_sphere_curve,
     omega0_form,
 )
+from liechannel import legendre as legendre_module
 from liechannel.core import (
+    INFINITY_VEC,
     METRIC,
     GeometryError,
     RankDeficiencyError,
@@ -34,10 +37,13 @@ from liechannel.core import (
     first_failure,
     inner,
     lightcone_frames,
+    null_combination,
     orthonormal_rows,
+    principal_sine,
     projective_gap,
     span_rows,
     sphere_lift,
+    unit_rows,
 )
 from liechannel.legendre import curvature_data, is_channel, validate_legendre
 from liechannel import transforms as tr
@@ -266,6 +272,108 @@ def test_coinciding_elements_fail_the_intersection_rank():
     rep = tr.ribaucour_cyclides(curve, res.hat_s, f=grid, f_hat=planted)
     assert rep.intersection_rank_ok is False
     assert rep.notes == ["element intersections are not uniformly rank 1"]
+
+
+def _cyclides_by_whole_grid(s, s_hat, f, f_hat):
+    """(duality, theta_constancy, d2_coincidence, intersection_rank_ok) of
+    ribaucour_cyclides, recomputed in the same arithmetic on whole-grid
+    fields, reduced by np.max and np.min."""
+    d1_spaces, _, _ = tr._d1_spans(s, s_hat)
+    unit = unit_rows(np.stack([f.sigma, f.tau], axis=-2))
+    basis_hat = orthonormal_rows(np.stack([f_hat.sigma, f_hat.tau], axis=-2))
+    rank_ok = bool(np.min(principal_sine(orthonormal_rows(unit),
+                                         basis_hat)) > 1e-6)
+    rej = unit - (unit @ np.swapaxes(basis_hat, -1, -2).copy()) @ basis_hat
+    a, b = null_combination(rej[..., 0, :], rej[..., 1, :])
+    s0 = unit_rows(a * unit[..., 0, :] + b * unit[..., 1, :])
+    jet = np.stack([s0, f.diff(s0, 1), f.diff(s0, 1, order=2)], axis=-2)
+    duality = float(np.max(principal_sine(
+        complement_rows(d1_spaces)[:, None], orthonormal_rows(jet))))
+    data, data_hat = curvature_data(f), curvature_data(f_hat)
+    s1 = data.s1
+    pair = -inner(s1, INFINITY_VEC)
+    if np.min(np.abs(pair)) > 1e-6 * np.max(np.linalg.norm(s1, axis=-1)):
+        s1 = s1 / pair[..., None]
+    hat = np.broadcast_to(s_hat.vectors[:, None, :], s1.shape)
+    theta_constancy = float(np.max(principal_sine(
+        d1_spaces[:, None],
+        orthonormal_rows(np.stack([s1, hat, f.diff(s1, 0)], axis=-2)))))
+    a2 = np.stack([data.s2, data_hat.s2, f.diff(data.s2, 1)], axis=-2)
+    b2 = np.stack([data.s2, data_hat.s2, f.diff(data_hat.s2, 1)], axis=-2)
+    d2 = float(np.max(principal_sine(orthonormal_rows(b2),
+                                     orthonormal_rows(a2))))
+    return duality, theta_constancy, d2, rank_ok
+
+
+@lru_cache(maxsize=None)
+def cyclide_pair(kind):
+    """A Darboux pair (curve, grid, result) on an open cylinder of 41
+    u-rows, or on a torus whose first grid is periodic in u."""
+    if kind == "open":
+        curve = line_sphere_curve(n=41)
+        grid = envelope(curve, n_theta=12)
+    else:
+        curve = circle_sphere_curve(n=32, ring_radius=2.0, radius=0.7)
+        grid = envelope(curve, n_theta=12)
+    omega = omega0_form(grid, curve.vectors)
+    phi0 = tr.darboux_initial_condition(seed_space(), curve.vectors[0], seed=1)
+    return curve, grid, tr.darboux_transform(grid, omega, 0.8, phi0)
+
+
+@pytest.mark.parametrize("kind", ["open", "periodic"])
+@pytest.mark.parametrize("rows", [2, 5, 16])
+@pytest.mark.parametrize("nan_at", [None, (20, 3)])
+def test_cyclide_slabs_match_the_whole_grid_pass(kind, rows, nan_at,
+                                                 monkeypatch):
+    # bit for bit against whole-grid fields: slabs of 2 rows put every
+    # u-row beside a slab boundary, where the halo supplies s1's
+    # u-difference; 41 rows and 32 rows in slabs of 5 end in a partial
+    # slab, and the first grid is open in u or periodic across the wrap.
+    # One NaN in one slab of the second grid must read as np.max and
+    # np.min read it, whichever slab it is in
+    curve, grid, res = cyclide_pair(kind)
+    hat = res.hat_f
+    assert grid.periodic_u == (kind == "periodic")
+    if nan_at is not None:
+        sigma = np.array(hat.sigma)
+        sigma[nan_at] = np.nan
+        hat = type(hat)(sigma, hat.tau, hat.u_values, hat.theta_values,
+                        hat.periodic_u, hat.periodic_theta)
+    monkeypatch.setattr(legendre_module, "_SLAB_ROWS", rows)
+    rep = tr.ribaucour_cyclides(curve, res.hat_s, f=grid, f_hat=hat)
+    got = (rep.duality, rep.theta_constancy, rep.d2_coincidence,
+           rep.intersection_rank_ok)
+    want = _cyclides_by_whole_grid(curve, res.hat_s, grid, hat)
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    assert [type(x) for x in got] == [float, float, float, bool]
+    if nan_at is not None:
+        assert rep.intersection_rank_ok is False
+        assert np.isnan(rep.duality)
+
+
+def test_cyclide_pass_memory_stays_under_64_doubles_per_point():
+    # both grids of a 128 x 128 cylinder-darboux pair, their curvature
+    # spheres and the curves' derivatives taken beforehand: the grid
+    # measurements run u-slab by u-slab, where whole-grid stacks of bases
+    # and jets took about 231 doubles per point (about 29 in slabs)
+    n = 128
+    curve = line_sphere_curve(n=n)
+    grid = envelope(curve, n_theta=n)
+    omega = omega0_form(grid, curve.vectors)
+    phi0 = tr.darboux_initial_condition(seed_space(), curve.vectors[0], seed=7)
+    res = tr.darboux_transform(grid, omega, 1.0, phi0)
+    for surface in (grid, res.hat_f):
+        curvature_data(surface)
+    for sphere_curve in (curve, res.hat_s):
+        sphere_curve.derivative(1)
+    tracemalloc.start()
+    try:
+        rep = tr.ribaucour_cyclides(curve, res.hat_s, f=grid, f_hat=res.hat_f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.intersection_rank_ok
+    assert peak <= 64 * n * n * 8
 
 
 def test_cyclide_congruence_curve_only():
