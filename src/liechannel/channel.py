@@ -28,12 +28,9 @@ from .core import (
     circle_failure,
     circle_points,
     complement_rows,
-    containment_gap,
-    first_failure,
     inner,
     inv3,
     lightcone_frames,
-    orthonormal_rows,
     projective_gap,
     read_only_copy,
     small_eigvalsh,
@@ -288,36 +285,19 @@ def _transported_frames(perp: np.ndarray, frame0: np.ndarray,
     return frames
 
 
-def envelope(curve: SphereCurve, n_theta: int = 64,
-             spaces: Optional[np.ndarray] = None) -> LegendreGrid:
+def envelope(curve: SphereCurve, n_theta: int = 64) -> LegendreGrid:
     """Legendre grid swept by a regular sphere curve.
 
     Each contact element is spanned by the sphere s(u) and one point of the
-    lightcone circle of V(u)^perp, where V defaults to the osculating space
-    span{sigma, sigma', sigma''} (an override with the same shape and
-    signature that contains the curve at every sample is accepted).  The
-    circle frames are parallel-transported along u so the
-    theta-parametrisation is continuous (_transported_frames).  A
-    periodic curve takes one more step, round to sample 0; where its
-    normal bundle has holonomy the frames cannot close up, and the grid
-    falls back to an open u-axis with a diagnostic note.
+    lightcone circle of V(u)^perp, where V is the osculating space
+    span{sigma, sigma', sigma''}.  The circle frames are parallel-
+    transported along u so the theta-parametrisation is continuous
+    (_transported_frames).  A periodic curve takes one more step, round to
+    sample 0; where its normal bundle has holonomy the frames cannot close
+    up, and the grid falls back to an open u-axis with a diagnostic note.
     """
     curve.check()
-    if spaces is None:
-        stacks, ok = osculating_spaces(curve)
-    else:
-        stacks = np.asarray(spaces, dtype=float)
-        if stacks.shape != (curve.u_values.size, 3, DIM):
-            raise GeometryError("space override must have shape (n, 3, 6)")
-        ok = _signature_21(stacks)
-        # the enveloped sphere must sit inside every supplied space
-        gap = containment_gap(orthonormal_rows(stacks),
-                              curve.vectors[:, None])[:, 0]
-        hit = first_failure([(gap > 1e-9, lambda k: GeometryError(
-            f"space override does not contain the curve at sample {k} "
-            f"(gap {gap[k]:.3e})"))])
-        if hit is not None:
-            raise hit[1]
+    stacks, ok = osculating_spaces(curve)
     if not ok.all():
         bad = np.flatnonzero(~ok)
         raise GeometryError(
@@ -474,7 +454,7 @@ class ConservedQuantityReport:
 
 
 def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
-                       lambdas: Sequence[float], tol: Optional[float] = None,
+                       lambdas: Sequence[float],
                        strict: bool = True) -> ConservedQuantityReport:
     """Check that p + lambda*sigma1 is parallel for d + lambda*eta.
 
@@ -483,7 +463,8 @@ def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
     residuals are still measured -- that is the negative control for
     wrongly-normalised lifts.  Edge residuals use trapezoidal averaging of
     both the connection and the section, so exact data yields rounding-
-    level numbers and smooth data O(du^2).
+    level numbers and smooth data O(du^2); they pass at
+    max(1e-8, 10 du^2).
     """
     p_vec = np.asarray(p_vec, dtype=float)
     defect = float(np.max(np.abs(inner(omega.sigma1, p_vec) + 1.0)))
@@ -496,8 +477,7 @@ def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
         notes.append(f"normalisation defect {defect:.3e}; residuals are "
                      "expected to be O(1)")
 
-    if tol is None:
-        tol = max(1e-8, 10.0 * omega.du * omega.du)
+    tol = max(1e-8, 10.0 * omega.du * omega.du)
     residuals = {}
     for lam in lambdas:
         res = _trapezoid_defect(omega, p_vec + lam * omega.sigma1, lam,

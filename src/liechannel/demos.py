@@ -77,7 +77,6 @@ def cylinder_darboux(grid: int = 64, seed: int = 7) -> dict:
                         {"key": "duality", "max": 1e-6},
                         {"key": "intersection_rank_ok", "true": True}]},
             {"id": "circular-lines", "op": "sphericity", "target": "hat",
-             "axis": "u",
              "assert": [{"key": "residual_max", "max": 1e-8}]},
             {"id": "tangent-cyclides", "op": "congruence_contact",
              "grid": "cylinder", "hat_grid": "hat",

@@ -10,7 +10,6 @@ curvature-sphere extraction, the orthogonal splitting into the two
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -278,13 +277,12 @@ def _quotient_frames(grid: LegendreGrid):
     return rows.reshape(shape + (2, DIM))                       # (nu,nt,2,6)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LegendreReport:
     isotropy: float
     contact: float
     immersion: float
     passed: bool
-    tolerances: dict
 
     def __str__(self):
         status = "ok" if self.passed else "FAILED"
@@ -292,8 +290,8 @@ class LegendreReport:
                 f"contact={self.contact:.3e} immersion={self.immersion:.3e}")
 
 
-def _legendre_measurements(grid: LegendreGrid):
-    """(isotropy, contact, immersion) of validate_legendre."""
+def _legendre_report(grid: LegendreGrid) -> LegendreReport:
+    """validate_legendre's measurements and verdict."""
     s, t = unit_rows(grid.sigma), unit_rows(grid.tau)
     gs, gt = SIGNS * s, SIGNS * t                 # inner(x, s) = x . gs
 
@@ -313,7 +311,12 @@ def _legendre_measurements(grid: LegendreGrid):
         beta[..., 1, col] = np.einsum("...d,...d->...", w_basis[..., 1, :], dsig)
         beta[..., 2, col] = np.einsum("...d,...d->...", w_basis[..., 0, :], dtau)
         beta[..., 3, col] = np.einsum("...d,...d->...", w_basis[..., 1, :], dtau)
-    return iso, contact, _smallest_singular_value(beta)
+    immersion = _smallest_singular_value(beta)
+    tol_contact = max(1e-8, 5.0 * (grid.du ** 2 + grid.dtheta ** 2))
+    passed = (iso <= ISOTROPY_TOL and contact <= tol_contact
+              and immersion >= IMMERSION_MIN)
+    return LegendreReport(isotropy=iso, contact=contact, immersion=immersion,
+                          passed=passed)
 
 
 def _smallest_singular_value(beta: np.ndarray) -> float:
@@ -335,8 +338,7 @@ def _smallest_singular_value(beta: np.ndarray) -> float:
     return float(np.sqrt(np.min(low)))
 
 
-def validate_legendre(grid: LegendreGrid,
-                      tol_contact: Optional[float] = None) -> LegendreReport:
+def validate_legendre(grid: LegendreGrid) -> LegendreReport:
     """Measure the defining conditions of a Legendre map on the grid.
 
     isotropy: worst inner product among unit frame vectors.
@@ -347,20 +349,11 @@ def validate_legendre(grid: LegendreGrid,
         4x2 matrix (directions to quotient-valued derivatives).
 
     Measurements use unit-rescaled copies of the frames so the numbers are
-    scale-free.  They are taken once per grid; the verdict is judged
-    against the tolerances of each call.
+    scale-free.  The verdict holds them to ISOTROPY_TOL, a contact bound of
+    max(1e-8, 5 (du^2 + dtheta^2)) and IMMERSION_MIN.  The report is made
+    once per grid.
     """
-    iso, contact, immersion = _memoised(grid, "validation",
-                                        _legendre_measurements)
-    if tol_contact is None:
-        tol_contact = max(1e-8, 5.0 * (grid.du ** 2 + grid.dtheta ** 2))
-    passed = (iso <= ISOTROPY_TOL and contact <= tol_contact
-              and immersion >= IMMERSION_MIN)
-    return LegendreReport(
-        isotropy=iso, contact=contact, immersion=immersion, passed=passed,
-        tolerances={"isotropy": ISOTROPY_TOL, "contact": tol_contact,
-                    "immersion_min": IMMERSION_MIN},
-    )
+    return _memoised(grid, "validation", _legendre_report)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +366,14 @@ class CurvatureData:
 
     s1/s2 hold unit, sign-aligned representatives; dir1/dir2 are unit vectors
     in the (u, theta) chart.  dir1 is the theta-like direction by the
-    labelling convention.  kappa_gap is the projective separation of the two
-    spheres; points with gap below the umbilic tolerance are flagged.
+    labelling convention.  Points where the two spheres' projective
+    separation falls below the umbilic tolerance are flagged.
     """
 
     s1: np.ndarray
     s2: np.ndarray
     dir1: np.ndarray
     dir2: np.ndarray
-    kappa_gap: np.ndarray
     umbilic: np.ndarray
 
 
@@ -453,12 +445,10 @@ def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
 
     s1 = align_signs_grid(s1)
     s2 = align_signs_grid(s2)
-    gap = projective_gap(s1, s2)
-    umbilic = degenerate | (gap < UMBILIC_TOL)
+    umbilic = degenerate | (projective_gap(s1, s2) < UMBILIC_TOL)
     d1 = align_signs_grid(d1)
     d2 = align_signs_grid(d2)
-    fields = dict(s1=s1, s2=s2, dir1=d1, dir2=d2, kappa_gap=gap,
-                  umbilic=umbilic)
+    fields = dict(s1=s1, s2=s2, dir1=d1, dir2=d2, umbilic=umbilic)
     for array in fields.values():
         array.flags.writeable = False
     return CurvatureData(**fields)

@@ -86,10 +86,6 @@ def _clean(value):
     raise TypeError(f"cannot report a value of type {type(value).__name__}")
 
 
-def _given(args, *keys):
-    return {key: args[key] for key in keys if key in args}
-
-
 def _op_validate(args, ctx):
     rep = validate_legendre(args["target"])
     return {"isotropy": rep.isotropy, "contact": rep.contact,
@@ -125,8 +121,7 @@ def _op_omega0(args, ctx):
 
 
 def _op_conserved(args, ctx):
-    p = np.asarray(args.get("p", np.eye(DIM)[5].tolist()), dtype=float)
-    rep = conserved_quantity(args["omega"], p, args["lambdas"])
+    rep = conserved_quantity(args["omega"], np.eye(DIM)[5], args["lambdas"])
     residuals = {str(float(k)): v for k, v in rep.residuals.items()}
     return {"residuals": residuals, "residual_max": max(residuals.values()),
             "normalisation_defect": rep.normalisation_defect,
@@ -137,8 +132,7 @@ def _op_darboux(args, ctx):
     grid, omega = args["grid"], args["omega"]
     phi0 = darboux_initial_condition(np.eye(DIM)[[0, 3, 4]], omega.sigma1[0],
                                      ctx.seed)
-    result = darboux_transform(grid, omega, args["m"], phi0,
-                               **_given(args, "substeps"))
+    result = darboux_transform(grid, omega, args["m"], phi0)
     ctx.objects[args["store"]] = result.hat_f
     ctx.objects[args["store"] + "_spheres"] = result.hat_s
     out = {"m": float(args["m"]), "null_drift": result.null_drift,
@@ -152,8 +146,7 @@ def _calapso_measurements(args, ctx, lam):
     """One spectral parameter of the calapso op.  Its transformed grid
     and derived arrays are released before the next parameter's."""
     grid, omega = args["grid"], args["omega"]
-    gauge, out = calapso_transform(grid, omega, lam,
-                                   **_given(args, "substeps"))
+    gauge, out = calapso_transform(grid, omega, lam)
     q_dev = float(np.max(np.abs(
         calapso_quadratic_form(gauge, omega) - omega.q_uu)))
     channel = channel_verdict(out)
@@ -202,6 +195,10 @@ def _op_cyclides(args, ctx):
             "d2_coincidence": rep.d2_coincidence, "notes": list(rep.notes)}
 
 
+#: complement-family spheres probed against each congruence cyclide
+_N_PROBE = 16
+
+
 def _op_congruence_contact(args, ctx):
     """Contact of the u-family of Dupin cyclides with both surfaces.
 
@@ -218,8 +215,7 @@ def _op_congruence_contact(args, ctx):
     _raise_span_failure(span_failures, "cyclide span")
     nu = f.shape[0]
     ks = np.arange(0, nu, args.get("sample_every", max(1, nu // 8)))
-    probes = np.linspace(0.0, 2.0 * np.pi, args.get("n_probe", 16),
-                         endpoint=False)
+    probes = np.linspace(0.0, 2.0 * np.pi, _N_PROBE, endpoint=False)
     bases = d1_basis[ks]
     cyclides, frames, failures = dupin_from_subspaces(
         bases, [f"congruence u-index {k}" for k in ks])
@@ -252,16 +248,11 @@ def _op_congruence_contact(args, ctx):
 
 
 def _op_sphericity(args, ctx):
-    """Worst sphere-fit residual over a sample of parameter lines.
-
-    axis "u" walks the lines of constant u (the theta-circles); axis
-    "theta" walks the lines of constant theta.
-    """
-    grid = args["target"]
-    axis = args.get("axis", "u")
-    count = grid.shape[0] if axis == "u" else grid.shape[1]
-    lines = range(0, count, args.get("stride", max(1, count // 8)))
-    residuals, _ = spherical_line_residuals(grid, axis, lines)
+    """Worst sphere-fit residual over the lines of constant u (the
+    theta-circles), at stride max(1, nu // 8)."""
+    nu = args["target"].shape[0]
+    lines = range(0, nu, max(1, nu // 8))
+    residuals, _ = spherical_line_residuals(args["target"], "u", lines)
     return {"residual_max": float(np.max(residuals)),
             "lines_checked": len(lines)}
 

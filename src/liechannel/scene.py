@@ -83,11 +83,6 @@ def _const(wanted, value, schema):
         yield f"{wanted!r} was expected"
 
 
-def _enum(options, value, schema):
-    if not any(_equal(value, option) for option in options):
-        yield f"{value!r} is not one of {options!r}"
-
-
 def _pattern(pattern, value, schema):
     if isinstance(value, str) and not re.search(pattern, value):
         yield f"{value!r} does not match {pattern!r}"
@@ -185,7 +180,7 @@ def _annotation(value, instance, schema):
 
 _KEYWORDS = {
     "$schema": _annotation,
-    "type": _type, "const": _const, "enum": _enum, "pattern": _pattern,
+    "type": _type, "const": _const, "pattern": _pattern,
     "minimum": _minimum, "exclusiveMinimum": _exclusive_minimum,
     "nonzero": _nonzero,
     "items": _items, "minItems": _min_items, "maxItems": _max_items,
@@ -354,7 +349,6 @@ _NUMBER = {"type": "number"}
 _COUNT = {"type": "integer", "minimum": 5}
 _STEP = {"type": "integer", "minimum": 1}
 _VEC3 = {"type": "array", "items": _NUMBER, "minItems": 3, "maxItems": 3}
-_VEC6 = {"type": "array", "items": _NUMBER, "minItems": 6, "maxItems": 6}
 _NONZERO = {"type": "number", "nonzero": True}
 _LAMBDAS = {"type": "array", "items": _NUMBER, "minItems": 1}
 _INDICES = {"type": "array", "items": {"type": "integer", "minimum": 0},
@@ -431,8 +425,7 @@ _CURVE = dict(n=_COUNT, u_min=_NUMBER, u_max=_NUMBER, direction=_VEC3,
               origin=_VEC3)
 _OF_CURVE = {"curve": "curve"}
 
-# line_curve, circle_curve and curve_legendre_lift name the radius-0 case
-# of the sphere-curve kinds and its envelope
+# line_curve and circle_curve name the radius-0 sphere curves
 _OBJECT_KINDS = {
     "line_sphere_curve": _Decl("channel.line_sphere_curve",
                                params=dict(_CURVE, radius=_NUMBER),
@@ -453,8 +446,6 @@ _OBJECT_KINDS = {
     "tube_sphere_curve": _Decl("conformal.tube_sphere_curve", refs=_OF_CURVE,
                                required=("radius",),
                                params=dict(radius=_NUMBER), makes="curve"),
-    "curve_legendre_lift": _Decl("channel.envelope", refs=_OF_CURVE,
-                                 params=dict(n_theta=_COUNT), makes="grid"),
 }
 _KIND_SCHEMAS = {name: kind.schema({"kind": {}})
                  for name, kind in _OBJECT_KINDS.items()}
@@ -495,13 +486,12 @@ _OPS = {
                     stores=_key_if_set("store", "omega0")),
     "conserved": _Decl("ops._op_conserved", refs={"omega": "omega0"},
                        required=("lambdas",),
-                       params=dict(lambdas=_LAMBDAS, p=_VEC6)),
+                       params=dict(lambdas=_LAMBDAS)),
     "darboux": _Decl("ops._op_darboux", refs=_FLOW, required=("m", "store"),
-                     params=dict(m=_NONZERO, store=_NAME, substeps=_STEP),
+                     params=dict(m=_NONZERO, store=_NAME),
                      stores=_stores_darboux),
     "calapso": _Decl("ops._op_calapso", refs=_FLOW, required=("lambdas",),
-                     params=dict(lambdas=_LAMBDAS, substeps=_STEP,
-                                 store_prefix=_NAME),
+                     params=dict(lambdas=_LAMBDAS, store_prefix=_NAME),
                      stores=_stores_calapso),
     "verify_pair": _Decl("ops._op_verify_pair", refs=_PAIR),
     "cyclides": _Decl("ops._op_cyclides", refs=_PAIR,
@@ -510,11 +500,9 @@ _OPS = {
         "ops._op_congruence_contact",
         refs={"grid": "grid", "hat_grid": "grid", "spheres_a": "curve",
               "spheres_b": "curve"},
-        params=dict(sample_every=_STEP, n_probe=_STEP, store_prefix=_NAME),
+        params=dict(sample_every=_STEP, store_prefix=_NAME),
         prefixes=_key_if_set("store_prefix", "cyclide")),
-    "sphericity": _Decl("ops._op_sphericity", refs=_TARGET,
-                        params=dict(axis={"enum": ["u", "theta"]},
-                                    stride=_STEP)),
+    "sphericity": _Decl("ops._op_sphericity", refs=_TARGET),
     "dupin_fit": _Decl("ops._op_dupin_fit", refs={"sphere_curve": "curve"},
                        required=("indices",),
                        params=dict(indices=_INDICES, store=_NAME,

@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 
 from . import stencils
-from .channel import Omega0Structure, SphereCurve, _trapezoid_defect
+from .channel import (HOLONOMY_TOL, Omega0Structure, SphereCurve,
+                      _trapezoid_defect)
 from .core import (
     DIM,
     INFINITY_VEC,
@@ -162,7 +163,6 @@ def _flow(terms, y0: np.ndarray, coeff: float) -> np.ndarray:
 
 @dataclass
 class DarbouxResult:
-    m: float
     hat_s: SphereCurve             # the parallel section as a sphere curve
     hat_f: LegendreGrid
     null_drift: float
@@ -233,7 +233,7 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
     # span checks see the flow's own tangent data
     d1 = -m * np.einsum("kij,kj->ki", omega.eta_u, phi)
     hat_s = SphereCurve(phi, grid.u_values,
-                        periodic_u=seam is not None and seam <= 1e-8,
+                        periodic_u=seam is not None and seam <= HOLONOMY_TOL,
                         d1=d1, metadata={"source": "darboux", "m": m})
 
     a = inner(grid.sigma, phi[:, None, :])       # (nu, nt)
@@ -256,8 +256,7 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
                          metadata={"source": "darboux", "m": m})
     if seam is not None:
         hat_f.metadata["holonomy_mismatch"] = seam
-    return DarbouxResult(m=m, hat_s=hat_s, hat_f=hat_f,
-                         null_drift=hat_s.nullity())
+    return DarbouxResult(hat_s=hat_s, hat_f=hat_f, null_drift=hat_s.nullity())
 
 
 # ---------------------------------------------------------------------------

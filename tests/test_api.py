@@ -11,14 +11,17 @@ Every defaulted parameter of an exported function or public method must
 be set by some caller in the package, the tests or the benchmark, by
 keyword, by position or as a parameter of a scene declaration, or be
 named below with the reason it stays a parameter.  A value nobody sets is
-a module constant.
+a module constant.  Likewise every parameter of a scene op is set by some
+shipped scene: a demo at its default grid or a benchmark workload.
 """
 
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
 import liechannel
+from liechannel.demos import demo_config, demo_names
 from liechannel.scene import _OBJECT_KINDS, _OPS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -133,9 +136,8 @@ def _defaulted_parameters():
 def _set_by_callers():
     """{called name: keywords and positions its calls set} over the
     package, the tests and the benchmark.  A call of functools.partial
-    counts for the function it wraps, a `**` argument sets the string
-    literals inside it (`**_given(args, "substeps")`), and a scene
-    declaration sets its parameter keys on the function it names."""
+    counts for the function it wraps, and a scene declaration sets its
+    parameter keys on the function it names."""
     got = {}
     for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
                  *(ROOT / "perfbench").glob("*.py")]:
@@ -149,10 +151,7 @@ def _set_by_callers():
             given = got.setdefault(name, set())
             if not any(isinstance(a, ast.Starred) for a in args):
                 given |= set(range(len(args)))
-            for kw in node.keywords:
-                given |= {kw.arg} if kw.arg is not None else {
-                    c.value for c in ast.walk(kw.value)
-                    if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+            given |= {kw.arg for kw in node.keywords if kw.arg is not None}
     for decl in [*_OBJECT_KINDS.values(), *_OPS.values()]:
         got.setdefault(decl.run.rsplit(".", 1)[1], set()).update(decl.params)
     return got
@@ -168,6 +167,35 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     assert missing == [], f"defaulted parameters no caller sets: {missing}"
     # the list stays exact: each entry is a defaulted parameter nobody sets
     assert set(UNSET_BY_DESIGN) <= unset
+
+
+def _shipped_scenes():
+    """The demos at their default grid and the benchmark's workload
+    scenes."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return ([demo_config(name) for name in demo_names()]
+            + [make(41) for make in workloads.WORKLOADS.values()])
+
+
+def test_every_op_parameter_is_set_by_a_shipped_scene():
+    # object kinds are exempt: their parameters mirror the signatures of
+    # the constructors they run, which the test above covers
+    set_keys = {name: set() for name in _OPS}
+    for config in _shipped_scenes():
+        for stage in config["pipeline"]:
+            set_keys[stage["op"]] |= set(stage)
+    unset = sorted(f"{name}.{key}" for name, op in _OPS.items()
+                   for key in op.params if key not in set_keys[name])
+    assert unset == [], f"op parameters no shipped scene sets: {unset}"
+
+
+def test_no_two_object_kinds_run_the_same_constructor():
+    runs = [kind.run for kind in _OBJECT_KINDS.values()]
+    shared = sorted({run for run in runs if runs.count(run) > 1})
+    assert shared == [], f"constructors run by two object kinds: {shared}"
 
 
 #: the only places that call a stencil (module, enclosing function): the

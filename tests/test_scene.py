@@ -346,6 +346,8 @@ def test_unimplemented_schema_keyword_raises():
                     ).schema({})
     with pytest.raises(ValueError, match="'additionalProperties'"):
         scene._checked({"type": "object", "additionalProperties": {}})
+    with pytest.raises(ValueError, match="'enum'"):
+        scene._checked({"enum": ["u", "theta"]})
 
 
 @pytest.mark.parametrize("path, value", [
@@ -550,7 +552,7 @@ def test_space_curve_kinds_are_radius_0_sphere_curves():
             assert np.array_equal(curve.derivative(order),
                                   want.derivative(order))
         assert np.max(np.abs(curve.vectors[:, 5])) == 0.0   # point spheres
-    lift = _built({"kind": "curve_legendre_lift", "curve": "c",
+    lift = _built({"kind": "envelope", "sphere_curve": "c",
                    "n_theta": 16}, {"c": line})
     grid = envelope(expected, n_theta=16)
     assert np.array_equal(lift.sigma, grid.sigma)
@@ -605,10 +607,10 @@ def test_degenerate_cyclide_names_its_u_index(tmp_path):
         run_scene(cfg, tmp_path)
 
 
-def _linalg_calls_inside(monkeypatch, op_name):
-    """The list that every numpy.linalg call made inside the op op_name
-    is appended to, by name."""
-    calls, inside = [], []
+def _linalg_calls_while(monkeypatch, inside):
+    """The list that every numpy.linalg call made while the list inside
+    is non-empty is appended to, by name."""
+    calls = []
     for name in np.linalg.__all__:
         original = getattr(np.linalg, name)
         if callable(original) and not isinstance(original, type):
@@ -617,6 +619,14 @@ def _linalg_calls_inside(monkeypatch, op_name):
                     calls.append(_name)
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def _linalg_calls_inside(monkeypatch, op_name):
+    """The list that every numpy.linalg call made inside the op op_name
+    is appended to, by name."""
+    inside = []
+    calls = _linalg_calls_while(monkeypatch, inside)
     _, runner = scene._OPS[op_name].run.split(".")
     op = getattr(ops, runner)
 
@@ -631,13 +641,11 @@ def _linalg_calls_inside(monkeypatch, op_name):
     return calls
 
 
-def _darboux_stage(tmp_path, calls, stage_id, grid, **params):
-    """Measurements of one stage of the cylinder-darboux demo (no meshes,
-    params added to the stage) and the calls counted during the run."""
+def _darboux_stage(tmp_path, calls, stage_id, grid):
+    """Measurements of one stage of the cylinder-darboux demo (no meshes)
+    and the calls counted during the run."""
     cfg = demo_config("cylinder-darboux", grid=grid)
     del cfg["outputs"]["meshes"]
-    stage, = [s for s in cfg["pipeline"] if s["id"] == stage_id]
-    stage.update(params)
     del calls[:]
     report = run_scene(cfg, tmp_path / f"{stage_id}-{grid}")
     assert report["passed"]
@@ -657,14 +665,19 @@ def test_congruence_contact_makes_as_many_linalg_calls_at_any_grid(
     assert "svd" not in small and "eigvalsh" not in small
 
 
-def test_sphericity_makes_as_many_linalg_calls_at_any_grid(tmp_path,
-                                                          monkeypatch):
-    # every sampled line is fitted in one batched SVD
-    calls = _linalg_calls_inside(monkeypatch, "sphericity")
-    (small_rep, small), (large_rep, large) = (
-        _darboux_stage(tmp_path, calls, "circular-lines", grid, stride=1)
-        for grid in (32, 64))
-    assert (small_rep["lines_checked"], large_rep["lines_checked"]) == (32, 64)
+def test_sphericity_makes_as_many_linalg_calls_at_any_grid(monkeypatch):
+    # the sphere fit behind the sphericity op fits every requested line in
+    # one batched SVD: here every u-line of a cylinder at 32^2 and 64^2
+    grids = [envelope(line_sphere_curve(n), n) for n in (32, 64)]
+    calls = _linalg_calls_while(monkeypatch, [True])
+    counted = []
+    for grid in grids:
+        del calls[:]
+        residuals, _ = legendre.spherical_line_residuals(
+            grid, "u", range(grid.shape[0]))
+        counted.append(list(calls))
+        assert residuals.shape == (grid.shape[0],)
+    small, large = counted
     assert small == large and small.count("svd") == 1
 
 

@@ -538,6 +538,10 @@ def test_partner_flow_keeps_curved_partners_null(make):
     part = tr.ribaucour_partner_curve(
         s, 1.0, sphere_lift(np.array([3.0, 0.0, 0.0]), 0.5))
     assert part.nullity() <= 1e-14                    # 2.0e-16 / 2.4e-15
+    # the helix partner's norm grows to 1.7e12 while s stays near unit
+    # scale: span ranks read each row at its own scale, so the pair is not
+    # called degenerate (it was, at sample 48, with one scale per stack)
+    assert tr.verify_ribaucour(s, part) <= 1e-12      # 1.5e-15 / 2.2e-14
 
 
 # ---------------------------------------------------------------------------
