@@ -31,7 +31,7 @@ from .core import (
     small_eigvalsh,
     unit_rows,
 )
-from .mesh import _pencil_point_spheres
+from .mesh import _SLAB_ROWS, _pencil_point_spheres
 
 #: projective gap below which the two curvature spheres count as equal
 UMBILIC_TOL = 1e-6
@@ -562,12 +562,6 @@ def _well_split(basis: np.ndarray) -> np.ndarray:
     return (high >= SPLIT_COND_TOL) & (low <= -SPLIT_COND_TOL)
 
 
-#: u-rows per slab of the cyclide passes, so that a slab's few
-#: (rows, nt, 6, 6) fields and (rows, nt, 3, 6) stacks stay cache-sized
-#: instead of grid-sized
-_SLAB_ROWS = 16
-
-
 def _u_slabs(grid: LegendreGrid):
     """The u-slabs of _SLAB_ROWS rows that the cyclide passes reduce grid
     fields in, as (rows, window, inner).
@@ -816,7 +810,7 @@ def spherical_line_residuals(grid: LegendreGrid, axis: str, indices):
     indices = np.asarray(indices, dtype=int)
     sigma, tau = ((grid.sigma, grid.tau) if axis == "u" else
                   (np.swapaxes(grid.sigma, 0, 1), np.swapaxes(grid.tau, 0, 1)))
-    vec, finite, pure = _pencil_point_spheres(sigma[indices], tau[indices])
+    vec, _, finite, pure = _pencil_point_spheres(sigma[indices], tau[indices])
     hit = first_failure([
         (pure.any(axis=-1), lambda k: GeometryError(
             f"parameter line {axis}-index {indices[k]}: pencil is entirely "

@@ -5,6 +5,10 @@ at infinity); evaluating it over a grid turns frame data back into an
 ordinary surface mesh, written out as Wavefront OBJ.  Grids and Dupin
 cyclides become meshes through one builder, which drops the points at
 infinity, and the line-sphere fits of legendre read the same pencils.
+The builders hold their output plus one slab of _SLAB_ROWS leading rows
+(and, where points at infinity are dropped, the renumbered faces): point
+spheres are read slab by slab into preallocated arrays, and the faces
+are written corner by corner into one preallocated array.
 The OBJ text is assembled as numpy bytes, block by block: vertex lines
 from one repr per distinct coordinate, face lines from an ASCII table of
 the vertex labels.
@@ -24,11 +28,19 @@ from .core import circle_points
 POINT_SPHERE_TOL = 1e-10
 
 
+#: leading rows per slab: the point-sphere reader here and the cyclide
+#: passes of legendre hold one slab of (rows, nt, ...) temporaries at a
+#: time, cache-sized instead of grid-sized
+_SLAB_ROWS = 16
+
+
 def _pencil_point_spheres(sigma: np.ndarray, tau: np.ndarray):
-    """(vectors, finite, pure) of the radius-zero pencil members, batched.
+    """(vectors, denom, finite, pure) of the radius-zero pencil members,
+    batched.
 
     vectors (..., 6) are unnormalised: the combination kills the radius
     coordinate, so the weights are just the swapped last components.
+    denom is their (e4 + e5) component, the divisor of the position;
     finite marks members that are not the point at infinity; pure marks
     pencils made entirely of point spheres (both weights below
     POINT_SPHERE_TOL).
@@ -43,7 +55,7 @@ def _pencil_point_spheres(sigma: np.ndarray, tau: np.ndarray):
     finite = np.abs(denom) > POINT_SPHERE_TOL * np.maximum(norm, 1e-300)
     pure = ((np.abs(a[..., 0]) < POINT_SPHERE_TOL)
             & (np.abs(b[..., 0]) < POINT_SPHERE_TOL))
-    return vec, finite, pure
+    return vec, denom, finite, pure
 
 
 def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray):
@@ -51,12 +63,24 @@ def grid_point_spheres(sigma: np.ndarray, tau: np.ndarray):
 
     Returns (positions, finite) where positions has shape (..., 3) and
     finite marks elements whose point sphere is not the point at infinity
-    (positions at masked-out samples are zero-filled).
+    (positions at masked-out samples are zero-filled).  sigma and tau
+    (n, ..., 6) may be broadcast views; they are read _SLAB_ROWS leading
+    rows at a time into the preallocated outputs, so the call holds its
+    output plus one slab.  Each element is computed on its own, so the
+    slab height moves no bit.
     """
-    vec, finite, _ = _pencil_point_spheres(sigma, tau)
-    safe = np.where(finite, vec[..., 3] + vec[..., 4], 1.0)
-    positions = vec[..., :3] / safe[..., None]
-    positions = np.where(finite[..., None], positions, 0.0)
+    sigma = np.asarray(sigma, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    shape = np.broadcast_shapes(sigma.shape, tau.shape)
+    sigma, tau = np.broadcast_to(sigma, shape), np.broadcast_to(tau, shape)
+    positions = np.zeros(shape[:-1] + (3,))
+    finite = np.empty(shape[:-1], dtype=bool)
+    for start in range(0, len(finite), _SLAB_ROWS):
+        rows = slice(start, start + _SLAB_ROWS)
+        vec, denom, finite[rows], _ = _pencil_point_spheres(sigma[rows],
+                                                            tau[rows])
+        np.divide(vec[..., :3], denom[..., None], out=positions[rows],
+                  where=finite[rows, ..., None])
     return positions, finite
 
 
@@ -92,27 +116,28 @@ def triangulate_grid(shape, periodic_u: bool = False,
     """Row-major triangulation of a (nu, nt) grid of vertices.
 
     Each quad (i, j), (i+1, j), (i+1, j+1), (i, j+1) is split along the
-    (i, j) -- (i+1, j+1) diagonal.  Periodic axes wrap their last strip.
+    (i, j) -- (i+1, j+1) diagonal, into the faces [(i, j), (i+1, j),
+    (i+1, j+1)] and [(i, j), (i+1, j+1), (i, j+1)] in that order.
+    Periodic axes wrap their last strip.  The corners are written one at
+    a time into one preallocated (quads along u, quads along theta, 2, 3)
+    array as row offset plus column index, so the call holds only its
+    output.
     """
     nu, nt = shape
-    idx = np.arange(nu * nt).reshape(nu, nt)
     i_count = nu if periodic_u else nu - 1
     j_count = nt if periodic_theta else nt - 1
     if i_count < 1 or j_count < 1:
         return np.zeros((0, 3), dtype=int)
-    ii, jj = np.meshgrid(np.arange(i_count), np.arange(j_count), indexing="ij")
-    i2 = (ii + 1) % nu
-    j2 = (jj + 1) % nt
-    v00 = idx[ii, jj]
-    v10 = idx[i2, jj]
-    v11 = idx[i2, j2]
-    v01 = idx[ii, j2]
-    tri1 = np.stack([v00, v10, v11], axis=-1).reshape(-1, 3)
-    tri2 = np.stack([v00, v11, v01], axis=-1).reshape(-1, 3)
-    faces = np.empty((tri1.shape[0] * 2, 3), dtype=int)
-    faces[0::2] = tri1
-    faces[1::2] = tri2
-    return faces
+    rows = np.arange(i_count)
+    row0, row1 = (rows * nt)[:, None], ((rows + 1) % nu * nt)[:, None]
+    col0 = np.arange(j_count)
+    col1 = (col0 + 1) % nt
+    faces = np.empty((i_count, j_count, 2, 3), dtype=int)
+    corners = faces.reshape(i_count, j_count, 6)
+    for k, (row, col) in enumerate([(row0, col0), (row1, col0), (row1, col1),
+                                    (row0, col0), (row1, col1), (row0, col1)]):
+        np.add(row, col, out=corners[..., k])
+    return faces.reshape(-1, 3)
 
 
 def _grid_mesh(positions: np.ndarray, finite: np.ndarray, periodic_u: bool,

@@ -224,7 +224,7 @@ def _op_congruence_contact(args, ctx):
     hit = first_failure(failures + [
         (pure.any(axis=-1), lambda i: GeometryError(
             "pencil is entirely made of point spheres"))
-        for _, _, pure in pencils])
+        for *_, pure in pencils])
     if hit is not None:
         raise hit[1]
 
@@ -235,7 +235,7 @@ def _op_congruence_contact(args, ctx):
     contact = np.abs(inner(family_b[:, :, None], su[:, None]))
     line = max(float(np.max(cyclide_point_residual(frames, vec),
                             where=finite, initial=0.0))
-               for vec, finite, _ in pencils)
+               for vec, _, finite, _ in pencils)
     prefix = args.get("store_prefix")
     if prefix is not None:
         for k, cyc in zip(ks, cyclides):
@@ -244,7 +244,7 @@ def _op_congruence_contact(args, ctx):
             "membership_residual": float(np.max(membership)),
             "line_residual": line, "n_cyclides": len(ks),
             "dropped_points": sum(int(np.count_nonzero(~finite))
-                                  for _, finite, _ in pencils)}
+                                  for _, _, finite, _ in pencils)}
 
 
 def _op_sphericity(args, ctx):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from liechannel.channel import circle_sphere_curve, envelope
 from liechannel.core import (INFINITY_VEC, Infinity,
                              SignatureError, circle_points, containment_gap,
                              first_failure, plane_lift, point_lift,
@@ -13,6 +14,7 @@ from liechannel.core import (INFINITY_VEC, Infinity,
 from liechannel.demos import demo_config, demo_names
 from liechannel.legendre import make_legendre_from_surface
 from liechannel.mesh import (
+    _SLAB_ROWS,
     _WRITE_ROWS,
     MeshOutput,
     _grid_mesh,
@@ -97,6 +99,31 @@ def test_grid_point_spheres_read_a_row_like_the_pointwise_reader():
         positions[finite], [v[:3] / (v[3] + v[4]) for v in expected
                             if v is not None], atol=1e-14)
     assert not positions[~finite].any()
+    # bit for bit, so that the slab height moves no OBJ byte: a whole
+    # grid of three slabs, the last one partial, with a point at infinity
+    # planted in each, reads as its rows one at a time
+    grid = cylinder_grid(2 * _SLAB_ROWS + 5)
+    sigma, tau = np.array(grid.sigma), np.array(grid.tau)
+    sigma[[1, _SLAB_ROWS + 3, -1], [0, 4, 7]] = INFINITY_VEC
+    tau[[1, _SLAB_ROWS + 3, -1], [0, 4, 7]] = plane_lift([0, 0, 1.0], 0.0)
+    positions, finite = grid_point_spheres(sigma, tau)
+    rows = [grid_point_spheres(s, t) for s, t in zip(sigma, tau)]
+    assert np.count_nonzero(~finite) == 3
+    assert np.array_equal(positions, np.stack([p for p, _ in rows]))
+    assert np.array_equal(finite, np.stack([f for _, f in rows]))
+    # a broadcast cyclide frame pair reads as its materialised copy
+    (cyclide,), _ = cyclides_of(TORUS_SPACE)
+    n_a, n_b = 2 * _SLAB_ROWS + 3, 20
+    spheres_a, spheres_b = (
+        circle_points(frame, np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+        for frame, n in zip(cyclide.frames, (n_a, n_b)))
+    sig = np.broadcast_to(spheres_a[:, None, :], (n_a, n_b, 6))
+    tau = np.broadcast_to(spheres_b[None, :, :], (n_a, n_b, 6))
+    positions, finite = grid_point_spheres(sig, tau)
+    copied = grid_point_spheres(np.array(sig), np.array(tau))
+    assert np.array_equal(positions, copied[0])
+    assert np.array_equal(finite, copied[1])
+    assert np.array_equal(positions, cyclide_point_grid(cyclide, n_a, n_b)[0])
 
 
 def test_grid_point_spheres_roundtrip():
@@ -117,8 +144,31 @@ def test_triangulation_counts():
     assert triangulate_grid((1, 64), False, False).shape == (0, 3)
 
 
-def test_triangulation_indices_are_valid():
-    faces = triangulate_grid((7, 5), True, False)
+def quad_split_faces(nu, nt, periodic_u, periodic_theta):
+    """The documented split, one quad at a time in row-major order: quad
+    (i, j) gives [(i, j), (i+1, j), (i+1, j+1)] and [(i, j), (i+1, j+1),
+    (i, j+1)], a periodic axis wrapping its last strip."""
+    label = lambda i, j: (i % nu) * nt + j % nt
+    faces = [face
+             for i in range(nu if periodic_u else nu - 1)
+             for j in range(nt if periodic_theta else nt - 1)
+             for face in ([label(i, j), label(i + 1, j), label(i + 1, j + 1)],
+                          [label(i, j), label(i + 1, j + 1), label(i, j + 1)])]
+    return np.array(faces, dtype=int).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("periodic_u, periodic_theta",
+                         [(False, False), (False, True), (True, False),
+                          (True, True)])
+def test_triangulation_indices_are_valid(periodic_u, periodic_theta):
+    shapes = [(nu, nt) for nu in range(2, 6) for nt in range(2, 6)]
+    shapes += [(1, n) for n in (1, 2, 5)] + [(n, 1) for n in (2, 5)]
+    for nu, nt in shapes:
+        faces = triangulate_grid((nu, nt), periodic_u, periodic_theta)
+        expected = quad_split_faces(nu, nt, periodic_u, periodic_theta)
+        assert faces.dtype == expected.dtype
+        assert np.array_equal(faces, expected), (nu, nt)
+    faces = triangulate_grid((7, 5), periodic_u, periodic_theta)
     assert faces.min() >= 0 and faces.max() < 35
     # every triangle has three distinct corners
     assert (np.sort(faces, axis=1)[:, :-1] != np.sort(faces, axis=1)[:, 1:]).all()
@@ -256,6 +306,27 @@ def test_obj_writer_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def test_mesh_builders_hold_their_output_plus_one_slab():
+    # each 256 x 256 builder peaks below its output plus 1 MiB: the
+    # slabs it works in, not grid-sized temporaries
+    (cyclide,), _ = cyclides_of(TORUS_SPACE)
+    grid = envelope(circle_sphere_curve(256, ring_radius=2.0, radius=1.0),
+                    256)
+    for build in (lambda: triangulate_grid((256, 256), True, True),
+                  lambda: cyclide_mesh(cyclide, n_a=256, n_b=256),
+                  lambda: mesh_from_grid(grid)):
+        tracemalloc.start()
+        try:
+            out = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = (out.nbytes if isinstance(out, np.ndarray)
+                else out.vertices.nbytes + out.faces.nbytes)
+        assert held >= 3 * 2 ** 20
+        assert peak < held + 2 ** 20, (peak, held)
 
 
 def test_demo_objs_match_the_reference_writer(tmp_path):
