@@ -12,7 +12,6 @@ that characterises them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -234,15 +233,16 @@ def _transported_frames(perp: np.ndarray, frame0: np.ndarray,
     takes one more step, round to fibre 0, so its n + 1 frames end with
     the one that measures the holonomy.
 
-    The steps run in 3 x 3 fibre coordinates: the projection maps between
-    neighbouring fibres and the fibre Grams are batched, and the serial
-    chain that carries the coefficient rows through them is on Python
-    floats, since a 3 x 3 numpy operation costs more in call overhead
-    than in work.  It reads its inputs a step at a time and keeps its rows
-    in one flat list (whole nested lists of Python floats would add about
-    a megabyte of peak memory at n = 1024).  Signs are restored after the
-    chain, as a running product of per-step flips: negating a row
-    commutes with every later step.
+    The steps run in 3 x 3 fibre coordinates, where a projection is a
+    right factor of the coefficient rows and a Gram-Schmidt a left factor,
+    lower triangular with a positive diagonal.  Such factors compose, and
+    a Gram-Schmidt absorbs them: orthonormalising after every step gives
+    the frame that one Gram-Schmidt gives after the product of all the
+    projections.  So the projections' prefix products come from a doubling
+    scan, carry frame0's rows into every fibre at once, and one batched
+    Gram-Schmidt per fibre finishes them.  Signs are restored afterwards,
+    as a running product of per-step flips: negating a row commutes with
+    every later step.
     """
     prev, nxt = stencils.edge_pairs(perp.shape[0], periodic)
     grams = (perp @ _transposed(SIGNS * perp))[nxt]
@@ -251,35 +251,26 @@ def _transported_frames(perp: np.ndarray, frame0: np.ndarray,
     if not np.all(np.isfinite(gram_inv)):
         raise GeometryError("circle-frame transport degenerated")
     maps = (perp[prev] * SIGNS) @ _transposed(perp[nxt]) @ gram_inv
-    out = (frame0 @ perp[0].T).reshape(9).tolist()
-    signs = (1.0, 1.0, -1.0)
-    for t, g in zip(maps.reshape(-1, 9), grams.reshape(-1, 9)):
-        t00, t01, t02, t10, t11, t12, t20, t21, t22 = t.tolist()
-        g00, g01, g02, _, g11, g12, _, _, g22 = g.tolist()
-        prev_rows, done = out[-9:], []
-        for r in range(3):
-            c0, c1, c2 = prev_rows[3 * r:3 * r + 3]
-            v0 = c0 * t00 + c1 * t10 + c2 * t20
-            v1 = c0 * t01 + c1 * t11 + c2 * t21
-            v2 = c0 * t02 + c1 * t12 + c2 * t22
-            # done holds each finished row e with its metric dual s G e
-            for e0, e1, e2, d0, d1, d2 in done:
-                p = v0 * d0 + v1 * d1 + v2 * d2
-                v0, v1, v2 = v0 - p * e0, v1 - p * e1, v2 - p * e2
-            w0 = g00 * v0 + g01 * v1 + g02 * v2
-            w1 = g01 * v0 + g11 * v1 + g12 * v2
-            w2 = g02 * v0 + g12 * v1 + g22 * v2
-            norm2 = signs[r] * (v0 * w0 + v1 * w1 + v2 * w2)
-            if norm2 <= 1e-14:
-                raise GeometryError("circle-frame transport degenerated")
-            root, sign = math.sqrt(norm2), signs[r]
-            e0, e1, e2 = v0 / root, v1 / root, v2 / root
-            out += (e0, e1, e2)
-            done.append((e0, e1, e2, sign * w0 / root, sign * w1 / root,
-                         sign * w2 / root))
-    frames = (np.array(out).reshape(-1, 3, 3)
-              @ perp[np.concatenate([[0], nxt])])
-    frames[0] = frame0
+    # doubling scan: maps[k] becomes maps[0] @ maps[1] @ ... @ maps[k]
+    step = 1
+    while step < maps.shape[0]:
+        maps[step:] = maps[:-step] @ maps[step:]
+        step *= 2
+    rows = (frame0 @ perp[0].T) @ maps
+    # done holds each finished row e with its metric dual s G e
+    done = []
+    for r, sign in enumerate((1.0, 1.0, -1.0)):
+        v = rows[:, r]
+        for e, dual in done:
+            v = v - np.einsum("ki,ki->k", v, dual)[:, None] * e
+        w = np.einsum("kij,kj->ki", grams, v)
+        norm2 = sign * np.einsum("ki,ki->k", v, w)
+        if not np.all(norm2 > 1e-14):
+            raise GeometryError("circle-frame transport degenerated")
+        root = np.sqrt(norm2)[:, None]
+        rows[:, r] = v / root
+        done.append((rows[:, r], sign * w / root))
+    frames = np.concatenate([frame0[None], rows @ perp[nxt]])
     turned = np.einsum("kri,kri->kr", frames[1:], frames[:-1]) < 0.0
     frames[1:] *= np.cumprod(np.where(turned, -1.0, 1.0), axis=0)[..., None]
     return frames

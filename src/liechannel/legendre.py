@@ -536,30 +536,22 @@ def interior_mask(shape, periodic_u: bool, periodic_theta: bool,
     return mask
 
 
-def _gram_eigvals(basis: np.ndarray):
-    """(high, low): the metric Gram eigenvalues other than 1 of
-    Euclidean-orthonormal (..., 3, 6) bases, high >= low.
-
-    With orthonormal rows the Gram is I - 2 K K^T, K = basis[..., 4:] the
-    3 x 2 negative block, so its eigenvalues are 1 and 1 - 2 mu for the
-    two eigenvalues mu of the 2 x 2 matrix K^T K (small_eigvalsh's hypot
-    form)."""
-    k0, k1 = basis[..., 4], basis[..., 5]
-    kk00 = np.einsum("...k,...k->...", k0, k0)
-    kk11 = np.einsum("...k,...k->...", k1, k1)
-    radius = np.hypot(0.5 * (kk00 - kk11), np.einsum("...k,...k->...", k0, k1))
-    mean = 0.5 * (kk00 + kk11)
-    return 1.0 - 2.0 * (mean - radius), 1.0 - 2.0 * (mean + radius)
-
-
 def _well_split(basis: np.ndarray) -> np.ndarray:
     """Where the Gram of Euclidean-orthonormal (..., 3, 6) bases has
     signature (2, 1) and no eigenvalue under SPLIT_COND_TOL in magnitude:
     splitting quality degrades where an osculating space nearly
-    degenerates.  The third eigenvalue, 1, is positive and never the
-    smallest in magnitude."""
-    high, low = _gram_eigvals(basis)
-    return (high >= SPLIT_COND_TOL) & (low <= -SPLIT_COND_TOL)
+    degenerates.  With orthonormal rows the Gram is I - 2 K K^T, K =
+    basis[..., 4:] the 3 x 2 negative block, so its eigenvalues are 1,
+    which is positive and never the smallest in magnitude, and 1 - 2 mu
+    for the two eigenvalues mu of the 2 x 2 matrix K^T K."""
+    # K^T K from three row products: one einsum over the 3 x 2 blocks
+    # gives the same entries at four times the cost
+    k0, k1 = basis[..., 4], basis[..., 5]
+    k01 = np.einsum("...k,...k->...", k0, k1)
+    ktk = np.stack([np.einsum("...k,...k->...", k0, k0), k01, k01,
+                    np.einsum("...k,...k->...", k1, k1)], axis=-1)
+    ev = 1.0 - 2.0 * small_eigvalsh(ktk.reshape(basis.shape[:-2] + (2, 2)))
+    return (ev[..., 0] >= SPLIT_COND_TOL) & (ev[..., 1] <= -SPLIT_COND_TOL)
 
 
 def _u_slabs(grid: LegendreGrid):
@@ -787,42 +779,30 @@ def _classify_channel(grid: LegendreGrid) -> ChannelReport:
 # spherical parameter lines
 # ---------------------------------------------------------------------------
 
-def spherical_line_residuals(grid: LegendreGrid, axis: str, indices):
-    """How close each requested parameter line's points come to lying on
-    one sphere, all lines fitted in one pass.
+def spherical_line_residuals(grid: LegendreGrid, indices):
+    """How close each requested line of constant u comes to lying on one
+    sphere, all lines fitted in one pass; returns the residuals (m,).
 
-    axis "u" reads the lines of constant u, "theta" those of constant
-    theta.  Planes count as spheres here (infinite radius), so planar lines
-    also report a near-zero residual; and when a line is a circle the
-    minimiser is just one member of the pencil of spheres through it.
-
-    Returns (residuals (m,), spheres (m, 6)).  A point lift pairs to zero
-    with a sphere's radius slot, so each fit runs over the five effective
+    Planes count as spheres here (infinite radius), so planar lines also
+    report a near-zero residual.  A point lift pairs to zero with a
+    sphere's radius slot, so each fit runs over the five effective
     coordinates of the line's unit point spheres, and points at infinity
-    enter as zero rows, which leave the fit alone; the radius is recovered
-    afterwards from the lightcone condition (its orientation is not
-    determined by the fit, the nonnegative root is returned).  An error
-    names the first bad line: a pencil made entirely of point spheres, or
-    fewer than six finite points.
+    enter as zero rows, which leave the fit alone.  An error names the
+    first bad line: a pencil made entirely of point spheres, or fewer than
+    six finite points.
     """
-    if axis not in ("u", "theta"):
-        raise ValueError("axis must be 'u' or 'theta'")
     indices = np.asarray(indices, dtype=int)
-    sigma, tau = ((grid.sigma, grid.tau) if axis == "u" else
-                  (np.swapaxes(grid.sigma, 0, 1), np.swapaxes(grid.tau, 0, 1)))
-    vec, _, finite, pure = _pencil_point_spheres(sigma[indices], tau[indices])
+    vec, _, finite, pure = _pencil_point_spheres(grid.sigma[indices],
+                                                 grid.tau[indices])
     hit = first_failure([
         (pure.any(axis=-1), lambda k: GeometryError(
-            f"parameter line {axis}-index {indices[k]}: pencil is entirely "
+            f"parameter line u-index {indices[k]}: pencil is entirely "
             "made of point spheres")),
         (np.count_nonzero(finite, axis=-1) < 6, lambda k: GeometryError(
-            f"parameter line {axis}-index {indices[k]} has fewer than six "
+            f"parameter line u-index {indices[k]} has fewer than six "
             "finite points"))])
     if hit is not None:
         raise hit[1]
     rows = np.where(finite[..., None], unit_rows(vec), 0.0)
-    _, svals, vt = np.linalg.svd((rows * SIGNS)[..., :5], full_matrices=False)
-    v = vt[:, -1]
-    r_sq = np.sum(v[:, :4] ** 2, axis=-1) - v[:, 4] ** 2
-    return svals[:, -1], np.concatenate(
-        [v, np.sqrt(np.maximum(r_sq, 0.0))[:, None]], axis=-1)
+    svals = np.linalg.svd((rows * SIGNS)[..., :5], full_matrices=False)[1]
+    return svals[:, -1]

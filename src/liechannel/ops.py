@@ -252,7 +252,7 @@ def _op_sphericity(args, ctx):
     theta-circles), at stride max(1, nu // 8)."""
     nu = args["target"].shape[0]
     lines = range(0, nu, max(1, nu // 8))
-    residuals, _ = spherical_line_residuals(args["target"], "u", lines)
+    residuals = spherical_line_residuals(args["target"], lines)
     return {"residual_max": float(np.max(residuals)),
             "lines_checked": len(lines)}
 
@@ -322,6 +322,13 @@ def _eval_assertion(check, measurements):
 # the run
 # ---------------------------------------------------------------------------
 
+def _output_path(out_dir, path) -> str:
+    """out_dir/path, with the directories it names made."""
+    full = os.path.join(out_dir, path)
+    os.makedirs(os.path.dirname(full), exist_ok=True)
+    return full
+
+
 def execute(config: dict, out_dir) -> dict:
     """Build the objects of a config that scene.validate_scene accepts,
     run its pipeline, write its meshes and report, and return the report;
@@ -351,39 +358,37 @@ def execute(config: dict, out_dir) -> dict:
                        "measurements": _clean(measurements),
                        "assertions": checks, "passed": passed})
 
-    os.makedirs(out_dir, exist_ok=True)
     outputs = config.get("outputs", {})
-    mesh_entries = []
-    for entry in outputs.get("meshes", []):
-        name = entry["object"]
-        if name not in ctx.objects:
-            raise PipelineError(
-                "outputs", f"mesh object '{name}' was never stored")
-        # validate_scene admits only grids and cyclides here
-        obj, n = ctx.objects[name], int(entry.get("n", 48))
-        try:
-            mesh = (cyclide_mesh(obj, n, n) if isinstance(obj, DupinCyclide)
-                    else mesh_from_grid(obj))
-            export_obj(mesh, os.path.join(out_dir, entry["path"]))
-        except OSError as exc:
-            raise PipelineError("outputs", str(exc)) from exc
-        mesh_entries.append({"object": name, "path": entry["path"],
-                             "vertices": int(mesh.vertices.shape[0]),
-                             "faces": int(mesh.faces.shape[0])})
-
     report = {
         "schema": REPORT_SCHEMA,
         "name": config.get("name", "scene"),
         "version": config["version"],
         "seed": int(config.get("seed", 0)),
         "stages": stages,
-        "meshes": mesh_entries,
+        "meshes": [],
         "passed": all_passed,
     }
-    report_path = outputs.get("report")
-    if report_path is not None:
-        text = json.dumps(report, sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
-        with open(os.path.join(out_dir, report_path), "w") as fh:
-            fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for entry in outputs.get("meshes", []):
+            name = entry["object"]
+            if name not in ctx.objects:
+                raise PipelineError(
+                    "outputs", f"mesh object '{name}' was never stored")
+            # validate_scene admits only grids and cyclides here
+            obj, n = ctx.objects[name], int(entry.get("n", 48))
+            mesh = (cyclide_mesh(obj, n, n) if isinstance(obj, DupinCyclide)
+                    else mesh_from_grid(obj))
+            export_obj(mesh, _output_path(out_dir, entry["path"]))
+            report["meshes"].append({
+                "object": name, "path": entry["path"],
+                "vertices": int(mesh.vertices.shape[0]),
+                "faces": int(mesh.faces.shape[0])})
+        if "report" in outputs:
+            text = json.dumps(report, sort_keys=True, indent=2,
+                              allow_nan=False) + "\n"
+            with open(_output_path(out_dir, outputs["report"]), "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise PipelineError("outputs", str(exc)) from exc
     return report

@@ -614,7 +614,10 @@ def validate_scene(config) -> list:
         # a bad parameter elsewhere must not hide what the stage stores,
         # or every later stage using it reports an undefined reference
         if not _NAME_KEYS & {path[0] for path, _ in stage_errors if path}:
-            defined.update(op.stores(stage))
+            stores = op.stores(stage)
+            errors += [f"stage '{sid}': stores '{name}', which is already "
+                       "defined" for name in stores if name in defined]
+            defined.update(stores)
             prefixes.update(op.prefixes(stage))
 
     outputs = config.get("outputs", {})

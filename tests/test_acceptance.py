@@ -201,7 +201,7 @@ def test_criterion_07_darboux_suite():
             coincidence = max(coincidence, rep.coincidence)
             constancy = max(constancy, rep.theta_constancy)
             sphericity = max(sphericity, np.max(spherical_line_residuals(
-                res.hat_f, "u", range(0, 64, 8))[0]))
+                res.hat_f, range(0, 64, 8))))
     ok = (drift <= 1e-10 and validated and channel and vr <= 1e-6
           and coincidence <= 1e-6 and constancy <= 1e-6
           and sphericity <= 1e-8)

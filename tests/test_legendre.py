@@ -19,10 +19,10 @@ from liechannel.core import (
     SIGNS,
     GeometryError,
     complement_rows,
-    inner,
     plane_lift,
     point_lift,
     projective_gap,
+    small_eigvalsh,
     sphere_lift,
 )
 from liechannel.legendre import (
@@ -668,8 +668,11 @@ def test_negative_block_gram_matches_eigvalsh(seed, high, low, offsets):
                             planted_basis(rng, planted)[None]])
     assert np.max(np.abs(bases @ np.swapaxes(bases, -1, -2) - np.eye(3))) <= 1e-14
     ev = np.linalg.eigvalsh(bases @ np.swapaxes(SIGNS * bases, -1, -2))
-    high_ev, low_ev = legendre_module._gram_eigvals(bases)
-    got = np.sort(np.stack([low_ev, high_ev, np.ones_like(low_ev)], axis=-1))
+    # _well_split's spectrum: 1 and 1 - 2 mu, mu the eigenvalues of K^T K
+    k = bases[..., 4:]
+    mu = small_eigvalsh(np.einsum("...ki,...kj->...ij", k, k))
+    got = np.sort(np.concatenate([1.0 - 2.0 * mu, np.ones_like(mu[..., :1])],
+                                 axis=-1))
     assert np.max(np.abs(got - ev)) <= 1e-14
     assert np.array_equal(legendre_module._well_split(bases), gram_verdict(ev))
 
@@ -737,21 +740,28 @@ def test_channel_check_and_validation_make_no_lapack_calls(monkeypatch):
 # -- spherical parameter lines ----------------------------------------------------
 
 
+def swapped(grid):
+    """grid with its u- and theta-axes exchanged: the fits read its lines
+    of constant u, which are grid's lines of constant theta."""
+    return dataclasses.replace(
+        grid, sigma=np.swapaxes(grid.sigma, 0, 1),
+        tau=np.swapaxes(grid.tau, 0, 1), u_values=grid.theta_values,
+        theta_values=grid.u_values, periodic_u=grid.periodic_theta,
+        periodic_theta=grid.periodic_u)
+
+
 def test_circular_lines_have_zero_residual():
     torus = preset_grid("torus", n_u=48, n_theta=48)
-    for axis, index in (("u", 10), ("theta", 7)):
-        (res,), (sphere,) = spherical_line_residuals(torus, axis, [index])
+    for grid, index in ((torus, 10), (swapped(torus), 7)):
+        (res,) = spherical_line_residuals(grid, [index])
         assert res <= 1e-10
-        # the recovered sphere actually contains the line's points
-        line = torus.sigma[index, :] if axis == "u" else torus.sigma[:, index]
-        line = line / np.linalg.norm(line, axis=-1, keepdims=True)
-        pairings = np.abs(inner(line, np.broadcast_to(sphere, line.shape)))
-        assert np.max(pairings) <= 1e-8
 
 
 def test_noncircular_line_is_detected():
+    # the helix tube's theta-circles are circles; its lines of constant
+    # theta are helices, on no sphere
     helix = preset_grid("helix_tube", n_u=64, n_theta=48)
-    (res,), _ = spherical_line_residuals(helix, "theta", [7])
+    (res,) = spherical_line_residuals(swapped(helix), [7])
     assert res >= 1e-2                    # measured 1.9e-1
 
 
@@ -760,11 +770,10 @@ def test_planar_lines_count_as_spherical():
     # to the sphere family, so the residual is tiny even though the surface
     # is nowhere a channel
     ellipsoid = preset_grid("ellipsoid", n_u=48, n_theta=48)
-    (res,), (sphere,) = spherical_line_residuals(ellipsoid, "u", [10])
+    (res,) = spherical_line_residuals(ellipsoid, [10])
     assert res <= 1e-10
-    assert abs(sphere[3] + sphere[4]) <= 1e-10   # plane lifts satisfy x4 = -x5
-    (res,), _ = spherical_line_residuals(
-        preset_grid("cylinder", n_u=48, n_theta=48), "theta", [3])
+    (res,) = spherical_line_residuals(
+        swapped(preset_grid("cylinder", n_u=48, n_theta=48)), [3])
     assert res <= 1e-10                   # straight rulings are planar too
 
 
@@ -784,39 +793,28 @@ def test_batched_line_fits_match_the_compacted_svd(name, axis, kw):
     # points at infinity enter the batch as zero rows; the oracle drops
     # them and fits each line on its own
     grid = preset_grid(name, **kw)
-    sigma, tau = np.array(grid.sigma), np.array(grid.tau)
     if axis == "theta":
-        sigma, tau = np.swapaxes(sigma, 0, 1), np.swapaxes(tau, 0, 1)
+        grid = swapped(grid)
+    sigma, tau = np.array(grid.sigma), np.array(grid.tau)
     rng = np.random.default_rng(19)
     lines = np.arange(0, sigma.shape[0], 5)
     for index in lines[::2]:              # 7 points at infinity per line
         _at_infinity(sigma, tau, (index, rng.choice(sigma.shape[1], 7,
                                                     replace=False)))
-    if axis == "theta":
-        sigma, tau = np.swapaxes(sigma, 0, 1), np.swapaxes(tau, 0, 1)
     planted = dataclasses.replace(grid, sigma=sigma, tau=tau)
-    residuals, spheres = spherical_line_residuals(planted, axis, lines)
-    assert residuals.shape == (len(lines),) and spheres.shape == (len(lines), 6)
-    for index, res, sphere in zip(lines, residuals, spheres):
-        line = (index, slice(None)) if axis == "u" else (slice(None), index)
-        svals, system, _ = oracles.line_sphere_fit(sigma[line], tau[line])
+    residuals = spherical_line_residuals(planted, lines)
+    assert residuals.shape == (len(lines),)
+    for index, res in zip(lines, residuals):
+        svals = oracles.line_sphere_fit(sigma[index], tau[index])
         assert abs(res - svals[-1]) <= 1e-14 * svals[0]
-        # the returned sphere attains the residual on the compacted rows
-        assert abs(np.linalg.norm(system @ sphere[:5]) - res) <= 1e-14 * svals[0]
-        # the radius slot puts the sphere on the lightcone wherever the
-        # fit's five coordinates admit a real radius
-        assert abs(inner(sphere, sphere)) <= 1e-12 or sphere[5] == 0.0
 
 
 def test_spherical_line_error_paths():
-    torus = preset_grid("torus", n_u=48, n_theta=48)
-    with pytest.raises(ValueError):
-        spherical_line_residuals(torus, "x", [0])
     sig = np.broadcast_to(np.array([0, 0, 0, -1.0, 1.0, 0]), (8, 8, 6)).copy()
     tau = np.broadcast_to(plane_lift([0, 0, 1.0], 0.0), (8, 8, 6)).copy()
     grid = LegendreGrid(sig, tau, np.linspace(0, 1, 8), np.linspace(0, 1, 8))
     with pytest.raises(GeometryError, match="u-index 0 has fewer than six"):
-        spherical_line_residuals(grid, "u", [0])   # every point at infinity
+        spherical_line_residuals(grid, [0])   # every point at infinity
 
 
 def test_line_fit_errors_name_the_first_bad_line():
@@ -826,24 +824,25 @@ def test_line_fit_errors_name_the_first_bad_line():
     sigma[9, 3] = point_lift(np.array([1.0, 0, 0]))
     tau[9, 3] = point_lift(np.array([0.0, 1, 0]))  # a pencil of point spheres
 
-    def fit(axis, lines):
-        return spherical_line_residuals(
-            dataclasses.replace(torus, sigma=sigma, tau=tau), axis, lines)
+    def fit(lines, swap=False):
+        grid = dataclasses.replace(torus, sigma=sigma, tau=tau)
+        return spherical_line_residuals(swapped(grid) if swap else grid, lines)
 
     with pytest.raises(GeometryError,
                        match=r"u-index 5 has fewer than six finite points"):
-        fit("u", [0, 5, 9])
+        fit([0, 5, 9])
     with pytest.raises(GeometryError, match=r"u-index 9: pencil is entirely "
                                             "made of point spheres"):
-        fit("u", [0, 9, 5])
-    with pytest.raises(GeometryError, match=r"theta-index 3: pencil"):
-        fit("theta", range(48))
+        fit([0, 9, 5])
+    # the torus's theta-line 3 holds the pencil of point spheres
+    with pytest.raises(GeometryError, match=r"u-index 3: pencil"):
+        fit(range(48), swap=True)
     # on one line the pencil check comes first
     sigma[5, 0] = sigma[9, 3]
     tau[5, 0] = tau[9, 3]
     with pytest.raises(GeometryError, match=r"u-index 5: pencil"):
-        fit("u", [5, 9])
-    residuals, _ = fit("u", [0, 10, 20])           # good lines still fit
+        fit([5, 9])
+    residuals = fit([0, 10, 20])                   # good lines still fit
     assert np.max(residuals) <= 1e-10
 
 

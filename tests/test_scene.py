@@ -86,6 +86,35 @@ def test_demo_configs_validate_clean():
         assert validate_scene(demo_config(name)) == []
 
 
+def test_demos_and_workloads_validate_clean():
+    # none of them stores over a defined name
+    configs = ([demo_config(name) for name in demo_names()]
+               + [make(41) for make in _workloads().values()])
+    assert len(configs) == 8
+    for cfg in configs:
+        assert validate_scene(cfg) == []
+
+
+@pytest.mark.parametrize("store, names", [
+    ("cylinder", ["cylinder"]),            # an object
+    ("eta", ["eta"]),                      # stored by the omega0 stage
+    ("hat", ["hat", "hat_spheres"])])      # stored by the first darboux
+def test_a_stage_may_not_store_over_a_defined_name(tmp_path, store, names):
+    # a later stage would read the second object under the first's name
+    cfg = demo_config("cylinder-darboux", grid=16)
+    cfg["pipeline"].append({"id": "again", "op": "darboux",
+                            "grid": "cylinder", "omega": "eta", "m": 2.0,
+                            "store": store})
+    assert validate_scene(cfg) == [
+        f"stage 'again': stores '{name}', which is already defined"
+        for name in names]
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(cfg))
+    assert main(["check", str(scene_path)]) == 2
+    assert main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_tiny_scene_validates():
     assert validate_scene(tiny_scene()) == []
 
@@ -673,22 +702,27 @@ def test_sphericity_makes_as_many_linalg_calls_at_any_grid(monkeypatch):
     counted = []
     for grid in grids:
         del calls[:]
-        residuals, _ = legendre.spherical_line_residuals(
-            grid, "u", range(grid.shape[0]))
+        residuals = legendre.spherical_line_residuals(
+            grid, range(grid.shape[0]))
         counted.append(list(calls))
         assert residuals.shape == (grid.shape[0],)
     small, large = counted
     assert small == large and small.count("svd") == 1
 
 
-def _curve_pairs(seed):
-    """The curve-pairs scene of the benchmark's workload generators."""
+def _workloads():
+    """The benchmark's workload generators, {name: seed -> config}."""
     path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.curve_pairs(seed)
+    return module.WORKLOADS
+
+
+def _curve_pairs(seed):
+    """The curve-pairs scene of the benchmark's workload generators."""
+    return _workloads()["curve-pairs"](seed)
 
 
 def test_still_curve_pair_is_refused_where_it_is_built(tmp_path):
@@ -968,6 +1002,32 @@ def test_cli_soft_failure_exits_one(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("outputs", [
+    {"report": "sub/report.json"},
+    {"meshes": [{"object": "tube_a", "path": "sub/deeper/tube.obj"}]}],
+    ids=["report", "mesh"])
+def test_cli_writes_outputs_at_nested_paths(tmp_path, outputs):
+    # the artifact-directory rule admits nested paths; their directories
+    # are made inside the scene's
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(tiny_scene(outputs=outputs)))
+    assert main(["check", str(scene_path)]) == 0
+    assert main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 0
+    path = outputs.get("report") or outputs["meshes"][0]["path"]
+    assert (tmp_path / "o" / "tiny" / path).is_file()
+
+
+def test_cli_output_failure_exits_one_with_one_line(tmp_path, capsys):
+    # an --out naming a file cannot hold the scene's directory
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(tiny_scene()))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", str(scene_path), "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stage 'outputs' failed: ") and err.count("\n") == 1
+
+
 def test_cli_demo_and_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LIECHANNEL_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)
@@ -1051,7 +1111,7 @@ def test_mutated_demo_is_rejected_or_runs(cfg):
 
 #: the string-valued keys of the demos' objects and stages that are no
 #: references
-_NOT_REFERENCES = {"kind", "id", "op", "store", "store_prefix", "axis"}
+_NOT_REFERENCES = {"kind", "id", "op", "store", "store_prefix"}
 
 
 @st.composite
