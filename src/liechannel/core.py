@@ -92,7 +92,11 @@ def projective_gap(a: np.ndarray, b: np.ndarray):
     ua = np.asarray(a) / np.linalg.norm(a, axis=-1, keepdims=True)
     ub = np.asarray(b) / np.linalg.norm(b, axis=-1, keepdims=True)
     dot = np.einsum("...i,...i->...", ua, ub)
-    rej = ub - dot[..., None] * ua
+    # the rejection ub - dot ua, formed in place of its second term
+    rej = dot[..., None] * ua
+    del ua
+    np.subtract(ub, rej, out=rej)
+    del ub
     return np.linalg.norm(rej, axis=-1)
 
 

@@ -5,6 +5,15 @@ A surface in Lie sphere geometry is stored as a grid of adapted frames
 element at each sample.  All validation (isotropy, contact, immersion),
 curvature-sphere extraction, the orthogonal splitting into the two
 "cyclide" rank-3 subbundles, and channel detection live here.
+
+Every pass over a grid runs in u-slabs of whole rows, about _SLAB_POINTS
+samples each (_u_slabs), and differences each field it reads once per
+slab, on a window of one halo row either side.  Quotient frames, solder
+forms, the curvature quadratic, the 2-jets of the splitting and its
+projectors live one slab at a time.  A grid keeps what its passes
+return: the validation report, the curvature spheres and directions (16
+doubles per point), the channel verdicts, and the splitting's
+measurements with its excluded mask.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .core import (
     small_eigvalsh,
     unit_rows,
 )
-from .mesh import _SLAB_ROWS, _pencil_point_spheres
+from .mesh import _pencil_point_spheres
 
 #: projective gap below which the two curvature spheres count as equal
 UMBILIC_TOL = 1e-6
@@ -44,16 +53,20 @@ CHANNEL_EDGE_MARGIN = 4
 ISOTROPY_TOL = 1e-9
 #: smallest solder-form singular value of a validated grid
 IMMERSION_MIN = 1e-4
+#: grid points per u-slab (_u_slabs), in whole u-rows: wide grids get
+#: cache-sized slabs, and long thin ones a few long slabs, whose per-call
+#: overhead would otherwise outweigh their work
+_SLAB_POINTS = 4096
 
 
 def _neighbour_pairs(fields: np.ndarray):
-    """(current, previous) vectors of every comparison a grid sweep makes:
-    row 0 along theta, then every u-row against the row before it,
-    flattened to shape ((nt - 1) + (nu - 1) * nt, d)."""
-    d = fields.shape[-1]
-    current = np.concatenate([fields[0, 1:], fields[1:].reshape(-1, d)])
-    previous = np.concatenate([fields[0, :-1], fields[:-1].reshape(-1, d)])
-    return current, previous
+    """The (current, previous) vectors of every comparison a grid sweep
+    makes, as views in two parts of shape (k, d): row 0 along theta, then
+    every u-row against the row before it.  Scores of the two parts,
+    concatenated, are in _sweep_flags' order."""
+    nt, d = fields.shape[1:]
+    flat = fields.reshape(-1, d)
+    return [(flat[1:nt], flat[:nt - 1]), (flat[nt:], flat[:-nt])]
 
 
 def _sweep_flags(flip: np.ndarray, tie: np.ndarray, shape) -> np.ndarray:
@@ -98,8 +111,8 @@ def align_signs_grid(fields: np.ndarray) -> np.ndarray:
     projective content is unchanged.
     """
     out = np.array(fields, dtype=float)
-    current, previous = _neighbour_pairs(out)
-    dot = np.einsum("kd,kd->k", current, previous)
+    dot = np.concatenate([np.einsum("kd,kd->k", current, previous)
+                          for current, previous in _neighbour_pairs(out)])
     flip = dot < 0.0
     flags = _sweep_flags(flip, ~(flip | (dot > 0.0)), out.shape[:2])
     return np.negative(out, out=out, where=flags[..., None])
@@ -127,10 +140,11 @@ def align_labels_grid(*pairs):
     pairs = [(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
              for p, q in pairs]
     d1, d2 = pairs[0]
-    cur1, prev1 = _neighbour_pairs(d1)
-    cur2, prev2 = _neighbour_pairs(d2)
-    keep = _pair_mismatch(cur1, cur2, prev1, prev2)
-    swap = _pair_mismatch(cur1, cur2, prev2, prev1)
+    keep, swap = (np.concatenate(scores) for scores in zip(*[
+        (_pair_mismatch(cur1, cur2, prev1, prev2),
+         _pair_mismatch(cur1, cur2, prev2, prev1))
+        for (cur1, prev1), (cur2, prev2) in zip(_neighbour_pairs(d1),
+                                                _neighbour_pairs(d2))]))
     flip = swap < keep
     flags = _sweep_flags(flip, ~(flip | (keep < swap)), d1.shape[:2])
     return [x for p, q in pairs for x in (np.where(flags[..., None], q, p),
@@ -147,9 +161,11 @@ class LegendreGrid:
     finite-difference extractions exact instead of O(h^2).
 
     The grid is immutable and its arrays are read-only copies of the
-    inputs, so data derived from it (quotient frames, curvature spheres,
-    channel verdict, validation measurements) is computed once and kept on
-    the grid.
+    inputs, so what its passes return (the validation report, the
+    curvature spheres and directions, the channel verdicts, the
+    splitting's measurements and excluded mask) is computed once and kept
+    on the grid.  Nothing else is: the passes build their quotient frames,
+    solder forms, jets and projectors one u-slab at a time.
     """
 
     sigma: np.ndarray
@@ -188,13 +204,6 @@ class LegendreGrid:
                        else (self.dtheta, self.periodic_theta))
         stencil = {1: stencils.diff1, 2: stencils.diff2}[order]
         return stencil(field, h, axis=axis, periodic=periodic)
-
-
-def _frame_derivatives(grid: LegendreGrid, sigma: np.ndarray, tau: np.ndarray):
-    """First differences of the fields sigma and tau (nu, nt, 6) along u
-    and theta."""
-    return (grid.diff(sigma, 0), grid.diff(sigma, 1),
-            grid.diff(tau, 0), grid.diff(tau, 1))
 
 
 def _memoised(grid: LegendreGrid, key: str, compute):
@@ -236,14 +245,14 @@ _HODGE_SIGN = np.array([[0.0, 1.0, -1.0, 1.0], [-1.0, 0.0, 1.0, -1.0],
                         [1.0, -1.0, 0.0, 1.0], [-1.0, 1.0, -1.0, 0.0]])
 
 
-def _quotient_frames(grid: LegendreGrid):
+def _quotient_frames(sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Per-point machinery for the rank-2 positive quotient of each element.
 
-    Returns w_basis, where w_basis[i, j] has two orthonormal rows spanning
-    a complement of the element inside its orthogonal space, Euclidean-
-    orthogonal to the element (so quotient coordinates are plain dot
-    products): the Euclidean complement of span{sigma, tau, G sigma, G tau},
-    which depends only on the element.
+    Returns w_basis (..., 2, 6) for frames sigma and tau (..., 6): two
+    orthonormal rows per element, spanning a complement of the element
+    inside its orthogonal space, Euclidean-orthogonal to the element (so
+    quotient coordinates are plain dot products): the Euclidean complement
+    of span{sigma, tau, G sigma, G tau}, which depends only on the element.
 
     With a and b the R^4 parts of sigma and tau, that span is
     span{a, b} + R^{0,2}: a and b are independent, because a null vector
@@ -259,22 +268,25 @@ def _quotient_frames(grid: LegendreGrid):
     of the two rows (2 x 2 determinants up to a common sign, Grams,
     singular values), so the choice of column is harmless.
     """
-    shape = grid.shape
-    count = shape[0] * shape[1]
-    a = grid.sigma.reshape(count, DIM).T                        # (6, n) views
-    b = grid.tau.reshape(count, DIM).T
+    shape = sigma.shape[:-1]
+    count = sigma.size // DIM
+    a = sigma.reshape(count, DIM).T                             # (6, n) views
+    b = tau.reshape(count, DIM).T
     plucker = np.empty((len(_PLUCKER), count))
     for m, (i, j) in enumerate(_PLUCKER):
         plucker[m] = a[i] * b[j] - a[j] * b[i]
-    hodge = _HODGE_SIGN[..., None] * plucker[_HODGE_INDEX]      # (4, 4, n)
+    hodge = plucker[_HODGE_INDEX]                               # (4, 4, n)
+    hodge *= _HODGE_SIGN[..., None]
     del plucker
     longest = np.argmax(np.einsum("rcn,rcn->cn", hodge, hodge), axis=0)
-    c = np.take_along_axis(hodge, longest[None, None], axis=1)[:, 0]
+    # column longest[k] of hodge[..., k], as one gather from the flat rows
+    c = np.take(hodge.reshape(4, -1), longest * count + np.arange(count),
+                axis=1)
     rows = np.zeros((count, 2, DIM))
     for row, v in enumerate((c, np.einsum("rcn,cn->rn", hodge, c))):
         norm = np.sqrt(np.einsum("in,in->n", v, v))
         np.divide(v, norm, out=rows[:, row, :4].T, where=norm > 0.0)
-    return rows.reshape(shape + (2, DIM))                       # (nu,nt,2,6)
+    return rows.reshape(shape + (2, DIM))
 
 
 @dataclass(frozen=True)
@@ -290,28 +302,46 @@ class LegendreReport:
                 f"contact={self.contact:.3e} immersion={self.immersion:.3e}")
 
 
-def _legendre_report(grid: LegendreGrid) -> LegendreReport:
-    """validate_legendre's measurements and verdict."""
-    s, t = unit_rows(grid.sigma), unit_rows(grid.tau)
-    gs, gt = SIGNS * s, SIGNS * t                 # inner(x, s) = x . gs
+def _validation_slab(grid: LegendreGrid, rows, window, inner):
+    """(isotropy terms, contact terms, immersion) on a u-slab's rows
+    (_u_slabs): each term a maximum, in the order of its definition."""
 
     def worst(x, gy):
         return float(np.max(np.abs(np.einsum("...i,...i->...", x, gy))))
 
-    iso = max(worst(s, gs), worst(t, gt), worst(s, gt))
-    ds_u, ds_t, dt_u, dt_t = _frame_derivatives(grid, s, t)
-    contact = max(worst(dv, gy) for dv in (ds_u, ds_t, dt_u, dt_t)
-                  for gy in (gs, gt))
-
-    w_basis = _memoised(grid, "quotient", _quotient_frames)
-
-    beta = np.empty(grid.shape + (4, 2))
+    s, t = unit_rows(grid.sigma[window]), unit_rows(grid.tau[window])
+    derivatives = _window_diffs(grid, s, inner) + _window_diffs(grid, t,
+                                                                inner)
+    ds_u, ds_t, dt_u, dt_t = derivatives
+    s, t = s[inner], t[inner]
+    gs, gt = SIGNS * s, SIGNS * t                 # inner(x, s) = x . gs
+    iso = [worst(s, gs), worst(t, gt), worst(s, gt)]
+    contact = [worst(dv, gy) for dv in derivatives for gy in (gs, gt)]
+    w_basis = _quotient_frames(grid.sigma[rows], grid.tau[rows])
+    w0, w1 = w_basis[..., 0, :], w_basis[..., 1, :]
+    beta = np.empty(w_basis.shape[:-2] + (4, 2))
     for col, (dsig, dtau) in enumerate(((ds_u, dt_u), (ds_t, dt_t))):
-        beta[..., 0, col] = np.einsum("...d,...d->...", w_basis[..., 0, :], dsig)
-        beta[..., 1, col] = np.einsum("...d,...d->...", w_basis[..., 1, :], dsig)
-        beta[..., 2, col] = np.einsum("...d,...d->...", w_basis[..., 0, :], dtau)
-        beta[..., 3, col] = np.einsum("...d,...d->...", w_basis[..., 1, :], dtau)
-    immersion = _smallest_singular_value(beta)
+        beta[..., 0, col] = np.einsum("...d,...d->...", w0, dsig)
+        beta[..., 1, col] = np.einsum("...d,...d->...", w1, dsig)
+        beta[..., 2, col] = np.einsum("...d,...d->...", w0, dtau)
+        beta[..., 3, col] = np.einsum("...d,...d->...", w1, dtau)
+    return iso, contact, _smallest_singular_value(beta)
+
+
+def _legendre_report(grid: LegendreGrid) -> LegendreReport:
+    """validate_legendre's measurements and verdict, reduced slab by slab:
+    np.maximum and np.minimum keep a NaN, as the grid-wide max and min
+    would, and each measurement's terms are reduced apart and combined
+    last, in the order of their definition."""
+    iso, contact, immersion = np.full(3, -np.inf), np.full(8, -np.inf), np.inf
+    for rows, window, inner in _u_slabs(grid):
+        iso_here, contact_here, immersion_here = _validation_slab(
+            grid, rows, window, inner)
+        iso = np.maximum(iso, iso_here)
+        contact = np.maximum(contact, contact_here)
+        immersion = np.minimum(immersion, immersion_here)
+    iso, contact = max(iso.tolist()), max(contact.tolist())
+    immersion = float(immersion)
     tol_contact = max(1e-8, 5.0 * (grid.du ** 2 + grid.dtheta ** 2))
     passed = (iso <= ISOTROPY_TOL and contact <= tol_contact
               and immersion >= IMMERSION_MIN)
@@ -332,7 +362,12 @@ def _smallest_singular_value(beta: np.ndarray) -> float:
     rows = np.triu_indices(beta.shape[-2], 1)
     minors = (col0[..., rows[0]] * col1[..., rows[1]]
               - col0[..., rows[1]] * col1[..., rows[0]])
-    top = small_eigvalsh(np.einsum("...ki,...kj->...ij", beta, beta))[..., 1]
+    # beta^T beta from three column products: one einsum over the 4 x 2
+    # matrices gives the same entries at several times the cost
+    c01 = np.einsum("...k,...k->...", col0, col1)
+    gram = np.stack([np.einsum("...k,...k->...", col0, col0), c01, c01,
+                     np.einsum("...k,...k->...", col1, col1)], axis=-1)
+    top = small_eigvalsh(gram.reshape(beta.shape[:-2] + (2, 2)))[..., 1]
     det = np.einsum("...m,...m->...", minors, minors)
     low = np.divide(det, top, out=np.zeros_like(det), where=top > 0.0)
     return float(np.sqrt(np.min(low)))
@@ -350,8 +385,11 @@ def validate_legendre(grid: LegendreGrid) -> LegendreReport:
 
     Measurements use unit-rescaled copies of the frames so the numbers are
     scale-free.  The verdict holds them to ISOTROPY_TOL, a contact bound of
-    max(1e-8, 5 (du^2 + dtheta^2)) and IMMERSION_MIN.  The report is made
-    once per grid.
+    max(1e-8, 5 (du^2 + dtheta^2)) and IMMERSION_MIN.  The pass runs u-slab
+    by u-slab (_u_slabs): each slab differences its unit frames once on
+    its halo window, builds its quotient frames and solder form, and is
+    reduced to the three measurements before the next slab is built.  The
+    report is made once per grid, and is all the grid keeps.
     """
     return _memoised(grid, "validation", _legendre_report)
 
@@ -406,20 +444,26 @@ def curvature_data(grid: LegendreGrid) -> CurvatureData:
     At each sample the 2x2 maps M_u, M_t send frame coefficients to quotient
     coordinates of the derivative; a curvature sphere is a pencil member
     killed by some direction, i.e. a root of det(a*M_u + b*M_t) = 0.
-    Extracted once per grid; the stored arrays are read-only.
+    The pass runs u-slab by u-slab (_u_slabs): each slab differences its
+    frames once on its halo window and builds its quotient frames, the
+    quotient coordinates M_u and M_t, the quadratic, its roots and their
+    kernel spheres.  Only the roots and kernel spheres are gathered
+    whole-grid (16 doubles per point), for the label and sign alignment
+    scans.  Extracted once per grid; the stored arrays are read-only.
     """
     return _memoised(grid, "curvature", _extract_curvature)
 
 
-def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
-    w_basis = _memoised(grid, "quotient", _quotient_frames)
-    ds_u, ds_t, dt_u, dt_t = _frame_derivatives(grid, grid.sigma, grid.tau)
-
-    def wcoords(dv):
-        return np.einsum("...kd,...d->...k", w_basis, dv)   # (nu,nt,2)
-
-    au_s, at_s = wcoords(ds_u), wcoords(ds_t)
-    au_t, at_t = wcoords(dt_u), wcoords(dt_t)
+def _curvature_slab(grid: LegendreGrid, rows, window, inner):
+    """(r1, r2, degenerate, k1, k2) on a u-slab's rows (_u_slabs): both
+    roots of the direction quadratic, where they coincide, and the unit
+    kernel sphere of each root."""
+    sigma, tau = grid.sigma[rows], grid.tau[rows]
+    w_basis = _quotient_frames(sigma, tau)
+    au_s, at_s, au_t, at_t = [
+        np.einsum("...kd,...d->...k", w_basis, dv)           # (rows, nt, 2)
+        for dv in (_window_diffs(grid, grid.sigma[window], inner)
+                   + _window_diffs(grid, grid.tau[window], inner))]
 
     def det2(p, q):
         return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
@@ -433,13 +477,22 @@ def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
         m_s = direction[..., :1] * au_s + direction[..., 1:] * at_s
         m_t = direction[..., :1] * au_t + direction[..., 1:] * at_t
         a, b = null_combination(m_s, m_t)
-        return a * grid.sigma + b * grid.tau
+        return unit_rows(a * sigma + b * tau)
 
-    k1 = unit_rows(kernel_sphere(r1))
-    k2 = unit_rows(kernel_sphere(r2))
+    return r1, r2, degenerate, kernel_sphere(r1), kernel_sphere(r2)
+
+
+def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
+    r1, r2 = np.empty(grid.shape + (2,)), np.empty(grid.shape + (2,))
+    k1, k2 = np.empty(grid.shape + (DIM,)), np.empty(grid.shape + (DIM,))
+    degenerate = np.empty(grid.shape, dtype=bool)
+    for rows, window, inner in _u_slabs(grid):
+        (r1[rows], r2[rows], degenerate[rows], k1[rows],
+         k2[rows]) = _curvature_slab(grid, rows, window, inner)
     # continuous labelling first, then one global swap so that dir1 is the
     # theta-like family whenever the grid has one
     d1, d2, s1, s2 = align_labels_grid((r1, r2), (k1, k2))
+    del r1, r2, k1, k2
     if np.mean(np.abs(d2[..., 1])) > np.mean(np.abs(d1[..., 1])):
         d1, d2, s1, s2 = d2, d1, s2, s1
 
@@ -454,31 +507,33 @@ def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
     return CurvatureData(**fields)
 
 
-def _directional_derivative(field: np.ndarray, direction: np.ndarray,
-                            grid: LegendreGrid) -> np.ndarray:
-    a = direction[..., 0, None]
-    b = direction[..., 1, None]
-    return a * grid.diff(field, 0) + b * grid.diff(field, 1)
+def _window_diffs(grid: LegendreGrid, here: np.ndarray, inner: slice):
+    """(u-difference, theta-difference) on a u-slab's rows of a field read
+    on the slab's halo window (_u_slabs); `here` holds the window's rows."""
+    return grid.diff(here, 0)[inner], grid.diff(here[inner], 1)
 
 
-def _jet_rows(field: np.ndarray, direction: np.ndarray,
-              grid: LegendreGrid):
-    """(D field, D^2 field), each (nu, nt, 6): the derivative rows of the
-    2-jet of a field along a varying direction field (D^2 with the
+def _jet_rows(grid: LegendreGrid, field: np.ndarray, direction: np.ndarray,
+              window, inner: slice):
+    """(D field, D^2 field), each (rows, nt, 6) on a u-slab's rows: the
+    derivative rows of the 2-jet of a grid field along a varying
+    direction field, both read on the slab's halo window (D^2 with the
     first-order correction terms coming from the variation of the
     direction)."""
-    a = direction[..., 0]
-    b = direction[..., 1]
-    fu, ft = grid.diff(field, 0), grid.diff(field, 1)
+    here, ab = field[window], direction[window]
+    fu, ft = _window_diffs(grid, here, inner)
+    fuu = grid.diff(here, 0, order=2)[inner]
+    ftt = grid.diff(here[inner], 1, order=2)
     fut = grid.diff(fu, 1)
-    a_u, a_t = grid.diff(a, 0), grid.diff(a, 1)
-    b_u, b_t = grid.diff(b, 0), grid.diff(b, 1)
+    (a_u, b_u), (a_t, b_t) = (np.moveaxis(d, -1, 0)
+                              for d in _window_diffs(grid, ab, inner))
+    a, b = ab[inner, ..., 0], ab[inner, ..., 1]
     # each sum formed in place, term by term in the order of the formula
     first = a[..., None] * fu
     first += b[..., None] * ft
-    second = (a * a)[..., None] * grid.diff(field, 0, order=2)
+    second = (a * a)[..., None] * fuu
     second += (2.0 * a * b)[..., None] * fut
-    second += (b * b)[..., None] * grid.diff(field, 1, order=2)
+    second += (b * b)[..., None] * ftt
     second += (a * a_u + b * a_t)[..., None] * fu
     second += (a * b_u + b * b_t)[..., None] * ft
     return first, second
@@ -554,48 +609,44 @@ def _well_split(basis: np.ndarray) -> np.ndarray:
     return (ev[..., 0] >= SPLIT_COND_TOL) & (ev[..., 1] <= -SPLIT_COND_TOL)
 
 
-def _u_slabs(grid: LegendreGrid):
-    """The u-slabs of _SLAB_ROWS rows that the cyclide passes reduce grid
-    fields in, as (rows, window, inner).
+def _u_slabs(grid: LegendreGrid, parts: int = 1):
+    """The u-slabs that every grid pass reduces grid fields in, as (rows,
+    window, inner): whole u-rows, _SLAB_POINTS / parts grid points' worth
+    (at least one row).
 
     rows is the slab's slice of u-rows; window indexes the slab's rows with
     one halo row on each side (wrapped when periodic; at an open end none,
-    but at least three rows, as the one-sided difference needs); inner is
-    the slab's slice of the window.  On the inner rows, the u-difference
-    of a field read on the window is the field's grid difference, central
-    on every row but an open end's one-sided one: so is the window's open
-    difference, and so is grid.diff of it, whose periodic wrap reaches
-    only the halo rows.
+    but at least four rows, as the one-sided second difference needs);
+    inner is the slab's slice of the window.  On the inner rows, grid.diff
+    along u of a field read on the window is the field's grid difference:
+    central on every row but an open end's one-sided one, with a periodic
+    wrap that reaches only the halo rows.
     """
-    nu = grid.shape[0]
-    for start in range(0, nu, _SLAB_ROWS):
-        stop = min(start + _SLAB_ROWS, nu)
+    nu, nt = grid.shape
+    step = max(_SLAB_POINTS // (parts * nt), 1)
+    for start in range(0, nu, step):
+        stop = min(start + step, nu)
         if grid.periodic_u:
             window, offset = np.arange(start - 1, stop + 1) % nu, 1
         else:
-            hi = min(stop + 1, nu)
-            lo = max(min(start - 1, hi - 3), 0)
+            hi = min(max(stop + 1, 4), nu)
+            lo = max(min(start - 1, hi - 4), 0)
             window, offset = np.arange(lo, hi), start - lo
         yield slice(start, stop), window, slice(offset, offset + stop - start)
 
 
-def _split_jets(grid: LegendreGrid, data: CurvatureData):
-    """The derivative rows (_jet_rows) of both 2-jets of the splitting: s1
-    along dir2, then s2 along dir1."""
-    return (_jet_rows(data.s1, data.dir2, grid),
-            _jet_rows(data.s2, data.dir1, grid))
-
-
-def _split_bases(grid: LegendreGrid, data: CurvatureData, jets, rows):
-    """(b1, b2_jet, usable) on the u-rows `rows` (a slice) of the grid:
-    orthonormal bases of both 2-jets (_split_jets), and the points where
-    both have signature (2, 1), are well conditioned, and lie away from
-    open-grid edges."""
-    (first1, second1), (first2, second2) = jets
-    b1 = orthonormal_rows(np.stack(
-        [data.s1[rows], first1[rows], second1[rows]], axis=-2))
-    b2_jet = orthonormal_rows(np.stack(
-        [data.s2[rows], first2[rows], second2[rows]], axis=-2))
+def _split_bases(grid: LegendreGrid, data: CurvatureData, rows, window,
+                 inner):
+    """(b1, b2_jet, usable) on a u-slab's rows (_u_slabs): orthonormal
+    bases of both 2-jets of the splitting (_jet_rows: s1 along dir2, s2
+    along dir1), and the points where both have signature (2, 1), are well
+    conditioned, and lie away from open-grid edges."""
+    first, second = _jet_rows(grid, data.s1, data.dir2, window, inner)
+    b1 = orthonormal_rows(np.stack([data.s1[rows], first, second], axis=-2))
+    del first, second
+    first, second = _jet_rows(grid, data.s2, data.dir1, window, inner)
+    b2_jet = orthonormal_rows(np.stack([data.s2[rows], first, second],
+                                       axis=-2))
     usable = ~data.umbilic[rows] & interior_mask(
         grid.shape, grid.periodic_u, grid.periodic_theta,
         SPLIT_EDGE_MARGIN)[rows]
@@ -606,13 +657,13 @@ def _split_bases(grid: LegendreGrid, data: CurvatureData, jets, rows):
 def lie_cyclide_split(grid: LegendreGrid) -> LieCyclideSplit:
     """The cyclide splitting and its measurements, taken once per grid.
 
-    Raises GeometryError on a totally umbilic grid.  The pass holds two
-    kinds of whole-grid field: the derivative rows of both 2-jets, and
-    the basis b1.  A first sweep over the u-slabs (_u_slabs)
-    orthonormalises both bases and reduces the usable mask and the
-    agreement; a second builds the projector field and its differences
-    from b1 on each slab's halo window and reduces them at once.  The
-    grid keeps only the measurements and the excluded mask.
+    Raises GeometryError on a totally umbilic grid.  The pass holds one
+    whole-grid field, the basis b1.  A first sweep over the u-slabs
+    (_u_slabs) forms the derivative rows of both 2-jets on each slab's
+    halo window, orthonormalises both bases and reduces the usable mask
+    and the agreement; a second builds the projector field and its
+    differences from b1 on each slab's halo window and reduces them at
+    once.  The grid keeps only the measurements and the excluded mask.
     """
     return _memoised(grid, "split", _split_cyclides)
 
@@ -621,60 +672,84 @@ def _split_cyclides(grid: LegendreGrid) -> LieCyclideSplit:
     data = curvature_data(grid)
     if bool(np.all(data.umbilic)):
         raise GeometryError("cyclide splitting undefined on a totally umbilic grid")
-    jets = _split_jets(grid, data)
     b1 = np.empty(grid.shape + (3, DIM))
     usable = np.empty(grid.shape, dtype=bool)
-    # S2 is the Euclidean complement of span(G b1), whose rows are
-    # orthonormal, so the sine against the jet span of s2 is the largest
-    # singular value of the 3 x 3 metric cross-Gram b1 G b2_jet^T
+    # each slab's work is a call of its own, so that its temporaries are
+    # gone before the next slab's are built
     top = -np.inf
-    for rows, _, _ in _u_slabs(grid):
-        b1[rows], b2_jet, usable[rows] = _split_bases(grid, data, jets, rows)
-        cross = b1[rows] @ _transposed(SIGNS * b2_jet)
-        top = np.maximum(top, np.max(
-            _largest_eigvalsh(cross @ _transposed(cross)),
-            where=usable[rows], initial=-np.inf))
-    del jets
+    for rows, window, inner in _u_slabs(grid):
+        top = np.maximum(top, _split_slab(grid, data, b1, usable, rows,
+                                          window, inner))
     excluded = ~usable
     excluded.flags.writeable = False
     if not np.any(usable):
         return LieCyclideSplit({"dir1": np.nan, "dir2": np.nan}, np.inf,
                                excluded)
     agreement = float(np.sqrt(np.maximum(top, 0.0)))
-
-    coupling = {"dir1": -np.inf, "dir2": -np.inf}
-    for rows, window, inner in _u_slabs(grid):
-        here = usable[rows]
-        if not np.any(here):
-            continue
-        on = usable[window]
-        p1 = np.full(on.shape + (DIM, DIM), np.nan)
-        p1[on] = _metric_projector_batch(b1[window][on])
-        p1_u = stencils.diff1(p1, grid.du, axis=0)[inner]
-        p1 = p1[inner]
-        p1_t = grid.diff(p1, 1)
-        # p1 is NaN in every entry exactly off the usable points, so one
-        # entry of each difference shows where both stencils stay on
-        # usable points
-        good = here & ~np.isnan(p1_u[..., 0, 0] + p1_t[..., 0, 0])
-        if not np.any(good):
-            continue
-        # only the reported components N(dir_i) = (1 - 2 p1) d_dir_i p1;
-        # both factors are formed in place
-        flip = p1[good]
-        flip *= -2.0
-        flip += np.eye(DIM)
-        p1_u, p1_t = p1_u[good], p1_t[good]
-        for name, direction in (("dir1", data.dir1), ("dir2", data.dir2)):
-            ab = direction[rows][good][..., None, None]
-            d_p1 = ab[:, 0] * p1_u
-            d_p1 += ab[:, 1] * p1_t
-            n_dir = np.abs(flip @ d_p1, out=d_p1)
-            coupling[name] = np.maximum(coupling[name], np.max(n_dir))
+    # the projector fields hold 36 doubles per point, six times a frame
+    # field, so the coupling sweep takes slabs of half the points
+    coupling = np.full(2, -np.inf)
+    for rows, window, inner in _u_slabs(grid, parts=2):
+        coupling = np.maximum(coupling, _coupling_slab(
+            grid, data, b1, usable, rows, window, inner))
     # NaN where no slab had a good point (still -inf) or a read was NaN
     coupling = {name: float(value) if value >= 0.0 else np.nan
-                for name, value in coupling.items()}
+                for name, value in zip(("dir1", "dir2"), coupling)}
     return LieCyclideSplit(coupling, agreement, excluded)
+
+
+def _split_slab(grid, data, b1, usable, rows, window, inner):
+    """Fill b1 and usable on a u-slab's rows (_split_bases) and return the
+    slab's largest squared agreement sine over its usable points.
+
+    S2 is the Euclidean complement of span(G b1), whose rows are
+    orthonormal, so the sine against the jet span of s2 is the largest
+    singular value of the 3 x 3 metric cross-Gram b1 G b2_jet^T.
+    """
+    b1[rows], b2_jet, usable[rows] = _split_bases(grid, data, rows, window,
+                                                  inner)
+    cross = b1[rows] @ _transposed(SIGNS * b2_jet)
+    return np.max(_largest_eigvalsh(cross @ _transposed(cross)),
+                  where=usable[rows], initial=-np.inf)
+
+
+def _coupling_slab(grid, data, b1, usable, rows, window, inner):
+    """The largest |N(dir1)| and |N(dir2)| on a u-slab's rows (-inf where
+    the slab has no good point): the projector field onto S1 and its
+    differences, built from b1 on the slab's halo window."""
+    here = usable[rows]
+    worst = np.full(2, -np.inf)
+    if not np.any(here):
+        return worst
+    on = usable[window]
+    at, col = np.nonzero(on)
+    p1 = np.full(on.shape + (DIM, DIM), np.nan)
+    p1[at, col] = _metric_projector_batch(b1[window[at], col])
+    del at, col
+    p1_u = grid.diff(p1, 0)[inner]
+    p1 = p1[inner]
+    p1_t = grid.diff(p1, 1)
+    # p1 is NaN in every entry exactly off the usable points, so one
+    # entry of each difference shows where both stencils stay on
+    # usable points
+    good = here & ~np.isnan(p1_u[..., 0, 0] + p1_t[..., 0, 0])
+    if not np.any(good):
+        return worst
+    # only the reported components N(dir_i) = (1 - 2 p1) d_dir_i p1;
+    # both factors are formed in place, and each field is gathered to the
+    # good points before the next
+    flip = p1[good]
+    del p1
+    flip *= -2.0
+    flip += np.eye(DIM)
+    p1_u = p1_u[good]
+    p1_t = p1_t[good]
+    for k, direction in enumerate((data.dir1, data.dir2)):
+        ab = direction[rows][good][..., None, None]
+        d_p1 = ab[:, 0] * p1_u
+        d_p1 += ab[:, 1] * p1_t
+        worst[k] = np.max(np.abs(flip @ d_p1, out=d_p1))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +774,23 @@ class ChannelReport(ChannelVerdict):
 
 def _variation_rate(field: np.ndarray, direction: np.ndarray,
                     grid: LegendreGrid, mask: np.ndarray) -> float:
-    """Max projective speed of a unit field along a direction field."""
-    dv = _directional_derivative(field, direction, grid)
-    dots = np.einsum("...d,...d->...", dv, field)
-    rej = dv - dots[..., None] * field
-    speed = np.linalg.norm(rej, axis=-1)
-    good = ~mask
-    return float(np.max(speed[good])) if np.any(good) else np.inf
+    """Max projective speed of a unit field along a direction field off
+    the mask (inf where the mask covers the grid), reduced u-slab by
+    u-slab, skipping slabs the mask covers; np.maximum keeps a NaN, as
+    the grid-wide max would."""
+    top = -np.inf
+    for rows, window, inner in _u_slabs(grid):
+        good = ~mask[rows]
+        if not np.any(good):
+            continue
+        f_u, f_t = _window_diffs(grid, field[window], inner)
+        here, ab = field[rows], direction[rows]
+        dv = ab[..., :1] * f_u + ab[..., 1:] * f_t
+        dots = np.einsum("...d,...d->...", dv, here)
+        rej = dv - dots[..., None] * here
+        speed = np.linalg.norm(rej, axis=-1)
+        top = np.maximum(top, np.max(speed[good]))
+    return np.inf if top == -np.inf else float(top)
 
 
 def channel_verdict(grid: LegendreGrid) -> ChannelVerdict:

@@ -5,10 +5,11 @@ at infinity); evaluating it over a grid turns frame data back into an
 ordinary surface mesh, written out as Wavefront OBJ.  Grids and Dupin
 cyclides become meshes through one builder, which drops the points at
 infinity, and the line-sphere fits of legendre read the same pencils.
-The builders hold their output plus one slab of _SLAB_ROWS leading rows
-(and, where points at infinity are dropped, the renumbered faces): point
-spheres are read slab by slab into preallocated arrays, and the faces
-are written corner by corner into one preallocated array.
+The builders hold their output plus one slab of _SLAB_ROWS leading rows:
+point spheres are read slab by slab into preallocated arrays, the faces
+are written corner by corner into one preallocated array, and where
+points at infinity are dropped, the kept vertices and faces move to the
+front of those arrays slab by slab.
 The OBJ text is assembled as numpy bytes, block by block: vertex lines
 from one repr per distinct coordinate, face lines from an ASCII table of
 the vertex labels.
@@ -28,9 +29,9 @@ from .core import circle_points
 POINT_SPHERE_TOL = 1e-10
 
 
-#: leading rows per slab: the point-sphere reader here and the cyclide
-#: passes of legendre hold one slab of (rows, nt, ...) temporaries at a
-#: time, cache-sized instead of grid-sized
+#: leading rows per slab: the point-sphere reader and the compaction of
+#: a mesh that drops points hold one slab of (rows, nt, ...) temporaries
+#: at a time, cache-sized instead of grid-sized
 _SLAB_ROWS = 16
 
 
@@ -144,15 +145,35 @@ def _grid_mesh(positions: np.ndarray, finite: np.ndarray, periodic_u: bool,
                periodic_theta: bool) -> MeshOutput:
     """Triangle mesh of a (nu, nt) grid of positions (nu, nt, 3): the
     vertices that are not finite are dropped, with every face touching
-    them, and the rest renumbered."""
+    them, and the rest renumbered.
+
+    Where vertices are dropped, the kept ones move to the front of
+    positions, which the mesh then views, and the kept faces, renumbered,
+    to the front of the face array: slab by slab, each slab's rows read
+    before any row after it is written.  So the call holds its output,
+    the renumbering table and one slab.
+    """
     faces = triangulate_grid(finite.shape, periodic_u, periodic_theta)
     vertices, keep = positions.reshape(-1, 3), finite.reshape(-1)
     if keep.all():
         return MeshOutput(vertices, faces)
-    kept = np.flatnonzero(keep)
-    remap = -np.ones(keep.size, dtype=int)
-    remap[kept] = np.arange(kept.size)
-    return MeshOutput(vertices[kept], remap[faces[keep[faces].all(axis=1)]])
+    # the new index of every kept vertex
+    remap = np.cumsum(keep)
+    remap -= 1
+    step = _SLAB_ROWS * finite.shape[1]
+    count = 0
+    for start in range(0, keep.size, step):
+        block = vertices[start:start + step][keep[start:start + step]]
+        vertices[count:count + len(block)] = block
+        count += len(block)
+    count_faces = 0
+    for start in range(0, len(faces), 2 * step):
+        block = faces[start:start + 2 * step]
+        block = block[keep[block].all(axis=1)]
+        np.take(remap, block, out=block)
+        faces[count_faces:count_faces + len(block)] = block
+        count_faces += len(block)
+    return MeshOutput(vertices[:count], faces[:count_faces])
 
 
 def mesh_from_grid(grid) -> MeshOutput:

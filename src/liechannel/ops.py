@@ -338,7 +338,8 @@ def execute(config: dict, out_dir) -> dict:
         try:
             ctx.objects[name] = _build(_OBJECT_KINDS[cfg["kind"]], cfg,
                                        ctx.objects)
-        except (GeometryError, ValueError, np.linalg.LinAlgError) as exc:
+        except (GeometryError, ValueError, ArithmeticError,
+                np.linalg.LinAlgError) as exc:
             raise PipelineError(f"objects.{name}", str(exc)) from exc
 
     stages = []
@@ -347,7 +348,7 @@ def execute(config: dict, out_dir) -> dict:
         op = _OPS[stage["op"]]
         try:
             measurements = op.runner()(op.args(stage, ctx.objects), ctx)
-        except (GeometryError, ValueError, KeyError,
+        except (GeometryError, ValueError, KeyError, ArithmeticError,
                 np.linalg.LinAlgError) as exc:
             raise PipelineError(stage["id"], str(exc)) from exc
         checks = [_eval_assertion(a, measurements)

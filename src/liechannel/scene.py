@@ -423,6 +423,9 @@ class _Decl(NamedTuple):
 
 _CURVE = dict(n=_COUNT, u_min=_NUMBER, u_max=_NUMBER, direction=_VEC3,
               origin=_VEC3)
+#: the u-range of the kinds that take u_min and u_max, where the config
+#: leaves them out: channel.line_sphere_curve's defaults
+_U_RANGE = {"u_min": -1.0, "u_max": 1.0}
 _OF_CURVE = {"curve": "curve"}
 
 # line_curve and circle_curve name the radius-0 sphere curves
@@ -558,6 +561,12 @@ def _non_finite(node, path=()) -> list:
 _NAME_KEYS = {"store", "store_prefix", "lambdas"}
 
 
+def _under(name: str, prefix: str) -> bool:
+    """Whether name is one a stage storing under prefix makes at run
+    time: <prefix>_<k>, k a sample index."""
+    return name.startswith(prefix + "_") and name[len(prefix) + 1:].isdigit()
+
+
 def _reference_errors(owner, decl, cfg, defined) -> list:
     """Each reference must name an object defined before it, of the type
     the reference takes; `defined` maps names to types (None when the
@@ -590,11 +599,14 @@ def validate_scene(config) -> list:
         if kind is None:
             errors.append(f"object '{name}': unknown kind '{cfg['kind']}'")
         else:
-            errors += _messages(
-                _schema_errors(_KIND_SCHEMAS[cfg["kind"]], cfg),
-                ("objects", name))
+            kind_errors = _schema_errors(_KIND_SCHEMAS[cfg["kind"]], cfg)
+            errors += _messages(kind_errors, ("objects", name))
             errors += _reference_errors(f"object '{name}'", kind, cfg,
                                         defined)
+            low, high = (cfg.get(key, _U_RANGE[key]) for key in _U_RANGE)
+            if not kind_errors and "u_min" in kind.params and low >= high:
+                errors.append(f"object '{name}': u_min {low} must be below "
+                              f"u_max {high}")
         defined[name] = kind.makes if kind else None
 
     prefixes = {}
@@ -614,17 +626,24 @@ def validate_scene(config) -> list:
         # a bad parameter elsewhere must not hide what the stage stores,
         # or every later stage using it reports an undefined reference
         if not _NAME_KEYS & {path[0] for path, _ in stage_errors if path}:
-            stores = op.stores(stage)
+            stores, made = op.stores(stage), op.prefixes(stage)
             errors += [f"stage '{sid}': stores '{name}', which is already "
                        "defined" for name in stores if name in defined]
+            errors += [f"stage '{sid}': stores '{name}', a name under the "
+                       f"prefix '{p}' of an earlier stage"
+                       for name in stores for p in prefixes
+                       if _under(name, p)]
+            errors += [f"stage '{sid}': prefix '{p}' would name '{name}', "
+                       "which is already defined"
+                       for p in made for name in defined if _under(name, p)]
             defined.update(stores)
-            prefixes.update(op.prefixes(stage))
+            prefixes.update(made)
 
     outputs = config.get("outputs", {})
     for entry in outputs.get("meshes", []):
         name, where = entry["object"], f"mesh output '{entry['path']}'"
         types = [defined[name]] if name in defined else [
-            made for p, made in prefixes.items() if name.startswith(p + "_")]
+            made for p, made in prefixes.items() if _under(name, p)]
         if not types:
             errors.append(f"{where}: object '{name}' is never defined")
         elif types[0] not in ("grid", "cyclide"):

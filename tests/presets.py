@@ -1,4 +1,4 @@
-"""Analytic sample surfaces for the tests.
+"""Analytic sample surfaces for the tests, and the tests' memory probe.
 
 Each builder returns (points, normals, u_values, theta_values, periodic_u,
 periodic_theta) with points/normals of shape (n_u, n_theta, 3) and unit
@@ -8,7 +8,20 @@ the ellipsoid).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes traced by tracemalloc during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def _open_range(lo: float, hi: float, n: int) -> np.ndarray:

@@ -199,11 +199,10 @@ def test_no_two_object_kinds_run_the_same_constructor():
 
 
 #: the only places that call a stencil (module, enclosing function): the
-#: grid's own difference and the splitting pass's open u-difference over
-#: its halo window, and the u-derivatives of sphere curves and of the
-#: special lift
+#: grid's own difference, which the slab passes apply to their halo
+#: windows too, and the u-derivatives of sphere curves and of the special
+#: lift
 STENCIL_CALLERS = {("legendre", "LegendreGrid.diff"),
-                   ("legendre", "_split_cyclides"),
                    ("channel", "SphereCurve.derivative"),
                    ("channel", "omega0_form")}
 

@@ -4,7 +4,6 @@ parameter lines."""
 
 import dataclasses
 import functools
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,7 +36,6 @@ from liechannel.legendre import (
     make_legendre_from_surface,
     spherical_line_residuals,
     validate_legendre,
-    _directional_derivative,
     _quotient_frames,
 )
 from liechannel.transforms import (
@@ -221,7 +219,7 @@ def test_derived_data_is_computed_once_and_read_only():
 def test_quotient_frame_is_orthogonal_to_the_element(name, kw):
     grid = (transform_grid if name in ("darboux", "calapso")
             else preset_grid)(name, **kw)
-    w_basis = _quotient_frames(grid)
+    w_basis = _quotient_frames(grid.sigma, grid.tau)
     element = np.stack([grid.sigma, grid.tau], axis=-2)
     element = element / np.linalg.norm(element, axis=-1, keepdims=True)
     gram = w_basis @ np.swapaxes(w_basis, -1, -2)
@@ -260,7 +258,8 @@ def test_quotient_frames_match_the_svd_on_random_elements(sine):
                         mix[..., 1, :1] * point + mix[..., 1, 1:] * plane,
                         np.arange(8.0), np.arange(50.0))
     reference, svals = oracles.element_complement(grid.sigma, grid.tau)
-    diff = projector(_quotient_frames(grid)) - projector(reference)
+    diff = projector(_quotient_frames(grid.sigma, grid.tau)) - projector(
+        reference)
     bound = 1e-14 * svals[..., 0] / svals[..., 3]
     assert np.all(np.max(np.abs(diff), axis=(-2, -1)) <= bound)
 
@@ -277,7 +276,7 @@ def test_degenerate_elements_fail_without_a_warning(where):
                         base.periodic_u, base.periodic_theta)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w_basis = _quotient_frames(grid)
+        w_basis = _quotient_frames(grid.sigma, grid.tau)
         report = validate_legendre(grid)
         channel = is_channel(grid)
     degenerate = np.all(grid.tau == grid.sigma, axis=-1)
@@ -335,7 +334,8 @@ def rejection_from_element(grid, data):
     mask = interior_mask(grid.shape, grid.periodic_u, grid.periodic_theta, margin)
     worst = 0.0
     for field, direction in ((data.s1, data.dir1), (data.s2, data.dir2)):
-        dv = _directional_derivative(field, direction, grid)
+        dv = (direction[..., :1] * grid.diff(field, 0)
+              + direction[..., 1:] * grid.diff(field, 1))
         rhs = np.einsum("...kd,...d->...k", a, dv)[..., None]
         coef = np.linalg.solve(gram, rhs)[..., 0]
         rej = dv - np.einsum("...k,...kd->...d", coef, a)
@@ -432,12 +432,21 @@ TORUS_S2 = [np.eye(6)[2], np.array([0, 0, 0, 1.0, 0.0, 1.0]),
             np.array([0, 0, 0, 0.0, 1.0, 2.0])]
 
 
+def one_slab(grid):
+    """(rows, window, inner) of the single u-slab that _u_slabs makes of a
+    whole grid, when the slab constant exceeds the grid: each slab pass's
+    whole-grid reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(legendre_module, "_SLAB_POINTS", 2 ** 62)
+        (slab,) = legendre_module._u_slabs(grid)
+    return slab
+
+
 def whole_grid_bases(grid):
     """(b1, b2_jet, usable) of the splitting pass's seam on every u-row of
     a grid at once."""
-    data = curvature_data(grid)
-    return legendre_module._split_bases(
-        grid, data, legendre_module._split_jets(grid, data), slice(None))
+    return legendre_module._split_bases(grid, curvature_data(grid),
+                                        *one_slab(grid))
 
 
 def split_bases(name, **kw):
@@ -480,8 +489,8 @@ def test_split_agreement_measures_a_planted_tilt(eps, monkeypatch):
     # itself reads about 1e-13)
     bases = legendre_module._split_bases
 
-    def tilted(grid, data, jets, rows):
-        b1, b2_jet, usable = bases(grid, data, jets, rows)
+    def tilted(*args):
+        b1, b2_jet, usable = bases(*args)
         return b1, b2_jet + eps * SIGNS * b1, usable
 
     monkeypatch.setattr(legendre_module, "_split_bases", tilted)
@@ -596,18 +605,21 @@ def _split_by_whole_grid(grid, b1, b2_jet, usable):
 def test_split_slabs_match_the_whole_grid_pass(name, kw, edges_only,
                                                monkeypatch):
     # bit for bit, on the pass's own mask and on one that keeps only rows
-    # beside the first two u-slab boundaries and the grid's ends, so that
-    # every coupling is read where a slab's halo, a one-sided open end or
-    # the periodic wrap supplies the u-difference; the bases the pass
-    # builds slab by slab are the whole-grid seam's rows
+    # beside the first u-slab boundaries (16-row slabs for the bases,
+    # 8-row ones for the projectors) and the grid's ends, so that every
+    # coupling is read where a slab's halo, a one-sided open end or the
+    # periodic wrap supplies the u-difference; the bases the pass builds
+    # slab by slab are the whole-grid seam's rows
     bases = legendre_module._split_bases
-    slab = legendre_module._SLAB_ROWS
-    edge_rows = [0, 1, 2, -3, -2, -1] + [edge + k for edge in (slab, 2 * slab)
-                                         for k in (-2, -1, 0, 1, 2)]
+    slab = 16
+    monkeypatch.setattr(legendre_module, "_SLAB_POINTS", slab * kw["n_theta"])
+    edge_rows = [0, 1, 2, -3, -2, -1] + [
+        edge + k for edge in (slab // 2, slab, 2 * slab)
+        for k in (-2, -1, 0, 1, 2)]
     built = []
 
-    def planted(grid, data, jets, rows):
-        b1, b2_jet, usable = bases(grid, data, jets, rows)
+    def planted(grid, data, rows, window, inner):
+        b1, b2_jet, usable = bases(grid, data, rows, window, inner)
         if edges_only:
             keep = np.zeros(grid.shape[0], dtype=bool)
             keep[[r for r in edge_rows if r < len(keep)]] = True
@@ -678,32 +690,124 @@ def test_negative_block_gram_matches_eigvalsh(seed, high, low, offsets):
 
 
 def test_split_pass_memory_stays_under_two_projector_fields():
-    # the pass builds the projector field and both 2-jet bases slab by
-    # slab: no (nu, nt, 6, 6) field, nor a gather of one, is ever whole,
-    # and of the (nu, nt, 3, 6) stacks only b1 is: about 60 doubles per
-    # point, where whole-grid b1 and b2_jet take 96
+    # the pass builds the 2-jets, both bases, the projector field and its
+    # differences slab by slab: no (nu, nt, 6, 6) field, nor a gather of
+    # one, is ever whole, and of the (nu, nt, 3, 6) stacks only b1 is:
+    # about 45 doubles per point (60 with whole-grid 2-jets, 96 with
+    # whole-grid b1 and b2_jet too), against 72 for two projector fields
     grid = make_legendre_from_surface(*presets.torus_surface(n_u=128, n_theta=128))
     curvature_data(grid)
-    tracemalloc.start()
-    try:
-        lie_cyclide_split(grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 128 * 128 * 6 * 6 * 8
+    _, peak = presets.traced_peak(lambda: lie_cyclide_split(grid))
+    assert peak <= 48 * 128 * 128 * 8
 
 
 def test_quotient_frames_memory_stays_under_64_doubles_per_point():
-    # the closed form needs about 40 doubles per point; completing the
+    # the closed form needs about 40 doubles per point of the frames it
+    # is given (the passes give it one u-slab at a time); completing the
     # 4 x 6 stacks with orthonormal_rows takes 146
     grid = make_legendre_from_surface(*presets.torus_surface(n_u=128, n_theta=128))
-    tracemalloc.start()
-    try:
-        _quotient_frames(grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = presets.traced_peak(
+        lambda: _quotient_frames(grid.sigma, grid.tau))
     assert peak <= 64 * 128 * 128 * 8
+
+
+@pytest.mark.parametrize("kernel, bound", [(validate_legendre, 40),
+                                           (curvature_data, 40)])
+def test_validation_and_curvature_hold_one_slab(kernel, bound):
+    # each slab differences its frames and builds its quotient frames,
+    # solder form or quadratic, roots and kernel spheres; only the
+    # reductions and the (nu, nt, 16) fields before alignment are
+    # whole-grid: about 21 and 35 doubles per point on a 160^2 envelope,
+    # where the whole-grid passes took 92 and 106 (94 when the quotient
+    # frames were kept from validation)
+    n = 160
+    grid = envelope(line_sphere_curve(n=n), n_theta=n)
+    _, peak = presets.traced_peak(lambda: kernel(grid))
+    assert peak <= bound * n * n * 8
+
+
+@functools.lru_cache(maxsize=None)
+def slab_test_grid(kind):
+    """A cylinder open in u (41 rows) or a torus periodic in u (32 rows),
+    12 samples round."""
+    if kind == "open":
+        return preset_grid("cylinder", n_u=41, n_theta=12)
+    return preset_grid("torus", n_u=32, n_theta=12)
+
+
+def legendre_passes(grid):
+    """(validation, curvature, rates) of a fresh copy of grid, so that
+    nothing is read from the grid's memo."""
+    grid = LegendreGrid(grid.sigma, grid.tau, grid.u_values,
+                        grid.theta_values, grid.periodic_u,
+                        grid.periodic_theta)
+    report = validate_legendre(grid)
+    data = curvature_data(grid)
+    rates = channel_verdict(grid).rates
+    return ([report.isotropy, report.contact, report.immersion,
+             report.passed],
+            [data.s1, data.s2, data.dir1, data.dir2, data.umbilic],
+            [rates["dir1"], rates["dir2"]])
+
+
+@pytest.mark.parametrize("kind", ["open", "periodic"])
+@pytest.mark.parametrize("rows", [2, 5, 16])
+@pytest.mark.parametrize("nan_at", [None, (20, 3)])
+def test_legendre_slabs_match_the_whole_grid_pass(kind, rows, nan_at,
+                                                  monkeypatch):
+    # bit for bit against one slab of the whole grid: slabs of 2 rows put
+    # every u-row beside a slab boundary, where the halo supplies the
+    # u-differences; 41 rows and 32 rows in slabs of 5 end in a partial
+    # slab, and the grid is open in u or periodic across the wrap.  One
+    # NaN in one slab must read as the whole-grid max and min read it
+    grid = slab_test_grid(kind)
+    if nan_at is not None:
+        sigma = np.array(grid.sigma)
+        sigma[nan_at] = np.nan
+        grid = LegendreGrid(sigma, grid.tau, grid.u_values,
+                            grid.theta_values, grid.periodic_u,
+                            grid.periodic_theta)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(legendre_module, "_SLAB_POINTS", 2 ** 62)
+        whole = legendre_passes(grid)
+    monkeypatch.setattr(legendre_module, "_SLAB_POINTS", rows * 12)
+    nu = grid.shape[0]
+    assert len(list(legendre_module._u_slabs(grid))) == -(-nu // rows)
+    got = legendre_passes(grid)
+    for got_part, whole_part in zip(got, whole):
+        for a, b in zip(got_part, whole_part):
+            assert np.array_equal(a, b, equal_nan=True)
+    # a NaN reads as NaN isotropy and contact (and immersion 0, where the
+    # solder form's Gram has no positive eigenvalue) and fails the grid
+    assert got[0][3] == (nan_at is None)
+    assert np.isnan(got[0][:2]).all() == (nan_at is not None)
+
+
+def test_each_pass_differences_each_field_once_per_slab(monkeypatch):
+    # stencil applications on 6-vector fields, per u-slab: validation
+    # differences the unit sigma and tau along u and theta, curvature
+    # extraction the raw ones, the rates s1 and s2, and the splitting the
+    # first, second and mixed differences of s1 and s2 for its 2-jets
+    calls = []
+    apply = stencils._apply
+
+    def counting(arr, *args):
+        if np.ndim(arr) == 3 and np.shape(arr)[-1] == 6:
+            calls.append(np.shape(arr))
+        return apply(arr, *args)
+
+    monkeypatch.setattr(stencils, "_apply", counting)
+    grid = make_legendre_from_surface(*presets.torus_surface(n_u=64,
+                                                             n_theta=128))
+    slabs = len(list(legendre_module._u_slabs(grid)))
+    assert slabs == 2
+    counts = []
+    for kernel in (validate_legendre, curvature_data, channel_verdict,
+                   lie_cyclide_split):
+        del calls[:]
+        kernel(grid)
+        counts.append(len(calls))
+    assert counts == [4 * slabs, 4 * slabs, 4 * slabs, 10 * slabs]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -1,7 +1,6 @@
 """Tests for point-sphere extraction, triangulation and OBJ export."""
 
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,7 +181,8 @@ def test_compact_mesh_drops_and_renumbers():
     faces = triangulate_grid((3, 3))
     finite = np.ones((3, 3), dtype=bool)
     finite[0, 0] = False
-    out = _grid_mesh(positions, finite, False, False)
+    # the kept vertices move to the front of the positions given
+    out = _grid_mesh(positions.copy(), finite, False, False)
     np.testing.assert_array_equal(out.vertices, positions.reshape(9, 3)[1:])
     assert out.faces.shape == (6, 3)           # the corner quad's 2 faces gone
     # each kept face names the same vertices, renumbered past the corner
@@ -299,12 +299,7 @@ def test_mesh_refuses_faces_that_are_not_vertex_triples():
 def test_obj_writer_memory_stays_bounded():
     (cyclide,), _ = cyclides_of(TORUS_SPACE)
     mesh = cyclide_mesh(cyclide, n_a=256, n_b=256)
-    tracemalloc.start()
-    try:
-        export_obj(mesh, os.devnull)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = presets.traced_peak(lambda: export_obj(mesh, os.devnull))
     assert peak < 2 * 2 ** 20
 
 
@@ -317,16 +312,38 @@ def test_mesh_builders_hold_their_output_plus_one_slab():
     for build in (lambda: triangulate_grid((256, 256), True, True),
                   lambda: cyclide_mesh(cyclide, n_a=256, n_b=256),
                   lambda: mesh_from_grid(grid)):
-        tracemalloc.start()
-        try:
-            out = build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = presets.traced_peak(build)
         held = (out.nbytes if isinstance(out, np.ndarray)
                 else out.vertices.nbytes + out.faces.nbytes)
         assert held >= 3 * 2 ** 20
         assert peak < held + 2 ** 20, (peak, held)
+
+
+def test_dropping_points_holds_the_output_and_one_slab():
+    # a 256 x 256 torus envelope with a point at infinity planted in three
+    # slabs: the mesh is the whole-array formula's bit for bit, and the
+    # call peaks at most 1.5 times its output (2.9 times when faces and
+    # vertices were filtered and renumbered as whole-array copies)
+    grid = envelope(circle_sphere_curve(256, ring_radius=2.0, radius=1.0),
+                    256)
+    sigma, tau = np.array(grid.sigma), np.array(grid.tau)
+    planted = ([1, _SLAB_ROWS + 3, -1], [0, 4, 255])
+    sigma[planted] = INFINITY_VEC
+    tau[planted] = plane_lift([0, 0, 1.0], 0.0)
+    grid = type(grid)(sigma, tau, grid.u_values, grid.theta_values,
+                      grid.periodic_u, grid.periodic_theta)
+    mesh, peak = presets.traced_peak(lambda: mesh_from_grid(grid))
+    positions, finite = grid_point_spheres(sigma, tau)
+    faces = triangulate_grid(finite.shape, True, True)
+    keep = finite.reshape(-1)
+    kept = np.flatnonzero(keep)
+    remap = -np.ones(keep.size, dtype=int)
+    remap[kept] = np.arange(kept.size)
+    assert kept.size == keep.size - 3
+    assert np.array_equal(mesh.vertices, positions.reshape(-1, 3)[kept])
+    assert np.array_equal(mesh.faces,
+                          remap[faces[keep[faces].all(axis=1)]])
+    assert peak <= 1.5 * (mesh.vertices.nbytes + mesh.faces.nbytes)
 
 
 def test_demo_objs_match_the_reference_writer(tmp_path):

@@ -115,6 +115,81 @@ def test_a_stage_may_not_store_over_a_defined_name(tmp_path, store, names):
     assert not (tmp_path / "o").exists()
 
 
+_CYCLIDE_0 = {"id": "late", "op": "darboux", "grid": "cylinder",
+              "omega": "eta", "m": 2.0, "store": "cyclide_0"}
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a later store of a name the congruence's prefix makes at run time
+    (lambda cfg: cfg["pipeline"].append(_CYCLIDE_0),
+     "stage 'late': stores 'cyclide_0', a name under the prefix 'cyclide' "
+     "of an earlier stage"),
+    # a prefix whose names an object or an earlier store already holds
+    (lambda cfg: cfg["objects"].update(
+        cyclide_16={"kind": "line_sphere_curve", "n": 32}),
+     "stage 'tangent-cyclides': prefix 'cyclide' would name 'cyclide_16', "
+     "which is already defined"),
+    (lambda cfg: cfg["pipeline"].insert(5, dict(_CYCLIDE_0,
+                                                store="cyclide_16")),
+     "stage 'tangent-cyclides': prefix 'cyclide' would name 'cyclide_16', "
+     "which is already defined")],
+    ids=["store-after", "object-before", "store-before"])
+def test_a_prefixed_name_may_not_be_stored_twice(tmp_path, edit, message):
+    # congruence_contact stores cyclide_0, cyclide_8, ... under its prefix,
+    # and either store would replace the other's object at run time
+    cfg = demo_config("cylinder-darboux", grid=32)
+    edit(cfg)
+    assert validate_scene(cfg) == [message]
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(cfg))
+    assert main(["check", str(scene_path)]) == 2
+    assert main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("demo, name, u_range", [
+    ("curve-ribaucour", "axis", {"u_min": 0.5, "u_max": 0.5}),
+    ("curve-ribaucour", "offset", {"u_min": 2.0, "u_max": -2.0}),
+    ("cylinder-calapso", "generators", {"u_min": 1.0}),
+    ("cylinder-calapso", "generators", {"u_max": -1.5})])
+def test_an_empty_u_range_exits_2(tmp_path, demo, name, u_range):
+    # line_curve and line_sphere_curve sample np.linspace(u_min, u_max,
+    # n), whose step must be positive; a bound the config leaves out is
+    # the constructor's default
+    cfg = demo_config(demo, grid=32)
+    cfg["objects"][name].update(u_range)
+    low, high = ({**scene._U_RANGE, **u_range}[key]
+                 for key in ("u_min", "u_max"))
+    assert validate_scene(cfg) == [
+        f"object '{name}': u_min {low} must be below u_max {high}"]
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(cfg))
+    assert main(["check", str(scene_path)]) == 2
+    assert main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 2
+    for kind in ("line_sphere_curve", "line_curve"):
+        params = inspect.signature(
+            scene._OBJECT_KINDS[kind].runner()).parameters
+        assert {key: params[key].default
+                for key in scene._U_RANGE} == scene._U_RANGE
+
+
+@pytest.mark.parametrize("target", ["ops._op_verify_pair", "ops._line_curve"])
+def test_an_arithmetic_error_exits_one_with_one_line(tmp_path, monkeypatch,
+                                                     capsys, target):
+    # whatever division by zero or overflow escapes validation names its
+    # stage or object, as every other pipeline error does
+    def failing(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(ops, target.split(".")[1], failing)
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(tiny_scene()))
+    assert main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    where = "pair" if target == "ops._op_verify_pair" else "objects.axis"
+    assert err == f"stage '{where}' failed: float division by zero\n"
+
+
 def test_tiny_scene_validates():
     assert validate_scene(tiny_scene()) == []
 
@@ -867,13 +942,16 @@ def _count_grids(monkeypatch, name):
     return grids
 
 
-#: (quotient-frame, splitting) passes of each demo, by grid source
+#: (validation, curvature-extraction, splitting) passes of each demo, by
+#: grid source
 PER_GRID_PASSES = {
-    "cylinder-darboux": (["darboux", "envelope"], ["darboux", "envelope"]),
-    "cylinder-calapso": (["calapso"] * 3 + ["envelope"], []),
-    "torus-cyclide": (["envelope"], ["envelope"]),
-    "helix-channel": (["envelope"], ["envelope"]),
-    "curve-ribaucour": ([], []),
+    "cylinder-darboux": (["darboux", "envelope"], ["darboux", "envelope"],
+                         ["darboux", "envelope"]),
+    "cylinder-calapso": (["calapso"] * 3, ["calapso"] * 3 + ["envelope"],
+                         []),
+    "torus-cyclide": (["envelope"], ["envelope"], ["envelope"]),
+    "helix-channel": (["envelope"], ["envelope"], ["envelope"]),
+    "curve-ribaucour": ([], [], []),
 }
 
 
@@ -881,18 +959,17 @@ PER_GRID_PASSES = {
 def test_each_grid_is_extracted_and_validated_once(tmp_path, monkeypatch,
                                                    name):
     # validation, channel detection, the middle form and the cyclide stage
-    # all read the same per-grid data: one quotient-frame pass per grid
-    # (validation shares the curvature extraction's frames, which depend
-    # only on the element) and at most one splitting pass, shared by the
-    # channel and lie_cyclide ops; the middle form and the calapso op read
-    # only the rate verdict
-    frame_grids = _count_grids(monkeypatch, "_quotient_frames")
-    split_grids = _count_grids(monkeypatch, "_split_cyclides")
+    # all read the same per-grid data: at most one validation pass and one
+    # curvature pass per grid (each builds its own quotient frames, slab
+    # by slab, which no grid keeps) and at most one splitting pass, shared
+    # by the channel and lie_cyclide ops; the middle form and the calapso
+    # op read only the rate verdict
+    passes = [_count_grids(monkeypatch, name) for name in (
+        "_legendre_report", "_extract_curvature", "_split_cyclides")]
     cfg = demo_config(name)
     cfg["outputs"].pop("meshes", None)
     assert run_scene(cfg, tmp_path)["passed"]
-    for grids, expected in zip((frame_grids, split_grids),
-                               PER_GRID_PASSES[name]):
+    for grids, expected in zip(passes, PER_GRID_PASSES[name]):
         assert len({id(grid) for grid in grids}) == len(grids)
         assert sorted(str(grid.metadata.get("source"))
                       for grid in grids) == expected

@@ -6,7 +6,6 @@ lifts, hand-checked pairings) or frozen from a first trusted run; each
 frozen number is recorded next to its assertion.
 """
 
-import tracemalloc
 from functools import lru_cache, partial
 
 import numpy as np
@@ -47,6 +46,8 @@ from liechannel.core import (
 )
 from liechannel.legendre import curvature_data, is_channel, validate_legendre
 from liechannel import transforms as tr
+
+import presets
 
 E1, E4, E5 = np.eye(6)[0], np.eye(6)[3], np.eye(6)[4]
 
@@ -339,7 +340,8 @@ def test_cyclide_slabs_match_the_whole_grid_pass(kind, rows, nan_at,
         sigma[nan_at] = np.nan
         hat = type(hat)(sigma, hat.tau, hat.u_values, hat.theta_values,
                         hat.periodic_u, hat.periodic_theta)
-    monkeypatch.setattr(legendre_module, "_SLAB_ROWS", rows)
+    monkeypatch.setattr(legendre_module, "_SLAB_POINTS",
+                        rows * grid.shape[1])
     rep = tr.ribaucour_cyclides(curve, res.hat_s, f=grid, f_hat=hat)
     got = (rep.duality, rep.theta_constancy, rep.d2_coincidence,
            rep.intersection_rank_ok)
@@ -366,12 +368,8 @@ def test_cyclide_pass_memory_stays_under_64_doubles_per_point():
         curvature_data(surface)
     for sphere_curve in (curve, res.hat_s):
         sphere_curve.derivative(1)
-    tracemalloc.start()
-    try:
-        rep = tr.ribaucour_cyclides(curve, res.hat_s, f=grid, f_hat=res.hat_f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rep, peak = presets.traced_peak(lambda: tr.ribaucour_cyclides(
+        curve, res.hat_s, f=grid, f_hat=res.hat_f))
     assert rep.intersection_rank_ok
     assert peak <= 64 * n * n * 8
 
