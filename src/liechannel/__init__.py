@@ -29,7 +29,7 @@ _EXPORTS = {
         cyclide_point_residual darboux_initial_condition darboux_transform
         dupin_from_spheres dupin_from_subspaces gauge_edge_residual
         ribaucour_cyclides ribaucour_partner_curve verify_ribaucour""",
-    "conformal": """CircleCongruenceReport circle_congruence_report tube
+    "conformal": """CircleCongruenceReport circle_congruence_report
         tube_sphere_curve""",
     "mesh": """MeshOutput cyclide_mesh cyclide_point_grid export_obj
         grid_point_spheres mesh_from_grid triangulate_grid""",

@@ -63,7 +63,8 @@ class SphereCurve:
     from the five-point stencils, each order on its first request
     (fourth order in the interior, since the second derivative feeds the
     osculating-space construction; order two at open ends).  The curve is
-    immutable and its arrays read-only, so each is computed once.
+    immutable and its arrays read-only, so each is computed once.  A
+    sample whose vector or given derivative is not finite is refused.
     """
 
     vectors: np.ndarray
@@ -71,7 +72,6 @@ class SphereCurve:
     periodic_u: bool = False
     d1: Optional[np.ndarray] = None
     d2: Optional[np.ndarray] = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("vectors", "u_values", "d1", "d2"):
@@ -84,6 +84,13 @@ class SphereCurve:
             raise GeometryError("sample count does not match the u-grid")
         if self.vectors.shape[0] < 5:
             raise GeometryError("need at least 5 samples for curve derivatives")
+        finite = np.isfinite(self.vectors).all(axis=1)
+        for given in (self.d1, self.d2):
+            if given is not None:
+                finite &= np.isfinite(given).all(axis=1)
+        if not finite.all():
+            raise GeometryError("curve is not finite at sample "
+                                f"{int(np.argmin(finite))}")
 
     @property
     def du(self) -> float:
@@ -141,7 +148,7 @@ def _lift_jet(c, c1, c2, r, r1, r2):
 
 
 def curve_from_profile(center_fn: Callable, radius, u_values,
-                       periodic_u: bool = False, **metadata) -> SphereCurve:
+                       periodic_u: bool = False) -> SphereCurve:
     """Sphere curve from analytic centre and radius 2-jets.
 
     center_fn(u) must return (c, c', c'') with trailing axis 3; radius is a
@@ -151,8 +158,7 @@ def curve_from_profile(center_fn: Callable, radius, u_values,
     rad = radius(u) if callable(radius) else (
         np.full_like(u, float(radius)), np.zeros_like(u), np.zeros_like(u))
     vectors, d1, d2 = _lift_jet(*center_fn(u), *rad)
-    return SphereCurve(vectors, u, periodic_u=periodic_u, d1=d1,
-                       d2=d2, metadata=dict(metadata))
+    return SphereCurve(vectors, u, periodic_u=periodic_u, d1=d1, d2=d2)
 
 
 def line_sphere_curve(n: int = 64, u_min: float = -1.0, u_max: float = 1.0,
@@ -167,8 +173,7 @@ def line_sphere_curve(n: int = 64, u_min: float = -1.0, u_max: float = 1.0,
         c = o + u[..., None] * d
         return c, np.broadcast_to(d, c.shape).copy(), np.zeros_like(c)
 
-    return curve_from_profile(center, radius, np.linspace(u_min, u_max, n),
-                              source="line")
+    return curve_from_profile(center, radius, np.linspace(u_min, u_max, n))
 
 
 def circle_sphere_curve(n: int = 64, ring_radius: float = 2.0,
@@ -182,7 +187,7 @@ def circle_sphere_curve(n: int = 64, ring_radius: float = 2.0,
         c1 = np.stack([-R * np.sin(u), R * np.cos(u), np.zeros_like(u)], axis=-1)
         return c, c1, -c
     u = np.arange(n) * (2.0 * np.pi / n)
-    return curve_from_profile(center, radius, u, periodic_u=True, source="circle")
+    return curve_from_profile(center, radius, u, periodic_u=True)
 
 
 def helix_sphere_curve(n: int = 64, ring_radius: float = 2.0,
@@ -199,7 +204,7 @@ def helix_sphere_curve(n: int = 64, ring_radius: float = 2.0,
         return c, c1, c2
 
     u = np.linspace(0.0, 2.0 * np.pi * turns, n)
-    return curve_from_profile(center, radius, u, source="helix")
+    return curve_from_profile(center, radius, u)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +290,7 @@ def envelope(curve: SphereCurve, n_theta: int = 64) -> LegendreGrid:
     transported along u so the theta-parametrisation is continuous
     (_transported_frames).  A periodic curve takes one more step, round to
     sample 0; where its normal bundle has holonomy the frames cannot close
-    up, and the grid falls back to an open u-axis with a diagnostic note.
+    up, and the grid falls back to an open u-axis.
     """
     curve.check()
     stacks, ok = osculating_spaces(curve)
@@ -302,23 +307,16 @@ def envelope(curve: SphereCurve, n_theta: int = 64) -> LegendreGrid:
         raise cause(0)
     frames = _transported_frames(perp, frame0, curve.periodic_u)
 
-    metadata = {"source": "envelope"}
     periodic_u = curve.periodic_u
     if periodic_u:
-        mismatch = float(np.max(np.abs(frames[-1] - frame0)))
+        periodic_u = bool(np.max(np.abs(frames[-1] - frame0)) <= HOLONOMY_TOL)
         frames = frames[:-1]
-        metadata["holonomy_mismatch"] = mismatch
-        if mismatch > HOLONOMY_TOL:
-            periodic_u = False
-            metadata["note"] = ("normal-bundle holonomy prevents a periodic "
-                                "grid; falling back to an open u-axis")
 
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     circle = circle_points(frames[:, None], theta)
     sigma = np.broadcast_to(curve.vectors[:, None, :], circle.shape).copy()
     return LegendreGrid(sigma, circle, curve.u_values, theta,
-                        periodic_u=periodic_u, periodic_theta=True,
-                        metadata=metadata)
+                        periodic_u=periodic_u, periodic_theta=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ In Lie sphere geometry a point is a sphere of radius 0, so a space curve
 is the sphere curve of its point spheres: `line_sphere_curve`,
 `circle_sphere_curve` or `curve_from_profile` with radius 0.  No second
 curve type is needed.  The curve's contact lift is the envelope of its
-point spheres, tubes arise by parallel transformation of that lift,
-Ribaucour pairs of curves are `verify_ribaucour` on the point spheres, and
+point spheres, and a tube is the envelope of its tube sphere curve: the
+same spheres with every radius shifted, a parallel transformation, which
+is a Lie sphere transformation.  Ribaucour pairs of curves are
+`verify_ribaucour` on the point spheres, and
 the circle congruence enveloped by such a pair is the lightcone circle of
 their span D1 = {sigma, sigma_hat, sigma'}.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SphereCurve, envelope
+from .channel import SphereCurve
 from .core import (
     GeometryError,
     circle_failure,
@@ -27,8 +29,6 @@ from .core import (
     lightcone_frames,
     parallel_transform_matrix,
 )
-from .legendre import LegendreGrid
-from .mesh import grid_point_spheres
 from .transforms import _d1_spans
 
 #: largest span residual of a Ribaucour pair of curves
@@ -45,50 +45,10 @@ FD_DELTA = 1e-3
 # tubes
 # ---------------------------------------------------------------------------
 
-def tube(curve: SphereCurve, radius: float, n_theta: int = 64) -> LegendreGrid:
-    """Tube of constant radius, by parallel transformation of the lift.
-
-    Moves every frame vector of the curve's contact lift, its envelope,
-    with the radius shift; for a space curve (radius 0) the sphere family
-    of the result is the radius-`radius` sphere curve over the same
-    centres.  Loss of immersion (radius at the scale of the curve's
-    curvature radius) shows in validate_legendre and in the
-    point-immersion metadata rather than being silently accepted.
-    """
-    if radius == 0.0:
-        raise ValueError("tube radius must be nonzero; the curve lift "
-                         "itself is the radius-0 object")
-    base = envelope(curve, n_theta=n_theta)
-    m = parallel_transform_matrix(radius)
-    grid = LegendreGrid(base.sigma @ m.T, base.tau @ m.T, base.u_values,
-                        base.theta_values, periodic_u=base.periodic_u,
-                        periodic_theta=base.periodic_theta,
-                        metadata={"tube_radius": float(radius)})
-
-    # a tube at the curve's curvature radius is still a perfectly good
-    # Legendre map, but its point projection pinches; that is a property
-    # of the Euclidean reading, so it is measured on the point spheres
-    # and reported rather than folded into the contact validation
-    positions, finite = grid_point_spheres(grid.sigma, grid.tau)
-    if finite.all():
-        jacobian = np.stack([grid.diff(positions, 0),
-                             grid.diff(positions, 1)], axis=-1)
-        svals = np.linalg.svd(jacobian, compute_uv=False)
-        point_imm = float(np.min(svals[..., -1]))
-        grid.metadata["point_immersion"] = point_imm
-        if point_imm <= 1e-3 * float(np.median(svals[..., 0])):
-            grid.metadata["regularity_note"] = (
-                "point projection degenerates: the radius is at the scale "
-                "of the curve's curvature radius")
-    else:
-        grid.metadata["regularity_note"] = (
-            "some point spheres are planes; point immersion not measured")
-    return grid
-
-
 def tube_sphere_curve(curve: SphereCurve, radius: float) -> SphereCurve:
     """The tube's sphere curve: the same centres with shifted radius.
 
+    The tube of `radius` about the curve is the envelope of this curve.
     Parallel transformation is linear, so it commutes with u-derivatives:
     the curve's derivatives transport to the tube curve's.  The curve
     must be null and regular (SphereCurve.check).
@@ -97,8 +57,7 @@ def tube_sphere_curve(curve: SphereCurve, radius: float) -> SphereCurve:
     m = parallel_transform_matrix(radius)
     d1, d2 = (curve.derivative(order) @ m.T for order in (1, 2))
     return SphereCurve(curve.vectors @ m.T, curve.u_values,
-                       periodic_u=curve.periodic_u, d1=d1, d2=d2,
-                       metadata={"tube_radius": float(radius)})
+                       periodic_u=curve.periodic_u, d1=d1, d2=d2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ measurements with its excluded mask.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
 
@@ -41,6 +42,9 @@ from .core import (
     unit_rows,
 )
 from .mesh import _pencil_point_spheres
+
+if TYPE_CHECKING:
+    from .channel import Omega0Structure
 
 #: projective gap below which the two curvature spheres count as equal
 UMBILIC_TOL = 1e-6
@@ -174,7 +178,6 @@ class LegendreGrid:
     theta_values: np.ndarray
     periodic_u: bool = False
     periodic_theta: bool = False
-    metadata: dict = field(default_factory=dict)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -206,11 +209,13 @@ class LegendreGrid:
         return stencil(field, h, axis=axis, periodic=periodic)
 
 
-def _memoised(grid: LegendreGrid, key: str, compute):
-    """The grid's stored value under key, computed on first request."""
-    if key not in grid._derived:
-        grid._derived[key] = compute(grid)
-    return grid._derived[key]
+def _memoised(owner: LegendreGrid | Omega0Structure, key: Hashable,
+              compute: Callable):
+    """The value owner keeps under key in its private _derived dict,
+    computed from owner on first request."""
+    if key not in owner._derived:
+        owner._derived[key] = compute(owner)
+    return owner._derived[key]
 
 
 def make_legendre_from_surface(points: np.ndarray, normals: np.ndarray,
@@ -228,7 +233,6 @@ def make_legendre_from_surface(points: np.ndarray, normals: np.ndarray,
         theta_values=theta_values,
         periodic_u=periodic_u,
         periodic_theta=periodic_theta,
-        metadata={"source": "surface"},
     )
 
 

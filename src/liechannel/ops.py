@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (SphereCurve, circle_sphere_curve, conserved_quantity,
-                      line_sphere_curve, omega0_form)
+                      envelope, line_sphere_curve, omega0_form)
 from .conformal import circle_congruence_report, tube_sphere_curve
 from .core import (DIM, GeometryError, circle_points, containment_gap,
                    first_failure, inner, unit_rows)
-from .legendre import (channel_verdict, curvature_data, is_channel,
-                       lie_cyclide_split, spherical_line_residuals,
-                       validate_legendre)
+from .legendre import (LegendreGrid, channel_verdict, curvature_data,
+                       is_channel, lie_cyclide_split,
+                       spherical_line_residuals, validate_legendre)
 from .mesh import (_pencil_point_spheres, cyclide_mesh, cyclide_point_grid,
                    export_obj, mesh_from_grid)
 from .scene import _OBJECT_KINDS, _OPS, REPORT_SCHEMA, PipelineError
@@ -47,6 +47,13 @@ _line_curve = functools.partial(line_sphere_curve, radius=0.0)
 def _ring_curve(n: int = 64, radius: float = 2.0) -> SphereCurve:
     """The point spheres of a round circle of `radius` in the xy-plane."""
     return circle_sphere_curve(n, ring_radius=radius, radius=0.0)
+
+
+def _tube(curve: SphereCurve, radius: float,
+          n_theta: int = 64) -> LegendreGrid:
+    """The tube of `radius` about a curve: the envelope of its tube sphere
+    curve (the tube's spheres are the curve's, parallel transformed)."""
+    return envelope(tube_sphere_curve(curve, radius), n_theta)
 
 
 def _build(kind, cfg, objects):
@@ -137,8 +144,8 @@ def _op_darboux(args, ctx):
     ctx.objects[args["store"] + "_spheres"] = result.hat_s
     out = {"m": float(args["m"]), "null_drift": result.null_drift,
            "validation_passed": validate_legendre(result.hat_f).passed}
-    if "holonomy_mismatch" in result.hat_f.metadata:
-        out["holonomy_mismatch"] = result.hat_f.metadata["holonomy_mismatch"]
+    if result.holonomy_mismatch is not None:
+        out["holonomy_mismatch"] = result.holonomy_mismatch
     return out
 
 

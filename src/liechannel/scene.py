@@ -444,8 +444,8 @@ _OBJECT_KINDS = {
     "circle_curve": _Decl("ops._ring_curve",
                           params=dict(n=_COUNT, radius=_NUMBER),
                           makes="curve"),
-    "tube": _Decl("conformal.tube", refs=_OF_CURVE, required=("radius",),
-                  params=dict(radius=_NUMBER, n_theta=_COUNT), makes="grid"),
+    "tube": _Decl("ops._tube", refs=_OF_CURVE, required=("radius",),
+                  params=dict(radius=_NONZERO, n_theta=_COUNT), makes="grid"),
     "tube_sphere_curve": _Decl("conformal.tube_sphere_curve", refs=_OF_CURVE,
                                required=("radius",),
                                params=dict(radius=_NUMBER), makes="curve"),

@@ -54,7 +54,7 @@ from .core import (
     unit_rows,
     wedge_matrix,
 )
-from .legendre import LegendreGrid, _u_slabs, curvature_data
+from .legendre import LegendreGrid, _memoised, _u_slabs, curvature_data
 
 #: relative pairing with sigma1 an admissible initial condition clears
 MIN_PAIRING = 0.05
@@ -118,11 +118,8 @@ def _edge_connection(vectors, d1, du: float, periodic: bool, substeps: int):
 
 def _omega_connection(omega: Omega0Structure, substeps: int):
     """_edge_connection of sigma1 (eta), once per structure and substeps."""
-    key = ("magnus", substeps)
-    if key not in omega._derived:
-        omega._derived[key] = _edge_connection(
-            omega.sigma1, omega.dsigma1, omega.du, omega.periodic_u, substeps)
-    return omega._derived[key]
+    return _memoised(omega, ("magnus", substeps), lambda o: _edge_connection(
+        o.sigma1, o.dsigma1, o.du, o.periodic_u, substeps))
 
 
 def _flow(terms, y0: np.ndarray, coeff: float) -> np.ndarray:
@@ -166,6 +163,7 @@ class DarbouxResult:
     hat_s: SphereCurve             # the parallel section as a sphere curve
     hat_f: LegendreGrid
     null_drift: float
+    holonomy_mismatch: Optional[float]   # seam gap on a periodic base
 
 
 def darboux_initial_condition(rows: np.ndarray, sigma1_0: np.ndarray,
@@ -234,7 +232,7 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
     d1 = -m * np.einsum("kij,kj->ki", omega.eta_u, phi)
     hat_s = SphereCurve(phi, grid.u_values,
                         periodic_u=seam is not None and seam <= HOLONOMY_TOL,
-                        d1=d1, metadata={"source": "darboux", "m": m})
+                        d1=d1)
 
     a = inner(grid.sigma, phi[:, None, :])       # (nu, nt)
     b = inner(grid.tau, phi[:, None, :])
@@ -252,11 +250,9 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
     hat_f = LegendreGrid(s0, np.broadcast_to(phi[:, None, :], s0.shape),
                          grid.u_values, grid.theta_values,
                          periodic_u=hat_s.periodic_u,
-                         periodic_theta=grid.periodic_theta,
-                         metadata={"source": "darboux", "m": m})
-    if seam is not None:
-        hat_f.metadata["holonomy_mismatch"] = seam
-    return DarbouxResult(hat_s=hat_s, hat_f=hat_f, null_drift=hat_s.nullity())
+                         periodic_theta=grid.periodic_theta)
+    return DarbouxResult(hat_s=hat_s, hat_f=hat_f, null_drift=hat_s.nullity(),
+                         holonomy_mismatch=seam)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +291,7 @@ def calapso_transform(grid: LegendreGrid, omega: Omega0Structure, lam: float,
     tau = np.einsum("kab,kjb->kja", t, grid.tau)
     out = LegendreGrid(sigma, tau, grid.u_values, grid.theta_values,
                        periodic_u=False,
-                       periodic_theta=grid.periodic_theta,
-                       metadata={"source": "calapso", "lambda": lam})
+                       periodic_theta=grid.periodic_theta)
     return gauge, out
 
 
@@ -399,8 +394,7 @@ def ribaucour_partner_curve(s: SphereCurve, beta: float,
     out = _flow(_edge_connection(s.vectors, d1, s.du, False, SUBSTEPS),
                 y, beta)
     d1_out = beta * np.einsum("kij,kj->ki", wedge_matrix(s.vectors, d1), out)
-    return SphereCurve(out, s.u_values, d1=d1_out,
-                       metadata={"source": "ribaucour-partner"})
+    return SphereCurve(out, s.u_values, d1=d1_out)
 
 
 # ---------------------------------------------------------------------------

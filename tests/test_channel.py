@@ -109,6 +109,14 @@ def test_curve_shape_guards():
         ch.SphereCurve(np.zeros((32, 5)), np.linspace(0, 1, 32))
     with pytest.raises(GeometryError):
         ch.SphereCurve(np.zeros((4, 6)), np.linspace(0, 1, 4))
+    with pytest.raises(GeometryError, match="not finite at sample 0$"):
+        ch.SphereCurve(np.full((32, 6), np.nan), np.linspace(0, 1, 32))
+    # a non-finite derivative passed in is refused as a sample is
+    curve = ch.line_sphere_curve(32)
+    d1 = curve.derivative(1).copy()
+    d1[7, 2] = np.inf
+    with pytest.raises(GeometryError, match="not finite at sample 7$"):
+        ch.SphereCurve(curve.vectors, curve.u_values, d1=d1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +198,10 @@ def test_zero_tube_s2_family_is_planes_through_the_axis():
 def test_torus_envelope_closes_periodically():
     curve, grid = torus_envelope()
     assert grid.periodic_u
-    assert grid.metadata["holonomy_mismatch"] <= 1e-10   # measured 1.4e-15
+    # the circle frame carried once round the torus returns to itself
+    perp = complement_rows(ch.osculating_spaces(curve)[0])
+    frames = ch._transported_frames(perp, lightcone_frames(perp[0])[0], True)
+    assert np.max(np.abs(frames[-1] - frames[0])) <= 1e-10  # measured 1.4e-15
     assert validate_legendre(grid).passed
     assert is_channel(grid).circular_dir == "both"
 
@@ -501,7 +512,8 @@ def test_envelope_carries_every_frame_as_the_stepwise_reference(curve, bound):
     # one prefix product and one Gram-Schmidt per fibre give the frames
     # that a Gram-Schmidt after every step gives, here the per-step
     # reference in extended precision; a periodic curve's last frame, one
-    # step round to fibre 0, measures the holonomy
+    # step round to fibre 0, measures the holonomy, and the envelope stays
+    # periodic exactly where that closes to HOLONOMY_TOL
     perp = complement_rows(ch.osculating_spaces(curve)[0])
     frames = ch._transported_frames(perp, lightcone_frames(perp[0])[0],
                                     curve.periodic_u)
@@ -510,10 +522,10 @@ def test_envelope_carries_every_frame_as_the_stepwise_reference(curve, bound):
     assert frames.shape == expected.shape
     assert np.max(np.abs(frames - expected)) <= bound * scale
     if curve.periodic_u:
-        grid = ch.envelope(curve, 4)
         mismatch = float(np.max(np.abs(expected[-1] - expected[0])))
-        got = grid.metadata["holonomy_mismatch"]
+        got = float(np.max(np.abs(frames[-1] - frames[0])))
         assert abs(got - mismatch) <= bound * scale
+        assert ch.envelope(curve, 4).periodic_u == (got <= ch.HOLONOMY_TOL)
 
 
 @pytest.mark.parametrize("n", [256, 1024])

@@ -200,8 +200,6 @@ def test_grid_attributes_cannot_be_reassigned():
         grid.sigma = np.zeros_like(grid.sigma)
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.periodic_u = True
-    grid.metadata["note"] = "metadata stays a plain dict"
-    del grid.metadata["note"]
 
 
 def test_derived_data_is_computed_once_and_read_only():

@@ -357,6 +357,17 @@ def test_demo_objs_match_the_reference_writer(tmp_path):
             assert path.read_bytes() == reference_obj_bytes(verts, faces)
 
 
+def test_curve_ribaucour_tubes_sit_on_their_cylinders(tmp_path):
+    # unit tubes about the z-axis and about its parallel through (2, 0, 0)
+    report = run_scene(demo_config("curve-ribaucour"), tmp_path)
+    axes = {"tube-a.obj": (0.0, 0.0), "tube-b.obj": (2.0, 0.0)}
+    assert sorted(entry["path"] for entry in report["meshes"]) == sorted(axes)
+    for path, (x, y) in axes.items():
+        verts, _ = load_obj(tmp_path / path)
+        dist = np.hypot(verts[:, 0] - x, verts[:, 1] - y)
+        assert np.max(np.abs(dist - 1.0)) <= 1e-12   # measured 4.0e-15
+
+
 # -- cyclide sampling -----------------------------------------------------------
 
 # sphere space of the ring-2/tube-1 torus, worked out by hand: the tube

@@ -27,6 +27,7 @@ from liechannel.channel import (
     line_sphere_curve,
 )
 from liechannel.cli import main
+from liechannel.conformal import tube_sphere_curve
 from liechannel.demos import demo_config, demo_names
 from liechannel.scene import (
     PipelineError,
@@ -173,21 +174,43 @@ def test_an_empty_u_range_exits_2(tmp_path, demo, name, u_range):
                 for key in scene._U_RANGE} == scene._U_RANGE
 
 
-@pytest.mark.parametrize("target", ["ops._op_verify_pair", "ops._line_curve"])
-def test_an_arithmetic_error_exits_one_with_one_line(tmp_path, monkeypatch,
-                                                     capsys, target):
-    # whatever division by zero or overflow escapes validation names its
-    # stage or object, as every other pipeline error does
-    def failing(*args, **kwargs):
-        raise ZeroDivisionError("float division by zero")
+def _demo_with(demo, path, value):
+    """A demo config at grid 32 with the entry at path set to value."""
+    cfg = demo_config(demo, grid=32)
+    _node(cfg, path[:-1])[path[-1]] = value
+    return cfg
 
-    monkeypatch.setattr(ops, target.split(".")[1], failing)
+
+def _dividing_by_zero(*args, **kwargs):
+    raise ZeroDivisionError("float division by zero")
+
+
+@pytest.mark.parametrize("config, runner, error", [
+    (tiny_scene, "_op_verify_pair",
+     "stage 'pair' failed: float division by zero"),
+    (tiny_scene, "_line_curve",
+     "stage 'objects.axis' failed: float division by zero"),
+    (lambda: _demo_with("curve-ribaucour", ("objects", "tube_a", "radius"),
+                        1e200), None,
+     "stage 'objects.tube_a' failed: curve is not finite at sample 0"),
+    (lambda: _demo_with("cylinder-darboux", ("pipeline", 4, "m"), 1e300),
+     None, "stage 'darboux' failed: curve is not finite at sample 1")],
+    ids=["ops._op_verify_pair", "ops._line_curve", "huge-tube-radius",
+         "huge-darboux-m"])
+def test_an_arithmetic_error_exits_one_with_one_line(tmp_path, monkeypatch,
+                                                     capsys, config, runner,
+                                                     error):
+    # whatever division by zero or overflow escapes validation names its
+    # stage or object, as every other pipeline error does: an ops runner
+    # made to divide by zero, or a parameter so large that the tube sphere
+    # curve or the Darboux section overflows, which the sphere curve
+    # refuses where it is built
+    if runner is not None:
+        monkeypatch.setattr(ops, runner, _dividing_by_zero)
     scene_path = tmp_path / "scene.json"
-    scene_path.write_text(json.dumps(tiny_scene()))
+    scene_path.write_text(json.dumps(config()))
     assert main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    where = "pair" if target == "ops._op_verify_pair" else "objects.axis"
-    assert err == f"stage '{where}' failed: float division by zero\n"
+    assert capsys.readouterr().err == error + "\n"
 
 
 def test_tiny_scene_validates():
@@ -297,6 +320,9 @@ _BROKEN = {
                                 "hat_spheres"),
     "n-of-a-grid-mesh": ("cylinder-darboux", ("outputs", "meshes", 1, "n"),
                          32),
+    # a radius-0 tube would be the curve's own lift
+    "zero-tube-radius": ("curve-ribaucour", ("objects", "tube_a", "radius"),
+                         0.0),
 }
 
 
@@ -629,7 +655,7 @@ def test_pipeline_failure_names_the_stage(tmp_path):
 
 def test_object_build_failure_names_the_object(tmp_path):
     cfg = tiny_scene()
-    cfg["objects"]["tube_a"]["radius"] = 0.0
+    cfg["objects"]["tube_a"]["radius"] = 1e200
     with pytest.raises(PipelineError, match="objects.tube_a"):
         run_scene(cfg, tmp_path)
 
@@ -661,6 +687,20 @@ def test_space_curve_kinds_are_radius_0_sphere_curves():
     grid = envelope(expected, n_theta=16)
     assert np.array_equal(lift.sigma, grid.sigma)
     assert np.array_equal(lift.tau, grid.tau)
+
+
+@pytest.mark.parametrize("curve", [
+    line_sphere_curve(24, radius=0.0, origin=(2.0, 0.0, 0.0)),
+    circle_sphere_curve(24, ring_radius=2.0, radius=0.0)],
+    ids=["line", "circle"])
+def test_a_tube_is_the_envelope_of_its_tube_sphere_curve(curve):
+    grid = _built({"kind": "tube", "curve": "c", "radius": 0.5,
+                   "n_theta": 12}, {"c": curve})
+    want = envelope(tube_sphere_curve(curve, 0.5), 12)
+    assert np.array_equal(grid.sigma, want.sigma)
+    assert np.array_equal(grid.tau, want.tau)
+    assert grid.periodic_u == want.periodic_u == curve.periodic_u
+    assert grid.periodic_theta and want.periodic_theta
 
 
 def test_curve_ops_take_any_sphere_curve(tmp_path):
@@ -862,6 +902,21 @@ def test_each_circle_family_takes_one_eigh_call(config, expected, tmp_path,
     assert len(calls) == expected
 
 
+def test_curve_ribaucour_takes_no_svd(tmp_path, monkeypatch):
+    # its tubes are envelopes, which measure nothing by SVD
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    cfg = demo_config("curve-ribaucour")
+    assert run_scene(cfg, tmp_path)["meshes"]
+    assert calls == []
+
+
 def test_calapso_takes_one_solve_per_lambda_and_no_inverse(tmp_path,
                                                            monkeypatch):
     # each flow's Magnus-Pade increments come from one batched solve, and
@@ -942,6 +997,27 @@ def _count_grids(monkeypatch, name):
     return grids
 
 
+def _label_grids(monkeypatch):
+    """(grid, source) of every grid an envelope, a Darboux or a Calapso
+    transform makes, in order."""
+    sources = []
+
+    def label(module, name, source, grid_of):
+        make = getattr(module, name)
+
+        def labelling(*args, **kwargs):
+            out = make(*args, **kwargs)
+            sources.append((grid_of(out), source))
+            return out
+
+        monkeypatch.setattr(module, name, labelling)
+
+    label(channel, "envelope", "envelope", lambda grid: grid)
+    label(ops, "darboux_transform", "darboux", lambda result: result.hat_f)
+    label(ops, "calapso_transform", "calapso", lambda made: made[1])
+    return sources
+
+
 #: (validation, curvature-extraction, splitting) passes of each demo, by
 #: grid source
 PER_GRID_PASSES = {
@@ -966,13 +1042,14 @@ def test_each_grid_is_extracted_and_validated_once(tmp_path, monkeypatch,
     # op read only the rate verdict
     passes = [_count_grids(monkeypatch, name) for name in (
         "_legendre_report", "_extract_curvature", "_split_cyclides")]
+    sources = _label_grids(monkeypatch)
     cfg = demo_config(name)
     cfg["outputs"].pop("meshes", None)
     assert run_scene(cfg, tmp_path)["passed"]
     for grids, expected in zip(passes, PER_GRID_PASSES[name]):
         assert len({id(grid) for grid in grids}) == len(grids)
-        assert sorted(str(grid.metadata.get("source"))
-                      for grid in grids) == expected
+        assert sorted(next(source for made, source in sources
+                           if made is grid) for grid in grids) == expected
 
 
 def test_calapso_scene_builds_no_split_projector(tmp_path, monkeypatch):
