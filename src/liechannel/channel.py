@@ -20,6 +20,7 @@ import numpy as np
 from . import stencils
 from .core import (
     DIM,
+    NULL_TOL,
     SIGNS,
     GeometryError,
     _signature_counts,
@@ -32,6 +33,7 @@ from .core import (
     lightcone_frames,
     projective_gap,
     read_only_copy,
+    relative_nullity,
     small_eigvalsh,
     sphere_lift,
     unit_rows,
@@ -39,8 +41,6 @@ from .core import (
 )
 from .legendre import LegendreGrid, channel_verdict, curvature_data
 
-#: worst |(sigma, sigma)| / |sigma|^2 a sphere curve's samples may have
-CURVE_NULL_TOL = 1e-10
 #: quotient speed a regular sphere curve must exceed at every sample
 CURVE_REGULARITY_MIN = 1e-6
 #: largest frame mismatch round a periodic curve that still closes the grid
@@ -109,8 +109,7 @@ class SphereCurve:
 
     def nullity(self) -> float:
         """Worst |(sigma, sigma)| relative to the Euclidean norm squared."""
-        scale = np.einsum("ij,ij->i", self.vectors, self.vectors)
-        return float(np.max(np.abs(inner(self.vectors, self.vectors)) / scale))
+        return relative_nullity(self.vectors)
 
     def check(self) -> None:
         """Raise GeometryError unless the samples are null and the curve
@@ -118,7 +117,7 @@ class SphereCurve:
         (sigma', sigma') (scaling sigma only adds terms proportional to
         (sigma, sigma') = 0, so dividing by |sigma|^2 is exact)."""
         nullity = self.nullity()
-        if nullity > CURVE_NULL_TOL:
+        if nullity > NULL_TOL:
             raise GeometryError(
                 f"curve samples are not null (worst {nullity:.3e})")
         d1 = self.derivative(1)

@@ -29,6 +29,8 @@ METRIC = np.diag(SIGNS)
 DIM = 6
 #: relative size under which a coordinate of a lift reads as zero
 EUCLIDEAN_TOL = 1e-10
+#: worst relative_nullity of a vector that counts as null
+NULL_TOL = 1e-10
 #: singular values of a stack at or under RANK_TOL times its largest do
 #: not count towards its rank
 RANK_TOL = 1e-10
@@ -61,6 +63,12 @@ class SignatureError(GeometryError):
 def inner(a: np.ndarray, b: np.ndarray):
     """Indefinite inner product; broadcasts over leading axes."""
     return np.einsum("...i,...i->...", np.asarray(a), SIGNS * np.asarray(b))
+
+
+def relative_nullity(vectors: np.ndarray) -> float:
+    """Worst |(v, v)| / |v|^2 over a batch of vectors v (..., 6)."""
+    scale = np.einsum("...i,...i->...", vectors, vectors)
+    return float(np.max(np.abs(inner(vectors, vectors)) / scale))
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:

@@ -127,23 +127,20 @@ def _pair_mismatch(a1, a2, b1, b2):
     return projective_gap(a1, b1) ** 2 + projective_gap(a2, b2) ** 2
 
 
-def align_labels_grid(*pairs):
+def align_labels_grid(d1, d2, s1, s2):
     """Make a two-family labelling continuous across a grid.
 
-    pairs is a sequence of (field1, field2) tuples that must be swapped in
-    lockstep (directions plus their kernel spheres).  Continuity is judged on
-    the first pair.  The result is that of a greedy sweep -- row 0 along
-    theta, then each u-row against the previous, already relabelled one,
-    swapping where the crossed pairing has the smaller mismatch -- which
-    removes the label flicker that per-point conventions produce wherever
-    the two families happen to tie on the convention's score.  It is
-    computed as one batched "keep" and "swap" score of the unrelabelled
-    neighbours and a scan over the swaps (see _sweep_flags); equal scores,
-    or a NaN, are a tie, and a tie keeps the labels.
+    The directions (d1, d2) and their kernel spheres (s1, s2) are swapped
+    in lockstep; continuity is judged on the directions.  The result is
+    that of a greedy sweep -- row 0 along theta, then each u-row against
+    the previous, already relabelled one, swapping where the crossed
+    pairing has the smaller mismatch -- which removes the label flicker
+    that per-point conventions produce wherever the two families happen to
+    tie on the convention's score.  It is computed as one batched "keep"
+    and "swap" score of the unrelabelled neighbours and a scan over the
+    swaps (see _sweep_flags); equal scores, or a NaN, are a tie, and a tie
+    keeps the labels.
     """
-    pairs = [(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-             for p, q in pairs]
-    d1, d2 = pairs[0]
     keep, swap = (np.concatenate(scores) for scores in zip(*[
         (_pair_mismatch(cur1, cur2, prev1, prev2),
          _pair_mismatch(cur1, cur2, prev2, prev1))
@@ -151,8 +148,9 @@ def align_labels_grid(*pairs):
                                                 _neighbour_pairs(d2))]))
     flip = swap < keep
     flags = _sweep_flags(flip, ~(flip | (keep < swap)), d1.shape[:2])
-    return [x for p, q in pairs for x in (np.where(flags[..., None], q, p),
-                                          np.where(flags[..., None], p, q))]
+    flags = flags[..., None]
+    return (np.where(flags, d2, d1), np.where(flags, d1, d2),
+            np.where(flags, s2, s1), np.where(flags, s1, s2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,6 +291,19 @@ def _quotient_frames(sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return rows.reshape(shape + (2, DIM))
 
 
+def _solder(grid: LegendreGrid, sigma: np.ndarray, tau: np.ndarray, rows,
+            inner):
+    """The solder form on a u-slab's rows (_u_slabs), from frames sigma and
+    tau read on the slab's halo window: the window differences (sigma_u,
+    sigma_theta, tau_u, tau_theta), and the quotient coordinates (rows, nt,
+    2) of each against the quotient frames of the slab's elements."""
+    derivatives = (_window_diffs(grid, sigma, inner)
+                   + _window_diffs(grid, tau, inner))
+    w_basis = _quotient_frames(grid.sigma[rows], grid.tau[rows])
+    return derivatives, [np.einsum("...kd,...d->...k", w_basis, dv)
+                         for dv in derivatives]
+
+
 @dataclass(frozen=True)
 class LegendreReport:
     isotropy: float
@@ -307,50 +318,49 @@ class LegendreReport:
 
 
 def _validation_slab(grid: LegendreGrid, rows, window, inner):
-    """(isotropy terms, contact terms, immersion) on a u-slab's rows
-    (_u_slabs): each term a maximum, in the order of its definition."""
+    """(isotropy, contact, -immersion) on a u-slab's rows (_u_slabs), from
+    the solder form of the unit frames: each a maximum over its terms that
+    keeps a NaN."""
 
-    def worst(x, gy):
-        return float(np.max(np.abs(np.einsum("...i,...i->...", x, gy))))
+    def worst(pairs):
+        return np.max([np.max(np.abs(np.einsum("...i,...i->...", x, gy)))
+                       for x, gy in pairs])
 
     s, t = unit_rows(grid.sigma[window]), unit_rows(grid.tau[window])
-    derivatives = _window_diffs(grid, s, inner) + _window_diffs(grid, t,
-                                                                inner)
-    ds_u, ds_t, dt_u, dt_t = derivatives
+    derivatives, (au_s, at_s, au_t, at_t) = _solder(grid, s, t, rows, inner)
     s, t = s[inner], t[inner]
     gs, gt = SIGNS * s, SIGNS * t                 # inner(x, s) = x . gs
-    iso = [worst(s, gs), worst(t, gt), worst(s, gt)]
-    contact = [worst(dv, gy) for dv in derivatives for gy in (gs, gt)]
-    w_basis = _quotient_frames(grid.sigma[rows], grid.tau[rows])
-    w0, w1 = w_basis[..., 0, :], w_basis[..., 1, :]
-    beta = np.empty(w_basis.shape[:-2] + (4, 2))
-    for col, (dsig, dtau) in enumerate(((ds_u, dt_u), (ds_t, dt_t))):
-        beta[..., 0, col] = np.einsum("...d,...d->...", w0, dsig)
-        beta[..., 1, col] = np.einsum("...d,...d->...", w1, dsig)
-        beta[..., 2, col] = np.einsum("...d,...d->...", w0, dtau)
-        beta[..., 3, col] = np.einsum("...d,...d->...", w1, dtau)
-    return iso, contact, _smallest_singular_value(beta)
+    beta = np.stack([np.concatenate([au_s, au_t], axis=-1),
+                     np.concatenate([at_s, at_t], axis=-1)], axis=-1)
+    return np.array([
+        worst([(s, gs), (t, gt), (s, gt)]),
+        worst([(dv, gy) for dv in derivatives for gy in (gs, gt)]),
+        -_smallest_singular_value(beta)])
 
 
 def _legendre_report(grid: LegendreGrid) -> LegendreReport:
-    """validate_legendre's measurements and verdict, reduced slab by slab:
-    np.maximum and np.minimum keep a NaN, as the grid-wide max and min
-    would, and each measurement's terms are reduced apart and combined
-    last, in the order of their definition."""
-    iso, contact, immersion = np.full(3, -np.inf), np.full(8, -np.inf), np.inf
+    """validate_legendre's measurements and verdict, reduced slab by slab
+    with np.maximum, which keeps a NaN, as the grid-wide max would."""
+    worst = np.full(3, -np.inf)
     for rows, window, inner in _u_slabs(grid):
-        iso_here, contact_here, immersion_here = _validation_slab(
-            grid, rows, window, inner)
-        iso = np.maximum(iso, iso_here)
-        contact = np.maximum(contact, contact_here)
-        immersion = np.minimum(immersion, immersion_here)
-    iso, contact = max(iso.tolist()), max(contact.tolist())
-    immersion = float(immersion)
+        worst = np.maximum(worst, _validation_slab(grid, rows, window, inner))
+    iso, contact, low = map(float, worst)
+    immersion = -low
     tol_contact = max(1e-8, 5.0 * (grid.du ** 2 + grid.dtheta ** 2))
     passed = (iso <= ISOTROPY_TOL and contact <= tol_contact
               and immersion >= IMMERSION_MIN)
     return LegendreReport(isotropy=iso, contact=contact, immersion=immersion,
                           passed=passed)
+
+
+def _gram_eigvals(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., 2) of the 2 x 2 Grams of two column
+    fields (..., k), from three column products: one einsum over the
+    k x 2 matrices gives the same entries at several times the cost."""
+    c01 = np.einsum("...k,...k->...", c0, c1)
+    gram = np.stack([np.einsum("...k,...k->...", c0, c0), c01, c01,
+                     np.einsum("...k,...k->...", c1, c1)], axis=-1)
+    return small_eigvalsh(gram.reshape(c01.shape + (2, 2)))
 
 
 def _smallest_singular_value(beta: np.ndarray) -> float:
@@ -366,12 +376,7 @@ def _smallest_singular_value(beta: np.ndarray) -> float:
     rows = np.triu_indices(beta.shape[-2], 1)
     minors = (col0[..., rows[0]] * col1[..., rows[1]]
               - col0[..., rows[1]] * col1[..., rows[0]])
-    # beta^T beta from three column products: one einsum over the 4 x 2
-    # matrices gives the same entries at several times the cost
-    c01 = np.einsum("...k,...k->...", col0, col1)
-    gram = np.stack([np.einsum("...k,...k->...", col0, col0), c01, c01,
-                     np.einsum("...k,...k->...", col1, col1)], axis=-1)
-    top = small_eigvalsh(gram.reshape(beta.shape[:-2] + (2, 2)))[..., 1]
+    top = _gram_eigvals(col0, col1)[..., 1]
     det = np.einsum("...m,...m->...", minors, minors)
     low = np.divide(det, top, out=np.zeros_like(det), where=top > 0.0)
     return float(np.sqrt(np.min(low)))
@@ -390,10 +395,11 @@ def validate_legendre(grid: LegendreGrid) -> LegendreReport:
     Measurements use unit-rescaled copies of the frames so the numbers are
     scale-free.  The verdict holds them to ISOTROPY_TOL, a contact bound of
     max(1e-8, 5 (du^2 + dtheta^2)) and IMMERSION_MIN.  The pass runs u-slab
-    by u-slab (_u_slabs): each slab differences its unit frames once on
-    its halo window, builds its quotient frames and solder form, and is
-    reduced to the three measurements before the next slab is built.  The
-    report is made once per grid, and is all the grid keeps.
+    by u-slab (_u_slabs): each slab builds the solder form of its unit
+    frames (_solder, which curvature_data runs on the raw frames), and is
+    reduced to the three measurements before the next slab is built.  A
+    NaN in any term reads as a NaN measurement, which fails.  The report
+    is made once per grid, and is all the grid keeps.
     """
     return _memoised(grid, "validation", _legendre_report)
 
@@ -463,11 +469,8 @@ def _curvature_slab(grid: LegendreGrid, rows, window, inner):
     roots of the direction quadratic, where they coincide, and the unit
     kernel sphere of each root."""
     sigma, tau = grid.sigma[rows], grid.tau[rows]
-    w_basis = _quotient_frames(sigma, tau)
-    au_s, at_s, au_t, at_t = [
-        np.einsum("...kd,...d->...k", w_basis, dv)           # (rows, nt, 2)
-        for dv in (_window_diffs(grid, grid.sigma[window], inner)
-                   + _window_diffs(grid, grid.tau[window], inner))]
+    _, (au_s, at_s, au_t, at_t) = _solder(grid, grid.sigma[window],
+                                          grid.tau[window], rows, inner)
 
     def det2(p, q):
         return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
@@ -495,7 +498,7 @@ def _extract_curvature(grid: LegendreGrid) -> CurvatureData:
          k2[rows]) = _curvature_slab(grid, rows, window, inner)
     # continuous labelling first, then one global swap so that dir1 is the
     # theta-like family whenever the grid has one
-    d1, d2, s1, s2 = align_labels_grid((r1, r2), (k1, k2))
+    d1, d2, s1, s2 = align_labels_grid(r1, r2, k1, k2)
     del r1, r2, k1, k2
     if np.mean(np.abs(d2[..., 1])) > np.mean(np.abs(d1[..., 1])):
         d1, d2, s1, s2 = d2, d1, s2, s1
@@ -603,13 +606,7 @@ def _well_split(basis: np.ndarray) -> np.ndarray:
     basis[..., 4:] the 3 x 2 negative block, so its eigenvalues are 1,
     which is positive and never the smallest in magnitude, and 1 - 2 mu
     for the two eigenvalues mu of the 2 x 2 matrix K^T K."""
-    # K^T K from three row products: one einsum over the 3 x 2 blocks
-    # gives the same entries at four times the cost
-    k0, k1 = basis[..., 4], basis[..., 5]
-    k01 = np.einsum("...k,...k->...", k0, k1)
-    ktk = np.stack([np.einsum("...k,...k->...", k0, k0), k01, k01,
-                    np.einsum("...k,...k->...", k1, k1)], axis=-1)
-    ev = 1.0 - 2.0 * small_eigvalsh(ktk.reshape(basis.shape[:-2] + (2, 2)))
+    ev = 1.0 - 2.0 * _gram_eigvals(basis[..., 4], basis[..., 5])
     return (ev[..., 0] >= SPLIT_COND_TOL) & (ev[..., 1] <= -SPLIT_COND_TOL)
 
 

@@ -339,32 +339,37 @@ def _output_path(out_dir, path) -> str:
 def execute(config: dict, out_dir) -> dict:
     """Build the objects of a config that scene.validate_scene accepts,
     run its pipeline, write its meshes and report, and return the report;
-    a stage that fails raises PipelineError naming it."""
-    ctx = _Context(objects={}, seed=int(config.get("seed", 0)))
-    for name, cfg in config["objects"].items():
-        try:
-            ctx.objects[name] = _build(_OBJECT_KINDS[cfg["kind"]], cfg,
-                                       ctx.objects)
-        except (GeometryError, ValueError, ArithmeticError,
-                np.linalg.LinAlgError) as exc:
-            raise PipelineError(f"objects.{name}", str(exc)) from exc
+    a stage that fails raises PipelineError naming it.
 
+    Objects are built and stages run under np.errstate(divide, over,
+    invalid = "raise"): the first non-finite result of an operation
+    raises FloatingPointError, an ArithmeticError, which fails its object
+    or stage as any other error does, and prints no warning."""
+    ctx = _Context(objects={}, seed=int(config.get("seed", 0)))
     stages = []
     all_passed = True
-    for stage in config["pipeline"]:
-        op = _OPS[stage["op"]]
-        try:
-            measurements = op.runner()(op.args(stage, ctx.objects), ctx)
-        except (GeometryError, ValueError, KeyError, ArithmeticError,
-                np.linalg.LinAlgError) as exc:
-            raise PipelineError(stage["id"], str(exc)) from exc
-        checks = [_eval_assertion(a, measurements)
-                  for a in stage.get("assert", [])]
-        passed = all(c["passed"] for c in checks)
-        all_passed = all_passed and passed
-        stages.append({"id": stage["id"], "op": stage["op"],
-                       "measurements": _clean(measurements),
-                       "assertions": checks, "passed": passed})
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        # GeometryError and np.linalg.LinAlgError are ValueErrors
+        for name, cfg in config["objects"].items():
+            try:
+                ctx.objects[name] = _build(_OBJECT_KINDS[cfg["kind"]], cfg,
+                                           ctx.objects)
+            except (ValueError, ArithmeticError) as exc:
+                raise PipelineError(f"objects.{name}", str(exc)) from exc
+
+        for stage in config["pipeline"]:
+            op = _OPS[stage["op"]]
+            try:
+                measurements = op.runner()(op.args(stage, ctx.objects), ctx)
+            except (ValueError, KeyError, ArithmeticError) as exc:
+                raise PipelineError(stage["id"], str(exc)) from exc
+            checks = [_eval_assertion(a, measurements)
+                      for a in stage.get("assert", [])]
+            passed = all(c["passed"] for c in checks)
+            all_passed = all_passed and passed
+            stages.append({"id": stage["id"], "op": stage["op"],
+                           "measurements": _clean(measurements),
+                           "assertions": checks, "passed": passed})
 
     outputs = config.get("outputs", {})
     report = {

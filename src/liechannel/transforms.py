@@ -35,6 +35,7 @@ from .core import (
     DIM,
     INFINITY_VEC,
     METRIC,
+    NULL_TOL,
     SIGNS,
     GeometryError,
     RankDeficiencyError,
@@ -50,6 +51,7 @@ from .core import (
     orthonormal_rows,
     principal_sine,
     projective_gap,
+    relative_nullity,
     span_rows,
     unit_rows,
     wedge_matrix,
@@ -213,7 +215,7 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
         raise ValueError("Darboux parameter m must be nonzero")
     phi0 = np.asarray(phi0, dtype=float)
     nrm0 = float(phi0 @ phi0)
-    if abs(float(inner(phi0, phi0))) > 1e-10 * nrm0:
+    if relative_nullity(phi0) > NULL_TOL:
         raise GeometryError("initial condition is not null")
     pairing0 = abs(float(inner(phi0, omega.sigma1[0])))
     if pairing0 < 1e-6 * np.sqrt(nrm0) * np.linalg.norm(omega.sigma1[0]):
@@ -388,7 +390,7 @@ def ribaucour_partner_curve(s: SphereCurve, beta: float,
     a partner that closes in on s can reach norms of 1e12.
     """
     y = np.asarray(s_hat0, dtype=float)
-    if abs(float(inner(y, y))) > 1e-10 * float(y @ y):
+    if relative_nullity(y) > NULL_TOL:
         raise GeometryError("initial partner sphere is not null")
     d1 = s.derivative(1)
     out = _flow(_edge_connection(s.vectors, d1, s.du, False, SUBSTEPS),
@@ -442,9 +444,9 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
         # the pairing with the point at infinity instead gives the smooth
         # sphere-lift representative whenever no member is a plane
         gauge = _sphere_gauge(data.s1)
-        # np.minimum and np.maximum keep a NaN, as the grid-wide min and
-        # max would
-        low, worst = np.inf, np.full(3, -np.inf)
+        # np.maximum keeps a NaN, as the grid-wide max would; the smallest
+        # intersection sine enters negated
+        worst = np.full(4, -np.inf)
         for rows, window, inner in _u_slabs(f):
             # re-measure the shared congruence as the element intersection:
             # the zero first principal angle of the two elements, a line
@@ -452,8 +454,7 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
             unit = unit_rows(np.stack([f.sigma[rows], f.tau[rows]], axis=-2))
             basis_hat = orthonormal_rows(np.stack(
                 [f_hat.sigma[rows], f_hat.tau[rows]], axis=-2))
-            low = np.minimum(low, np.min(principal_sine(
-                orthonormal_rows(unit), basis_hat)))
+            low = np.min(principal_sine(orthonormal_rows(unit), basis_hat))
             rej = unit - (unit @ _transposed(basis_hat)) @ basis_hat
             a, b = null_combination(rej[..., 0, :], rej[..., 1, :])
             s0 = unit_rows(a * unit[..., 0, :] + b * unit[..., 1, :])
@@ -480,11 +481,11 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
                                      orthonormal_rows(a2))
             worst = np.maximum(worst, [np.max(duality_here),
                                        np.max(constancy_here),
-                                       np.max(d2_here)])
-        rank_ok = bool(low > 1e-6)
+                                       np.max(d2_here), -low])
+        duality, theta_constancy, d2_coincidence = map(float, worst[:3])
+        rank_ok = bool(-worst[3] > 1e-6)
         if not rank_ok:
             notes.append("element intersections are not uniformly rank 1")
-        duality, theta_constancy, d2_coincidence = map(float, worst)
 
     return CyclideCongruenceReport(
         coincidence=coincidence, duality=duality,

@@ -127,6 +127,19 @@ def test_torus_grid_validates():
     assert rep.contact <= 1e-2
 
 
+@pytest.mark.parametrize("frame", ["sigma", "tau"])
+def test_a_nan_frame_sample_reads_nan_and_fails(frame):
+    # one NaN sample in either frame reads as NaN isotropy and contact,
+    # whichever of their terms it enters first
+    grid = envelope(line_sphere_curve(24), 24)
+    fields = {"sigma": np.array(grid.sigma), "tau": np.array(grid.tau)}
+    fields[frame][5, 3] = np.nan
+    rep = validate_legendre(dataclasses.replace(grid, **fields))
+    assert np.isnan(rep.isotropy) and np.isnan(rep.contact)
+    assert not rep.passed
+    assert "FAILED" in str(rep)
+
+
 def test_report_is_scale_invariant():
     grid = preset_grid("torus", n_u=48, n_theta=48)
     scaled = LegendreGrid(7.0 * grid.sigma, 0.2 * grid.tau, grid.u_values,
@@ -981,7 +994,7 @@ def test_align_labels_grid_unscrambles_swaps():
     r1 = np.where(swap[..., None], b, a)
     r2 = np.where(swap[..., None], a, b)
     k1, k2 = 2.0 * r1, 3.0 * r2           # a second pair swapped in lockstep
-    d1, d2, s1, s2 = align_labels_grid((r1, r2), (k1, k2))
+    d1, d2, s1, s2 = align_labels_grid(r1, r2, k1, k2)
     assert np.max(np.abs(d1 - a)) <= 1e-14
     assert np.max(np.abs(d2 - b)) <= 1e-14
     assert np.max(np.abs(s1[..., 1])) <= 1e-14
@@ -1097,7 +1110,7 @@ def test_alignment_scans_match_the_greedy_sweeps(fields):
     a, b = fields
     with np.errstate(invalid="ignore", divide="ignore"):
         signs = [align_signs_grid(a)], [greedy_signs(a)]
-        labels = (align_labels_grid((a, b), (2.0 * a, 3.0 * b)),
+        labels = (align_labels_grid(a, b, 2.0 * a, 3.0 * b),
                   greedy_labels((a, b), (2.0 * a, 3.0 * b)))
     for got, want in (signs, labels):
         assert len(got) == len(want)

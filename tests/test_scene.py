@@ -185,32 +185,59 @@ def _dividing_by_zero(*args, **kwargs):
     raise ZeroDivisionError("float division by zero")
 
 
+#: (config, error) of scenes with a parameter so large that the tube
+#: sphere curve, the Darboux section or a Calapso flow overflows
+OVERFLOWING_SCENES = {
+    "huge-tube-radius": (
+        lambda: _demo_with("curve-ribaucour", ("objects", "tube_a", "radius"),
+                           1e200),
+        "stage 'objects.tube_a' failed: invalid value encountered in matmul"),
+    "huge-darboux-m": (
+        lambda: _demo_with("cylinder-darboux", ("pipeline", 4, "m"), 1e300),
+        "stage 'darboux' failed: invalid value encountered in multiply"),
+    "huge-calapso-lambda": (
+        lambda: _demo_with("cylinder-calapso", ("pipeline", 1, "lambdas"),
+                           [0.5, 1.0, 1e155]),
+        "stage 'calapso' failed: invalid value encountered in multiply")}
+
+
 @pytest.mark.parametrize("config, runner, error", [
     (tiny_scene, "_op_verify_pair",
      "stage 'pair' failed: float division by zero"),
     (tiny_scene, "_line_curve",
-     "stage 'objects.axis' failed: float division by zero"),
-    (lambda: _demo_with("curve-ribaucour", ("objects", "tube_a", "radius"),
-                        1e200), None,
-     "stage 'objects.tube_a' failed: curve is not finite at sample 0"),
-    (lambda: _demo_with("cylinder-darboux", ("pipeline", 4, "m"), 1e300),
-     None, "stage 'darboux' failed: curve is not finite at sample 1")],
-    ids=["ops._op_verify_pair", "ops._line_curve", "huge-tube-radius",
-         "huge-darboux-m"])
+     "stage 'objects.axis' failed: float division by zero")] + [
+    (config, None, error) for config, error in OVERFLOWING_SCENES.values()],
+    ids=["ops._op_verify_pair", "ops._line_curve", *OVERFLOWING_SCENES])
 def test_an_arithmetic_error_exits_one_with_one_line(tmp_path, monkeypatch,
                                                      capsys, config, runner,
                                                      error):
     # whatever division by zero or overflow escapes validation names its
     # stage or object, as every other pipeline error does: an ops runner
-    # made to divide by zero, or a parameter so large that the tube sphere
-    # curve or the Darboux section overflows, which the sphere curve
-    # refuses where it is built
+    # made to divide by zero, or a parameter so large that a flow
+    # overflows, which the pipeline's errstate turns into an error
     if runner is not None:
         monkeypatch.setattr(ops, runner, _dividing_by_zero)
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(json.dumps(config()))
     assert main(["run", str(scene_path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == error + "\n"
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_SCENES)
+def test_an_overflow_prints_one_line_and_no_warning(tmp_path, name):
+    # in a fresh interpreter, so that numpy's warnings reach stderr as
+    # they would from the command line (pytest captures them otherwise)
+    config, error = OVERFLOWING_SCENES[name]
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(config()))
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "liechannel", "run", str(scene_path), "--out",
+         str(tmp_path / "o")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert done.stderr == error + "\n"
 
 
 def test_tiny_scene_validates():
