@@ -63,8 +63,10 @@ class SphereCurve:
     from the five-point stencils, each order on its first request
     (fourth order in the interior, since the second derivative feeds the
     osculating-space construction; order two at open ends).  The curve is
-    immutable and its arrays read-only, so each is computed once.  A
-    sample whose vector or given derivative is not finite is refused.
+    immutable and its arrays read-only, so each is computed once, as is
+    the data the flows derive from it (the Magnus terms of its connection,
+    kept in the private _derived dict).  A sample whose vector or given
+    derivative is not finite is refused.
     """
 
     vectors: np.ndarray
@@ -72,6 +74,7 @@ class SphereCurve:
     periodic_u: bool = False
     d1: Optional[np.ndarray] = None
     d2: Optional[np.ndarray] = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("vectors", "u_values", "d1", "d2"):
@@ -359,23 +362,14 @@ class Omega0Structure:
     (u, theta); lift_gap is the worst projective gap between the two over
     the grid, the one measurement of that condition that can fail.
 
-    The structure is immutable; data derived from it (the Magnus terms
-    of eta on the substeps of the transform flows) is computed once and
-    kept in the private _derived dict.
+    curve holds sigma1 on the grid's u-axis, with the d1 that eta is built
+    from; the transform flows keep their Magnus terms on it.
     """
 
-    sigma1: np.ndarray            # (n, 6) special lift
-    dsigma1: np.ndarray           # its u-derivative
+    curve: SphereCurve            # the special lift sigma1
     eta_u: np.ndarray             # (n, 6, 6) skew maps
     q_uu: np.ndarray              # (n,)
-    u_values: np.ndarray
-    periodic_u: bool
     lift_gap: float
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def du(self) -> float:
-        return float(self.u_values[1] - self.u_values[0])
 
 
 def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
@@ -391,7 +385,7 @@ def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
     and as minus the identity on the circular one, so d(sigma1) having
     only a u-component makes eta = wedge(sigma1, sigma1') du.
     """
-    sigma1 = read_only_copy(sigma1)
+    sigma1 = np.asarray(sigma1, dtype=float)
     if sigma1.shape != (grid.shape[0], DIM):
         raise GeometryError("sigma1 must be a u-grid of 6-vectors")
     verdict = channel_verdict(grid)
@@ -405,11 +399,12 @@ def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
         raise GeometryError("sigma1 does not lift the first curvature "
                             f"sphere family of this grid (gap {lift_gap:.3e})")
 
-    dsigma1 = stencils.diff1_5pt(sigma1, grid.du, periodic=grid.periodic_u)
-    return Omega0Structure(
-        sigma1=sigma1, dsigma1=dsigma1, eta_u=wedge_matrix(sigma1, dsigma1),
-        q_uu=-inner(dsigma1, dsigma1), u_values=grid.u_values,
-        periodic_u=grid.periodic_u, lift_gap=lift_gap)
+    curve = SphereCurve(sigma1, grid.u_values, periodic_u=grid.periodic_u,
+                        d1=stencils.diff1_5pt(sigma1, grid.du,
+                                              periodic=grid.periodic_u))
+    return Omega0Structure(curve=curve,
+                           eta_u=wedge_matrix(curve.vectors, curve.d1),
+                           q_uu=-inner(curve.d1, curve.d1), lift_gap=lift_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +416,7 @@ def _trapezoid_defect(omega: Omega0Structure, y: np.ndarray, lam: float,
     """y_r - y_l + lam * eta_edge * y_mid on every u-edge (l, r): the
     trapezoid defect of the samples y (n, 6, ...) for d + lam*eta."""
     left, right = stencils.edge_pairs(y.shape[0], periodic)
-    eta_edge = 0.5 * (omega.eta_u[left] + omega.eta_u[right]) * omega.du
+    eta_edge = 0.5 * (omega.eta_u[left] + omega.eta_u[right]) * omega.curve.du
     mid = 0.5 * (y[left] + y[right])
     return y[right] - y[left] + lam * np.einsum("kij,kj...->ki...",
                                                 eta_edge, mid)
@@ -455,7 +450,8 @@ def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
     max(1e-8, 10 du^2).
     """
     p_vec = np.asarray(p_vec, dtype=float)
-    defect = float(np.max(np.abs(inner(omega.sigma1, p_vec) + 1.0)))
+    sigma1 = omega.curve.vectors
+    defect = float(np.max(np.abs(inner(sigma1, p_vec) + 1.0)))
     notes = []
     if defect > 1e-8:
         if strict:
@@ -465,11 +461,11 @@ def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
         notes.append(f"normalisation defect {defect:.3e}; residuals are "
                      "expected to be O(1)")
 
-    tol = max(1e-8, 10.0 * omega.du * omega.du)
+    tol = max(1e-8, 10.0 * omega.curve.du * omega.curve.du)
     residuals = {}
     for lam in lambdas:
-        res = _trapezoid_defect(omega, p_vec + lam * omega.sigma1, lam,
-                                omega.periodic_u)
+        res = _trapezoid_defect(omega, p_vec + lam * sigma1, lam,
+                                omega.curve.periodic_u)
         residuals[lam] = float(np.max(np.linalg.norm(res, axis=-1)))
     passed = defect <= 1e-8 and all(r <= tol for r in residuals.values())
     return ConservedQuantityReport(residuals=residuals,

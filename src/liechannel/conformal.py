@@ -112,7 +112,8 @@ def circle_congruence_report(c1: SphereCurve,
         raise GeometryError(f"congruence fails at sample {hit[0]}") from hit[1]
     membership = float(np.max(containment_gap(bases, lifts)))
     t1, t2 = float(angles[:, 0].max()), float(angles[:, 1].max())
-    passed = membership <= MEMBERSHIP_TOL and max(t1, t2) <= TANGENCY_TOL
+    passed = (membership <= MEMBERSHIP_TOL
+              and float(np.max(angles)) <= TANGENCY_TOL)
     notes = []
     if not passed:
         notes.append("circle congruence is not enveloped at the stated "

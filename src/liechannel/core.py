@@ -66,9 +66,12 @@ def inner(a: np.ndarray, b: np.ndarray):
 
 
 def relative_nullity(vectors: np.ndarray) -> float:
-    """Worst |(v, v)| / |v|^2 over a batch of vectors v (..., 6)."""
+    """Worst |(v, v)| / |v|^2 over a batch of vectors v (..., 6); a zero
+    vector reads inf, since it spans no line."""
     scale = np.einsum("...i,...i->...", vectors, vectors)
-    return float(np.max(np.abs(inner(vectors, vectors)) / scale))
+    return float(np.max(np.divide(np.abs(inner(vectors, vectors)), scale,
+                                  out=np.full_like(scale, np.inf),
+                                  where=scale > 0.0)))
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:

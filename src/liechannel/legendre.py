@@ -44,7 +44,7 @@ from .core import (
 from .mesh import _pencil_point_spheres
 
 if TYPE_CHECKING:
-    from .channel import Omega0Structure
+    from .channel import SphereCurve
 
 #: projective gap below which the two curvature spheres count as equal
 UMBILIC_TOL = 1e-6
@@ -207,7 +207,7 @@ class LegendreGrid:
         return stencil(field, h, axis=axis, periodic=periodic)
 
 
-def _memoised(owner: LegendreGrid | Omega0Structure, key: Hashable,
+def _memoised(owner: LegendreGrid | SphereCurve, key: Hashable,
               compute: Callable):
     """The value owner keeps under key in its private _derived dict,
     computed from owner on first request."""

@@ -21,7 +21,7 @@ from .channel import (SphereCurve, circle_sphere_curve, conserved_quantity,
                       envelope, line_sphere_curve, omega0_form)
 from .conformal import circle_congruence_report, tube_sphere_curve
 from .core import (DIM, GeometryError, circle_points, containment_gap,
-                   first_failure, inner, unit_rows)
+                   first_failure, inner, projective_gap, unit_rows)
 from .legendre import (LegendreGrid, channel_verdict, curvature_data,
                        is_channel, lie_cyclide_split,
                        spherical_line_residuals, validate_legendre)
@@ -130,15 +130,16 @@ def _op_omega0(args, ctx):
 def _op_conserved(args, ctx):
     rep = conserved_quantity(args["omega"], np.eye(DIM)[5], args["lambdas"])
     residuals = {str(float(k)): v for k, v in rep.residuals.items()}
-    return {"residuals": residuals, "residual_max": max(residuals.values()),
+    return {"residuals": residuals,
+            "residual_max": np.max(list(residuals.values())),
             "normalisation_defect": rep.normalisation_defect,
             "passed": rep.passed}
 
 
 def _op_darboux(args, ctx):
     grid, omega = args["grid"], args["omega"]
-    phi0 = darboux_initial_condition(np.eye(DIM)[[0, 3, 4]], omega.sigma1[0],
-                                     ctx.seed)
+    phi0 = darboux_initial_condition(np.eye(DIM)[[0, 3, 4]],
+                                     omega.curve.vectors[0], ctx.seed)
     result = darboux_transform(grid, omega, args["m"], phi0)
     ctx.objects[args["store"]] = result.hat_f
     ctx.objects[args["store"] + "_spheres"] = result.hat_s
@@ -157,11 +158,9 @@ def _calapso_measurements(args, ctx, lam):
     q_dev = float(np.max(np.abs(
         calapso_quadratic_form(gauge, omega) - omega.q_uu)))
     channel = channel_verdict(out)
-    pushed = unit_rows(gauge.push(omega.sigma1))
-    s1 = unit_rows(curvature_data(out).s1)
-    gap = float(np.max(np.minimum(
-        np.linalg.norm(s1 - pushed[:, None], axis=-1),
-        np.linalg.norm(s1 + pushed[:, None], axis=-1))))
+    # the lift gap omega0_form measures, of the pushed special lift
+    gap = float(np.max(projective_gap(gauge.push(omega.curve.vectors)[:, None],
+                                      curvature_data(out).s1)))
     if "store_prefix" in args:
         ctx.objects[f"{args['store_prefix']}_{float(lam)}"] = out
     return {
@@ -178,12 +177,15 @@ def _calapso_measurements(args, ctx, lam):
 def _op_calapso(args, ctx):
     per_lambda = {str(float(lam)): _calapso_measurements(args, ctx, lam)
                   for lam in args["lambdas"]}
+
+    def worst(key):
+        # np.max keeps a NaN wherever it sits; Python's max drops it
+        return np.max([v[key] for v in per_lambda.values()])
     return {
         "per_lambda": per_lambda,
-        "ortho_max": max(v["ortho_defect"] for v in per_lambda.values()),
-        "q_deviation_max": max(v["q_deviation"] for v in per_lambda.values()),
-        "sphere_map_gap_max": max(v["sphere_map_gap"]
-                                  for v in per_lambda.values()),
+        "ortho_max": worst("ortho_defect"),
+        "q_deviation_max": worst("q_deviation"),
+        "sphere_map_gap_max": worst("sphere_map_gap"),
         "circular_preserved": all(v["dir1_circular"]
                                   for v in per_lambda.values()),
     }
@@ -240,9 +242,9 @@ def _op_congruence_contact(args, ctx):
     su = unit_rows(spheres)
     family_b = unit_rows(circle_points(frames[:, 1, None], probes))
     contact = np.abs(inner(family_b[:, :, None], su[:, None]))
-    line = max(float(np.max(cyclide_point_residual(frames, vec),
-                            where=finite, initial=0.0))
-               for vec, _, finite, _ in pencils)
+    line = np.max([np.max(cyclide_point_residual(frames, vec),
+                          where=finite, initial=0.0)
+                   for vec, _, finite, _ in pencils])
     prefix = args.get("store_prefix")
     if prefix is not None:
         for k, cyc in zip(ks, cyclides):
@@ -300,7 +302,7 @@ def _op_circle_congruence(args, ctx):
     rep = circle_congruence_report(args["a"], args["b"])
     return {"membership": rep.membership, "tangency1": rep.tangency1,
             "tangency2": rep.tangency2,
-            "tangency_max": max(rep.tangency1, rep.tangency2),
+            "tangency_max": np.maximum(rep.tangency1, rep.tangency2),
             "passed": rep.passed, "notes": list(rep.notes)}
 
 

@@ -94,10 +94,9 @@ def _hermite(y0, d0, y1, d1, h, t):
     return val, der
 
 
-def _edge_connection(vectors, d1, du: float, periodic: bool, substeps: int):
+def _edge_connection(curve: SphereCurve, substeps: int):
     """Magnus terms (P, Q) of A(u) = wedge(s, s') on every substep of every
-    u-edge of a sphere curve, given by its samples, their d1, du and
-    periodicity (a periodic curve adds the wrap edge).
+    u-edge of a sphere curve s (a periodic curve adds the wrap edge).
 
     A substep of length hs with A0, Am, A1 at its start, middle and end
     (from the cubic Hermite of the samples and d1) has the fourth-order
@@ -105,7 +104,8 @@ def _edge_connection(vectors, d1, du: float, periodic: bool, substeps: int):
     P = hs/6 (A0 + 4 Am + A1) and Q = hs^2/12 [A1, A0].  Both are
     read-only arrays of shape (n_edges, substeps, 6, 6).
     """
-    left, right = stencils.edge_pairs(vectors.shape[0], periodic)
+    vectors, d1, du = curve.vectors, curve.derivative(1), curve.du
+    left, right = stencils.edge_pairs(vectors.shape[0], curve.periodic_u)
     t = (np.arange(2 * substeps + 1) / (2 * substeps))[:, None]
     nodes = wedge_matrix(*_hermite(vectors[left, None], d1[left, None],
                                    vectors[right, None], d1[right, None],
@@ -118,10 +118,10 @@ def _edge_connection(vectors, d1, du: float, periodic: bool, substeps: int):
     return p, q
 
 
-def _omega_connection(omega: Omega0Structure, substeps: int):
-    """_edge_connection of sigma1 (eta), once per structure and substeps."""
-    return _memoised(omega, ("magnus", substeps), lambda o: _edge_connection(
-        o.sigma1, o.dsigma1, o.du, o.periodic_u, substeps))
+def _connection(curve: SphereCurve, substeps: int):
+    """_edge_connection of a curve, once per curve and substep count."""
+    return _memoised(curve, ("magnus", substeps),
+                     lambda c: _edge_connection(c, substeps))
 
 
 def _flow(terms, y0: np.ndarray, coeff: float) -> np.ndarray:
@@ -154,6 +154,32 @@ def _flow(terms, y0: np.ndarray, coeff: float) -> np.ndarray:
     for e, step in enumerate(edge):
         out[e + 1] = y = y + step @ y
     return out
+
+
+def _section(curve: SphereCurve, coeff: float, y0: np.ndarray,
+             substeps: int = SUBSTEPS):
+    """Parallel section y' = coeff * wedge(s, s') y of a sphere curve s
+    from the null sphere y0 -> (section, seam).
+
+    On a periodic curve the flow also runs the wrap edge; seam is the
+    projective gap between its end and y0 (None on an open curve), and
+    the section is periodic when the seam is within HOLONOMY_TOL.  The
+    section carries d1 straight from the flow equation, so downstream
+    span checks see the flow's own tangent data.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    if relative_nullity(y0) > NULL_TOL:
+        raise GeometryError("initial sphere is not null")
+    y = _flow(_connection(curve, substeps), y0, coeff)
+    seam = None
+    if curve.periodic_u:
+        y, wrap = y[:-1], y[-1]
+        seam = float(np.max(projective_gap(wrap, y[0])))
+    d1 = coeff * np.einsum("kij,kj->ki", wedge_matrix(curve.vectors,
+                                                       curve.derivative(1)), y)
+    return SphereCurve(y, curve.u_values,
+                       periodic_u=seam is not None and seam <= HOLONOMY_TOL,
+                       d1=d1), seam
 
 
 # ---------------------------------------------------------------------------
@@ -207,34 +233,19 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
     Integrates phi' = -m * eta_u * phi along u; the new contact elements
     are spanned by phi and the line s0 of the old element orthogonal to
     phi, which both surfaces envelope.  null_drift is the section's worst
-    nullity relative to its running norm.  The section's curve carries
-    d1 = -m * eta_u * phi from the connection equation; its d2 comes from
-    the stencils on request.
+    nullity relative to its running norm.  phi is the section (_section)
+    of the special lift with coefficient -m: its curve carries
+    d1 = -m * eta_u * phi from the connection equation, and on a periodic
+    base the seam is reported as holonomy_mismatch.
     """
     if m == 0.0:
         raise ValueError("Darboux parameter m must be nonzero")
-    phi0 = np.asarray(phi0, dtype=float)
-    nrm0 = float(phi0 @ phi0)
-    if relative_nullity(phi0) > NULL_TOL:
-        raise GeometryError("initial condition is not null")
-    pairing0 = abs(float(inner(phi0, omega.sigma1[0])))
-    if pairing0 < 1e-6 * np.sqrt(nrm0) * np.linalg.norm(omega.sigma1[0]):
+    hat_s, seam = _section(omega.curve, -m, phi0, substeps)
+    phi, sigma1_0 = hat_s.vectors, omega.curve.vectors[0]
+    if abs(float(inner(phi[0], sigma1_0))) < (
+            1e-6 * np.linalg.norm(phi[0]) * np.linalg.norm(sigma1_0)):
         raise GeometryError("initial condition is orthogonal to sigma1; "
                             "the transformed elements would degenerate")
-
-    phi = _flow(_omega_connection(omega, substeps), phi0, -m)
-    seam = None
-    if omega.periodic_u:
-        # the flow ran round the wrap edge too; its end only closes the
-        # seam test
-        phi, wrap = phi[:-1], phi[-1]
-        seam = float(np.max(projective_gap(wrap, phi[0])))
-    # the derivative straight from the connection equation, so downstream
-    # span checks see the flow's own tangent data
-    d1 = -m * np.einsum("kij,kj->ki", omega.eta_u, phi)
-    hat_s = SphereCurve(phi, grid.u_values,
-                        periodic_u=seam is not None and seam <= HOLONOMY_TOL,
-                        d1=d1)
 
     a = inner(grid.sigma, phi[:, None, :])       # (nu, nt)
     b = inner(grid.tau, phi[:, None, :])
@@ -283,8 +294,8 @@ def calapso_transform(grid: LegendreGrid, omega: Omega0Structure, lam: float,
     ortho_defect is the worst entry of T^t G T - G: it reads rounding
     unless the flow's generator leaves o(4,2).
     """
-    tinv = _flow(_omega_connection(omega, substeps), np.eye(DIM),
-                 -lam)[:omega.u_values.size]
+    tinv = _flow(_connection(omega.curve, substeps), np.eye(DIM),
+                 -lam)[:omega.curve.u_values.size]
     t = SIGNS[:, None] * _transposed(tinv) * SIGNS
     defect = float(np.max(np.abs(
         np.swapaxes(t, -1, -2) @ METRIC @ t - METRIC)))
@@ -312,8 +323,8 @@ def calapso_quadratic_form(gauge: GaugeField, omega: Omega0Structure):
     directions; re-differencing T through grid stencils would only
     re-measure stencil truncation.
     """
-    v = omega.dsigma1 + gauge.lam * np.einsum(
-        "kij,kj->ki", omega.eta_u, omega.sigma1)
+    v = omega.curve.d1 + gauge.lam * np.einsum(
+        "kij,kj->ki", omega.eta_u, omega.curve.vectors)
     tv = np.einsum("kab,kb->ka", gauge.T, v)
     return -inner(tv, tv)
 
@@ -382,21 +393,15 @@ def ribaucour_partner_curve(s: SphereCurve, beta: float,
     span{s, s', shat} at every u, contact (s, shat) = 0 included, and the
     flow keeps shat null.  With b = beta (s, shat) it is the null-keeping
     flow shat' = b s' - b (s', shat)/(s, shat) s with the pairing
-    multiplied out, so it never divides by it.  It runs on the Darboux
-    stepper, through the connection of s's samples and d1 over the open
-    chain of its edges.  The common-envelope criterion then holds by
-    construction, and the returned curve carries d1 from the flow
-    equation.  The lift is never normalised, and b grows with its scale:
-    a partner that closes in on s can reach norms of 1e12.
+    multiplied out, so it never divides by it.  The partner is the
+    Darboux section (_section) of s with coefficient beta: the
+    common-envelope criterion holds by construction, the curve carries d1
+    from the flow equation, and on a periodic s it is periodic only when
+    its seam closes within HOLONOMY_TOL.  The lift is never normalised,
+    and b grows with its scale: a partner that closes in on s can reach
+    norms of 1e12.
     """
-    y = np.asarray(s_hat0, dtype=float)
-    if relative_nullity(y) > NULL_TOL:
-        raise GeometryError("initial partner sphere is not null")
-    d1 = s.derivative(1)
-    out = _flow(_edge_connection(s.vectors, d1, s.du, False, SUBSTEPS),
-                y, beta)
-    d1_out = beta * np.einsum("kij,kj->ki", wedge_matrix(s.vectors, d1), out)
-    return SphereCurve(out, s.u_values, d1=d1_out)
+    return _section(s, beta, s_hat0)[0]
 
 
 # ---------------------------------------------------------------------------

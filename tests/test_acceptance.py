@@ -190,8 +190,8 @@ def test_criterion_07_darboux_suite():
     validated = channel = True
     for m in (0.5, -0.5, 1.0, -1.0, 2.0):
         for seed in range(5):
-            phi0 = darboux_initial_condition(seed_space(), omega.sigma1[0],
-                                             seed)
+            phi0 = darboux_initial_condition(seed_space(),
+                                             omega.curve.vectors[0], seed)
             res = darboux_transform(grid, omega, m, phi0)
             drift = max(drift, res.null_drift)
             validated &= validate_legendre(res.hat_f).passed
@@ -221,7 +221,7 @@ def test_criterion_08_calapso_suite():
         q_dev = max(q_dev, float(np.max(np.abs(
             calapso_quadratic_form(gauge, omega) - omega.q_uu))))
         circular &= is_channel(out).circular("dir1")
-        pushed = _unit(gauge.push(omega.sigma1))
+        pushed = _unit(gauge.push(omega.curve.vectors))
         s1 = _unit(curvature_data(out).s1)
         map_gap = max(map_gap, float(np.max(np.minimum(
             np.linalg.norm(s1 - pushed[:, None], axis=-1),

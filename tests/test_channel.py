@@ -102,6 +102,13 @@ def test_non_null_samples_are_rejected():
     curve = ch.SphereCurve(np.ones((32, 6)), np.linspace(0.0, 1.0, 32))
     with pytest.raises(GeometryError, match="not null"):
         curve.check()
+    # a zero sample spans no line: not null, and no 0/0 on the way
+    vectors = ch.line_sphere_curve(n=32).vectors.copy()
+    vectors[5] = 0.0
+    curve = ch.SphereCurve(vectors, np.linspace(0.0, 1.0, 32))
+    with np.errstate(all="raise"), pytest.raises(GeometryError,
+                                                 match="not null"):
+        curve.check()
 
 
 def test_curve_shape_guards():
@@ -317,10 +324,10 @@ def test_omega0_eta_maps_are_metric_skew():
 def test_q_scales_as_the_square_of_the_gauge():
     curve, grid = cylinder_envelope()
     omega = cylinder_omega()
-    om2 = ch.omega0_form(grid, 2.0 * omega.sigma1)
+    om2 = ch.omega0_form(grid, 2.0 * omega.curve.vectors)
     assert np.max(np.abs(om2.q_uu - 4.0 * omega.q_uu)) <= 1e-12
     mu = 1.0 + 0.3 * np.sin(curve.u_values)
-    om3 = ch.omega0_form(grid, mu[:, None] * omega.sigma1)
+    om3 = ch.omega0_form(grid, mu[:, None] * omega.curve.vectors)
     # non-polynomial gauge: agreement limited by the open-end stencils
     assert np.max(np.abs(om3.q_uu - mu**2 * omega.q_uu)) <= 5e-3
 
@@ -344,15 +351,15 @@ def test_omega0_stores_a_read_only_copy_of_the_lift():
     curve, grid = cylinder_envelope()
     sigma1 = ch.special_lift(curve, "against_p", E6)
     omega = ch.omega0_form(grid, sigma1)
-    for array in (omega.sigma1, omega.u_values):
+    for array in (omega.curve.vectors, omega.curve.u_values):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     # the caller's array stays writeable, and writing into it leaves the
     # structure (and the flows that interpolate its lift) untouched
-    before = omega.sigma1.copy()
+    before = omega.curve.vectors.copy()
     sigma1 *= 2.0
     assert sigma1.flags.writeable
-    assert np.array_equal(omega.sigma1, before)
+    assert np.array_equal(omega.curve.vectors, before)
 
 
 @pytest.mark.parametrize("index", [1, 17, 31])

@@ -62,7 +62,7 @@ def transform_grid(name, **kw):
     omega = omega0_form(base, curve.vectors)
     if name == "darboux":
         phi0 = darboux_initial_condition(np.eye(6)[[0, 3, 4]],
-                                         omega.sigma1[0], 7)
+                                         omega.curve.vectors[0], 7)
         return darboux_transform(base, omega, kw["m"], phi0).hat_f
     return calapso_transform(base, omega, kw["lam"])[1]
 

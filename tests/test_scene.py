@@ -538,6 +538,26 @@ def test_non_finite_numpy_scalars_rejected(path, value):
     assert validate_scene(cfg) == []
 
 
+def test_a_nan_on_a_later_lambda_fails_the_calapso_maximum(tmp_path,
+                                                          monkeypatch):
+    # Python's max drops a NaN unless it comes first; the op's reductions
+    # keep it, so the maximum reads null and its assertion fails
+    original = ops._calapso_measurements
+
+    def planted(args, ctx, lam):
+        out = original(args, ctx, lam)
+        if lam == args["lambdas"][1]:
+            out["ortho_defect"] = float("nan")
+        return out
+    monkeypatch.setattr(ops, "_calapso_measurements", planted)
+    report = run_scene(demo_config("cylinder-calapso", grid=16), tmp_path)
+    stage = next(s for s in report["stages"] if s["op"] == "calapso")
+    assert stage["measurements"]["ortho_max"] is None
+    check = next(c for c in stage["assertions"] if c["key"] == "ortho_max")
+    assert check["measured"] is None and not check["passed"]
+    assert not report["passed"]
+
+
 def test_cli_run_validates_once(tmp_path, monkeypatch):
     calls = []
 

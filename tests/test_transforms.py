@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from liechannel.channel import (
+    HOLONOMY_TOL,
     SphereCurve,
     circle_sphere_curve,
     curve_from_profile,
@@ -128,6 +129,10 @@ def test_darboux_rejects_bad_inputs():
         tr.darboux_transform(grid, omega, 0.0, phi0)
     with pytest.raises(GeometryError, match="not null"):
         tr.darboux_transform(grid, omega, 1.0, np.eye(6)[0])
+    # a zero vector spans no line: not null, and no 0/0 on the way
+    with np.errstate(all="raise"), pytest.raises(GeometryError,
+                                                 match="not null"):
+        tr.darboux_transform(grid, omega, 1.0, np.zeros(6))
     dead, _ = span_rows(dead_space())
     phi_bad = circle_points(lightcone_frames(dead)[0], 0.3)
     with pytest.raises(GeometryError, match="orthogonal to sigma1"):
@@ -520,6 +525,9 @@ def test_partner_curve_guards():
     s = line_sphere_curve(n=64)
     with pytest.raises(GeometryError, match="not null"):
         tr.ribaucour_partner_curve(s, 1.0, np.eye(6)[0])
+    with np.errstate(all="raise"), pytest.raises(GeometryError,
+                                                 match="not null"):
+        tr.ribaucour_partner_curve(s, 1.0, np.zeros(6))
     # the flow never divides by the pairing (s, shat): started in oriented
     # contact with the first sphere, it leaves contact and stays null
     y_start = sphere_lift(np.array([2.0, 0.0, -1.0]), -1.0)
@@ -540,6 +548,38 @@ def test_partner_flow_keeps_curved_partners_null(make):
     # scale: span ranks read each row at its own scale, so the pair is not
     # called degenerate (it was, at sample 48, with one scale per stack)
     assert tr.verify_ribaucour(s, part) <= 1e-12      # 1.5e-15 / 2.2e-14
+
+
+@pytest.mark.parametrize("make", [cylinder, torus],
+                         ids=["cylinder", "torus"])
+def test_partner_of_the_special_lift_is_the_darboux_section(make):
+    # one section routine: the partner flow on sigma1 with beta = -m is
+    # the Darboux section, bit for bit, and on the periodic torus both run
+    # the wrap edge to the same seam
+    _, grid, omega = make()
+    phi0 = tr.darboux_initial_condition(seed_space(), omega.curve.vectors[0],
+                                        seed=7)
+    res = tr.darboux_transform(grid, omega, 0.5, phi0)
+    part = tr.ribaucour_partner_curve(omega.curve, -0.5, phi0)
+    assert np.array_equal(part.vectors, res.hat_s.vectors)
+    assert np.array_equal(part.d1, res.hat_s.d1)
+    assert part.periodic_u == res.hat_s.periodic_u
+    seam = tr._section(omega.curve, -0.5, phi0)[1]
+    assert seam == res.holonomy_mismatch
+    assert (seam is None) == (not omega.curve.periodic_u)
+
+
+def test_periodic_partner_stays_open_when_its_seam_does_not_close():
+    s = circle_sphere_curve(n=64)
+    y0 = sphere_lift(np.array([3.0, 0.0, 0.0]), 0.5)
+    part = tr.ribaucour_partner_curve(s, 1.0, y0)
+    assert tr._section(s, 1.0, y0)[1] > HOLONOMY_TOL  # measured 0.527
+    assert not part.periodic_u
+    # the wrap edge only measures the seam: the samples are the open
+    # chain's
+    chain = SphereCurve(s.vectors, s.u_values, d1=s.d1)
+    assert np.array_equal(part.vectors, tr._flow(
+        tr._connection(chain, tr.SUBSTEPS), y0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -717,12 +757,12 @@ def test_drift_keys_grow_linearly_with_a_planted_fault(key, bound,
     # (outside o(4,2)) must move them linearly in eps, up to 1e3 times the
     # bounds the demos assert on them
     curve, grid, omega = cylinder()
-    p, q = tr._omega_connection(omega, 4)
+    p, q = tr._connection(omega.curve, 4)
     phi0 = tr.darboux_initial_condition(seed_space(), curve.vectors[0], seed=0)
 
     def measured(eps):
-        planted = (p + eps * (omega.du / 4) * METRIC, q)
-        monkeypatch.setattr(tr, "_omega_connection", lambda *_: planted)
+        planted = (p + eps * (omega.curve.du / 4) * METRIC, q)
+        monkeypatch.setattr(tr, "_connection", lambda *_: planted)
         if key == "null_drift":
             return tr.darboux_transform(grid, omega, 1.0, phi0).null_drift
         return tr.calapso_transform(grid, omega, 1.0)[0].ortho_defect
@@ -756,7 +796,7 @@ def test_batched_flow_matches_stepwise_steps_on_a_torus(lam):
     # on a curved channel the Hermite nodes are not exact, so both Magnus
     # terms of every substep carry weight
     _, _, omega = torus()
-    terms = tr._omega_connection(omega, 4)
+    terms = tr._connection(omega.curve, 4)
     phi0 = np.array([1.0, 0.5, -0.25, 2.0, 0.3, 1.5])
     for y0 in (np.eye(6), phi0):
         got = tr._flow(terms, y0, -lam)
@@ -770,7 +810,7 @@ def test_batched_flow_matches_stepwise_steps_on_a_long_thin_cylinder(lam):
     # their rounding must not build up along u
     curve = line_sphere_curve(n=1024)
     omega = omega0_form(envelope(curve, n_theta=8), curve.vectors)
-    terms = tr._omega_connection(omega, 4)
+    terms = tr._connection(omega.curve, 4)
     phi0 = np.array([1.0, 0.5, -0.25, 2.0, 0.3, 1.5])
     for y0 in (np.eye(6), phi0):
         got = tr._flow(terms, y0, -lam)
@@ -782,7 +822,7 @@ def test_rk4_flow_is_fourth_order_under_substep_doubling():
     # the flow's Magnus-Pade stepper keeps the fourth order of the RK4 it
     # replaced: the whole periodic flow of the torus, end to end
     _, _, omega = torus()
-    ends = [tr._flow(tr._omega_connection(omega, k), np.eye(6), -1.0)[-1]
+    ends = [tr._flow(tr._connection(omega.curve, k), np.eye(6), -1.0)[-1]
             for k in (2, 4, 8)]
     first = np.max(np.abs(ends[0] - ends[1]))
     second = np.max(np.abs(ends[1] - ends[2]))
@@ -802,12 +842,13 @@ def test_magnus_terms_are_built_once_per_structure(monkeypatch):
     monkeypatch.setattr(tr, "_edge_connection", counting)
     for lam in (-1.0, 0.5, 1.0, 2.0):
         tr.calapso_transform(grid, omega, lam)
-    tr.darboux_transform(grid, omega, 1.0, tr.darboux_initial_condition(
-        seed_space(), curve.vectors[0], seed=7))
+    phi0 = tr.darboux_initial_condition(seed_space(), curve.vectors[0], seed=7)
+    tr.darboux_transform(grid, omega, 1.0, phi0)
+    tr.ribaucour_partner_curve(omega.curve, -1.0, phi0)
     assert len(builds) == 1
-    p, q = tr._omega_connection(omega, 4)
+    p, q = tr._connection(omega.curve, 4)
     assert not (p.flags.writeable or q.flags.writeable)
-    assert tr._omega_connection(omega, 2)[0].shape == (15, 2, 6, 6)
+    assert tr._connection(omega.curve, 2)[0].shape == (15, 2, 6, 6)
     assert len(builds) == 2
 
 
