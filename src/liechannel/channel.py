@@ -32,6 +32,7 @@ from .core import (
     inv3,
     lightcone_frames,
     projective_gap,
+    raise_first_failure,
     read_only_copy,
     relative_nullity,
     small_eigvalsh,
@@ -45,7 +46,7 @@ from .legendre import LegendreGrid, channel_verdict, curvature_data
 CURVE_REGULARITY_MIN = 1e-6
 #: largest frame mismatch round a periodic curve that still closes the grid
 HOLONOMY_TOL = 1e-8
-#: smallest |(sigma, p)| the against_p gauge divides by
+#: smallest |(sigma, p)| special_lift divides by
 AGAINST_P_MIN = 1e-9
 
 
@@ -304,9 +305,8 @@ def envelope(curve: SphereCurve, n_theta: int = 64) -> LegendreGrid:
 
     perp = complement_rows(stacks)
     frame0, signature = lightcone_frames(perp[0])
-    wrong, cause = circle_failure(signature, lambda _: "normal space 0")
-    if wrong.any():
-        raise cause(0)
+    raise_first_failure([circle_failure(signature,
+                                        lambda _: "normal space 0")])
     frames = _transported_frames(perp, frame0, curve.periodic_u)
 
     periodic_u = curve.periodic_u
@@ -316,7 +316,7 @@ def envelope(curve: SphereCurve, n_theta: int = 64) -> LegendreGrid:
 
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     circle = circle_points(frames[:, None], theta)
-    sigma = np.broadcast_to(curve.vectors[:, None, :], circle.shape).copy()
+    sigma = np.broadcast_to(curve.vectors[:, None, :], circle.shape)
     return LegendreGrid(sigma, circle, curve.u_values, theta,
                         periodic_u=periodic_u, periodic_theta=True)
 
@@ -325,29 +325,21 @@ def envelope(curve: SphereCurve, n_theta: int = 64) -> LegendreGrid:
 # the distinguished one-form of a channel grid
 # ---------------------------------------------------------------------------
 
-def special_lift(curve: SphereCurve, mode: str = "unit",
-                 p_vec: Optional[np.ndarray] = None) -> np.ndarray:
-    """Scale the curve's lift to a distinguished gauge.
+def special_lift(curve: SphereCurve, p_vec: np.ndarray) -> np.ndarray:
+    """Scale the curve's lift so its pairing with the timelike direction
+    p_vec is exactly -1, the normalisation under which the conserved
+    quantity below is parallel.
 
-    'unit' rescales each sample to Euclidean norm one.  'against_p' scales
-    so the pairing with the given timelike direction is exactly -1, the
-    normalisation under which the conserved quantity below is parallel.
-    Both outputs depend on u only, which is what makes them special: the
+    The output depends on u only, which is what makes it special: the
     derivative along the circular direction vanishes identically.
     """
     vectors = curve.vectors
-    if mode == "unit":
-        return vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)
-    if mode == "against_p":
-        if p_vec is None:
-            raise ValueError("against_p normalisation needs p_vec")
-        ip = inner(vectors, np.asarray(p_vec, dtype=float))
-        bad = np.flatnonzero(np.abs(ip) < AGAINST_P_MIN)
-        if bad.size:
-            raise GeometryError(
-                f"curve is orthogonal to p at samples {bad[:8].tolist()}")
-        return -vectors / ip[:, None]
-    raise ValueError(f"unknown lift mode {mode!r}")
+    ip = inner(vectors, np.asarray(p_vec, dtype=float))
+    bad = np.flatnonzero(np.abs(ip) < AGAINST_P_MIN)
+    if bad.size:
+        raise GeometryError(
+            f"curve is orthogonal to p at samples {bad[:8].tolist()}")
+    return -vectors / ip[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,8 +354,8 @@ class Omega0Structure:
     (u, theta); lift_gap is the worst projective gap between the two over
     the grid, the one measurement of that condition that can fail.
 
-    curve holds sigma1 on the grid's u-axis, with the d1 that eta is built
-    from; the transform flows keep their Magnus terms on it.
+    curve holds sigma1 on the grid's u-axis, and eta is built from its
+    derivative(1); the transform flows keep their Magnus terms on it.
     """
 
     curve: SphereCurve            # the special lift sigma1
@@ -393,18 +385,22 @@ def omega0_form(grid: LegendreGrid, sigma1: np.ndarray) -> Omega0Structure:
         raise GeometryError(
             "grid is not a channel along dir1; the middle one-form needs a "
             f"circular first family (verdict: {verdict.circular_dir})")
-    lift_gap = float(np.max(projective_gap(sigma1[:, None],
-                                           curvature_data(grid).s1)))
+    lift_gap = _curvature_sphere_gap(sigma1, grid)
     if lift_gap > 1e-6:
         raise GeometryError("sigma1 does not lift the first curvature "
                             f"sphere family of this grid (gap {lift_gap:.3e})")
 
-    curve = SphereCurve(sigma1, grid.u_values, periodic_u=grid.periodic_u,
-                        d1=stencils.diff1_5pt(sigma1, grid.du,
-                                              periodic=grid.periodic_u))
-    return Omega0Structure(curve=curve,
-                           eta_u=wedge_matrix(curve.vectors, curve.d1),
-                           q_uu=-inner(curve.d1, curve.d1), lift_gap=lift_gap)
+    curve = SphereCurve(sigma1, grid.u_values, periodic_u=grid.periodic_u)
+    d1 = curve.derivative(1)
+    return Omega0Structure(curve=curve, eta_u=wedge_matrix(curve.vectors, d1),
+                           q_uu=-inner(d1, d1), lift_gap=lift_gap)
+
+
+def _curvature_sphere_gap(lift: np.ndarray, grid: LegendreGrid) -> float:
+    """Worst projective gap, over the grid, between a lift (nu, 6) on the
+    grid's u-axis and the grid's first curvature sphere family."""
+    return float(np.max(projective_gap(lift[:, None],
+                                       curvature_data(grid).s1)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +437,7 @@ def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
                        strict: bool = True) -> ConservedQuantityReport:
     """Check that p + lambda*sigma1 is parallel for d + lambda*eta.
 
-    Requires the against_p normalisation (sigma1, p) = -1; with strict=True
+    Requires special_lift's normalisation (sigma1, p) = -1; with strict=True
     a violation raises, otherwise it is recorded and the (failing)
     residuals are still measured -- that is the negative control for
     wrongly-normalised lifts.  Edge residuals use trapezoidal averaging of
@@ -457,7 +453,7 @@ def conserved_quantity(omega: Omega0Structure, p_vec: np.ndarray,
         if strict:
             raise GeometryError(
                 f"lift is not normalised against p (defect {defect:.3e}); "
-                "build it with special_lift(..., mode='against_p')")
+                "build it with special_lift(curve, p_vec)")
         notes.append(f"normalisation defect {defect:.3e}; residuals are "
                      "expected to be O(1)")
 

@@ -25,9 +25,9 @@ from .core import (
     circle_phase,
     circle_points,
     containment_gap,
-    first_failure,
     lightcone_frames,
     parallel_transform_matrix,
+    raise_first_failure,
 )
 from .transforms import _d1_spans
 
@@ -37,8 +37,6 @@ RIBAUCOUR_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-8
 #: largest angle, in radians, between an enveloped curve and its circle
 TANGENCY_TOL = 1e-4
-#: circle-phase step of the tangent chord
-FD_DELTA = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +80,10 @@ def circle_congruence_report(c1: SphereCurve,
     span D1 = {sigma, sigma_hat, sigma'} of the pair (_d1_spans).
     tangency: the theta-derivative of the projected circle at each curve's
     phase must align with the curve's own tangent (angle between lines).
+    The circle point p = cos(t) E1 + sin(t) E2 + E3 has the phase
+    derivative p' = -sin(t) E1 + cos(t) E2; with x, x' their first three
+    coordinates and w, w' their sums p4 + p5, the projected point is x / w
+    and its tangent points along x' w - x w'.
     Both curves must be null and regular (SphereCurve.check).  All samples
     at once; the first failing sample in u order is reported.
     """
@@ -90,26 +92,26 @@ def circle_congruence_report(c1: SphereCurve,
     bases, residuals, failures = _d1_spans(c1, c2)
     frames, signature = lightcone_frames(bases)
     lifts = np.stack([c1.vectors, c2.vectors], axis=1)          # (n, 2, 6)
-    # circle phase of each lift, then the projected circle just beside it
+    # circle phase of each lift, then the projected circle's tangent there
     phase, timelike = circle_phase(frames[:, None], lifts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        probe = phase[..., None] + np.array([-FD_DELTA, FD_DELTA])  # (n, 2, 2)
-        pts = circle_points(frames[:, None, None], probe)
-        pos = pts[..., :3] / (pts[..., 3] + pts[..., 4])[..., None]
-        tangent = pos[:, :, 1] - pos[:, :, 0]
+        point = circle_points(frames[:, None], phase)
+        turn = (np.cos(phase)[..., None] * frames[:, None, 1]
+                - np.sin(phase)[..., None] * frames[:, None, 0])
+        tangent = (turn[..., :3] * (point[..., 3] + point[..., 4])[..., None]
+                   - point[..., :3] * (turn[..., 3] + turn[..., 4])[..., None])
         ref = np.stack([c.derivative(1)[:, :3] for c in (c1, c2)], axis=1)
         cr = np.linalg.norm(np.cross(tangent, ref), axis=-1)
         denom = np.linalg.norm(tangent, axis=-1) * np.linalg.norm(ref, axis=-1)
         angles = np.arcsin(np.clip(cr / denom, 0.0, 1.0))
-    hit = first_failure(failures + [
+    raise_first_failure(failures + [
         (residuals > RIBAUCOUR_TOL, lambda k: GeometryError(
             f"curves are not a Ribaucour pair at sample {k} "
             f"(span residual {residuals[k]:.3e})")),
         circle_failure(signature, lambda _: "congruence span"),
         (~timelike.all(axis=1), lambda k: GeometryError(
-            "vector has no timelike component in this frame"))])
-    if hit is not None:
-        raise GeometryError(f"congruence fails at sample {hit[0]}") from hit[1]
+            "vector has no timelike component in this frame"))],
+        "congruence fails")
     membership = float(np.max(containment_gap(bases, lifts)))
     t1, t2 = float(angles[:, 0].max()), float(angles[:, 1].max())
     passed = (membership <= MEMBERSHIP_TOL

@@ -80,8 +80,8 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def read_only_copy(array: np.ndarray) -> np.ndarray:
-    """A float copy of array that cannot be written to."""
-    copy = np.array(array, dtype=float)
+    """A C-ordered float copy of array that cannot be written to."""
+    copy = np.array(array, dtype=float, order="C")
     copy.flags.writeable = False
     return copy
 
@@ -532,19 +532,23 @@ def _eigvalsh3(a: np.ndarray, deflate) -> np.ndarray:
     return out.reshape(batch + (3,))
 
 
-def first_failure(failures):
-    """(k, exception) of the smallest flagged sample, or None.
+def raise_first_failure(failures, what=None) -> None:
+    """Raise the exception of the smallest flagged sample, if there is one.
 
     failures: (mask, cause) pairs in check order, mask over samples and
     cause(k) building the exception of that check; at one sample the
-    earlier check wins.
+    earlier check wins.  With what given, the error raised is
+    GeometryError("<what> at sample k"), chained to that exception.
     """
     hits = [(int(np.argmax(mask)), order)
             for order, (mask, _) in enumerate(failures) if np.any(mask)]
     if not hits:
-        return None
+        return
     k, order = min(hits)
-    return k, failures[order][1](k)
+    cause = failures[order][1](k)
+    if what is None:
+        raise cause
+    raise GeometryError(f"{what} at sample {k}") from cause
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +589,9 @@ def lightcone_frames(bases: np.ndarray):
 
 
 def circle_failure(signature: np.ndarray, name):
-    """first_failure's (mask, cause) pair for lightcone_frames signatures
-    (..., 3), over their flattened leading axes: the spaces that are not
-    (2, 1, 0), each named by name(k) in its SignatureError."""
+    """raise_first_failure's (mask, cause) pair for lightcone_frames
+    signatures (..., 3), over their flattened leading axes: the spaces that
+    are not (2, 1, 0), each named by name(k) in its SignatureError."""
     signature = signature.reshape(-1, 3)
     return np.any(signature != (2, 1, 0), axis=-1), lambda k: SignatureError(
         f"{name(k)} has signature {tuple(signature[k].tolist())}, "

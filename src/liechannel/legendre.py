@@ -30,13 +30,13 @@ from .core import (
     GeometryError,
     _largest_eigvalsh,
     _transposed,
-    first_failure,
     inv3,
     null_combination,
     orthonormal_rows,
     plane_lift,
     point_lift,
     projective_gap,
+    raise_first_failure,
     read_only_copy,
     small_eigvalsh,
     unit_rows,
@@ -880,15 +880,13 @@ def spherical_line_residuals(grid: LegendreGrid, indices):
     indices = np.asarray(indices, dtype=int)
     vec, _, finite, pure = _pencil_point_spheres(grid.sigma[indices],
                                                  grid.tau[indices])
-    hit = first_failure([
+    raise_first_failure([
         (pure.any(axis=-1), lambda k: GeometryError(
             f"parameter line u-index {indices[k]}: pencil is entirely "
             "made of point spheres")),
         (np.count_nonzero(finite, axis=-1) < 6, lambda k: GeometryError(
             f"parameter line u-index {indices[k]} has fewer than six "
             "finite points"))])
-    if hit is not None:
-        raise hit[1]
     rows = np.where(finite[..., None], unit_rows(vec), 0.0)
     svals = np.linalg.svd((rows * SIGNS)[..., :5], full_matrices=False)[1]
     return svals[:, -1]

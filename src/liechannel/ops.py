@@ -17,23 +17,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (SphereCurve, circle_sphere_curve, conserved_quantity,
-                      envelope, line_sphere_curve, omega0_form)
+from .channel import (SphereCurve, _curvature_sphere_gap,
+                      circle_sphere_curve, conserved_quantity, envelope,
+                      line_sphere_curve, omega0_form)
 from .conformal import circle_congruence_report, tube_sphere_curve
 from .core import (DIM, GeometryError, circle_points, containment_gap,
-                   first_failure, inner, projective_gap, unit_rows)
-from .legendre import (LegendreGrid, channel_verdict, curvature_data,
-                       is_channel, lie_cyclide_split,
-                       spherical_line_residuals, validate_legendre)
+                   inner, raise_first_failure, unit_rows)
+from .legendre import (LegendreGrid, channel_verdict, is_channel,
+                       lie_cyclide_split, spherical_line_residuals,
+                       validate_legendre)
 from .mesh import (_pencil_point_spheres, cyclide_mesh, cyclide_point_grid,
                    export_obj, mesh_from_grid)
 from .scene import _OBJECT_KINDS, _OPS, REPORT_SCHEMA, PipelineError
-from .transforms import (DupinCyclide, _d1_spans, _raise_span_failure,
-                         calapso_quadratic_form, calapso_transform,
-                         cyclide_point_residual, darboux_initial_condition,
-                         darboux_transform, dupin_from_spheres,
-                         dupin_from_subspaces, gauge_edge_residual,
-                         ribaucour_cyclides, verify_ribaucour)
+from .transforms import (DupinCyclide, _d1_spans, calapso_quadratic_form,
+                         calapso_transform, cyclide_point_residual,
+                         darboux_initial_condition, darboux_transform,
+                         dupin_from_spheres, dupin_from_subspaces,
+                         gauge_edge_residual, ribaucour_cyclides,
+                         verify_ribaucour)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +160,7 @@ def _calapso_measurements(args, ctx, lam):
         calapso_quadratic_form(gauge, omega) - omega.q_uu)))
     channel = channel_verdict(out)
     # the lift gap omega0_form measures, of the pushed special lift
-    gap = float(np.max(projective_gap(gauge.push(omega.curve.vectors)[:, None],
-                                      curvature_data(out).s1)))
+    gap = _curvature_sphere_gap(gauge.push(omega.curve.vectors), out)
     if "store_prefix" in args:
         ctx.objects[f"{args['store_prefix']}_{float(lam)}"] = out
     return {
@@ -221,7 +221,7 @@ def _op_congruence_contact(args, ctx):
     f, f_hat = args["grid"], args["hat_grid"]
     s, s_hat = args["spheres_a"], args["spheres_b"]
     d1_basis, _, span_failures = _d1_spans(s, s_hat)
-    _raise_span_failure(span_failures, "cyclide span")
+    raise_first_failure(span_failures, "cyclide span degenerates")
     nu = f.shape[0]
     ks = np.arange(0, nu, args.get("sample_every", max(1, nu // 8)))
     probes = np.linspace(0.0, 2.0 * np.pi, _N_PROBE, endpoint=False)
@@ -230,12 +230,10 @@ def _op_congruence_contact(args, ctx):
         bases, [f"congruence u-index {k}" for k in ks])
     pencils = [_pencil_point_spheres(grid.sigma[ks], grid.tau[ks])
                for grid in (f, f_hat)]
-    hit = first_failure(failures + [
+    raise_first_failure(failures + [
         (pure.any(axis=-1), lambda i: GeometryError(
             "pencil is entirely made of point spheres"))
         for *_, pure in pencils])
-    if hit is not None:
-        raise hit[1]
 
     spheres = np.stack([s.vectors[ks], s_hat.vectors[ks]], axis=1)
     membership = containment_gap(bases, spheres)

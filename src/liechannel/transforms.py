@@ -44,13 +44,13 @@ from .core import (
     circle_failure,
     circle_points,
     complement_rows,
-    first_failure,
     inner,
     lightcone_frames,
     null_combination,
     orthonormal_rows,
     principal_sine,
     projective_gap,
+    raise_first_failure,
     relative_nullity,
     span_rows,
     unit_rows,
@@ -62,7 +62,7 @@ from .legendre import LegendreGrid, _memoised, _u_slabs, curvature_data
 MIN_PAIRING = 0.05
 #: draws darboux_initial_condition makes before it gives up
 MAX_TRIES = 32
-#: Magnus-Pade substeps per u-edge of a flow whose caller sets none
+#: Magnus-Pade substeps per u-edge of every flow
 SUBSTEPS = 4
 
 
@@ -94,34 +94,34 @@ def _hermite(y0, d0, y1, d1, h, t):
     return val, der
 
 
-def _edge_connection(curve: SphereCurve, substeps: int):
-    """Magnus terms (P, Q) of A(u) = wedge(s, s') on every substep of every
-    u-edge of a sphere curve s (a periodic curve adds the wrap edge).
+def _edge_connection(curve: SphereCurve):
+    """Magnus terms (P, Q) of A(u) = wedge(s, s') on every one of the
+    SUBSTEPS substeps of every u-edge of a sphere curve s (a periodic curve
+    adds the wrap edge).
 
     A substep of length hs with A0, Am, A1 at its start, middle and end
     (from the cubic Hermite of the samples and d1) has the fourth-order
     Magnus generator c P + c^2 Q for the flow y' = c A y, with
     P = hs/6 (A0 + 4 Am + A1) and Q = hs^2/12 [A1, A0].  Both are
-    read-only arrays of shape (n_edges, substeps, 6, 6).
+    read-only arrays of shape (n_edges, SUBSTEPS, 6, 6).
     """
     vectors, d1, du = curve.vectors, curve.derivative(1), curve.du
     left, right = stencils.edge_pairs(vectors.shape[0], curve.periodic_u)
-    t = (np.arange(2 * substeps + 1) / (2 * substeps))[:, None]
+    t = (np.arange(2 * SUBSTEPS + 1) / (2 * SUBSTEPS))[:, None]
     nodes = wedge_matrix(*_hermite(vectors[left, None], d1[left, None],
                                    vectors[right, None], d1[right, None],
                                    du, t))
     a0, am, a1 = nodes[:, :-1:2], nodes[:, 1::2], nodes[:, 2::2]
-    hs = du / substeps
+    hs = du / SUBSTEPS
     p = (hs / 6.0) * (a0 + 4.0 * am + a1)
     q = (hs * hs / 12.0) * (a1 @ a0 - a0 @ a1)
     p.flags.writeable = q.flags.writeable = False
     return p, q
 
 
-def _connection(curve: SphereCurve, substeps: int):
-    """_edge_connection of a curve, once per curve and substep count."""
-    return _memoised(curve, ("magnus", substeps),
-                     lambda c: _edge_connection(c, substeps))
+def _connection(curve: SphereCurve):
+    """_edge_connection of a curve, once per curve and value of SUBSTEPS."""
+    return _memoised(curve, ("magnus", SUBSTEPS), _edge_connection)
 
 
 def _flow(terms, y0: np.ndarray, coeff: float) -> np.ndarray:
@@ -156,8 +156,7 @@ def _flow(terms, y0: np.ndarray, coeff: float) -> np.ndarray:
     return out
 
 
-def _section(curve: SphereCurve, coeff: float, y0: np.ndarray,
-             substeps: int = SUBSTEPS):
+def _section(curve: SphereCurve, coeff: float, y0: np.ndarray):
     """Parallel section y' = coeff * wedge(s, s') y of a sphere curve s
     from the null sphere y0 -> (section, seam).
 
@@ -170,7 +169,7 @@ def _section(curve: SphereCurve, coeff: float, y0: np.ndarray,
     y0 = np.asarray(y0, dtype=float)
     if relative_nullity(y0) > NULL_TOL:
         raise GeometryError("initial sphere is not null")
-    y = _flow(_connection(curve, substeps), y0, coeff)
+    y = _flow(_connection(curve), y0, coeff)
     seam = None
     if curve.periodic_u:
         y, wrap = y[:-1], y[-1]
@@ -210,10 +209,8 @@ def darboux_initial_condition(rows: np.ndarray, sigma1_0: np.ndarray,
     if rank < 3:
         raise RankDeficiencyError(3, int(rank))
     frame, signature = lightcone_frames(basis)
-    wrong, cause = circle_failure(signature,
-                                  lambda _: "initial-condition space")
-    if wrong.any():
-        raise cause(0)
+    raise_first_failure([circle_failure(signature,
+                                        lambda _: "initial-condition space")])
     rng = np.random.default_rng(seed)
     scale = np.linalg.norm(sigma1_0)
     for _ in range(MAX_TRIES):
@@ -226,8 +223,7 @@ def darboux_initial_condition(rows: np.ndarray, sigma1_0: np.ndarray,
 
 
 def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
-                      phi0: np.ndarray,
-                      substeps: int = SUBSTEPS) -> DarbouxResult:
+                      phi0: np.ndarray) -> DarbouxResult:
     """New channel grid from a parallel null line of d + m*eta.
 
     Integrates phi' = -m * eta_u * phi along u; the new contact elements
@@ -240,7 +236,7 @@ def darboux_transform(grid: LegendreGrid, omega: Omega0Structure, m: float,
     """
     if m == 0.0:
         raise ValueError("Darboux parameter m must be nonzero")
-    hat_s, seam = _section(omega.curve, -m, phi0, substeps)
+    hat_s, seam = _section(omega.curve, -m, phi0)
     phi, sigma1_0 = hat_s.vectors, omega.curve.vectors[0]
     if abs(float(inner(phi[0], sigma1_0))) < (
             1e-6 * np.linalg.norm(phi[0]) * np.linalg.norm(sigma1_0)):
@@ -284,8 +280,8 @@ class GaugeField:
         return np.einsum("kab,k...b->k...a", self.T, vectors)
 
 
-def calapso_transform(grid: LegendreGrid, omega: Omega0Structure, lam: float,
-                      substeps: int = SUBSTEPS):
+def calapso_transform(grid: LegendreGrid, omega: Omega0Structure,
+                      lam: float):
     """Trivialising gauge of d + lambda*eta and the transformed grid.
 
     Integrates d(Tinv)/du = -lambda * eta_u * Tinv from the identity; the
@@ -294,7 +290,7 @@ def calapso_transform(grid: LegendreGrid, omega: Omega0Structure, lam: float,
     ortho_defect is the worst entry of T^t G T - G: it reads rounding
     unless the flow's generator leaves o(4,2).
     """
-    tinv = _flow(_connection(omega.curve, substeps), np.eye(DIM),
+    tinv = _flow(_connection(omega.curve), np.eye(DIM),
                  -lam)[:omega.curve.u_values.size]
     t = SIGNS[:, None] * _transposed(tinv) * SIGNS
     defect = float(np.max(np.abs(
@@ -323,7 +319,7 @@ def calapso_quadratic_form(gauge: GaugeField, omega: Omega0Structure):
     directions; re-differencing T through grid stencils would only
     re-measure stencil truncation.
     """
-    v = omega.curve.d1 + gauge.lam * np.einsum(
+    v = omega.curve.derivative(1) + gauge.lam * np.einsum(
         "kij,kj->ki", omega.eta_u, omega.curve.vectors)
     tv = np.einsum("kab,kb->ka", gauge.T, v)
     return -inner(tv, tv)
@@ -343,7 +339,7 @@ def verify_ribaucour(s: SphereCurve, s_hat: SphereCurve) -> float:
     orthogonal pair is an error, not a large residual.
     """
     _, sines, failures = _d1_spans(s, s_hat)
-    _raise_span_failure(failures, "span")
+    raise_first_failure(failures, "span degenerates")
     return float(np.max(sines))
 
 
@@ -353,21 +349,19 @@ def _d1_spans(s: SphereCurve, s_hat: SphereCurve):
 
     Returns (bases, sines, failures): orthonormal bases (n, 3, 6) of D1
     from the rows [s, shat, s'], the sines of the largest principal angle
-    between D1 and its twin, and core.first_failure's (mask, cause) pairs
-    for rank loss of D1, then of its twin.  Raises GeometryError before
-    any span where the curves do not share their u-grid or are orthogonal
-    somewhere.
+    between D1 and its twin, and core.raise_first_failure's (mask, cause)
+    pairs for rank loss of D1, then of its twin.  Raises GeometryError
+    before any span where the curves do not share their u-grid or are
+    orthogonal somewhere, naming the first such sample.
     """
     if not np.array_equal(s.u_values, s_hat.u_values):
         raise GeometryError("curves must share their u-grid")
     pairing = np.abs(inner(s.vectors, s_hat.vectors)) / (
         np.linalg.norm(s.vectors, axis=-1)
         * np.linalg.norm(s_hat.vectors, axis=-1))
-    if np.min(pairing) <= 1e-12:
-        k = int(np.argmin(pairing))
-        raise GeometryError(
-            f"curves are orthogonal at sample {k}; they span a contact "
-            "element there and the criterion degenerates")
+    raise_first_failure([(pairing <= 1e-12, lambda k: GeometryError(
+        f"curves are orthogonal at sample {k}; they span a contact "
+        "element there and the criterion degenerates"))])
     (a, rank_a), (b, rank_b) = (
         span_rows(np.stack([s.vectors, s_hat.vectors, curve.derivative(1)],
                            axis=-2))
@@ -375,14 +369,6 @@ def _d1_spans(s: SphereCurve, s_hat: SphereCurve):
     return a, principal_sine(a, b), [
         (rank_a < 3, lambda k: RankDeficiencyError(3, int(rank_a[k]))),
         (rank_b < 3, lambda k: RankDeficiencyError(3, int(rank_b[k])))]
-
-
-def _raise_span_failure(failures, what: str) -> None:
-    """Raise "<what> degenerates at sample k" at _d1_spans' first failure."""
-    hit = first_failure(failures)
-    if hit is not None:
-        k, cause = hit
-        raise GeometryError(f"{what} degenerates at sample {k}") from cause
 
 
 def ribaucour_partner_curve(s: SphereCurve, beta: float,
@@ -435,7 +421,7 @@ def ribaucour_cyclides(s: SphereCurve, s_hat: SphereCurve,
     so no grid-sized stack of bases or jets is ever built.
     """
     d1_spaces, sines, failures = _d1_spans(s, s_hat)
-    _raise_span_failure(failures, "cyclide span")
+    raise_first_failure(failures, "cyclide span degenerates")
     coincidence = float(np.max(sines))
 
     duality = theta_constancy = d2_coincidence = None
@@ -525,9 +511,7 @@ def dupin_from_spheres(a, b, c) -> DupinCyclide:
             "cyclide)") from RankDeficiencyError(3, int(rank))
     (cyclide,), _, failures = dupin_from_subspaces(basis[None],
                                                    ["from-three-spheres"])
-    hit = first_failure(failures)
-    if hit is not None:
-        raise hit[1]
+    raise_first_failure(failures)
     return cyclide
 
 
@@ -538,9 +522,9 @@ def dupin_from_subspaces(bases: np.ndarray, provenances):
 
     frames (m, 2, 3, 6) holds the lightcone frames of each D and of its
     metric complement, from one lightcone_frames call, and cyclides[i]
-    carries frames[i].  failures lists core.first_failure's (mask, cause)
-    pairs in check order: a D whose signature is not (2, 1, 0), then such
-    a complement.  Cyclides and frames at a flagged sample are
+    carries frames[i].  failures lists core.raise_first_failure's (mask,
+    cause) pairs in check order: a D whose signature is not (2, 1, 0), then
+    such a complement.  Cyclides and frames at a flagged sample are
     meaningless.
     """
     bases = np.asarray(bases, dtype=float)

@@ -200,11 +200,10 @@ def test_no_two_object_kinds_run_the_same_constructor():
 
 #: the only places that call a stencil (module, enclosing function): the
 #: grid's own difference, which the slab passes apply to their halo
-#: windows too, and the u-derivatives of sphere curves and of the special
-#: lift
+#: windows too, and the u-derivatives of sphere curves, the special lift's
+#: among them
 STENCIL_CALLERS = {("legendre", "LegendreGrid.diff"),
-                   ("channel", "SphereCurve.derivative"),
-                   ("channel", "omega0_form")}
+                   ("channel", "SphereCurve.derivative")}
 
 
 def _stencil_callers():

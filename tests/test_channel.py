@@ -18,6 +18,7 @@ from liechannel.core import (
     lightcone_frames,
     projective_gap,
     sphere_lift,
+    unit_rows,
 )
 from liechannel.legendre import curvature_data, is_channel, validate_legendre
 from liechannel.mesh import grid_point_spheres
@@ -40,7 +41,7 @@ def torus_envelope(n=64):
 @lru_cache(maxsize=None)
 def cylinder_omega(n=64):
     curve, grid = cylinder_envelope(n)
-    sigma1 = ch.special_lift(curve, "against_p", E6)
+    sigma1 = ch.special_lift(curve, E6)
     return ch.omega0_form(grid, sigma1)
 
 
@@ -264,17 +265,15 @@ def test_osculating_verdict_ignores_scale_and_speed(speed, scale):
 
 def test_special_lift_gauges():
     curve, _ = cylinder_envelope()
-    unit = ch.special_lift(curve, "unit")
+    unit = unit_rows(curve.vectors)
     assert np.allclose(np.linalg.norm(unit, axis=-1), 1.0, atol=1e-14)
-    tilted = ch.special_lift(curve, "against_p", E6)
+    tilted = ch.special_lift(curve, E6)
     assert np.max(np.abs(inner(tilted, E6) + 1.0)) <= 1e-14
     # unit-radius spheres pair with e6 as -1 already, so the gauge is a no-op
     assert np.max(np.abs(tilted - curve.vectors)) == 0.0
-    with pytest.raises(ValueError):
-        ch.special_lift(curve, "frobn")
     point_curve = ch.line_sphere_curve(16, radius=0.0)
     with pytest.raises(GeometryError, match="orthogonal to p"):
-        ch.special_lift(point_curve, "against_p", E6)
+        ch.special_lift(point_curve, E6)
 
 
 def test_omega0_q_is_minus_one_on_the_cylinder():
@@ -349,7 +348,7 @@ def test_omega0_rejects_non_channel_grids():
 
 def test_omega0_stores_a_read_only_copy_of_the_lift():
     curve, grid = cylinder_envelope()
-    sigma1 = ch.special_lift(curve, "against_p", E6)
+    sigma1 = ch.special_lift(curve, E6)
     omega = ch.omega0_form(grid, sigma1)
     for array in (omega.curve.vectors, omega.curve.u_values):
         with pytest.raises(ValueError, match="read-only"):
@@ -551,7 +550,7 @@ def test_envelope_transport_matches_an_extended_precision_reference(make, n):
 
 def test_torus_omega0_quadratic_form():
     curve, grid = torus_envelope()
-    sigma1 = ch.special_lift(curve, "against_p", E6)
+    sigma1 = ch.special_lift(curve, E6)
     omega = ch.omega0_form(grid, sigma1)
     # (sigma', sigma') = ring_radius^2 at tube radius 1; derivative is
     # fourth-order accurate away from ends (periodic: everywhere)
@@ -575,7 +574,7 @@ def test_conserved_quantity_exact_on_cylinder():
 
 def test_wrong_gauge_is_rejected_then_measurably_fails():
     curve, grid = cylinder_envelope()
-    unit = ch.special_lift(curve, "unit")
+    unit = unit_rows(curve.vectors)
     omega = ch.omega0_form(grid, unit)
     with pytest.raises(GeometryError, match="not normalised"):
         ch.conserved_quantity(omega, E6, [1.0])
@@ -593,7 +592,7 @@ def test_conserved_quantity_on_torus_converges_locally():
     for n in (32, 64):
         curve = ch.circle_sphere_curve(n, 2.0, 1.0)
         grid = ch.envelope(curve, n)
-        omega = ch.omega0_form(grid, ch.special_lift(curve, "against_p", E6))
+        omega = ch.omega0_form(grid, ch.special_lift(curve, E6))
         report = ch.conserved_quantity(omega, E6, [1.0])
         assert report.passed
         results[n] = report.residuals[1.0]
@@ -622,7 +621,7 @@ def test_every_torus_envelope_conserves_its_quantity(ring, tube):
     curve = ch.circle_sphere_curve(48, ring_radius=ring, radius=tube)
     grid = ch.envelope(curve, 48)
     assert grid.periodic_u
-    sigma1 = ch.special_lift(curve, "against_p", E6)
+    sigma1 = ch.special_lift(curve, E6)
     assert np.max(np.abs(inner(sigma1, E6) + 1.0)) <= 1e-12
     omega = ch.omega0_form(grid, sigma1)
     report = ch.conserved_quantity(omega, E6, [-1.0, 1.0, 2.0])

@@ -209,6 +209,24 @@ def test_touching_curves_rejected():
         verify_ribaucour(axis, line())
 
 
+def test_orthogonal_pair_is_named_at_its_first_sample():
+    # the guard flags sample 11 (normalised pairing 2.0e-13) and sample 40
+    # (1.5e-16, the deepest): it names the first in u order
+    axis, offset = lines()
+    touching = offset.vectors.copy()
+    touching[40] = axis.vectors[40]
+    touching[11] = axis.vectors[11] + 1e-13 * offset.vectors[11]
+    partner = SphereCurve(touching, offset.u_values)
+    pairing = np.abs(inner(axis.vectors, touching)) / (
+        np.linalg.norm(axis.vectors, axis=-1)
+        * np.linalg.norm(touching, axis=-1))
+    assert np.flatnonzero(pairing <= 1e-12).tolist() == [11, 40]
+    assert int(np.argmin(pairing)) == 40
+    with pytest.raises(GeometryError,
+                       match="^curves are orthogonal at sample 11;"):
+        verify_ribaucour(axis, partner)
+
+
 def test_grid_mismatch_rejected():
     axis, _ = lines()
     other = line(n=32, origin=(2.0, 0.0, 0.0))
@@ -260,10 +278,36 @@ def test_circle_congruence_report_parallel_lines():
     axis, offset = lines()
     report = cf.circle_congruence_report(axis, offset)
     assert report.membership <= 1e-8               # measured 1.3e-15
-    assert max(report.tangency1, report.tangency2) <= 1e-4  # 7.5e-7 rad
+    # the exact circle tangent: measured 4.8e-16 and 2.0e-15 rad
+    assert max(report.tangency1, report.tangency2) <= 1e-13
     assert np.max(report.residuals) <= 1e-12
     assert report.passed
     assert report.notes == []
+
+
+def bent_line(eps, n=64):
+    """The offset line x = 2 bent by eps u^2 in x, u in [-1, 1], with its
+    exact jet: its tangent leaves the parallel line's by the angle
+    arctan(2 eps |u|)."""
+    def jet(u):
+        z = np.zeros_like(u)
+        c = np.stack([2.0 + eps * u * u, z, u], axis=-1)
+        c1 = np.stack([2.0 * eps * u, z, np.ones_like(u)], axis=-1)
+        c2 = np.stack([np.full_like(u, 2.0 * eps), z, z], axis=-1)
+        return c, c1, c2
+    return curve_from_profile(jet, 0.0, np.linspace(-1.0, 1.0, n))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7])
+def test_circle_tangency_reads_a_planted_bend(eps):
+    # the circle through both lines at u stays tangent to the axis and
+    # leaves the bent line at the angle 2 eps |u|, largest at the ends; a
+    # tangent taken from a chord of the circle would read its own error
+    # there (7.5e-7 at a phase step of 1e-3)
+    axis, _ = lines()
+    report = cf.circle_congruence_report(axis, bent_line(eps))
+    assert report.tangency1 <= 1e-13                  # measured <= 3.9e-16
+    assert report.tangency2 == pytest.approx(2.0 * eps, rel=1e-2)
 
 
 def test_circle_congruence_rejects_non_ribaucour_pair():

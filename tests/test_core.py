@@ -610,6 +610,40 @@ def test_lightcone_circle_rejects_wrong_signature():
         raise cause(0)
 
 
+def _two_checks():
+    """Two failure checks over 5 samples that both flag samples 2 and 4:
+    the first with a GeometryError, the second with a SignatureError."""
+    mask = np.array([False, False, True, False, True])
+    return [(mask, lambda k: GeometryError(f"first check at {k}")),
+            (mask, lambda k: SignatureError(f"second check at {k}"))]
+
+
+def test_raise_first_failure_takes_the_earlier_check_at_one_sample():
+    first, second = _two_checks()
+    # the second check alone flags sample 1 too, which comes first in u
+    earlier = (second[0] | np.eye(5, dtype=bool)[1], second[1])
+    with pytest.raises(GeometryError, match="^first check at 2$"):
+        core.raise_first_failure([first, second])
+    with pytest.raises(SignatureError, match="^second check at 2$"):
+        core.raise_first_failure([second, first])
+    with pytest.raises(SignatureError, match="^second check at 1$"):
+        core.raise_first_failure([first, earlier])
+
+
+def test_raise_first_failure_names_the_sample_for_a_given_what():
+    checks = _two_checks()[::-1]
+    with pytest.raises(SignatureError) as own:
+        core.raise_first_failure(checks)
+    assert str(own.value) == "second check at 2"
+    assert own.value.__cause__ is None
+    with pytest.raises(GeometryError) as named:
+        core.raise_first_failure(checks, "span degenerates")
+    assert type(named.value) is GeometryError
+    assert str(named.value) == "span degenerates at sample 2"
+    assert isinstance(named.value.__cause__, SignatureError)
+    assert str(named.value.__cause__) == "second check at 2"
+
+
 def test_lightcone_circle_spans_whole_family():
     rng = np.random.default_rng(9)
     basis = oracles.basis(rng.normal(size=(3, 6)))

@@ -8,8 +8,8 @@ import pytest
 from liechannel.channel import circle_sphere_curve, envelope
 from liechannel.core import (INFINITY_VEC, Infinity,
                              SignatureError, circle_points, containment_gap,
-                             first_failure, plane_lift, point_lift,
-                             project_to_euclidean, span_rows)
+                             plane_lift, point_lift, project_to_euclidean,
+                             raise_first_failure, span_rows)
 from liechannel.demos import demo_config, demo_names
 from liechannel.legendre import make_legendre_from_surface
 from liechannel.mesh import (
@@ -111,7 +111,7 @@ def test_grid_point_spheres_read_a_row_like_the_pointwise_reader():
     assert np.array_equal(positions, np.stack([p for p, _ in rows]))
     assert np.array_equal(finite, np.stack([f for _, f in rows]))
     # a broadcast cyclide frame pair reads as its materialised copy
-    (cyclide,), _ = cyclides_of(TORUS_SPACE)
+    (cyclide,) = cyclides_of(TORUS_SPACE)
     n_a, n_b = 2 * _SLAB_ROWS + 3, 20
     spheres_a, spheres_b = (
         circle_points(frame, np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
@@ -297,7 +297,7 @@ def test_mesh_refuses_faces_that_are_not_vertex_triples():
 
 
 def test_obj_writer_memory_stays_bounded():
-    (cyclide,), _ = cyclides_of(TORUS_SPACE)
+    (cyclide,) = cyclides_of(TORUS_SPACE)
     mesh = cyclide_mesh(cyclide, n_a=256, n_b=256)
     _, peak = presets.traced_peak(lambda: export_obj(mesh, os.devnull))
     assert peak < 2 * 2 ** 20
@@ -306,7 +306,7 @@ def test_obj_writer_memory_stays_bounded():
 def test_mesh_builders_hold_their_output_plus_one_slab():
     # each 256 x 256 builder peaks below its output plus 1 MiB: the
     # slabs it works in, not grid-sized temporaries
-    (cyclide,), _ = cyclides_of(TORUS_SPACE)
+    (cyclide,) = cyclides_of(TORUS_SPACE)
     grid = envelope(circle_sphere_curve(256, ring_radius=2.0, radius=1.0),
                     256)
     for build in (lambda: triangulate_grid((256, 256), True, True),
@@ -376,17 +376,17 @@ TORUS_SPACE = [np.eye(6)[0], np.eye(6)[1], np.array([0, 0, 0, -1.0, 2.0, -1.0])]
 
 
 def cyclides_of(*spaces):
-    """dupin_from_subspaces of the spans of the given row stacks:
-    (cyclides, first failure)."""
+    """dupin_from_subspaces of the spans of the given row stacks; raises
+    its first failure."""
     bases, _ = span_rows(np.stack(spaces))
     cyclides, _, failures = dupin_from_subspaces(
         bases, [f"space {i}" for i in range(len(spaces))])
-    return cyclides, first_failure(failures)
+    raise_first_failure(failures)
+    return cyclides
 
 
 def test_cyclide_grid_reproduces_torus():
-    (cyclide,), failure = cyclides_of(TORUS_SPACE)
-    assert failure is None
+    (cyclide,) = cyclides_of(TORUS_SPACE)
     positions, finite = cyclide_point_grid(cyclide, n_a=48, n_b=40)
     assert positions.shape == (48, 40, 3) and finite.all()
     rho = np.hypot(positions[..., 0], positions[..., 1])
@@ -398,14 +398,14 @@ def test_cyclide_grid_reproduces_torus():
 
 
 def test_cyclide_mesh_counts():
-    (cyclide,), _ = cyclides_of(TORUS_SPACE)
+    (cyclide,) = cyclides_of(TORUS_SPACE)
     mesh = cyclide_mesh(cyclide, n_a=32, n_b=24)
     assert mesh.vertices.shape == (768, 3)
     assert mesh.faces.shape == (1536, 3)       # both directions periodic
 
 
 def test_cyclide_rejects_wrong_signature():
-    _, (k, exc) = cyclides_of(TORUS_SPACE, np.eye(6)[:3])
-    assert k == 1 and isinstance(exc, SignatureError)
-    assert str(exc) == ("cyclide subspace (space 1) has signature (3, 0, 0), "
-                        "need (2, 1, 0)")
+    with pytest.raises(SignatureError) as caught:
+        cyclides_of(TORUS_SPACE, np.eye(6)[:3])
+    assert str(caught.value) == ("cyclide subspace (space 1) has signature "
+                                 "(3, 0, 0), need (2, 1, 0)")

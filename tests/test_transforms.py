@@ -34,18 +34,19 @@ from liechannel.core import (
     circle_points,
     complement_rows,
     containment_gap,
-    first_failure,
     inner,
     lightcone_frames,
     null_combination,
     orthonormal_rows,
     principal_sine,
     projective_gap,
+    raise_first_failure,
     span_rows,
     sphere_lift,
     unit_rows,
 )
-from liechannel.legendre import curvature_data, is_channel, validate_legendre
+from liechannel.legendre import (LegendreGrid, curvature_data, is_channel,
+                                 validate_legendre)
 from liechannel import transforms as tr
 
 import presets
@@ -176,13 +177,22 @@ def test_darboux_theta_lines_stay_on_spheres():
     assert sph <= 1e-10                               # measured 6.8e-15
 
 
-def test_darboux_substep_refinement():
+def at_substeps(monkeypatch, counts, run):
+    """run() once with transforms.SUBSTEPS set to each of counts."""
+    out = []
+    for k in counts:
+        monkeypatch.setattr(tr, "SUBSTEPS", k)
+        out.append(run())
+    return out
+
+
+def test_darboux_substep_refinement(monkeypatch):
     # the Magnus-Pade step is fourth order, and each step lies in O(4,2):
     # the section converges under substep doubling and stays null
     curve, grid, omega = torus()
     phi0 = tr.darboux_initial_condition(seed_space(), curve.vectors[0], seed=7)
-    runs = [tr.darboux_transform(grid, omega, 1.0, phi0, substeps=k)
-            for k in (1, 2, 4)]
+    runs = at_substeps(monkeypatch, (1, 2, 4),
+                       lambda: tr.darboux_transform(grid, omega, 1.0, phi0))
     (a, b, c) = (r.hat_s.vectors for r in runs)
     order = np.log2(np.max(np.abs(a - b)) / np.max(np.abs(b - c)))
     assert order >= 3.5                               # measured 3.98
@@ -578,8 +588,8 @@ def test_periodic_partner_stays_open_when_its_seam_does_not_close():
     # the wrap edge only measures the seam: the samples are the open
     # chain's
     chain = SphereCurve(s.vectors, s.u_values, d1=s.d1)
-    assert np.array_equal(part.vectors, tr._flow(
-        tr._connection(chain, tr.SUBSTEPS), y0, 1.0))
+    assert np.array_equal(part.vectors, tr._flow(tr._connection(chain), y0,
+                                                 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -661,11 +671,11 @@ def test_batched_cyclides_match_the_oracle():
         assert np.array_equal(frames[i, 1], lightcone_frames(perp)[0])
         assert np.array_equal(cyclides[i].frames, frames[i])
     first = int(np.argmax(wrong))
-    k, exc = first_failure(failures)
-    assert k == first and isinstance(exc, SignatureError)
-    assert str(exc) == (f"cyclide subspace (sample {first}) has signature "
-                        f"{tuple(signature[first].tolist())}, "
-                        "need (2, 1, 0)")
+    with pytest.raises(SignatureError) as caught:
+        raise_first_failure(failures)
+    assert str(caught.value) == (
+        f"cyclide subspace (sample {first}) has signature "
+        f"{tuple(signature[first].tolist())}, need (2, 1, 0)")
 
 
 def test_dupin_rejects_degenerate_triples():
@@ -701,13 +711,36 @@ def test_calapso_cylinder_nominal():
     assert gap <= 1e-12                               # measured 9.4e-16
 
 
-def test_calapso_substep_refinement_and_gate():
+def test_a_grid_of_a_broadcast_lift_transforms_as_one_of_its_copy():
+    # a grid stores C-ordered frames whatever layout its caller passes, so
+    # building it from a broadcast sigma, as envelope does, moves no bit of
+    # a Calapso or Darboux output
+    curve = line_sphere_curve(n=32)
+    tau = envelope(curve, n_theta=32).tau
+    view = np.broadcast_to(curve.vectors[:, None, :], tau.shape)
+    phi0 = tr.darboux_initial_condition(seed_space(), curve.vectors[0], seed=7)
+    outputs = []
+    for sigma in (view, view.copy()):
+        grid = LegendreGrid(sigma, tau, curve.u_values,
+                            np.arange(32) * (2.0 * np.pi / 32),
+                            periodic_theta=True)
+        assert grid.sigma.flags.c_contiguous
+        omega = omega0_form(grid, curve.vectors)
+        calapso = tr.calapso_transform(grid, omega, 1.0)[1]
+        darboux = tr.darboux_transform(grid, omega, 1.0, phi0).hat_f
+        outputs.append([calapso.sigma, calapso.tau, darboux.sigma,
+                        darboux.tau])
+    for from_view, from_copy in zip(*outputs):
+        assert np.array_equal(from_view, from_copy)
+
+
+def test_calapso_substep_refinement_and_gate(monkeypatch):
     # the gauge converges at fourth order under substep doubling, and its
     # metric defect, the number the demos gate on, stays at rounding at
     # every substep count (the planted-fault test below shows it can fail)
     _, grid, omega = torus()
-    gauges = [tr.calapso_transform(grid, omega, 1.0, substeps=k)[0]
-              for k in (2, 4, 8)]
+    gauges = at_substeps(monkeypatch, (2, 4, 8),
+                         lambda: tr.calapso_transform(grid, omega, 1.0)[0])
     (a, b, c) = (g.Tinv[-1] for g in gauges)
     order = np.log2(np.max(np.abs(a - b)) / np.max(np.abs(b - c)))
     assert 3.7 <= order <= 4.3                        # measured 3.99
@@ -720,7 +753,8 @@ def _worst_entry_gap(a, b):
 
 @pytest.mark.parametrize("channel, lam", [(torus, 2.0), (helix, 0.5)],
                          ids=["torus", "helix"])
-def test_flows_converge_at_fourth_order_on_curved_channels(channel, lam):
+def test_flows_converge_at_fourth_order_on_curved_channels(channel, lam,
+                                                           monkeypatch):
     # each flow against the same data at 4x substeps, at n and 2n: the gap
     # is the stepper's own error and falls 16x, while the metric defects,
     # taken against the largest scale the flow reaches, stay at rounding
@@ -731,12 +765,10 @@ def test_flows_converge_at_fourth_order_on_curved_channels(channel, lam):
         curve, grid, omega = channel(n)
         phi0 = tr.darboux_initial_condition(seed_space(), curve.vectors[0],
                                             seed=7)
-        phi, phi_fine = (tr.darboux_transform(grid, omega, 1.0, phi0,
-                                              substeps=k).hat_s.vectors
-                         for k in (4, 16))
-        (gauge, _), (fine, _) = (tr.calapso_transform(grid, omega, lam,
-                                                      substeps=k)
-                                 for k in (4, 16))
+        phi, phi_fine = at_substeps(monkeypatch, (4, 16), lambda: (
+            tr.darboux_transform(grid, omega, 1.0, phi0).hat_s.vectors))
+        gauge, fine = at_substeps(monkeypatch, (4, 16), lambda: (
+            tr.calapso_transform(grid, omega, lam)[0]))
         errors["darboux"].append(_worst_entry_gap(phi, phi_fine))
         errors["calapso"].append(_worst_entry_gap(gauge.Tinv, fine.Tinv))
         null = np.max(np.abs(inner(phi, phi))) / np.max(np.sum(phi * phi,
@@ -757,7 +789,7 @@ def test_drift_keys_grow_linearly_with_a_planted_fault(key, bound,
     # (outside o(4,2)) must move them linearly in eps, up to 1e3 times the
     # bounds the demos assert on them
     curve, grid, omega = cylinder()
-    p, q = tr._connection(omega.curve, 4)
+    p, q = tr._connection(omega.curve)
     phi0 = tr.darboux_initial_condition(seed_space(), curve.vectors[0], seed=0)
 
     def measured(eps):
@@ -796,7 +828,7 @@ def test_batched_flow_matches_stepwise_steps_on_a_torus(lam):
     # on a curved channel the Hermite nodes are not exact, so both Magnus
     # terms of every substep carry weight
     _, _, omega = torus()
-    terms = tr._connection(omega.curve, 4)
+    terms = tr._connection(omega.curve)
     phi0 = np.array([1.0, 0.5, -0.25, 2.0, 0.3, 1.5])
     for y0 in (np.eye(6), phi0):
         got = tr._flow(terms, y0, -lam)
@@ -810,7 +842,7 @@ def test_batched_flow_matches_stepwise_steps_on_a_long_thin_cylinder(lam):
     # their rounding must not build up along u
     curve = line_sphere_curve(n=1024)
     omega = omega0_form(envelope(curve, n_theta=8), curve.vectors)
-    terms = tr._connection(omega.curve, 4)
+    terms = tr._connection(omega.curve)
     phi0 = np.array([1.0, 0.5, -0.25, 2.0, 0.3, 1.5])
     for y0 in (np.eye(6), phi0):
         got = tr._flow(terms, y0, -lam)
@@ -818,12 +850,12 @@ def test_batched_flow_matches_stepwise_steps_on_a_long_thin_cylinder(lam):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_rk4_flow_is_fourth_order_under_substep_doubling():
+def test_rk4_flow_is_fourth_order_under_substep_doubling(monkeypatch):
     # the flow's Magnus-Pade stepper keeps the fourth order of the RK4 it
     # replaced: the whole periodic flow of the torus, end to end
     _, _, omega = torus()
-    ends = [tr._flow(tr._connection(omega.curve, k), np.eye(6), -1.0)[-1]
-            for k in (2, 4, 8)]
+    ends = at_substeps(monkeypatch, (2, 4, 8), lambda: tr._flow(
+        tr._connection(omega.curve), np.eye(6), -1.0)[-1])
     first = np.max(np.abs(ends[0] - ends[1]))
     second = np.max(np.abs(ends[1] - ends[2]))
     assert 3.7 <= np.log2(first / second) <= 4.3      # measured 3.99
@@ -846,9 +878,10 @@ def test_magnus_terms_are_built_once_per_structure(monkeypatch):
     tr.darboux_transform(grid, omega, 1.0, phi0)
     tr.ribaucour_partner_curve(omega.curve, -1.0, phi0)
     assert len(builds) == 1
-    p, q = tr._connection(omega.curve, 4)
+    p, q = tr._connection(omega.curve)
     assert not (p.flags.writeable or q.flags.writeable)
-    assert tr._connection(omega.curve, 2)[0].shape == (15, 2, 6, 6)
+    monkeypatch.setattr(tr, "SUBSTEPS", 2)
+    assert tr._connection(omega.curve)[0].shape == (15, 2, 6, 6)
     assert len(builds) == 2
 
 
